@@ -18,10 +18,6 @@
 //	bench-compare -current out.json       # compare an existing result file instead
 //	bench-compare -threshold 0.25         # custom noise allowance (or env BENCH_NOISE)
 //	bench-compare -summary run.json       # instead: validate a telemetry run-summary file
-//	bench-compare -sweep                  # instead: gate the sweep-engine parallel speedup
-//	                                      # (livenas-bench -sweepbench) vs BENCH_sweep.json
-//	bench-compare -vet                    # instead: gate the vet engine's warm-cache
-//	                                      # speedup (livenas-vet -bench) vs BENCH_vet.json
 package main
 
 import (
@@ -30,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"runtime"
 	"strconv"
 
 	"livenas/internal/telemetry"
@@ -72,56 +67,12 @@ func main() {
 		threshold = flag.Float64("threshold", defaultThreshold(), "allowed fractional speedup drop before failing (env BENCH_NOISE overrides the default)")
 		retries   = flag.Int("retries", 2, "extra bench runs on failure; best speedup per bench wins")
 		summary   = flag.String("summary", "", "validate a telemetry run-summary JSON file instead of comparing benches")
-		sweep     = flag.Bool("sweep", false, "gate the sweep-engine parallel speedup instead of the kernel benches")
-		sweepBase = flag.String("sweep-baseline", "BENCH_sweep.json", "committed sweep-speedup baseline JSON")
-		sweepCur  = flag.String("sweep-current", "", "pre-recorded sweepbench JSON to compare (default: run cmd/livenas-bench -sweepbench)")
-		vet       = flag.Bool("vet", false, "gate the vet engine's warm-cache speedup instead of the kernel benches")
-		vetBase   = flag.String("vet-baseline", "BENCH_vet.json", "committed vet-engine baseline JSON")
-		vetCur    = flag.String("vet-current", "", "pre-recorded livenas-vet -bench JSON to compare (default: run one)")
-		fleet     = flag.Bool("fleet", false, "gate the fleet plan's throughput and admission determinism instead of the kernel benches")
-		fleetBase = flag.String("fleet-baseline", "BENCH_fleet.json", "committed fleet baseline JSON")
-		fleetCur  = flag.String("fleet-current", "", "pre-recorded fleetbench JSON to compare (default: run cmd/livenas-bench -fleetbench)")
-		edge      = flag.Bool("edge", false, "gate the edge fan-out plan's throughput and delivery determinism instead of the kernel benches")
-		edgeBase  = flag.String("edge-baseline", "BENCH_edge.json", "committed edge baseline JSON")
-		edgeCur   = flag.String("edge-current", "", "pre-recorded edgebench JSON to compare (default: run cmd/livenas-bench -edgebench)")
 	)
 	flag.Parse()
 
 	if *summary != "" {
 		if err := validateSummary(*summary); err != nil {
 			fmt.Fprintf(os.Stderr, "bench-compare: summary %s: %v\n", *summary, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *sweep {
-		if err := sweepGate(*sweepBase, *sweepCur, *threshold, *retries); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: sweep: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *vet {
-		if err := vetGate(*vetBase, *vetCur, *threshold, *retries); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: vet: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fleet {
-		if err := fleetGate(*fleetBase, *fleetCur, *threshold, *retries); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *edge {
-		if err := edgeGate(*edgeBase, *edgeCur, *threshold, *retries); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: edge: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -255,308 +206,6 @@ func report(base, cur *benchFile, threshold float64, failed []string) {
 	}
 }
 
-// sweepRecord mirrors cmd/livenas-bench's -sweepbench JSON (BENCH_sweep.json).
-type sweepRecord struct {
-	Schema   int     `json:"schema"`
-	Sessions int     `json:"sessions"`
-	Workers  int     `json:"workers"`
-	SerialS  float64 `json:"serial_s"`
-	ParallS  float64 `json:"parallel_s"`
-	Speedup  float64 `json:"speedup"`
-}
-
-func readSweepRecord(path string) (*sweepRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r sweepRecord
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Sessions <= 0 || r.SerialS <= 0 || r.ParallS <= 0 || r.Speedup <= 0 {
-		return nil, fmt.Errorf("%s: non-positive sweep figures: %+v", path, r)
-	}
-	return &r, nil
-}
-
-// currentSweep loads path, or records a fresh sweepbench run when empty.
-func currentSweep(path string) (*sweepRecord, error) {
-	if path != "" {
-		return readSweepRecord(path)
-	}
-	tmp, err := os.CreateTemp("", "sweep_current_*.json")
-	if err != nil {
-		return nil, err
-	}
-	tmp.Close()
-	defer os.Remove(tmp.Name())
-	cmd := exec.Command("go", "run", "./cmd/livenas-bench", "-sweepbench", tmp.Name())
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("livenas-bench -sweepbench: %w", err)
-	}
-	return readSweepRecord(tmp.Name())
-}
-
-// sweepGate compares the serial-vs-parallel speedup of the fixed sweep
-// against the committed baseline. Like the kernel gate it compares a ratio
-// measured within one process run, so host speed cancels; unlike it, the
-// achievable ratio is bounded by the host's core count, so the baseline's
-// speedup is first capped at the cores available here.
-func sweepGate(basePath, curPath string, threshold float64, retries int) error {
-	base, err := readSweepRecord(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	cores := runtime.NumCPU()
-	if cores < 2 {
-		fmt.Println("sweep gate: single-core host, parallel speedup unmeasurable; skipping")
-		return nil
-	}
-	want := base.Speedup
-	if lim := float64(cores); want > lim {
-		want = lim
-	}
-	want *= 1 - threshold
-	cur, err := currentSweep(curPath)
-	if err != nil {
-		return err
-	}
-	for attempt := 0; cur.Speedup < want && attempt < retries && curPath == ""; attempt++ {
-		fmt.Printf("sweep gate: speedup x%.2f below x%.2f, retrying (wall-clock runs are noisy)\n",
-			cur.Speedup, want)
-		again, err := currentSweep("")
-		if err != nil {
-			return fmt.Errorf("retry: %w", err)
-		}
-		if again.Speedup > cur.Speedup {
-			cur = again
-		}
-	}
-	fmt.Printf("sweep gate: %d sessions, %d workers: serial %.2fs / parallel %.2fs = x%.2f (baseline x%.2f, floor x%.2f)\n",
-		cur.Sessions, cur.Workers, cur.SerialS, cur.ParallS, cur.Speedup, base.Speedup, want)
-	if cur.Speedup < want {
-		return fmt.Errorf("parallel sweep speedup x%.2f below floor x%.2f", cur.Speedup, want)
-	}
-	return nil
-}
-
-// vetRecord mirrors cmd/livenas-vet's -bench JSON (BENCH_vet.json).
-type vetRecord struct {
-	Schema          int     `json:"schema"`
-	Cores           int     `json:"cores"`
-	Jobs            int     `json:"jobs"`
-	Packages        int     `json:"packages"`
-	ColdJ1S         float64 `json:"cold_j1_s"`
-	ColdJNS         float64 `json:"cold_jn_s"`
-	WarmS           float64 `json:"warm_s"`
-	WarmSpeedup     float64 `json:"warm_speedup"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
-}
-
-func readVetRecord(path string) (*vetRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r vetRecord
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Packages <= 0 || r.ColdJNS <= 0 || r.WarmS <= 0 || r.WarmSpeedup <= 0 {
-		return nil, fmt.Errorf("%s: non-positive vet figures: %+v", path, r)
-	}
-	return &r, nil
-}
-
-// currentVet loads path, or records a fresh livenas-vet -bench run when
-// empty.
-func currentVet(path string) (*vetRecord, error) {
-	if path != "" {
-		return readVetRecord(path)
-	}
-	tmp, err := os.CreateTemp("", "vet_current_*.json")
-	if err != nil {
-		return nil, err
-	}
-	tmp.Close()
-	defer os.Remove(tmp.Name())
-	cmd := exec.Command("go", "run", "./cmd/livenas-vet", "-bench", tmp.Name(), "./...")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("livenas-vet -bench: %w", err)
-	}
-	return readVetRecord(tmp.Name())
-}
-
-// vetWarmFloor is the hard requirement on the incremental engine: a fully
-// warm facts-cache run must be at least this much faster than a cold run.
-// Unlike the other gates it is absolute, not baseline-relative — the cache
-// either removes the load/type-check/analyze cost or it is broken — and it
-// holds on a single core, where the parallel dimension is unmeasurable.
-const vetWarmFloor = 2.0
-
-// vetGate enforces the incremental-vet contract: warm-cache runs at least
-// vetWarmFloor times faster than cold, and (on multi-core hosts) the
-// parallel speedup within threshold of the committed baseline, capped at
-// the cores available here.
-func vetGate(basePath, curPath string, threshold float64, retries int) error {
-	base, err := readVetRecord(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	cores := runtime.NumCPU()
-	parallelWant := 0.0
-	if cores >= 2 {
-		parallelWant = base.ParallelSpeedup
-		if lim := float64(cores); parallelWant > lim {
-			parallelWant = lim
-		}
-		parallelWant *= 1 - threshold
-	}
-	ok := func(r *vetRecord) bool {
-		return r.WarmSpeedup >= vetWarmFloor && r.ParallelSpeedup >= parallelWant
-	}
-	cur, err := currentVet(curPath)
-	if err != nil {
-		return err
-	}
-	for attempt := 0; !ok(cur) && attempt < retries && curPath == ""; attempt++ {
-		fmt.Printf("vet gate: warm x%.1f / parallel x%.2f below floors, retrying (wall-clock runs are noisy)\n",
-			cur.WarmSpeedup, cur.ParallelSpeedup)
-		again, err := currentVet("")
-		if err != nil {
-			return fmt.Errorf("retry: %w", err)
-		}
-		if again.WarmSpeedup > cur.WarmSpeedup {
-			cur = again
-		}
-	}
-	parallelNote := fmt.Sprintf("parallel x%.2f (floor x%.2f)", cur.ParallelSpeedup, parallelWant)
-	if cores < 2 {
-		parallelNote = "single-core host, parallel dimension skipped"
-	}
-	fmt.Printf("vet gate: %d packages: cold %.2fs -> warm %.3fs = x%.1f (floor x%.1f); %s\n",
-		cur.Packages, cur.ColdJNS, cur.WarmS, cur.WarmSpeedup, vetWarmFloor, parallelNote)
-	if cur.WarmSpeedup < vetWarmFloor {
-		return fmt.Errorf("warm-cache speedup x%.1f below floor x%.1f", cur.WarmSpeedup, vetWarmFloor)
-	}
-	if cur.ParallelSpeedup < parallelWant {
-		return fmt.Errorf("parallel speedup x%.2f below floor x%.2f (baseline x%.2f)", cur.ParallelSpeedup, parallelWant, base.ParallelSpeedup)
-	}
-	return nil
-}
-
-// fleetRecord mirrors cmd/livenas-bench's -fleetbench JSON (BENCH_fleet.json).
-type fleetRecord struct {
-	Schema      int     `json:"schema"`
-	Streams     int     `json:"streams"`
-	GPUs        int     `json:"gpus"`
-	Sessions    int     `json:"sessions"`
-	Workers     int     `json:"workers"`
-	SerialS     float64 `json:"serial_s"`
-	ParallS     float64 `json:"parallel_s"`
-	Speedup     float64 `json:"speedup"`
-	SerialSPS   float64 `json:"sessions_per_sec_serial"`
-	ParallelSPS float64 `json:"sessions_per_sec_parallel"`
-	AdmitP99MS  float64 `json:"admit_p99_ms"`
-}
-
-func readFleetRecord(path string) (*fleetRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r fleetRecord
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Streams <= 0 || r.Sessions <= 0 || r.SerialS <= 0 || r.ParallS <= 0 || r.Speedup <= 0 {
-		return nil, fmt.Errorf("%s: non-positive fleet figures: %+v", path, r)
-	}
-	return &r, nil
-}
-
-// currentFleet loads path, or records a fresh fleetbench run when empty.
-// The streams/GPUs shape is pinned to the baseline's so both sides time the
-// same plan.
-func currentFleet(path string, base *fleetRecord) (*fleetRecord, error) {
-	if path != "" {
-		return readFleetRecord(path)
-	}
-	tmp, err := os.CreateTemp("", "fleet_current_*.json")
-	if err != nil {
-		return nil, err
-	}
-	tmp.Close()
-	defer os.Remove(tmp.Name())
-	cmd := exec.Command("go", "run", "./cmd/livenas-bench",
-		"-fleet", strconv.Itoa(base.Streams), "-gpus", strconv.Itoa(base.GPUs),
-		"-fleetbench", tmp.Name())
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("livenas-bench -fleetbench: %w", err)
-	}
-	return readFleetRecord(tmp.Name())
-}
-
-// fleetGate compares the fleet plan's execution against the committed
-// baseline on two axes. The parallel speedup (sessions/sec at NumCPU
-// workers over workers=1) is gated like the sweep record — baseline capped
-// at this host's cores, threshold noise allowed, skipped on a single core.
-// The virtual-time p99 admission latency is pure simulated time, so it must
-// match the baseline exactly on every host: a mismatch means the admission
-// plan itself changed (or went nondeterministic), not that the host is slow.
-func fleetGate(basePath, curPath string, threshold float64, retries int) error {
-	base, err := readFleetRecord(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	cur, err := currentFleet(curPath, base)
-	if err != nil {
-		return err
-	}
-	if cur.AdmitP99MS != base.AdmitP99MS {
-		return fmt.Errorf("admission p99 %.3fms differs from baseline %.3fms: the virtual admission plan changed (simulated time cannot be host-dependent)",
-			cur.AdmitP99MS, base.AdmitP99MS)
-	}
-	if cur.Sessions != base.Sessions {
-		return fmt.Errorf("plan admitted %d sessions, baseline %d", cur.Sessions, base.Sessions)
-	}
-	cores := runtime.NumCPU()
-	if cores < 2 {
-		fmt.Printf("fleet gate: admission plan matches baseline (p99 %.0fms, %d sessions); single-core host, parallel speedup unmeasurable; skipping\n",
-			base.AdmitP99MS, base.Sessions)
-		return nil
-	}
-	want := base.Speedup
-	if lim := float64(cores); want > lim {
-		want = lim
-	}
-	want *= 1 - threshold
-	for attempt := 0; cur.Speedup < want && attempt < retries && curPath == ""; attempt++ {
-		fmt.Printf("fleet gate: speedup x%.2f below x%.2f, retrying (wall-clock runs are noisy)\n",
-			cur.Speedup, want)
-		again, err := currentFleet("", base)
-		if err != nil {
-			return fmt.Errorf("retry: %w", err)
-		}
-		if again.AdmitP99MS != base.AdmitP99MS {
-			return fmt.Errorf("admission p99 %.3fms differs from baseline %.3fms on retry", again.AdmitP99MS, base.AdmitP99MS)
-		}
-		if again.Speedup > cur.Speedup {
-			cur = again
-		}
-	}
-	fmt.Printf("fleet gate: %d streams / %d GPUs, %d sessions, %d workers: %.2f -> %.2f sessions/s = x%.2f (baseline x%.2f, floor x%.2f); admit p99 %.0fms matches\n",
-		cur.Streams, cur.GPUs, cur.Sessions, cur.Workers, cur.SerialSPS, cur.ParallelSPS, cur.Speedup, base.Speedup, want, cur.AdmitP99MS)
-	if cur.Speedup < want {
-		return fmt.Errorf("parallel fleet speedup x%.2f below floor x%.2f", cur.Speedup, want)
-	}
-	return nil
-}
-
 // validateSummary checks a run-summary file the way the CI full tier does:
 // it must parse, satisfy RunSummary.Validate, and carry the scheduler and
 // counter fields downstream tooling keys on.
@@ -574,112 +223,5 @@ func validateSummary(path string) error {
 	fmt.Printf("summary ok: scheme=%s content=%s target=%.0f kbps (video %.0f / patch %.0f, share %.3f) duty=%.2f infer p50/p99 %.2f/%.2f ms\n",
 		s.Scheme, s.Content, s.AvgTargetKbps, s.AvgVideoKbps, s.AvgPatchKbps, s.PatchShare,
 		s.TrainerDutyCycle, s.InferP50MS, s.InferP99MS)
-	return nil
-}
-
-// edgeRecord mirrors cmd/livenas-bench's -edgebench JSON (BENCH_edge.json).
-type edgeRecord struct {
-	Schema      int     `json:"schema"`
-	Sims        int     `json:"sims"`
-	Viewers     int     `json:"viewers"`
-	Workers     int     `json:"workers"`
-	SerialS     float64 `json:"serial_s"`
-	ParallS     float64 `json:"parallel_s"`
-	Speedup     float64 `json:"speedup"`
-	SerialVPS   float64 `json:"viewers_per_sec_serial"`
-	ParallelVPS float64 `json:"viewers_per_sec_parallel"`
-	Delivered   int     `json:"delivered"`
-	SegP99MS    float64 `json:"seg_p99_ms"`
-}
-
-func readEdgeRecord(path string) (*edgeRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r edgeRecord
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Sims <= 0 || r.Viewers <= 0 || r.Delivered <= 0 || r.SerialS <= 0 || r.ParallS <= 0 || r.Speedup <= 0 {
-		return nil, fmt.Errorf("%s: non-positive edge figures: %+v", path, r)
-	}
-	return &r, nil
-}
-
-// currentEdge loads path, or records a fresh edgebench run when empty.
-func currentEdge(path string) (*edgeRecord, error) {
-	if path != "" {
-		return readEdgeRecord(path)
-	}
-	tmp, err := os.CreateTemp("", "edge_current_*.json")
-	if err != nil {
-		return nil, err
-	}
-	tmp.Close()
-	defer os.Remove(tmp.Name())
-	cmd := exec.Command("go", "run", "./cmd/livenas-bench", "-edgebench", tmp.Name())
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("livenas-bench -edgebench: %w", err)
-	}
-	return readEdgeRecord(tmp.Name())
-}
-
-// edgeGate compares the edge fan-out plan's execution against the
-// committed baseline the same way fleetGate does. The virtual-time
-// delivery p99 (and the delivered-segment count) is pure simulated time,
-// so it must match the baseline exactly on every host — a mismatch means
-// the fan-out plan itself changed or went nondeterministic. The parallel
-// speedup (viewers/sec at the worker pool over workers=1) is gated against
-// the baseline capped at this host's cores, threshold noise allowed,
-// skipped on a single core.
-func edgeGate(basePath, curPath string, threshold float64, retries int) error {
-	base, err := readEdgeRecord(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	cur, err := currentEdge(curPath)
-	if err != nil {
-		return err
-	}
-	if cur.SegP99MS != base.SegP99MS {
-		return fmt.Errorf("delivery p99 %.3fms differs from baseline %.3fms: the virtual fan-out plan changed (simulated time cannot be host-dependent)",
-			cur.SegP99MS, base.SegP99MS)
-	}
-	if cur.Delivered != base.Delivered || cur.Viewers != base.Viewers || cur.Sims != base.Sims {
-		return fmt.Errorf("plan shape %d sims / %d viewers / %d delivered, baseline %d / %d / %d",
-			cur.Sims, cur.Viewers, cur.Delivered, base.Sims, base.Viewers, base.Delivered)
-	}
-	cores := runtime.NumCPU()
-	if cores < 2 {
-		fmt.Printf("edge gate: fan-out plan matches baseline (p99 %.1fms, %d delivered); single-core host, parallel speedup unmeasurable; skipping\n",
-			base.SegP99MS, base.Delivered)
-		return nil
-	}
-	want := base.Speedup
-	if lim := float64(cores); want > lim {
-		want = lim
-	}
-	want *= 1 - threshold
-	for attempt := 0; cur.Speedup < want && attempt < retries && curPath == ""; attempt++ {
-		fmt.Printf("edge gate: speedup x%.2f below x%.2f, retrying (wall-clock runs are noisy)\n",
-			cur.Speedup, want)
-		again, err := currentEdge("")
-		if err != nil {
-			return fmt.Errorf("retry: %w", err)
-		}
-		if again.SegP99MS != base.SegP99MS {
-			return fmt.Errorf("delivery p99 %.3fms differs from baseline %.3fms on retry", again.SegP99MS, base.SegP99MS)
-		}
-		if again.Speedup > cur.Speedup {
-			cur = again
-		}
-	}
-	fmt.Printf("edge gate: %d sims / %d viewers, %d workers: %.0f -> %.0f viewers/s = x%.2f (baseline x%.2f, floor x%.2f); delivery p99 %.1fms matches\n",
-		cur.Sims, cur.Viewers, cur.Workers, cur.SerialVPS, cur.ParallelVPS, cur.Speedup, base.Speedup, want, cur.SegP99MS)
-	if cur.Speedup < want {
-		return fmt.Errorf("parallel edge speedup x%.2f below floor x%.2f", cur.Speedup, want)
-	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 )
 
@@ -95,75 +94,5 @@ func TestCompareFlagsMissingAndRegressed(t *testing.T) {
 		if name == "conv_backward" {
 			t.Fatal("within-threshold drop reported as regression")
 		}
-	}
-}
-
-func writeFleetRecord(t *testing.T, r *fleetRecord) string {
-	t.Helper()
-	data, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func sampleFleetRecord() *fleetRecord {
-	return &fleetRecord{
-		Schema: 1, Streams: 6, GPUs: 2, Sessions: 6, Workers: 4,
-		SerialS: 12, ParallS: 4, Speedup: 3,
-		SerialSPS: 0.5, ParallelSPS: 1.5, AdmitP99MS: 45000,
-	}
-}
-
-func TestReadFleetRecordValidation(t *testing.T) {
-	if _, err := readFleetRecord(writeFleetRecord(t, sampleFleetRecord())); err != nil {
-		t.Fatalf("valid record rejected: %v", err)
-	}
-	bad := sampleFleetRecord()
-	bad.Sessions = 0
-	if _, err := readFleetRecord(writeFleetRecord(t, bad)); err == nil {
-		t.Fatal("record with zero sessions accepted")
-	}
-}
-
-// TestFleetGateAdmissionPin pins the determinism half of the fleet gate: a
-// p99 admission latency differing from the baseline fails regardless of
-// throughput, because simulated time cannot be host-dependent.
-func TestFleetGateAdmissionPin(t *testing.T) {
-	base := sampleFleetRecord()
-	cur := sampleFleetRecord()
-	cur.AdmitP99MS = 45001
-	err := fleetGate(writeFleetRecord(t, base), writeFleetRecord(t, cur), 0.15, 0)
-	if err == nil {
-		t.Fatal("p99 mismatch passed the gate")
-	}
-	cur = sampleFleetRecord()
-	cur.Sessions = 5
-	if err := fleetGate(writeFleetRecord(t, base), writeFleetRecord(t, cur), 0.15, 0); err == nil {
-		t.Fatal("session-count mismatch passed the gate")
-	}
-}
-
-func TestFleetGateSpeedup(t *testing.T) {
-	base := sampleFleetRecord()
-	ok := sampleFleetRecord()
-	err := fleetGate(writeFleetRecord(t, base), writeFleetRecord(t, ok), 0.15, 0)
-	if err != nil {
-		t.Fatalf("matching record failed the gate: %v", err)
-	}
-	slow := sampleFleetRecord()
-	slow.Speedup = 1.0
-	err = fleetGate(writeFleetRecord(t, base), writeFleetRecord(t, slow), 0.15, 0)
-	if runtime.NumCPU() < 2 {
-		// Single-core hosts skip the speedup dimension entirely.
-		if err != nil {
-			t.Fatalf("single-core host must skip the speedup gate: %v", err)
-		}
-	} else if err == nil {
-		t.Fatal("collapsed speedup passed the gate on a multi-core host")
 	}
 }

@@ -17,42 +17,34 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"sync"
 	"time"
 
-	"livenas/internal/edge"
 	"livenas/internal/exp"
-	"livenas/internal/fleet"
 	"livenas/internal/sweep"
 	"livenas/internal/telemetry"
 )
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list available experiments")
-		fig        = flag.String("fig", "", "run one experiment by id")
-		all        = flag.Bool("all", false, "run every experiment")
-		full       = flag.Bool("full", false, "full-scale mode (slower, larger frames)")
-		seed       = flag.Int64("seed", 0, "seed offset for sensitivity runs")
-		traces     = flag.Int("traces", 0, "traces per data point (0 = default)")
-		dur        = flag.Duration("dur", 0, "per-session stream duration (0 = default)")
-		timings    = flag.Bool("time", true, "print per-experiment wall time and sweep stats")
-		parallel   = flag.Int("parallel", 0, "concurrent sessions per sweep (0 = GOMAXPROCS)")
-		cacheDir   = flag.String("cache-dir", "", "session-result cache directory (empty = no cache)")
-		summary    = flag.String("summary", "", "run one representative LiveNAS session and write its telemetry summary JSON to this file")
-		sweepBench = flag.String("sweepbench", "", "time a fixed sweep serially and in parallel, write the JSON record to this file")
-		fleetN     = flag.Int("fleet", 0, "fleet experiment streamer count N (0 = default 6)")
-		gpus       = flag.Int("gpus", 0, "fleet experiment GPU-pool size M (0 = default 2)")
-		fleetBench = flag.String("fleetbench", "", "time the fixed fleet plan serially and in parallel, write the JSON record to this file")
-		edgeBench  = flag.String("edgebench", "", "time the fixed edge fan-out plan serially and in parallel, write the JSON record to this file")
-		quant      = flag.Bool("quant", false, "route inference through the int8-quantized fast path (0.5 dB online quality gate)")
-		anytime    = flag.Duration("anytime", 0, "per-frame anytime-scheduling deadline, e.g. 33ms (0 = off; implies patch-level int8/f32/bilinear mixing)")
+		list     = flag.Bool("list", false, "list available experiments")
+		fig      = flag.String("fig", "", "run one experiment by id")
+		all      = flag.Bool("all", false, "run every experiment")
+		full     = flag.Bool("full", false, "full-scale mode (slower, larger frames)")
+		seed     = flag.Int64("seed", 0, "seed offset for sensitivity runs")
+		traces   = flag.Int("traces", 0, "traces per data point (0 = default)")
+		dur      = flag.Duration("dur", 0, "per-session stream duration (0 = default)")
+		timings  = flag.Bool("time", true, "print per-experiment wall time and sweep stats")
+		parallel = flag.Int("parallel", 0, "concurrent sessions per sweep (0 = GOMAXPROCS)")
+		cacheDir = flag.String("cache-dir", "", "session-result cache directory (empty = no cache)")
+		summary  = flag.String("summary", "", "run one representative LiveNAS session and write its telemetry summary JSON to this file")
+		fleetN   = flag.Int("fleet", 0, "fleet experiment streamer count N (0 = default 6)")
+		gpus     = flag.Int("gpus", 0, "fleet experiment GPU-pool size M (0 = default 2)")
+		quant    = flag.Bool("quant", false, "route inference through the int8-quantized fast path (0.5 dB online quality gate)")
+		anytime  = flag.Duration("anytime", 0, "per-frame anytime-scheduling deadline, e.g. 33ms (0 = off; implies patch-level int8/f32/bilinear mixing)")
 	)
 	flag.Parse()
 
@@ -87,21 +79,6 @@ func main() {
 		}
 		fmt.Printf("telemetry summary written to %s (scheme %s, duty cycle %.2f, infer p50 %.2f ms)\n",
 			*summary, s.Scheme, s.TrainerDutyCycle, s.InferP50MS)
-	case *sweepBench != "":
-		if err := runSweepBench(ctx, *sweepBench, o, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *fleetBench != "":
-		if err := runFleetBench(ctx, *fleetBench, o, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *edgeBench != "":
-		if err := runEdgeBench(*edgeBench, o, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	case *list:
 		for _, e := range exp.Registry {
 			fmt.Printf("%-12s %s\n", e.ID, e.Desc)
@@ -152,233 +129,4 @@ func runOne(ctx context.Context, e exp.Experiment, o exp.Options, workers int, c
 			s.Submitted, s.Executed, s.Cached, s.Submitted-s.Started,
 			s.SimGPU.Truncate(time.Millisecond), s.Workers)
 	}
-}
-
-// sweepBenchRecord is the JSON layout of BENCH_sweep.json: the serial and
-// parallel wall clock of the same fixed sweep. cmd/bench-compare gates on
-// the speedup ratio, which cancels host speed.
-type sweepBenchRecord struct {
-	Schema   int     `json:"schema"`
-	Sessions int     `json:"sessions"`
-	Workers  int     `json:"workers"`
-	SerialS  float64 `json:"serial_s"`
-	ParallS  float64 `json:"parallel_s"`
-	Speedup  float64 `json:"speedup"`
-}
-
-// runSweepBench times exp.SweepBenchGrid with one worker and with the full
-// worker set, then writes the record to path.
-//
-//livenas:allow determinism-taint wall-clock benchmark record; never feeds results
-func runSweepBench(ctx context.Context, path string, o exp.Options, workers int) error {
-	grid := exp.SweepBenchGrid(o)
-	run := func(w int) (time.Duration, sweep.Stats, error) {
-		start := time.Now()
-		r := sweep.New(ctx, sweep.Options{Workers: w})
-		r.GoGrid(grid)
-		_, err := r.Collect()
-		return time.Since(start), r.Stats(), err
-	}
-	// Serial first: it also warms process-wide lazy state (shared kernel
-	// pool, generic-model cache), so the parallel leg measures concurrency
-	// rather than first-touch costs.
-	serial, _, err := run(1)
-	if err != nil {
-		return err
-	}
-	parallel, stats, err := run(workers)
-	if err != nil {
-		return err
-	}
-	rec := sweepBenchRecord{
-		Schema:   1,
-		Sessions: stats.Executed,
-		Workers:  stats.Workers,
-		SerialS:  serial.Seconds(),
-		ParallS:  parallel.Seconds(),
-		Speedup:  serial.Seconds() / parallel.Seconds(),
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("sweep bench: %d sessions, serial %.2fs, parallel(%d) %.2fs, speedup x%.2f -> %s\n",
-		rec.Sessions, rec.SerialS, rec.Workers, rec.ParallS, rec.Speedup, path)
-	return nil
-}
-
-// fleetBenchRecord is the JSON layout of BENCH_fleet.json: the serial and
-// parallel wall clock of executing the same fixed fleet admission plan,
-// plus the plan's virtual-time p99 admission latency. AdmitP99MS is pure
-// simulated time — identical on every host — so cmd/bench-compare checks
-// it for exact equality (a cross-host determinism pin), while the speedup
-// ratio is gated with noise tolerance like the sweep record.
-type fleetBenchRecord struct {
-	Schema      int     `json:"schema"`
-	Streams     int     `json:"streams"`
-	GPUs        int     `json:"gpus"`
-	Sessions    int     `json:"sessions"`
-	Workers     int     `json:"workers"`
-	SerialS     float64 `json:"serial_s"`
-	ParallS     float64 `json:"parallel_s"`
-	Speedup     float64 `json:"speedup"`
-	SerialSPS   float64 `json:"sessions_per_sec_serial"`
-	ParallelSPS float64 `json:"sessions_per_sec_parallel"`
-	AdmitP99MS  float64 `json:"admit_p99_ms"`
-}
-
-// runFleetBench executes exp.FleetBenchPlan with one worker and with the
-// full worker set, then writes the record to path.
-//
-//livenas:allow determinism-taint wall-clock benchmark record; never feeds results
-func runFleetBench(ctx context.Context, path string, o exp.Options, workers int) error {
-	run := func(w int) (time.Duration, *fleet.Plan, int, error) {
-		p, err := exp.FleetBenchPlan(o)
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		start := time.Now()
-		r := sweep.New(ctx, sweep.Options{Workers: w})
-		p.Submit(r)
-		if err := p.Collect(); err != nil {
-			return 0, nil, 0, err
-		}
-		return time.Since(start), p, r.Stats().Workers, nil
-	}
-	// Serial first warms process-wide lazy state, like runSweepBench.
-	serial, plan, _, err := run(1)
-	if err != nil {
-		return err
-	}
-	parallel, _, nworkers, err := run(workers)
-	if err != nil {
-		return err
-	}
-	st := plan.Stats()
-	sessions := st.Admitted + st.Degraded
-	rec := fleetBenchRecord{
-		Schema:      1,
-		Streams:     st.Streams,
-		GPUs:        plan.M.Pool().Total(),
-		Sessions:    sessions,
-		Workers:     nworkers,
-		SerialS:     serial.Seconds(),
-		ParallS:     parallel.Seconds(),
-		Speedup:     serial.Seconds() / parallel.Seconds(),
-		SerialSPS:   float64(sessions) / serial.Seconds(),
-		ParallelSPS: float64(sessions) / parallel.Seconds(),
-		AdmitP99MS:  float64(st.AdmitP99) / float64(time.Millisecond),
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("fleet bench: %d streams on %d GPUs, %d sessions, serial %.2fs, parallel(%d) %.2fs, speedup x%.2f, admit p99 %.0fms -> %s\n",
-		rec.Streams, rec.GPUs, rec.Sessions, rec.SerialS, rec.Workers, rec.ParallS, rec.Speedup, rec.AdmitP99MS, path)
-	return nil
-}
-
-// edgeBenchRecord is the JSON layout of BENCH_edge.json: the serial and
-// parallel wall clock of running the same fixed edge fan-out plan, plus
-// the plan's worst virtual-time delivery p99. SegP99MS is pure simulated
-// time — identical on every host — so cmd/bench-compare checks it for
-// exact equality (a cross-host determinism pin), while the speedup ratio
-// is gated with noise tolerance like the sweep and fleet records.
-type edgeBenchRecord struct {
-	Schema      int     `json:"schema"`
-	Sims        int     `json:"sims"`
-	Viewers     int     `json:"viewers"`
-	Workers     int     `json:"workers"`
-	SerialS     float64 `json:"serial_s"`
-	ParallS     float64 `json:"parallel_s"`
-	Speedup     float64 `json:"speedup"`
-	SerialVPS   float64 `json:"viewers_per_sec_serial"`
-	ParallelVPS float64 `json:"viewers_per_sec_parallel"`
-	Delivered   int     `json:"delivered"`
-	SegP99MS    float64 `json:"seg_p99_ms"`
-}
-
-// runEdgeBench executes exp.EdgeBenchPlan serially and across a worker
-// pool, then writes the record to path. Each sim is single-threaded on
-// its own virtual clock, so the pool parallelises across sims.
-//
-//livenas:allow determinism-taint wall-clock benchmark record; never feeds results
-func runEdgeBench(path string, o exp.Options, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	plan := exp.EdgeBenchPlan(o)
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	run := func(w int) (time.Duration, []*edge.Result, error) {
-		start := time.Now()
-		results := make([]*edge.Result, len(plan))
-		errs := make([]error, len(plan))
-		sem := make(chan struct{}, w)
-		var wg sync.WaitGroup
-		for i := range plan {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i], errs[i] = edge.RunSim(plan[i])
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, nil, err
-			}
-		}
-		return time.Since(start), results, nil
-	}
-	// Serial first warms process-wide lazy state, like runSweepBench.
-	serial, results, err := run(1)
-	if err != nil {
-		return err
-	}
-	parallel, _, err := run(workers)
-	if err != nil {
-		return err
-	}
-	var viewers, delivered int
-	var p99 time.Duration
-	for _, r := range results {
-		viewers += r.Viewers
-		delivered += r.Delivered
-		if r.DeliveryP99 > p99 {
-			p99 = r.DeliveryP99
-		}
-	}
-	rec := edgeBenchRecord{
-		Schema:      1,
-		Sims:        len(plan),
-		Viewers:     viewers,
-		Workers:     workers,
-		SerialS:     serial.Seconds(),
-		ParallS:     parallel.Seconds(),
-		Speedup:     serial.Seconds() / parallel.Seconds(),
-		SerialVPS:   float64(viewers) / serial.Seconds(),
-		ParallelVPS: float64(viewers) / parallel.Seconds(),
-		Delivered:   delivered,
-		SegP99MS:    float64(p99) / float64(time.Millisecond),
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("edge bench: %d sims, %d viewers, serial %.2fs, parallel(%d) %.2fs, speedup x%.2f, seg p99 %.1fms -> %s\n",
-		rec.Sims, rec.Viewers, rec.SerialS, rec.Workers, rec.ParallS, rec.Speedup, rec.SegP99MS, path)
-	return nil
 }

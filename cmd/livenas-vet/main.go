@@ -5,15 +5,13 @@
 // guarded-by inference, asm/build-tag hygiene for the assembly kernels,
 // unchecked wire-write errors, mutex lock/defer hygiene, exhaustive
 // wire-message switches, and float precision churn in the hot numeric
-// kernels. It is part of the pre-merge gate (scripts/check.sh,
-// scripts/ci.sh).
+// kernels. It is part of both scripts/ci.sh tiers.
 //
 // Usage:
 //
 //	go run ./cmd/livenas-vet [-checks c1,c2] [-skip c3] [-list] [-json] \
 //	    [-j N] [-cache-dir DIR] [-stats] \
-//	    [-baseline file [-prune-baseline]] [-write-baseline file] \
-//	    [-bench file] [packages]
+//	    [-baseline file [-prune-baseline]] [-write-baseline file] [packages]
 //
 // Package patterns are import-path prefixes relative to the module root:
 // "./..." (default) analyses everything, "./internal/..." a subtree, and
@@ -34,23 +32,18 @@
 // the gate, and entries that no longer match anything are reported as
 // stale (-prune-baseline rewrites the file with the stale entries
 // removed). -write-baseline regenerates that file from the current
-// findings, carrying existing justifications over. -bench measures the
-// cold/warm and serial/parallel engine costs in-process and writes a
-// BENCH_vet.json record for the bench-regression gate.
+// findings, carrying existing justifications over.
 //
 // Exit status is 1 when (non-baselined) findings remain, 2 on load
 // failure or an invalid baseline.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"livenas/internal/analysis"
 )
@@ -67,7 +60,6 @@ func main() {
 		baselinePath  = flag.String("baseline", "", "filter findings through this committed baseline file")
 		pruneBaseline = flag.Bool("prune-baseline", false, "rewrite -baseline with stale entries removed")
 		writeBaseline = flag.String("write-baseline", "", "write the current findings to this baseline file and exit")
-		benchOut      = flag.String("bench", "", "measure cold/warm engine cost and write a BENCH_vet.json record to this file")
 	)
 	flag.Parse()
 
@@ -94,13 +86,6 @@ func main() {
 	root, modPath, err := analysis.FindModule(wd)
 	if err != nil {
 		fatalf("%v", err)
-	}
-
-	if *benchOut != "" {
-		if err := runBench(root, modPath, checks, flag.Args(), *jobs, *benchOut); err != nil {
-			fatalf("bench: %v", err)
-		}
-		return
 	}
 
 	res, err := analysis.RunDriver(root, modPath, analysis.DriverOptions{
@@ -256,92 +241,6 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-// vetBenchRecord is the BENCH_vet.json schema the bench-regression gate
-// (cmd/bench-compare -vet) reads. All ratios are measured within one
-// process on one machine, so host speed cancels.
-type vetBenchRecord struct {
-	Schema          int     `json:"schema"`
-	Cores           int     `json:"cores"`
-	Jobs            int     `json:"jobs"`
-	Packages        int     `json:"packages"`
-	ColdJ1S         float64 `json:"cold_j1_s"`
-	ColdJNS         float64 `json:"cold_jn_s"`
-	WarmS           float64 `json:"warm_s"`
-	WarmSpeedup     float64 `json:"warm_speedup"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
-}
-
-// runBench measures the engine three ways — cold serial, cold parallel,
-// fully warm — and writes the record. The warm run reuses the cold
-// parallel run's cache directory, so warm_speedup = cold_jn_s / warm_s is
-// exactly the saving a developer sees on an unchanged re-run.
-//
-//livenas:allow determinism-taint benchmarking wall-clock cost is the point
-func runBench(root, modPath string, checks []*analysis.Check, patterns []string, jobs int, out string) error {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	timed := func(j int, dir string) (float64, *analysis.DriverResult, error) {
-		t0 := time.Now()
-		res, err := analysis.RunDriver(root, modPath, analysis.DriverOptions{
-			Checks: checks, Patterns: patterns, Jobs: j, CacheDir: dir,
-		})
-		return time.Since(t0).Seconds(), res, err
-	}
-
-	dir1, err := os.MkdirTemp("", "vetbench-j1-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir1)
-	dirN, err := os.MkdirTemp("", "vetbench-jn-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dirN)
-
-	fmt.Fprintf(os.Stderr, "vet bench: cold run, -j 1\n")
-	coldJ1, _, err := timed(1, dir1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "vet bench: cold run, -j %d\n", jobs)
-	coldJN, _, err := timed(jobs, dirN)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "vet bench: warm run, -j %d\n", jobs)
-	warm, warmRes, err := timed(jobs, dirN)
-	if err != nil {
-		return err
-	}
-	if warmRes.Stats.Loaded != 0 {
-		return fmt.Errorf("warm run loaded %d packages; expected a fully-warm cache", warmRes.Stats.Loaded)
-	}
-
-	rec := vetBenchRecord{
-		Schema:          1,
-		Cores:           runtime.NumCPU(),
-		Jobs:            jobs,
-		Packages:        warmRes.Stats.Targets,
-		ColdJ1S:         coldJ1,
-		ColdJNS:         coldJN,
-		WarmS:           warm,
-		WarmSpeedup:     coldJN / warm,
-		ParallelSpeedup: coldJ1 / coldJN,
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "vet bench: %d packages: cold %.2fs (j1) / %.2fs (j%d), warm %.3fs; warm speedup x%.1f, parallel x%.2f -> %s\n",
-		rec.Packages, coldJ1, coldJN, jobs, warm, rec.WarmSpeedup, rec.ParallelSpeedup, out)
-	return nil
 }
 
 func fatalf(format string, args ...any) {

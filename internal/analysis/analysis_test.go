@@ -149,12 +149,17 @@ func TestParseDirective(t *testing.T) {
 	}
 }
 
-// TestRepoIsVetClean loads the real module and requires every check to
-// pass on it after applying the committed baseline — the same gate
-// `go run ./cmd/livenas-vet -baseline analysis/baseline.json ./...`
-// enforces, wired into the ordinary test suite so tier-1 catches
+// TestRepoIsVetClean runs the driver over the real module and requires
+// every check to pass on it after applying the committed baseline — the
+// same gate `go run ./cmd/livenas-vet -baseline analysis/baseline.json
+// ./...` enforces, wired into the ordinary test suite so tier-1 catches
 // regressions. Stale baseline entries also fail: an entry whose finding
 // was fixed must be removed, not left as a latent suppression.
+//
+// The cold run fills a facts cache; the unchanged re-run that follows pins
+// the incremental contract on the real module (the fixture-level version is
+// TestDriverCacheInvalidation): it loads and analyzes nothing, and reports
+// the same findings.
 func TestRepoIsVetClean(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -164,27 +169,36 @@ func TestRepoIsVetClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoader(token.NewFileSet(), root, modPath)
-	pkgs, err := l.LoadAll()
+	opts := DriverOptions{CacheDir: t.TempDir()}
+	cold, err := RunDriver(root, modPath, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pkgs {
-		for _, e := range p.TypeErrors {
-			t.Errorf("%s: type error: %v", p.Path, e)
-		}
+	for _, w := range cold.Warnings {
+		t.Errorf("type error: %s", w)
 	}
-	diags := Run(pkgs, AllChecks())
 	b, err := LoadBaseline(filepath.Join(root, "analysis", "baseline.json"))
 	if err != nil {
 		t.Fatalf("committed baseline: %v", err)
 	}
-	fresh, stale := b.Apply(diags)
+	fresh, stale := b.Apply(cold.Diags)
 	for _, d := range fresh {
 		t.Errorf("%s", d)
 	}
 	for _, e := range stale {
 		t.Errorf("stale baseline entry (%s in %s): finding no longer present, remove it from analysis/baseline.json", e.Check, e.Package)
+	}
+
+	warm, err := RunDriver(root, modPath, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Stats; st.Loaded != 0 || len(st.Analyzed) != 0 || st.GlobalRan {
+		t.Errorf("fully-warm run loaded %d packages, analyzed %v, global checks ran: %v; want 0, none, false",
+			st.Loaded, st.Analyzed, st.GlobalRan)
+	}
+	if got, want := renderDriver(t, warm, root), renderDriver(t, cold, root); got != want {
+		t.Errorf("warm findings differ from cold:\n%s\n--- vs ---\n%s", got, want)
 	}
 }
 

@@ -6,13 +6,13 @@ import (
 )
 
 // UncheckedWrite flags statement-position calls that discard the error of
-// a wire/stream emit path: wire.Write, io.Writer Write methods, and
+// a wire/stream emit path: wire.WriteFrame, io.Writer Write methods, and
 // encoder-style emitters (Encode, Flush, WriteString, ...). On a live
 // ingest connection a swallowed short write silently desynchronises the
 // length-prefixed protocol; the session must instead be terminated.
 var UncheckedWrite = &Check{
 	Name: "unchecked-write",
-	Doc: "discarded error from wire.Write, io.Writer.Write, or an encoder " +
+	Doc: "discarded error from wire.WriteFrame, io.Writer.Write, or an encoder " +
 		"emit path; handle it (log and terminate the session) or discard " +
 		"explicitly with `_ =`",
 	Run: runUncheckedWrite,
@@ -55,9 +55,9 @@ func runUncheckedWrite(p *Pass) {
 			}
 			recv := fn.Type().(*types.Signature).Recv()
 			if recv == nil {
-				// Package-level function: only wire.Write-shaped emitters.
-				if fn.Name() == "Write" && fn.Pkg() != nil && fn.Pkg().Name() == "wire" {
-					p.Reportf(st.Pos(), "result of %s.Write is discarded; a failed wire write must end the session", fn.Pkg().Name())
+				// Package-level function: only the wire package's emitter.
+				if fn.Name() == "WriteFrame" && fn.Pkg() != nil && fn.Pkg().Name() == "wire" {
+					p.Reportf(st.Pos(), "result of wire.WriteFrame is discarded; a failed wire write must end the session")
 				}
 				return true
 			}

@@ -122,6 +122,14 @@ func (p *Playlist) Ref(index int) *SegmentRef {
 	return &p.Segments[index-o]
 }
 
+// gob assigns wire type ids process-wide in first-use order, and an id of
+// 128 or more costs an extra byte wherever it appears. Simulated links
+// charge for a playlist's encoded size, so without this the virtual-time
+// results of an edge simulation would depend on what else the process had
+// gob-encoded first (the sweep runner's config keys push the ids past 128).
+// Claiming the ids at init makes the size a function of the playlist alone.
+func init() { (&Playlist{}).Encode() }
+
 // Encode serialises the playlist for a MsgPlaylist body. The encoding is
 // deterministic (fixed field order, no maps): the same window encodes to
 // the same bytes on every node, pinned by TestPlaylistEncodeDeterministic.

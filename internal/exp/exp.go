@@ -230,20 +230,6 @@ func (o Options) uplinks(n int, seed int64) []*trace.Trace {
 	return out
 }
 
-// SweepBenchGrid returns the fixed grid scripts/bench.sh times serially and
-// in parallel (BENCH_sweep.json): eight distinct short sessions — no
-// memoization overlap — so the parallel run can occupy several workers.
-func SweepBenchGrid(o Options) sweep.Grid {
-	base := o.baseConfig(vidgen.JustChatting, 2)
-	base.Duration = 15 * time.Second
-	return sweep.Grid{
-		Base:     base,
-		Schemes:  []core.Scheme{core.SchemeWebRTC, core.SchemeLiveNAS},
-		Contents: []vidgen.Category{vidgen.JustChatting, vidgen.Fortnite},
-		Traces:   o.uplinks(2, 990),
-	}
-}
-
 // wait unwraps a sweep handle inside a figure generator. The table contract
 // has no error channel, so failures — invalid configs, a cancelled sweep —
 // surface as panics, exactly as core.Run always has.

@@ -2,6 +2,10 @@ package exp
 
 import (
 	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,6 +25,32 @@ func fastOpts() Options {
 // submit-then-collect path the harness uses in production.
 func testRunner() *sweep.Runner {
 	return sweep.New(context.Background(), sweep.Options{Workers: 2})
+}
+
+// golden is the behaviour pin for refactors: a rendered table must match
+// testdata/<name>.golden byte for byte. There is no update flag — a missing
+// golden is written and the test fails once, so regenerating a table is
+// rm + re-run, and the diff shows up in review.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	want, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("%s was missing and has been written; review it, commit it, re-run", path)
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("table differs from %s (if intended: rm the file and re-run)\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
 }
 
 func TestTableString(t *testing.T) {
@@ -108,6 +138,7 @@ func TestUplinksScaledIntoWorld(t *testing.T) {
 
 func TestFig8Structure(t *testing.T) {
 	tb := Fig8(fastOpts())
+	golden(t, "fig8", tb.String())
 	if len(tb.Rows) != 25 {
 		t.Fatalf("Fig8 rows %d want 25", len(tb.Rows))
 	}
@@ -127,6 +158,7 @@ func TestFig8Structure(t *testing.T) {
 
 func TestTable2Structure(t *testing.T) {
 	tb := Table2(fastOpts())
+	golden(t, "table2", tb.String())
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Table2 rows %d want 6", len(tb.Rows))
 	}
@@ -155,6 +187,7 @@ func TestTable1CountsThisRepo(t *testing.T) {
 
 func TestFig17Structure(t *testing.T) {
 	tb := Fig17(fastOpts())
+	golden(t, "fig17", tb.String())
 	if len(tb.Rows) != 4 {
 		t.Fatalf("Fig17 rows %d", len(tb.Rows))
 	}
@@ -165,6 +198,7 @@ func TestFig17Structure(t *testing.T) {
 
 func TestFig2aRuns(t *testing.T) {
 	tb := Fig2a(fastOpts())
+	golden(t, "fig2a", tb.String())
 	if len(tb.Rows) == 0 || !strings.Contains(tb.Notes, "utilisation") {
 		t.Fatalf("Fig2a incomplete: %v", tb.Notes)
 	}
@@ -172,6 +206,7 @@ func TestFig2aRuns(t *testing.T) {
 
 func TestFig22DiminishingGradient(t *testing.T) {
 	tb := Fig22(fastOpts())
+	golden(t, "fig22", tb.String())
 	if len(tb.Rows) < 4 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
@@ -189,6 +224,7 @@ func TestFig20QoEImproves(t *testing.T) {
 	}
 	improved := 0
 	for _, tb := range tables {
+		golden(t, tb.ID, tb.String())
 		for _, r := range tb.Rows {
 			q0, _ := strconv.ParseFloat(r[2], 64)
 			q1, _ := strconv.ParseFloat(r[3], 64)

@@ -114,19 +114,3 @@ func FigEdge(o Options, r *sweep.Runner) *Table {
 	}
 	return t
 }
-
-// EdgeBenchPlan is the fixed set of fan-out simulations scripts/bench.sh
-// times serially and in parallel (BENCH_edge.json). Standalone
-// deterministic — a constant quality boost instead of an ingest session,
-// so the benchmark isolates the edge layer — and its virtual-time delivery
-// p99 doubles as a cross-host determinism pin in the benchmark record.
-func EdgeBenchPlan(o Options) []edge.SimConfig {
-	const boost = 1.3
-	sims := make([]edge.SimConfig, 0, 6)
-	for i, n := range []int{40, 40, 80, 80, 120, 120} {
-		c := edgeSimFor(o, boost, n, false)
-		c.Links.ViewerKbps = edge.DefaultViewerKbps(n, int64(300+i))
-		sims = append(sims, c)
-	}
-	return sims
-}

@@ -17,8 +17,8 @@ var fleetCats = []vidgen.Category{
 	vidgen.EscapeFromTarkov, vidgen.WorldOfWarcraft,
 }
 
-// FleetSpecs builds the N-streamer arrival pattern the fleet experiment and
-// benchmarks share: content cycles through the Twitch categories, seeds and
+// FleetSpecs builds the N-streamer arrival pattern of the fleet
+// experiment: content cycles through the Twitch categories, seeds and
 // traces differ per stream, and arrivals stagger at quarter-session spacing
 // so aggregate demand overlaps hard enough to force admission decisions.
 func FleetSpecs(o Options, n int) []fleet.StreamSpec {
@@ -49,18 +49,6 @@ func (o Options) fleetGPUs() int {
 		return o.FleetGPUs
 	}
 	return 2
-}
-
-// FleetBenchPlan builds the fixed fleet scripts/bench.sh times serially and
-// in parallel (BENCH_fleet.json): short overlapping sessions under
-// PolicyQueue, so the plan exercises admission latency and every stream
-// eventually runs. Deterministic: the same options always yield the same
-// plan, and its virtual-time admission p99 doubles as a cross-host
-// determinism pin in the benchmark record.
-func FleetBenchPlan(o Options) (*fleet.Plan, error) {
-	o.Duration = 20 * time.Second // arrivals every 5s, 20s sessions: 4x overlap
-	specs := FleetSpecs(o, o.fleetStreams())
-	return fleet.BuildPlan(specs, fleet.Options{GPUs: o.fleetGPUs(), Policy: fleet.PolicyQueue})
 }
 
 // FigFleet is the multi-tenant ingest-node figure: N streamers arriving at

@@ -4,7 +4,9 @@ import (
 	"context"
 	"strconv"
 	"testing"
+	"time"
 
+	"livenas/internal/fleet"
 	"livenas/internal/sweep"
 )
 
@@ -30,6 +32,7 @@ func TestFigFleetWorkerInvariant(t *testing.T) {
 		return FigFleet(o, r).String()
 	}
 	base := render(1)
+	golden(t, "fleet", base)
 	for _, w := range []int{2, 8} {
 		if got := render(w); got != base {
 			t.Fatalf("fleet table differs between 1 and %d workers:\n%s\nvs\n%s", w, base, got)
@@ -58,5 +61,27 @@ func TestFigFleetWorkerInvariant(t *testing.T) {
 	}
 	if cell(2, 2) != 0 || cell(2, 3) != 0 {
 		t.Fatalf("queue policy refused streams: %v", tb.Rows[2])
+	}
+}
+
+// TestFleetBenchPlanAdmissionPin pins the fleet layer's virtual-time
+// admission figures on a fixed plan: the default 6 streamers on 2 GPUs
+// under PolicyQueue, arrivals every 5 s into 20 s sessions (4x overlap).
+// BuildPlan computes the whole timeline before any session executes, so
+// the pin runs no sessions; any drift on any host means the admission plan
+// itself changed or went nondeterministic.
+func TestFleetBenchPlanAdmissionPin(t *testing.T) {
+	o := DefaultOptions()
+	o.Duration = 20 * time.Second
+	p, err := fleet.BuildPlan(FleetSpecs(o, o.fleetStreams()),
+		fleet.Options{GPUs: o.fleetGPUs(), Policy: fleet.PolicyQueue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	const wantP99 = 75 * time.Second
+	if st.Streams != 6 || p.M.Pool().Total() != 2 || st.Admitted+st.Degraded != 6 || st.AdmitP99 != wantP99 {
+		t.Fatalf("fleet plan: %d streams on %d GPUs, %d sessions, admit p99 %v; want 6 on 2, 6 sessions, %v",
+			st.Streams, p.M.Pool().Total(), st.Admitted+st.Degraded, st.AdmitP99, wantP99)
 	}
 }

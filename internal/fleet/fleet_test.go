@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"livenas/internal/core"
+	"livenas/internal/nn"
 	"livenas/internal/telemetry"
 	"livenas/internal/trace"
 	"livenas/internal/vidgen"
@@ -170,6 +171,10 @@ func TestExplicitTeardownFreesQueuedStream(t *testing.T) {
 // dedicated kernel pool and checks the stream's nn.Pool workers are joined
 // — the goroutine-leak contract teardown must keep.
 func TestTeardownMidEpochReleasesPool(t *testing.T) {
+	// The process-wide shared pool starts GOMAXPROCS workers on first use
+	// (sr.NewModel touches it) and is never joined; start it before the
+	// baseline so only the stream's dedicated pool is counted.
+	nn.SharedPool()
 	before := runtime.NumGoroutine()
 	m := NewManager(Options{GPUs: 2})
 	cfg := testCfg(5, 30*time.Second)

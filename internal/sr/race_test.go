@@ -15,7 +15,7 @@ import (
 // concurrently Sync processor replicas from the model, run processor
 // inference, super-resolve on the model directly, and snapshot it. They
 // are meaningful under `go test -race ./internal/sr` (part of
-// scripts/check.sh); without -race they still assert basic output sanity.
+// scripts/ci.sh full); without -race they still assert basic output sanity.
 
 func fillTestFrame(f *frame.Frame, seed int) {
 	for i := range f.Pix {

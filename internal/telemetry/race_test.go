@@ -10,9 +10,9 @@ import (
 // TestConcurrentRegistryStress hammers one registry from many goroutines —
 // metric writes, event emission, registration of new handles, snapshots,
 // and enable/disable flips — all at once. It is meaningful under `go test
-// -race ./internal/telemetry` (part of the scripts/check.sh and ci.sh
-// concurrency tier); without -race it still asserts the totals that must
-// be exact under the atomic API.
+// -race ./internal/telemetry` (part of the scripts/ci.sh full concurrency
+// tier); without -race it still asserts the totals that must be exact
+// under the atomic API.
 func TestConcurrentRegistryStress(t *testing.T) {
 	r := New()
 	r.SetSink(io.Discard)

@@ -2,12 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
 
-// fuzzSeeds returns valid encoded messages covering every message type,
-// used both whole and truncated as the seed corpus.
+// fuzzSeeds returns encoded messages covering every message type, used
+// both whole and truncated as the seed corpus: each as a valid frame and as
+// the near-miss a pre-versioning peer would send (bare length prefix, no
+// version byte).
 func fuzzSeeds(t interface{ Fatalf(string, ...interface{}) }) [][]byte {
 	msgs := []*Message{
 		{Type: MsgHello, IngestW: 640, IngestH: 360, NativeW: 1280, NativeH: 720, FPS: 30},
@@ -22,28 +25,21 @@ func fuzzSeeds(t interface{ Fatalf(string, ...interface{}) }) [][]byte {
 	}
 	var seeds [][]byte
 	for _, m := range msgs {
-		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
-			t.Fatalf("seed encode: %v", err)
-		}
-		seeds = append(seeds, buf.Bytes())
-		// The same message in the versioned framing, so the corpus exercises
-		// both decode paths from the start.
 		var fbuf bytes.Buffer
 		if err := WriteFrame(&fbuf, m); err != nil {
 			t.Fatalf("seed frame encode: %v", err)
 		}
-		seeds = append(seeds, fbuf.Bytes())
+		frame := fbuf.Bytes()
+		unversioned := binary.BigEndian.AppendUint32(nil, uint32(len(frame)-5))
+		seeds = append(seeds, append(unversioned, frame[5:]...), frame)
 	}
 	return seeds
 }
 
-// FuzzWireRead feeds arbitrary bytes to both decode paths, Read (legacy
-// framing) and ReadFrame (versioned framing). Each must return an error or
-// a message — never panic — and any message either accepts must survive a
-// round trip through its own framing unchanged. ReadFrame additionally may
-// return *VersionError, which the round-trip check skips: it carries no
-// message by design.
+// FuzzWireRead feeds arbitrary bytes to ReadFrame. It must return an error
+// or a message — never panic — and any message it accepts must survive a
+// round trip through WriteFrame unchanged. A *VersionError carries no
+// message by design, so the round-trip check skips it.
 func FuzzWireRead(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -57,15 +53,21 @@ func FuzzWireRead(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // length prefix over maxMessage
 	f.Add([]byte{0, 0, 0, 1, 0xFE})       // framed: unknown version, empty body
 
-	roundTrip := func(t *testing.T, m *Message,
-		write func(*bytes.Buffer, *Message) error, read func(*bytes.Buffer) (*Message, error), path string) {
-		var buf bytes.Buffer
-		if err := write(&buf, m); err != nil {
-			t.Fatalf("%s: re-encode accepted message: %v", path, err)
-		}
-		m2, err := read(&buf)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("%s: re-decode own encoding: %v", path, err)
+			if _, ok := err.(*VersionError); ok && m != nil {
+				t.Fatalf("VersionError must not carry a message")
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, m); err != nil {
+			t.Fatalf("re-encode accepted message: %v", err)
+		}
+		m2, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("re-decode own encoding: %v", err)
 		}
 		// gob does not distinguish nil from empty slices; normalise before
 		// comparing.
@@ -76,25 +78,7 @@ func FuzzWireRead(f *testing.F) {
 			m2.Data = nil
 		}
 		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("%s: round trip mismatch:\n got %+v\nwant %+v", path, m2, m)
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", m2, m)
 		}
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, err := Read(bytes.NewReader(data)); err == nil {
-			roundTrip(t, m,
-				func(b *bytes.Buffer, m *Message) error { return Write(b, m) },
-				func(b *bytes.Buffer) (*Message, error) { return Read(b) }, "legacy")
-		}
-		m, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			if _, ok := err.(*VersionError); ok && m != nil {
-				t.Fatalf("framed: VersionError must not carry a message")
-			}
-			return
-		}
-		roundTrip(t, m,
-			func(b *bytes.Buffer, m *Message) error { return WriteFrame(b, m) },
-			func(b *bytes.Buffer) (*Message, error) { return ReadFrame(b) }, "framed")
 	})
 }

@@ -16,12 +16,12 @@ func TestRoundTrip(t *testing.T) {
 		{Type: MsgBye},
 	}
 	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
+		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := Read(&buf)
+		got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,26 +30,28 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("got %+v want %+v", got, want)
 		}
 	}
-	if _, err := Read(&buf); err != io.EOF {
+	if _, err := ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
 
 func TestReadTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	Write(&buf, &Message{Type: MsgVideo, Data: make([]byte, 100)})
+	if err := WriteFrame(&buf, &Message{Type: MsgVideo, Data: make([]byte, 100)}); err != nil {
+		t.Fatal(err)
+	}
 	data := buf.Bytes()[:buf.Len()-10]
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Fatal("truncated message must error")
+	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
+		t.Fatal("truncated frame must error")
 	}
 }
 
 func TestReadOversized(t *testing.T) {
-	// Header claiming a message beyond the limit must be rejected before
+	// Header claiming a frame beyond the limit must be rejected before
 	// allocation.
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := Read(bytes.NewReader(hdr)); err == nil {
-		t.Fatal("oversized message accepted")
+	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
+		t.Fatal("oversized frame accepted")
 	}
 }
 

@@ -7,21 +7,11 @@
 # ratios. The JSON is committed so the perf trajectory is reviewable
 # across PRs.
 #
-#   scripts/bench.sh            full run, writes BENCH_kernels.json, the
-#                               sweep-engine serial-vs-parallel record
-#                               BENCH_sweep.json (cmd/livenas-bench
-#                               -sweepbench; gated by bench-compare -sweep),
-#                               the vet-engine cold/warm record
-#                               BENCH_vet.json (livenas-vet -bench; gated by
-#                               bench-compare -vet), the fleet record
-#                               BENCH_fleet.json (-fleetbench; bench-compare
-#                               -fleet) and the edge fan-out record
-#                               BENCH_edge.json (-edgebench; bench-compare
-#                               -edge)
+#   scripts/bench.sh            full run, writes BENCH_kernels.json
 #   scripts/bench.sh -short     few-iteration smoke run (CI gate): exercises
 #                               every kernel bench and the JSON emitter,
 #                               writes to a temp file so the tracked baseline
-#                               keeps full-run numbers; skips the sweep record
+#                               keeps full-run numbers
 #   scripts/bench.sh -o FILE    write the kernel JSON elsewhere
 #
 # allocs_reduction uses the sentinel 999999 when the kernel variant
@@ -133,17 +123,3 @@ END {
 
 echo "== wrote $OUT" >&2
 cat "$OUT"
-
-if [[ "$SHORT" == 0 ]]; then
-    echo "== bench: sweep engine serial vs parallel" >&2
-    go run ./cmd/livenas-bench -sweepbench BENCH_sweep.json
-
-    echo "== bench: fleet plan serial vs parallel" >&2
-    go run ./cmd/livenas-bench -fleetbench BENCH_fleet.json
-
-    echo "== bench: edge fan-out plan serial vs parallel" >&2
-    go run ./cmd/livenas-bench -edgebench BENCH_edge.json
-
-    echo "== bench: vet engine cold vs warm" >&2
-    go run ./cmd/livenas-vet -bench BENCH_vet.json ./...
-fi

@@ -18,10 +18,7 @@
 #                         smoke (FUZZTIME, default 10s, 0 skips),
 #                         kernel-bench regression gate vs BENCH_kernels.json
 #                         (cmd/bench-compare, BENCH_NOISE overrides the 15%
-#                         threshold), sweep-speedup gate vs BENCH_sweep.json,
-#                         fleet gate vs BENCH_fleet.json, vet warm-cache
-#                         gate vs BENCH_vet.json, telemetry run-summary
-#                         validation
+#                         threshold), telemetry run-summary validation
 #
 # Extended knobs (the nightly workflow uses these):
 #   FLEET_SOAK_STREAMS=N  adds a fleet soak step to the full tier: N
@@ -142,8 +139,8 @@ summary_gate() {
 }
 
 # Nightly-only: record the cold full-check-set analyzer statistics next to
-# the pprof profiles, so an analyzer-cost regression caught by the vet gate
-# comes with the target/analyzed/loaded counts that explain it. The -stats
+# the pprof profiles, so an analyzer-cost regression comes with the
+# target/analyzed/loaded counts that explain it. The -stats
 # line goes to stderr; findings (none expected against the baseline) stay
 # visible in the log and in the artifact.
 vet_stats() {
@@ -203,10 +200,6 @@ else
         step "fuzz codec ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzBitReader$' -fuzztime "$FUZZTIME" ./internal/codec
     fi
     step "bench gate" go run ./cmd/bench-compare
-    step "sweep gate" go run ./cmd/bench-compare -sweep
-    step "fleet gate" go run ./cmd/bench-compare -fleet
-    step "edge gate" go run ./cmd/bench-compare -edge
-    step "vet gate" go run ./cmd/bench-compare -vet
     step "summary gate" summary_gate
     if [[ -n "${CI_ARTIFACTS:-}" ]]; then
         step "vet stats" vet_stats
