@@ -171,7 +171,8 @@ func startDebug(addr string, reg *telemetry.Registry) (net.Addr, error) {
 func serveEdge(tc *transport.NetConn, first *wire.Message, n *node) {
 	qc := transport.NewQueuedConn(tc, 4<<20)
 	defer qc.Close()
-	//livenas:allow race-guard a received Message is owned by this connection's goroutine; Relay.mu guards relays' own state, not the wire type
+	// A received Message is owned by this connection's goroutine; Relay.mu
+	// guards relays' own state, not the wire type.
 	log.Printf("edge subscriber from %s (channel %q)", tc.RemoteAddr(), first.Channel)
 	n.origin.Handle(qc, first)
 	err := transport.Pump(qc, func(m *wire.Message) { n.origin.Handle(qc, m) })
@@ -197,7 +198,7 @@ func serve(conn net.Conn, epochLen time.Duration, reg *telemetry.Registry, n *no
 		log.Printf("first message is %d, want hello or subscribe", hello.Type)
 		return
 	}
-	channel := hello.Channel //livenas:allow race-guard a received Message is owned by this connection's goroutine until handed off
+	channel := hello.Channel // a received Message is owned by this connection's goroutine until handed off
 	if channel == "" {
 		// Pre-channel clients still get a session; key it by peer address
 		// so the admission bookkeeping stays uniform.

@@ -11,8 +11,10 @@
 // processor, and the sweep workers (context-propagation to blocking
 // points, consistent sync/atomic access, arena lifetimes, goroutine
 // joins, lock ordering) — plus project-wide hygiene rules (discarded wire
-// write errors, lock/defer pairing, exhaustive message switches, float
-// precision churn in hot kernels). See DESIGN.md "Correctness tooling".
+// write errors, lock/defer pairing, exhaustive message switches, asm
+// declaration/build-tag pairing). Load the packages with a Loader, hand
+// them to Run; there is no other entry point, cache, or configuration. See
+// DESIGN.md "Correctness tooling".
 //
 // A finding can be silenced in place with a directive comment:
 //
@@ -20,6 +22,7 @@
 //
 // either on (or immediately above) the offending line, or in the doc
 // comment of a function to suppress the check for the whole function body.
+// That directive is the only suppression mechanism.
 package analysis
 
 import (
@@ -34,9 +37,9 @@ type Diagnostic struct {
 	Pos     token.Position
 	Check   string
 	Message string
-	// PkgPath is the import path of the package the finding is in; the
-	// baseline matcher keys on it (with check and message) so findings
-	// survive being moved within a package.
+	// PkgPath is the import path of the package the finding is in;
+	// livenas-vet keeps only findings inside the packages its patterns
+	// matched, not their dependencies.
 	PkgPath string
 }
 
@@ -49,21 +52,12 @@ func (d Diagnostic) String() string {
 // module at once through the call-graph/CFG/summary substrate (callgraph.go,
 // cfg.go, dataflow.go, summary.go) and is how the interprocedural checks —
 // arena-lifetime, goroutine-leak, lock-order, determinism-taint,
-// context-propagation, atomic-consistency, race-guard — are built.
-//
-// Global marks a RunModule check whose findings in one package can change
-// when ANY other package changes (lock-order's cross-package cycles,
-// context-propagation's stored-never-consulted scan, atomic-consistency's
-// module-wide access mix, race-guard's module-wide guarded-by tallies).
-// The incremental driver (driver.go) caches non-global module checks per
-// package under that package's dependency closure key, but must key
-// global checks on the whole target set.
+// context-propagation, atomic-consistency — are built.
 type Check struct {
 	Name      string
 	Doc       string
 	Run       func(*Pass)
 	RunModule func(*ModulePass)
-	Global    bool
 }
 
 // AllChecks returns the full registry in stable order.
@@ -72,15 +66,12 @@ func AllChecks() []*Check {
 		UncheckedWrite,
 		MutexHygiene,
 		SwitchExhaustiveness,
-		HotLoopPrecision,
-		TelemetryHotPath,
 		ArenaLifetime,
 		GoroutineLeak,
 		LockOrder,
 		DeterminismTaint,
 		ContextPropagation,
 		AtomicConsistency,
-		RaceGuard,
 		AsmABI,
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -22,8 +23,6 @@ var fixtureChecks = []struct {
 	{"uncheckedwrite", "unchecked-write"},
 	{"mutexhygiene", "mutex-hygiene"},
 	{"exhaustive", "switch-exhaustiveness"},
-	{"hotloop", "hot-loop-precision"},
-	{"telemetryhot", "telemetry-hot-path"},
 	{"arenalifetime", "arena-lifetime"},
 	{"goroutineleak", "goroutine-leak"},
 	{"lockorder", "lock-order"},
@@ -31,7 +30,6 @@ var fixtureChecks = []struct {
 	{"determtaint", "determinism-taint"},
 	{"ctxprop", "context-propagation"},
 	{"atomicmix", "atomic-consistency"},
-	{"raceguard", "race-guard"},
 	{"asmabi", "asm-abi"},
 }
 
@@ -41,14 +39,20 @@ func loadFixture(t *testing.T, dir string) []*Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoader(token.NewFileSet(), root, "fix")
-	pkgs, err := l.LoadAll()
+	return loadModule(t, root, "fix")
+}
+
+// loadModule loads every package of the module at root and fails the test
+// on any type error.
+func loadModule(tb testing.TB, root, modPath string) []*Package {
+	tb.Helper()
+	pkgs, _, err := NewLoader(token.NewFileSet(), root, modPath).LoadPackages(nil)
 	if err != nil {
-		t.Fatalf("load fixture %s: %v", dir, err)
+		tb.Fatalf("load %s: %v", root, err)
 	}
 	for _, p := range pkgs {
 		for _, e := range p.TypeErrors {
-			t.Errorf("fixture %s: type error: %v", dir, e)
+			tb.Errorf("type error: %s: %v", p.Path, e)
 		}
 	}
 	return pkgs
@@ -130,7 +134,7 @@ func TestParseDirective(t *testing.T) {
 	}{
 		{"//livenas:allow determinism", []string{"determinism"}},
 		{"//livenas:allow determinism wall clock is the point here", []string{"determinism"}},
-		{"//livenas:allow mutex-hygiene,hot-loop-precision", []string{"mutex-hygiene", "hot-loop-precision"}},
+		{"//livenas:allow mutex-hygiene,lock-order", []string{"mutex-hygiene", "lock-order"}},
 		{"// livenas:allow determinism", nil}, // directives take no space after //
 		{"//livenas:allow", nil},
 		{"// plain comment", nil},
@@ -149,79 +153,211 @@ func TestParseDirective(t *testing.T) {
 	}
 }
 
-// TestRepoIsVetClean runs the driver over the real module and requires
-// every check to pass on it after applying the committed baseline — the
-// same gate `go run ./cmd/livenas-vet -baseline analysis/baseline.json
-// ./...` enforces, wired into the ordinary test suite so tier-1 catches
-// regressions. Stale baseline entries also fail: an entry whose finding
-// was fixed must be removed, not left as a latent suppression.
-//
-// The cold run fills a facts cache; the unchanged re-run that follows pins
-// the incremental contract on the real module (the fixture-level version is
-// TestDriverCacheInvalidation): it loads and analyzes nothing, and reports
-// the same findings.
-func TestRepoIsVetClean(t *testing.T) {
-	wd, err := os.Getwd()
+// TestMatchPatterns pins the go-tooling meaning of each pattern shape; in
+// particular "." selects only the module-root package (a regression guard:
+// it used to match everything, so `livenas-vet .` silently analyzed the
+// whole module).
+func TestMatchPatterns(t *testing.T) {
+	all := []string{"fix", "fix/a", "fix/a/b", "fix/c"}
+	cases := []struct {
+		patterns []string
+		want     []string
+	}{
+		{nil, all},
+		{[]string{"./..."}, all},
+		{[]string{"..."}, all},
+		{[]string{"."}, []string{"fix"}},
+		{[]string{"./"}, []string{"fix"}},
+		{[]string{"./a"}, []string{"fix/a"}},
+		{[]string{"./a/..."}, []string{"fix/a", "fix/a/b"}},
+		{[]string{"./a", "./c"}, []string{"fix/a", "fix/c"}},
+		{[]string{"./nope"}, nil},
+	}
+	for _, tc := range cases {
+		var got []string
+		for _, ip := range all {
+			if matchesPattern(ip, tc.patterns, "fix") {
+				got = append(got, ip)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("patterns %v match %v, want %v", tc.patterns, got, tc.want)
+		}
+	}
+}
+
+// copyFixtureModule copies a testdata module into a temp dir so the test
+// can edit files without touching the checked-in fixture.
+func copyFixtureModule(t *testing.T, fixture string) string {
+	t.Helper()
+	src := filepath.Join("testdata", "src", fixture)
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestLoadPackagesTargets: a sub-tree pattern loads the matched package's
+// module-internal dependencies too (the interprocedural checks need callee
+// bodies) but names only the matched package as a target; a pattern that
+// matches nothing is an error, not an empty clean run.
+func TestLoadPackagesTargets(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "determtaint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, targets, err := NewLoader(token.NewFileSet(), root, "fix").LoadPackages([]string{"./sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded []string
+	for _, p := range pkgs {
+		loaded = append(loaded, p.Path)
+	}
+	if want := []string{"fix/util", "fix/sim"}; !reflect.DeepEqual(loaded, want) {
+		t.Errorf("loaded %v, want %v (dependency first)", loaded, want)
+	}
+	if len(targets) != 1 || !targets["fix/sim"] {
+		t.Errorf("targets = %v, want only fix/sim", targets)
+	}
+	if _, _, err := NewLoader(token.NewFileSet(), root, "fix").LoadPackages([]string{"./nope"}); err == nil {
+		t.Error("a pattern matching no package loaded without error")
+	}
+}
+
+// TestLockOrderCrossPackage pins lock-order on a cycle split across two
+// packages: p takes A before B, q takes B before A, and the shared classes
+// live in a third package both import — so neither half of the cycle is
+// visible from the other's dependency closure. Fixing q's inversion must
+// clear p's finding too, and reintroducing it must surface a finding in p,
+// not just in the edited package.
+func TestLockOrderCrossPackage(t *testing.T) {
+	root := copyFixtureModule(t, "lockcross")
+	findingPkgs := func() map[string]bool {
+		t.Helper()
+		in := map[string]bool{}
+		for _, d := range Run(loadModule(t, root, "fix"), []*Check{LockOrder}) {
+			in[d.PkgPath] = true
+		}
+		return in
+	}
+	qPath := filepath.Join(root, "q", "q.go")
+	inverted, err := os.ReadFile(qPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consistent := []byte(`// Package q now takes the locks in the same order as p.
+package q
+
+import "fix/locks"
+
+func AthenB(a *locks.A, b *locks.B) {
+	a.Mu.Lock()
+	b.Mu.Lock()
+	b.Mu.Unlock()
+	a.Mu.Unlock()
+}
+`)
+
+	if in := findingPkgs(); !in["fix/p"] || !in["fix/q"] {
+		t.Fatalf("findings in %v, want both fix/p and fix/q", in)
+	}
+	if err := os.WriteFile(qPath, consistent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if in := findingPkgs(); len(in) != 0 {
+		t.Errorf("after fixing q: findings persist in %v", in)
+	}
+	if err := os.WriteFile(qPath, inverted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if in := findingPkgs(); !in["fix/p"] || !in["fix/q"] {
+		t.Errorf("after reintroducing q's inversion: findings in %v, want both fix/p and fix/q", in)
+	}
+}
+
+// TestBrokenTypeCheckSurfaced: a package that parses but does not
+// type-check still loads — its errors land in Package.TypeErrors for the
+// caller to report (livenas-vet exits 2 on them) — and the checks still
+// run over the partial type information rather than going silent.
+func TestBrokenTypeCheckSurfaced(t *testing.T) {
+	root := copyFixtureModule(t, "determtaint")
+	utilPath := filepath.Join(root, "util", "util.go")
+	src, err := os.ReadFile(utilPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(utilPath, append(src, "\nvar _ = undefinedSymbol\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, _, err := NewLoader(token.NewFileSet(), root, "fix").LoadPackages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := map[string]bool{}
+	for _, p := range pkgs {
+		if len(p.TypeErrors) > 0 {
+			broken[p.Path] = true
+		}
+	}
+	if len(broken) != 1 || !broken["fix/util"] {
+		t.Errorf("type errors in %v, want only fix/util", broken)
+	}
+	if len(Run(pkgs, []*Check{DeterminismTaint})) == 0 {
+		t.Error("no findings on the broken tree; the fixture seeds violations")
+	}
+}
+
+// TestRepoIsVetClean loads the real module and requires every check to
+// pass on it with no type errors — the same gate `go run ./cmd/livenas-vet
+// ./...` enforces, wired into the ordinary test suite so tier-1 catches
+// regressions.
+func TestRepoIsVetClean(t *testing.T) {
+	for _, d := range Run(loadRepo(t), AllChecks()) {
+		t.Errorf("%s", d)
+	}
+}
+
+// loadRepo loads every package of the enclosing module.
+func loadRepo(tb testing.TB) []*Package {
+	tb.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		tb.Fatal(err)
 	}
 	root, modPath, err := FindModule(wd)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	opts := DriverOptions{CacheDir: t.TempDir()}
-	cold, err := RunDriver(root, modPath, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range cold.Warnings {
-		t.Errorf("type error: %s", w)
-	}
-	b, err := LoadBaseline(filepath.Join(root, "analysis", "baseline.json"))
-	if err != nil {
-		t.Fatalf("committed baseline: %v", err)
-	}
-	fresh, stale := b.Apply(cold.Diags)
-	for _, d := range fresh {
-		t.Errorf("%s", d)
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry (%s in %s): finding no longer present, remove it from analysis/baseline.json", e.Check, e.Package)
-	}
-
-	warm, err := RunDriver(root, modPath, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := warm.Stats; st.Loaded != 0 || len(st.Analyzed) != 0 || st.GlobalRan {
-		t.Errorf("fully-warm run loaded %d packages, analyzed %v, global checks ran: %v; want 0, none, false",
-			st.Loaded, st.Analyzed, st.GlobalRan)
-	}
-	if got, want := renderDriver(t, warm, root), renderDriver(t, cold, root); got != want {
-		t.Errorf("warm findings differ from cold:\n%s\n--- vs ---\n%s", got, want)
-	}
+	return loadModule(tb, root, modPath)
 }
 
 // BenchmarkVetFullModule measures a whole-module analyzer run: load,
 // type-check, call graph, summaries, and every check. This is the cost a
-// developer pays per `livenas-vet ./...` invocation in the fast CI tier.
+// developer pays per `livenas-vet ./...` invocation in either CI tier.
 func BenchmarkVetFullModule(b *testing.B) {
-	wd, err := os.Getwd()
-	if err != nil {
-		b.Fatal(err)
-	}
-	root, modPath, err := FindModule(wd)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < b.N; i++ {
-		l := NewLoader(token.NewFileSet(), root, modPath)
-		pkgs, err := l.LoadAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if diags := Run(pkgs, AllChecks()); len(diags) == 0 {
-			b.Fatal("expected at least the baselined finding")
+		if diags := Run(loadRepo(b), AllChecks()); len(diags) != 0 {
+			b.Fatalf("repo is not vet-clean: %d findings, first: %s", len(diags), diags[0])
 		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 // (atomic.Int64 and friends) make the mix inexpressible and are the
 // preferred fix; the other is a mutex on every access.
 //
-// Global: pass 1 collects atomically-accessed objects across the whole
-// module, pass 2 flags plain accesses to them wherever they appear, so any
-// package can change the verdict for any other.
+// Pass 1 collects atomically-accessed objects across the whole module,
+// pass 2 flags plain accesses to them wherever they appear, so any package
+// can change the verdict for any other.
 var AtomicConsistency = &Check{
 	Name: "atomic-consistency",
 	Doc: "a variable accessed via sync/atomic somewhere is accessed " +
@@ -27,7 +27,6 @@ var AtomicConsistency = &Check{
 		"phase (e.g. constructor init) can be annotated " +
 		"//livenas:allow atomic-consistency",
 	RunModule: runAtomicConsistency,
-	Global:    true,
 }
 
 // atomicFuncPrefixes: the sync/atomic package-level operations whose first
@@ -146,9 +145,8 @@ func runAtomicConsistency(p *ModulePass) {
 	}
 }
 
-// objName renders a tracked object for diagnostics without positions (so
-// baseline entries survive reformatting): package-qualified for fields and
-// globals, bare for locals.
+// objName renders a tracked object for diagnostics without positions:
+// package-qualified for fields and globals, bare for locals.
 func objName(obj types.Object) string {
 	if obj.Pkg() != nil {
 		return obj.Pkg().Path() + "." + obj.Name()

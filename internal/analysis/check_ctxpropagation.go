@@ -22,9 +22,8 @@ import (
 //     that is stored but never consulted is cancellation theater — Callers
 //     believe the value they pass can stop work, and it cannot.
 //
-// The check is global: rule 2 looks at every use of a field across the
-// module, so its findings can change when any package changes (the driver
-// caches it under a whole-module key, not per package).
+// Rule 2 looks at every use of a field across the module, so its findings
+// can change when any package changes.
 var ContextPropagation = &Check{
 	Name: "context-propagation",
 	Doc: "a blocking operation reachable from a ctx-taking function cannot " +
@@ -33,7 +32,6 @@ var ContextPropagation = &Check{
 		"guard the block or annotate a proven-bounded wait with " +
 		"//livenas:allow context-propagation",
 	RunModule: runContextPropagation,
-	Global:    true,
 }
 
 // ctxScope: the packages whose ctx-taking functions are audited.

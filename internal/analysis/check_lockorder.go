@@ -20,11 +20,9 @@ import (
 // reentrant and two instances of one class can be locked in opposite orders
 // — is a potential deadlock and every edge on it is reported. R/W lock
 // modes are deliberately not distinguished: opposite-order RLock/Lock pairs
-// still deadlock under writer pressure.
-// LockOrder is Global: an edge reported in package P closes a cycle only
-// together with edges contributed by arbitrary other packages (Q acquiring
-// B then A makes P's A-then-B a finding), so P's findings change when any
-// package changes and per-package closure-key caching would be unsound.
+// still deadlock under writer pressure. An edge reported in package P may
+// close a cycle only together with edges contributed by other packages (Q
+// acquiring B then A makes P's A-then-B a finding).
 var LockOrder = &Check{
 	Name: "lock-order",
 	Doc: "two lock classes are acquired in inconsistent order somewhere in " +
@@ -33,7 +31,6 @@ var LockOrder = &Check{
 		"acquisition order or annotate a proven-safe site with " +
 		"//livenas:allow lock-order",
 	RunModule: runLockOrder,
-	Global:    true,
 }
 
 // heldFact is the may-hold set of lock classes at a program point.

@@ -30,8 +30,8 @@ type Package struct {
 	Info  *types.Info
 
 	// TypeErrors collects soft type-check errors. A buildable tree has
-	// none; they are surfaced as warnings so the analyzer stays usable on
-	// a broken tree.
+	// none; the checks still run over the partial type information, and
+	// livenas-vet prints the errors and exits 2.
 	TypeErrors []error
 }
 
@@ -90,45 +90,91 @@ func FindModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// LoadAll loads every non-test package under the module root, skipping
-// testdata, hidden, and underscore-prefixed directories. Packages are
-// returned in a deterministic (import-before-importer) order.
-func (l *Loader) LoadAll() ([]*Package, error) {
+// LoadPackages loads the non-test module packages matching go-style
+// patterns relative to the module root — "./..." everything, "./dir/..." a
+// subtree, "./dir" one package, "." or "./" only the module-root package;
+// no patterns means everything — plus, via import resolution, their
+// module-internal dependency closure. pkgs covers everything loaded, in a
+// deterministic import-before-importer order, so the interprocedural checks
+// see callee bodies; targets names the subset the patterns matched, which
+// is where findings are wanted.
+func (l *Loader) LoadPackages(patterns []string) (pkgs []*Package, targets map[string]bool, err error) {
 	dirs, err := moduleGoDirs(l.ModRoot)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var paths []string
+	targets = map[string]bool{}
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(l.ModRoot, dir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ip := l.ModPath
 		if rel != "." {
 			ip = l.ModPath + "/" + filepath.ToSlash(rel)
 		}
-		paths = append(paths, ip)
+		if !matchesPattern(ip, patterns, l.ModPath) {
+			continue
+		}
+		if _, err := l.load(ip); err != nil {
+			return nil, nil, fmt.Errorf("analysis: load %s: %w", ip, err)
+		}
+		targets[ip] = true
 	}
-	return l.LoadPackages(paths)
+	if len(targets) == 0 {
+		return nil, nil, fmt.Errorf("analysis: no packages match %v", patterns)
+	}
+	for _, ip := range l.order {
+		pkgs = append(pkgs, l.pkgs[ip])
+	}
+	return pkgs, targets, nil
 }
 
-// LoadPackages loads the named module-internal packages plus (implicitly,
-// via import resolution) their module-internal dependency closure. The
-// returned slice covers everything loaded, in import-before-importer
-// order — the subset the incremental driver needs when only some packages
-// are dirty.
-func (l *Loader) LoadPackages(paths []string) ([]*Package, error) {
-	for _, ip := range paths {
-		if _, err := l.load(ip); err != nil {
-			return nil, fmt.Errorf("analysis: load %s: %w", ip, err)
+func matchesPattern(path string, patterns []string, modPath string) bool {
+	if len(patterns) == 0 {
+		return true
+	}
+	for _, pat := range patterns {
+		pat = strings.TrimSuffix(strings.TrimPrefix(pat, "./"), "/")
+		if pat == "..." {
+			return true
+		}
+		if sub, ok := strings.CutSuffix(pat, "/..."); ok {
+			prefix := modPath + "/" + sub
+			if path == prefix || strings.HasPrefix(path, prefix+"/") {
+				return true
+			}
+			continue
+		}
+		if path == modPath+"/"+pat || ((pat == "" || pat == ".") && path == modPath) {
+			return true
 		}
 	}
-	out := make([]*Package, 0, len(l.order))
-	for _, ip := range l.order {
-		out = append(out, l.pkgs[ip])
-	}
-	return out, nil
+	return false
+}
+
+// moduleGoDirs returns, in lexical walk order, every directory under root
+// that holds non-test Go files, skipping testdata, hidden, and
+// underscore-prefixed trees.
+func moduleGoDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if hasGoFiles(path) {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 func hasGoFiles(dir string) bool {

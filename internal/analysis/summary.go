@@ -50,16 +50,6 @@ type FuncSummary struct {
 	// callee known (or conservatively assumed) to consult it.
 	ConsultsCtx []bool
 
-	// EntryLocks is the set of lock classes provably held when the function
-	// is entered: the intersection over every static module-internal call
-	// site of the locks held there, with go-spawn sites contributing the
-	// empty set (a goroutine starts lock-free). Unlike the other fields it
-	// is propagated top-down (callers before callees) by the race-guard
-	// check rather than bottom-up here, and is nil until that check runs.
-	// A helper that only ever executes under mu.Lock() carries mu's class
-	// here, which is what keeps its bare field accesses off the race report.
-	EntryLocks map[string]bool
-
 	// BlockPos is the first position at which the function may block
 	// without observing cancellation — an unguarded channel op, a
 	// WaitGroup.Wait, a time.Sleep, blocking socket I/O, or a call to a

@@ -57,7 +57,8 @@ func (r *Relay) Subscribe(channel string) error {
 	if !r.ensureChannel(channel) {
 		return nil // already subscribed upstream
 	}
-	//livenas:allow race-guard up is immutable after NewRelay; the send must stay outside r.mu (it can block on a real socket)
+	// up is immutable after NewRelay; the send must stay outside r.mu (it
+	// can block on a real socket).
 	return r.up.Send(&wire.Message{Type: wire.MsgSubscribe, Channel: channel})
 }
 

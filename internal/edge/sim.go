@@ -259,7 +259,7 @@ func RunSim(cfg SimConfig) (*Result, error) {
 		res.StallSec += st.Stall.Seconds()
 		res.MeanKbps += st.KbpsSum
 		res.MeanEffKbps += st.EffSum
-		lats = append(lats, st.Latencies...) //livenas:allow race-guard read after RunUntil returned; the single-threaded simulator has quiesced
+		lats = append(lats, st.Latencies...) // read after RunUntil returned; the single-threaded simulator has quiesced
 	}
 	if res.Delivered > 0 {
 		res.MeanKbps /= float64(res.Delivered)

@@ -102,7 +102,8 @@ func NewViewer(clock Clock, cfg ViewerConfig, tel *Telemetry) *Viewer {
 // failover it neither re-plays old segments nor waits for ones it has.
 func (v *Viewer) Attach(conn transport.Conn) error {
 	resume := v.rebind(conn)
-	//livenas:allow race-guard cfg is immutable after NewViewer; the send must stay outside v.mu (it can block on a real socket)
+	// cfg is immutable after NewViewer; the send must stay outside v.mu (it
+	// can block on a real socket).
 	return conn.Send(&wire.Message{Type: wire.MsgSubscribe, Channel: v.cfg.Channel, FrameID: resume})
 }
 

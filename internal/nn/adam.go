@@ -24,8 +24,6 @@ func NewAdam(lr float64) *Adam {
 // The moment math deliberately runs in float64 (float32 moment estimates
 // lose the small-gradient tail that makes Adam's bias correction work), so
 // the per-element float32⇄float64 round trips stay.
-//
-//livenas:allow hot-loop-precision double-precision moment math is intentional
 func (a *Adam) Step(params []Param) {
 	if a.m == nil {
 		a.m = make([][]float32, len(params))

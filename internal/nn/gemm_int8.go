@@ -118,8 +118,6 @@ func packWqBlocks(wq []int16, outC, kkEvn int) []int16 {
 // packssdw); this Go tail/fallback performs the identical operations, and
 // because min/max/truncate are exact in both forms the results match
 // bit-for-bit.
-//
-//livenas:allow hot-loop-precision int32⇄float32 is the requant epilogue's defined operation, exact for |acc| < 2²⁴; it cannot be hoisted
 func requantReLU(acc []int32, m, bh float32, out []int16) {
 	i := 0
 	if qrequantVec != nil {
@@ -144,8 +142,6 @@ var qrequantVec func(n8 int, acc *int32, m, bh float32, out *int16)
 // float32 residuals: out[i] = acc[i]*m + b with the per-channel dequant
 // scale m and the unquantized f32 bias b. The pixel-shuffle + residual-add
 // epilogue consumes the result directly.
-//
-//livenas:allow hot-loop-precision int32→float32 is the dequant epilogue's defined operation, exact for |acc| < 2²⁴; it cannot be hoisted
 func dequantInto(acc []int32, m, b float32, out []float32) {
 	for i, v := range acc {
 		out[i] = float32(v)*m + b

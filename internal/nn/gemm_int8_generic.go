@@ -40,8 +40,6 @@ func qkernGo(kk2 int, a *int16, b *int16, bn int, c *int32, cn int, cols int) {
 }
 
 // qrequant mirrors requantReLU's scalar tail over a multiple-of-8 prefix.
-//
-//livenas:allow hot-loop-precision int32⇄float32 is the requant epilogue's defined operation, exact for |acc| < 2²⁴; it cannot be hoisted
 func qrequant(n8 int, acc *int32, m, bh float32, out *int16) {
 	as := unsafe.Slice(acc, n8)
 	os := unsafe.Slice(out, n8)

@@ -72,7 +72,7 @@ func NewConv2D(inC, outC, k int, rng *rand.Rand) *Conv2D {
 	}
 	std := math.Sqrt(2.0 / float64(inC*k*k))
 	for i := range l.Weight {
-		l.Weight[i] = float32(rng.NormFloat64() * std) //livenas:allow hot-loop-precision one-time He init, not a hot path
+		l.Weight[i] = float32(rng.NormFloat64() * std)
 	}
 	l.params = []Param{{W: l.Weight, Grad: l.gradW}, {W: l.Bias, Grad: l.gradB}}
 	l.SetKernelContext(nil, nil) // nil-safe defaults: inline pool, allocating arena
@@ -412,7 +412,7 @@ func (p *PixelShuffle) forwardRef(x *Tensor, outC int) *Tensor {
 				ic := oc*s*s + sy*s + sx
 				for y := 0; y < x.H; y++ {
 					for xx := 0; xx < x.W; xx++ {
-						out.Set(oc, y*s+sy, xx*s+sx, x.At(ic, y, xx)) //livenas:allow hot-loop-precision scalar reference path, kept as the tracked bench baseline
+						out.Set(oc, y*s+sy, xx*s+sx, x.At(ic, y, xx))
 					}
 				}
 			}
@@ -456,7 +456,7 @@ func (p *PixelShuffle) backwardRef(dOut *Tensor, inC, inH, inW int) *Tensor {
 				ic := oc*s*s + sy*s + sx
 				for y := 0; y < inH; y++ {
 					for xx := 0; xx < inW; xx++ {
-						dIn.Set(ic, y, xx, dOut.At(oc, y*s+sy, xx*s+sx)) //livenas:allow hot-loop-precision scalar reference path, kept as the tracked bench baseline
+						dIn.Set(ic, y, xx, dOut.At(oc, y*s+sy, xx*s+sx))
 					}
 				}
 			}

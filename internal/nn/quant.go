@@ -66,7 +66,7 @@ func QuantizeConv2D(l *Conv2D) *QuantConv {
 		q.ScaleW[oc] = scale
 		dst := q.wq[oc*ke : oc*ke+kk]
 		for p, v := range row {
-			dst[p] = int16(math.Round(float64(v / scale))) //livenas:allow hot-loop-precision one-time weight quantization at model sync, not a per-frame path
+			dst[p] = int16(math.Round(float64(v / scale)))
 		}
 	}
 	q.wqPack = packWqBlocks(q.wq, l.OutC, ke)

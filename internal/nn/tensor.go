@@ -108,7 +108,7 @@ func MSELossGradInto(pred, target, grad *Tensor) float64 {
 	var loss float64
 	for i := range pred.Data {
 		d := pred.Data[i] - target.Data[i]
-		loss += float64(d) * float64(d) //livenas:allow hot-loop-precision float64 loss accumulator is intentional
+		loss += float64(d) * float64(d)
 		grad.Data[i] = 2 * d / n
 	}
 	return loss / float64(n)

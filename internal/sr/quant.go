@@ -92,7 +92,7 @@ func NewQuantModel(m *Model) *QuantModel {
 	q.bDeq = q.convs[2].Bias
 
 	for v := range q.lut {
-		q.lut[v] = int16(math.Round(float64(v) * 127 / 255)) //livenas:allow hot-loop-precision one-time 256-entry LUT construction, not a per-pixel loop
+		q.lut[v] = int16(math.Round(float64(v) * 127 / 255))
 	}
 	return q
 }

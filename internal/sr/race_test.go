@@ -7,6 +7,7 @@ import (
 
 	"livenas/internal/frame"
 	"livenas/internal/nn"
+	"livenas/internal/telemetry"
 )
 
 // These stress tests pin down the synchronization contract between online
@@ -213,10 +214,14 @@ func TestConcurrentQuantStress(t *testing.T) {
 func TestConcurrentSnapshotWhileTraining(t *testing.T) {
 	model := NewModel(2, 4, 1)
 	trainer := newStressTrainer(t, model)
+	pools := []*nn.Pool{nn.NewPool(2), nn.NewPool(3)}
+	for _, p := range pools {
+		defer p.Close()
+	}
 
 	const iters = 20
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(4)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
@@ -234,10 +239,84 @@ func TestConcurrentSnapshotWhileTraining(t *testing.T) {
 	}()
 	go func() { // external replica pulls, as a persistent-model store would
 		defer wg.Done()
-		replica := model.Clone()
 		for i := 0; i < iters; i++ {
-			replica.CopyWeightsFrom(model)
+			model.Clone() // kernel-pool snapshot under the read lock, then CopyWeightsFrom
+		}
+	}()
+	go func() { // the kernel pool is re-routed while clones are being taken
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			model.SetKernelPool(pools[i%len(pools)])
 		}
 	}()
 	wg.Wait()
+}
+
+// TestConcurrentSetTelemetryWhileServing attaches telemetry to a processor
+// that is already serving frames: SetTelemetry installs the metric handles
+// under p.mu, the same lock Process and Sync read them under.
+func TestConcurrentSetTelemetryWhileServing(t *testing.T) {
+	model := NewModel(2, 4, 1)
+	proc := NewProcessor(model, 2, RTX2080Ti())
+	in := frame.New(24, 24)
+	fillTestFrame(in, 7)
+
+	const iters = 25
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			proc.Process(in)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			proc.Sync(model)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			proc.SetTelemetry(telemetry.New())
+		}
+	}()
+	wg.Wait()
+}
+
+// TestDevicePoolAccessorsWhileAcquiring reads the pool's accounting while
+// streams take and return slots, as the fleet's utilization report does
+// against its admission path; every read must see a conserved count.
+func TestDevicePoolAccessorsWhileAcquiring(t *testing.T) {
+	pool := NewDevicePool(RTX2080Ti(), 4)
+
+	const iters = 2000
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if n := 1 + (i+w)%2; pool.Acquire(n) {
+					pool.Release(n)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			total, used := pool.Total(), pool.InUse()
+			if used < 0 || used > total || pool.Free() < 0 || pool.Peak() > total {
+				t.Errorf("inconsistent pool accounting: %d of %d in use", used, total)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if pool.InUse() != 0 {
+		t.Errorf("%d slots still held after every Acquire was released", pool.InUse())
+	}
 }

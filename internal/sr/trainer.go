@@ -250,7 +250,7 @@ func (t *Trainer) step() float64 {
 		}
 		scale := make([]float32, g)
 		for si, r := range results {
-			scale[si] = float32(r.weight * float64(g) / wSum) //livenas:allow hot-loop-precision the fold itself; runs g≈2-4 times per step
+			scale[si] = float32(r.weight * float64(g) / wSum)
 		}
 		grads := make([][]nn.Param, g)
 		for si, m := range models {

@@ -17,9 +17,7 @@
 //   - Enabled Counter.Add / Gauge.Set / Histogram.Observe are lock-free
 //     atomics with zero allocations, safe for the nn/sr hot paths.
 //   - Everything else — handle registration, Emit, Snapshot — takes locks
-//     and may allocate, and therefore must stay out of hot loops. The
-//     livenas-vet telemetry-hot-path check machine-enforces this split for
-//     internal/nn and internal/sr.
+//     and may allocate, and therefore must stay out of hot loops.
 //
 // Ownership rules: the component that owns a subsystem registers that
 // subsystem's metrics (prefix "core_", "sr_", "gcc_", "transport_", "nn_")
@@ -232,7 +230,9 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil || !h.on.Load() {
 		return
 	}
-	//livenas:allow race-guard bounds and counts are assigned once under Registry.mu before the histogram is published and never reassigned; the buckets themselves are atomic — lock-free observation is this type's contract
+	// bounds and counts are assigned once under Registry.mu before the
+	// histogram is published and never reassigned; the buckets themselves
+	// are atomic — lock-free observation is this type's contract.
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.n.Add(1)
 	h.sum.Add(v)

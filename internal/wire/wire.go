@@ -103,7 +103,8 @@ type Message struct {
 // simulator sends the same *Message to hundreds of viewers and only the
 // deterministic size matters there, not the exact gob framing.
 func (m *Message) WireSize() int {
-	//livenas:allow race-guard a Message belongs to one sender or receiver at a time; edge actors lock their own registries, not the wire type
+	// A Message belongs to one sender or receiver at a time; edge actors
+	// lock their own registries, not the wire type.
 	return 64 + len(m.Channel) + len(m.Reason) + len(m.SegID) + len(m.Data)
 }
 

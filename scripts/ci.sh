@@ -3,18 +3,13 @@
 # standalone on a laptop).
 #
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet, livenas-vet
-#                         (baseline-gated via analysis/baseline.json,
-#                         incremental: parallel -j with the facts cache in
-#                         VET_CACHE, default ~/.cache/livenas-vet, so
-#                         unchanged packages are never re-analyzed), short
-#                         tests, parallel sweep smoke (one small figure
-#                         sweep at -parallel 4)
+#                         (whole module, no flags, under 4 s), short tests,
+#                         parallel sweep smoke (one small figure sweep at
+#                         -parallel 4)
 #   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
 #                         asm stubs and purego twins are its territory),
-#                         cold livenas-vet (no cache — proves
-#                         findings independently of cache state), full
-#                         tests, race tier (includes internal/sweep,
-#                         internal/fleet and the parallel vet driver), fuzz
+#                         the same livenas-vet step, full tests, race tier
+#                         (includes internal/sweep and internal/fleet), fuzz
 #                         smoke (FUZZTIME, default 10s, 0 skips),
 #                         kernel-bench regression gate vs BENCH_kernels.json
 #                         (cmd/bench-compare, BENCH_NOISE overrides the 15%
@@ -25,8 +20,7 @@
 #                         concurrent streamers through the admission plan
 #                         and sweep execution under -race
 #   CI_ARTIFACTS=dir      collects the step table, the telemetry run
-#                         summary, pprof profiles and the cold analyzer
-#                         stats (vet_stats.txt) into dir for upload
+#                         summary and pprof profiles into dir for upload
 #
 # Each step is timed; the table goes to stdout and, when running under
 # GitHub Actions, to the job summary ($GITHUB_STEP_SUMMARY). When a step
@@ -138,16 +132,6 @@ summary_gate() {
     return "$rc"
 }
 
-# Nightly-only: record the cold full-check-set analyzer statistics next to
-# the pprof profiles, so an analyzer-cost regression comes with the
-# target/analyzed/loaded counts that explain it. The -stats
-# line goes to stderr; findings (none expected against the baseline) stay
-# visible in the log and in the artifact.
-vet_stats() {
-    go run ./cmd/livenas-vet -stats -baseline analysis/baseline.json ./... \
-        2>&1 | tee "$CI_ARTIFACTS/vet_stats.txt"
-}
-
 # Nightly-only: record cpu/heap profiles of the 1080p inference bench for
 # upload, so a perf regression caught by the bench gate comes with the
 # profile that explains it.
@@ -162,9 +146,7 @@ if [[ "$TIER" == "fast" ]]; then
     step "go build" go build ./...
     step "gofmt" gofmt_clean
     step "go vet" go vet ./...
-    step "livenas-vet (cached)" go run ./cmd/livenas-vet \
-        -j "$(nproc)" -cache-dir "${VET_CACHE:-$HOME/.cache/livenas-vet}" -stats \
-        -baseline analysis/baseline.json ./...
+    step "livenas-vet" go run ./cmd/livenas-vet ./...
     step "go test -short" go test -short ./...
     # The int8 fast path's correctness contract, run by name so a test
     # rename or build-tag slip can't silently drop it from the blocking
@@ -179,7 +161,7 @@ else
     FUZZTIME="${FUZZTIME:-10s}"
     step "go build" go build ./...
     step "go vet" go vet ./...
-    step "livenas-vet (cold)" go run ./cmd/livenas-vet -baseline analysis/baseline.json ./...
+    step "livenas-vet" go run ./cmd/livenas-vet ./...
     step "go test" go test ./...
     # internal/nn rides along for the int8/strip-parallel kernel stress;
     # internal/sr's stress set includes the quantized-path churn test;
@@ -202,7 +184,6 @@ else
     step "bench gate" go run ./cmd/bench-compare
     step "summary gate" summary_gate
     if [[ -n "${CI_ARTIFACTS:-}" ]]; then
-        step "vet stats" vet_stats
         step "pprof profiles" pprof_profiles
     fi
 fi
