@@ -4,8 +4,9 @@
 // super-resolution DNN online on the client's high-quality patches, applies
 // it to the decoded frames, and reports the measured SR gain back to the
 // client every training epoch. Admission is controlled against a simulated
-// GPU pool of -gpus slots: a hello that would oversubscribe the pool (or
-// reuse a live channel key) is refused with a MsgBye carrying the reason.
+// GPU pool of -gpus slots: a hello that would oversubscribe the pool,
+// reuse a live channel key or announce unusable frame geometry is refused
+// with a MsgBye carrying the reason.
 //
 // The same listener is the distribution origin: a connection whose first
 // message is MsgSubscribe (cmd/livenas-edge relays, or a viewer directly)
@@ -33,11 +34,13 @@ import (
 	"time"
 
 	"livenas/internal/codec"
+	"livenas/internal/core"
 	"livenas/internal/edge"
 	"livenas/internal/frame"
 	"livenas/internal/metrics"
 	"livenas/internal/sr"
 	"livenas/internal/telemetry"
+	"livenas/internal/trace"
 	"livenas/internal/transport"
 	"livenas/internal/wire"
 )
@@ -124,6 +127,33 @@ func (n *node) release(key string) {
 	n.pool.Release(1)
 }
 
+// maxNativePixels caps the native frame a hello may announce (4K UHD). A
+// session sizes its segment encoders and SR output by it, so an unbounded
+// value would let one hello allocate gigabytes.
+const maxNativePixels = 3840 * 2160
+
+// helloScale validates the geometry a hello announces — it arrives off the
+// wire and sizes every per-session allocation, so a bad one must cost the
+// peer its session, not the node its process — and returns the integer SR
+// factor. The integer, isotropic-ratio rule is core.Config's (its default
+// patch-size divisibility also caps the factor at 120).
+func helloScale(h *wire.Message) (int, error) {
+	if h.IngestW <= 0 || h.IngestH <= 0 || h.NativeW <= 0 || h.NativeH <= 0 {
+		return 0, fmt.Errorf("geometry %dx%d -> %dx%d not positive", h.IngestW, h.IngestH, h.NativeW, h.NativeH)
+	}
+	if h.NativeW > maxNativePixels/h.NativeH {
+		return 0, fmt.Errorf("native %dx%d exceeds %d pixels", h.NativeW, h.NativeH, maxNativePixels)
+	}
+	cfg := core.Config{
+		Ingest: trace.Resolution{W: h.IngestW, H: h.IngestH},
+		Native: trace.Resolution{W: h.NativeW, H: h.NativeH},
+	}
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	return cfg.Scale(), nil
+}
+
 // originLadder is the demo distribution ladder, scaled to the demo's
 // 384x216 world like the client's bitrates are.
 var originLadder = []edge.RungInfo{
@@ -204,15 +234,22 @@ func serve(conn net.Conn, epochLen time.Duration, reg *telemetry.Registry, n *no
 		// so the admission bookkeeping stays uniform.
 		channel = "anon/" + conn.RemoteAddr().String()
 	}
-	if reason := n.admit(channel); reason != "" {
+	refuse := func(reason string) {
 		log.Printf("refusing %s (%s): %s", channel, conn.RemoteAddr(), reason)
 		if err := tc.Send(&wire.Message{Type: wire.MsgBye, Channel: channel, Reason: reason}); err != nil {
 			log.Printf("refusal write: %v", err)
 		}
+	}
+	scale, err := helloScale(hello)
+	if err != nil {
+		refuse(err.Error())
+		return
+	}
+	if reason := n.admit(channel); reason != "" {
+		refuse(reason)
 		return
 	}
 	defer n.release(channel)
-	scale := hello.NativeW / hello.IngestW
 	log.Printf("stream %s: ingest %dx%d -> native %dx%d (x%d), %.0f fps",
 		channel, hello.IngestW, hello.IngestH, hello.NativeW, hello.NativeH, scale, hello.FPS)
 

@@ -282,6 +282,12 @@ func (c *client) samplePatches(frameID int, raw, lr, recon *frame.Frame) {
 // multiplier: a gradient of gradRef maps to one full step of StepKbps.
 const gradRef = 0.01
 
+// gamma is Equation 1's discount factor on the DNN gain term. It weighs the
+// *future* gain stream a training patch keeps delivering (γ >= 1 in the
+// paper); one epoch's measured slope understates it by roughly the
+// saturation horizon.
+const gamma = 15
+
 // pacingFactor releases packets at a multiple of the target bitrate, as
 // WebRTC's pacer does (factor 2.5): the pacer smooths frame bursts without
 // becoming a standing self-inflicted queue, so queuing delay observed by the
@@ -355,7 +361,7 @@ func (c *client) onSchedule() {
 		gVid = -scaleNQ * NormalizedQualitySlope(c.cfg.Cat, v) * sat
 	}
 
-	g := c.cfg.Gamma*gDNN + gVid
+	g := gamma*gDNN + gVid
 	delta := c.cfg.StepKbps * g / gradRef
 	if delta > 2*c.cfg.StepKbps {
 		delta = 2 * c.cfg.StepKbps

@@ -120,7 +120,6 @@ type Config struct {
 	StepKbps      float64        // scheduler step size alpha (100 kbps)
 	InitPatchKbps float64        // initial patch rate (100 kbps)
 	MinPatchKbps  float64        // suspended-state patch rate (25 kbps)
-	Gamma         float64        // discount on the DNN gain term (0.9)
 	OneTimeWindow time.Duration  // TrainOneTime training window (60s)
 	Channels      int            // SR net width (sr.DefaultChannels)
 	TrainCfg      sr.TrainConfig // online-training hyperparameters
@@ -129,12 +128,8 @@ type Config struct {
 	// fast path (internal/sr.QuantModel): per-channel symmetric weights,
 	// activation scales from the trainer's calibration statistics, output
 	// guarded by an online quality gate that falls back to f32 when the
-	// sampled int8-vs-f32 PSNR gap exceeds QuantGateDB.
+	// sampled int8-vs-f32 PSNR gap exceeds 0.5 dB.
 	QuantInt8 bool
-	// QuantGateDB is the quality gate's PSNR-gap threshold in dB (default
-	// 0.5 when QuantInt8 is set; <= 0 after defaulting keeps quantization
-	// permanently on).
-	QuantGateDB float64
 	// AnytimeBudget is the per-frame inference deadline of the anytime
 	// patch scheduler (0 = off): high-gain patches run f32, the rest int8,
 	// degrading to bilinear passthrough when the Device cost model says the
@@ -210,12 +205,6 @@ func (c Config) withDefaults() Config {
 	if c.MinPatchKbps <= 0 {
 		c.MinPatchKbps = 25
 	}
-	if c.Gamma <= 0 {
-		// Equation 1's discount factor weighs the *future* gain stream a
-		// training patch keeps delivering (γ >= 1 in the paper); one epoch's
-		// measured slope understates it by roughly the saturation horizon.
-		c.Gamma = 15
-	}
 	if c.OneTimeWindow <= 0 {
 		c.OneTimeWindow = 60 * time.Second
 	}
@@ -227,9 +216,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Device == (sr.Device{}) {
 		c.Device = sr.RTX2080Ti()
-	}
-	if c.QuantInt8 && c.QuantGateDB == 0 {
-		c.QuantGateDB = 0.5
 	}
 	if c.MinVideoKbps <= 0 {
 		c.MinVideoKbps = 200

@@ -52,6 +52,10 @@ const (
 // overhead well under one frame-equivalent per second at paper patch rates.
 const gateSampleEvery = 8
 
+// quantGateDB is the int8 quality gate's threshold: inference falls back to
+// f32 while the sampled int8-vs-f32 PSNR gap exceeds it.
+const quantGateDB = 0.5
+
 // StateChange records a trainer ON/OFF transition (Figure 16 timeline). The
 // server does not keep a timeline of its own: transitions are emitted as
 // trainer_state telemetry events and Results.TrainerTimeline reconstructs
@@ -276,7 +280,7 @@ func newServer(s *sim.Simulator, cfg Config, notify func(serverMsg)) *server {
 			// Schemes without online training (Generic/Pretrained) have no
 			// trainer statistics; EnableQuant then calibrates lazily from
 			// the first processed frame.
-			sv.proc.EnableQuant(sv.model, cfg.QuantGateDB)
+			sv.proc.EnableQuant(sv.model, quantGateDB)
 		}
 		if cfg.AnytimeBudget > 0 {
 			sv.proc.SetAnytimeBudget(cfg.AnytimeBudget)

@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: one entry point per table and
 // figure of the paper's evaluation (see DESIGN.md's per-experiment index).
 // Each experiment returns a Table whose rows reproduce the corresponding
-// figure's series; cmd/livenas-bench prints them and bench_test.go wraps
-// them as benchmarks.
+// figure's series; cmd/livenas-bench prints and times them.
 //
 // Experiments run at a reduced spatial scale by default (Options.Fast):
 // the full pipeline at 1/5 the linear resolution of the paper's setup with

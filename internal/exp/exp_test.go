@@ -242,3 +242,13 @@ func TestFig20QoEImproves(t *testing.T) {
 		t.Fatalf("only %d of 8 cells improved", improved)
 	}
 }
+
+// TestSweptFigureGoldens pins the scheduler- (fig5), codec- (fig14) and
+// trainer-heavy (fig16) swept tables byte for byte, so an optimisation of
+// those layers has a behaviour pin to hold still against.
+func TestSweptFigureGoldens(t *testing.T) {
+	for _, fig := range []func(Options, *sweep.Runner) *Table{Fig5, Fig14, Fig16} {
+		tb := fig(fastOpts(), testRunner())
+		golden(t, tb.ID, tb.String())
+	}
+}

@@ -10,8 +10,8 @@ import (
 // base 1080p-class configuration on one FCC-distributed uplink — and
 // condenses it into the machine-readable telemetry summary
 // (scheduler split, trainer duty cycle, inference latency quantiles).
-// cmd/livenas-bench -summary writes it to disk and the CI full tier
-// validates it (cmd/bench-compare -summary).
+// cmd/livenas-bench -summary validates it and writes it to disk
+// (telemetry.WriteSummaryFile); the nightly CI run keeps one as an artifact.
 func RunSummary(o Options) telemetry.RunSummary {
 	cfg := o.baseConfig(vidgen.JustChatting, 2)
 	cfg.Trace = o.uplinks(1, 77)[0]

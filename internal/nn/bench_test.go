@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// Kernel microbenchmarks, tracked by scripts/bench.sh into
-// BENCH_kernels.json. Each benchmark runs in two variants: "kernel" is the
-// im2col/GEMM engine with arena recycling, "ref" the retained scalar
-// reference path the seed implementation used — both in the same binary,
-// toggled by SetRefKernels, so speedups are apples-to-apples.
+// Kernel microbenchmarks of the im2col/GEMM engine with arena recycling:
+// developer tools for `go test -bench`. The recorded figures are the
+// nn.conv_*_gmacs_per_s metrics of the serve_hd benchmark workload.
 //
 // The shape (8→8 channels, 3×3 taps, 192×108 pixels) is the mid conv of
 // the default SR model on a 1080p/10-strip inference block.
@@ -21,52 +19,32 @@ const (
 	benchW = 192
 )
 
-func benchConvForward(b *testing.B, ref bool) {
+func BenchmarkConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewConv2D(benchC, benchC, benchK, rng)
 	l.SetKernelContext(NewArena(), SharedPool())
 	x := randTensor(benchC, benchH, benchW, rng)
-	SetRefKernels(ref)
-	defer SetRefKernels(false)
 	macs := int64(benchC * benchC * benchK * benchK * benchH * benchW)
 	b.SetBytes(macs * 4) // nominal MAC throughput, 4 bytes per float32 MAC
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := l.Forward(x)
-		if !ref {
-			l.arena.Put(out)
-		}
+		l.arena.Put(l.Forward(x))
 	}
 }
 
-func BenchmarkConvForward(b *testing.B) {
-	b.Run("kernel", func(b *testing.B) { benchConvForward(b, false) })
-	b.Run("ref", func(b *testing.B) { benchConvForward(b, true) })
-}
-
-func benchConvBackward(b *testing.B, ref bool) {
+func BenchmarkConvBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewConv2D(benchC, benchC, benchK, rng)
 	l.SetKernelContext(NewArena(), SharedPool())
 	x := randTensor(benchC, benchH, benchW, rng)
 	dOut := randTensor(benchC, benchH, benchW, rng)
-	SetRefKernels(ref)
-	defer SetRefKernels(false)
 	l.Forward(x)                                                           // cache the activation Backward consumes
 	macs := int64(3 * benchC * benchC * benchK * benchK * benchH * benchW) // dIn + gradW + forward-equivalent
 	b.SetBytes(macs * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dIn := l.Backward(dOut)
-		if !ref {
-			l.arena.Put(dIn)
-		}
+		l.arena.Put(l.Backward(dOut))
 	}
-}
-
-func BenchmarkConvBackward(b *testing.B) {
-	b.Run("kernel", func(b *testing.B) { benchConvBackward(b, false) })
-	b.Run("ref", func(b *testing.B) { benchConvBackward(b, true) })
 }

@@ -1,7 +1,5 @@
 package nn
 
-import "sync/atomic"
-
 // This file is the register-blocked GEMM heart of the kernel engine. A
 // same-padded Conv2D forward is im2col + one GEMM per row block:
 //
@@ -11,29 +9,16 @@ import "sync/atomic"
 // computes a 4×8 tile of out with the k-sum of every element accumulated
 // sequentially in ascending kidx — element-wise float32 mul/add only, no
 // FMA — so each output element performs the same float32 operations in the
-// same order as the scalar reference kernel and the result is bit-identical
-// to convRef (differential tests pin this down). On amd64 the micro-kernel
-// is SSE2 assembly (MULPS/ADDPS are lane-wise IEEE ops, so vectorizing
-// across output elements does not change any element's rounding); other
-// architectures use the pure-Go fallback in gemm_generic.go.
+// same order as the scalar tap loop and the result is bit-identical to it
+// (convRefForward, the oracle in ref_test.go; differential tests pin this
+// down). On amd64 the micro-kernel is SSE2 assembly (MULPS/ADDPS are
+// lane-wise IEEE ops, so vectorizing across output elements does not change
+// any element's rounding); other architectures use the pure-Go fallback in
+// gemm_generic.go.
 //
 // The same micro-kernel computes the input gradient (as a conv of the
 // output gradient with the tap-flipped, transposed weights), and kernDot4
 // computes the weight gradient (dOut · packᵀ row blocks).
-
-// refKernels routes Conv2D, ReLU, PixelShuffle and the trainer through the
-// retained scalar reference path when set. It exists for the tracked
-// kernel benchmarks (scripts/bench.sh measures GEMM vs scalar on the same
-// binary) and for differential tests; production code never sets it.
-var refKernels atomic.Bool
-
-// SetRefKernels toggles the scalar reference path globally. Toggle only
-// while no forward/backward is in flight (benchmarks and tests do this
-// between runs).
-func SetRefKernels(on bool) { refKernels.Store(on) }
-
-// RefKernels reports whether the scalar reference path is active.
-func RefKernels() bool { return refKernels.Load() }
 
 // gemmConvBias computes c[oc][j] = bias[oc] + Σ_p a[oc*kk+p]*b[p*n+j] for
 // oc < outC, j < n, with c rows cstride apart. apack is caller scratch of

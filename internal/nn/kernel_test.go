@@ -32,13 +32,14 @@ func diffConv(t *testing.T, inC, outC, k, h, w int, pool *Pool, arena *Arena, rn
 	x := randTensor(inC, h, w, rng)
 	dOut := randTensor(outC, h, w, rng)
 
-	// Scalar reference pass.
-	SetRefKernels(true)
-	want := l.Forward(x)
-	wantDIn := l.Backward(dOut)
+	// Scalar reference pass (the oracle allocates plainly; its backward
+	// accumulates into a zeroed dIn).
+	want := NewTensor(outC, h, w)
+	convRefForward(l, x, want)
+	wantDIn := NewTensor(inC, h, w)
+	convRefBackward(l, x, dOut, wantDIn)
 	wantGW := append([]float32(nil), l.gradW...)
 	wantGB := append([]float32(nil), l.gradB...)
-	SetRefKernels(false)
 
 	// Kernel-engine pass on fresh gradient accumulators.
 	for i := range l.gradW {
@@ -83,7 +84,6 @@ func diffConv(t *testing.T, inC, outC, k, h, w int, pool *Pool, arena *Arena, rn
 }
 
 func TestConvGEMMMatchesRef(t *testing.T) {
-	defer SetRefKernels(false)
 	rng := rand.New(rand.NewSource(42))
 	pool := NewPool(3)
 	defer pool.Close()
@@ -169,7 +169,6 @@ func TestConvDeterministicAcrossPoolSizes(t *testing.T) {
 // TestReLUAndPixelShuffleMatchRef checks the in-place/stride-copy paths
 // against the seed implementations they replaced.
 func TestReLUAndPixelShuffleMatchRef(t *testing.T) {
-	defer SetRefKernels(false)
 	rng := rand.New(rand.NewSource(3))
 	arena := NewArena()
 	for trial := 0; trial < 20; trial++ {
@@ -178,10 +177,8 @@ func TestReLUAndPixelShuffleMatchRef(t *testing.T) {
 		r := &ReLU{}
 		x := randTensor(c, h, w, rng)
 		d := randTensor(c, h, w, rng)
-		SetRefKernels(true)
-		wantF := r.Forward(x)
-		wantB := r.Backward(d)
-		SetRefKernels(false)
+		wantF, mask := reluRefForward(x)
+		wantB := reluRefBackward(d, mask)
 		x2, d2 := x.Clone(), d.Clone()
 		gotF := r.Forward(x2)
 		gotB := r.Backward(d2)
@@ -196,10 +193,8 @@ func TestReLUAndPixelShuffleMatchRef(t *testing.T) {
 		ps.SetKernelContext(arena, nil)
 		in := randTensor(c*s*s, h, w, rng)
 		dHR := randTensor(c, h*s, w*s, rng)
-		SetRefKernels(true)
-		wantPF := ps.Forward(in)
-		wantPB := ps.Backward(dHR)
-		SetRefKernels(false)
+		wantPF := pixelShuffleRefForward(s, in)
+		wantPB := pixelShuffleRefBackward(s, dHR)
 		gotPF := ps.Forward(in)
 		gotPB := ps.Backward(dHR)
 		for i := range wantPF.Data {
@@ -268,7 +263,6 @@ func FuzzConvForwardGEMM(f *testing.F) {
 	defer pool.Close()
 	arena := NewArena()
 	f.Fuzz(func(t *testing.T, inCRaw, outCRaw, kRaw, hRaw, wRaw uint8, seed int64) {
-		defer SetRefKernels(false)
 		inC := 1 + int(inCRaw)%9
 		outC := 1 + int(outCRaw)%9
 		k := 1 + 2*(int(kRaw)%3)

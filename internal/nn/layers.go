@@ -28,10 +28,9 @@ func ConfigureKernels(layers []Layer, a *Arena, p *Pool) {
 //
 // The forward/backward hot path is im2col + register-blocked GEMM (gemm.go,
 // im2col.go), row-blocked so the packed panel stays cache-resident and
-// parallelized across blocks on the kernel pool. The scalar reference path
-// (conv_ref.go) remains selectable via SetRefKernels for differential tests
-// and as the tracked benchmark baseline; the GEMM forward is bit-identical
-// to it by construction.
+// parallelized across blocks on the kernel pool. The GEMM forward is
+// bit-identical to the scalar tap loop it replaced (the differential oracle
+// in ref_test.go) by construction.
 type Conv2D struct {
 	InC, OutC, K int
 	Weight       []float32
@@ -46,9 +45,9 @@ type Conv2D struct {
 	// fwdTask/bwdTask are the block workers submitted to pool.Run. They are
 	// bound once (method values allocate a closure) in SetKernelContext so
 	// the steady-state hot path allocates nothing; per-call state travels
-	// through the run struct, valid only while forwardGEMM/backwardGEMM is
-	// on the stack. A Conv2D instance runs one pass at a time (lastIn
-	// already implies this); parallel samples use CloneShared instances.
+	// through the run struct, valid only while Forward/Backward is on the
+	// stack. A Conv2D instance runs one pass at a time (lastIn already
+	// implies this); parallel samples use CloneShared instances.
 	fwdTask func(int)
 	bwdTask func(int)
 	run     struct {
@@ -118,37 +117,25 @@ func (l *Conv2D) CloneShared() *Conv2D {
 // read and write the gradient contents but must not reslice it.
 func (l *Conv2D) Params() []Param { return l.params }
 
-// Forward implements Layer.
+// Forward implements Layer. The convolution is computed block-by-block:
+// each row block is im2col-packed and multiplied against the weight matrix.
+// Block boundaries come from convBlockRows (shape-derived), so the
+// partition — and with it the result — is independent of pool size.
 func (l *Conv2D) Forward(x *Tensor) *Tensor {
 	if x.C != l.InC {
 		panic("nn: Conv2D input channel mismatch")
 	}
 	l.lastIn = x
-	if RefKernels() {
-		// The reference path allocates per call, like the seed
-		// implementation it benchmarks as.
-		out := NewTensor(l.OutC, x.H, x.W)
-		convRefForward(l, x, out)
-		return out
-	}
 	out := l.arena.Get(l.OutC, x.H, x.W)
-	l.forwardGEMM(x, out)
-	return out
-}
-
-// forwardGEMM computes the convolution block-by-block: each row block is
-// im2col-packed and multiplied against the weight matrix. Block boundaries
-// come from convBlockRows (shape-derived), so the partition — and with it
-// the result — is independent of pool size.
-func (l *Conv2D) forwardGEMM(x, out *Tensor) {
 	l.run.x, l.run.out = x, out
 	l.run.br = convBlockRows(x.W, x.H)
 	nb := (x.H + l.run.br - 1) / l.run.br
 	l.pool.Run(nb, l.fwdTask)
 	l.run.x, l.run.out = nil, nil
+	return out
 }
 
-// forwardBlock is the pooled per-block worker for forwardGEMM.
+// forwardBlock is the pooled per-block worker for Forward.
 func (l *Conv2D) forwardBlock(bi int) {
 	x, out := l.run.x, l.run.out
 	h, w := x.H, x.W
@@ -164,21 +151,8 @@ func (l *Conv2D) forwardBlock(bi int) {
 	l.arena.PutBuf(pack)
 }
 
-// Backward implements Layer.
-func (l *Conv2D) Backward(dOut *Tensor) *Tensor {
-	x := l.lastIn
-	if RefKernels() {
-		dIn := NewTensor(l.InC, x.H, x.W) // zeroed: ref path accumulates
-		convRefBackward(l, x, dOut, dIn)
-		return dIn
-	}
-	dIn := l.arena.Get(l.InC, x.H, x.W)
-	l.backwardGEMM(x, dOut, dIn)
-	return dIn
-}
-
-// backwardGEMM computes all three gradients with the same block structure
-// as the forward:
+// Backward implements Layer. It computes all three gradients with the same
+// block structure as the forward:
 //
 //   - dIn is a convolution of dOut with the tap-flipped, transposed weight
 //     matrix (im2col with flip=true), so it reuses the bit-exact forward
@@ -190,7 +164,9 @@ func (l *Conv2D) Backward(dOut *Tensor) *Tensor {
 //     size.
 //   - gradB is a cheap sequential per-channel reduction of dOut, summed in
 //     the same order as the scalar reference.
-func (l *Conv2D) backwardGEMM(x, dOut, dIn *Tensor) {
+func (l *Conv2D) Backward(dOut *Tensor) *Tensor {
+	x := l.lastIn
+	dIn := l.arena.Get(l.InC, x.H, x.W)
 	h, w := x.H, x.W
 	k := l.K
 	kk := l.InC * k * k
@@ -237,9 +213,10 @@ func (l *Conv2D) backwardGEMM(x, dOut, dIn *Tensor) {
 		}
 		l.gradB[oc] += gb
 	}
+	return dIn
 }
 
-// backwardBlock is the pooled per-block worker for backwardGEMM.
+// backwardBlock is the pooled per-block worker for Backward.
 func (l *Conv2D) backwardBlock(bi int) {
 	x, dOut, dIn := l.run.x, l.run.dOut, l.run.dIn
 	h, w := x.H, x.W
@@ -278,7 +255,6 @@ func (l *Conv2D) backwardBlock(bi int) {
 // place. Neither direction allocates in steady state.
 type ReLU struct {
 	bits []uint64
-	mask []bool // scalar reference path only
 }
 
 // Params implements Layer.
@@ -293,9 +269,6 @@ func (r *ReLU) CloneShared() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *Tensor) *Tensor {
-	if RefKernels() {
-		return r.forwardRef(x)
-	}
 	nb := (len(x.Data) + 63) / 64
 	if cap(r.bits) < nb {
 		r.bits = make([]uint64, nb)
@@ -314,36 +287,8 @@ func (r *ReLU) Forward(x *Tensor) *Tensor {
 	return x
 }
 
-// forwardRef is the seed implementation: clone the input and keep a []bool
-// mask. Retained as the benchmark baseline behind SetRefKernels.
-func (r *ReLU) forwardRef(x *Tensor) *Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
-	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
-	}
-	return out
-}
-
 // Backward implements Layer.
 func (r *ReLU) Backward(dOut *Tensor) *Tensor {
-	if RefKernels() {
-		dIn := dOut.Clone()
-		for i := range dIn.Data {
-			if !r.mask[i] {
-				dIn.Data[i] = 0
-			}
-		}
-		return dIn
-	}
 	for i := range dOut.Data {
 		if r.bits[i>>6]&(1<<(i&63)) == 0 {
 			dOut.Data[i] = 0
@@ -380,9 +325,6 @@ func (p *PixelShuffle) Forward(x *Tensor) *Tensor {
 		panic("nn: PixelShuffle channel count not divisible by s²")
 	}
 	outC := x.C / (s * s)
-	if RefKernels() {
-		return p.forwardRef(x, outC)
-	}
 	out := p.arena.Get(outC, x.H*s, x.W*s)
 	for oc := 0; oc < outC; oc++ {
 		for sy := 0; sy < s; sy++ {
@@ -401,34 +343,11 @@ func (p *PixelShuffle) Forward(x *Tensor) *Tensor {
 	return out
 }
 
-// forwardRef is the seed implementation's per-element At/Set loop, retained
-// as the benchmark baseline behind SetRefKernels.
-func (p *PixelShuffle) forwardRef(x *Tensor, outC int) *Tensor {
-	s := p.S
-	out := NewTensor(outC, x.H*s, x.W*s)
-	for oc := 0; oc < outC; oc++ {
-		for sy := 0; sy < s; sy++ {
-			for sx := 0; sx < s; sx++ {
-				ic := oc*s*s + sy*s + sx
-				for y := 0; y < x.H; y++ {
-					for xx := 0; xx < x.W; xx++ {
-						out.Set(oc, y*s+sy, xx*s+sx, x.At(ic, y, xx))
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Backward implements Layer.
 func (p *PixelShuffle) Backward(dOut *Tensor) *Tensor {
 	s := p.S
 	inC := dOut.C * s * s
 	inH, inW := dOut.H/s, dOut.W/s
-	if RefKernels() {
-		return p.backwardRef(dOut, inC, inH, inW)
-	}
 	dIn := p.arena.Get(inC, inH, inW)
 	for oc := 0; oc < dOut.C; oc++ {
 		for sy := 0; sy < s; sy++ {
@@ -439,24 +358,6 @@ func (p *PixelShuffle) Backward(dOut *Tensor) *Tensor {
 					drow := dIn.Data[(ic*inH+y)*inW : (ic*inH+y)*inW+inW]
 					for i := range drow {
 						drow[i] = src[i*s]
-					}
-				}
-			}
-		}
-	}
-	return dIn
-}
-
-func (p *PixelShuffle) backwardRef(dOut *Tensor, inC, inH, inW int) *Tensor {
-	s := p.S
-	dIn := NewTensor(inC, inH, inW)
-	for oc := 0; oc < dOut.C; oc++ {
-		for sy := 0; sy < s; sy++ {
-			for sx := 0; sx < s; sx++ {
-				ic := oc*s*s + sy*s + sx
-				for y := 0; y < inH; y++ {
-					for xx := 0; xx < inW; xx++ {
-						dIn.Set(ic, y, xx, dOut.At(oc, y*s+sy, xx*s+sx))
 					}
 				}
 			}

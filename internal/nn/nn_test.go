@@ -43,6 +43,12 @@ func TestTensorPanics(t *testing.T) {
 	mustPanic(t, func() { MSELoss(NewTensor(1, 2, 2), NewTensor(1, 3, 2)) })
 }
 
+// MSELoss is MSELossGradInto with a freshly allocated gradient tensor.
+func MSELoss(pred, target *Tensor) (float64, *Tensor) {
+	grad := NewTensor(pred.C, pred.H, pred.W)
+	return MSELossGradInto(pred, target, grad), grad
+}
+
 func mustPanic(t *testing.T, f func()) {
 	t.Helper()
 	defer func() {

@@ -25,19 +25,6 @@ func NewTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float32, c*h*w)}
 }
 
-// At returns the element at (c, y, x).
-func (t *Tensor) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
-
-// Set writes the element at (c, y, x).
-func (t *Tensor) Set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	o := &Tensor{C: t.C, H: t.H, W: t.W, Data: make([]float32, len(t.Data))}
-	copy(o.Data, t.Data)
-	return o
-}
-
 // SameShape reports whether two tensors have identical dimensions.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	return t.C == o.C && t.H == o.H && t.W == o.W
@@ -91,15 +78,10 @@ func ZeroGrads(layers []Layer) {
 	}
 }
 
-// MSELoss returns the mean squared error between pred and target and the
-// gradient of the loss w.r.t. pred (2*(pred-target)/N).
-func MSELoss(pred, target *Tensor) (float64, *Tensor) {
-	grad := NewTensor(pred.C, pred.H, pred.W)
-	return MSELossGradInto(pred, target, grad), grad
-}
-
-// MSELossGradInto is MSELoss writing the gradient into a caller-provided
-// (typically arena-recycled) tensor of the same shape, fully overwriting it.
+// MSELossGradInto returns the mean squared error between pred and target
+// and writes the gradient of the loss w.r.t. pred (2*(pred-target)/N) into
+// a caller-provided (typically arena-recycled) tensor of the same shape,
+// fully overwriting it.
 func MSELossGradInto(pred, target, grad *Tensor) float64 {
 	if !pred.SameShape(target) || !pred.SameShape(grad) {
 		panic("nn: MSELoss shape mismatch")

@@ -5,14 +5,12 @@ import (
 	"testing"
 
 	"livenas/internal/frame"
-	"livenas/internal/nn"
 )
 
-// End-to-end kernel benchmarks, tracked by scripts/bench.sh into
-// BENCH_kernels.json alongside the conv microbenches. "kernel" runs the
-// im2col/GEMM engine with per-sample gradient contexts and arena
-// recycling; "ref" the retained scalar reference path (the seed
-// implementation's behaviour), toggled in the same binary.
+// Model-level kernel benchmarks: developer tools for `go test -bench`
+// (the nightly pprof step profiles BenchmarkInference1080p). The recorded
+// figures are sr.infer_f32_ms, sr.infer_int8_ms and sr.train_epoch_hd_ms
+// of the serve_hd benchmark workload.
 
 func randFrame(w, h int, rng *rand.Rand) *frame.Frame {
 	f := frame.New(w, h)
@@ -29,9 +27,9 @@ func modelMACs(m *Model, inPix int) int64 {
 	return int64((1*c+c*c+c*s*s)*9) * int64(inPix)
 }
 
-// benchTrainEpoch trains on the paper's patch geometry scaled to the
+// BenchmarkTrainEpoch trains on the paper's patch geometry scaled to the
 // default config: 24×24 LR patches against 48×48 HR labels (scale 2).
-func benchTrainEpoch(b *testing.B, ref bool) {
+func BenchmarkTrainEpoch(b *testing.B) {
 	m := NewModel(2, 0, 1)
 	cfg := DefaultTrainConfig()
 	tr := NewTrainer(m, cfg, 2)
@@ -39,8 +37,6 @@ func benchTrainEpoch(b *testing.B, ref bool) {
 	for i := 0; i < 32; i++ {
 		tr.AddSample(randFrame(24, 24, rng), randFrame(48, 48, rng))
 	}
-	nn.SetRefKernels(ref)
-	defer nn.SetRefKernels(false)
 	// Nominal epoch MACs: forward + ~2x backward per sample.
 	perSample := 3 * modelMACs(m, 24*24)
 	b.SetBytes(4 * perSample * int64(cfg.Batch*cfg.ItersPerEpoch))
@@ -51,36 +47,8 @@ func benchTrainEpoch(b *testing.B, ref bool) {
 	}
 }
 
-func BenchmarkTrainEpoch(b *testing.B) {
-	b.Run("kernel", func(b *testing.B) { benchTrainEpoch(b, false) })
-	b.Run("ref", func(b *testing.B) { benchTrainEpoch(b, true) })
-}
-
-// benchInference1080p super-resolves a 960×540 frame to 1920×1080, the
-// paper's ingest-to-native geometry.
-func benchInference1080p(b *testing.B, ref bool) {
-	m := NewModel(2, 0, 1)
-	rng := rand.New(rand.NewSource(5))
-	lr := randFrame(960, 540, rng)
-	nn.SetRefKernels(ref)
-	defer nn.SetRefKernels(false)
-	b.SetBytes(4 * modelMACs(m, 960*540))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SuperResolve(lr)
-	}
-}
-
-func BenchmarkInference1080p(b *testing.B) {
-	b.Run("kernel", func(b *testing.B) { benchInference1080p(b, false) })
-	b.Run("ref", func(b *testing.B) { benchInference1080p(b, true) })
-}
-
-// benchInferenceQuant pits the int8-quantized path ("kernel") against the
-// f32 GEMM engine ("ref") on the same frame. Unlike the benches above, the
-// baseline here is the *fast* f32 path, not the scalar seed — the tracked
-// speedup is the quantization win on top of the optimised engine.
+// benchInferenceQuant runs the same frame through the int8-quantized path
+// or the f32 GEMM engine it is the fast path of.
 func benchInferenceQuant(b *testing.B, w, h int, quant bool) {
 	m := NewModel(2, 0, 1)
 	rng := rand.New(rand.NewSource(5))
@@ -101,17 +69,17 @@ func benchInferenceQuant(b *testing.B, w, h int, quant bool) {
 	}
 }
 
-// BenchmarkInference1080pInt8 is the 960×540→1080p geometry of
-// BenchmarkInference1080p on the int8 fast path.
-func BenchmarkInference1080pInt8(b *testing.B) {
-	b.Run("kernel", func(b *testing.B) { benchInferenceQuant(b, 960, 540, true) })
-	b.Run("ref", func(b *testing.B) { benchInferenceQuant(b, 960, 540, false) })
-}
+// BenchmarkInference1080p super-resolves a 960×540 frame to 1920×1080, the
+// paper's ingest-to-native geometry, on the f32 engine.
+func BenchmarkInference1080p(b *testing.B) { benchInferenceQuant(b, 960, 540, false) }
+
+// BenchmarkInference1080pInt8 is the same geometry on the int8 fast path.
+func BenchmarkInference1080pInt8(b *testing.B) { benchInferenceQuant(b, 960, 540, true) }
 
 // BenchmarkInference4K super-resolves 1920×1080 to 3840×2160 — the paper's
 // hardest real-time target (Table 2's 4K rows) and the motivation for the
 // quantized path.
 func BenchmarkInference4K(b *testing.B) {
-	b.Run("kernel", func(b *testing.B) { benchInferenceQuant(b, 1920, 1080, true) })
-	b.Run("ref", func(b *testing.B) { benchInferenceQuant(b, 1920, 1080, false) })
+	b.Run("int8", func(b *testing.B) { benchInferenceQuant(b, 1920, 1080, true) })
+	b.Run("f32", func(b *testing.B) { benchInferenceQuant(b, 1920, 1080, false) })
 }

@@ -38,8 +38,8 @@ type Device struct {
 }
 
 // defaultInt8Factor matches the measured advantage of the int8 kernel path
-// (BENCH_kernels.json inference_1080p_int8) and typical int8-vs-fp16 GPU
-// tensor throughput ratios.
+// (2.76x over the f32 GEMM engine at 1080p; DESIGN.md "Kernel engine",
+// historical table) and typical int8-vs-fp16 GPU tensor throughput ratios.
 const defaultInt8Factor = 0.45
 
 func (d Device) int8Factor() float64 {

@@ -46,8 +46,7 @@ type Model struct {
 	pool  *nn.Pool
 
 	// live tracks the arena tensors produced by the most recent forward
-	// chain; they stay out until backward has consumed the cached
-	// activations, then releaseLive returns them. Guarded by mu.
+	// chain until releaseLive returns them. Guarded by mu.
 	live []*nn.Tensor
 
 	// ctxs are cached per-sample gradient contexts (see gradCtx), grown on
@@ -190,35 +189,10 @@ func (m *Model) forward(x *nn.Tensor) *nn.Tensor {
 	return h
 }
 
-// backward backpropagates a gradient through the residual branch,
-// accumulating parameter gradients. It takes ownership of g, recycling the
-// whole gradient chain through the arena as it goes; the caller must not
-// use g afterwards. Forward activations stay live (layers cached them) —
-// call releaseLive once per forward/backward pair.
-func (m *Model) backward(g *nn.Tensor) {
-	ref := nn.RefKernels()
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		ng := m.layers[i].Backward(g)
-		if ng != g && !ref {
-			m.arena.Put(g)
-		}
-		g = ng
-	}
-	if !ref {
-		m.arena.Put(g)
-	}
-}
-
-// releaseLive returns the forward chain's tensors to the arena. In
-// reference-kernel mode tensors were plainly allocated, so they are simply
-// dropped for the GC — matching the seed's allocation behaviour that the
-// tracked benchmarks baseline against.
+// releaseLive returns the forward chain's tensors to the arena.
 func (m *Model) releaseLive() {
-	ref := nn.RefKernels()
 	for i, t := range m.live {
-		if !ref {
-			m.arena.Put(t)
-		}
+		m.arena.Put(t)
 		m.live[i] = nil
 	}
 	m.live = m.live[:0]
@@ -292,7 +266,6 @@ func (m *Model) SuperResolve(lr *frame.Frame) *frame.Frame {
 func (m *Model) Calibrate(frames []*frame.Frame) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ref := nn.RefKernels()
 	for _, f := range frames {
 		in := m.arena.Get(1, f.H, f.W)
 		for i, v := range f.Pix {
@@ -310,9 +283,7 @@ func (m *Model) Calibrate(frames []*frame.Frame) {
 			}
 		}
 		m.releaseLive()
-		if !ref {
-			m.arena.Put(in)
-		}
+		m.arena.Put(in)
 	}
 }
 

@@ -293,26 +293,12 @@ func (t *Trainer) step() float64 {
 // shardGrad accumulates the gradient of the samples idx into m's gradient
 // accumulators and returns the summed loss.
 //
-// On the kernel engine each sample gets a private gradient context
-// (weight-sharing layer clones) so all samples of the shard run
-// concurrently on the kernel pool; the private gradients are then folded
-// into the model in ascending sample order. The fold order — and therefore
-// the result — is fixed by the shard contents alone, never by the pool
-// size. The scalar reference path keeps the seed's sequential
-// accumulate-in-place loop, which the tracked benchmarks baseline against.
+// Each sample gets a private gradient context (weight-sharing layer
+// clones) so all samples of the shard run concurrently on the kernel pool;
+// the private gradients are then folded into the model in ascending sample
+// order. The fold order — and therefore the result — is fixed by the shard
+// contents alone, never by the pool size.
 func (t *Trainer) shardGrad(m *Model, idx []int) float64 {
-	if nn.RefKernels() {
-		var loss float64
-		for _, di := range idx {
-			s := t.data[di]
-			out := m.forward(s.LR)
-			l, grad := nn.MSELoss(out, s.Res)
-			loss += l
-			m.backward(grad)
-			m.releaseLive()
-		}
-		return loss
-	}
 	ctxs := m.gradContexts(len(idx))
 	losses := make([]float64, len(idx))
 	m.pool.Run(len(idx), func(k int) {

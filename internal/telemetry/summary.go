@@ -8,7 +8,7 @@ import (
 )
 
 // RunSummary is the end-of-run telemetry digest an experiment or bench run
-// emits (cmd/livenas-bench -summary, scripts/ci.sh full tier). It carries
+// emits (cmd/livenas-bench -summary, scripts/ci.sh nightly artifact). It carries
 // the three control-loop outcomes the paper's evaluation keys on — the
 // scheduler's bandwidth split, the content-adaptive trainer's duty cycle,
 // and the inference-latency distribution — plus the raw counter/gauge state
@@ -50,8 +50,12 @@ func (s RunSummary) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteSummaryFile writes the summary to path.
+// WriteSummaryFile validates the summary and writes it to path; an invalid
+// summary is an error and leaves no file behind.
 func WriteSummaryFile(path string, s RunSummary) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -61,23 +65,6 @@ func WriteSummaryFile(path string, s RunSummary) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadSummaryFile loads a summary written by WriteSummaryFile and validates
-// the fields the CI gate consumes.
-func ReadSummaryFile(path string) (RunSummary, error) {
-	var s RunSummary
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // Validate checks the summary carries the control-loop signals a comparable
@@ -92,8 +79,12 @@ func (s RunSummary) Validate() error {
 		return fmt.Errorf("telemetry summary: implausible inference latency p50=%v p99=%v", s.InferP50MS, s.InferP99MS)
 	case s.AvgTargetKbps <= 0:
 		return fmt.Errorf("telemetry summary: avg_target_kbps %v not positive", s.AvgTargetKbps)
+	case s.AvgVideoKbps <= 0:
+		return fmt.Errorf("telemetry summary: avg_video_kbps %v not positive", s.AvgVideoKbps)
 	case s.TrainerDutyCycle < 0 || s.TrainerDutyCycle > 1:
 		return fmt.Errorf("telemetry summary: trainer_duty_cycle %v outside [0,1]", s.TrainerDutyCycle)
+	case len(s.Counters) == 0:
+		return fmt.Errorf("telemetry summary: no counters recorded")
 	}
 	return nil
 }

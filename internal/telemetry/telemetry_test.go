@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -269,8 +270,12 @@ func TestSummaryValidateAndRoundTrip(t *testing.T) {
 	if err := WriteSummaryFile(path, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSummaryFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got RunSummary
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.InferP99MS != s.InferP99MS || got.Counters["core_frames_decoded"] != 600 {
@@ -286,5 +291,23 @@ func TestSummaryValidateAndRoundTrip(t *testing.T) {
 	bad.InferP99MS = 1
 	if bad.Validate() == nil {
 		t.Fatal("p99 < p50 must fail validation")
+	}
+	bad = s
+	bad.AvgVideoKbps = 0
+	if bad.Validate() == nil {
+		t.Fatal("zero avg_video_kbps must fail validation")
+	}
+	bad = s
+	bad.Counters = nil
+	if bad.Validate() == nil {
+		t.Fatal("a summary without counters must fail validation")
+	}
+	// An invalid summary is refused before the file is created.
+	refused := t.TempDir() + "/refused.json"
+	if WriteSummaryFile(refused, bad) == nil {
+		t.Fatal("WriteSummaryFile wrote an invalid summary")
+	}
+	if _, err := os.Stat(refused); err == nil {
+		t.Fatal("WriteSummaryFile left a file behind for an invalid summary")
 	}
 }

@@ -4,22 +4,21 @@
 #
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet, livenas-vet
 #                         (whole module, no flags, under 4 s), short tests,
-#                         parallel sweep smoke (one small figure sweep at
-#                         -parallel 4)
+#                         the benchmark module's vet + tests, parallel
+#                         sweep smoke (one small figure sweep at -parallel 4)
 #   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
 #                         asm stubs and purego twins are its territory),
-#                         the same livenas-vet step, full tests, race tier
-#                         (includes internal/sweep and internal/fleet), fuzz
-#                         smoke (FUZZTIME, default 10s, 0 skips),
-#                         kernel-bench regression gate vs BENCH_kernels.json
-#                         (cmd/bench-compare, BENCH_NOISE overrides the 15%
-#                         threshold), telemetry run-summary validation
+#                         the same livenas-vet and benchmark-module steps,
+#                         full tests, race tier (includes internal/sweep
+#                         and internal/fleet), fuzz smoke (FUZZTIME,
+#                         default 10s, 0 skips). No timing is gated here:
+#                         BENCHMARK.json is the one performance instrument.
 #
 # Extended knobs (the nightly workflow uses these):
 #   FLEET_SOAK_STREAMS=N  adds a fleet soak step to the full tier: N
 #                         concurrent streamers through the admission plan
 #                         and sweep execution under -race
-#   CI_ARTIFACTS=dir      collects the step table, the telemetry run
+#   CI_ARTIFACTS=dir      collects the step table, a telemetry run
 #                         summary and pprof profiles into dir for upload
 #
 # Each step is timed; the table goes to stdout and, when running under
@@ -114,27 +113,17 @@ gofmt_clean() {
     fi
 }
 
-# Multi-command steps chain with && so the step's rc is the first failing
-# command's, not the last command's (bash suppresses set -e inside a
-# function invoked in a tested context, so sequential statements would
-# swallow an early failure).
-summary_gate() {
-    local f rc=0
-    f="$(mktemp -t run_summary.XXXXXX.json)"
-    # Reduced duration: the gate checks the summary pipeline end to end,
-    # not experiment statistics.
-    go run ./cmd/livenas-bench -summary "$f" -dur 40s -time=false &&
-        go run ./cmd/bench-compare -summary "$f" || rc=$?
-    if [[ -n "${CI_ARTIFACTS:-}" && -s "$f" ]]; then
-        cp "$f" "$CI_ARTIFACTS/run_summary.json"
-    fi
-    rm -f "$f"
-    return "$rc"
+# benchmark/ is its own module importing internal/*: an API change there
+# must break this step, not the pipeline's A/B run. Chained with && so the
+# rc is the first failing command's (bash suppresses set -e inside a
+# function invoked in a tested context).
+benchmark_module() {
+    (cd benchmark && go vet ./... && go test ./...)
 }
 
 # Nightly-only: record cpu/heap profiles of the 1080p inference bench for
-# upload, so a perf regression caught by the bench gate comes with the
-# profile that explains it.
+# upload, so a serve_hd regression comes with a profile of its binding
+# layer.
 pprof_profiles() {
     go test -run '^$' -bench 'BenchmarkInference1080p$' -benchtime 5x \
         -cpuprofile "$CI_ARTIFACTS/cpu.pprof" \
@@ -148,6 +137,7 @@ if [[ "$TIER" == "fast" ]]; then
     step "go vet" go vet ./...
     step "livenas-vet" go run ./cmd/livenas-vet ./...
     step "go test -short" go test -short ./...
+    step "benchmark module" benchmark_module
     # The int8 fast path's correctness contract, run by name so a test
     # rename or build-tag slip can't silently drop it from the blocking
     # tier: kernel-vs-scalar and int8-vs-f32 differentials plus the
@@ -163,6 +153,7 @@ else
     step "go vet" go vet ./...
     step "livenas-vet" go run ./cmd/livenas-vet ./...
     step "go test" go test ./...
+    step "benchmark module" benchmark_module
     # internal/nn rides along for the int8/strip-parallel kernel stress;
     # internal/sr's stress set includes the quantized-path churn test;
     # internal/fleet races the registry against mid-epoch teardowns.
@@ -181,9 +172,8 @@ else
         step "fuzz wire ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzWireRead$' -fuzztime "$FUZZTIME" ./internal/wire
         step "fuzz codec ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzBitReader$' -fuzztime "$FUZZTIME" ./internal/codec
     fi
-    step "bench gate" go run ./cmd/bench-compare
-    step "summary gate" summary_gate
     if [[ -n "${CI_ARTIFACTS:-}" ]]; then
+        step "run summary" go run ./cmd/livenas-bench -summary "$CI_ARTIFACTS/run_summary.json"
         step "pprof profiles" pprof_profiles
     fi
 fi
