@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"livenas/internal/core"
 	"livenas/internal/sweep"
+	"livenas/internal/trace"
+	"livenas/internal/vidgen"
 )
 
 func fastOpts() Options {
@@ -244,11 +248,45 @@ func TestFig20QoEImproves(t *testing.T) {
 }
 
 // TestSweptFigureGoldens pins the scheduler- (fig5), codec- (fig14) and
-// trainer-heavy (fig16) swept tables byte for byte, so an optimisation of
-// those layers has a behaviour pin to hold still against.
+// trainer-heavy (fig16) swept tables and both Twitch gain tables (fig9) byte
+// for byte, so an optimisation of those layers has a behaviour pin to hold
+// still against.
 func TestSweptFigureGoldens(t *testing.T) {
 	for _, fig := range []func(Options, *sweep.Runner) *Table{Fig5, Fig14, Fig16} {
 		tb := fig(fastOpts(), testRunner())
 		golden(t, tb.ID, tb.String())
 	}
+	for _, tb := range Fig9(fastOpts(), testRunner()) {
+		golden(t, tb.ID, tb.String())
+	}
+}
+
+// TestLossy3GGolden pins the one path no figure table covers: Fortnite over
+// a 3G uplink with 1% packet loss (the benchmark's ingest_sweep lossy pair),
+// where key-frame recovery, reassembly loss and the encoder's re-encode
+// attempts all run. Byte counts and frame counts are exact; PSNR is printed
+// to six decimals so a one-pixel drift shows.
+func TestLossy3GGolden(t *testing.T) {
+	o := fastOpts()
+	cfg := o.baseConfig(vidgen.Fortnite, 2)
+	cfg.Trace = trace.ThreeG(3000, o.duration()+time.Minute).Scale(o.world().kbpsScale * 5)
+	cfg.LossRate = 0.01
+	tb := &Table{
+		ID:     "lossy3g",
+		Title:  "Fortnite over lossy 3G (1% loss): exact session counters",
+		Header: []string{"scheme", "AvgPSNR", "FramesDecoded", "FramesLost", "BytesVideo", "BytesPatch", "PatchesSent", "AvgE2ELatency"},
+	}
+	r := testRunner()
+	var hs []*sweep.Handle
+	for _, scheme := range []core.Scheme{core.SchemeWebRTC, core.SchemeLiveNAS} {
+		c := cfg
+		c.Scheme = scheme
+		hs = append(hs, r.Go(c))
+	}
+	for _, h := range hs {
+		res := wait(h)
+		tb.Add(res.Cfg.Scheme.String(), fmt.Sprintf("%.6f", res.AvgPSNR), res.FramesDecoded, res.FramesLost,
+			res.BytesVideo, res.BytesPatch, res.PatchesSent, res.AvgE2ELatency.String())
+	}
+	golden(t, tb.ID, tb.String())
 }
