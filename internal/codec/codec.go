@@ -59,40 +59,22 @@ func (ef *EncodedFrame) Bits() int { return len(ef.Data) * 8 }
 // padTo8 rounds up to a multiple of the transform block size.
 func padTo8(x int) int { return (x + blockSize - 1) / blockSize * blockSize }
 
-// padFrame extends f to block-aligned dimensions by edge replication.
-func padFrame(f *frame.Frame) *frame.Frame {
-	pw, ph := padTo8(f.W), padTo8(f.H)
-	if pw == f.W && ph == f.H {
-		return f
-	}
-	out := frame.New(pw, ph)
-	for y := 0; y < ph; y++ {
-		sy := y
-		if sy >= f.H {
-			sy = f.H - 1
-		}
-		for x := 0; x < pw; x++ {
-			sx := x
-			if sx >= f.W {
-				sx = f.W - 1
-			}
-			out.Pix[y*pw+x] = f.Pix[sy*f.W+sx]
-		}
-	}
-	return out
-}
-
 // Encoder compresses a sequence of frames. It maintains the reconstructed
 // reference frame (the same images a decoder will see), a GoP counter, and
 // rate-control state.
 type Encoder struct {
-	cfg       Config
-	ref       *frame.Frame // reconstructed previous frame (padded dims)
-	seq       int
-	sinceKey  int
-	forceKey  bool
-	qp        int
-	rcInertia float64 // smoothed log2(bits/target) error
+	cfg Config
+	// ref is the reconstructed previous frame (padded dims); spare is the
+	// buffer the next reconstruction is written into. The two swap after
+	// every frame, so re-encode attempts and steady state allocate nothing.
+	ref, spare *frame.Frame
+	padded     *frame.Frame // block-aligned copy of the input, when it needs one
+	lastBytes  int          // previous frame's stream length: sizes the next bitWriter
+	seq        int
+	sinceKey   int
+	forceKey   bool
+	qp         int
+	rcInertia  float64 // smoothed log2(bits/target) error
 }
 
 // NewEncoder returns an encoder for the given configuration.
@@ -134,8 +116,8 @@ func (e *Encoder) Encode(f *frame.Frame, targetBits int) *EncodedFrame {
 		budget = targetBits * 3
 	}
 
-	padded := padFrame(f)
-	data, recon := e.encodeOnce(padded, key, e.qp)
+	padded := e.pad(f)
+	data := e.encodeOnce(padded, key, e.qp)
 	// Bounded re-encode on gross budget violation (cheap insurance for
 	// scene changes and one-shot encodes; steady state is handled by the
 	// inter-frame loop below).
@@ -148,7 +130,7 @@ func (e *Encoder) Encode(f *frame.Frame, targetBits int) *EncodedFrame {
 		} else {
 			break
 		}
-		data, recon = e.encodeOnce(padded, key, e.qp)
+		data = e.encodeOnce(padded, key, e.qp)
 	}
 
 	// Inter-frame QP adaptation: proportional control on the log bit error,
@@ -161,7 +143,8 @@ func (e *Encoder) Encode(f *frame.Frame, targetBits int) *EncodedFrame {
 		e.rcInertia = 0
 	}
 
-	e.ref = recon
+	e.ref, e.spare = e.spare, e.ref
+	e.lastBytes = len(data)
 	if key {
 		e.sinceKey = 0
 	} else {
@@ -182,23 +165,49 @@ func (e *Encoder) Reconstructed() *frame.Frame {
 	return e.ref.Crop(0, 0, e.cfg.W, e.cfg.H)
 }
 
-// encodeOnce runs one full encode of a padded frame at a fixed QP and
-// returns the bitstream plus the reconstruction used as the next reference.
-func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) ([]byte, *frame.Frame) {
-	w := &bitWriter{}
+// pad extends f to block-aligned dimensions by edge replication.
+func (e *Encoder) pad(f *frame.Frame) *frame.Frame {
+	pw, ph := padTo8(f.W), padTo8(f.H)
+	if pw == f.W && ph == f.H {
+		return f
+	}
+	if e.padded == nil {
+		e.padded = frame.New(pw, ph)
+	}
+	for y := 0; y < ph; y++ {
+		src := f.Pix[min(y, f.H-1)*f.W:][:f.W]
+		dst := e.padded.Pix[y*pw:][:pw]
+		copy(dst, src)
+		for x := f.W; x < pw; x++ {
+			dst[x] = src[f.W-1]
+		}
+	}
+	return e.padded
+}
+
+// encodeOnce runs one full encode of a padded frame at a fixed QP, writes
+// the reconstruction (the next reference) into e.spare, and returns the
+// bitstream.
+func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
+	w := &bitWriter{buf: make([]byte, 0, e.lastBytes+e.lastBytes/4+64)}
 	w.writeBit(boolBit(key))
 	w.writeBits(uint64(qp), 6)
 
 	pw, ph := padded.W, padded.H
-	recon := frame.New(pw, ph)
+	if e.spare == nil {
+		e.spare = frame.New(pw, ph)
+	}
+	recon := e.spare
+	steps := quantSteps(e.cfg.Profile, qp)
 	var blk, freq [64]float64
+	var pred [64]uint8
 	var prevMVX, prevMVY int
 
 	for by := 0; by < ph; by += blockSize {
 		prevMVX, prevMVY = 0, 0
 		for bx := 0; bx < pw; bx += blockSize {
 			if key || e.ref == nil {
-				e.encodeIntraBlock(w, padded, recon, bx, by, qp, &blk, &freq)
+				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq)
 				continue
 			}
 			// Motion search against the reconstructed reference.
@@ -206,7 +215,7 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) ([]byte, *fr
 			sadIntra := intraSAD(padded, recon, bx, by)
 			if sadIntra+32 < sadInter {
 				w.writeBit(1) // intra
-				e.encodeIntraBlock(w, padded, recon, bx, by, qp, &blk, &freq)
+				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq)
 				prevMVX, prevMVY = 0, 0
 				continue
 			}
@@ -215,61 +224,77 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) ([]byte, *fr
 			w.writeSE(int32(mvy - prevMVY))
 			prevMVX, prevMVY = mvx, mvy
 			// Residual against motion-compensated prediction.
+			fetchPred(e.ref, bx+mvx, by+mvy, &pred)
 			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					pred := refSample(e.ref, bx+x+mvx, by+y+mvy)
-					blk[y*blockSize+x] = float64(padded.Pix[(by+y)*pw+bx+x]) - float64(pred)
+				src := padded.Pix[(by+y)*pw+bx:][:blockSize]
+				for x, v := range src {
+					blk[y*blockSize+x] = float64(v) - float64(pred[y*blockSize+x])
 				}
 			}
-			codeBlock(w, &blk, &freq, e.cfg.Profile, qp)
-			// Reconstruct.
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					pred := refSample(e.ref, bx+x+mvx, by+y+mvy)
-					recon.Pix[(by+y)*pw+bx+x] = clampAdd(pred, blk[y*blockSize+x])
-				}
-			}
+			codeBlock(w, &blk, &freq, steps)
+			reconstruct(recon, bx, by, &pred, &blk)
 		}
 	}
 	if e.cfg.Deblock {
 		deblockFrame(recon, qp)
 	}
-	return w.finish(), recon
+	return w.finish()
 }
 
 // encodeIntraBlock DC-predicts from the already-reconstructed left/top
 // neighbours, codes the residual, and reconstructs in-loop.
-func (e *Encoder) encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by, qp int, blk, freq *[64]float64) {
-	pred := dcPrediction(recon, bx, by)
+func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, steps, blk, freq *[64]float64) {
+	dc := dcPrediction(recon, bx, by)
 	pw := src.W
 	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			blk[y*blockSize+x] = float64(src.Pix[(by+y)*pw+bx+x]) - pred
+		row := src.Pix[(by+y)*pw+bx:][:blockSize]
+		for x, v := range row {
+			blk[y*blockSize+x] = float64(v) - dc
 		}
 	}
-	codeBlock(w, blk, freq, e.cfg.Profile, qp)
+	codeBlock(w, blk, freq, steps)
+	reconstructDC(recon, bx, by, uint8(dc), blk)
+}
+
+// reconstruct writes prediction plus residual into the block at (bx, by).
+func reconstruct(recon *frame.Frame, bx, by int, pred *[64]uint8, blk *[64]float64) {
 	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			recon.Pix[(by+y)*pw+bx+x] = clampAdd(uint8(pred), blk[y*blockSize+x])
+		row := recon.Pix[(by+y)*recon.W+bx:][:blockSize]
+		for x := range row {
+			row[x] = clampAdd(pred[y*blockSize+x], blk[y*blockSize+x])
+		}
+	}
+}
+
+// reconstructDC is reconstruct for a flat (intra DC) prediction.
+func reconstructDC(recon *frame.Frame, bx, by int, dc uint8, blk *[64]float64) {
+	for y := 0; y < blockSize; y++ {
+		row := recon.Pix[(by+y)*recon.W+bx:][:blockSize]
+		for x := range row {
+			row[x] = clampAdd(dc, blk[y*blockSize+x])
 		}
 	}
 }
 
 // codeBlock transforms blk, quantises it, entropy-codes it, and replaces blk
 // with the dequantised spatial-domain reconstruction (in place).
-func codeBlock(w *bitWriter, blk, freq *[64]float64, p Profile, qp int) {
+func codeBlock(w *bitWriter, blk, freq, steps *[64]float64) {
 	fdct8(blk, freq)
 	var q [64]int32
 	nnz := 0
-	for i := 0; i < 64; i++ {
-		step := quantStep(p, qp, i)
-		v := int32(math.Round(freq[i] / step))
-		q[i] = v
-		if v != 0 {
+	for i, step := range steps {
+		// A ratio inside (-0.5, 0.5) rounds to zero; most do, and skip the
+		// math.Round call.
+		if r := freq[i] / step; r <= -0.5 || r >= 0.5 {
+			q[i] = int32(math.Round(r))
 			nnz++
 		}
 	}
 	w.writeUE(uint32(nnz))
+	if nnz == 0 {
+		*blk = [64]float64{}
+		return
+	}
 	run := uint32(0)
 	for _, pos := range zigzag {
 		if q[pos] == 0 {
@@ -281,24 +306,27 @@ func codeBlock(w *bitWriter, blk, freq *[64]float64, p Profile, qp int) {
 		run = 0
 	}
 	// Dequantise for reconstruction.
-	for i := 0; i < 64; i++ {
-		freq[i] = float64(q[i]) * quantStep(p, qp, i)
+	for i, step := range steps {
+		freq[i] = float64(q[i]) * step
 	}
 	idct8(freq, blk)
 }
 
 // searchMotion runs a small diamond search seeded at (0,0) and the left
-// neighbour's motion vector, returning the best vector and its SAD.
+// neighbour's motion vector, returning the best vector and its SAD. A
+// candidate is abandoned once its partial SAD reaches the best so far, and
+// the search ends at a perfect match: neither can change the winner, which
+// must be strictly better.
 func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int, int, int) {
 	r := e.cfg.Profile.searchRange()
 	bestX, bestY := 0, 0
-	best := blockSAD(cur, e.ref, bx, by, 0, 0)
+	best := blockSAD(cur, e.ref, bx, by, 0, 0, math.MaxInt)
 	if predX != 0 || predY != 0 {
-		if s := blockSAD(cur, e.ref, bx, by, predX, predY); s < best {
+		if s := blockSAD(cur, e.ref, bx, by, predX, predY, best); s < best {
 			best, bestX, bestY = s, predX, predY
 		}
 	}
-	for step := r; step >= 1; step /= 2 {
+	for step := r; step >= 1 && best > 0; step /= 2 {
 		improved := true
 		for improved {
 			improved = false
@@ -307,7 +335,7 @@ func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int,
 				if nx < -r || nx > r || ny < -r || ny > r {
 					continue
 				}
-				if s := blockSAD(cur, e.ref, bx, by, nx, ny); s < best {
+				if s := blockSAD(cur, e.ref, bx, by, nx, ny, best); s < best {
 					best, bestX, bestY = s, nx, ny
 					improved = true
 				}
@@ -318,21 +346,59 @@ func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int,
 }
 
 // blockSAD computes the sum of absolute differences between the current
-// block and the reference block displaced by (mvx, mvy) (edge-clamped).
-func blockSAD(cur, ref *frame.Frame, bx, by, mvx, mvy int) int {
+// block and the reference block displaced by (mvx, mvy) (edge-clamped). It
+// returns early, with a partial sum that is at least limit, once the sum
+// reaches limit.
+func blockSAD(cur, ref *frame.Frame, bx, by, mvx, mvy, limit int) int {
+	x0, y0 := bx+mvx, by+mvy
+	in := inside(ref, x0, y0)
+	var edge [blockSize]uint8
 	var sad int
 	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			c := int(cur.Pix[(by+y)*cur.W+bx+x])
-			r := int(refSample(ref, bx+x+mvx, by+y+mvy))
-			d := c - r
+		c := cur.Pix[(by+y)*cur.W+bx:][:blockSize]
+		r := refRow(ref, x0, y0+y, in, &edge)
+		for x, cv := range c {
+			d := int(cv) - int(r[x])
 			if d < 0 {
 				d = -d
 			}
 			sad += d
 		}
+		if sad >= limit {
+			break
+		}
 	}
 	return sad
+}
+
+// inside reports whether the 8x8 block whose top-left corner is (x0, y0)
+// lies wholly within f. The corner comes from a motion vector a decoder read
+// off the wire, so it can be anywhere.
+func inside(f *frame.Frame, x0, y0 int) bool {
+	return x0 >= 0 && y0 >= 0 && x0 <= f.W-blockSize && y0 <= f.H-blockSize
+}
+
+// refRow returns the eight reference samples starting at (x0, y): a slice of
+// the frame itself when the block is inside it, otherwise edge-clamped
+// copies in edge.
+func refRow(ref *frame.Frame, x0, y int, in bool, edge *[blockSize]uint8) []uint8 {
+	if in {
+		return ref.Pix[y*ref.W+x0:][:blockSize]
+	}
+	for x := range edge {
+		edge[x] = refSample(ref, x0+x, y)
+	}
+	return edge[:]
+}
+
+// fetchPred copies the motion-compensated prediction, the reference block
+// whose top-left corner is (x0, y0), into pred.
+func fetchPred(ref *frame.Frame, x0, y0 int, pred *[64]uint8) {
+	in := inside(ref, x0, y0)
+	var edge [blockSize]uint8
+	for y := 0; y < blockSize; y++ {
+		copy(pred[y*blockSize:][:blockSize], refRow(ref, x0, y0+y, in, &edge))
+	}
 }
 
 // intraSAD estimates the cost of DC-intra coding the block.
@@ -411,14 +477,21 @@ func boolBit(b bool) uint64 {
 // key frame.
 type Decoder struct {
 	cfg Config
-	ref *frame.Frame // padded dims
+	// ref is the previous reconstruction (padded dims); spare is the buffer
+	// the next one is decoded into. They swap after every decoded frame; a
+	// frame that fails to decode leaves ref untouched.
+	ref, spare *frame.Frame
 }
 
 // NewDecoder returns a decoder for the stream configuration.
 func NewDecoder(cfg Config) *Decoder { return &Decoder{cfg: cfg} }
 
 // Reset drops the reference frame (e.g. after packet loss).
-func (d *Decoder) Reset() { d.ref = nil }
+func (d *Decoder) Reset() {
+	if d.ref != nil {
+		d.ref, d.spare = nil, d.ref
+	}
+}
 
 // Decode reconstructs one frame.
 func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
@@ -438,8 +511,13 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
 	}
 
 	pw, ph := padTo8(d.cfg.W), padTo8(d.cfg.H)
-	recon := frame.New(pw, ph)
+	if d.spare == nil {
+		d.spare = frame.New(pw, ph)
+	}
+	recon := d.spare
+	steps := quantSteps(d.cfg.Profile, qp)
 	var blk, freq [64]float64
+	var pred [64]uint8
 	var prevMVX, prevMVY int
 
 	for by := 0; by < ph; by += blockSize {
@@ -454,15 +532,11 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
 				intra = m == 1
 			}
 			if intra {
-				pred := dcPrediction(recon, bx, by)
-				if err := decodeBlock(r, &blk, &freq, d.cfg.Profile, qp); err != nil {
+				dc := dcPrediction(recon, bx, by)
+				if err := decodeBlock(r, &blk, &freq, steps); err != nil {
 					return nil, err
 				}
-				for y := 0; y < blockSize; y++ {
-					for x := 0; x < blockSize; x++ {
-						recon.Pix[(by+y)*pw+bx+x] = clampAdd(uint8(pred), blk[y*blockSize+x])
-					}
-				}
+				reconstructDC(recon, bx, by, uint8(dc), &blk)
 				if !key {
 					prevMVX, prevMVY = 0, 0
 				}
@@ -478,27 +552,23 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
 			}
 			mvx, mvy := prevMVX+int(dx), prevMVY+int(dy)
 			prevMVX, prevMVY = mvx, mvy
-			if err := decodeBlock(r, &blk, &freq, d.cfg.Profile, qp); err != nil {
+			if err := decodeBlock(r, &blk, &freq, steps); err != nil {
 				return nil, err
 			}
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					pred := refSample(d.ref, bx+x+mvx, by+y+mvy)
-					recon.Pix[(by+y)*pw+bx+x] = clampAdd(pred, blk[y*blockSize+x])
-				}
-			}
+			fetchPred(d.ref, bx+mvx, by+mvy, &pred)
+			reconstruct(recon, bx, by, &pred, &blk)
 		}
 	}
 	if d.cfg.Deblock {
 		deblockFrame(recon, qp)
 	}
-	d.ref = recon
+	d.ref, d.spare = recon, d.ref
 	return recon.Crop(0, 0, d.cfg.W, d.cfg.H), nil
 }
 
 // decodeBlock entropy-decodes one block and leaves the dequantised spatial
 // residual in blk.
-func decodeBlock(r *bitReader, blk, freq *[64]float64, p Profile, qp int) error {
+func decodeBlock(r *bitReader, blk, freq, steps *[64]float64) error {
 	nnz, err := r.readUE()
 	if err != nil {
 		return err
@@ -506,7 +576,11 @@ func decodeBlock(r *bitReader, blk, freq *[64]float64, p Profile, qp int) error 
 	if nnz > 64 {
 		return errBitstream
 	}
-	var q [64]int32
+	if nnz == 0 {
+		*blk = [64]float64{}
+		return nil
+	}
+	*freq = [64]float64{}
 	scan := 0
 	for i := uint32(0); i < nnz; i++ {
 		run, err := r.readUE()
@@ -521,11 +595,9 @@ func decodeBlock(r *bitReader, blk, freq *[64]float64, p Profile, qp int) error 
 		if err != nil {
 			return err
 		}
-		q[zigzag[scan]] = lvl
+		pos := zigzag[scan]
+		freq[pos] = float64(lvl) * steps[pos]
 		scan++
-	}
-	for i := 0; i < 64; i++ {
-		freq[i] = float64(q[i]) * quantStep(p, qp, i)
 	}
 	idct8(freq, blk)
 	return nil

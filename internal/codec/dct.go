@@ -5,8 +5,9 @@ import "math"
 // blockSize is the transform block size (8x8, as in JPEG/VP8's core).
 const blockSize = 8
 
-// dctBasis holds the 8-point DCT-II basis, basis[k][n] = c(k)*cos((2n+1)kπ/16).
-var dctBasis [blockSize][blockSize]float64
+// dctBasis holds the 8-point DCT-II basis, basis[k][n] = c(k)*cos((2n+1)kπ/16);
+// dctBasisT is its transpose.
+var dctBasis, dctBasisT [blockSize][blockSize]float64
 
 func init() {
 	for k := 0; k < blockSize; k++ {
@@ -16,58 +17,61 @@ func init() {
 		}
 		for n := 0; n < blockSize; n++ {
 			dctBasis[k][n] = c * math.Cos(float64(2*n+1)*float64(k)*math.Pi/(2*blockSize))
+			dctBasisT[n][k] = dctBasis[k][n]
 		}
 	}
 }
 
-// fdct8 applies a separable forward 8x8 DCT-II in place-ish: src (spatial,
-// row-major, 64 samples) to dst (frequency).
+// dct1d is one 8-point pass of the separable transforms:
+// out[j*os] = Σ_i tab[i][j]*in[i*is], each sum taken in ascending i from +0
+// exactly as the textbook double loop takes it (ref_test.go keeps that
+// loop), with the eight sums held in registers. Inputs that are exactly zero
+// are skipped: their products are ±0, and adding ±0 never changes a sum
+// that started at +0 (such a sum is never -0), so the result is bit-identical
+// and sparse blocks — most of what a decoder sees — cost almost nothing.
+func dct1d(tab *[blockSize][blockSize]float64, in []float64, is int, out []float64, os int) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	_ = in[7*is]
+	for i := 0; i < blockSize; i++ {
+		t := in[i*is]
+		if t == 0 {
+			continue
+		}
+		b := &tab[i]
+		a0 += b[0] * t
+		a1 += b[1] * t
+		a2 += b[2] * t
+		a3 += b[3] * t
+		a4 += b[4] * t
+		a5 += b[5] * t
+		a6 += b[6] * t
+		a7 += b[7] * t
+	}
+	_ = out[7*os]
+	out[0], out[os], out[2*os], out[3*os] = a0, a1, a2, a3
+	out[4*os], out[5*os], out[6*os], out[7*os] = a4, a5, a6, a7
+}
+
+// fdct8 applies a separable forward 8x8 DCT-II: src (spatial, row-major,
+// 64 samples) to dst (frequency).
 func fdct8(src, dst *[64]float64) {
 	var tmp [64]float64
-	// Rows.
-	for y := 0; y < 8; y++ {
-		for k := 0; k < 8; k++ {
-			var s float64
-			for n := 0; n < 8; n++ {
-				s += dctBasis[k][n] * src[y*8+n]
-			}
-			tmp[y*8+k] = s
-		}
+	for y := 0; y < blockSize; y++ { // rows
+		dct1d(&dctBasisT, src[y*blockSize:], 1, tmp[y*blockSize:], 1)
 	}
-	// Columns.
-	for x := 0; x < 8; x++ {
-		for k := 0; k < 8; k++ {
-			var s float64
-			for n := 0; n < 8; n++ {
-				s += dctBasis[k][n] * tmp[n*8+x]
-			}
-			dst[k*8+x] = s
-		}
+	for x := 0; x < blockSize; x++ { // columns
+		dct1d(&dctBasisT, tmp[x:], blockSize, dst[x:], blockSize)
 	}
 }
 
 // idct8 applies the inverse 8x8 DCT (DCT-III) from frequency to spatial.
 func idct8(src, dst *[64]float64) {
 	var tmp [64]float64
-	// Columns.
-	for x := 0; x < 8; x++ {
-		for n := 0; n < 8; n++ {
-			var s float64
-			for k := 0; k < 8; k++ {
-				s += dctBasis[k][n] * src[k*8+x]
-			}
-			tmp[n*8+x] = s
-		}
+	for x := 0; x < blockSize; x++ { // columns
+		dct1d(&dctBasis, src[x:], blockSize, tmp[x:], blockSize)
 	}
-	// Rows.
-	for y := 0; y < 8; y++ {
-		for n := 0; n < 8; n++ {
-			var s float64
-			for k := 0; k < 8; k++ {
-				s += dctBasis[k][n] * tmp[y*8+k]
-			}
-			dst[y*8+n] = s
-		}
+	for y := 0; y < blockSize; y++ { // rows
+		dct1d(&dctBasis, tmp[y*blockSize:], 1, dst[y*blockSize:], 1)
 	}
 }
 
@@ -102,18 +106,45 @@ const (
 	MaxQP = 51
 )
 
+// wireQPs is the number of QP values the 6-bit bitstream field can carry. A
+// decoder must accept all of them, so the tables below cover 0..63 even
+// though an encoder never exceeds MaxQP.
+const wireQPs = 64
+
+// quantTab[profile][qp] holds the 64 quantisation steps (raster order) of a
+// profile at a QP; deblockTab[qp] the deblocking threshold. Both are filled
+// once from the defining expressions, so a lookup returns the float the
+// expression would.
+var (
+	quantTab   [2][wireQPs][64]float64
+	deblockTab [wireQPs]int
+)
+
+func init() {
+	for qp := 0; qp < wireQPs; qp++ {
+		// +6 QP doubles the quantiser step.
+		scale := qpScale(qp)
+		for i, q := range baseQuant {
+			quantTab[BX8][qp][i] = q * scale
+			// BX9 flattens the high-frequency penalty (keeping more detail
+			// per bit), part of its rate-distortion edge.
+			quantTab[BX9][qp][i] = (6 + (q-6)*0.8) * scale
+		}
+		// The maximum boundary step treated as an artifact: larger
+		// quantisation steps allow larger artifacts.
+		deblockTab[qp] = min(48, int(2+scale*1.5))
+	}
+}
+
 // qpScale converts QP to a quantiser step multiplier; +6 QP doubles the step.
 func qpScale(qp int) float64 {
 	return 0.15 * math.Pow(2, float64(qp)/6.0)
 }
 
-// quantStep returns the quantisation step for coefficient index i (raster)
-// at the given QP for a profile. BX9 flattens the high-frequency penalty
-// (keeping more detail per bit), part of its rate-distortion edge.
-func quantStep(p Profile, qp int, i int) float64 {
-	q := baseQuant[i]
+// quantSteps returns the quantisation steps of a profile at a wire QP.
+func quantSteps(p Profile, qp int) *[64]float64 {
 	if p == BX9 {
-		q = 6 + (q-6)*0.8
+		return &quantTab[BX9][qp]
 	}
-	return q * qpScale(qp)
+	return &quantTab[BX8][qp]
 }

@@ -9,20 +9,9 @@ import "livenas/internal/frame"
 // edges). Both the encoder's reconstruction and the decoder run the
 // identical filter, so motion compensation stays drift-free.
 
-// deblockThreshold returns the maximum boundary step treated as an
-// artifact at the given QP (larger quantisation steps allow larger
-// artifacts).
-func deblockThreshold(qp int) int {
-	t := int(2 + qpScale(qp)*1.5)
-	if t > 48 {
-		t = 48
-	}
-	return t
-}
-
 // deblockFrame smooths block boundaries of a reconstructed frame in place.
 func deblockFrame(f *frame.Frame, qp int) {
-	thr := deblockThreshold(qp)
+	thr := deblockTab[qp]
 	w, h := f.W, f.H
 	// Vertical boundaries (columns at multiples of blockSize).
 	for x := blockSize; x < w; x += blockSize {

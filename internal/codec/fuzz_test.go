@@ -3,6 +3,8 @@ package codec
 import (
 	"bytes"
 	"testing"
+
+	"livenas/internal/frame"
 )
 
 // FuzzBitReader exercises the entropy-coding layer both ways. Phase 1
@@ -110,5 +112,85 @@ func FuzzBitReader(f *testing.F) {
 				break
 			}
 		}
+	})
+}
+
+// fuzzDims are the streams FuzzDecode decodes into: a block-aligned frame
+// and one that pads (20x12 -> 24x16), so clamped reference rows are hit.
+var fuzzDims = [][2]int{{32, 24}, {20, 12}}
+
+// fuzzConfig picks the stream configuration from the fuzzer's mode byte.
+func fuzzConfig(mode uint8) Config {
+	d := fuzzDims[mode>>2&1]
+	cfg := Config{W: d[0], H: d[1], Deblock: mode&2 != 0}
+	if mode&1 != 0 {
+		cfg.Profile = BX9
+	}
+	return cfg
+}
+
+// fuzzClip returns a real key frame and the inter frame that follows it.
+func fuzzClip(cfg Config) (key, inter *EncodedFrame) {
+	enc := NewEncoder(cfg)
+	a, b := frame.New(cfg.W, cfg.H), frame.New(cfg.W, cfg.H)
+	for i := range a.Pix {
+		a.Pix[i] = uint8(i*7 + i/cfg.W*13)
+		b.Pix[i] = uint8((i+2)*7 + i/cfg.W*13) // the same texture, shifted
+	}
+	return enc.Encode(a, 6000), enc.Encode(b, 3000)
+}
+
+// FuzzDecode feeds arbitrary bytes to the decoder and to the per-pixel oracle
+// decoder (ref_test.go), both primed with the same real key frame: they must
+// produce the same frame or both fail, and a failed frame must leave the
+// reference intact. The decoder's row-slice reference fetch is the one place
+// that indexes a frame with a wire-supplied offset and no clamp, so a wrong
+// inside() test shows up here as an out-of-range panic.
+func FuzzDecode(f *testing.F) {
+	for mode := uint8(0); mode < 8; mode++ {
+		key, inter := fuzzClip(fuzzConfig(mode))
+		f.Add(key.Data, mode)
+		f.Add(inter.Data, mode)
+	}
+	// Hand-built inter frames: every wire QP above MaxQP (the encoder never
+	// emits them, the 6-bit field can), and motion vectors of ±2^30 that
+	// accumulate along a block row.
+	for qp := MaxQP + 1; qp < wireQPs; qp++ {
+		var w bitWriter
+		w.writeBit(0) // inter frame
+		w.writeBits(uint64(qp), 6)
+		for blk := 0; blk < 12; blk++ {
+			w.writeBit(uint64(blk) % 2) // alternate inter / intra blocks
+			if blk%2 == 0 {
+				w.writeSE(int32(1<<30) * int32(1-blk%4)) // +2^30, then -2^30
+				w.writeSE(int32(-1<<30) + int32(blk))
+			}
+			w.writeUE(2) // two coefficients: DC and one after a run
+			w.writeUE(0)
+			w.writeSE(int32(qp - 57))
+			w.writeUE(uint32(blk))
+			w.writeSE(-3)
+		}
+		f.Add(w.finish(), uint8(qp))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		cfg := fuzzConfig(mode)
+		key, inter := fuzzClip(cfg)
+		dec, ref := NewDecoder(cfg), &refDecoder{cfg: cfg}
+		check := func(what string, ef *EncodedFrame) {
+			got, err := dec.Decode(ef)
+			want, refErr := ref.Decode(ef)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s: decoder error %v, oracle error %v", what, err, refErr)
+			}
+			if err == nil && !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%s: decoded frame differs from oracle", what)
+			}
+		}
+		check("key frame", key)
+		check("fuzz input", &EncodedFrame{Data: data})
+		// Whatever the input did, both references must still agree.
+		check("following inter frame", inter)
 	})
 }

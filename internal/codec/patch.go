@@ -35,8 +35,7 @@ func EncodePatch(p *frame.Frame, quality int) []byte {
 	qp := qualityToQP(quality)
 	enc := NewEncoder(Config{Profile: BX9, W: p.W, H: p.H})
 	enc.qp = qp
-	padded := padFrame(p)
-	data, _ := enc.encodeOnce(padded, true, qp)
+	data := enc.encodeOnce(enc.pad(p), true, qp)
 	hdr := make([]byte, 4)
 	binary.BigEndian.PutUint16(hdr[0:2], uint16(p.W))
 	binary.BigEndian.PutUint16(hdr[2:4], uint16(p.H))

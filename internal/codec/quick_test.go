@@ -82,7 +82,7 @@ func TestQuickQuantStepMonotone(t *testing.T) {
 		}
 		prev := 0.0
 		for qp := MinQP; qp <= MaxQP; qp++ {
-			s := quantStep(prof, qp, i)
+			s := quantSteps(prof, qp)[i]
 			if s <= prev {
 				return false
 			}

@@ -190,12 +190,13 @@ func (c *client) onCapture() {
 		c.pacer.Enqueue(f)
 	}
 
-	c.pumpPatches(id, raw, lr, recon)
+	c.pumpPatches(id, raw, lr, recon, q)
 }
 
 // pumpPatches refills the patch transmission buffer when empty (§5.2) and
 // releases queued patches according to the patch-bandwidth token budget.
-func (c *client) pumpPatches(frameID int, raw, lr, recon *frame.Frame) {
+// frameQ is the encoded quality of the whole frame, PSNR(lr, recon).
+func (c *client) pumpPatches(frameID int, raw, lr, recon *frame.Frame, frameQ float64) {
 	now := c.s.Now()
 	rate := c.currentPatchKbps()
 	// Token refill.
@@ -210,7 +211,7 @@ func (c *client) pumpPatches(frameID int, raw, lr, recon *frame.Frame) {
 		return
 	}
 	if len(c.patchQueue) == 0 {
-		c.samplePatches(frameID, raw, lr, recon)
+		c.samplePatches(frameID, raw, lr, recon, frameQ)
 	}
 	for len(c.patchQueue) > 0 {
 		p := c.patchQueue[0]
@@ -234,14 +235,13 @@ func (c *client) pumpPatches(frameID int, raw, lr, recon *frame.Frame) {
 // draws from the non-overlapping grid, keeping cells whose encoded quality
 // is below the whole frame's (harder-to-encode content trains better),
 // until ~10 patches are buffered.
-func (c *client) samplePatches(frameID int, raw, lr, recon *frame.Frame) {
+func (c *client) samplePatches(frameID int, raw, lr, recon *frame.Frame, frameQ float64) {
 	const wanted = 10
 	ps := c.cfg.PatchSize
 	cells := frame.Grid(raw.W, raw.H, ps)
 	if len(cells) == 0 {
 		return
 	}
-	frameQ := metrics.PSNR(lr, recon)
 	// Shuffled pass over the grid.
 	order := c.rng.Perm(len(cells))
 	now := c.s.Now()

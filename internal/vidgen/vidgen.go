@@ -22,6 +22,7 @@ package vidgen
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"livenas/internal/frame"
 )
@@ -269,9 +270,100 @@ func (s *Source) SceneChanges() []float64 {
 	return out
 }
 
+// octave holds one value-noise octave's tables for one frame: per pixel
+// column the lattice column and smoothstep weights, and the two lattice rows
+// bracketing the current pixel row, already hashed and lerped along x. A
+// pixel is then one y-lerp of top and bot. Every float expression is
+// valueNoise's, hoisted out of the pixel loop but never reshaped, so frames
+// are bit-identical to the per-pixel renderer kept in ref_test.go.
+type octave struct {
+	id       uint64
+	inv      float64
+	ix       []int64   // lattice column of each pixel column
+	wx, omx  []float64 // smoothstep of the in-cell x offset, and 1 minus it
+	top, bot []float64 // lattice rows iy and iy+1
+	iy       int64
+	valid    bool // top and bot hold rows iy and iy+1
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (o *octave) init(w int, offX, inv float64, id uint64) {
+	o.id, o.inv, o.valid = id, inv, false
+	o.ix, o.wx, o.omx = grow(o.ix, w), grow(o.wx, w), grow(o.omx, w)
+	o.top, o.bot = grow(o.top, w), grow(o.bot, w)
+	for x := range o.ix {
+		fx := (float64(x) + offX) * inv
+		x0 := math.Floor(fx)
+		f := smoothstep(fx - x0)
+		o.ix[x], o.wx[x], o.omx[x] = int64(x0), f, 1-f
+	}
+}
+
+// row moves the octave to pixel-row coordinate fy and returns the y weights.
+// Consecutive pixel rows share a lattice row or step to the next one at all
+// but the smallest canvases, so most calls hash nothing or one row.
+func (o *octave) row(fy float64) (wy, omy float64) {
+	fy *= o.inv
+	y0 := math.Floor(fy)
+	wy = smoothstep(fy - y0)
+	switch iy := int64(y0); {
+	case o.valid && iy == o.iy:
+	case o.valid && iy == o.iy+1:
+		o.top, o.bot = o.bot, o.top
+		o.fill(o.bot, iy+1)
+		o.iy = iy
+	default:
+		o.fill(o.top, iy)
+		o.fill(o.bot, iy+1)
+		o.iy, o.valid = iy, true
+	}
+	return wy, 1 - wy
+}
+
+// fill writes lattice row iy, lerped along x, into dst, hashing each lattice
+// point once however many pixel columns it spans.
+func (o *octave) fill(dst []float64, iy int64) {
+	var v0, v1 float64
+	for x, ix := range o.ix {
+		switch {
+		case x > 0 && ix == o.ix[x-1]:
+		case x > 0 && ix == o.ix[x-1]+1:
+			v0, v1 = v1, hash01(ix+1, iy, o.id)
+		default:
+			v0, v1 = hash01(ix, iy, o.id), hash01(ix+1, iy, o.id)
+		}
+		dst[x] = v0*o.omx[x] + v1*o.wx[x]
+	}
+}
+
+// Glyph styles, as bits: a pixel is inked when its column's x extent and its
+// row's y extent both cover the style of the glyph in its cell.
+const (
+	glyphHBar uint8 = 1 << iota
+	glyphVBar
+	glyphDot
+)
+
+// renderScratch is FrameAt's working set. It is pooled, never kept on the
+// Source, which stays immutable and safe for concurrent FrameAt calls.
+type renderScratch struct {
+	oct   [3]octave
+	cell  []int64 // glyph-lattice column of each pixel column
+	colOn []uint8 // styles whose x extent covers the column
+	on    []uint8 // colOn masked by the style of the column's glyph on the current glyph row
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
 // FrameAt renders the native-resolution frame at time t seconds.
 func (s *Source) FrameAt(t float64) *frame.Frame {
-	sc, idx := s.sceneAt(t)
+	sc, _ := s.sceneAt(t)
 	f := frame.New(s.W, s.H)
 	p := s.P
 
@@ -317,46 +409,99 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	// detail class super-resolution recovers.
 	stroke := 2.0
 	glyphDensity := 0.25 + 0.5*p.Detail
+	// Stroke extents along x (lx) and y (ly), measured from the cell origin:
+	// a horizontal bar, a vertical bar or a dot.
+	colBits := func(lx float64) (m uint8) {
+		if lx > stroke && lx < glyphCell-stroke {
+			m |= glyphHBar
+		}
+		if lx >= glyphCell*0.5 && lx < glyphCell*0.5+stroke {
+			m |= glyphVBar
+		}
+		if lx >= glyphCell*0.4 && lx < glyphCell*0.4+1.5*stroke {
+			m |= glyphDot
+		}
+		return m
+	}
+	rowBits := func(ly float64) (m uint8) {
+		if ly >= glyphCell*0.4 && ly < glyphCell*0.4+stroke {
+			m |= glyphHBar
+		}
+		if ly > stroke && ly < glyphCell-stroke {
+			m |= glyphVBar
+		}
+		if ly >= glyphCell*0.4 && ly < glyphCell*0.4+1.5*stroke {
+			m |= glyphDot
+		}
+		return m
+	}
+
+	w := s.W
+	rs := scratchPool.Get().(*renderScratch)
+	defer scratchPool.Put(rs)
+	o1, o2, oG := &rs.oct[0], &rs.oct[1], &rs.oct[2]
+	o1.init(w, offX, inv1, sc.seed)
+	o2.init(w, offX, inv2, sc.seed^1)
+	oG.init(w, offX, invG, sc.seed^2)
+	rs.cell, rs.colOn, rs.on = grow(rs.cell, w), grow(rs.colOn, w), grow(rs.on, w)
+	for x := range rs.cell {
+		fx := float64(x) + offX
+		gx := math.Floor(fx / glyphCell)
+		rs.cell[x], rs.colOn[x] = int64(gx), colBits(fx-gx*glyphCell)
+	}
+	var glyphRow int64
+	haveGlyphRow := false
 
 	for y := 0; y < s.H; y++ {
 		fy := float64(y) + offY
-		row := f.Pix[y*s.W:]
-		for x := 0; x < s.W; x++ {
-			fx := float64(x) + offX
+		wy1, omy1 := o1.row(fy)
+		wy2, omy2 := o2.row(fy)
+		wyG, omyG := oG.row(fy)
+		// Glyph marks: per-lattice-cell pseudo-random text-like strokes
+		// anchored to scene coordinates (they scroll with the world).
+		gy := math.Floor(fy / glyphCell)
+		rowOn := rowBits(fy - gy*glyphCell)
+		if !haveGlyphRow || int64(gy) != glyphRow {
+			glyphRow, haveGlyphRow = int64(gy), true
+			var style uint8
+			for x, c := range rs.cell {
+				if x == 0 || c != rs.cell[x-1] {
+					style = 0
+					if hash01(c, glyphRow, sc.seed^3) < glyphDensity {
+						switch st := hash01(c, glyphRow, sc.seed^4); {
+						case st < 0.4:
+							style = glyphHBar
+						case st < 0.8:
+							style = glyphVBar
+						default:
+							style = glyphDot
+						}
+					}
+				}
+				rs.on[x] = style & rs.colOn[x]
+			}
+		}
+
+		row := f.Pix[y*w:][:w]
+		t1, b1, t2, b2, tG, bG := o1.top[:w], o1.bot[:w], o2.top[:w], o2.bot[:w], oG.top[:w], oG.bot[:w]
+		on := rs.on[:w]
+		for x := range row {
 			v := base
-			n1 := valueNoise(fx*inv1, fy*inv1, sc.seed) - 0.5
-			n2 := valueNoise(fx*inv2, fy*inv2, sc.seed^1) - 0.5
+			n1 := t1[x]*omy1 + b1[x]*wy1 - 0.5
+			n2 := t2[x]*omy2 + b2[x]*wy2 - 0.5
 			v += amp1 * (math.Abs(n1)*2 - 0.5) * sc.warp
 			v += amp2 * n2
 			// Posterise to the scene palette: sharp edges between flats.
 			v = math.Round(v/step) * step
-			// Glyph marks: per-lattice-cell pseudo-random text-like strokes
-			// anchored to scene coordinates (they scroll with the world).
-			gx, gy := math.Floor(fx/glyphCell), math.Floor(fy/glyphCell)
-			if hash01(int64(gx), int64(gy), sc.seed^3) < glyphDensity {
-				// Position within the cell; draw a 2px-wide stroke pattern.
-				lx := fx - gx*glyphCell
-				ly := fy - gy*glyphCell
-				style := hash01(int64(gx), int64(gy), sc.seed^4)
-				on := false
-				switch {
-				case style < 0.4: // horizontal bar
-					on = ly >= glyphCell*0.4 && ly < glyphCell*0.4+stroke && lx > stroke && lx < glyphCell-stroke
-				case style < 0.8: // vertical bar
-					on = lx >= glyphCell*0.5 && lx < glyphCell*0.5+stroke && ly > stroke && ly < glyphCell-stroke
-				default: // dot
-					on = lx >= glyphCell*0.4 && lx < glyphCell*0.4+1.5*stroke && ly >= glyphCell*0.4 && ly < glyphCell*0.4+1.5*stroke
-				}
-				if on {
-					if v > 127 {
-						v -= 90
-					} else {
-						v += 90
-					}
+			if on[x]&rowOn != 0 {
+				if v > 127 {
+					v -= 90
+				} else {
+					v += 90
 				}
 			}
 			// Grain.
-			v += grain * (valueNoise(fx*invG, fy*invG, sc.seed^2) - 0.5)
+			v += grain * (tG[x]*omyG + bG[x]*wyG - 0.5)
 			if v < 0 {
 				v = 0
 			} else if v > 255 {
@@ -366,7 +511,7 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 		}
 	}
 
-	s.drawSprites(f, sc, idx, t)
+	s.drawSprites(f, sc, t)
 	if p.HUD {
 		s.drawHUD(f)
 	}
@@ -375,7 +520,7 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 
 // drawSprites overlays moving high-contrast objects (players, the streamer's
 // webcam, a ball...). Their count and speed follow the category profile.
-func (s *Source) drawSprites(f *frame.Frame, sc scene, sceneIdx int, t float64) {
+func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64) {
 	p := s.P
 	for i := 0; i < p.Sprites; i++ {
 		id := sc.seed ^ uint64(i+1)*0x9e3779b9
@@ -408,7 +553,6 @@ func (s *Source) drawSprites(f *frame.Frame, sc scene, sceneIdx int, t float64) 
 			}
 		}
 	}
-	_ = sceneIdx
 }
 
 // drawHUD renders a static overlay band: stream chrome that never moves.
