@@ -350,6 +350,19 @@ const (
 	glyphDot
 )
 
+func styleBits(hbar, vbar, dot bool) (m uint8) {
+	if hbar {
+		m |= glyphHBar
+	}
+	if vbar {
+		m |= glyphVBar
+	}
+	if dot {
+		m |= glyphDot
+	}
+	return m
+}
+
 // renderScratch is FrameAt's working set. It is pooled, never kept on the
 // Source, which stays immutable and safe for concurrent FrameAt calls.
 type renderScratch struct {
@@ -409,32 +422,12 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	// detail class super-resolution recovers.
 	stroke := 2.0
 	glyphDensity := 0.25 + 0.5*p.Detail
-	// Stroke extents along x (lx) and y (ly), measured from the cell origin:
-	// a horizontal bar, a vertical bar or a dot.
-	colBits := func(lx float64) (m uint8) {
-		if lx > stroke && lx < glyphCell-stroke {
-			m |= glyphHBar
-		}
-		if lx >= glyphCell*0.5 && lx < glyphCell*0.5+stroke {
-			m |= glyphVBar
-		}
-		if lx >= glyphCell*0.4 && lx < glyphCell*0.4+1.5*stroke {
-			m |= glyphDot
-		}
-		return m
-	}
-	rowBits := func(ly float64) (m uint8) {
-		if ly >= glyphCell*0.4 && ly < glyphCell*0.4+stroke {
-			m |= glyphHBar
-		}
-		if ly > stroke && ly < glyphCell-stroke {
-			m |= glyphVBar
-		}
-		if ly >= glyphCell*0.4 && ly < glyphCell*0.4+1.5*stroke {
-			m |= glyphDot
-		}
-		return m
-	}
+	// Stroke extents along one axis, measured from the cell origin: long
+	// spans the cell less a margin, thin is a band starting part-way in. A
+	// horizontal bar is long in x and thin in y, a vertical bar the reverse,
+	// a dot thin (and half again as wide) in both.
+	long := func(l float64) bool { return l > stroke && l < glyphCell-stroke }
+	thin := func(l, at, width float64) bool { return l >= glyphCell*at && l < glyphCell*at+width }
 
 	w := s.W
 	rs := scratchPool.Get().(*renderScratch)
@@ -447,7 +440,9 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	for x := range rs.cell {
 		fx := float64(x) + offX
 		gx := math.Floor(fx / glyphCell)
-		rs.cell[x], rs.colOn[x] = int64(gx), colBits(fx-gx*glyphCell)
+		lx := fx - gx*glyphCell
+		rs.cell[x] = int64(gx)
+		rs.colOn[x] = styleBits(long(lx), thin(lx, 0.5, stroke), thin(lx, 0.4, 1.5*stroke))
 	}
 	var glyphRow int64
 	haveGlyphRow := false
@@ -460,7 +455,8 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 		// Glyph marks: per-lattice-cell pseudo-random text-like strokes
 		// anchored to scene coordinates (they scroll with the world).
 		gy := math.Floor(fy / glyphCell)
-		rowOn := rowBits(fy - gy*glyphCell)
+		ly := fy - gy*glyphCell
+		rowOn := styleBits(thin(ly, 0.4, stroke), long(ly), thin(ly, 0.4, 1.5*stroke))
 		if !haveGlyphRow || int64(gy) != glyphRow {
 			glyphRow, haveGlyphRow = int64(gy), true
 			var style uint8

@@ -4,7 +4,8 @@
 #
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet, livenas-vet
 #                         (whole module, no flags, under 4 s), short tests,
-#                         the benchmark module's vet + tests, parallel
+#                         the benchmark module's vet + tests, the int8 and
+#                         codec+vidgen differential tests by name, parallel
 #                         sweep smoke (one small figure sweep at -parallel 4)
 #   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
 #                         asm stubs and purego twins are its territory),
@@ -144,6 +145,11 @@ if [[ "$TIER" == "fast" ]]; then
     # byte-identical strip/cell determinism pins.
     step "int8 differential + determinism" go test \
         -run 'TestQuant|TestAnytime|TestRequant' ./internal/nn ./internal/sr
+    # The codec/vidgen bit-identity contract (DESIGN.md), by name for the same
+    # reason: the table-driven hot path against the per-pixel and
+    # per-coefficient oracles in their ref_test.go files.
+    step "codec+vidgen differential" go test \
+        -run 'MatchesRef|MatchesPow' ./internal/codec ./internal/vidgen
     # One real figure sweep through the concurrent engine: catches worker /
     # cache / ordering regressions the unit tests can't see end to end.
     step "sweep smoke" go run ./cmd/livenas-bench -fig fig23 -parallel 4 -dur 20s -traces 1
@@ -158,8 +164,9 @@ else
     # internal/sr's stress set includes the quantized-path churn test;
     # internal/fleet races the registry against mid-epoch teardowns.
     # internal/edge races the origin/relay/viewer actors over both SimConn
-    # and real-socket (net.Pipe + queued-writer) paths.
-    step "go test -race" go test -race ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./internal/analysis ./internal/sweep ./internal/fleet ./internal/edge
+    # and real-socket (net.Pipe + queued-writer) paths. internal/vidgen
+    # renders one Source from several goroutines (pooled FrameAt scratch).
+    step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./internal/analysis ./internal/sweep ./internal/fleet ./internal/edge
     if [[ -n "${FLEET_SOAK_STREAMS:-}" ]]; then
         step "fleet soak (N=$FLEET_SOAK_STREAMS, -race)" go test -race \
             -run '^TestFleetSoak$' -v ./internal/fleet
@@ -171,6 +178,7 @@ else
     if [[ "$FUZZTIME" != "0" ]]; then
         step "fuzz wire ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzWireRead$' -fuzztime "$FUZZTIME" ./internal/wire
         step "fuzz codec ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzBitReader$' -fuzztime "$FUZZTIME" ./internal/codec
+        step "fuzz codec decode ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/codec
     fi
     if [[ -n "${CI_ARTIFACTS:-}" ]]; then
         step "run summary" go run ./cmd/livenas-bench -summary "$CI_ARTIFACTS/run_summary.json"
