@@ -207,7 +207,7 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 		prevMVX, prevMVY = 0, 0
 		for bx := 0; bx < pw; bx += blockSize {
 			if key || e.ref == nil {
-				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq)
+				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq, &pred)
 				continue
 			}
 			// Motion search against the reconstructed reference.
@@ -215,7 +215,7 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 			sadIntra := intraSAD(padded, recon, bx, by)
 			if sadIntra+32 < sadInter {
 				w.writeBit(1) // intra
-				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq)
+				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq, &pred)
 				prevMVX, prevMVY = 0, 0
 				continue
 			}
@@ -243,7 +243,7 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 
 // encodeIntraBlock DC-predicts from the already-reconstructed left/top
 // neighbours, codes the residual, and reconstructs in-loop.
-func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, steps, blk, freq *[64]float64) {
+func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, steps, blk, freq *[64]float64, pred *[64]uint8) {
 	dc := dcPrediction(recon, bx, by)
 	pw := src.W
 	for y := 0; y < blockSize; y++ {
@@ -253,7 +253,15 @@ func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, steps, 
 		}
 	}
 	codeBlock(w, blk, freq, steps)
-	reconstructDC(recon, bx, by, uint8(dc), blk)
+	flatPred(uint8(dc), pred)
+	reconstruct(recon, bx, by, pred, blk)
+}
+
+// flatPred fills pred with an intra block's DC prediction.
+func flatPred(dc uint8, pred *[64]uint8) {
+	for i := range pred {
+		pred[i] = dc
+	}
 }
 
 // reconstruct writes prediction plus residual into the block at (bx, by).
@@ -262,16 +270,6 @@ func reconstruct(recon *frame.Frame, bx, by int, pred *[64]uint8, blk *[64]float
 		row := recon.Pix[(by+y)*recon.W+bx:][:blockSize]
 		for x := range row {
 			row[x] = clampAdd(pred[y*blockSize+x], blk[y*blockSize+x])
-		}
-	}
-}
-
-// reconstructDC is reconstruct for a flat (intra DC) prediction.
-func reconstructDC(recon *frame.Frame, bx, by int, dc uint8, blk *[64]float64) {
-	for y := 0; y < blockSize; y++ {
-		row := recon.Pix[(by+y)*recon.W+bx:][:blockSize]
-		for x := range row {
-			row[x] = clampAdd(dc, blk[y*blockSize+x])
 		}
 	}
 }
@@ -536,7 +534,8 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
 				if err := decodeBlock(r, &blk, &freq, steps); err != nil {
 					return nil, err
 				}
-				reconstructDC(recon, bx, by, uint8(dc), &blk)
+				flatPred(uint8(dc), &pred)
+				reconstruct(recon, bx, by, &pred, &blk)
 				if !key {
 					prevMVX, prevMVY = 0, 0
 				}

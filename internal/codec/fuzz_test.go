@@ -147,10 +147,13 @@ func fuzzClip(cfg Config) (key, inter *EncodedFrame) {
 // that indexes a frame with a wire-supplied offset and no clamp, so a wrong
 // inside() test shows up here as an out-of-range panic.
 func FuzzDecode(f *testing.F) {
-	for mode := uint8(0); mode < 8; mode++ {
-		key, inter := fuzzClip(fuzzConfig(mode))
-		f.Add(key.Data, mode)
-		f.Add(inter.Data, mode)
+	// One real clip per configuration, encoded once: seeds, and the frames
+	// every execution decodes around its input.
+	var keys, inters [8]*EncodedFrame
+	for mode := range keys {
+		keys[mode], inters[mode] = fuzzClip(fuzzConfig(uint8(mode)))
+		f.Add(keys[mode].Data, uint8(mode))
+		f.Add(inters[mode].Data, uint8(mode))
 	}
 	// Hand-built inter frames: every wire QP above MaxQP (the encoder never
 	// emits them, the 6-bit field can), and motion vectors of ±2^30 that
@@ -176,7 +179,7 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		cfg := fuzzConfig(mode)
-		key, inter := fuzzClip(cfg)
+		key, inter := keys[mode&7], inters[mode&7]
 		dec, ref := NewDecoder(cfg), &refDecoder{cfg: cfg}
 		check := func(what string, ef *EncodedFrame) {
 			got, err := dec.Decode(ef)
