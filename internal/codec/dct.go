@@ -122,8 +122,8 @@ var (
 
 func init() {
 	for qp := 0; qp < wireQPs; qp++ {
-		// +6 QP doubles the quantiser step.
-		scale := qpScale(qp)
+		// QP to quantiser step multiplier: +6 QP doubles the step.
+		scale := 0.15 * math.Pow(2, float64(qp)/6.0)
 		for i, q := range baseQuant {
 			quantTab[BX8][qp][i] = q * scale
 			// BX9 flattens the high-frequency penalty (keeping more detail
@@ -134,11 +134,6 @@ func init() {
 		// quantisation steps allow larger artifacts.
 		deblockTab[qp] = min(48, int(2+scale*1.5))
 	}
-}
-
-// qpScale converts QP to a quantiser step multiplier; +6 QP doubles the step.
-func qpScale(qp int) float64 {
-	return 0.15 * math.Pow(2, float64(qp)/6.0)
 }
 
 // quantSteps returns the quantisation steps of a profile at a wire QP.

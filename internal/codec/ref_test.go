@@ -20,16 +20,21 @@ import (
 	"livenas/internal/vidgen"
 )
 
+// qpScale converts QP to a quantiser step multiplier; +6 QP doubles the step.
+func qpScale(qp int) float64 {
+	return 0.15 * math.Pow(2, float64(qp)/6.0)
+}
+
 func quantStepRef(p Profile, qp int, i int) float64 {
 	q := baseQuant[i]
 	if p == BX9 {
 		q = 6 + (q-6)*0.8
 	}
-	return q * (0.15 * math.Pow(2, float64(qp)/6.0))
+	return q * qpScale(qp)
 }
 
 func deblockThresholdRef(qp int) int {
-	t := int(2 + 0.15*math.Pow(2, float64(qp)/6.0)*1.5)
+	t := int(2 + qpScale(qp)*1.5)
 	if t > 48 {
 		t = 48
 	}
