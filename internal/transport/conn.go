@@ -67,6 +67,7 @@ type NetConn struct {
 
 	tmu     sync.Mutex
 	timeout time.Duration
+	armed   bool // the socket carries a read deadline from an earlier Recv
 }
 
 // NewNetConn wraps an established net.Conn.
@@ -83,7 +84,11 @@ func Dial(addr string) (*NetConn, error) {
 	return NewNetConn(c), nil
 }
 
-// Send writes one framed message to the socket.
+// Send writes one framed message to the socket: a small one in a single
+// write, a large one as header and payload in a single writev (net.Conn
+// implementations without writev get two writes), in both cases under wmu
+// so frames from concurrent senders never interleave. A message over the
+// frame limit is refused with nothing written.
 func (n *NetConn) Send(m *wire.Message) error {
 	n.wmu.Lock()
 	defer n.wmu.Unlock()
@@ -94,13 +99,15 @@ func (n *NetConn) Send(m *wire.Message) error {
 // version are skipped (the versioned framing makes them self-delimiting),
 // so a newer peer never desynchronises an older reader.
 func (n *NetConn) Recv() (*wire.Message, error) {
-	timeout := n.recvTimeout()
+	timeout, disarm := n.recvDeadline()
 	if timeout > 0 {
 		if err := n.c.SetReadDeadline(time.Now().Add(timeout)); err != nil { //livenas:allow determinism-taint real-socket read deadline
 			return nil, err
 		}
-	} else if err := n.c.SetReadDeadline(time.Time{}); err != nil {
-		return nil, err
+	} else if disarm {
+		if err := n.c.SetReadDeadline(time.Time{}); err != nil {
+			return nil, err
+		}
 	}
 	for {
 		m, err := wire.ReadFrame(n.br)
@@ -115,10 +122,16 @@ func (n *NetConn) Recv() (*wire.Message, error) {
 	}
 }
 
-func (n *NetConn) recvTimeout() time.Duration {
+// recvDeadline returns the timeout this Recv runs under and whether it has
+// to clear a deadline an earlier Recv armed. A connection that never had a
+// timeout never touches the socket's deadline (a pollDesc lock per message
+// on every pump goroutine otherwise).
+func (n *NetConn) recvDeadline() (timeout time.Duration, disarm bool) {
 	n.tmu.Lock()
 	defer n.tmu.Unlock()
-	return n.timeout
+	disarm = n.armed && n.timeout <= 0
+	n.armed = n.timeout > 0
+	return n.timeout, disarm
 }
 
 // Close closes the underlying socket.

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,5 +183,214 @@ func TestNetConnRoundTrip(t *testing.T) {
 	b.SetRecvTimeout(0)
 	if _, err := b.Recv(); err == nil {
 		t.Fatal("recv after peer close must error")
+	}
+}
+
+// tcpPair returns the two ends of a real loopback TCP connection.
+func tcpPair(t *testing.T) (client, server *NetConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	client, err = Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	c := <-accepted
+	if c == nil {
+		t.FailNow()
+	}
+	server = NewNetConn(c)
+	t.Cleanup(func() { server.Close() })
+	return client, server
+}
+
+// TestNetConnConcurrentSendersTCP: four goroutines share one NetConn over a
+// real socket, alternating 256-byte messages (one write) and 1 MB messages
+// (header and payload as one writev). Every frame must arrive intact and
+// each sender's frames in the order it sent them: wmu covers the whole
+// frame, so header and payload of different frames never interleave.
+func TestNetConnConcurrentSendersTCP(t *testing.T) {
+	const senders, perSender = 4, 6
+	a, b := tcpPair(t)
+	payload := func(sender, seq int) []byte {
+		n := 256
+		if seq%2 == 1 {
+			n = 1 << 20
+		}
+		return bytes.Repeat([]byte{byte(16*sender + seq)}, n)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for seq := 0; seq < perSender; seq++ {
+				if err := a.Send(&wire.Message{Type: wire.MsgSegment, Channel: "tcp", X: s, FrameID: seq, Data: payload(s, seq)}); err != nil {
+					t.Errorf("sender %d seq %d: %v", s, seq, err)
+					return
+				}
+			}
+		}(s)
+	}
+	b.SetRecvTimeout(20 * time.Second)
+	next := make([]int, senders)
+	for i := 0; i < senders*perSender; i++ {
+		m, err := b.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if m.Type != wire.MsgSegment || m.Channel != "tcp" || m.X < 0 || m.X >= senders {
+			t.Fatalf("frame %d: garbled header %+v", i, m)
+		}
+		if m.FrameID != next[m.X] {
+			t.Fatalf("sender %d: got seq %d, want %d", m.X, m.FrameID, next[m.X])
+		}
+		next[m.X]++
+		if !bytes.Equal(m.Data, payload(m.X, m.FrameID)) {
+			t.Fatalf("sender %d seq %d: payload corrupted", m.X, m.FrameID)
+		}
+	}
+	wg.Wait()
+}
+
+// TestNetConnOversizedSendWritesNothing: a message over the frame limit is
+// an error to its sender and invisible to the peer.
+func TestNetConnOversizedSendWritesNothing(t *testing.T) {
+	a, b := tcpPair(t)
+	if err := a.Send(&wire.Message{Type: wire.MsgSegment, Data: make([]byte, 16<<20)}); err == nil {
+		t.Fatal("16 MB payload plus header is over the frame limit and must be refused")
+	}
+	if err := a.Send(&wire.Message{Type: wire.MsgBye, Reason: "first on the wire"}); err != nil {
+		t.Fatal(err)
+	}
+	b.SetRecvTimeout(20 * time.Second)
+	m, err := b.Recv()
+	if err != nil || m.Type != wire.MsgBye || m.Reason != "first on the wire" {
+		t.Fatalf("peer saw %+v, %v; the refused message left bytes on the socket", m, err)
+	}
+}
+
+// deadlineCounter counts SetReadDeadline calls on the wrapped net.Conn.
+type deadlineCounter struct {
+	net.Conn
+	calls atomic.Int64
+}
+
+func (d *deadlineCounter) SetReadDeadline(t time.Time) error {
+	d.calls.Add(1)
+	return d.Conn.SetReadDeadline(t)
+}
+
+// TestNetConnRecvDeadlineOnlyWhenNeeded: Recv arms the read deadline per
+// message while a timeout is set, clears it once after the timeout goes,
+// and otherwise leaves the socket alone.
+func TestNetConnRecvDeadlineOnlyWhenNeeded(t *testing.T) {
+	pa, pb := net.Pipe()
+	dc := &deadlineCounter{Conn: pb}
+	a, b := NewNetConn(pa), NewNetConn(dc)
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		for i := 0; i < 6; i++ {
+			if err := a.Send(&wire.Message{Type: wire.MsgVideo, FrameID: i}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	recv := func(n int, wantCalls int64, when string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := b.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := dc.calls.Load(); got != wantCalls {
+			t.Fatalf("%s: %d SetReadDeadline calls so far, want %d", when, got, wantCalls)
+		}
+	}
+	recv(2, 0, "no timeout ever set")
+	b.SetRecvTimeout(5 * time.Second)
+	recv(2, 2, "timeout set: armed per Recv")
+	b.SetRecvTimeout(0)
+	recv(2, 3, "timeout cleared: disarmed once")
+}
+
+// gateConn is a Conn whose Send blocks until released, recording what it
+// was handed.
+type gateConn struct {
+	Conn
+	release chan struct{}
+	sent    chan *wire.Message
+}
+
+func (g *gateConn) Send(m *wire.Message) error {
+	<-g.release
+	g.sent <- m
+	return nil
+}
+func (g *gateConn) Close() error { return nil }
+
+// TestQueuedConnReleasesSentMessages: a slot a message has left (sent or
+// dropped) must not keep pointing at it, and a queue that drains goes back
+// to the start of its array instead of walking off the end of it.
+func TestQueuedConnReleasesSentMessages(t *testing.T) {
+	const burst = 8
+	g := &gateConn{release: make(chan struct{}), sent: make(chan *wire.Message, burst)}
+	q := NewQueuedConn(g, 5*(64+100)) // room for five 100-byte messages
+	defer q.Close()
+	slots := func() (live, stale, capacity int) {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		for i, m := range q.queue[:cap(q.queue)] {
+			switch {
+			case m == nil:
+			case i >= q.head && i < len(q.queue):
+				live++
+			default:
+				stale++
+			}
+		}
+		return live, stale, cap(q.queue)
+	}
+	var capAfterFirst int
+	for round := 0; round < 50; round++ {
+		for i := 0; i < burst; i++ {
+			if err := q.Send(&wire.Message{Type: wire.MsgSegment, FrameID: i, Data: make([]byte, 100)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if live, stale, _ := slots(); stale != 0 || live > 5 {
+			t.Fatalf("round %d: %d live and %d stale messages reachable from the queue", round, live, stale)
+		}
+		// The writer holds at most one message it took before the burst
+		// overflowed; release until the newest of the burst is out.
+		for {
+			g.release <- struct{}{}
+			if m := <-g.sent; m.FrameID == burst-1 {
+				break
+			}
+		}
+		live, stale, capacity := slots()
+		if live != 0 || stale != 0 {
+			t.Fatalf("round %d: drained queue still reaches %d messages", round, live+stale)
+		}
+		if round == 0 {
+			capAfterFirst = capacity
+		} else if capacity != capAfterFirst {
+			t.Fatalf("round %d: queue array went from %d to %d slots under a repeating load", round, capAfterFirst, capacity)
+		}
 	}
 }

@@ -22,8 +22,9 @@ type QueuedConn struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*wire.Message
-	queued  int // bytes across queue
+	queue   []*wire.Message // queue[head:] is waiting; queue[:head] is nil
+	head    int
+	queued  int // bytes across queue[head:]
 	bound   int // <= 0: unbounded
 	dropped int64
 	closed  bool
@@ -63,13 +64,31 @@ func (q *QueuedConn) next() (*wire.Message, bool) {
 		q.cond.Wait()
 	}
 	if q.closed || q.err != nil {
-		q.queue, q.queued = nil, 0
+		q.discard()
 		return nil, false
 	}
-	m := q.queue[0]
-	q.queue = q.queue[1:]
+	return q.pop(), true
+}
+
+// pop removes the oldest waiting message. It clears the slot, so a sent or
+// dropped segment is collectable at once rather than when append next
+// moves the array, and a queue that drains rewinds to the array's start,
+// so a writer that keeps up reuses one small array for the connection's
+// life.
+func (q *QueuedConn) pop() *wire.Message {
+	m := q.queue[q.head]
+	q.queue[q.head] = nil
+	q.head++
 	q.queued -= m.WireSize()
-	return m, true
+	if q.head == len(q.queue) {
+		q.queue, q.head = q.queue[:0], 0
+	}
+	return m
+}
+
+// discard drops everything queued; the connection is done.
+func (q *QueuedConn) discard() {
+	q.queue, q.head, q.queued = nil, 0, 0
 }
 
 // fail records the first send error; later Sends return it.
@@ -77,7 +96,7 @@ func (q *QueuedConn) fail(err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.err = err
-	q.queue, q.queued = nil, 0
+	q.discard()
 }
 
 // Send enqueues m; it never blocks on the network.
@@ -90,12 +109,17 @@ func (q *QueuedConn) Send(m *wire.Message) error {
 	if q.err != nil {
 		return q.err
 	}
+	if q.head > 0 && len(q.queue) == cap(q.queue) {
+		// A backlog that never quite drains: slide it down over the
+		// vacated slots instead of growing the array past them.
+		n := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[n:])
+		q.queue, q.head = q.queue[:n], 0
+	}
 	q.queue = append(q.queue, m)
 	q.queued += m.WireSize()
-	for q.bound > 0 && q.queued > q.bound && len(q.queue) > 1 {
-		old := q.queue[0]
-		q.queue = q.queue[1:]
-		q.queued -= old.WireSize()
+	for q.bound > 0 && q.queued > q.bound && len(q.queue)-q.head > 1 {
+		q.pop()
 		q.dropped++
 	}
 	q.cond.Signal()

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
 	"testing"
 )
 
@@ -11,25 +10,10 @@ import (
 // both whole and truncated as the seed corpus: each as a valid frame and as
 // the near-miss a pre-versioning peer would send (bare length prefix, no
 // version byte).
-func fuzzSeeds(t interface{ Fatalf(string, ...interface{}) }) [][]byte {
-	msgs := []*Message{
-		{Type: MsgHello, IngestW: 640, IngestH: 360, NativeW: 1280, NativeH: 720, FPS: 30},
-		{Type: MsgVideo, FrameID: 7, Key: true, QP: 24, Data: []byte{1, 2, 3, 4}},
-		{Type: MsgPatch, FrameID: 7, X: 64, Y: 128, Data: bytes.Repeat([]byte{0xAB}, 33)},
-		{Type: MsgStats, GainDB: 1.25, Epochs: 3, Samples: 150},
-		{Type: MsgBye},
-		{Type: MsgSubscribe, Channel: "ch000", FrameID: 4},
-		{Type: MsgPlaylist, Channel: "ch000", Data: bytes.Repeat([]byte{0x31}, 40)},
-		{Type: MsgSegmentReq, Channel: "ch000", FrameID: 11, Rung: 3},
-		{Type: MsgSegment, Channel: "ch000", FrameID: 11, Rung: 3, SegID: "cafef00d", SegDurUS: 1_000_000, Data: bytes.Repeat([]byte{0x7}, 64)},
-	}
+func fuzzSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
-	for _, m := range msgs {
-		var fbuf bytes.Buffer
-		if err := WriteFrame(&fbuf, m); err != nil {
-			t.Fatalf("seed frame encode: %v", err)
-		}
-		frame := fbuf.Bytes()
+	for _, m := range sampleMessages() {
+		frame := encode(t, m)
 		unversioned := binary.BigEndian.AppendUint32(nil, uint32(len(frame)-5))
 		seeds = append(seeds, append(unversioned, frame[5:]...), frame)
 	}
@@ -37,9 +21,9 @@ func fuzzSeeds(t interface{ Fatalf(string, ...interface{}) }) [][]byte {
 }
 
 // FuzzWireRead feeds arbitrary bytes to ReadFrame. It must return an error
-// or a message — never panic — and any message it accepts must survive a
-// round trip through WriteFrame unchanged. A *VersionError carries no
-// message by design, so the round-trip check skips it.
+// or a message — never panic — and because the encoding is canonical, any
+// frame it accepts must re-encode to exactly the bytes it was decoded from.
+// A *VersionError carries no message by design.
 func FuzzWireRead(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -52,33 +36,22 @@ func FuzzWireRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // length prefix over maxMessage
 	f.Add([]byte{0, 0, 0, 1, 0xFE})       // framed: unknown version, empty body
+	f.Add(v1GobFrame)
+	for _, nc := range nonCanonical() {
+		f.Add(nc.frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
-			if _, ok := err.(*VersionError); ok && m != nil {
-				t.Fatalf("VersionError must not carry a message")
+			if m != nil {
+				t.Fatalf("error %v came with a message", err)
 			}
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatalf("re-encode accepted message: %v", err)
-		}
-		m2, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("re-decode own encoding: %v", err)
-		}
-		// gob does not distinguish nil from empty slices; normalise before
-		// comparing.
-		if len(m.Data) == 0 {
-			m.Data = nil
-		}
-		if len(m2.Data) == 0 {
-			m2.Data = nil
-		}
-		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", m2, m)
+		frame := data[:4+binary.BigEndian.Uint32(data)]
+		if again := encode(t, m); !bytes.Equal(again, frame) {
+			t.Fatalf("accepted frame is not canonical:\n read % x\nwrote % x", frame, again)
 		}
 	})
 }
