@@ -54,37 +54,21 @@ func (f *Frame) Bytes() int { return len(f.Pix) }
 // outside f are zero.
 func (f *Frame) Crop(x, y, w, h int) *Frame {
 	out := New(w, h)
-	for r := 0; r < h; r++ {
-		sy := y + r
-		if sy < 0 || sy >= f.H {
-			continue
-		}
-		for c := 0; c < w; c++ {
-			sx := x + c
-			if sx < 0 || sx >= f.W {
-				continue
-			}
-			out.Pix[r*w+c] = f.Pix[sy*f.W+sx]
-		}
-	}
+	out.Paste(f, -x, -y)
 	return out
 }
 
 // Paste copies src into f with src's top-left corner at (x, y), clipping to
-// f's bounds.
+// f's bounds. The rectangle is clipped once and moved a row at a time.
 func (f *Frame) Paste(src *Frame, x, y int) {
-	for r := 0; r < src.H; r++ {
-		dy := y + r
-		if dy < 0 || dy >= f.H {
-			continue
-		}
-		for c := 0; c < src.W; c++ {
-			dx := x + c
-			if dx < 0 || dx >= f.W {
-				continue
-			}
-			f.Pix[dy*f.W+dx] = src.Pix[r*src.W+c]
-		}
+	c0 := max(0, -x)
+	n := min(src.W, f.W-x) - c0
+	if n <= 0 {
+		return
+	}
+	for r := max(0, -y); r < min(src.H, f.H-y); r++ {
+		d, s := (y+r)*f.W+x+c0, r*src.W+c0
+		copy(f.Pix[d:d+n], src.Pix[s:s+n])
 	}
 }
 
@@ -100,90 +84,110 @@ func clamp8(v float64) uint8 {
 	}
 }
 
-// resizeTabs is the per-call scratch of ResizeBilinear: one coefficient
-// table per output column and per output row. The backing arrays are
-// recycled through a sync.Pool so steady-state resizes (every frame, every
-// patch) do not allocate; the coefficients themselves are recomputed per
-// call with arithmetic identical to the original per-pixel computation, so
-// outputs are bit-for-bit unchanged.
+// resizeTabs is the per-call scratch of ResizeBilinearRows: one coefficient
+// table per output column, plus the horizontally interpolated top and
+// bottom source rows (hrow, labelled with the source row they hold in
+// hsrc). The backing arrays are recycled through a sync.Pool so steady-state
+// resizes (every frame, every patch) do not allocate; the coefficients
+// themselves are recomputed per call with arithmetic identical to the
+// original per-pixel computation, so outputs are bit-for-bit unchanged.
 type resizeTabs struct {
 	x0, x1 []int
 	fx     []float64
-	y0, y1 []int
-	fy     []float64
+	hrow   [2][]float64
+	hsrc   [2]int
 }
 
 var resizePool = sync.Pool{New: func() any { return new(resizeTabs) }}
 
-func (t *resizeTabs) ensure(w, h int) {
+func (t *resizeTabs) ensure(w int) {
 	if cap(t.x0) < w {
 		t.x0 = make([]int, w)
 		t.x1 = make([]int, w)
 		t.fx = make([]float64, w)
+		t.hrow = [2][]float64{make([]float64, w), make([]float64, w)}
 	}
 	t.x0, t.x1, t.fx = t.x0[:w], t.x1[:w], t.fx[:w]
-	if cap(t.y0) < h {
-		t.y0 = make([]int, h)
-		t.y1 = make([]int, h)
-		t.fy = make([]float64, h)
-	}
-	t.y0, t.y1, t.fy = t.y0[:h], t.y1[:h], t.fy[:h]
+	t.hrow[0], t.hrow[1] = t.hrow[0][:w], t.hrow[1][:w]
+	t.hsrc = [2]int{-1, -1}
 }
 
-// fillAxis computes the half-pixel-centred source index pair and blend
-// fraction for each of n output positions along an axis of srcN samples.
-func fillAxis(i0, i1 []int, fr []float64, n, srcN int) {
-	scale := float64(srcN) / float64(n)
-	for i := 0; i < n; i++ {
-		src := (float64(i)+0.5)*scale - 0.5
-		p0 := int(src)
-		if src < 0 {
-			src, p0 = 0, 0
-		}
-		fr[i] = src - float64(p0)
-		p1 := p0 + 1
-		if p1 >= srcN {
-			p1 = srcN - 1
-		}
-		i0[i], i1[i] = p0, p1
+// axisPos is the half-pixel-centred source index pair and blend fraction of
+// output position i on an axis of srcN source samples, scale = srcN/n.
+func axisPos(i int, scale float64, srcN int) (p0, p1 int, fr float64) {
+	src := (float64(i)+0.5)*scale - 0.5
+	p0 = int(src)
+	if src < 0 {
+		src, p0 = 0, 0
 	}
+	return p0, min(p0+1, srcN-1), src - float64(p0)
+}
+
+// hlerp returns the hrow slot holding source row sy interpolated at every
+// output column, filling one on a miss. keep is the slot the caller still
+// reads and a miss must not overwrite (-1: none).
+func (t *resizeTabs) hlerp(f *Frame, sy, keep int) int {
+	if t.hsrc[0] == sy {
+		return 0
+	}
+	if t.hsrc[1] == sy {
+		return 1
+	}
+	slot := 1 - max(keep, 0)
+	row := f.Pix[sy*f.W : sy*f.W+f.W]
+	for x, fx := range t.fx {
+		t.hrow[slot][x] = float64(row[t.x0[x]])*(1-fx) + float64(row[t.x1[x]])*fx
+	}
+	t.hsrc[slot] = sy
+	return slot
 }
 
 // ResizeBilinear rescales f to w x h using bilinear interpolation with
 // half-pixel-centred sample positions (the convention used by video scalers,
 // so that down-then-up round trips are alignment-free). It is the "bilinear
 // up-sampling" baseline the paper compares DNN super-resolution against.
-//
-// Source indices and blend fractions are precomputed once per output row
-// and column instead of once per pixel, so the inner loop is three fused
-// lerps over table lookups.
 func (f *Frame) ResizeBilinear(w, h int) *Frame {
 	out := New(w, h)
-	if f.W == 0 || f.H == 0 || w == 0 || h == 0 {
-		return out
+	f.ResizeBilinearRows(out, 0, h)
+	return out
+}
+
+// ResizeBilinearRows writes rows [r0, r1) of f rescaled to out's size into
+// out, so callers can resize a frame in independent row ranges (the SR
+// inference tail does, one range per pool task); any partition of [0, out.H)
+// yields the bytes of one whole-frame ResizeBilinear.
+//
+// Column indices and blend fractions are computed once per call instead of
+// once per pixel, and the horizontal lerp runs once per source row instead
+// of once per output row that reads it (a quarter as often at x2): the
+// cached float64 row holds the very values the per-pixel expression
+// a*(1-fx)+b*fx produced, so the output is unchanged bit for bit.
+func (f *Frame) ResizeBilinearRows(out *Frame, r0, r1 int) {
+	w := out.W
+	if f.W == 0 || f.H == 0 || w == 0 || r0 >= r1 {
+		return
 	}
-	if w == f.W && h == f.H {
-		copy(out.Pix, f.Pix)
-		return out
+	if w == f.W && out.H == f.H {
+		copy(out.Pix[r0*w:r1*w], f.Pix[r0*w:r1*w])
+		return
 	}
 	t := resizePool.Get().(*resizeTabs)
-	t.ensure(w, h)
-	fillAxis(t.x0, t.x1, t.fx, w, f.W)
-	fillAxis(t.y0, t.y1, t.fy, h, f.H)
-	for y := 0; y < h; y++ {
-		row0 := f.Pix[t.y0[y]*f.W:]
-		row1 := f.Pix[t.y1[y]*f.W:]
-		fy := t.fy[y]
+	t.ensure(w)
+	xs, ys := float64(f.W)/float64(w), float64(f.H)/float64(out.H)
+	for x := range t.fx {
+		t.x0[x], t.x1[x], t.fx[x] = axisPos(x, xs, f.W)
+	}
+	for y := r0; y < r1; y++ {
+		y0, y1, fy := axisPos(y, ys, f.H)
+		ti := t.hlerp(f, y0, -1)
+		top := t.hrow[ti]
+		bot := t.hrow[t.hlerp(f, y1, ti)]
 		orow := out.Pix[y*w : y*w+w]
 		for x := range orow {
-			x0, x1, fx := t.x0[x], t.x1[x], t.fx[x]
-			top := float64(row0[x0])*(1-fx) + float64(row0[x1])*fx
-			bot := float64(row1[x0])*(1-fx) + float64(row1[x1])*fx
-			orow[x] = clamp8(top*(1-fy) + bot*fy)
+			orow[x] = clamp8(top[x]*(1-fy) + bot[x]*fy)
 		}
 	}
 	resizePool.Put(t)
-	return out
 }
 
 // Downscale returns f reduced by an integer factor using box averaging,

@@ -265,23 +265,32 @@ func TestQuickResizeShapes(t *testing.T) {
 	}
 }
 
-// Property: Crop followed by Paste at the same offset restores the region.
+// Property: Crop followed by Paste at the same offset restores the region,
+// and both equal the per-pixel bounds-tested oracles (ref_test.go) for any
+// rectangle: negative origins, rectangles hanging over every edge or lying
+// wholly outside, and sources larger than the destination.
 func TestQuickCropPaste(t *testing.T) {
-	f := func(seed int64, xo, yo uint8) bool {
+	f := func(seed int64, xo, yo int8, cw, ch uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fr := randFrame(rng, 40, 40)
-		x, y := int(xo%30), int(yo%30)
-		c := fr.Crop(x, y, 10, 10)
+		fr := randFrame(rng, 40, 30)
+		x, y := int(xo)%60, int(yo)%50 // [-59,59] x [-49,49]
+		w, h := int(cw%70), int(ch%60) // up to 69x59: larger than fr
+		c := fr.Crop(x, y, w, h)
+		if !equalFrames(c, cropRef(fr, x, y, w, h)) {
+			return false
+		}
 		g := fr.Clone()
 		g.Paste(c, x, y)
-		for i := range fr.Pix {
-			if fr.Pix[i] != g.Pix[i] {
-				return false
-			}
+		if !equalFrames(g, fr) {
+			return false
 		}
-		return true
+		src := randFrame(rng, w, h)
+		want := fr.Clone()
+		pasteRef(want, src, x, y)
+		g.Paste(src, x, y)
+		return equalFrames(g, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -212,6 +212,76 @@ func TestReLUAndPixelShuffleMatchRef(t *testing.T) {
 	}
 }
 
+// TestConvInferMatchesForwardReLU pins the inference forward to the training
+// chain it is carved from, by bit pattern: Infer(x, true) is Forward followed
+// by ReLU.Forward, Infer(x, false) is Forward. The inputs carry NaN, ±Inf
+// and ±0 and output channel 0 computes -0 wherever its window is finite
+// (-0 weights and bias), so the fused epilogue's predicate is exercised on
+// every value class ReLU.Forward's `v > 0` test distinguishes.
+func TestConvInferMatchesForwardReLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, negZero}
+	sameBits := func(name string, want, got *Tensor) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+				t.Fatalf("%s: [%d] %g (%#08x), want %g (%#08x)", name, i,
+					got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+	var nNaN, nNegZero int
+	for _, workers := range []int{1, 3} {
+		pool := NewPool(workers)
+		arena := NewArena()
+		for trial := 0; trial < 40; trial++ {
+			inC, outC, k, h, w := randShape(rng)
+			if trial%4 == 0 {
+				h, w = 40+rng.Intn(40), 60+rng.Intn(40) // several row blocks
+			}
+			l := NewConv2D(inC, outC, k, rng)
+			l.SetKernelContext(arena, pool)
+			for i := range l.Bias {
+				l.Bias[i] = float32(rng.NormFloat64())
+			}
+			for i := 0; i < inC*k*k; i++ {
+				l.Weight[i] = negZero
+			}
+			l.Bias[0] = negZero
+			x := randTensor(inC, h, w, rng)
+			for i := range x.Data {
+				x.Data[i] = float32(math.Abs(float64(x.Data[i]))) - 0.25
+			}
+			for n := len(x.Data) / 8; n >= 0; n-- {
+				x.Data[rng.Intn(len(x.Data))] = specials[rng.Intn(len(specials))]
+			}
+
+			plain := l.Forward(x)
+			for _, v := range plain.Data {
+				switch {
+				case v != v:
+					nNaN++
+				case math.Float32bits(v) == math.Float32bits(negZero):
+					nNegZero++
+				}
+			}
+			sameBits("Infer(x, false) vs Forward", plain, l.Infer(x, false))
+			got := l.Infer(x, true)
+			sameBits("Infer(x, true) vs Forward+ReLU", (&ReLU{}).Forward(plain), got)
+			for _, v := range got.Data {
+				if !(v > 0) && math.Float32bits(v) != 0 {
+					t.Fatalf("fused ReLU let %g (%#08x) through", v, math.Float32bits(v))
+				}
+			}
+		}
+		pool.Close()
+	}
+	if nNaN == 0 || nNegZero == 0 {
+		t.Fatalf("pre-activation outputs held %d NaN and %d -0: the test no longer covers them", nNaN, nNegZero)
+	}
+}
+
 func TestPoolRunCoversAllIndicesNested(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

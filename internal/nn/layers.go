@@ -45,14 +45,15 @@ type Conv2D struct {
 	// fwdTask/bwdTask are the block workers submitted to pool.Run. They are
 	// bound once (method values allocate a closure) in SetKernelContext so
 	// the steady-state hot path allocates nothing; per-call state travels
-	// through the run struct, valid only while Forward/Backward is on the
-	// stack. A Conv2D instance runs one pass at a time (lastIn already
-	// implies this); parallel samples use CloneShared instances.
+	// through the run struct, valid only while Infer/Backward is on the
+	// stack, so a Conv2D instance runs one pass at a time; parallel samples
+	// use CloneShared instances.
 	fwdTask func(int)
 	bwdTask func(int)
 	run     struct {
 		x, out, dOut, dIn *Tensor
 		br                int
+		relu              bool
 		a2, zb, partial   []float32
 	}
 }
@@ -117,17 +118,27 @@ func (l *Conv2D) CloneShared() *Conv2D {
 // read and write the gradient contents but must not reslice it.
 func (l *Conv2D) Params() []Param { return l.params }
 
-// Forward implements Layer. The convolution is computed block-by-block:
-// each row block is im2col-packed and multiplied against the weight matrix.
-// Block boundaries come from convBlockRows (shape-derived), so the
-// partition — and with it the result — is independent of pool size.
+// Forward implements Layer: Infer plus the input capture Backward needs.
 func (l *Conv2D) Forward(x *Tensor) *Tensor {
+	l.lastIn = x
+	return l.Infer(x, false)
+}
+
+// Infer is the forward pass with nothing kept for Backward. The convolution
+// is computed block-by-block: each row block is im2col-packed and
+// multiplied against the weight matrix. Block boundaries come from
+// convBlockRows (shape-derived), so the partition — and with it the result
+// — is independent of pool size. With relu set, every block rectifies its
+// own output rows while they are still in cache, with ReLU.Forward's
+// predicate (anything not > 0, so -0 and NaN too, becomes +0): the fused
+// result is bit-identical to Forward followed by ReLU.Forward, without the
+// sign bitset only Backward reads.
+func (l *Conv2D) Infer(x *Tensor, relu bool) *Tensor {
 	if x.C != l.InC {
 		panic("nn: Conv2D input channel mismatch")
 	}
-	l.lastIn = x
 	out := l.arena.Get(l.OutC, x.H, x.W)
-	l.run.x, l.run.out = x, out
+	l.run.x, l.run.out, l.run.relu = x, out, relu
 	l.run.br = convBlockRows(x.W, x.H)
 	nb := (x.H + l.run.br - 1) / l.run.br
 	l.pool.Run(nb, l.fwdTask)
@@ -135,7 +146,7 @@ func (l *Conv2D) Forward(x *Tensor) *Tensor {
 	return out
 }
 
-// forwardBlock is the pooled per-block worker for Forward.
+// forwardBlock is the pooled per-block worker for Infer.
 func (l *Conv2D) forwardBlock(bi int) {
 	x, out := l.run.x, l.run.out
 	h, w := x.H, x.W
@@ -149,6 +160,22 @@ func (l *Conv2D) forwardBlock(bi int) {
 	gemmConvBias(l.Weight, l.Bias, pack, l.OutC, kk, n, out.Data[y0*w:], h*w, apack)
 	l.arena.PutBuf(apack)
 	l.arena.PutBuf(pack)
+	if !l.run.relu {
+		return
+	}
+	// v > 0 exactly when its bits lie in (0, +Inf]; as an integer test the
+	// compiler emits a conditional move, not a branch that mispredicts on
+	// every sign change.
+	for oc := 0; oc < l.OutC; oc++ {
+		row := out.Data[oc*h*w+y0*w : oc*h*w+y0*w+n]
+		for i, v := range row {
+			b := math.Float32bits(v)
+			if b-1 >= 0x7f800000 {
+				b = 0
+			}
+			row[i] = math.Float32frombits(b)
+		}
+	}
 }
 
 // Backward implements Layer. It computes all three gradients with the same
@@ -249,10 +276,11 @@ func (l *Conv2D) backwardBlock(bi int) {
 	l.arena.PutBuf(pack2)
 }
 
-// ReLU is the rectified-linear activation. The hot path is fully in place:
-// Forward zeroes negatives directly in its input tensor and records the
-// sign pattern in a packed bitset; Backward masks the incoming gradient in
-// place. Neither direction allocates in steady state.
+// ReLU is the rectified-linear activation of the training chain (inference
+// fuses it into Conv2D.Infer and keeps no sign pattern). The hot path is
+// fully in place: Forward zeroes negatives directly in its input tensor and
+// records the sign pattern in a packed bitset; Backward masks the incoming
+// gradient in place. Neither direction allocates in steady state.
 type ReLU struct {
 	bits []uint64
 }

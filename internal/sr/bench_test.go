@@ -8,7 +8,7 @@ import (
 )
 
 // Model-level kernel benchmarks: developer tools for `go test -bench`
-// (the nightly pprof step profiles BenchmarkInference1080p). The recorded
+// (the nightly pprof step profiles BenchmarkInferenceServe). The recorded
 // figures are sr.infer_f32_ms, sr.infer_int8_ms and sr.train_epoch_hd_ms
 // of the serve_hd benchmark workload.
 
@@ -67,6 +67,13 @@ func benchInferenceQuant(b *testing.B, w, h int, quant bool) {
 	for i := 0; i < b.N; i++ {
 		m.SuperResolve(lr)
 	}
+}
+
+// BenchmarkInferenceServe super-resolves 384×216 to 768×432, the frame the
+// serve_hd workload's Processor.Process sees.
+func BenchmarkInferenceServe(b *testing.B) {
+	b.Run("f32", func(b *testing.B) { benchInferenceQuant(b, 384, 216, false) })
+	b.Run("int8", func(b *testing.B) { benchInferenceQuant(b, 384, 216, true) })
 }
 
 // BenchmarkInference1080p super-resolves a 960×540 frame to 1920×1080, the

@@ -29,12 +29,14 @@ const DefaultChannels = 8
 // holds the write lock for each optimiser step. One Trainer plus any number
 // of Processor.Sync / SuperResolve callers may therefore share a model (the
 // contract the -race stress tests in race_test.go pin down). The lock is
-// exclusive even for inference because a forward pass caches activations on
-// the layers. Direct Params access remains trainer-only.
+// exclusive even for inference because each Conv2D, and the model's own
+// convert and tail passes, keep the state of the call in flight in a run
+// struct. Direct Params access remains trainer-only.
 type Model struct {
 	Scale    int
 	Channels int
-	layers   []nn.Layer
+	layers   []nn.Layer    // the training chain; gradient contexts clone it
+	convs    [3]*nn.Conv2D // head, mid, tail: the layers inference runs
 	params   []nn.Param
 
 	// arena recycles every tensor the forward/backward hot path produces;
@@ -45,9 +47,14 @@ type Model struct {
 	arena *nn.Arena
 	pool  *nn.Pool
 
-	// live tracks the arena tensors produced by the most recent forward
-	// chain until releaseLive returns them. Guarded by mu.
-	live []*nn.Tensor
+	// cvtTask/tailTask are the row-block workers of SuperResolve's u8->f32
+	// convert and bilinear + sub-pixel residual tail, bound once so a frame
+	// allocates no closure; run is the call in flight. Guarded by mu.
+	cvtTask, tailTask func(int)
+	run               struct {
+		lr, out *frame.Frame
+		in, res *nn.Tensor
+	}
 
 	// ctxs are cached per-sample gradient contexts (see gradCtx), grown on
 	// demand to the trainer's shard size. Guarded by mu.
@@ -88,9 +95,11 @@ func NewModel(scale, channels int, seed int64) *Model {
 			mid, &nn.ReLU{},
 			tail, &nn.PixelShuffle{S: scale},
 		},
+		convs: [3]*nn.Conv2D{head, mid, tail},
 		arena: nn.NewArena(),
 		pool:  nn.SharedPool(),
 	}
+	m.cvtTask, m.tailTask = m.convertBlock, m.tailBlock
 	nn.ConfigureKernels(m.layers, m.arena, m.pool)
 	m.params = nn.CollectParams(m.layers)
 	return m
@@ -173,31 +182,6 @@ func (m *Model) copyWeights(src *Model) {
 	}
 }
 
-// forward runs the residual branch (without the bilinear skip), tracking
-// every arena tensor a layer produces so releaseLive can recycle them once
-// the cached activations are no longer needed. In-place layers (ReLU)
-// return their input and are not tracked twice.
-func (m *Model) forward(x *nn.Tensor) *nn.Tensor {
-	h := x
-	for _, l := range m.layers {
-		out := l.Forward(h)
-		if out != h {
-			m.live = append(m.live, out)
-		}
-		h = out
-	}
-	return h
-}
-
-// releaseLive returns the forward chain's tensors to the arena.
-func (m *Model) releaseLive() {
-	for i, t := range m.live {
-		m.arena.Put(t)
-		m.live[i] = nil
-	}
-	m.live = m.live[:0]
-}
-
 // zeroGrads clears all gradient accumulators.
 func (m *Model) zeroGrads() { nn.ZeroGrads(m.layers) }
 
@@ -227,34 +211,93 @@ func FromTensor(t *nn.Tensor) *frame.Frame {
 	return f
 }
 
+// inferBlockRows is the LR row-block height of the per-pixel passes around
+// the convs. Like convBlockRows it is fixed by shape, never by pool size.
+const inferBlockRows = 16
+
 // SuperResolve upscales lr by the model's scale factor: bilinear skip plus
-// the learned residual. The lock is exclusive (not shared) because the
-// forward pass caches activations on the layers for backward.
+// the learned residual. Every stage runs on the kernel pool in shape-derived
+// row blocks, so the output is byte-identical at any pool size.
 func (m *Model) SuperResolve(lr *frame.Frame) *frame.Frame {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.Scale
-	up := lr.ResizeBilinear(lr.W*s, lr.H*s)
+	out := frame.New(lr.W*m.Scale, lr.H*m.Scale)
+	res := m.infer(lr, false)
+	m.run.lr, m.run.res, m.run.out = lr, res, out
+	m.pool.Run((lr.H+inferBlockRows-1)/inferBlockRows, m.tailTask)
+	m.run.lr, m.run.res, m.run.out = nil, nil, nil
+	m.arena.Put(res)
+	return out
+}
+
+// infer runs the residual branch over lr and returns the (s², H, W)
+// sub-pixel residual, which the caller hands back to the arena. Each input
+// tensor is returned as soon as the next exists. With calib set the hidden
+// activation maxima are folded into calibMax. Caller holds m.mu.
+func (m *Model) infer(lr *frame.Frame, calib bool) *nn.Tensor {
 	in := m.arena.Get(1, lr.H, lr.W)
-	for i, v := range lr.Pix {
-		in.Data[i] = float32(v) / 255
-	}
-	res := m.forward(in)
-	out := frame.New(up.W, up.H)
-	for i := range out.Pix {
-		v := float32(up.Pix[i]) + res.Data[i]*255
-		switch {
-		case v <= 0:
-			out.Pix[i] = 0
-		case v >= 255:
-			out.Pix[i] = 255
-		default:
-			out.Pix[i] = uint8(v + 0.5)
+	m.run.lr, m.run.in = lr, in
+	m.pool.Run((lr.H+inferBlockRows-1)/inferBlockRows, m.cvtTask)
+	m.run.lr, m.run.in = nil, nil
+	h := in
+	for i, c := range m.convs {
+		out := c.Infer(h, i < 2)
+		m.arena.Put(h)
+		h = out
+		if calib && i < 2 {
+			m.calibMax[i] = maxSlice(h.Data, m.calibMax[i])
 		}
 	}
-	m.releaseLive()
-	m.arena.Put(in)
-	return out
+	return h
+}
+
+// convertBlock is the pooled u8 -> [0,1] f32 worker of infer.
+func (m *Model) convertBlock(bi int) {
+	lr, in := m.run.lr, m.run.in
+	lo := bi * inferBlockRows * lr.W
+	hi := min(lo+inferBlockRows*lr.W, len(lr.Pix))
+	for i, v := range lr.Pix[lo:hi] {
+		in.Data[lo+i] = float32(v) / 255
+	}
+}
+
+// tailBlock is the pooled tail worker of SuperResolve: one block of LR rows
+// becomes its rows of the output, bilinear skip first, residual on top.
+func (m *Model) tailBlock(bi int) {
+	lr, out, s := m.run.lr, m.run.out, m.Scale
+	y0 := bi * inferBlockRows
+	y1 := min(y0+inferBlockRows, lr.H)
+	lr.ResizeBilinearRows(out, y0*s, y1*s)
+	addResidual(m.run.res, s, 0, 0, out, 0, y0, lr.W, y1)
+}
+
+// addResidual adds the sub-pixel residual res — (s², ch, cw) over the LR
+// cell whose top-left LR pixel is (left, top) — to the region of out that
+// LR pixels [x0,x1)×[y0,y1) scale to, which must hold the bilinear skip.
+// It reads the s² channels where the conv left them (the pixel shuffle is
+// index arithmetic, no plane is materialised); channel sy*s+sx supplies
+// output pixel (y*s+sy, x*s+sx).
+func addResidual(res *nn.Tensor, s, left, top int, out *frame.Frame, x0, y0, x1, y1 int) {
+	for y := y0; y < y1; y++ {
+		for sy := 0; sy < s; sy++ {
+			orow := out.Pix[(y*s+sy)*out.W:]
+			for sx := 0; sx < s; sx++ {
+				at := ((sy*s+sx)*res.H+y-top)*res.W - left
+				for x, r := range res.Data[at+x0 : at+x1] {
+					o := &orow[(x0+x)*s+sx]
+					v := float32(*o) + r*255
+					switch {
+					case v <= 0:
+						*o = 0
+					case v >= 255:
+						*o = 255
+					default:
+						*o = uint8(v + 0.5)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Calibrate runs f32 forward passes over the given frames, folding the
@@ -267,23 +310,7 @@ func (m *Model) Calibrate(frames []*frame.Frame) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, f := range frames {
-		in := m.arena.Get(1, f.H, f.W)
-		for i, v := range f.Pix {
-			in.Data[i] = float32(v) / 255
-		}
-		h := in
-		for i, l := range m.layers {
-			out := l.Forward(h)
-			if out != h {
-				m.live = append(m.live, out)
-			}
-			h = out
-			if i == 1 || i == 3 {
-				m.calibMax[i/2] = maxSlice(h.Data, m.calibMax[i/2])
-			}
-		}
-		m.releaseLive()
-		m.arena.Put(in)
+		m.arena.Put(m.infer(f, true))
 	}
 }
 

@@ -33,10 +33,9 @@ type QuantModel struct {
 	mReq2, bReq2 []float32
 	mDeq, bDeq   []float32
 
-	lut     [256]int16 // pixel → int8 input code (scale 1/127 over [0,1])
-	arena   *nn.Arena
-	pool    *nn.Pool
-	shuffle *nn.PixelShuffle
+	lut   [256]int16 // pixel → int8 input code (scale 1/127 over [0,1])
+	arena *nn.Arena
+	pool  *nn.Pool
 }
 
 // quantStripRows is the fixed LR strip height of strip-parallel quantized
@@ -53,15 +52,13 @@ func NewQuantModel(m *Model) *QuantModel {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	q := &QuantModel{
-		Scale:   m.Scale,
-		chans:   m.Channels,
-		arena:   nn.NewArena(),
-		pool:    m.pool,
-		shuffle: &nn.PixelShuffle{S: m.Scale},
+		Scale: m.Scale,
+		chans: m.Channels,
+		arena: nn.NewArena(),
+		pool:  m.pool,
 	}
-	q.shuffle.SetKernelContext(q.arena, nil)
-	for i, li := range [3]int{0, 2, 4} {
-		q.convs[i] = nn.QuantizeConv2D(m.layers[li].(*nn.Conv2D))
+	for i, c := range m.convs {
+		q.convs[i] = nn.QuantizeConv2D(c)
 	}
 
 	const xs0 = 1.0 / 127 // input scale: pixels/255 ∈ [0,1]
@@ -100,17 +97,18 @@ func NewQuantModel(m *Model) *QuantModel {
 // SuperResolve upscales lr by the model's scale: bilinear skip plus the
 // int8 residual, computed strip-parallel on the kernel pool with a fixed
 // strip decomposition (quantStripRows) and per-strip halos, so the output
-// is byte-identical at any pool size.
+// is byte-identical at any pool size. Each strip resizes its own rows of
+// the skip before enhancing them.
 func (q *QuantModel) SuperResolve(lr *frame.Frame) *frame.Frame {
-	s := q.Scale
-	up := lr.ResizeBilinear(lr.W*s, lr.H*s)
+	out := frame.New(lr.W*q.Scale, lr.H*q.Scale)
 	n := (lr.H + quantStripRows - 1) / quantStripRows
 	q.pool.Run(n, func(i int) {
 		y0 := i * quantStripRows
 		y1 := min(y0+quantStripRows, lr.H)
-		q.EnhanceRegion(lr, 0, y0, lr.W, y1, up)
+		lr.ResizeBilinearRows(out, y0*q.Scale, y1*q.Scale)
+		q.EnhanceRegion(lr, 0, y0, lr.W, y1, out)
 	})
-	return up
+	return out
 }
 
 // EnhanceRegion runs quantized SR over the LR cell [x0,x1)×[y0,y1) of lr
@@ -146,26 +144,9 @@ func (q *QuantModel) EnhanceRegion(lr *frame.Frame, x0, y0, x1, y1 int, out *fra
 	res := a.Get(s*s, ch, cw)
 	q.convs[2].ForwardDequant(a, h2, ch, cw, q.mDeq, q.bDeq, res.Data)
 	a.PutBufI16(h2)
-	hi := q.shuffle.Forward(res) // (1, ch*s, cw*s) residual plane
-	a.Put(res)
-
 	// Residual add over the target region only (halo rows/cols drop away).
-	for y := y0 * s; y < y1*s; y++ {
-		srow := hi.Data[(y-top*s)*hi.W:]
-		orow := out.Pix[y*out.W:]
-		for x := x0 * s; x < x1*s; x++ {
-			v := float32(orow[x]) + srow[x-left*s]*255
-			switch {
-			case v <= 0:
-				orow[x] = 0
-			case v >= 255:
-				orow[x] = 255
-			default:
-				orow[x] = uint8(v + 0.5)
-			}
-		}
-	}
-	a.Put(hi)
+	addResidual(res, s, left, top, out, x0, y0, x1, y1)
+	a.Put(res)
 }
 
 // ArenaStats reports the quantized path's arena free-list hits and misses.

@@ -1,8 +1,11 @@
 package sr
 
 import (
+	"bytes"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"livenas/internal/frame"
@@ -319,4 +322,100 @@ func TestDevicePoolAccessorsWhileAcquiring(t *testing.T) {
 	if pool.InUse() != 0 {
 		t.Errorf("%d slots still held after every Acquire was released", pool.InUse())
 	}
+}
+
+// TestConcurrentInferenceMatchesRefWhileTraining shares one model between a
+// stepping Trainer, four SuperResolve goroutines and a goroutine that
+// calibrates it and copies its weights out, all on a multi-worker pool. A
+// frame whose call saw no weight change — the model's weights are equal
+// before and after it — must equal the oracle on a clone taken at that
+// point; the trainer pauses after every epoch until the frames have ticked
+// it on, so some frames of every epoch qualify. Afterwards the arena must
+// have stopped missing: every tensor the inference forward takes goes back.
+func TestConcurrentInferenceMatchesRefWhileTraining(t *testing.T) {
+	model := NewModel(2, 4, 1)
+	pool := nn.NewPool(4)
+	defer pool.Close()
+	model.SetKernelPool(pool)
+	trainer := newStressTrainer(t, model)
+	in := frame.New(96, 64) // four conv row blocks, four tail blocks
+	fillTestFrame(in, 5)
+
+	const epochs, inferers = 6, 4
+	tick := make(chan struct{})
+	stop := make(chan struct{})
+	var verified, differing atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(inferers + 1)
+	for g := 0; g < inferers; g++ {
+		go func() {
+			defer wg.Done()
+			for {
+				before := model.Clone()
+				got := model.SuperResolve(in)
+				after := model.Clone()
+				if sameWeights(before, after) {
+					verified.Add(1)
+					if !bytes.Equal(got.Pix, superResolveRef(before, in).Pix) {
+						differing.Add(1)
+					}
+				}
+				select {
+				case tick <- struct{}{}:
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	go func() { // Calibrate writes calibMax only; the copy reads the weights
+		defer wg.Done()
+		replica := model.Clone()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			model.Calibrate([]*frame.Frame{in})
+			replica.CopyWeightsFrom(model)
+		}
+	}()
+	for e := 0; e < epochs; e++ {
+		trainer.Epoch()
+		// 2*inferers frames finishing in the pause: one goroutine ran two,
+		// and its second began and ended with the trainer idle.
+		for i := 0; i < 2*inferers; i++ {
+			<-tick
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n, bad := verified.Load(), differing.Load(); n < epochs || bad > 0 {
+		t.Fatalf("%d frames checked over %d epochs (want at least one each), %d differ from the oracle on their weights", n, epochs, bad)
+	}
+
+	// A forward that kept one tensor would miss once per call. What a busy
+	// pool adds is bounded by workers x buffer sizes, and the run above has
+	// long since paid it.
+	const calls = 100
+	_, warm := model.ArenaStats()
+	for i := 0; i < calls/2; i++ {
+		model.SuperResolve(in)
+		model.Calibrate([]*frame.Frame{in})
+	}
+	if _, misses := model.ArenaStats(); misses-warm >= calls/2 {
+		t.Fatalf("arena misses grew by %d over %d warm inference calls", misses-warm, calls)
+	}
+}
+
+// sameWeights reports whether two models the caller owns hold equal weights.
+func sameWeights(a, b *Model) bool {
+	for i, p := range a.params {
+		if !slices.Equal(p.W, b.params[i].W) {
+			return false
+		}
+	}
+	return true
 }

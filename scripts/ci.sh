@@ -5,9 +5,10 @@
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet, livenas-vet
 #                         (whole module, no flags, under 4 s), short tests,
 #                         the benchmark module's vet + tests, the int8 and
-#                         codec+vidgen differential tests and the wire
-#                         format pin by name, parallel sweep smoke (one
-#                         small figure sweep at -parallel 4)
+#                         codec+vidgen differential tests, the wire format
+#                         pin and the sr inference differentials by name,
+#                         parallel sweep smoke (one small figure sweep at
+#                         -parallel 4)
 #   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
 #                         asm stubs and purego twins are its territory),
 #                         the same livenas-vet and benchmark-module steps,
@@ -123,33 +124,41 @@ benchmark_module() {
     (cd benchmark && go vet ./... && go test ./...)
 }
 
-# The wire format contract, by test name. -run matches what exists, so a
-# renamed test would pass by not running: each name must report PASS.
-wire_format_pin() {
-    local tests=(TestFrameLayoutPinned TestFrameV1GobSkipped
-        TestFrameUnknownVersionSkipDoesNotAllocate
-        TestFrameNonCanonicalRejected TestFrameAllocCeilings)
+# pin_tests PKG NAME...: runs the named tests of one package. -run matches
+# what exists, so a renamed test would pass by not running: each name must
+# report PASS.
+pin_tests() {
+    local pkg="$1"
+    shift
     local out t
     out="$(go test -count=1 -v -run "^($(
         IFS='|'
-        echo "${tests[*]}"
-    ))\$" ./internal/wire)" || {
+        echo "$*"
+    ))\$" "$pkg")" || {
         echo "$out"
         return 1
     }
-    for t in "${tests[@]}"; do
+    for t in "$@"; do
         grep -q -- "^--- PASS: $t " <<<"$out" || {
-            echo "wire format pin: $t did not run" >&2
+            echo "pin_tests $pkg: $t did not run" >&2
             return 1
         }
     done
 }
 
-# Nightly-only: record cpu/heap profiles of the 1080p inference bench for
-# upload, so a serve_hd regression comes with a profile of its binding
-# layer.
+# The inference forward's bit-identity contract (DESIGN.md "Inference
+# forward"): each rewritten stage against the oracle kept in its ref_test.go.
+sr_inference_pin() {
+    pin_tests ./internal/sr TestSuperResolveMatchesRef &&
+        pin_tests ./internal/nn TestConvInferMatchesForwardReLU &&
+        pin_tests ./internal/frame TestResizeBilinearMatchesRef
+}
+
+# Nightly-only: record cpu/heap profiles of the serve_hd-geometry inference
+# bench for upload, so a serve_hd regression comes with a profile of its
+# binding layer.
 pprof_profiles() {
-    go test -run '^$' -bench 'BenchmarkInference1080p$' -benchtime 5x \
+    go test -run '^$' -bench 'BenchmarkInferenceServe$' -benchtime 100x \
         -cpuprofile "$CI_ARTIFACTS/cpu.pprof" \
         -memprofile "$CI_ARTIFACTS/mem.pprof" \
         -o "$CI_ARTIFACTS/sr_bench.test" ./internal/sr
@@ -174,9 +183,13 @@ if [[ "$TIER" == "fast" ]]; then
     step "codec+vidgen differential" go test \
         -run 'MatchesRef|MatchesPow' ./internal/codec ./internal/vidgen
     # The wire format contract (DESIGN.md "Wire format v2"), by name for the
-    # same reason: the literal v2 bytes, the v1-gob and 16 MB-claim skips,
-    # the canonical-form rejections and the allocation ceilings.
-    step "wire format pin" wire_format_pin
+    # same reason (pin_tests: each must report PASS): the literal v2 bytes,
+    # the v1-gob and 16 MB-claim skips, the canonical-form rejections and the
+    # allocation ceilings.
+    step "wire format pin" pin_tests ./internal/wire TestFrameLayoutPinned \
+        TestFrameV1GobSkipped TestFrameUnknownVersionSkipDoesNotAllocate \
+        TestFrameNonCanonicalRejected TestFrameAllocCeilings
+    step "sr inference differential" sr_inference_pin
     # One real figure sweep through the concurrent engine: catches worker /
     # cache / ordering regressions the unit tests can't see end to end.
     step "sweep smoke" go run ./cmd/livenas-bench -fig fig23 -parallel 4 -dur 20s -traces 1
