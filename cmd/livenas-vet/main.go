@@ -1,10 +1,9 @@
 // Command livenas-vet runs the project-specific static checks of
 // internal/analysis over the module: deterministic-replay taint tracking,
-// context propagation to blocking points, sync/atomic consistency, arena
-// lifetimes, goroutine joins, lock ordering, asm/build-tag hygiene for the
-// assembly kernels, unchecked wire-write errors, mutex lock/defer hygiene,
-// and exhaustive wire-message switches. Both scripts/ci.sh tiers run it
-// the same way, with no flags.
+// goroutine joins, lock ordering, asm/build-tag hygiene for the assembly
+// kernels, unchecked wire-write errors, mutex lock/defer hygiene, and
+// exhaustive wire-message switches. Both scripts/ci.sh tiers run it the
+// same way, with no flags.
 //
 // Usage:
 //

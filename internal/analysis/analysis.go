@@ -8,13 +8,12 @@
 // replay (a whole-module taint analysis from nondeterministic sources:
 // wall clock, global rand, map iteration order, goroutine-completion
 // order) and safe sharing of state between the trainer, the inference
-// processor, and the sweep workers (context-propagation to blocking
-// points, consistent sync/atomic access, arena lifetimes, goroutine
-// joins, lock ordering) — plus project-wide hygiene rules (discarded wire
-// write errors, lock/defer pairing, exhaustive message switches, asm
-// declaration/build-tag pairing). Load the packages with a Loader, hand
-// them to Run; there is no other entry point, cache, or configuration. See
-// DESIGN.md "Correctness tooling".
+// processor, and the sweep workers (goroutine joins, lock ordering) — plus
+// project-wide hygiene rules (discarded wire write errors, lock/defer
+// pairing, exhaustive message switches, asm declaration/build-tag
+// pairing). Load the packages with a Loader, hand them to Run; there is no
+// other entry point, cache, or configuration. See DESIGN.md "Correctness
+// tooling".
 //
 // A finding can be silenced in place with a directive comment:
 //
@@ -29,6 +28,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
@@ -51,8 +51,7 @@ func (d Diagnostic) String() string {
 // set: Run inspects a single type-checked package; RunModule sees the whole
 // module at once through the call-graph/CFG/summary substrate (callgraph.go,
 // cfg.go, dataflow.go, summary.go) and is how the interprocedural checks —
-// arena-lifetime, goroutine-leak, lock-order, determinism-taint,
-// context-propagation, atomic-consistency — are built.
+// goroutine-leak, lock-order, determinism-taint — are built.
 type Check struct {
 	Name      string
 	Doc       string
@@ -66,12 +65,9 @@ func AllChecks() []*Check {
 		UncheckedWrite,
 		MutexHygiene,
 		SwitchExhaustiveness,
-		ArenaLifetime,
 		GoroutineLeak,
 		LockOrder,
 		DeterminismTaint,
-		ContextPropagation,
-		AtomicConsistency,
 		AsmABI,
 	}
 }
@@ -222,6 +218,15 @@ func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 		return a.Message < b.Message
 	})
 	return diags
+}
+
+// identObj resolves e to the object of a plain identifier use, or nil.
+func identObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	return info.Uses[id]
 }
 
 // unparen strips any number of enclosing parentheses.

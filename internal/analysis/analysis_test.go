@@ -23,13 +23,10 @@ var fixtureChecks = []struct {
 	{"uncheckedwrite", "unchecked-write"},
 	{"mutexhygiene", "mutex-hygiene"},
 	{"exhaustive", "switch-exhaustiveness"},
-	{"arenalifetime", "arena-lifetime"},
 	{"goroutineleak", "goroutine-leak"},
 	{"lockorder", "lock-order"},
 	{"lockcross", "lock-order"},
 	{"determtaint", "determinism-taint"},
-	{"ctxprop", "context-propagation"},
-	{"atomicmix", "atomic-consistency"},
 	{"asmabi", "asm-abi"},
 }
 

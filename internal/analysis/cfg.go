@@ -39,10 +39,6 @@ type CFG struct {
 	blockOf map[ast.Stmt]*CFGBlock
 }
 
-// BlockOf returns the block holding stmt, or nil if the statement was
-// unreachable when the CFG was built.
-func (c *CFG) BlockOf(stmt ast.Stmt) *CFGBlock { return c.blockOf[stmt] }
-
 // cfgBuilder threads break/continue targets and labels through the
 // recursive construction.
 type cfgBuilder struct {

@@ -78,14 +78,3 @@ func WalkFacts(c *CFG, p FlowProblem, in map[*CFGBlock]Fact, visit func(stmt ast
 		}
 	}
 }
-
-// ExitFact joins the facts flowing into the synthetic exit block — the
-// abstract state at normal function return. Returns nil when no path
-// reaches the exit (e.g. the body ends in panic or an infinite loop).
-func ExitFact(c *CFG, p FlowProblem, in map[*CFGBlock]Fact) Fact {
-	fact, ok := in[c.Exit]
-	if !ok {
-		return nil
-	}
-	return fact
-}

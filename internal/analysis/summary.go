@@ -9,24 +9,11 @@ import (
 // propagate bottom-up through the call-graph SCCs. One shared container
 // carries every check's facts so the module is summarized in a single
 // BottomUp pass; each check contributes its slice of the summary from its
-// own file (arenaSummarize, lockSummarize, waitSummarize) and reads callee
+// own file (lockSummarize, waitSummarize, determSummarize) and reads callee
 // summaries through Summaries.Of at call sites.
 
 // A FuncSummary is the caller-visible abstract behaviour of one function.
 type FuncSummary struct {
-	// ReleasesParam[i] reports that parameter i (receiver excluded) is
-	// handed back to an arena (Put/PutBuf) on every path through the
-	// function — callers may treat passing a tracked value here as its
-	// release.
-	ReleasesParam []bool
-	// RetainsParam[i] reports that parameter i may be stored beyond the
-	// call (field, global, container, another retaining callee, a spawned
-	// goroutine) — callers must treat the value as escaped.
-	RetainsParam []bool
-	// ReturnsArena[j] reports that result j is a freshly obtained arena
-	// value whose ownership transfers to the caller.
-	ReturnsArena []bool
-
 	// WaitsOnParam[i] reports that parameter i is a *sync.WaitGroup the
 	// function calls Wait on — join evidence for the goroutine-leak check.
 	WaitsOnParam []bool
@@ -43,21 +30,6 @@ type FuncSummary struct {
 	// empty map means the function is deterministic-replay pure as far as
 	// the modeled sources go.
 	Nondet map[string]token.Pos
-
-	// ConsultsCtx[i] reports that parameter i is a context.Context whose
-	// cancellation the function observes: it calls Done/Err/Deadline on it
-	// (possibly via a derived context), selects on it, or passes it to a
-	// callee known (or conservatively assumed) to consult it.
-	ConsultsCtx []bool
-
-	// BlockPos is the first position at which the function may block
-	// without observing cancellation — an unguarded channel op, a
-	// WaitGroup.Wait, a time.Sleep, blocking socket I/O, or a call to a
-	// callee with its own BlockPos — or token.NoPos when the function is
-	// provably non-blocking or every blocking point is select-guarded on a
-	// ctx.Done. BlockDesc names the root blocking kind for diagnostics.
-	BlockPos  token.Pos
-	BlockDesc string
 }
 
 // Summaries indexes the module's function summaries.
@@ -82,31 +54,19 @@ func (s *Summaries) Of(fn *types.Func) *FuncSummary {
 func ComputeSummaries(g *CallGraph) *Summaries {
 	s := &Summaries{Graph: g, m: map[*types.Func]*FuncSummary{}}
 	for _, fi := range g.Nodes {
-		np := paramCount(fi.Obj)
-		nr := resultCount(fi.Obj)
 		s.m[fi.Obj] = &FuncSummary{
-			ReleasesParam: make([]bool, np),
-			RetainsParam:  make([]bool, np),
-			ReturnsArena:  make([]bool, nr),
-			WaitsOnParam:  make([]bool, np),
-			Locks:         map[string]token.Pos{},
-			Nondet:        map[string]token.Pos{},
-			ConsultsCtx:   make([]bool, np),
+			WaitsOnParam: make([]bool, paramCount(fi.Obj)),
+			Locks:        map[string]token.Pos{},
+			Nondet:       map[string]token.Pos{},
 		}
 	}
 	g.BottomUp(func(fi *FuncInfo) bool {
 		sum := s.m[fi.Obj]
-		changed := arenaSummarize(fi, s, sum)
-		if lockSummarize(fi, s, sum) {
-			changed = true
-		}
+		changed := lockSummarize(fi, s, sum)
 		if waitSummarize(fi, s, sum) {
 			changed = true
 		}
 		if determSummarize(fi, s, sum) {
-			changed = true
-		}
-		if ctxSummarize(fi, s, sum) {
 			changed = true
 		}
 		return changed
@@ -131,13 +91,6 @@ func paramObjects(fi *FuncInfo) []*types.Var {
 func paramCount(fn *types.Func) int {
 	if sig, ok := fn.Type().(*types.Signature); ok {
 		return sig.Params().Len()
-	}
-	return 0
-}
-
-func resultCount(fn *types.Func) int {
-	if sig, ok := fn.Type().(*types.Signature); ok {
-		return sig.Results().Len()
 	}
 	return 0
 }

@@ -98,23 +98,6 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 	return s
 }
 
-// docAllows reports whether a function's doc comment carries an allow
-// directive for check. Summarizers use it to withhold a fact at its source
-// (e.g. a provably-bounded blocking wait annotated on the blocking function
-// itself) so every transitive caller is cleared with one justification
-// instead of one directive per call site.
-func docAllows(decl *ast.FuncDecl, check string) bool {
-	if decl == nil || decl.Doc == nil {
-		return false
-	}
-	for _, c := range decl.Doc.List {
-		if checks := parseDirective(c.Text); checks[check] {
-			return true
-		}
-	}
-	return false
-}
-
 // suppressed reports whether a directive covers the given check at pos.
 func (s *suppressions) suppressed(check string, pos token.Position) bool {
 	if byLine := s.lines[pos.Filename]; byLine != nil {

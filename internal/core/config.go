@@ -107,11 +107,6 @@ type Config struct {
 	Deblock     bool // enable the codec's in-loop deblocking filter
 	TrainGPUs   int
 	InferGPUs   int
-	// KernelWorkers sizes a dedicated nn kernel worker pool for this
-	// session's models (conv row blocks, per-sample gradients). 0 uses the
-	// process-wide GOMAXPROCS-sized shared pool. Purely a throughput knob:
-	// results are bit-identical for any value.
-	KernelWorkers int
 
 	// LiveNAS knobs (defaults follow the paper).
 	PatchSize     int            // training patch side, HR pixels (120)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -313,7 +312,8 @@ func TestRunContextCancellation(t *testing.T) {
 	if res != nil {
 		t.Fatal("cancelled run must not return results")
 	}
-	if el := time.Since(start); el > 30*time.Second {
+	// A run that ignored ctx until the end would take ~15 s here.
+	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("cancellation took %v; want prompt abort at an event boundary", el)
 	}
 }
@@ -408,32 +408,6 @@ func TestLossRecovery(t *testing.T) {
 	// Quality still reasonable (frozen frames during recovery are expected).
 	if r.AvgPSNR < 14 {
 		t.Fatalf("PSNR %.1f collapsed under 3%% loss", r.AvgPSNR)
-	}
-}
-
-// TestDedicatedPoolJoinedAtSessionEnd pins the ownership fix for dedicated
-// kernel pools: a session with KernelWorkers > 0 creates its own nn.Pool,
-// and Run must join those workers before returning (previously they leaked
-// for the process lifetime, one pool per session in experiment sweeps).
-func TestDedicatedPoolJoinedAtSessionEnd(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cfg := defaultTestConfig(vidgen.JustChatting)
-	cfg.Trace = trace.FCCUplink(11, time.Minute, 250)
-	cfg.Duration = 10 * time.Second
-	cfg.KernelWorkers = 3
-	r := Run(cfg)
-	if r.FramesDecoded == 0 {
-		t.Fatal("session decoded no frames")
-	}
-	// Run closed the dedicated pool, so the goroutine count settles back
-	// to its pre-session level (poll: a joined worker's exit is observed
-	// by the scheduler a beat after WaitGroup.Wait returns).
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines outlive the session (had %d before); dedicated pool not joined", got, before)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"livenas/internal/frame"
 	"livenas/internal/metrics"
 	"livenas/internal/netem"
-	"livenas/internal/nn"
 	"livenas/internal/sim"
 	"livenas/internal/sr"
 	"livenas/internal/telemetry"
@@ -119,10 +118,6 @@ type server struct {
 	e2eLatencySum   time.Duration
 	e2eLatencyN     int
 
-	// ownPool is the dedicated kernel pool when cfg.KernelWorkers > 0;
-	// joined in close. Nil when the session uses the shared pool.
-	ownPool *nn.Pool
-
 	// Telemetry. reg is retained for event emission (trainer_state,
 	// patch_admit, train_epoch); the handles are lock-free counters/gauges
 	// registered once in newServer.
@@ -156,29 +151,6 @@ func genericModel(scale, channels int) *sr.Model {
 	sr.PretrainOnDataset(m, ds, 6, 48, cfg, 7)
 	genericModelCache.Store(key, m)
 	return m.Clone()
-}
-
-// sessionPool returns the nn worker pool for the session's models: the
-// process-wide shared pool by default, or a dedicated pool when the config
-// sizes one explicitly. A dedicated pool is owned by the server and joined
-// in close, so its workers do not outlive the session (previously they
-// leaked for the process lifetime, one pool per session in sweeps).
-func (sv *server) sessionPool(cfg Config) *nn.Pool {
-	if cfg.KernelWorkers > 0 {
-		if sv.ownPool == nil {
-			sv.ownPool = nn.NewPool(cfg.KernelWorkers)
-		}
-		return sv.ownPool
-	}
-	return nn.SharedPool()
-}
-
-// close releases resources the server owns. Only the dedicated kernel pool
-// needs explicit teardown: Close drains its job channel and joins every
-// worker goroutine. Must be called after the simulation has fully stopped
-// (no epoch or inference work in flight).
-func (sv *server) close() {
-	sv.ownPool.Close()
 }
 
 // pretrainOnSession trains model on a previous session of the same streamer
@@ -254,16 +226,11 @@ func newServer(s *sim.Simulator, cfg Config, notify func(serverMsg)) *server {
 		// No DNN at all.
 	case SchemeGeneric:
 		sv.model = sv.initModel.Clone()
-		sv.model.SetKernelPool(sv.sessionPool(cfg))
 	case SchemePretrained:
 		sv.model = sv.initModel.Clone()
-		sv.model.SetKernelPool(sv.sessionPool(cfg))
 		pretrainOnSession(sv.model, cfg)
 	case SchemeLiveNAS:
 		sv.model = sv.initModel.Clone()
-		// Configure the pool before trainer/processor construction so the
-		// data-parallel replicas they clone inherit it.
-		sv.model.SetKernelPool(sv.sessionPool(cfg))
 		if cfg.Persistent {
 			pretrainOnSession(sv.model, cfg)
 		}

@@ -257,14 +257,11 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	for s.StepUntil(cfg.Duration, cancelCheckEvery) {
 		if err := ctx.Err(); err != nil {
 			// Abandon the run at an event boundary: no simulator callback is
-			// in flight, so the dedicated kernel pool (if any) is idle and
-			// safe to join.
-			sv.close()
+			// in flight.
 			return nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		sv.close()
 		return nil, err
 	}
 
@@ -294,7 +291,6 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	res.AvgBandwidthKbps = meanSeries(res.Bandwidth)
 	res.AvgVideoKbps = meanSeries(res.Video)
 	res.AvgPatchKbps = meanSeries(res.Patch)
-	sv.close()
 	return res, nil
 }
 

@@ -314,9 +314,7 @@ func (m *Manager) setGauges() {
 // goroutine (the live-server path; experiment plans go through Plan/
 // sweep instead). On success the session holds its Results and moves to
 // StateTrained; teardown remains the caller's step. The session's config
-// is run as finalized at admission, so a dedicated nn kernel pool
-// (Cfg.KernelWorkers > 0) is owned by this stream and joined when the run
-// ends.
+// is run as finalized at admission.
 func (m *Manager) Ingest(ctx context.Context, key string) (*core.Results, error) {
 	s, ok := m.sessions[key]
 	if !ok {

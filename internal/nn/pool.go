@@ -76,8 +76,6 @@ func NewPool(workers int) *Pool {
 // It closes the job channel and joins every worker, so tests and bounded
 // pipelines can prove no goroutine outlives the pool. Closing a nil or
 // inline pool is a no-op; the process-wide SharedPool is never closed.
-//
-//livenas:allow context-propagation bounded wait: close(p.jobs) precedes the join, every worker exits its range loop once the channel drains, so Wait is bounded by in-flight kernel work
 func (p *Pool) Close() {
 	if p == nil || p.jobs == nil {
 		return
@@ -98,8 +96,6 @@ func (p *Pool) Size() int {
 // workers, and returns when all n calls have completed. The caller
 // participates, so Run may be invoked from inside a pool task. A nil pool
 // runs everything inline.
-//
-//livenas:allow context-propagation bounded wait: the caller participates via j.run and every task is finite CPU kernel work, so j.wg drains without external signals
 func (p *Pool) Run(n int, fn func(int)) {
 	if n <= 0 {
 		return

@@ -226,8 +226,6 @@ func (p *Processor) ObserveGatePatch(lr, hr *frame.Frame) {
 // Process super-resolves lr and returns the upscaled frame together with
 // the simulated per-frame latency from the device model. The computation is
 // genuinely parallel across strips (one goroutine per GPU replica).
-//
-//livenas:allow context-propagation bounded wait: the strip join waits only on its own per-frame goroutines, each finite CPU kernel work
 func (p *Processor) Process(lr *frame.Frame) (*frame.Frame, time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -306,8 +304,6 @@ const (
 
 // processAnytime is the anytime-scheduled inference path. Caller holds
 // p.mu.
-//
-//livenas:allow context-propagation bounded wait: the cell join waits only on its own per-frame goroutines, each finite CPU kernel work
 func (p *Processor) processAnytime(lr *frame.Frame) (*frame.Frame, time.Duration) {
 	s := p.scale
 	up := lr.ResizeBilinear(lr.W*s, lr.H*s) // canvas; un-enhanced cells keep it

@@ -118,6 +118,28 @@ func TestInferenceReturnsEveryTensor(t *testing.T) {
 	}
 }
 
+// TestTrainerReturnsEveryTensor is the training-side mirror: after one
+// warm-up epoch the forward/backward chain and the optimiser step take
+// nothing from the arena that the previous epoch did not put back — which
+// catches a Backward that parks a scratch buffer and never returns it.
+func TestTrainerReturnsEveryTensor(t *testing.T) {
+	m := randomModel(2, 0, 9)
+	m.SetKernelPool(nn.NewPool(1))
+	tr := NewTrainer(m, TrainConfig{ItersPerEpoch: 4, Batch: 4}, 10)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 8; i++ {
+		tr.AddSample(randFrame(24, 24, rng), randFrame(48, 48, rng))
+	}
+	tr.Epoch()
+	_, warm := m.ArenaStats()
+	for i := 0; i < 3; i++ {
+		tr.Epoch()
+	}
+	if _, misses := m.ArenaStats(); misses != warm {
+		t.Fatalf("arena misses grew from %d to %d over warm epochs", warm, misses)
+	}
+}
+
 // TestSuperResolveAllocCeilings pins what a served frame allocates on a
 // multi-worker pool in steady state: the output frame plus one pool job per
 // stage for f32 (the seed's 7, with its separate skip frame's bytes gone),

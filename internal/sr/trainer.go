@@ -193,8 +193,6 @@ func (t *Trainer) Epoch() float64 {
 }
 
 // step runs one minibatch update and returns its mean loss.
-//
-//livenas:allow context-propagation bounded wait: done is buffered to g and each shard goroutine sends exactly once, so the sends and the g receives cannot block indefinitely
 func (t *Trainer) step() float64 {
 	t.mSteps.Inc()
 	models := append([]*Model{t.Model}, t.replicas...)

@@ -8,17 +8,17 @@
 // Contracts:
 //
 //   - Per-session determinism. The engine never alters a session: configs
-//     are canonicalized (Config.Defaulted, Telemetry stripped, kernel
-//     workers routed to the shared pool) and handed to core.RunContext
-//     unchanged, so a session's Results are bitwise identical to a serial
-//     core.Run of the same config, for any worker count including 1.
+//     are canonicalized (Config.Defaulted, Telemetry stripped) and handed
+//     to core.RunContext unchanged, so a session's Results are bitwise
+//     identical to a serial core.Run of the same config, for any worker
+//     count including 1.
 //   - Deterministic ordering. Go returns a Handle immediately; handles
 //     resolve in any order but Collect returns results in submission order,
 //     so table generation is reproducible byte-for-byte for any Workers.
-//   - Bounded kernel concurrency. Sessions submitted through the Runner
-//     always use the process-wide nn.SharedPool (KernelWorkers is cleared),
-//     capping total kernel workers at GOMAXPROCS across all concurrent
-//     sessions rather than multiplying per session.
+//   - Bounded kernel concurrency. Every session's kernels run on the
+//     process-wide nn.SharedPool, capping total kernel workers at
+//     GOMAXPROCS across all concurrent sessions rather than multiplying per
+//     session.
 //   - Memoization. Two submissions with the same canonical config share one
 //     execution (and one cache entry); the paper's figures re-run the same
 //     WebRTC baseline for every scheme column, and the engine runs it once.
@@ -97,8 +97,6 @@ type Handle struct {
 // Wait blocks until the session completes and returns its results. The
 // error is non-nil when the config was invalid or the sweep's context was
 // cancelled before the session finished.
-//
-//livenas:allow context-propagation bounded wait: h.done is closed on every worker exit path, and workers observe r.ctx (admission select + core.RunContext), so cancellation resolves the handle
 func (h *Handle) Wait() (*core.Results, error) {
 	<-h.done
 	return h.res, h.err
@@ -106,8 +104,6 @@ func (h *Handle) Wait() (*core.Results, error) {
 
 // Cached reports whether the result was served from the persisted cache
 // (not merely memoized in-process). Only meaningful after Wait.
-//
-//livenas:allow context-propagation bounded wait: same h.done discipline as Wait — cancellation resolves the handle
 func (h *Handle) Cached() bool {
 	<-h.done
 	return h.cached
@@ -151,22 +147,17 @@ func (r *Runner) Workers() int { return r.workers }
 // Telemetry returns the sweep's own registry (not any session's).
 func (r *Runner) Telemetry() *telemetry.Registry { return r.reg }
 
-// canonical normalizes a config to its sweep identity: defaults applied, no
-// caller registry (every session records into a fresh one of its own), and
-// kernel work routed to the process-wide shared pool so total kernel
-// workers stay capped at GOMAXPROCS across concurrent sessions.
+// canonical normalizes a config to its sweep identity: defaults applied and
+// no caller registry (every session records into a fresh one of its own).
 func canonical(cfg core.Config) core.Config {
 	cfg = cfg.Defaulted()
 	cfg.Telemetry = nil
-	cfg.KernelWorkers = 0
 	return cfg
 }
 
 // Go submits one session and returns its handle immediately. Submissions
-// with the same canonical config (Config.Defaulted, ignoring Telemetry and
-// KernelWorkers) share a single execution and return the same handle.
-//
-//livenas:allow context-propagation bounded wait: worker admission selects on r.ctx.Done, and the deferred <-r.sem returns a token the worker itself holds in a buffered channel
+// with the same canonical config (Config.Defaulted, ignoring Telemetry)
+// share a single execution and return the same handle.
 func (r *Runner) Go(cfg core.Config) *Handle {
 	r.submitted.Add(1)
 	cfg = canonical(cfg)
@@ -280,8 +271,6 @@ func b2f(b bool) float64 {
 // submission order (a memoized duplicate submission occupies its slot with
 // the shared result). The error is the first submission's failure, if any;
 // results of successful sessions are returned either way.
-//
-//livenas:allow context-propagation bounded wait: every session goroutine selects on r.ctx.Done at admission and runs under core.RunContext(r.ctx), so cancelling r.ctx drains r.wg
 func (r *Runner) Collect() ([]*core.Results, error) {
 	r.wg.Wait()
 	order := r.snapshot()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"livenas/internal/core"
+	"livenas/internal/telemetry"
 	"livenas/internal/trace"
 	"livenas/internal/vidgen"
 )
@@ -88,7 +89,7 @@ func TestMemoization(t *testing.T) {
 	cfg := testConfig(vidgen.JustChatting, 5)
 	cfg.Duration = 5 * time.Second
 	h1 := r.Go(cfg)
-	cfg.KernelWorkers = 3 // not part of the session's identity
+	cfg.Telemetry = telemetry.New() // not part of the session's identity
 	h2 := r.Go(cfg)
 	if h1 != h2 {
 		t.Fatal("identical canonical configs did not share a handle")
@@ -153,8 +154,8 @@ func firstKey(t *testing.T, c *Cache) string {
 	return key
 }
 
-// TestConfigKeyIdentity: the cache key ignores live state (Telemetry,
-// KernelWorkers via canonical) but tracks anything that changes results.
+// TestConfigKeyIdentity: the cache key ignores live state (Telemetry) but
+// tracks anything that changes results.
 func TestConfigKeyIdentity(t *testing.T) {
 	a := testConfig(vidgen.JustChatting, 3)
 	b := a

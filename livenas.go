@@ -23,10 +23,7 @@ import (
 	"context"
 
 	"livenas/internal/core"
-	"livenas/internal/edge"
 	"livenas/internal/exp"
-	"livenas/internal/fleet"
-	"livenas/internal/sweep"
 	"livenas/internal/trace"
 	"livenas/internal/vidgen"
 )
@@ -119,112 +116,17 @@ type (
 	ExpTable = exp.Table
 )
 
-// Sweep engine access: run many independent sessions across a bounded
-// worker set with deterministic results and an optional on-disk cache.
-type (
-	// SweepRunner executes submitted sessions concurrently.
-	SweepRunner = sweep.Runner
-	// SweepOptions configures a SweepRunner (workers, cache, telemetry).
-	SweepOptions = sweep.Options
-	// SweepGrid declares a cartesian sweep over schemes/contents/traces/policies.
-	SweepGrid = sweep.Grid
-	// SweepCache is the content-addressed session-result store.
-	SweepCache = sweep.Cache
-)
-
-// NewSweepRunner returns a session sweep engine bound to ctx.
-func NewSweepRunner(ctx context.Context, o SweepOptions) *SweepRunner { return sweep.New(ctx, o) }
-
-// OpenSweepCache opens (creating if needed) an on-disk session cache.
-func OpenSweepCache(dir string) (*SweepCache, error) { return sweep.Open(dir) }
-
-// Fleet layer access: a multi-tenant ingest node that admission-controls
-// channel-keyed streams against a simulated GPU pool on a virtual clock,
-// then executes the admitted sessions through a sweep runner.
-type (
-	// FleetManager is the admission-control registry of one ingest node.
-	FleetManager = fleet.Manager
-	// FleetOptions sizes the node (GPU pool, admission policy, telemetry).
-	FleetOptions = fleet.Options
-	// FleetPolicy selects what happens to over-capacity arrivals.
-	FleetPolicy = fleet.Policy
-	// FleetStreamSpec declares one arriving stream (key, arrival, config).
-	FleetStreamSpec = fleet.StreamSpec
-	// FleetPlan is a completed virtual admission timeline ready to execute.
-	FleetPlan = fleet.Plan
-	// FleetStats summarizes a plan's admission timeline.
-	FleetStats = fleet.Stats
-)
-
-// Admission policies for over-capacity arrivals.
-const (
-	FleetPolicyReject  = fleet.PolicyReject
-	FleetPolicyDegrade = fleet.PolicyDegrade
-	FleetPolicyQueue   = fleet.PolicyQueue
-)
-
-// NewFleetManager returns an empty ingest node.
-func NewFleetManager(o FleetOptions) *FleetManager { return fleet.NewManager(o) }
-
-// BuildFleetPlan registers every spec against a fresh node and runs the
-// virtual admission timeline to completion.
-func BuildFleetPlan(specs []FleetStreamSpec, o FleetOptions) (*FleetPlan, error) {
-	return fleet.BuildPlan(specs, o)
-}
-
-// Edge layer access: distribution of each channel's enhanced output as
-// HLS-style segments from an origin through relay trees to viewer
-// sessions, over the unified transport.Conn API — the same actors run on
-// netem-shaped simulated links (RunEdge) and on real sockets
-// (cmd/livenas-edge, cmd/livenas-server's origin endpoint).
-type (
-	// EdgeOrigin packages enhanced epochs into segments and serves the
-	// rolling playlist to subscribers.
-	EdgeOrigin = edge.Origin
-	// EdgeRelay subscribes upstream and fans out to many downstream
-	// subscribers through a pull-through segment cache.
-	EdgeRelay = edge.Relay
-	// EdgeViewer plays one channel: follows the playlist, fetches
-	// segments at the rung its ABR algorithm picks, tracks QoE.
-	EdgeViewer = edge.Viewer
-	// EdgeViewerConfig parameterises a viewer session.
-	EdgeViewerConfig = edge.ViewerConfig
-	// EdgeViewerStats summarises one viewer's playback.
-	EdgeViewerStats = edge.ViewerStats
-	// EdgeSegment is one content-addressed media segment.
-	EdgeSegment = edge.Segment
-	// EdgePlaylist is the rolling window of published segment refs.
-	EdgePlaylist = edge.Playlist
-	// EdgeSimConfig describes one deterministic fan-out simulation.
-	EdgeSimConfig = edge.SimConfig
-	// EdgeResult aggregates a fan-out simulation's delivery metrics.
-	EdgeResult = edge.Result
-	// EdgeTelemetry is the edge layer's metric bundle.
-	EdgeTelemetry = edge.Telemetry
-)
-
-// RunEdge runs one origin→relay→viewer fan-out simulation on a virtual
-// clock: byte-identical results for the same config on every host.
-func RunEdge(c EdgeSimConfig) (*EdgeResult, error) { return edge.RunSim(c) }
-
 // Experiments lists every reproducible table and figure id.
 func Experiments() []string { return exp.IDs() }
 
 // RunExperiment regenerates one paper table/figure by id, running its
 // sessions on a private sweep runner bound to ctx.
 func RunExperiment(ctx context.Context, id string, o ExpOptions) ([]*ExpTable, error) {
-	return RunExperimentWith(ctx, id, o, nil)
-}
-
-// RunExperimentWith is RunExperiment with an explicit sweep runner, letting
-// callers share one cache/worker pool (and its telemetry) across
-// experiments. A nil runner gets a private one.
-func RunExperimentWith(ctx context.Context, id string, o ExpOptions, r *SweepRunner) ([]*ExpTable, error) {
 	e, err := exp.Find(id)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(ctx, o, r), nil
+	return e.Run(ctx, o, nil), nil
 }
 
 // DefaultExpOptions returns the fast harness configuration.

@@ -6,9 +6,9 @@
 #                         (whole module, no flags, under 4 s), short tests,
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests, the wire format
-#                         pin and the sr inference differentials by name,
-#                         parallel sweep smoke (one small figure sweep at
-#                         -parallel 4)
+#                         pin, the sr inference differentials and the
+#                         arena ownership contract by name, parallel sweep
+#                         smoke (one small figure sweep at -parallel 4)
 #   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
 #                         asm stubs and purego twins are its territory),
 #                         the same livenas-vet and benchmark-module steps,
@@ -190,6 +190,12 @@ if [[ "$TIER" == "fast" ]]; then
         TestFrameV1GobSkipped TestFrameUnknownVersionSkipDoesNotAllocate \
         TestFrameNonCanonicalRejected TestFrameAllocCeilings
     step "sr inference differential" sr_inference_pin
+    # The arena ownership contract (every Get/GetBuf handed back exactly
+    # once) has no static check: these three tests carry it alone, for the
+    # inference forward, the training chain and the serving path's steady
+    # state, so a rename must not drop one.
+    step "arena_contract_pin" pin_tests ./internal/sr TestInferenceReturnsEveryTensor \
+        TestTrainerReturnsEveryTensor TestSuperResolveAllocCeilings
     # One real figure sweep through the concurrent engine: catches worker /
     # cache / ordering regressions the unit tests can't see end to end.
     step "sweep smoke" go run ./cmd/livenas-bench -fig fig23 -parallel 4 -dur 20s -traces 1
