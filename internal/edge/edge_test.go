@@ -61,6 +61,21 @@ func TestPlaylistEncodeDeterministic(t *testing.T) {
 	if pl.Oldest() != 3 || pl.LiveEdge() != 6 {
 		t.Fatalf("window [%d,%d], want [3,6]", pl.Oldest(), pl.LiveEdge())
 	}
+	// Decoding loses nothing and re-encoding reproduces the bytes, whatever
+	// the playlist holds.
+	for i, want := range roundTripPlaylists() {
+		raw := want.Encode()
+		got, err := DecodePlaylist(raw)
+		if err != nil {
+			t.Fatalf("playlist %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("playlist %d round trip:\n got %+v\nwant %+v", i, got, want)
+		}
+		if !bytes.Equal(got.Encode(), raw) {
+			t.Fatalf("playlist %d re-encoded to different bytes", i)
+		}
+	}
 }
 
 // TestSegmenterWindow checks rolling eviction and content addressing.
@@ -85,11 +100,17 @@ func TestSegmenterWindow(t *testing.T) {
 }
 
 // TestDecodePlaylistMalformed checks the error-not-panic contract on
-// network-supplied playlist bytes.
+// network-supplied playlist bytes, and that the one accepted encoding of a
+// playlist is the canonical one.
 func TestDecodePlaylistMalformed(t *testing.T) {
-	for _, b := range [][]byte{nil, {0}, {0xFF, 0xA0, 0x13, 0x07}} {
+	for _, b := range [][]byte{{0}, {0xFF, 0xA0, 0x13, 0x07}} {
 		if _, err := DecodePlaylist(b); err == nil {
 			t.Fatalf("decode of %v should error", b)
+		}
+	}
+	for _, bad := range malformedPlaylists() {
+		if p, err := DecodePlaylist(bad.body); err == nil || p != nil {
+			t.Errorf("%s: got %+v, %v; want a decode error", bad.name, p, err)
 		}
 	}
 }
@@ -103,6 +124,30 @@ func TestSyntheticPayloadDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a, SyntheticPayload("ch000", 4, 2, 256)) {
 		t.Fatal("different rungs must differ")
+	}
+}
+
+// TestSyntheticPayloadMatchesRef holds the block-wise generator to the seed's
+// byte-at-a-time loop, at lengths on both sides of every block boundary.
+func TestSyntheticPayloadMatchesRef(t *testing.T) {
+	ref := func(channel string, index, rung, n int) []byte {
+		x := uint64(14695981039346656037)
+		for _, b := range []byte(channel + "/" + strconv.Itoa(index) + "/" + strconv.Itoa(rung)) {
+			x = (x ^ uint64(b)) * 1099511628211
+		}
+		out := make([]byte, n)
+		for i := range out {
+			x ^= x >> 12
+			x ^= x << 25
+			x ^= x >> 27
+			out[i] = byte((x * 2685821657736338717) >> 56)
+		}
+		return out
+	}
+	for _, n := range []int{0, 1, 255, 256, 257, 511, 512, 513, 50_000} {
+		if got, want := SyntheticPayload("ch000", 7, 2, n), ref("ch000", 7, 2, n); !bytes.Equal(got, want) {
+			t.Errorf("n=%d: block-wise bytes differ from the reference loop", n)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -29,6 +30,7 @@ type Origin struct {
 
 type originChannel struct {
 	seg *Segmenter
+	raw []byte // the playlist as last pushed; nil before the first publish
 	// Subscribers in subscription order: a slice, not a map, so playlist
 	// fan-out order is deterministic.
 	subs []transport.Conn
@@ -69,27 +71,24 @@ func (o *Origin) Publish(channel string, payloads [][]byte) {
 	}
 	ch.seg.Push(o.clock.Now(), payloads)
 	o.tel.SegsPublished.Add(int64(len(payloads)))
-	o.pushPlaylist(channel, ch)
+	ch.raw = ch.seg.Playlist().Encode()
+	ch.subs = fanOut(ch.subs, channel, ch.raw, o.tel, &o.egress)
 }
 
-// pushPlaylist fans the current playlist out to all subscribers; a failed
-// send evicts the subscriber. Callers hold o.mu.
-func (o *Origin) pushPlaylist(channel string, ch *originChannel) {
-	raw := ch.seg.Playlist().Encode()
-	live := ch.subs[:0]
-	for _, c := range ch.subs {
-		m := &wire.Message{Type: wire.MsgPlaylist, Channel: channel, Data: raw}
-		if err := c.Send(m); err != nil {
-			continue // closed subscriber: drop it
+// fanOut sends one playlist message, shared and only read, to every subscriber,
+// adds the bytes sent to *egress and returns those whose send did not fail.
+func fanOut(subs []transport.Conn, channel string, raw []byte, tel *Telemetry, egress *int64) []transport.Conn {
+	m := &wire.Message{Type: wire.MsgPlaylist, Channel: channel, Data: raw}
+	size, live := int64(m.WireSize()), subs[:0]
+	for _, c := range subs {
+		if c.Send(m) == nil {
+			*egress += size
+			tel.PlaylistPushes.Add(1)
+			live = append(live, c)
 		}
-		o.egress += int64(m.WireSize())
-		o.tel.PlaylistPushes.Add(1)
-		live = append(live, c)
 	}
-	for i := len(live); i < len(ch.subs); i++ {
-		ch.subs[i] = nil
-	}
-	ch.subs = live
+	clear(subs[len(live):])
+	return live
 }
 
 // Handle processes one message from a subscriber connection.
@@ -112,8 +111,8 @@ func (o *Origin) Handle(c transport.Conn, m *wire.Message) {
 		// resuming: the resume index in m.FrameID needs no special handling
 		// here, since playlists are full-window snapshots and segment
 		// fetches are pull).
-		if len(ch.seg.Playlist().Segments) > 0 {
-			pm := &wire.Message{Type: wire.MsgPlaylist, Channel: m.Channel, Data: ch.seg.Playlist().Encode()}
+		if ch.raw != nil {
+			pm := &wire.Message{Type: wire.MsgPlaylist, Channel: m.Channel, Data: ch.raw}
 			if c.Send(pm) == nil {
 				o.egress += int64(pm.WireSize())
 				o.tel.PlaylistPushes.Add(1)
@@ -154,11 +153,8 @@ func (o *Origin) RemoveConn(c transport.Conn) {
 
 // drop removes one subscriber. Callers hold o.mu.
 func (o *Origin) drop(ch *originChannel, c transport.Conn) {
-	for i, s := range ch.subs {
-		if s == c {
-			ch.subs = append(ch.subs[:i], ch.subs[i+1:]...)
-			return
-		}
+	if i := slices.Index(ch.subs, c); i >= 0 {
+		ch.subs = slices.Delete(ch.subs, i, i+1) // clears the vacated tail slot
 	}
 }
 

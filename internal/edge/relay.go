@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -102,20 +103,7 @@ func (r *Relay) HandleUpstream(m *wire.Message) {
 				delete(ch.cache, k)
 			}
 		}
-		live := ch.subs[:0]
-		for _, c := range ch.subs {
-			fm := &wire.Message{Type: wire.MsgPlaylist, Channel: m.Channel, Data: ch.raw}
-			if err := c.Send(fm); err != nil {
-				continue
-			}
-			r.egress += int64(fm.WireSize())
-			r.tel.PlaylistPushes.Add(1)
-			live = append(live, c)
-		}
-		for i := len(live); i < len(ch.subs); i++ {
-			ch.subs[i] = nil
-		}
-		ch.subs = live
+		ch.subs = fanOut(ch.subs, m.Channel, ch.raw, r.tel, &r.egress)
 	case wire.MsgSegment:
 		now := r.clock.Now()
 		if m.SentAtUS > 0 {
@@ -230,11 +218,8 @@ func (r *Relay) dropLocked(c transport.Conn) {
 	sort.Strings(names)
 	for _, name := range names {
 		ch := r.channels[name]
-		for i, s := range ch.subs {
-			if s == c {
-				ch.subs = append(ch.subs[:i], ch.subs[i+1:]...)
-				break
-			}
+		if i := slices.Index(ch.subs, c); i >= 0 {
+			ch.subs = slices.Delete(ch.subs, i, i+1) // clears the vacated tail slot
 		}
 		keys := make([]segKey, 0, len(ch.pending))
 		for k := range ch.pending {
@@ -248,13 +233,11 @@ func (r *Relay) dropLocked(c transport.Conn) {
 		})
 		for _, k := range keys {
 			ws := ch.pending[k]
-			for i, w := range ws {
-				if w == c {
-					ch.pending[k] = append(ws[:i], ws[i+1:]...)
-					break
-				}
+			if i := slices.Index(ws, c); i >= 0 {
+				ws = slices.Delete(ws, i, i+1)
+				ch.pending[k] = ws
 			}
-			if len(ch.pending[k]) == 0 {
+			if len(ws) == 0 {
 				delete(ch.pending, k)
 			}
 		}

@@ -1,10 +1,11 @@
 package edge
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"livenas/internal/abr"
@@ -15,20 +16,7 @@ import (
 // effective (perceived-quality) bitrate after the ingest-side enhancement
 // boost — the playlist is where the origin tells viewers how much quality
 // LiveNAS bought them per bit.
-type RungInfo struct {
-	Name          string
-	Kbps          float64
-	EffectiveKbps float64
-}
-
-// abrRungs converts the advertised ladder to the ABR package's form.
-func abrRungs(rs []RungInfo) []abr.Rung {
-	out := make([]abr.Rung, len(rs))
-	for i, r := range rs {
-		out[i] = abr.Rung{Name: r.Name, Kbps: r.Kbps, EffectiveKbps: r.EffectiveKbps}
-	}
-	return out
-}
+type RungInfo = abr.Rung
 
 // Segment is one fixed-duration piece of a channel's enhanced output at one
 // ladder rung. ID is its content address: any two nodes holding a segment
@@ -66,11 +54,18 @@ func SyntheticPayload(channel string, index, rung, n int) []byte {
 	}
 	out := make([]byte, n)
 	x := seed
-	for i := range out {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		out[i] = byte((x * 2685821657736338717) >> 56)
+	// Out through a 256-byte stack block (DESIGN.md, "Payload blocks"): the
+	// collector's preemption signal lands in this call-free loop, the stopped
+	// frame is scanned conservatively with its vector registers, and a block
+	// copy leaves payload bytes in them, not a pointer to a dead simulation.
+	var blk [256]byte
+	for rest := out; len(rest) > 0; rest = rest[copy(rest, blk[:]):] {
+		for i := range blk[:min(len(rest), len(blk))] {
+			x ^= x >> 12
+			x ^= x << 25
+			x ^= x >> 27
+			blk[i] = byte((x * 2685821657736338717) >> 56)
+		}
 	}
 	return out
 }
@@ -122,40 +117,167 @@ func (p *Playlist) Ref(index int) *SegmentRef {
 	return &p.Segments[index-o]
 }
 
-// gob assigns wire type ids process-wide in first-use order, and an id of
-// 128 or more costs an extra byte wherever it appears. Simulated links
-// charge for a playlist's encoded size, so without this the virtual-time
-// results of an edge simulation would depend on what else the process had
-// gob-encoded first (the sweep runner's config keys push the ids past 128).
-// Claiming the ids at init makes the size a function of the playlist alone.
-func init() { (&Playlist{}).Encode() }
+// PlaylistVersion is the first byte of an encoded playlist. Bump it whenever
+// the bytes Encode produces change: TestPlaylistLayoutPinned holds them.
+const PlaylistVersion = 1
 
-// Encode serialises the playlist for a MsgPlaylist body. The encoding is
-// deterministic (fixed field order, no maps): the same window encodes to
-// the same bytes on every node, pinned by TestPlaylistEncodeDeterministic.
+// Encode serialises the playlist for a MsgPlaylist body, hand-laid like the
+// wire frame body (DESIGN.md, "Playlist body"): the version byte, then every
+// field in declaration order, each list behind its count. A playlist has one
+// byte sequence, the same on every node, and relays forward it verbatim.
 func (p *Playlist) Encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		// A playlist is plain data; encoding cannot fail except by a
-		// programming error.
-		panic(fmt.Sprintf("edge: playlist encode: %v", err))
+	// Room for the usual window of 16-character IDs; append covers the rest.
+	b := append(make([]byte, 0, 64+len(p.Channel)+32*len(p.Rungs)+len(p.Segments)*(24+24*len(p.Rungs))), PlaylistVersion)
+	b = appendString(b, p.Channel)
+	b = binary.AppendVarint(b, int64(p.Window))
+	b = binary.AppendUvarint(b, uint64(len(p.Rungs)))
+	for _, r := range p.Rungs {
+		b = appendString(b, r.Name)
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.Kbps))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.EffectiveKbps))
 	}
-	return buf.Bytes()
+	b = binary.AppendUvarint(b, uint64(len(p.Segments)))
+	for i := range p.Segments {
+		ref := &p.Segments[i]
+		b = binary.AppendVarint(b, int64(ref.Index))
+		b = binary.AppendVarint(b, ref.PubUS)
+		b = binary.AppendVarint(b, ref.DurUS)
+		b = binary.AppendUvarint(b, uint64(len(ref.IDs)))
+		for _, id := range ref.IDs {
+			b = appendString(b, id)
+		}
+		b = binary.AppendUvarint(b, uint64(len(ref.Sizes)))
+		for _, size := range ref.Sizes {
+			b = binary.AppendVarint(b, int64(size))
+		}
+	}
+	return b
 }
 
-// DecodePlaylist parses a MsgPlaylist body. Like the wire package it turns
-// decode panics into errors: playlist bytes arrive from the network.
-func DecodePlaylist(b []byte) (p *Playlist, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, err = nil, fmt.Errorf("edge: playlist decode: panic: %v", r)
-		}
-	}()
-	var pl Playlist
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&pl); err != nil {
-		return nil, fmt.Errorf("edge: playlist decode: %w", err)
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// DecodePlaylist parses a MsgPlaylist body off the network: an unknown
+// version, a non-minimal uvarint, a length or count that overruns the body and
+// bytes left over are errors, and every count is checked against the bytes
+// that remain before anything is sized by it. Empty lists decode to nil. The
+// body is copied once, as a string Channel, rung names and IDs are slices of.
+func DecodePlaylist(b []byte) (*Playlist, error) {
+	if len(b) == 0 || b[0] != PlaylistVersion {
+		return nil, errors.New("edge: playlist decode: unsupported version")
 	}
-	return &pl, nil
+	d := playlistReader{b: b, s: string(b), off: 1}
+	p := &Playlist{Channel: d.str(), Window: d.int()}
+	if n := d.count(1 + 8 + 8); n > 0 { // a rung is at least an empty name and two floats
+		p.Rungs = make([]RungInfo, n)
+		for i := range p.Rungs {
+			p.Rungs[i] = RungInfo{Name: d.str(), Kbps: d.float(), EffectiveKbps: d.float()}
+		}
+	}
+	if n := d.count(3 + 1 + 1); n > 0 { // a ref is at least three ints and two counts
+		p.Segments = make([]SegmentRef, n)
+		for i := range p.Segments {
+			ref := &p.Segments[i]
+			ref.Index, ref.PubUS, ref.DurUS = d.int(), d.int64(), d.int64()
+			ref.IDs = carve(&d, &d.ids, d.count(1), n-i)
+			for j := range ref.IDs {
+				ref.IDs[j] = d.str()
+			}
+			ref.Sizes = carve(&d, &d.sizes, d.count(1), n-i)
+			for j := range ref.Sizes {
+				ref.Sizes[j] = d.int()
+			}
+		}
+	}
+	if d.off != len(d.b) {
+		d.fail("bytes after the last segment")
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return p, nil
+}
+
+// playlistReader walks one playlist body. The first failure sticks in err and
+// empties the rest of the body: later reads are no-ops, no check per field.
+type playlistReader struct {
+	b     []byte
+	s     string // b, copied: what the decoded strings are slices of
+	off   int
+	err   error
+	ids   []string // unused tail of the array the refs' IDs share
+	sizes []int    // likewise for Sizes
+}
+
+func (d *playlistReader) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("edge: playlist decode: %s (byte %d of %d)", what, d.off, len(d.b))
+		d.off = len(d.b)
+	}
+}
+
+func (d *playlistReader) uvarint() uint64 {
+	x, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 || n > 1 && d.b[d.off+n-1] == 0 { // cut short, over 64 bits, or padded: not canonical
+		d.fail("malformed uvarint")
+		return 0
+	}
+	d.off += n
+	return x
+}
+
+// count reads how many elements of at least min bytes each follow.
+func (d *playlistReader) count(min int) int {
+	n := d.uvarint()
+	if n > uint64((len(d.b)-d.off)/min) {
+		d.fail("count overruns the body")
+		return 0
+	}
+	return int(n)
+}
+
+func (d *playlistReader) str() string {
+	n := d.count(1)
+	d.off += n
+	return d.s[d.off-n : d.off]
+}
+
+func (d *playlistReader) int64() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (d *playlistReader) int() int {
+	v := d.int64()
+	if int64(int(v)) != v {
+		d.fail("integer out of range")
+	}
+	return int(v)
+}
+
+func (d *playlistReader) float() float64 {
+	if len(d.b)-d.off < 8 {
+		d.fail("float overruns the body")
+		return 0
+	}
+	d.off += 8
+	return math.Float64frombits(binary.BigEndian.Uint64(d.b[d.off-8:]))
+}
+
+// carve cuts the next n elements off *pool, the tail of an array one
+// playlist's refs share. A pool that runs short is replaced by one for refsLeft
+// refs of n elements, but never more than the body has bytes left for.
+func carve[T any](d *playlistReader, pool *[]T, n, refsLeft int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(*pool) {
+		*pool = make([]T, n*min(refsLeft, (len(d.b)-d.off)/n))
+	}
+	out := (*pool)[:n:n]
+	*pool = (*pool)[n:]
+	return out
 }
 
 // Segmenter cuts one channel's enhanced output into the rolling segment

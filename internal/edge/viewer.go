@@ -61,8 +61,7 @@ type Viewer struct {
 	tel   *Telemetry
 	conn  transport.Conn
 
-	pl     *Playlist
-	rungs  []abr.Rung
+	pl     *Playlist // latest window; its Rungs are the ladder the ABR picks from
 	segDur time.Duration
 
 	started     bool // playback position initialised from the first playlist
@@ -130,7 +129,6 @@ func (v *Viewer) Handle(m *wire.Message) {
 			return
 		}
 		v.pl = pl
-		v.rungs = abrRungs(pl.Rungs)
 		if len(pl.Segments) > 0 {
 			v.segDur = durUS(pl.Segments[0].DurUS)
 			if !v.started {
@@ -155,17 +153,17 @@ func (v *Viewer) Handle(m *wire.Message) {
 		size := int64(m.WireSize())
 		v.stats.Bytes += size
 		if dt := now - v.reqAt; dt > 0 {
-			v.thr = append(v.thr, float64(size*8)/dt.Seconds()/1000)
-			if len(v.thr) > 20 {
-				v.thr = v.thr[len(v.thr)-20:]
+			if len(v.thr) == 20 { // copy down: re-slicing would walk the window through an ever-growing array
+				v.thr = v.thr[:copy(v.thr, v.thr[1:])]
 			}
+			v.thr = append(v.thr, float64(size*8)/dt.Seconds()/1000)
 		}
 		v.stats.Played++
-		if v.reqRung < len(v.rungs) {
-			v.stats.KbpsSum += v.rungs[v.reqRung].Kbps
-			v.stats.EffSum += v.rungs[v.reqRung].EffectiveKbps
-		}
 		if v.pl != nil {
+			if v.reqRung < len(v.pl.Rungs) {
+				v.stats.KbpsSum += v.pl.Rungs[v.reqRung].Kbps
+				v.stats.EffSum += v.pl.Rungs[v.reqRung].EffectiveKbps
+			}
 			if ref := v.pl.Ref(m.FrameID); ref != nil {
 				lat := now - durUS(ref.PubUS)
 				v.stats.Latencies = append(v.stats.Latencies, lat)
@@ -258,12 +256,12 @@ func (v *Viewer) maybeRequest(now time.Duration) {
 	if v.next > v.pl.LiveEdge() {
 		return // fully caught up; the next playlist push re-triggers us
 	}
-	rung := v.cfg.Alg.Next(v.rungs, v.thr, v.buffer)
+	rung := v.cfg.Alg.Next(v.pl.Rungs, v.thr, v.buffer)
 	if rung < 0 {
 		rung = 0
 	}
-	if rung >= len(v.rungs) {
-		rung = len(v.rungs) - 1
+	if rung >= len(v.pl.Rungs) {
+		rung = len(v.pl.Rungs) - 1
 	}
 	v.outstanding = true
 	v.reqIndex, v.reqRung, v.reqAt = v.next, rung, now

@@ -69,7 +69,7 @@ func TestEdgeBenchPlanDeterministic(t *testing.T) {
 		delivered += r.Delivered
 		p99 = max(p99, r.DeliveryP99)
 	}
-	const wantP99 = 851628724 * time.Nanosecond // 851.628724 ms
+	const wantP99 = 851476029 * time.Nanosecond // 851.476029 ms
 	if viewers != 480 || delivered != 11520 || p99 != wantP99 {
 		t.Fatalf("edge plan: %d viewers, %d delivered, worst delivery p99 %v; want 480, 11520, %v",
 			viewers, delivered, p99, wantP99)

@@ -5,10 +5,7 @@
 // minutes while preserving ordering and timing semantics.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // event is one scheduled callback.
 type event struct {
@@ -17,18 +14,48 @@ type event struct {
 	fn  func()
 }
 
+// before is the heap order. seq is unique, so (at, seq) is a total order and
+// the pop sequence does not depend on how the heap arranges itself.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events by value: only growth allocates.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	*h = q
+	i := len(q) - 1
+	for ; i > 0 && e.before(&q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i] = q[(i-1)/2]
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// pop removes the earliest event and zeroes the slot it vacates: spare
+// capacity must not keep a closure that has run, and what it captured, alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, e := q[0], q[n]
+	q[n] = event{}
+	*h = q[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&e) {
+			break
+		}
+		q[i], i = q[c], c
+	}
+	if n > 0 {
+		q[i] = e
+	}
+	return top
+}
 
 // Simulator is a single-threaded discrete-event loop. It is not safe for
 // concurrent use; all scheduled callbacks run on the caller's goroutine.
@@ -52,7 +79,7 @@ func (s *Simulator) At(t time.Duration, fn func()) {
 		panic("sim: scheduling into the past")
 	}
 	s.seq++
-	heap.Push(&s.pq, event{at: t, seq: s.seq, fn: fn})
+	s.pq.push(event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn d after the current virtual time (d < 0 is clamped).
@@ -70,7 +97,7 @@ func (s *Simulator) Stop() { s.halt = true }
 func (s *Simulator) Run() {
 	s.halt = false
 	for len(s.pq) > 0 && !s.halt {
-		e := heap.Pop(&s.pq).(event)
+		e := s.pq.pop()
 		s.now = e.at
 		e.fn()
 	}
@@ -101,7 +128,7 @@ func (s *Simulator) StepUntil(t time.Duration, budget int) bool {
 		if budget > 0 && n >= budget {
 			return true
 		}
-		e := heap.Pop(&s.pq).(event)
+		e := s.pq.pop()
 		s.now = e.at
 		e.fn()
 	}

@@ -20,11 +20,21 @@ func simPair(kbps float64, delay time.Duration, queueBytes int) (*sim.Simulator,
 	return s, a, b
 }
 
+// padTo gives m the payload that makes its frame exactly size bytes.
+func padTo(m *wire.Message, size int) *wire.Message {
+	m.Data = make([]byte, size)
+	m.Data = m.Data[:2*size-m.WireSize()]
+	if m.WireSize() != size {
+		panic("padTo: the payload's length prefix changed width")
+	}
+	return m
+}
+
 // TestSimConnDelivery pins the netem shape: a message's arrival time is
 // its serialisation time at the link rate plus the propagation delay.
 func TestSimConnDelivery(t *testing.T) {
 	s, a, b := simPair(100 /*kbps*/, 20*time.Millisecond, 0)
-	m := &wire.Message{Type: wire.MsgSegment, Data: make([]byte, 1000-64)} // WireSize = 1000
+	m := padTo(&wire.Message{Type: wire.MsgSegment}, 1000)
 	if err := a.Send(m); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +56,7 @@ func TestSimConnDelivery(t *testing.T) {
 func TestSimConnFIFO(t *testing.T) {
 	s, a, b := simPair(100, 10*time.Millisecond, 0)
 	for i := 0; i < 3; i++ {
-		if err := a.Send(&wire.Message{Type: wire.MsgVideo, FrameID: i, Data: make([]byte, 1000-64)}); err != nil {
+		if err := a.Send(padTo(&wire.Message{Type: wire.MsgVideo, FrameID: i}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +87,7 @@ func TestSimConnDropOldest(t *testing.T) {
 	// First message starts serialising immediately (not part of the queue);
 	// the next three overflow the 2000-byte bound by one.
 	for i := 0; i < 4; i++ {
-		if err := a.Send(&wire.Message{Type: wire.MsgVideo, FrameID: i, Data: make([]byte, 1000-64)}); err != nil {
+		if err := a.Send(padTo(&wire.Message{Type: wire.MsgVideo, FrameID: i}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +359,10 @@ func (g *gateConn) Close() error { return nil }
 func TestQueuedConnReleasesSentMessages(t *testing.T) {
 	const burst = 8
 	g := &gateConn{release: make(chan struct{}), sent: make(chan *wire.Message, burst)}
-	q := NewQueuedConn(g, 5*(64+100)) // room for five 100-byte messages
+	msg := func(i int) *wire.Message {
+		return &wire.Message{Type: wire.MsgSegment, FrameID: i, Data: make([]byte, 100)}
+	}
+	q := NewQueuedConn(g, 5*msg(burst).WireSize()) // room for five of them
 	defer q.Close()
 	slots := func() (live, stale, capacity int) {
 		q.mu.Lock()
@@ -368,7 +381,7 @@ func TestQueuedConnReleasesSentMessages(t *testing.T) {
 	var capAfterFirst int
 	for round := 0; round < 50; round++ {
 		for i := 0; i < burst; i++ {
-			if err := q.Send(&wire.Message{Type: wire.MsgSegment, FrameID: i, Data: make([]byte, 100)}); err != nil {
+			if err := q.Send(msg(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

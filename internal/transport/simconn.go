@@ -37,16 +37,32 @@ type SimConn struct {
 	peer *SimConn
 	cfg  SimLinkConfig
 
-	queue   []*wire.Message // waiting for serialisation (head next)
-	queued  int             // bytes across queue
-	serving bool            // one message is on the wire
-	dropped int             // drop-oldest evictions
+	queue   []sized // waiting for serialisation (head next)
+	queued  int     // bytes across queue
+	serving bool    // one message is on the wire
+	dropped int     // drop-oldest evictions
 
 	inbox        []*wire.Message
 	handler      func(*wire.Message)
 	closed       bool // this side closed
 	remoteClosed bool // peer's close propagated here
 	timeout      time.Duration
+}
+
+// sized is a queued message with its WireSize, computed once in Send.
+type sized struct {
+	m    *wire.Message
+	size int
+}
+
+// popQueue removes the queue head, clearing its slot so the backing array
+// does not keep the message (and its payload) alive.
+func (c *SimConn) popQueue() (m *wire.Message, size int) {
+	q := c.queue[0]
+	c.queue[0] = sized{}
+	c.queue = c.queue[1:]
+	c.queued -= q.size
+	return q.m, q.size
 }
 
 // NewSimConnPair creates a connected pair of simulated endpoints on s.
@@ -66,12 +82,11 @@ func (c *SimConn) Send(m *wire.Message) error {
 	if c.closed || c.remoteClosed {
 		return ErrClosed
 	}
-	c.queue = append(c.queue, m)
-	c.queued += m.WireSize()
+	size := m.WireSize()
+	c.queue = append(c.queue, sized{m, size})
+	c.queued += size
 	for c.cfg.QueueBytes > 0 && c.queued > c.cfg.QueueBytes && len(c.queue) > 1 {
-		old := c.queue[0]
-		c.queue = c.queue[1:]
-		c.queued -= old.WireSize()
+		c.popQueue()
 		c.dropped++
 	}
 	c.arm()
@@ -83,13 +98,11 @@ func (c *SimConn) arm() {
 	if c.serving || len(c.queue) == 0 || c.closed {
 		return
 	}
-	m := c.queue[0]
-	c.queue = c.queue[1:]
-	c.queued -= m.WireSize()
+	m, size := c.popQueue()
 	c.serving = true
 	tx := time.Duration(0)
 	if c.cfg.Kbps > 0 {
-		tx = time.Duration(float64(m.WireSize()*8) / (c.cfg.Kbps * 1000) * float64(time.Second))
+		tx = time.Duration(float64(size*8) / (c.cfg.Kbps * 1000) * float64(time.Second))
 	}
 	c.s.After(tx, func() {
 		c.serving = false
@@ -118,6 +131,7 @@ func (c *SimConn) OnMessage(fn func(*wire.Message)) {
 	c.handler = fn
 	for len(c.inbox) > 0 && c.handler != nil {
 		m := c.inbox[0]
+		c.inbox[0] = nil
 		c.inbox = c.inbox[1:]
 		fn(m)
 	}
@@ -133,6 +147,7 @@ func (c *SimConn) Recv() (*wire.Message, error) {
 	for {
 		if len(c.inbox) > 0 {
 			m := c.inbox[0]
+			c.inbox[0] = nil
 			c.inbox = c.inbox[1:]
 			return m, nil
 		}

@@ -120,15 +120,13 @@ type Message struct {
 	Data []byte
 }
 
-// WireSize is the byte-size model the simulated transport charges for a
-// message: the payload plus a fixed framing/field overhead and the
-// variable-length strings. It deliberately avoids a real gob encode — the
-// simulator sends the same *Message to hundreds of viewers and only the
-// deterministic size matters there, not the exact gob framing.
+// WireSize is exactly the number of bytes WriteFrame puts on the socket for
+// m, length prefix included: what the simulated transport charges a link for
+// a message and what the edge actors count as egress.
 func (m *Message) WireSize() int {
-	// A Message belongs to one sender or receiver at a time; edge actors
-	// lock their own registries, not the wire type.
-	return 64 + len(m.Channel) + len(m.Reason) + len(m.SegID) + len(m.Data)
+	var scratch [128]byte // on the stack unless a string outgrows it
+	e := frameWriter{b: scratch[:0]}.header(m)
+	return len(e.b) + len(m.Data)
 }
 
 // maxMessage bounds a message to keep a malformed peer from exhausting
@@ -205,32 +203,69 @@ func putScratch(sp *[]byte, b []byte) {
 }
 
 // frameWriter appends the present fields of one message and collects their
-// mask bits.
+// mask bits. It is passed and returned by value so that b can live in the
+// caller's frame: WireSize lays a header out on its stack.
 type frameWriter struct {
 	b    []byte
 	mask uint32
 }
 
-func (e *frameWriter) int(bit uint, v int64) {
+func (e frameWriter) int(bit uint, v int64) frameWriter {
 	if v != 0 {
 		e.mask |= 1 << bit
 		e.b = binary.AppendVarint(e.b, v) // zig-zag, then uvarint
 	}
+	return e
 }
 
-func (e *frameWriter) float(bit uint, f float64) {
+func (e frameWriter) float(bit uint, f float64) frameWriter {
 	if bits := math.Float64bits(f); bits != 0 {
 		e.mask |= 1 << bit
 		e.b = binary.BigEndian.AppendUint64(e.b, bits)
 	}
+	return e
 }
 
-func (e *frameWriter) str(bit uint, s string) {
+func (e frameWriter) str(bit uint, s string) frameWriter {
 	if s != "" {
 		e.mask |= 1 << bit
 		e.b = binary.AppendUvarint(e.b, uint64(len(s)))
 		e.b = append(e.b, s...)
 	}
+	return e
+}
+
+// header lays out everything of m's frame but the payload bytes. The length
+// prefix is left zero: only WriteFrame needs it.
+func (e frameWriter) header(m *Message) frameWriter {
+	e.b = append(e.b[:0], 0, 0, 0, 0, FrameVersion, byte(m.Type), 0, 0, 0)
+	e = e.str(fieldChannel, m.Channel)
+	e = e.int(fieldIngestW, int64(m.IngestW))
+	e = e.int(fieldIngestH, int64(m.IngestH))
+	e = e.int(fieldNativeW, int64(m.NativeW))
+	e = e.int(fieldNativeH, int64(m.NativeH))
+	e = e.float(fieldFPS, m.FPS)
+	e = e.int(fieldFrameID, int64(m.FrameID))
+	if m.Key {
+		e.mask |= 1 << fieldKey
+	}
+	e = e.int(fieldQP, int64(m.QP))
+	e = e.int(fieldX, int64(m.X))
+	e = e.int(fieldY, int64(m.Y))
+	e = e.float(fieldGainDB, m.GainDB)
+	e = e.int(fieldEpochs, int64(m.Epochs))
+	e = e.int(fieldSamples, int64(m.Samples))
+	e = e.str(fieldReason, m.Reason)
+	e = e.int(fieldRung, int64(m.Rung))
+	e = e.str(fieldSegID, m.SegID)
+	e = e.int(fieldSegDurUS, m.SegDurUS)
+	e = e.int(fieldSentAtUS, m.SentAtUS)
+	if m.Data != nil {
+		e.mask |= 1 << fieldData
+		e.b = binary.AppendUvarint(e.b, uint64(len(m.Data)))
+	}
+	e.b[6], e.b[7], e.b[8] = byte(e.mask>>16), byte(e.mask>>8), byte(e.mask)
+	return e
 }
 
 // WriteFrame sends one message as one frame (the layout is in the package
@@ -240,35 +275,9 @@ func (e *frameWriter) str(bit uint, s string) {
 // header in a single writev.
 func WriteFrame(w io.Writer, m *Message) error {
 	sp := scratchPool.Get().(*[]byte)
-	e := frameWriter{b: append((*sp)[:0], 0, 0, 0, 0, FrameVersion, byte(m.Type), 0, 0, 0)}
-	e.str(fieldChannel, m.Channel)
-	e.int(fieldIngestW, int64(m.IngestW))
-	e.int(fieldIngestH, int64(m.IngestH))
-	e.int(fieldNativeW, int64(m.NativeW))
-	e.int(fieldNativeH, int64(m.NativeH))
-	e.float(fieldFPS, m.FPS)
-	e.int(fieldFrameID, int64(m.FrameID))
-	if m.Key {
-		e.mask |= 1 << fieldKey
-	}
-	e.int(fieldQP, int64(m.QP))
-	e.int(fieldX, int64(m.X))
-	e.int(fieldY, int64(m.Y))
-	e.float(fieldGainDB, m.GainDB)
-	e.int(fieldEpochs, int64(m.Epochs))
-	e.int(fieldSamples, int64(m.Samples))
-	e.str(fieldReason, m.Reason)
-	e.int(fieldRung, int64(m.Rung))
-	e.str(fieldSegID, m.SegID)
-	e.int(fieldSegDurUS, m.SegDurUS)
-	e.int(fieldSentAtUS, m.SentAtUS)
-	if m.Data != nil {
-		e.mask |= 1 << fieldData
-		e.b = binary.AppendUvarint(e.b, uint64(len(m.Data)))
-	}
+	e := frameWriter{b: (*sp)[:0]}.header(m)
 	size := len(e.b) - 4 + len(m.Data)
 	binary.BigEndian.PutUint32(e.b, uint32(size))
-	e.b[6], e.b[7], e.b[8] = byte(e.mask>>16), byte(e.mask>>8), byte(e.mask)
 
 	var err error
 	switch {

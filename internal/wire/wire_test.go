@@ -148,14 +148,19 @@ func TestFrameUnknownTypeDecodes(t *testing.T) {
 	}
 }
 
-func TestWireSizeCharges(t *testing.T) {
-	small := &Message{Type: MsgSegmentReq}
-	big := &Message{Type: MsgSegment, Channel: "c", SegID: "0123456789abcdef", Data: make([]byte, 4096)}
-	if small.WireSize() <= 0 || big.WireSize() <= small.WireSize() {
-		t.Fatalf("WireSize not monotone with content: small %d big %d", small.WireSize(), big.WireSize())
+// TestWireSizeMatchesFrame: the size the simulated links charge for a
+// message is the size of the frame the real ones carry.
+func TestWireSizeMatchesFrame(t *testing.T) {
+	for _, m := range sampleMessages() {
+		if got, want := m.WireSize(), len(encode(t, m)); got != want {
+			t.Errorf("type %d: WireSize %d, frame %d bytes", m.Type, got, want)
+		}
 	}
-	if got := big.WireSize(); got < 4096+16+1 {
-		t.Fatalf("WireSize %d does not cover payload and strings", got)
+	matches := func(q quickMessage) bool {
+		return q.WireSize() == len(encode(t, &q.Message))
+	}
+	if err := quick.Check(matches, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(24))}); err != nil {
+		t.Fatal(err)
 	}
 }
 

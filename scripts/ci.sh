@@ -6,16 +6,19 @@
 #                         (whole module, no flags, under 4 s), short tests,
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests, the wire format
-#                         pin, the sr inference differentials and the
-#                         arena ownership contract by name, parallel sweep
-#                         smoke (one small figure sweep at -parallel 4)
+#                         pin, the playlist format pin (with the event-heap
+#                         oracle and WireSize = frame length), the sr
+#                         inference differentials and the arena ownership
+#                         contract by name, parallel sweep smoke (one small
+#                         figure sweep at -parallel 4)
 #   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
 #                         asm stubs and purego twins are its territory),
 #                         the same livenas-vet and benchmark-module steps,
 #                         full tests, race tier (includes internal/sweep
-#                         and internal/fleet), fuzz smoke (FUZZTIME,
-#                         default 10s, 0 skips). No timing is gated here:
-#                         BENCHMARK.json is the one performance instrument.
+#                         and internal/fleet), fuzz smoke (wire, playlist,
+#                         codec; FUZZTIME, default 10s, 0 skips). No timing
+#                         is gated here: BENCHMARK.json is the one
+#                         performance instrument.
 #
 # Extended knobs (the nightly workflow uses these):
 #   FLEET_SOAK_STREAMS=N  adds a fleet soak step to the full tier: N
@@ -154,6 +157,17 @@ sr_inference_pin() {
         pin_tests ./internal/frame TestResizeBilinearMatchesRef
 }
 
+# What simulated edge links are priced by (DESIGN.md "Playlist body"): the
+# literal playlist bytes with the hostile-count and allocation ceilings, the
+# typed event heap against the container/heap oracle, and WireSize against
+# the frame WriteFrame writes. A slip in any of them moves every virtual-time
+# edge result.
+playlist_format_pin() {
+    pin_tests ./internal/edge TestPlaylistLayoutPinned TestDecodePlaylistHostileCounts TestDecodePlaylistAllocCeiling &&
+        pin_tests ./internal/sim TestEventHeapMatchesRef &&
+        pin_tests ./internal/wire TestWireSizeMatchesFrame
+}
+
 # Nightly-only: record cpu/heap profiles of the serve_hd-geometry inference
 # bench for upload, so a serve_hd regression comes with a profile of its
 # binding layer.
@@ -189,6 +203,7 @@ if [[ "$TIER" == "fast" ]]; then
     step "wire format pin" pin_tests ./internal/wire TestFrameLayoutPinned \
         TestFrameV1GobSkipped TestFrameUnknownVersionSkipDoesNotAllocate \
         TestFrameNonCanonicalRejected TestFrameAllocCeilings
+    step "playlist format pin" playlist_format_pin
     step "sr inference differential" sr_inference_pin
     # The arena ownership contract (every Get/GetBuf handed back exactly
     # once) has no static check: these three tests carry it alone, for the
@@ -223,6 +238,7 @@ else
     fi
     if [[ "$FUZZTIME" != "0" ]]; then
         step "fuzz wire ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzWireRead$' -fuzztime "$FUZZTIME" ./internal/wire
+        step "fuzz playlist ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzDecodePlaylist$' -fuzztime "$FUZZTIME" ./internal/edge
         step "fuzz codec ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzBitReader$' -fuzztime "$FUZZTIME" ./internal/codec
         step "fuzz codec decode ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/codec
     fi
