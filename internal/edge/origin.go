@@ -20,12 +20,9 @@ import (
 // (Handle/RemoveConn) are driven by OnMessage in simulation and by
 // per-connection Recv goroutines in real processes.
 type Origin struct {
-	mu       sync.Mutex
-	clock    Clock
-	tel      *Telemetry
+	node
 	window   int
 	channels map[string]*originChannel
-	egress   int64
 }
 
 type originChannel struct {
@@ -39,8 +36,7 @@ type originChannel struct {
 // NewOrigin creates an origin whose playlists keep window segments.
 func NewOrigin(clock Clock, window int, tel *Telemetry) *Origin {
 	return &Origin{
-		clock:    clock,
-		tel:      tel,
+		node:     node{clock: clock, tel: tel},
 		window:   window,
 		channels: make(map[string]*originChannel),
 	}
@@ -72,23 +68,81 @@ func (o *Origin) Publish(channel string, payloads [][]byte) {
 	ch.seg.Push(o.clock.Now(), payloads)
 	o.tel.SegsPublished.Add(int64(len(payloads)))
 	ch.raw = ch.seg.Playlist().Encode()
-	ch.subs = fanOut(ch.subs, channel, ch.raw, o.tel, &o.egress)
+	ch.subs = o.fanOut(ch.subs, channel, ch.raw)
 }
 
-// fanOut sends one playlist message, shared and only read, to every subscriber,
-// adds the bytes sent to *egress and returns those whose send did not fail.
-func fanOut(subs []transport.Conn, channel string, raw []byte, tel *Telemetry, egress *int64) []transport.Conn {
+// node is what Origin and Relay share: the lock over their state, the clock
+// and telemetry they send by, and the bytes they have sent. Its send
+// helpers are called with mu held.
+type node struct {
+	mu     sync.Mutex
+	clock  Clock
+	tel    *Telemetry
+	egress int64
+}
+
+// EgressBytes reports the total bytes this origin or relay has sent (at the
+// origin, the number the relay tree exists to shrink).
+func (n *node) EgressBytes() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.egress
+}
+
+// fanOut sends one playlist message, shared and only read, to every
+// subscriber and returns those whose send did not fail.
+func (n *node) fanOut(subs []transport.Conn, channel string, raw []byte) []transport.Conn {
 	m := &wire.Message{Type: wire.MsgPlaylist, Channel: channel, Data: raw}
 	size, live := int64(m.WireSize()), subs[:0]
 	for _, c := range subs {
 		if c.Send(m) == nil {
-			*egress += size
-			tel.PlaylistPushes.Add(1)
+			n.egress += size
+			n.tel.PlaylistPushes.Add(1)
 			live = append(live, c)
 		}
 	}
 	clear(subs[len(live):])
 	return live
+}
+
+// subscribe adds c to subs unless it is there already and hands the
+// newcomer the last playlist pushed (raw; nil before the first) at once.
+// A subscriber may be resuming: the resume index in its MsgSubscribe needs
+// no handling, since playlists are full-window snapshots and segment
+// fetches are pull.
+func (n *node) subscribe(subs []transport.Conn, c transport.Conn, channel string, raw []byte) []transport.Conn {
+	if slices.Contains(subs, c) {
+		return subs
+	}
+	subs = append(subs, c)
+	if raw != nil {
+		m := &wire.Message{Type: wire.MsgPlaylist, Channel: channel, Data: raw}
+		if c.Send(m) == nil {
+			n.egress += int64(m.WireSize())
+			n.tel.PlaylistPushes.Add(1)
+		}
+	}
+	return subs
+}
+
+// without returns conns less c, clearing the vacated tail slot.
+func without(conns []transport.Conn, c transport.Conn) []transport.Conn {
+	return slices.DeleteFunc(conns, func(x transport.Conn) bool { return x == c })
+}
+
+// sendSegment answers a segment request with s.
+func (n *node) sendSegment(c transport.Conn, s *Segment) {
+	m := &wire.Message{
+		Type: wire.MsgSegment, Channel: s.Channel,
+		FrameID: s.Index, Rung: s.Rung, SegID: s.ID,
+		SegDurUS: s.Duration.Microseconds(),
+		SentAtUS: n.clock.Now().Microseconds(),
+		Data:     s.Data,
+	}
+	if c.Send(m) == nil {
+		n.egress += int64(m.WireSize())
+		n.tel.SegsSent.Add(1)
+	}
 }
 
 // Handle processes one message from a subscriber connection.
@@ -101,41 +155,15 @@ func (o *Origin) Handle(c transport.Conn, m *wire.Message) {
 	}
 	switch m.Type {
 	case wire.MsgSubscribe:
-		for _, s := range ch.subs {
-			if s == c {
-				return
-			}
-		}
-		ch.subs = append(ch.subs, c)
-		// Hand the newcomer the current window immediately (it may be
-		// resuming: the resume index in m.FrameID needs no special handling
-		// here, since playlists are full-window snapshots and segment
-		// fetches are pull).
-		if ch.raw != nil {
-			pm := &wire.Message{Type: wire.MsgPlaylist, Channel: m.Channel, Data: ch.raw}
-			if c.Send(pm) == nil {
-				o.egress += int64(pm.WireSize())
-				o.tel.PlaylistPushes.Add(1)
-			}
-		}
+		ch.subs = o.subscribe(ch.subs, c, m.Channel, ch.raw)
 	case wire.MsgSegmentReq:
 		s := ch.seg.Segment(m.FrameID, m.Rung)
 		if s == nil {
 			return // left the window (or bad rung): requester times out and skips ahead
 		}
-		sm := &wire.Message{
-			Type: wire.MsgSegment, Channel: m.Channel,
-			FrameID: s.Index, Rung: s.Rung, SegID: s.ID,
-			SegDurUS: s.Duration.Microseconds(),
-			SentAtUS: o.clock.Now().Microseconds(),
-			Data:     s.Data,
-		}
-		if c.Send(sm) == nil {
-			o.egress += int64(sm.WireSize())
-			o.tel.SegsSent.Add(1)
-		}
+		o.sendSegment(c, s)
 	case wire.MsgBye:
-		o.drop(ch, c)
+		ch.subs = without(ch.subs, c)
 	default:
 		// Unknown or unrelated types: tolerated and ignored (wire contract).
 	}
@@ -147,14 +175,7 @@ func (o *Origin) RemoveConn(c transport.Conn) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, ch := range o.channels {
-		o.drop(ch, c)
-	}
-}
-
-// drop removes one subscriber. Callers hold o.mu.
-func (o *Origin) drop(ch *originChannel, c transport.Conn) {
-	if i := slices.Index(ch.subs, c); i >= 0 {
-		ch.subs = slices.Delete(ch.subs, i, i+1) // clears the vacated tail slot
+		ch.subs = without(ch.subs, c)
 	}
 }
 
@@ -170,12 +191,4 @@ func (o *Origin) Playlist(channel string) *Playlist {
 	p := *ch.seg.Playlist()
 	p.Segments = append([]SegmentRef(nil), p.Segments...)
 	return &p
-}
-
-// EgressBytes reports the total bytes this origin has sent (the number the
-// relay tree exists to shrink).
-func (o *Origin) EgressBytes() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.egress
 }

@@ -2,8 +2,6 @@ package edge
 
 import (
 	"slices"
-	"sort"
-	"sync"
 
 	"livenas/internal/transport"
 	"livenas/internal/wire"
@@ -19,12 +17,9 @@ import (
 //
 // Concurrency follows Origin: internal lock, event-driven entry points.
 type Relay struct {
-	mu       sync.Mutex
-	clock    Clock
-	tel      *Telemetry
+	node
 	up       transport.Conn
 	channels map[string]*relayChannel
-	egress   int64
 }
 
 type segKey struct{ index, rung int }
@@ -45,8 +40,7 @@ type relayChannel struct {
 // channel (or eagerly via Subscribe).
 func NewRelay(clock Clock, up transport.Conn, tel *Telemetry) *Relay {
 	return &Relay{
-		clock:    clock,
-		tel:      tel,
+		node:     node{clock: clock, tel: tel},
 		up:       up,
 		channels: make(map[string]*relayChannel),
 	}
@@ -103,7 +97,7 @@ func (r *Relay) HandleUpstream(m *wire.Message) {
 				delete(ch.cache, k)
 			}
 		}
-		ch.subs = fanOut(ch.subs, m.Channel, ch.raw, r.tel, &r.egress)
+		ch.subs = r.fanOut(ch.subs, m.Channel, ch.raw)
 	case wire.MsgSegment:
 		now := r.clock.Now()
 		if m.SentAtUS > 0 {
@@ -141,19 +135,7 @@ func (r *Relay) HandleDownstream(c transport.Conn, m *wire.Message) {
 			r.channels[m.Channel] = ch
 			r.up.Send(&wire.Message{Type: wire.MsgSubscribe, Channel: m.Channel})
 		}
-		for _, s := range ch.subs {
-			if s == c {
-				return
-			}
-		}
-		ch.subs = append(ch.subs, c)
-		if ch.raw != nil {
-			fm := &wire.Message{Type: wire.MsgPlaylist, Channel: m.Channel, Data: ch.raw}
-			if c.Send(fm) == nil {
-				r.egress += int64(fm.WireSize())
-				r.tel.PlaylistPushes.Add(1)
-			}
-		}
+		ch.subs = r.subscribe(ch.subs, c, m.Channel, ch.raw)
 	case wire.MsgSegmentReq:
 		ch := r.channels[m.Channel]
 		if ch == nil {
@@ -164,14 +146,12 @@ func (r *Relay) HandleDownstream(c transport.Conn, m *wire.Message) {
 			r.sendSegment(c, s)
 			return
 		}
-		for _, w := range ch.pending[k] {
-			if w == c {
-				// The same conn asking again means its first wait timed out:
-				// the upstream request (or reply) was probably lost. Re-issue
-				// it rather than waiting forever on the old one.
-				r.up.Send(&wire.Message{Type: wire.MsgSegmentReq, Channel: m.Channel, FrameID: m.FrameID, Rung: m.Rung})
-				return
-			}
+		if slices.Contains(ch.pending[k], c) {
+			// The same conn asking again means its first wait timed out:
+			// the upstream request (or reply) was probably lost. Re-issue
+			// it rather than waiting forever on the old one.
+			r.up.Send(&wire.Message{Type: wire.MsgSegmentReq, Channel: m.Channel, FrameID: m.FrameID, Rung: m.Rung})
+			return
 		}
 		first := len(ch.pending[k]) == 0
 		ch.pending[k] = append(ch.pending[k], c)
@@ -185,21 +165,6 @@ func (r *Relay) HandleDownstream(c transport.Conn, m *wire.Message) {
 	}
 }
 
-// sendSegment forwards one cached segment downstream. Callers hold r.mu.
-func (r *Relay) sendSegment(c transport.Conn, s *Segment) {
-	sm := &wire.Message{
-		Type: wire.MsgSegment, Channel: s.Channel,
-		FrameID: s.Index, Rung: s.Rung, SegID: s.ID,
-		SegDurUS: s.Duration.Microseconds(),
-		SentAtUS: r.clock.Now().Microseconds(),
-		Data:     s.Data,
-	}
-	if c.Send(sm) == nil {
-		r.egress += int64(sm.WireSize())
-		r.tel.SegsSent.Add(1)
-	}
-}
-
 // RemoveConn evicts a dead downstream connection everywhere.
 func (r *Relay) RemoveConn(c transport.Conn) {
 	r.mu.Lock()
@@ -207,46 +172,18 @@ func (r *Relay) RemoveConn(c transport.Conn) {
 	r.dropLocked(c)
 }
 
-// dropLocked removes c from every channel's subscriber and waiter lists,
-// walking channels and waiter keys in sorted order so registry mutations
-// stay deterministic. Callers hold r.mu.
+// dropLocked removes c from every channel's subscriber and waiter lists.
+// Each removal is independent of the others, so the walk's map order does
+// not reach the result. Callers hold r.mu.
 func (r *Relay) dropLocked(c transport.Conn) {
-	names := make([]string, 0, len(r.channels))
-	for name := range r.channels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ch := r.channels[name]
-		if i := slices.Index(ch.subs, c); i >= 0 {
-			ch.subs = slices.Delete(ch.subs, i, i+1) // clears the vacated tail slot
-		}
-		keys := make([]segKey, 0, len(ch.pending))
-		for k := range ch.pending {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].index != keys[j].index {
-				return keys[i].index < keys[j].index
-			}
-			return keys[i].rung < keys[j].rung
-		})
-		for _, k := range keys {
-			ws := ch.pending[k]
-			if i := slices.Index(ws, c); i >= 0 {
-				ws = slices.Delete(ws, i, i+1)
+	for _, ch := range r.channels {
+		ch.subs = without(ch.subs, c)
+		for k, ws := range ch.pending {
+			if ws = without(ws, c); len(ws) > 0 {
 				ch.pending[k] = ws
-			}
-			if len(ws) == 0 {
+			} else {
 				delete(ch.pending, k)
 			}
 		}
 	}
-}
-
-// EgressBytes reports the total bytes this relay has sent downstream.
-func (r *Relay) EgressBytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.egress
 }

@@ -136,6 +136,79 @@ func TestRateChangesWithTrace(t *testing.T) {
 	}
 }
 
+// TestLinkServiceTimes pins the serialise-queue-deliver shape exactly:
+// back-to-back packets arrive one serialisation time apart, the first one
+// serialisation time plus the propagation delay after the send, and a link
+// without a trace is infinitely fast.
+func TestLinkServiceTimes(t *testing.T) {
+	for _, tc := range []struct {
+		tr   *trace.Trace
+		want []time.Duration
+	}{
+		// 1000 bytes at 100 kbps = 80 ms serialisation, + 10 ms propagation.
+		{flatTrace(100), []time.Duration{90 * time.Millisecond, 170 * time.Millisecond, 250 * time.Millisecond}},
+		{nil, []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond}},
+	} {
+		s := sim.New()
+		var seqs []int
+		var at []time.Duration
+		l := NewDropOldestLink(s, tc.tr, 10*time.Millisecond, 0, func(p Packet) {
+			seqs, at = append(seqs, p.Seq), append(at, s.Now())
+		})
+		for i := 0; i < 3; i++ {
+			l.Send(Packet{Seq: i, Size: 1000})
+		}
+		s.Run()
+		for i := range tc.want {
+			if len(at) != len(tc.want) || seqs[i] != i || at[i] != tc.want[i] {
+				t.Fatalf("trace %v: packets %v arrived at %v, want [0 1 2] at %v", tc.tr != nil, seqs, at, tc.want)
+			}
+		}
+	}
+}
+
+// TestLinkDropOldest fills the bounded queue and checks the oldest waiting
+// packet goes first while the newest survives; the packet in service does
+// not count toward the bound.
+func TestLinkDropOldest(t *testing.T) {
+	s := sim.New()
+	var got []int
+	l := NewDropOldestLink(s, flatTrace(100), 0, 2000, func(p Packet) { got = append(got, p.Seq) })
+	// The first starts serialising at once; the next three overflow the
+	// 2000-byte bound by one.
+	for i := 0; i < 4; i++ {
+		if !l.Send(Packet{Seq: i, Size: 1000}) {
+			t.Fatalf("drop-oldest refused packet %d", i)
+		}
+	}
+	if st := l.Stats(); st.Dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", st.Dropped)
+	}
+	s.Run()
+	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("delivered %v, want [0 2 3] (packet 1 was the oldest waiting)", got)
+	}
+}
+
+// TestLinkClose: a closed link refuses packets and discards those waiting;
+// the one in service still arrives.
+func TestLinkClose(t *testing.T) {
+	s := sim.New()
+	var got []int
+	l := NewDropOldestLink(s, flatTrace(100), time.Millisecond, 0, func(p Packet) { got = append(got, p.Seq) })
+	for i := 0; i < 3; i++ {
+		l.Send(Packet{Seq: i, Size: 1000})
+	}
+	l.Close()
+	if l.Send(Packet{Seq: 3, Size: 1000}) {
+		t.Fatal("closed link accepted a packet")
+	}
+	s.Run()
+	if len(got) != 1 || got[0] != 0 || l.QueuedBytes() != 0 {
+		t.Fatalf("delivered %v with %d bytes queued; want only the packet in service", got, l.QueuedBytes())
+	}
+}
+
 func TestRandomLoss(t *testing.T) {
 	s := sim.New()
 	delivered := 0

@@ -15,7 +15,7 @@ import (
 // over: the ingest demo (client→server), the distribution edge
 // (origin→relay→viewer) and any future control plane. Two implementations
 // exist — NetConn wraps a real net.Conn with the versioned wire framing,
-// and SimConn is a netem-shaped link on the virtual clock — so the same
+// and SimConn rides on two netem links on the virtual clock — so the same
 // protocol code drives real processes and deterministic experiments.
 //
 // Send hands one message to the connection; it may block until the bytes

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"livenas/internal/netem"
 	"livenas/internal/sim"
+	"livenas/internal/trace"
 	"livenas/internal/wire"
 )
 
@@ -15,16 +17,28 @@ import (
 // but the newest one is not (the edge relay's per-viewer backpressure is
 // exactly this queue).
 type SimLinkConfig struct {
-	Kbps       float64       // serialisation rate; <= 0 means infinitely fast
+	Kbps       float64       // serialisation rate; <= 0 means infinitely fast, below 1 is netem's 1 kbps floor
 	Delay      time.Duration // one-way propagation delay
 	QueueBytes int           // outbound queue bound; <= 0 means unbounded
 }
 
-// SimConn is the virtual-clock Conn: one endpoint of a bidirectional
-// netem-shaped link between two peers on the same simulator. Sends
-// serialise at the configured rate, propagate after the configured delay,
-// and deliver to the peer's OnMessage handler (or its Recv inbox) in FIFO
-// order. Like the simulator itself it is single-threaded: all use must
+// link builds the drop-oldest netem link that carries this direction to the
+// endpoint to.
+func (cfg SimLinkConfig) link(s *sim.Simulator, to *SimConn) *netem.Link {
+	var tr *trace.Trace // infinitely fast
+	if cfg.Kbps > 0 {
+		tr = &trace.Trace{Name: "const", DT: time.Second, Kbps: []float64{cfg.Kbps}}
+	}
+	return netem.NewDropOldestLink(s, tr, cfg.Delay, cfg.QueueBytes, func(p netem.Packet) {
+		to.deliver(p.Payload.(*wire.Message))
+	})
+}
+
+// SimConn is the virtual-clock Conn: one endpoint of a pair of drop-oldest
+// netem links between two peers on the same simulator, one per direction.
+// Sends serialise at the configured rate, propagate after the configured
+// delay, and deliver to the peer's OnMessage handler (or its Recv inbox) in
+// FIFO order. Like the simulator itself it is single-threaded: all use must
 // happen on the simulation goroutine.
 //
 // Recv drives the simulator forward until a message arrives, the timeout
@@ -33,14 +47,10 @@ type SimLinkConfig struct {
 // clock. It must only be called from outside event callbacks (it steps
 // the event loop; re-entry would corrupt it).
 type SimConn struct {
-	s    *sim.Simulator
-	peer *SimConn
-	cfg  SimLinkConfig
-
-	queue   []sized // waiting for serialisation (head next)
-	queued  int     // bytes across queue
-	serving bool    // one message is on the wire
-	dropped int     // drop-oldest evictions
+	s     *sim.Simulator
+	peer  *SimConn
+	out   *netem.Link   // this endpoint to its peer
+	delay time.Duration // out's propagation delay, which a FIN also takes
 
 	inbox        []*wire.Message
 	handler      func(*wire.Message)
@@ -49,28 +59,13 @@ type SimConn struct {
 	timeout      time.Duration
 }
 
-// sized is a queued message with its WireSize, computed once in Send.
-type sized struct {
-	m    *wire.Message
-	size int
-}
-
-// popQueue removes the queue head, clearing its slot so the backing array
-// does not keep the message (and its payload) alive.
-func (c *SimConn) popQueue() (m *wire.Message, size int) {
-	q := c.queue[0]
-	c.queue[0] = sized{}
-	c.queue = c.queue[1:]
-	c.queued -= q.size
-	return q.m, q.size
-}
-
 // NewSimConnPair creates a connected pair of simulated endpoints on s.
 // ab shapes the a→b direction, ba the b→a direction.
 func NewSimConnPair(s *sim.Simulator, ab, ba SimLinkConfig) (a, b *SimConn) {
-	a = &SimConn{s: s, cfg: ab}
-	b = &SimConn{s: s, cfg: ba}
+	a = &SimConn{s: s, delay: ab.Delay}
+	b = &SimConn{s: s, delay: ba.Delay}
 	a.peer, b.peer = b, a
+	a.out, b.out = ab.link(s, b), ba.link(s, a)
 	return a, b
 }
 
@@ -82,34 +77,8 @@ func (c *SimConn) Send(m *wire.Message) error {
 	if c.closed || c.remoteClosed {
 		return ErrClosed
 	}
-	size := m.WireSize()
-	c.queue = append(c.queue, sized{m, size})
-	c.queued += size
-	for c.cfg.QueueBytes > 0 && c.queued > c.cfg.QueueBytes && len(c.queue) > 1 {
-		c.popQueue()
-		c.dropped++
-	}
-	c.arm()
+	c.out.Send(netem.Packet{Size: m.WireSize(), Payload: m})
 	return nil
-}
-
-// arm starts serialising the queue head if the wire is idle.
-func (c *SimConn) arm() {
-	if c.serving || len(c.queue) == 0 || c.closed {
-		return
-	}
-	m, size := c.popQueue()
-	c.serving = true
-	tx := time.Duration(0)
-	if c.cfg.Kbps > 0 {
-		tx = time.Duration(float64(size*8) / (c.cfg.Kbps * 1000) * float64(time.Second))
-	}
-	c.s.After(tx, func() {
-		c.serving = false
-		peer := c.peer
-		c.s.After(c.cfg.Delay, func() { peer.deliver(m) })
-		c.arm()
-	})
 }
 
 // deliver lands one message at this endpoint.
@@ -166,32 +135,26 @@ func (c *SimConn) Recv() (*wire.Message, error) {
 	}
 }
 
-// Close tears this endpoint down. In-flight deliveries to the peer are
-// abandoned; the peer learns of the close after one propagation delay
-// (like a FIN) and its pending Recv fails once its inbox drains.
+// Close tears this endpoint down. Messages still queued for the peer are
+// discarded (the one on the wire and those propagating still arrive); the
+// peer learns of the close after one propagation delay (like a FIN) and
+// its pending Recv fails once its inbox drains.
 func (c *SimConn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	c.queue, c.queued = nil, 0
+	c.out.Close()
 	peer := c.peer
-	c.s.After(c.cfg.Delay, func() { peer.remoteClosed = true })
+	c.s.After(c.delay, func() { peer.remoteClosed = true })
 	return nil
 }
 
 // SetRecvTimeout bounds each subsequent Recv in virtual time.
 func (c *SimConn) SetRecvTimeout(d time.Duration) { c.timeout = d }
 
-// QueuedBytes reports bytes waiting for serialisation.
-func (c *SimConn) QueuedBytes() int { return c.queued }
-
 // Dropped reports how many messages the drop-oldest queue bound evicted.
-func (c *SimConn) Dropped() int { return c.dropped }
-
-// Closed reports whether either side has closed the connection (the
-// remote side's close counts only once its FIN has propagated here).
-func (c *SimConn) Closed() bool { return c.closed || c.remoteClosed }
+func (c *SimConn) Dropped() int { return c.out.Stats().Dropped }
 
 var (
 	_ Conn = (*SimConn)(nil)

@@ -7,7 +7,9 @@
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests, the wire format
 #                         pin, the playlist format pin (with the event-heap
-#                         oracle and WireSize = frame length), the sr
+#                         oracle and WireSize = frame length), the link
+#                         model pin (netem.Link and SimConn against their
+#                         seed oracles), the sr
 #                         inference differentials and the arena ownership
 #                         contract by name, parallel sweep smoke (one small
 #                         figure sweep at -parallel 4)
@@ -168,6 +170,14 @@ playlist_format_pin() {
         pin_tests ./internal/wire TestWireSizeMatchesFrame
 }
 
+# The one simulated link (DESIGN.md "One simulated link"): netem.Link
+# against the seed drop-tail Link and SimConn against the seed drop-oldest
+# SimConn, event for event, plus the link releasing what has left it.
+link_model_pin() {
+    pin_tests ./internal/netem TestLinkMatchesRef TestLinkReleasesPackets &&
+        pin_tests ./internal/transport TestSimConnMatchesRef
+}
+
 # Nightly-only: record cpu/heap profiles of the serve_hd-geometry inference
 # bench for upload, so a serve_hd regression comes with a profile of its
 # binding layer.
@@ -204,6 +214,7 @@ if [[ "$TIER" == "fast" ]]; then
         TestFrameV1GobSkipped TestFrameUnknownVersionSkipDoesNotAllocate \
         TestFrameNonCanonicalRejected TestFrameAllocCeilings
     step "playlist format pin" playlist_format_pin
+    step "link model pin" link_model_pin
     step "sr inference differential" sr_inference_pin
     # The arena ownership contract (every Get/GetBuf handed back exactly
     # once) has no static check: these three tests carry it alone, for the
