@@ -5,43 +5,75 @@ package nn
 //
 //	out[oc][p] = bias[oc] + Σ_kidx W[oc][kidx] · pack[kidx][p]
 //
-// with kidx ascending over the (ic, ky, kx) tap order. The micro-kernel
-// computes a 4×8 tile of out with the k-sum of every element accumulated
-// sequentially in ascending kidx — element-wise float32 mul/add only, no
+// with kidx ascending over the (ic, ky, kx) tap order. Every micro-kernel
+// computes a tile of out with the k-sum of each element accumulated
+// sequentially in ascending kidx — element-wise float32 mul then add, no
 // FMA — so each output element performs the same float32 operations in the
 // same order as the scalar tap loop and the result is bit-identical to it
 // (convRefForward, the oracle in ref_test.go; differential tests pin this
-// down). On amd64 the micro-kernel is SSE2 assembly (MULPS/ADDPS are
-// lane-wise IEEE ops, so vectorizing across output elements does not change
-// any element's rounding); other architectures use the pure-Go fallback in
-// gemm_generic.go.
+// down). Vector lanes are independent IEEE operations, so the tile shape
+// and the vector width change no element's rounding.
 //
-// The same micro-kernel computes the input gradient (as a conv of the
-// output gradient with the tap-flipped, transposed weights), and kernDot4
-// computes the weight gradient (dOut · packᵀ row blocks).
+// The tiles, widest first:
+//
+//	8×8   kern8x8     AVX2, every full 8-row group (the 8-channel layers)
+//	4×16  kern4x16    AVX2, the remaining 4-row groups (the s² tail)
+//	4×8   kern4x8     SSE2, 4-row groups without AVX2; the 8 columns after
+//	                  the last 16-column tile
+//	1×8   kern1x8     SSE2, single rows
+//	edge  gemmScalar  the last n%8 columns
+//
+// SSE2 is the amd64 baseline and AVX2 is not, so the amd64 init installs
+// the two AVX2 tiles only when cpuHasAVX2 says the CPU and OS support them.
+// Other architectures and purego builds install the pure-Go twins of all
+// four tiles from gemm_generic.go.
+//
+// gemmConvBias also computes the input gradient (as a conv of the output
+// gradient with the tap-flipped, transposed weights), and kernDot4 computes
+// the weight gradient (dOut · packᵀ row blocks).
+
+// kernTile8x8 and kernTile4x16, when non-nil, compute an 8-row × 8-column
+// tile from a [kk][8] packed A and a 4-row × 16-column tile from a [kk][4]
+// packed A, with kern4x8's contract otherwise. Set once at init: on amd64
+// when the CPU has AVX2, always on other builds (the Go twins). Nil on an
+// SSE2-only amd64 CPU, routing every row group through kern4x8 and kern1x8.
+var kernTile8x8, kernTile4x16 func(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
 
 // gemmConvBias computes c[oc][j] = bias[oc] + Σ_p a[oc*kk+p]*b[p*n+j] for
 // oc < outC, j < n, with c rows cstride apart. apack is caller scratch of
-// at least 4*kk elements (packed A tiles for the micro-kernel).
+// at least 8*kk elements (packed A tiles for the micro-kernels).
 func gemmConvBias(a, bias, b []float32, outC, kk, n int, c []float32, cstride int, apack []float32) {
-	m4 := outC &^ 3
 	n8 := n &^ 7
-	for oc := 0; oc < m4; oc += 4 {
-		packA4(a, oc, kk, apack)
-		if n8 > 0 {
+	oc := 0
+	if kernTile8x8 != nil {
+		for ; oc+8 <= outC; oc += 8 {
+			packA(a, oc, 8, kk, apack)
 			for j := 0; j < n8; j += 8 {
-				kern4x8(kk, &apack[0], &b[j], n, &bias[oc], &c[oc*cstride+j], cstride)
+				kernTile8x8(kk, &apack[0], &b[j], n, &bias[oc], &c[oc*cstride+j], cstride)
 			}
+			if n8 < n {
+				gemmScalar(a, bias, b, oc, oc+8, kk, n8, n, c, cstride)
+			}
+		}
+	}
+	for ; oc+4 <= outC; oc += 4 {
+		packA(a, oc, 4, kk, apack)
+		j := 0
+		if kernTile4x16 != nil {
+			for ; j+16 <= n; j += 16 {
+				kernTile4x16(kk, &apack[0], &b[j], n, &bias[oc], &c[oc*cstride+j], cstride)
+			}
+		}
+		for ; j < n8; j += 8 {
+			kern4x8(kk, &apack[0], &b[j], n, &bias[oc], &c[oc*cstride+j], cstride)
 		}
 		if n8 < n {
 			gemmScalar(a, bias, b, oc, oc+4, kk, n8, n, c, cstride)
 		}
 	}
-	for oc := m4; oc < outC; oc++ {
-		if n8 > 0 {
-			for j := 0; j < n8; j += 8 {
-				kern1x8(kk, &a[oc*kk], &b[j], n, &bias[oc], &c[oc*cstride+j])
-			}
+	for ; oc < outC; oc++ {
+		for j := 0; j < n8; j += 8 {
+			kern1x8(kk, &a[oc*kk], &b[j], n, &bias[oc], &c[oc*cstride+j])
 		}
 		if n8 < n {
 			gemmScalar(a, bias, b, oc, oc+1, kk, n8, n, c, cstride)
@@ -49,25 +81,20 @@ func gemmConvBias(a, bias, b []float32, outC, kk, n int, c []float32, cstride in
 	}
 }
 
-// packA4 packs rows [oc, oc+4) of the kk-wide A matrix into dst as
-// [kk][4], the layout kern4x8 broadcasts from.
-func packA4(a []float32, oc, kk int, dst []float32) {
-	a0 := a[oc*kk : (oc+1)*kk]
-	a1 := a[(oc+1)*kk : (oc+2)*kk]
-	a2 := a[(oc+2)*kk : (oc+3)*kk]
-	a3 := a[(oc+3)*kk : (oc+4)*kk]
-	d := dst[: 4*kk : 4*kk]
-	for p := 0; p < kk; p++ {
-		d[p*4] = a0[p]
-		d[p*4+1] = a1[p]
-		d[p*4+2] = a2[p]
-		d[p*4+3] = a3[p]
+// packA packs rows [oc, oc+mr) of the kk-wide A matrix into dst as
+// [kk][mr], the layout the mr-row micro-kernels broadcast from.
+func packA(a []float32, oc, mr, kk int, dst []float32) {
+	d := dst[: mr*kk : mr*kk]
+	for r := 0; r < mr; r++ {
+		for p, v := range a[(oc+r)*kk : (oc+r+1)*kk] {
+			d[p*mr+r] = v
+		}
 	}
 }
 
 // gemmScalar is the edge path for rows [oc0, oc1) and columns [j0, n) of
 // an n-column B: plain scalar accumulation in the same ascending-kidx
-// order as the micro-kernel, so edges are bit-identical too.
+// order as the micro-kernels, so edges are bit-identical too.
 func gemmScalar(a, bias, b []float32, oc0, oc1, kk, j0, n int, c []float32, cstride int) {
 	for oc := oc0; oc < oc1; oc++ {
 		arow := a[oc*kk : (oc+1)*kk]

@@ -2,13 +2,29 @@
 
 package nn
 
+// kern8x8 computes, for r in 0..7 and j in 0..7,
+//
+//	c[r*cn+j] = bias[r] + Σ_{p<kk} a[p*8+r] * b[p*bn+j]
+//
+// with kern4x8's per-element ascending-p mul-then-add, in AVX2. a is a
+// packed [kk][8] A tile (packA). Requires AVX2; call only when cpuHasAVX2.
+//
+//go:noescape
+func kern8x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
+
+// kern4x16 is kern4x8 widened to 16 columns in AVX2: same [kk][4] packed A,
+// same per-element accumulation. Requires AVX2; call only when cpuHasAVX2.
+//
+//go:noescape
+func kern4x16(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
+
 // kern4x8 computes, for r in 0..3 and j in 0..7,
 //
 //	c[r*cn+j] = bias[r] + Σ_{p<kk} a[p*4+r] * b[p*bn+j]
 //
 // with the sum of every element accumulated in ascending p order using
 // element-wise SSE2 MULPS/ADDPS (no FMA), matching scalar float32 rounding
-// exactly. a is a packed [kk][4] A tile (packA4); b and c are row-major
+// exactly. a is a packed [kk][4] A tile (packA); b and c are row-major
 // with strides bn and cn elements.
 //
 //go:noescape
@@ -28,3 +44,10 @@ func kern1x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32)
 //
 //go:noescape
 func kernDot4(n int, gv *float32, b *float32, bn int, out *float32)
+
+// The f32 tile set is chosen once, from cpuHasAVX2 (cpu_amd64.go).
+func init() {
+	if cpuHasAVX2 {
+		kernTile8x8, kernTile4x16 = kern8x8, kern4x16
+	}
+}

@@ -1,16 +1,183 @@
 //go:build amd64 && !purego
 
-// SSE2 micro-kernels for the nn kernel engine. Element-wise MULPS/ADDPS
-// only — no FMA — so every output element sees the same float32 rounding
-// as the scalar reference (vector lanes are independent IEEE operations).
-// SSE2 is part of the amd64 baseline, so no feature detection is needed.
+// f32 micro-kernels for the nn kernel engine. Element-wise mul then add
+// only — no FMA, which rounds once where the scalar reference rounds twice
+// — so every output element sees the same float32 rounding as the scalar
+// reference (vector lanes are independent IEEE operations). The product
+// keeps the scalar operand order, A·B, and the sum acc+product.
+//
+// kern8x8 and kern4x16 are AVX2 (VEX-encoded, YMM): gemm_amd64.go installs
+// them only when cpuHasAVX2, and each ends with VZEROUPPER so the SSE2
+// kernels and the runtime that follow pay no transition penalty. kern4x8,
+// kern1x8 and kernDot4 are SSE2, the amd64 baseline, and run everywhere.
+// Every memory access is an unaligned load or store (VMOVUPS, MOVUPS,
+// VBROADCASTSS, MOVSS): a legacy-SSE arithmetic instruction with a memory
+// operand (MULPS (SI), X0) demands 16-byte alignment, which arena buffers
+// and row offsets do not give.
 
 #include "textflag.h"
 
+// func kern8x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
+//
+// AVX2: 8 output rows × 8 columns from a [kk][8] packed A (packA). Y0..Y7
+// hold rows 0..7 and start at the broadcast bias; each step is one B load
+// and eight broadcast-multiply-adds.
+TEXT ·kern8x8(SB), NOSPLIT, $0-56
+	MOVQ kk+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ bn+24(FP), DX
+	MOVQ bias+32(FP), R8
+	MOVQ c+40(FP), DI
+	MOVQ cn+48(FP), R9
+	SHLQ $2, DX              // B row stride in bytes
+	SHLQ $2, R9              // C row stride in bytes
+
+	VBROADCASTSS 0(R8), Y0
+	VBROADCASTSS 4(R8), Y1
+	VBROADCASTSS 8(R8), Y2
+	VBROADCASTSS 12(R8), Y3
+	VBROADCASTSS 16(R8), Y4
+	VBROADCASTSS 20(R8), Y5
+	VBROADCASTSS 24(R8), Y6
+	VBROADCASTSS 28(R8), Y7
+
+	TESTQ CX, CX
+	JLE   k8x8done
+
+k8x8loop:
+	VMOVUPS (BX), Y8         // B[p][0..7]
+
+	VBROADCASTSS 0(SI), Y9   // A[p][0]
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y0, Y0
+	VBROADCASTSS 4(SI), Y10  // A[p][1]
+	VMULPS       Y8, Y10, Y10
+	VADDPS       Y10, Y1, Y1
+	VBROADCASTSS 8(SI), Y11  // A[p][2]
+	VMULPS       Y8, Y11, Y11
+	VADDPS       Y11, Y2, Y2
+	VBROADCASTSS 12(SI), Y12 // A[p][3]
+	VMULPS       Y8, Y12, Y12
+	VADDPS       Y12, Y3, Y3
+	VBROADCASTSS 16(SI), Y13 // A[p][4]
+	VMULPS       Y8, Y13, Y13
+	VADDPS       Y13, Y4, Y4
+	VBROADCASTSS 20(SI), Y14 // A[p][5]
+	VMULPS       Y8, Y14, Y14
+	VADDPS       Y14, Y5, Y5
+	VBROADCASTSS 24(SI), Y15 // A[p][6]
+	VMULPS       Y8, Y15, Y15
+	VADDPS       Y15, Y6, Y6
+	VBROADCASTSS 28(SI), Y9  // A[p][7]
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y7, Y7
+
+	ADDQ $32, SI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  k8x8loop
+
+k8x8done:
+	VMOVUPS Y0, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y1, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y2, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y3, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y4, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y5, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y6, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y7, (DI)
+	VZEROUPPER
+	RET
+
+// func kern4x16(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
+//
+// AVX2: 4 output rows × 16 columns from a [kk][4] packed A (packA), the
+// kern4x8 layout. Accumulators start at the broadcast bias:
+//   Y0,Y1: row 0 cols 0-7, 8-15    Y4,Y5: row 2
+//   Y2,Y3: row 1                   Y6,Y7: row 3
+TEXT ·kern4x16(SB), NOSPLIT, $0-56
+	MOVQ kk+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ bn+24(FP), DX
+	MOVQ bias+32(FP), R8
+	MOVQ c+40(FP), DI
+	MOVQ cn+48(FP), R9
+	SHLQ $2, DX              // B row stride in bytes
+	SHLQ $2, R9              // C row stride in bytes
+
+	VBROADCASTSS 0(R8), Y0
+	VBROADCASTSS 0(R8), Y1
+	VBROADCASTSS 4(R8), Y2
+	VBROADCASTSS 4(R8), Y3
+	VBROADCASTSS 8(R8), Y4
+	VBROADCASTSS 8(R8), Y5
+	VBROADCASTSS 12(R8), Y6
+	VBROADCASTSS 12(R8), Y7
+
+	TESTQ CX, CX
+	JLE   k4x16done
+
+k4x16loop:
+	VMOVUPS (BX), Y8         // B[p][0..7]
+	VMOVUPS 32(BX), Y9       // B[p][8..15]
+
+	VBROADCASTSS 0(SI), Y10  // A[p][0]
+	VMULPS       Y8, Y10, Y11
+	VADDPS       Y11, Y0, Y0
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y12, Y1, Y1
+
+	VBROADCASTSS 4(SI), Y13  // A[p][1]
+	VMULPS       Y8, Y13, Y14
+	VADDPS       Y14, Y2, Y2
+	VMULPS       Y9, Y13, Y15
+	VADDPS       Y15, Y3, Y3
+
+	VBROADCASTSS 8(SI), Y10  // A[p][2]
+	VMULPS       Y8, Y10, Y11
+	VADDPS       Y11, Y4, Y4
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y12, Y5, Y5
+
+	VBROADCASTSS 12(SI), Y13 // A[p][3]
+	VMULPS       Y8, Y13, Y14
+	VADDPS       Y14, Y6, Y6
+	VMULPS       Y9, Y13, Y15
+	VADDPS       Y15, Y7, Y7
+
+	ADDQ $16, SI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  k4x16loop
+
+k4x16done:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    R9, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    R9, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    R9, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
 // func kern4x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
 //
-// 4 output rows × 8 columns. Accumulators start at the broadcast bias and
-// add one ascending-p term at a time:
+// SSE2: 4 output rows × 8 columns. Accumulators start at the broadcast
+// bias and add one ascending-p term at a time:
 //   X0,X1: row 0 cols 0-3, 4-7    X4,X5: row 2
 //   X2,X3: row 1                  X6,X7: row 3
 TEXT ·kern4x8(SB), NOSPLIT, $0-56

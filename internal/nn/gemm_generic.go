@@ -4,37 +4,49 @@ package nn
 
 import "unsafe"
 
-// Pure-Go fallbacks for the SSE2 micro-kernels. Semantics match the
-// assembly exactly: per-element ascending-p accumulation in kern4x8 (so
+// Pure-Go twins of the f32 micro-kernels. Semantics match the assembly
+// exactly: per-element ascending-p accumulation in every tile kernel (so
 // the GEMM conv stays bit-identical to convRef on every architecture) and
-// the (l0+l2)+(l1+l3) lane reduction in kernDot4.
+// the (l0+l2)+(l1+l3) lane reduction in kernDot4. These builds always run
+// the wide tiles, so gemmConvBias takes the same row and column split as
+// on an AVX2 host.
+func init() {
+	kernTile8x8, kernTile4x16 = kern8x8, kern4x16
+}
+
+func kern8x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int) {
+	kernGo(kk, a, b, bn, bias, c, cn, 8, 8)
+}
+
+func kern4x16(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int) {
+	kernGo(kk, a, b, bn, bias, c, cn, 4, 16)
+}
 
 func kern4x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int) {
-	as := unsafe.Slice(a, kk*4)
-	bs := unsafe.Slice(b, (kk-1)*bn+8)
-	bi := unsafe.Slice(bias, 4)
-	cs := unsafe.Slice(c, 3*cn+8)
-	for r := 0; r < 4; r++ {
-		for j := 0; j < 8; j++ {
+	kernGo(kk, a, b, bn, bias, c, cn, 4, 8)
+}
+
+// kern1x8's unpacked A row is the [kk][1] packed layout.
+func kern1x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32) {
+	kernGo(kk, a, b, bn, bias, c, 0, 1, 8)
+}
+
+// kernGo computes one mr-row × cols-column C tile from a [kk][mr] packed A:
+// c[r*cn+j] = bias[r] + Σ_{p<kk} a[p*mr+r] * b[p*bn+j], summed in
+// ascending p.
+func kernGo(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn, mr, cols int) {
+	as := unsafe.Slice(a, kk*mr)
+	bs := unsafe.Slice(b, (kk-1)*bn+cols)
+	bi := unsafe.Slice(bias, mr)
+	cs := unsafe.Slice(c, (mr-1)*cn+cols)
+	for r := 0; r < mr; r++ {
+		for j := 0; j < cols; j++ {
 			s := bi[r]
 			for p := 0; p < kk; p++ {
-				s += as[p*4+r] * bs[p*bn+j]
+				s += as[p*mr+r] * bs[p*bn+j]
 			}
 			cs[r*cn+j] = s
 		}
-	}
-}
-
-func kern1x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32) {
-	as := unsafe.Slice(a, kk)
-	bs := unsafe.Slice(b, (kk-1)*bn+8)
-	cs := unsafe.Slice(c, 8)
-	for j := 0; j < 8; j++ {
-		s := *bias
-		for p := 0; p < kk; p++ {
-			s += as[p] * bs[p*bn+j]
-		}
-		cs[j] = s
 	}
 }
 

@@ -6,7 +6,7 @@
 // int32, which makes every kernel variant bit-identical by construction
 // (see gemm_int8.go). The AVX2 kernel is primary; the SSE2 ones run on any
 // amd64 (SSE2 is the amd64 baseline) and kernel choice happens once at init
-// via CPUID (gemm_int8_amd64.go).
+// from cpuHasAVX2 (cpu_amd64.go).
 //
 // B panels are plain im2colI16 rows; the tap-pair interleave the pmaddwd
 // dataflow needs is done in-register with punpcklwd/punpckhwd (two unpacks
@@ -209,7 +209,10 @@ q4x8done:
 // for n8 (a positive multiple of 8) elements. bh carries bias + 0.5, so the
 // truncation implements round-half-up; values stay in [0, 127] so the
 // packssdw saturation never fires and the Go tail in requantReLU computes
-// identical bits.
+// identical bits. acc rows start wherever a channel's row of the
+// accumulator panel does, so the loads are MOVOU: a legacy-SSE memory
+// operand such as CVTPL2PS (SI) demands 16-byte alignment and faults
+// without it.
 TEXT ·qrequant(SB), NOSPLIT, $0-32
 	MOVQ n8+0(FP), CX
 	MOVQ acc+8(FP), SI
@@ -224,8 +227,10 @@ TEXT ·qrequant(SB), NOSPLIT, $0-32
 	SHUFPS $0x00, X4, X4
 
 qreqloop:
-	CVTPL2PS (SI), X0        // int32 → float32
-	CVTPL2PS 16(SI), X1
+	MOVOU (SI), X0
+	MOVOU 16(SI), X1
+	CVTPL2PS X0, X0          // int32 → float32
+	CVTPL2PS X1, X1
 	MULPS X5, X0
 	ADDPS X6, X0
 	MINPS X4, X0
@@ -242,23 +247,4 @@ qreqloop:
 	ADDQ $16, DI
 	SUBQ $8, CX
 	JNZ  qreqloop
-	RET
-
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax, edx uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
 	RET

@@ -121,13 +121,16 @@ func kkEven(inC, k int) int {
 	return kk + kk&1
 }
 
-// convBlockRows picks the row-block height for an image of width w so one
-// packed im2col panel (kk rows × blockRows*w columns) stays cache-resident.
-// The value depends only on the shape, never on the machine or pool size,
-// so block boundaries — and therefore gradient fold order — are
-// reproducible everywhere.
+// convBlockRows picks the row-block height for an image of width w: about
+// targetCols columns per packed im2col panel (kk rows × blockRows*w
+// columns). A panel row is then ~8 KB and a kk=72 panel (the 8-channel 3×3
+// layers) ~576 KB, which lives in L2/L3, not L1; what L1 holds is the
+// column strip one micro-kernel call walks (kk rows × 8 or 16 columns,
+// 2.3–4.6 KB at kk=72). The value depends only on the shape, never on the
+// machine or pool size, so block boundaries — and therefore gradient fold
+// order — are reproducible everywhere.
 func convBlockRows(w, h int) int {
-	const targetCols = 2048 // ~8 KB per panel row: L1-friendly at kk≈72
+	const targetCols = 2048
 	rows := targetCols / w
 	if rows < 1 {
 		rows = 1

@@ -20,8 +20,10 @@ func randTensor(c, h, w int, rng *rand.Rand) *Tensor {
 	return t
 }
 
+// randShape's outC reaches 17, so the forward meets every 8+4+1 row split
+// of gemmConvBias's tiles.
 func randShape(rng *rand.Rand) (inC, outC, k, h, w int) {
-	return 1 + rng.Intn(9), 1 + rng.Intn(9), 1 + 2*rng.Intn(3), 1 + rng.Intn(40), 1 + rng.Intn(40)
+	return 1 + rng.Intn(9), 1 + rng.Intn(17), 1 + 2*rng.Intn(3), 1 + rng.Intn(40), 1 + rng.Intn(40)
 }
 
 // diffConv runs one differential forward/backward comparison on the given
@@ -52,16 +54,23 @@ func diffConv(t *testing.T, inC, outC, k, h, w int, pool *Pool, arena *Arena, rn
 	got := l.Forward(x)
 	gotDIn := l.Backward(dOut)
 
-	for i := range want.Data {
-		if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
-			t.Fatalf("conv %dx%d k%d %dx%d: forward[%d] not bit-identical: ref %g (%#08x) gemm %g (%#08x)",
-				inC, outC, k, h, w, i,
-				want.Data[i], math.Float32bits(want.Data[i]),
-				got.Data[i], math.Float32bits(got.Data[i]))
+	// The forward and the input gradient run the same gemmConvBias, which
+	// keeps the reference's per-element operation order.
+	checkBits := func(name string, ref, got []float32) {
+		t.Helper()
+		for i := range ref {
+			if math.Float32bits(ref[i]) != math.Float32bits(got[i]) {
+				t.Fatalf("conv %dx%d k%d %dx%d: %s[%d] not bit-identical: ref %g (%#08x) gemm %g (%#08x)",
+					inC, outC, k, h, w, name, i,
+					ref[i], math.Float32bits(ref[i]), got[i], math.Float32bits(got[i]))
+			}
 		}
 	}
-	// Gradients tolerate reassociated accumulation (block partials, lane
-	// splits): require relative-L2 agreement, ||got-ref|| <= 1e-5*(1+||ref||).
+	checkBits("forward", want.Data, got.Data)
+	checkBits("dIn", wantDIn.Data, gotDIn.Data)
+	// Weight and bias gradients tolerate reassociated accumulation (block
+	// partials, lane splits): require relative-L2 agreement,
+	// ||got-ref|| <= 1e-5*(1+||ref||).
 	checkClose := func(name string, ref, got []float32) {
 		t.Helper()
 		var dd, rr float64
@@ -75,7 +84,6 @@ func diffConv(t *testing.T, inC, outC, k, h, w int, pool *Pool, arena *Arena, rn
 				inC, outC, k, h, w, name, math.Sqrt(dd), math.Sqrt(rr))
 		}
 	}
-	checkClose("dIn", wantDIn.Data, gotDIn.Data)
 	checkClose("gradW", wantGW, l.gradW)
 	checkClose("gradB", wantGB, l.gradB)
 
@@ -93,8 +101,9 @@ func TestConvGEMMMatchesRef(t *testing.T) {
 		diffConv(t, inC, outC, k, h, w, pool, arena, rng)
 	}
 	// Shapes chosen to hit every edge path: single pixel, single row/column,
-	// width below and above the micro-kernel's 8-column tile, multi-block
-	// heights, and kernels wider than the image.
+	// width below and above the micro-kernels' 8- and 16-column tiles,
+	// 8+4+1-row splits in the forward (outC) and the input gradient (inC),
+	// multi-block heights, and kernels wider than the image.
 	for _, s := range [][5]int{
 		{1, 1, 1, 1, 1},
 		{1, 1, 3, 1, 1},
@@ -106,6 +115,8 @@ func TestConvGEMMMatchesRef(t *testing.T) {
 		{8, 8, 3, 33, 9},
 		{3, 2, 5, 3, 3},
 		{6, 7, 1, 12, 31},
+		{13, 16, 3, 9, 21},
+		{8, 13, 1, 5, 40},
 	} {
 		diffConv(t, s[0], s[1], s[2], s[3], s[4], pool, arena, rng)
 	}
@@ -323,8 +334,8 @@ func TestArenaReusesExactSizes(t *testing.T) {
 }
 
 // FuzzConvForwardGEMM extends the differential check to fuzzer-chosen
-// shapes and seeds: forward must stay bit-identical to the scalar
-// reference, gradients within 1e-5.
+// shapes and seeds: forward and input gradient must stay bit-identical to
+// the scalar reference, weight and bias gradients within 1e-5.
 func FuzzConvForwardGEMM(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(1), uint8(9), uint8(11), int64(5))
 	f.Add(uint8(3), uint8(3), uint8(2), uint8(39), uint8(2), int64(99))
@@ -334,7 +345,7 @@ func FuzzConvForwardGEMM(f *testing.F) {
 	arena := NewArena()
 	f.Fuzz(func(t *testing.T, inCRaw, outCRaw, kRaw, hRaw, wRaw uint8, seed int64) {
 		inC := 1 + int(inCRaw)%9
-		outC := 1 + int(outCRaw)%9
+		outC := 1 + int(outCRaw)%17
 		k := 1 + 2*(int(kRaw)%3)
 		h := 1 + int(hRaw)%40
 		w := 1 + int(wRaw)%40

@@ -155,7 +155,7 @@ func (l *Conv2D) forwardBlock(bi int) {
 	y1 := min(y0+l.run.br, h)
 	n := (y1 - y0) * w
 	pack := l.arena.GetBuf(kk * n)
-	apack := l.arena.GetBuf(4 * kk)
+	apack := l.arena.GetBuf(8 * kk)
 	im2col(x.Data, l.InC, h, w, l.K, y0, y1, false, pack)
 	gemmConvBias(l.Weight, l.Bias, pack, l.OutC, kk, n, out.Data[y0*w:], h*w, apack)
 	l.arena.PutBuf(apack)
@@ -183,7 +183,7 @@ func (l *Conv2D) forwardBlock(bi int) {
 //
 //   - dIn is a convolution of dOut with the tap-flipped, transposed weight
 //     matrix (im2col with flip=true), so it reuses the bit-exact forward
-//     micro-kernel unchanged.
+//     GEMM (gemmConvBias) unchanged.
 //   - gradW accumulates per-block partials dOut·packᵀ (kernDot4), written
 //     to disjoint per-block buffers by the pool tasks and folded into the
 //     gradient accumulator in ascending block order afterwards — the fold
@@ -269,7 +269,7 @@ func (l *Conv2D) backwardBlock(bi int) {
 
 	// Input-gradient block: conv of dOut with flipped transposed taps.
 	pack2 := l.arena.GetBuf(kk2 * n)
-	apack := l.arena.GetBuf(4 * kk2)
+	apack := l.arena.GetBuf(8 * kk2)
 	im2col(dOut.Data, l.OutC, h, w, k, y0, y1, true, pack2)
 	gemmConvBias(l.run.a2, l.run.zb, pack2, l.InC, kk2, n, dIn.Data[y0*w:], h*w, apack)
 	l.arena.PutBuf(apack)

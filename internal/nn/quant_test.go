@@ -64,7 +64,10 @@ func TestRequantReLUVecMatchesGo(t *testing.T) {
 	defer func() { qrequantVec = saved }()
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(200)
-		acc := make([]int32, n)
+		// acc starts at every 4-byte offset from 16-byte alignment, as a
+		// channel row of an odd-sized frame does.
+		off := trial % 4
+		acc := make([]int32, off+n)[off:]
 		for i := range acc {
 			// Span negatives, zero crossings and clamp-overflow magnitudes.
 			acc[i] = int32(rng.Intn(1<<22) - 1<<21)

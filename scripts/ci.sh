@@ -18,7 +18,7 @@
 #                         the same livenas-vet and benchmark-module steps,
 #                         full tests, race tier (includes internal/sweep
 #                         and internal/fleet), fuzz smoke (wire, playlist,
-#                         codec; FUZZTIME, default 10s, 0 skips). No timing
+#                         codec, conv; FUZZTIME, default 10s, 0 skips). No timing
 #                         is gated here: BENCHMARK.json is the one
 #                         performance instrument.
 #
@@ -152,10 +152,14 @@ pin_tests() {
 }
 
 # The inference forward's bit-identity contract (DESIGN.md "Inference
-# forward"): each rewritten stage against the oracle kept in its ref_test.go.
+# forward"): each rewritten stage against the oracle kept in its ref_test.go,
+# the narrow and the installed wide f32 tile set against the scalar GEMM,
+# the vector requant on misaligned rows, and the int8 paths on odd frame
+# sizes with and without it.
 sr_inference_pin() {
     pin_tests ./internal/sr TestSuperResolveMatchesRef &&
-        pin_tests ./internal/nn TestConvInferMatchesForwardReLU &&
+        pin_tests ./internal/nn TestConvInferMatchesForwardReLU TestConvGEMMMatchesRef \
+            TestConvKernelVariantsMatch TestRequantReLUVecMatchesGo TestQuantOddFrameSizes &&
         pin_tests ./internal/frame TestResizeBilinearMatchesRef
 }
 
@@ -252,6 +256,7 @@ else
         step "fuzz playlist ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzDecodePlaylist$' -fuzztime "$FUZZTIME" ./internal/edge
         step "fuzz codec ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzBitReader$' -fuzztime "$FUZZTIME" ./internal/codec
         step "fuzz codec decode ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/codec
+        step "fuzz conv ($FUZZTIME)" go test -run '^$' -fuzz '^FuzzConvForwardGEMM$' -fuzztime "$FUZZTIME" ./internal/nn
     fi
     if [[ -n "${CI_ARTIFACTS:-}" ]]; then
         step "run summary" go run ./cmd/livenas-bench -summary "$CI_ARTIFACTS/run_summary.json"
