@@ -138,7 +138,7 @@ func (a *Arena) PutBuf(b []float32) {
 
 // GetBufI16 returns an int16 scratch buffer of exactly n elements with
 // unspecified contents. The int8 inference path stores quantized
-// activations and im2col panels in int8-in-int16 containers (see quant.go),
+// activations and bordered blocks in int8-in-int16 containers (see quant.go),
 // so these share the arena's ownership rules with the float32 buffers.
 func (a *Arena) GetBufI16(n int) []int16 {
 	if a == nil {
@@ -175,7 +175,8 @@ func (a *Arena) PutBufI16(b []int16) {
 }
 
 // GetBufI32 returns an int32 scratch buffer of exactly n elements with
-// unspecified contents (GEMM accumulators for the int8 path).
+// unspecified contents (GEMM accumulators for the int8 path, and the tap
+// offset tables of both engines).
 func (a *Arena) GetBufI32(n int) []int32 {
 	if a == nil {
 		return make([]int32, n)

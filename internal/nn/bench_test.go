@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Kernel microbenchmarks of the im2col/GEMM engine with arena recycling:
+// Kernel microbenchmarks of the implicit-GEMM engine with arena recycling:
 // developer tools for `go test -bench`. The recorded figures are the
 // nn.conv_*_gmacs_per_s metrics of the serve_hd benchmark workload.
 //

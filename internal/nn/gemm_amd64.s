@@ -6,6 +6,15 @@
 // reference (vector lanes are independent IEEE operations). The product
 // keeps the scalar operand order, A·B, and the sum acc+product.
 //
+// The tiles are implicit-GEMM: B is not a packed panel but a bordered
+// block read through an offset table (im2col.go), so each kidx step loads
+// off[p] (MOVLQSX) and reads its B run at b + 4·off[p]. With relu set the
+// store rectifies: MAXPS zero, acc, acc in Go operand order, i.e. Intel
+// MAXPS acc, zero. MAXPS returns its second source unless the first is
+// greater, so with the accumulator first, NaN, −0 and +0 all store +0 —
+// ReLU.Forward's `v > 0` predicate, bit for bit. The other operand order
+// would let NaN and −0 through.
+//
 // kern8x8 and kern4x16 are AVX2 (VEX-encoded, YMM): gemm_amd64.go installs
 // them only when cpuHasAVX2, and each ends with VZEROUPPER so the SSE2
 // kernels and the runtime that follow pay no transition penalty. kern4x8,
@@ -17,20 +26,19 @@
 
 #include "textflag.h"
 
-// func kern8x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
+// func kern8x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
 //
 // AVX2: 8 output rows × 8 columns from a [kk][8] packed A (packA). Y0..Y7
-// hold rows 0..7 and start at the broadcast bias; each step is one B load
-// and eight broadcast-multiply-adds.
-TEXT ·kern8x8(SB), NOSPLIT, $0-56
+// hold rows 0..7 and start at the broadcast bias; each step is one offset
+// load, one B load and eight broadcast-multiply-adds.
+TEXT ·kern8x8(SB), NOSPLIT, $0-57
 	MOVQ kk+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
-	MOVQ bn+24(FP), DX
+	MOVQ off+24(FP), DX
 	MOVQ bias+32(FP), R8
 	MOVQ c+40(FP), DI
 	MOVQ cn+48(FP), R9
-	SHLQ $2, DX              // B row stride in bytes
 	SHLQ $2, R9              // C row stride in bytes
 
 	VBROADCASTSS 0(R8), Y0
@@ -46,7 +54,8 @@ TEXT ·kern8x8(SB), NOSPLIT, $0-56
 	JLE   k8x8done
 
 k8x8loop:
-	VMOVUPS (BX), Y8         // B[p][0..7]
+	MOVLQSX (DX), AX         // off[p]
+	VMOVUPS (BX)(AX*4), Y8   // B[p][0..7]
 
 	VBROADCASTSS 0(SI), Y9   // A[p][0]
 	VMULPS       Y8, Y9, Y9
@@ -74,11 +83,24 @@ k8x8loop:
 	VADDPS       Y9, Y7, Y7
 
 	ADDQ $32, SI
-	ADDQ DX, BX
+	ADDQ $4, DX
 	DECQ CX
 	JNZ  k8x8loop
 
 k8x8done:
+	CMPB relu+56(FP), $0
+	JEQ  k8x8store
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y8, Y0, Y0        // Intel VMAXPS Y0, Y0, Y8: acc > 0 ? acc : +0
+	VMAXPS Y8, Y1, Y1
+	VMAXPS Y8, Y2, Y2
+	VMAXPS Y8, Y3, Y3
+	VMAXPS Y8, Y4, Y4
+	VMAXPS Y8, Y5, Y5
+	VMAXPS Y8, Y6, Y6
+	VMAXPS Y8, Y7, Y7
+
+k8x8store:
 	VMOVUPS Y0, (DI)
 	ADDQ    R9, DI
 	VMOVUPS Y1, (DI)
@@ -97,21 +119,20 @@ k8x8done:
 	VZEROUPPER
 	RET
 
-// func kern4x16(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
+// func kern4x16(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
 //
 // AVX2: 4 output rows × 16 columns from a [kk][4] packed A (packA), the
 // kern4x8 layout. Accumulators start at the broadcast bias:
 //   Y0,Y1: row 0 cols 0-7, 8-15    Y4,Y5: row 2
 //   Y2,Y3: row 1                   Y6,Y7: row 3
-TEXT ·kern4x16(SB), NOSPLIT, $0-56
+TEXT ·kern4x16(SB), NOSPLIT, $0-57
 	MOVQ kk+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
-	MOVQ bn+24(FP), DX
+	MOVQ off+24(FP), DX
 	MOVQ bias+32(FP), R8
 	MOVQ c+40(FP), DI
 	MOVQ cn+48(FP), R9
-	SHLQ $2, DX              // B row stride in bytes
 	SHLQ $2, R9              // C row stride in bytes
 
 	VBROADCASTSS 0(R8), Y0
@@ -127,8 +148,9 @@ TEXT ·kern4x16(SB), NOSPLIT, $0-56
 	JLE   k4x16done
 
 k4x16loop:
-	VMOVUPS (BX), Y8         // B[p][0..7]
-	VMOVUPS 32(BX), Y9       // B[p][8..15]
+	MOVLQSX (DX), AX          // off[p]
+	VMOVUPS (BX)(AX*4), Y8    // B[p][0..7]
+	VMOVUPS 32(BX)(AX*4), Y9  // B[p][8..15]
 
 	VBROADCASTSS 0(SI), Y10  // A[p][0]
 	VMULPS       Y8, Y10, Y11
@@ -155,11 +177,24 @@ k4x16loop:
 	VADDPS       Y15, Y7, Y7
 
 	ADDQ $16, SI
-	ADDQ DX, BX
+	ADDQ $4, DX
 	DECQ CX
 	JNZ  k4x16loop
 
 k4x16done:
+	CMPB relu+56(FP), $0
+	JEQ  k4x16store
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y8, Y0, Y0        // accumulator first: NaN, −0 → +0
+	VMAXPS Y8, Y1, Y1
+	VMAXPS Y8, Y2, Y2
+	VMAXPS Y8, Y3, Y3
+	VMAXPS Y8, Y4, Y4
+	VMAXPS Y8, Y5, Y5
+	VMAXPS Y8, Y6, Y6
+	VMAXPS Y8, Y7, Y7
+
+k4x16store:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ    R9, DI
@@ -174,21 +209,20 @@ k4x16done:
 	VZEROUPPER
 	RET
 
-// func kern4x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int)
+// func kern4x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
 //
 // SSE2: 4 output rows × 8 columns. Accumulators start at the broadcast
 // bias and add one ascending-p term at a time:
 //   X0,X1: row 0 cols 0-3, 4-7    X4,X5: row 2
 //   X2,X3: row 1                  X6,X7: row 3
-TEXT ·kern4x8(SB), NOSPLIT, $0-56
+TEXT ·kern4x8(SB), NOSPLIT, $0-57
 	MOVQ kk+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
-	MOVQ bn+24(FP), DX
+	MOVQ off+24(FP), DX
 	MOVQ bias+32(FP), R8
 	MOVQ c+40(FP), DI
 	MOVQ cn+48(FP), R9
-	SHLQ $2, DX              // B row stride in bytes
 	SHLQ $2, R9              // C row stride in bytes
 
 	MOVSS  0(R8), X0
@@ -208,8 +242,9 @@ TEXT ·kern4x8(SB), NOSPLIT, $0-56
 	JLE   k4x8done
 
 k4x8loop:
-	MOVUPS 0(BX), X8         // B[p][0..3]
-	MOVUPS 16(BX), X9        // B[p][4..7]
+	MOVLQSX (DX), AX         // off[p]
+	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
+	MOVUPS 16(BX)(AX*4), X9  // B[p][4..7]
 	MOVUPS 0(SI), X10        // packed A[p][0..3]
 
 	MOVAPS X10, X11
@@ -244,11 +279,24 @@ k4x8loop:
 	ADDPS  X12, X7
 
 	ADDQ $16, SI
-	ADDQ DX, BX
+	ADDQ $4, DX
 	DECQ CX
 	JNZ  k4x8loop
 
 k4x8done:
+	CMPB relu+56(FP), $0
+	JEQ  k4x8store
+	XORPS X8, X8
+	MAXPS X8, X0             // Intel MAXPS X0, X8: acc > 0 ? acc : +0
+	MAXPS X8, X1
+	MAXPS X8, X2
+	MAXPS X8, X3
+	MAXPS X8, X4
+	MAXPS X8, X5
+	MAXPS X8, X6
+	MAXPS X8, X7
+
+k4x8store:
 	MOVUPS X0, 0(DI)
 	MOVUPS X1, 16(DI)
 	ADDQ   R9, DI
@@ -262,19 +310,18 @@ k4x8done:
 	MOVUPS X7, 16(DI)
 	RET
 
-// func kern1x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32)
+// func kern1x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, relu bool)
 //
 // Single output row × 8 columns, for the m-tail of gemmConvBias. Same
-// ascending-p element-wise accumulation as kern4x8; a is the unpacked
-// (contiguous) A row.
-TEXT ·kern1x8(SB), NOSPLIT, $0-48
+// ascending-p element-wise accumulation and relu store as kern4x8; a is the
+// unpacked (contiguous) A row.
+TEXT ·kern1x8(SB), NOSPLIT, $0-49
 	MOVQ kk+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
-	MOVQ bn+24(FP), DX
+	MOVQ off+24(FP), DX
 	MOVQ bias+32(FP), R8
 	MOVQ c+40(FP), DI
-	SHLQ $2, DX              // B row stride in bytes
 
 	MOVSS  0(R8), X0         // broadcast bias into both accumulators
 	SHUFPS $0x00, X0, X0
@@ -286,8 +333,9 @@ TEXT ·kern1x8(SB), NOSPLIT, $0-48
 k1x8loop:
 	MOVSS  0(SI), X4         // broadcast a[p]
 	SHUFPS $0x00, X4, X4
-	MOVUPS 0(BX), X8         // B[p][0..3]
-	MOVUPS 16(BX), X9        // B[p][4..7]
+	MOVLQSX (DX), AX         // off[p]
+	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
+	MOVUPS 16(BX)(AX*4), X9  // B[p][4..7]
 	MOVAPS X4, X5
 	MULPS  X8, X4
 	ADDPS  X4, X0
@@ -295,11 +343,18 @@ k1x8loop:
 	ADDPS  X5, X1
 
 	ADDQ $4, SI
-	ADDQ DX, BX
+	ADDQ $4, DX
 	DECQ CX
 	JNZ  k1x8loop
 
 k1x8done:
+	CMPB relu+48(FP), $0
+	JEQ  k1x8store
+	XORPS X8, X8
+	MAXPS X8, X0             // accumulator first: NaN, −0 → +0
+	MAXPS X8, X1
+
+k1x8store:
 	MOVUPS X0, 0(DI)
 	MOVUPS X1, 16(DI)
 	RET

@@ -5,45 +5,53 @@ package nn
 import "unsafe"
 
 // Pure-Go twins of the f32 micro-kernels. Semantics match the assembly
-// exactly: per-element ascending-p accumulation in every tile kernel (so
-// the GEMM conv stays bit-identical to convRef on every architecture) and
-// the (l0+l2)+(l1+l3) lane reduction in kernDot4. These builds always run
-// the wide tiles, so gemmConvBias takes the same row and column split as
-// on an AVX2 host.
+// exactly: per-element ascending-p accumulation and the `v > 0` relu store
+// in every tile kernel (so the GEMM conv stays bit-identical to convRef on
+// every architecture) and the (l0+l2)+(l1+l3) lane reduction in kernDot4.
+// These builds always run the wide tiles, so gemmConvBias takes the same
+// row and column split as on an AVX2 host.
 func init() {
 	kernTile8x8, kernTile4x16 = kern8x8, kern4x16
 }
 
-func kern8x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int) {
-	kernGo(kk, a, b, bn, bias, c, cn, 8, 8)
+func kern8x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool) {
+	kernGo(kk, a, b, off, bias, c, cn, 8, 8, relu)
 }
 
-func kern4x16(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int) {
-	kernGo(kk, a, b, bn, bias, c, cn, 4, 16)
+func kern4x16(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool) {
+	kernGo(kk, a, b, off, bias, c, cn, 4, 16, relu)
 }
 
-func kern4x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn int) {
-	kernGo(kk, a, b, bn, bias, c, cn, 4, 8)
+func kern4x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool) {
+	kernGo(kk, a, b, off, bias, c, cn, 4, 8, relu)
 }
 
 // kern1x8's unpacked A row is the [kk][1] packed layout.
-func kern1x8(kk int, a *float32, b *float32, bn int, bias *float32, c *float32) {
-	kernGo(kk, a, b, bn, bias, c, 0, 1, 8)
+func kern1x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, relu bool) {
+	kernGo(kk, a, b, off, bias, c, 0, 1, 8, relu)
 }
 
 // kernGo computes one mr-row × cols-column C tile from a [kk][mr] packed A:
-// c[r*cn+j] = bias[r] + Σ_{p<kk} a[p*mr+r] * b[p*bn+j], summed in
-// ascending p.
-func kernGo(kk int, a *float32, b *float32, bn int, bias *float32, c *float32, cn, mr, cols int) {
+// c[r*cn+j] = bias[r] + Σ_{p<kk} a[p*mr+r] * b[off[p]+j], summed in
+// ascending p, stored as +0 when relu is set and the sum is not > 0.
+func kernGo(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn, mr, cols int, relu bool) {
 	as := unsafe.Slice(a, kk*mr)
-	bs := unsafe.Slice(b, (kk-1)*bn+cols)
+	os := unsafe.Slice(off, kk)
+	span := 0
+	for _, o := range os {
+		span = max(span, int(o))
+	}
+	bs := unsafe.Slice(b, span+cols)
 	bi := unsafe.Slice(bias, mr)
 	cs := unsafe.Slice(c, (mr-1)*cn+cols)
 	for r := 0; r < mr; r++ {
 		for j := 0; j < cols; j++ {
 			s := bi[r]
-			for p := 0; p < kk; p++ {
-				s += as[p*mr+r] * bs[p*bn+j]
+			for p, o := range os {
+				s += as[p*mr+r] * bs[int(o)+j]
+			}
+			if relu && !(s > 0) {
+				s = 0
 			}
 			cs[r*cn+j] = s
 		}

@@ -12,9 +12,12 @@ package nn
 //
 // Layouts:
 //
-//   - B is the im2colI16 panel: kkEven rows × n columns, row-major, the
-//     same shifted-row copies as the f32 engine. Taps for a column pair
-//     (2p, 2p+1) live n elements apart; the vector kernels interleave them
+//   - B is implicit, as in the f32 engine (im2col.go): the row block's
+//     zero-bordered int16 copy read through a table of kkEven tap offsets,
+//     B[p][j] = b[off[p]+j] inside one output row. When inC·k·k is odd the
+//     table's last (pad) entry is 0: that tap's quantized weight is 0, so
+//     whatever it reads adds an exact 0. Tap pair (2p, 2p+1) is two runs
+//     at off[2p] and off[2p+1]; the vector kernels interleave them
 //     in-register (punpcklwd/punpckhwd) rather than paying a scattered
 //     pack on the B side.
 //   - A (weights) comes in two forms: wq is plain row-major int16
@@ -28,58 +31,62 @@ package nn
 // intermediate of pmaddwd (pair sum ≤ 2·127² < 2¹⁵) never saturates.
 
 // qkernTile, when non-nil, computes a 4-row × qkernTileCols-column C tile:
-// qkernTile(kk2, a, b, bn, c, cn) with a = one wqPack block, b = the tile's
-// first column in panel row 0, bn/cn = element strides of B and C. Set by
-// the amd64 init (AVX2 4×16 or SSE2 4×8); nil elsewhere, routing everything
-// through the scalar path.
-var qkernTile func(kk2 int, a *int16, b *int16, bn int, c *int32, cn int)
+// qkernTile(kk2, a, b, off, c, cn) with a = one wqPack block, b = the
+// tile's first column in its output row's block row, off = the 2·kk2 tap
+// offsets, cn = the element stride of C. Set by the amd64 init (AVX2 4×16
+// or SSE2 4×8); nil elsewhere, routing everything through the scalar path.
+var qkernTile func(kk2 int, a *int16, b *int16, off *int32, c *int32, cn int)
 
 // qkernTileCols is qkernTile's column tile width (0 when qkernTile is nil).
 var qkernTileCols int
 
-// gemmInt8Conv computes c[oc][j] = Σ_p wq[oc*kkEven+p]*b[p*n+j] for
-// oc < outC, j < n, with c rows accStride apart. wqPack holds the
+// gemmInt8Conv computes, for oc < outC, y < rows and x < w,
+//
+//	c[oc*accStride + y*w + x] = Σ_p wq[oc*kkEven+p] * b[off[p] + y*bs + x]
+//
+// with kkEven = len(off) and b rows bs apart. wqPack holds the
 // pair-interleaved 4-row blocks for the first outC&^3 rows (may be empty
 // when outC < 4). Bias and scale handling live in the float epilogue
 // (requantReLU/dequantInto), not here: the accumulator is exact.
-func gemmInt8Conv(wq, wqPack []int16, b []int16, outC, kkEvn, n int, c []int32, accStride int) {
-	kk2 := kkEvn / 2
+func gemmInt8Conv(wq, wqPack []int16, b []int16, off []int32, outC, rows, w, bs int, c []int32, accStride int) {
+	kk2 := len(off) / 2
 	m4 := outC &^ 3
-	nv := 0
+	wv := 0
 	if qkernTileCols > 0 {
-		nv = n &^ (qkernTileCols - 1)
+		wv = w &^ (qkernTileCols - 1)
 	}
 	for oc := 0; oc < m4; oc += 4 {
-		if nv > 0 {
-			ap := wqPack[(oc/4)*kk2*8:]
-			for j := 0; j < nv; j += qkernTileCols {
-				qkernTile(kk2, &ap[0], &b[j], n, &c[oc*accStride+j], accStride)
+		ap := wqPack[(oc/4)*kk2*8:]
+		for y := 0; y < rows; y++ {
+			brow, crow := b[y*bs:], c[oc*accStride+y*w:]
+			for x := 0; x < wv; x += qkernTileCols {
+				qkernTile(kk2, &ap[0], &brow[x], &off[0], &crow[x], accStride)
 			}
-		}
-		if nv < n {
-			qgemmScalar(wq, b, oc, oc+4, kkEvn, nv, n, c, accStride)
+			qgemmScalar(wq, brow, off, oc, oc+4, wv, w, c[y*w:], accStride)
 		}
 	}
 	if m4 < outC {
-		qgemmScalar(wq, b, m4, outC, kkEvn, 0, n, c, accStride)
+		for y := 0; y < rows; y++ {
+			qgemmScalar(wq, b[y*bs:], off, m4, outC, 0, w, c[y*w:], accStride)
+		}
 	}
 }
 
 // qgemmScalar is the portable int8 GEMM path: rows [oc0, oc1), columns
-// [j0, n). Integer accumulation is exact, so it is bit-identical to the
-// vector kernels with no ordering care needed.
-func qgemmScalar(wq []int16, b []int16, oc0, oc1, kkEvn, j0, n int, c []int32, accStride int) {
+// [x0, x1) of one output row, c[oc*accStride+x] = Σ_p wq[oc*kkEven+p] *
+// b[off[p]+x]. Integer accumulation is exact, so it is bit-identical to
+// the vector kernels with no ordering care needed.
+func qgemmScalar(wq []int16, b []int16, off []int32, oc0, oc1, x0, x1 int, c []int32, accStride int) {
+	kkEvn := len(off)
 	for oc := oc0; oc < oc1; oc++ {
 		arow := wq[oc*kkEvn : (oc+1)*kkEvn]
 		crow := c[oc*accStride:]
-		for j := j0; j < n; j++ {
+		for x := x0; x < x1; x++ {
 			var s int32
-			bp := j
-			for p := 0; p < kkEvn; p++ {
-				s += int32(arow[p]) * int32(b[bp])
-				bp += n
+			for p, o := range off {
+				s += int32(arow[p]) * int32(b[int(o)+x])
 			}
-			crow[j] = s
+			crow[x] = s
 		}
 	}
 }

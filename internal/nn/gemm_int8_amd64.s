@@ -8,13 +8,16 @@
 // amd64 (SSE2 is the amd64 baseline) and kernel choice happens once at init
 // from cpuHasAVX2 (cpu_amd64.go).
 //
-// B panels are plain im2colI16 rows; the tap-pair interleave the pmaddwd
-// dataflow needs is done in-register with punpcklwd/punpckhwd (two unpacks
-// amortized over four output rows), so the packing stays at copy speed.
+// B is implicit: the row block's zero-bordered int16 copy, read through a
+// table of tap offsets (gemm_int8.go), so each tap-pair step loads
+// off[2p] and off[2p+1] (MOVLQSX) and reads its two B runs there. The
+// tap-pair interleave the pmaddwd dataflow needs is done in-register with
+// punpcklwd/punpckhwd (two unpacks amortized over four output rows), so
+// the block copy stays the only data movement.
 
 #include "textflag.h"
 
-// func qkern4x16(kk2 int, a *int16, b *int16, bn int, c *int32, cn int)
+// func qkern4x16(kk2 int, a *int16, b *int16, off *int32, c *int32, cn int)
 //
 // AVX2: 4 output rows × 16 columns, kk2 tap-pair steps. a is one wqPack
 // block ([kk2][4 channels][2 taps] int16) so one channel's tap pair is a
@@ -25,12 +28,10 @@ TEXT ·qkern4x16(SB), NOSPLIT, $0-48
 	MOVQ kk2+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
-	MOVQ bn+24(FP), DX
+	MOVQ off+24(FP), DX
 	MOVQ c+32(FP), DI
 	MOVQ cn+40(FP), R9
-	SHLQ $1, DX              // B row stride in bytes (int16)
 	SHLQ $2, R9              // C row stride in bytes (int32)
-	LEAQ (BX)(DX*1), R10     // second row of the current tap pair
 
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
@@ -45,8 +46,10 @@ TEXT ·qkern4x16(SB), NOSPLIT, $0-48
 	JLE   q4x16done
 
 q4x16loop:
-	VMOVDQU (BX), Y13        // B[2p][j..j+15]
-	VMOVDQU (R10), Y14       // B[2p+1][j..j+15]
+	MOVLQSX (DX), AX         // off[2p]
+	MOVLQSX 4(DX), R10       // off[2p+1]
+	VMOVDQU (BX)(AX*2), Y13  // B[2p][j..j+15]
+	VMOVDQU (BX)(R10*2), Y14 // B[2p+1][j..j+15]
 	VPUNPCKLWD Y14, Y13, Y8  // tap pairs, cols {0-3, 8-11}
 	VPUNPCKHWD Y14, Y13, Y9  // tap pairs, cols {4-7, 12-15}
 
@@ -75,8 +78,7 @@ q4x16loop:
 	VPADDD   Y12, Y7, Y7
 
 	ADDQ $16, SI
-	LEAQ (BX)(DX*2), BX      // advance two B rows
-	LEAQ (R10)(DX*2), R10
+	ADDQ $8, DX              // next tap pair's offsets
 	DECQ CX
 	JNZ  q4x16loop
 
@@ -111,7 +113,7 @@ q4x16done:
 	VZEROUPPER
 	RET
 
-// func qkern4x8s(kk2 int, a *int16, b *int16, bn int, c *int32, cn int)
+// func qkern4x8s(kk2 int, a *int16, b *int16, off *int32, c *int32, cn int)
 //
 // SSE2 pmaddwd fallback: 4 output rows × 8 columns, same contract.
 //   X0,X1: row 0 cols 0-3, 4-7    X4,X5: row 2
@@ -120,12 +122,10 @@ TEXT ·qkern4x8s(SB), NOSPLIT, $0-48
 	MOVQ kk2+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
-	MOVQ bn+24(FP), DX
+	MOVQ off+24(FP), DX
 	MOVQ c+32(FP), DI
 	MOVQ cn+40(FP), R9
-	SHLQ $1, DX              // B row stride in bytes (int16)
 	SHLQ $2, R9              // C row stride in bytes (int32)
-	LEAQ (BX)(DX*1), R10
 
 	XORPS X0, X0
 	XORPS X1, X1
@@ -140,8 +140,10 @@ TEXT ·qkern4x8s(SB), NOSPLIT, $0-48
 	JLE   q4x8done
 
 q4x8loop:
-	MOVOU (BX), X13          // B[2p][j..j+7]
-	MOVOU (R10), X14         // B[2p+1][j..j+7]
+	MOVLQSX (DX), AX         // off[2p]
+	MOVLQSX 4(DX), R10       // off[2p+1]
+	MOVOU (BX)(AX*2), X13    // B[2p][j..j+7]
+	MOVOU (BX)(R10*2), X14   // B[2p+1][j..j+7]
 	MOVOU X13, X8
 	PUNPCKLWL X14, X8        // tap pairs, cols 0-3
 	MOVOU X13, X9
@@ -184,8 +186,7 @@ q4x8loop:
 	PADDD  X11, X7
 
 	ADDQ $16, SI
-	LEAQ (BX)(DX*2), BX
-	LEAQ (R10)(DX*2), R10
+	ADDQ $8, DX
 	DECQ CX
 	JNZ  q4x8loop
 

@@ -8,8 +8,9 @@ import (
 
 // The kernel engine's correctness contract (DESIGN.md "Kernel engine"):
 // the GEMM forward is bit-identical to the scalar reference for every
-// shape, gradients agree within 1e-5, and results are bit-identical across
-// pool sizes. These tests check randomized shapes; the fuzz targets below
+// shape and so is the input gradient, weight and bias gradients agree
+// within 1e-5 of the sum of their terms' magnitudes, and results are
+// bit-identical across pool sizes. These tests check randomized shapes; the fuzz targets below
 // extend the same differential checks to fuzzer-chosen shapes and data.
 
 func randTensor(c, h, w int, rng *rand.Rand) *Tensor {
@@ -69,26 +70,56 @@ func diffConv(t *testing.T, inC, outC, k, h, w int, pool *Pool, arena *Arena, rn
 	checkBits("forward", want.Data, got.Data)
 	checkBits("dIn", wantDIn.Data, gotDIn.Data)
 	// Weight and bias gradients tolerate reassociated accumulation (block
-	// partials, lane splits): require relative-L2 agreement,
-	// ||got-ref|| <= 1e-5*(1+||ref||).
-	checkClose := func(name string, ref, got []float32) {
+	// partials, lane splits). A float32 sum's rounding error scales with
+	// the sum of its terms' magnitudes, which cancellation can make far
+	// larger than the sum itself, so each element is bounded by the same
+	// gradient over absolute values: |got-ref| <= 1e-5·Σ|terms|.
+	absW, absB := convRefGradAbs(l, x, dOut)
+	checkClose := func(name string, ref, got []float32, abs []float64) {
 		t.Helper()
-		var dd, rr float64
 		for i := range ref {
-			d := float64(ref[i]) - float64(got[i])
-			dd += d * d
-			rr += float64(ref[i]) * float64(ref[i])
-		}
-		if math.Sqrt(dd) > 1e-5*(1+math.Sqrt(rr)) {
-			t.Fatalf("conv %dx%d k%d %dx%d: %s differs from ref: ||diff|| %g vs ||ref|| %g",
-				inC, outC, k, h, w, name, math.Sqrt(dd), math.Sqrt(rr))
+			if d := math.Abs(float64(ref[i]) - float64(got[i])); d > 1e-5*abs[i] {
+				t.Fatalf("conv %dx%d k%d %dx%d: %s[%d] = %g, ref %g: |diff| %g > 1e-5 x %g (the sum of |terms|)",
+					inC, outC, k, h, w, name, i, got[i], ref[i], d, abs[i])
+			}
 		}
 	}
-	checkClose("gradW", wantGW, l.gradW)
-	checkClose("gradB", wantGB, l.gradB)
+	checkClose("gradW", wantGW, l.gradW, absW)
+	checkClose("gradB", wantGB, l.gradB, absB)
 
 	arena.Put(got)
 	arena.Put(gotDIn)
+}
+
+// convRefGradAbs computes convRefBackward's weight and bias gradients over
+// absolute values, in float64: Σ|dOut·x| per weight and Σ|dOut| per bias,
+// the scale of the rounding error either float32 summation order can make.
+func convRefGradAbs(l *Conv2D, x, dOut *Tensor) (gw, gb []float64) {
+	h, w := x.H, x.W
+	pad := l.K / 2
+	gw, gb = make([]float64, len(l.Weight)), make([]float64, l.OutC)
+	for oc := 0; oc < l.OutC; oc++ {
+		g := dOut.Data[oc*h*w : (oc+1)*h*w]
+		for _, v := range g {
+			gb[oc] += math.Abs(float64(v))
+		}
+		for ic := 0; ic < l.InC; ic++ {
+			src := x.Data[ic*h*w : (ic+1)*h*w]
+			for ky := 0; ky < l.K; ky++ {
+				for kx := 0; kx < l.K; kx++ {
+					dy, dx := ky-pad, kx-pad
+					var s float64
+					for y := max(0, -dy); y < min(h, h-dy); y++ {
+						for xx := max(0, -dx); xx < min(w, w-dx); xx++ {
+							s += math.Abs(float64(g[y*w+xx]) * float64(src[(y+dy)*w+xx+dx]))
+						}
+					}
+					gw[((oc*l.InC+ic)*l.K+ky)*l.K+kx] = s
+				}
+			}
+		}
+	}
+	return gw, gb
 }
 
 func TestConvGEMMMatchesRef(t *testing.T) {
@@ -335,11 +366,15 @@ func TestArenaReusesExactSizes(t *testing.T) {
 
 // FuzzConvForwardGEMM extends the differential check to fuzzer-chosen
 // shapes and seeds: forward and input gradient must stay bit-identical to
-// the scalar reference, weight and bias gradients within 1e-5.
+// the scalar reference, weight and bias gradients within 1e-5 of the sum
+// of their terms' magnitudes.
 func FuzzConvForwardGEMM(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(1), uint8(9), uint8(11), int64(5))
 	f.Add(uint8(3), uint8(3), uint8(2), uint8(39), uint8(2), int64(99))
 	f.Add(uint8(7), uint8(0), uint8(0), uint8(0), uint8(0), int64(-1))
+	// 1→1 k1 35×31: cancellation left gradW's error at 2e-5 of ‖ref‖, past
+	// the relative-L2 bound the gradients once had.
+	f.Add(uint8(0), uint8(0), uint8(18), uint8(34), uint8(30), int64(50))
 	pool := NewPool(2)
 	defer pool.Close()
 	arena := NewArena()

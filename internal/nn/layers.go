@@ -26,11 +26,12 @@ func ConfigureKernels(layers []Layer, a *Arena, p *Pool) {
 // Conv2D is a 2-D convolution with odd square kernels, stride 1 and "same"
 // zero padding. Weight layout: [outC][inC][K][K].
 //
-// The forward/backward hot path is im2col + register-blocked GEMM (gemm.go,
-// im2col.go), row-blocked so the packed panel stays cache-resident and
-// parallelized across blocks on the kernel pool. The GEMM forward is
-// bit-identical to the scalar tap loop it replaced (the differential oracle
-// in ref_test.go) by construction.
+// The forward/backward hot path is an implicit register-blocked GEMM
+// (gemm.go, im2col.go): each row block is copied once into a zero-bordered
+// block that the micro-kernels read through a tap offset table, so the
+// block stays cache-resident, and blocks run in parallel on the kernel
+// pool. The GEMM forward is bit-identical to the scalar tap loop it
+// replaced (the differential oracle in ref_test.go) by construction.
 type Conv2D struct {
 	InC, OutC, K int
 	Weight       []float32
@@ -54,6 +55,7 @@ type Conv2D struct {
 		x, out, dOut, dIn *Tensor
 		br                int
 		relu              bool
+		off, offD         []int32 // tap tables: x's block, dOut's flipped
 		a2, zb, partial   []float32
 	}
 }
@@ -125,66 +127,53 @@ func (l *Conv2D) Forward(x *Tensor) *Tensor {
 }
 
 // Infer is the forward pass with nothing kept for Backward. The convolution
-// is computed block-by-block: each row block is im2col-packed and
-// multiplied against the weight matrix. Block boundaries come from
-// convBlockRows (shape-derived), so the partition — and with it the result
-// — is independent of pool size. With relu set, every block rectifies its
-// own output rows while they are still in cache, with ReLU.Forward's
-// predicate (anything not > 0, so -0 and NaN too, becomes +0): the fused
-// result is bit-identical to Forward followed by ReLU.Forward, without the
-// sign bitset only Backward reads.
+// is computed block-by-block: each row block is copied into a zero-bordered
+// block and multiplied against the weight matrix through the call's tap
+// offset table. Block boundaries come from convBlockRows (shape-derived),
+// so the partition — and with it the result — is independent of pool size.
+// With relu set, the micro-kernels rectify in their store with
+// ReLU.Forward's predicate (anything not > 0, so -0 and NaN too, becomes
+// +0): the fused result is bit-identical to Forward followed by
+// ReLU.Forward, without the sign bitset only Backward reads.
 func (l *Conv2D) Infer(x *Tensor, relu bool) *Tensor {
 	if x.C != l.InC {
 		panic("nn: Conv2D input channel mismatch")
 	}
 	out := l.arena.Get(l.OutC, x.H, x.W)
-	l.run.x, l.run.out, l.run.relu = x, out, relu
-	l.run.br = convBlockRows(x.W, x.H)
-	nb := (x.H + l.run.br - 1) / l.run.br
-	l.pool.Run(nb, l.fwdTask)
-	l.run.x, l.run.out = nil, nil
+	br := convBlockRows(x.W, x.H)
+	pad := l.K / 2
+	off := l.arena.GetBufI32(l.InC * l.K * l.K)
+	tapOffsets(off, l.InC, l.K, br+2*pad, x.W+2*pad, false)
+	l.run.x, l.run.out, l.run.relu, l.run.br, l.run.off = x, out, relu, br, off
+	l.pool.Run((x.H+br-1)/br, l.fwdTask)
+	l.run.x, l.run.out, l.run.off = nil, nil, nil
+	l.arena.PutBufI32(off)
 	return out
 }
 
 // forwardBlock is the pooled per-block worker for Infer.
 func (l *Conv2D) forwardBlock(bi int) {
-	x, out := l.run.x, l.run.out
+	x, out, br := l.run.x, l.run.out, l.run.br
 	h, w := x.H, x.W
-	kk := l.InC * l.K * l.K
-	y0 := bi * l.run.br
-	y1 := min(y0+l.run.br, h)
-	n := (y1 - y0) * w
-	pack := l.arena.GetBuf(kk * n)
-	apack := l.arena.GetBuf(8 * kk)
-	im2col(x.Data, l.InC, h, w, l.K, y0, y1, false, pack)
-	gemmConvBias(l.Weight, l.Bias, pack, l.OutC, kk, n, out.Data[y0*w:], h*w, apack)
+	pad := l.K / 2
+	y0 := bi * br
+	rows := min(br, h-y0)
+	bh, bw := br+2*pad, w+2*pad
+	blk := l.arena.GetBuf(l.InC * bh * bw)
+	apack := l.arena.GetBuf(8 * len(l.run.off))
+	borderBlock(x.Data, l.InC, h, w, pad, y0, rows, bh, blk)
+	gemmConvBias(l.Weight, l.Bias, blk, l.run.off, l.OutC, rows, w, bw, out.Data[y0*w:], h*w, apack, l.run.relu)
 	l.arena.PutBuf(apack)
-	l.arena.PutBuf(pack)
-	if !l.run.relu {
-		return
-	}
-	// v > 0 exactly when its bits lie in (0, +Inf]; as an integer test the
-	// compiler emits a conditional move, not a branch that mispredicts on
-	// every sign change.
-	for oc := 0; oc < l.OutC; oc++ {
-		row := out.Data[oc*h*w+y0*w : oc*h*w+y0*w+n]
-		for i, v := range row {
-			b := math.Float32bits(v)
-			if b-1 >= 0x7f800000 {
-				b = 0
-			}
-			row[i] = math.Float32frombits(b)
-		}
-	}
+	l.arena.PutBuf(blk)
 }
 
 // Backward implements Layer. It computes all three gradients with the same
 // block structure as the forward:
 //
 //   - dIn is a convolution of dOut with the tap-flipped, transposed weight
-//     matrix (im2col with flip=true), so it reuses the bit-exact forward
-//     GEMM (gemmConvBias) unchanged.
-//   - gradW accumulates per-block partials dOut·packᵀ (kernDot4), written
+//     matrix (dOut's bordered block read through the flipped table), so it
+//     reuses the bit-exact forward GEMM (gemmConvBias) unchanged.
+//   - gradW accumulates per-block partials dOut·im2colᵀ (kernDot4), written
 //     to disjoint per-block buffers by the pool tasks and folded into the
 //     gradient accumulator in ascending block order afterwards — the fold
 //     order is fixed by shape, so gradients are deterministic for any pool
@@ -200,10 +189,15 @@ func (l *Conv2D) Backward(dOut *Tensor) *Tensor {
 	kk2 := l.OutC * k * k
 	br := convBlockRows(w, h)
 	nb := (h + br - 1) / br
+	bh, bw := br+2*(k/2), w+2*(k/2)
+	off := l.arena.GetBufI32(kk)
+	tapOffsets(off, l.InC, k, bh, bw, false)
+	offD := l.arena.GetBufI32(kk2)
+	tapOffsets(offD, l.OutC, k, bh, bw, true)
 
 	// Transposed, per-output-channel weight matrix for the input gradient:
 	// a2[ic][(oc*K+ky)*K+kx] = Weight[oc][ic][ky][kx]. The tap flip lives in
-	// the im2col sampling, not here.
+	// offD, not here.
 	a2 := l.arena.GetBuf(l.InC * kk2)
 	for ic := 0; ic < l.InC; ic++ {
 		for oc := 0; oc < l.OutC; oc++ {
@@ -218,9 +212,11 @@ func (l *Conv2D) Backward(dOut *Tensor) *Tensor {
 	partial := l.arena.GetBuf(nb * l.OutC * kk)
 
 	l.run.x, l.run.dOut, l.run.dIn = x, dOut, dIn
-	l.run.br, l.run.a2, l.run.zb, l.run.partial = br, a2, zb, partial
+	l.run.br, l.run.off, l.run.offD = br, off, offD
+	l.run.a2, l.run.zb, l.run.partial = a2, zb, partial
 	l.pool.Run(nb, l.bwdTask)
 	l.run.x, l.run.dOut, l.run.dIn = nil, nil, nil
+	l.run.off, l.run.offD = nil, nil
 	l.run.a2, l.run.zb, l.run.partial = nil, nil, nil
 
 	for bi := 0; bi < nb; bi++ {
@@ -232,6 +228,8 @@ func (l *Conv2D) Backward(dOut *Tensor) *Tensor {
 	l.arena.PutBuf(partial)
 	l.arena.PutBuf(zb)
 	l.arena.PutBuf(a2)
+	l.arena.PutBufI32(offD)
+	l.arena.PutBufI32(off)
 
 	for oc := 0; oc < l.OutC; oc++ {
 		var gb float32
@@ -245,19 +243,22 @@ func (l *Conv2D) Backward(dOut *Tensor) *Tensor {
 
 // backwardBlock is the pooled per-block worker for Backward.
 func (l *Conv2D) backwardBlock(bi int) {
-	x, dOut, dIn := l.run.x, l.run.dOut, l.run.dIn
+	x, dOut, dIn, br := l.run.x, l.run.dOut, l.run.dIn, l.run.br
 	h, w := x.H, x.W
-	k := l.K
-	kk := l.InC * k * k
-	kk2 := l.OutC * k * k
-	y0 := bi * l.run.br
-	y1 := min(y0+l.run.br, h)
-	n := (y1 - y0) * w
+	pad := l.K / 2
+	kk, kk2 := len(l.run.off), len(l.run.offD)
+	y0 := bi * br
+	rows := min(br, h-y0)
+	n := rows * w
+	bh, bw := br+2*pad, w+2*pad
 
 	// Weight-gradient partial for this block: part[oc][kidx] =
-	// Σ_p dOut[oc][block p] * pack[kidx][p].
+	// Σ_p dOut[oc][block p] * pack[kidx][p], over the explicit im2col rows.
+	blk := l.arena.GetBuf(l.InC * bh * bw)
+	borderBlock(x.Data, l.InC, h, w, pad, y0, rows, bh, blk)
 	pack := l.arena.GetBuf(kk * n)
-	im2col(x.Data, l.InC, h, w, k, y0, y1, false, pack)
+	im2col(blk, l.run.off, rows, w, bw, pack)
+	l.arena.PutBuf(blk)
 	part := l.run.partial[bi*l.OutC*kk : (bi+1)*l.OutC*kk]
 	for oc := 0; oc < l.OutC; oc++ {
 		gv := dOut.Data[oc*h*w+y0*w : oc*h*w+y0*w+n]
@@ -267,13 +268,14 @@ func (l *Conv2D) backwardBlock(bi int) {
 	}
 	l.arena.PutBuf(pack)
 
-	// Input-gradient block: conv of dOut with flipped transposed taps.
-	pack2 := l.arena.GetBuf(kk2 * n)
+	// Input-gradient block: conv of dOut's bordered block with flipped
+	// transposed taps.
+	blkD := l.arena.GetBuf(l.OutC * bh * bw)
 	apack := l.arena.GetBuf(8 * kk2)
-	im2col(dOut.Data, l.OutC, h, w, k, y0, y1, true, pack2)
-	gemmConvBias(l.run.a2, l.run.zb, pack2, l.InC, kk2, n, dIn.Data[y0*w:], h*w, apack)
+	borderBlock(dOut.Data, l.OutC, h, w, pad, y0, rows, bh, blkD)
+	gemmConvBias(l.run.a2, l.run.zb, blkD, l.run.offD, l.InC, rows, w, bw, dIn.Data[y0*w:], h*w, apack, false)
 	l.arena.PutBuf(apack)
-	l.arena.PutBuf(pack2)
+	l.arena.PutBuf(blkD)
 }
 
 // ReLU is the rectified-linear activation of the training chain (inference

@@ -88,26 +88,38 @@ func (q *QuantConv) ForwardDequant(a *Arena, x []int16, h, w int, m, b []float32
 	q.forward(a, x, h, w, m, b, nil, out)
 }
 
+// forward runs the conv block by block, like Conv2D.Infer: each row block is
+// copied into a zero-bordered int16 block that the kernels read through
+// one tap offset table per call. An odd tap count's pad entry points at
+// offset 0: its quantized weight is 0, so the exact sum cannot move.
 func (q *QuantConv) forward(a *Arena, x []int16, h, w int, m, b []float32, outQ []int16, outF []float32) {
 	plane := h * w
 	br := convBlockRows(w, h)
+	pad := q.K / 2
+	bh, bw := br+2*pad, w+2*pad
+	off := a.GetBufI32(q.kkEvn)
+	tapOffsets(off, q.InC, q.K, bh, bw, false)
+	if kk := q.InC * q.K * q.K; kk < q.kkEvn {
+		off[kk] = 0
+	}
+	blk := a.GetBufI16(q.InC * bh * bw)
+	acc := a.GetBufI32(q.OutC * br * w)
 	for y0 := 0; y0 < h; y0 += br {
-		y1 := min(y0+br, h)
-		n := (y1 - y0) * w
-		pack := a.GetBufI16(q.kkEvn * n)
-		im2colI16(x, q.InC, h, w, q.K, y0, y1, pack)
-		acc := a.GetBufI32(q.OutC * n)
-		gemmInt8Conv(q.wq, q.wqPack, pack, q.OutC, q.kkEvn, n, acc, n)
+		rows := min(br, h-y0)
+		n := rows * w
+		borderBlock(x, q.InC, h, w, pad, y0, rows, bh, blk)
+		gemmInt8Conv(q.wq, q.wqPack, blk, off, q.OutC, rows, w, bw, acc, n)
 		for oc := 0; oc < q.OutC; oc++ {
 			seg := acc[oc*n : (oc+1)*n]
-			off := oc*plane + y0*w
+			o := oc*plane + y0*w
 			if outQ != nil {
-				requantReLU(seg, m[oc], b[oc], outQ[off:off+n])
+				requantReLU(seg, m[oc], b[oc], outQ[o:o+n])
 			} else {
-				dequantInto(seg, m[oc], b[oc], outF[off:off+n])
+				dequantInto(seg, m[oc], b[oc], outF[o:o+n])
 			}
 		}
-		a.PutBufI32(acc)
-		a.PutBufI16(pack)
 	}
+	a.PutBufI32(acc)
+	a.PutBufI16(blk)
+	a.PutBufI32(off)
 }

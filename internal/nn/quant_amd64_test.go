@@ -8,13 +8,15 @@ import (
 )
 
 // TestQuantKernelVariantsMatch runs the full driver under each available
-// asm tile kernel (AVX2 4x16 where the CPU has it, SSE2 4x8 always) and
-// pins bit-identical accumulators against the scalar path — the hardware
-// dispatch must never change results.
+// asm tile kernel (AVX2 4x16 where the CPU has it, SSE2 4x8 always) on
+// bordered blocks read through their tap tables — odd tap counts, whose pad
+// entry points at offset 0, included — and pins exact accumulators against
+// the im2colRef panel: the hardware dispatch and the table must never
+// change results.
 func TestQuantKernelVariantsMatch(t *testing.T) {
 	type variant struct {
 		name string
-		fn   func(kk2 int, a *int16, b *int16, bn int, c *int32, cn int)
+		fn   func(kk2 int, a *int16, b *int16, off *int32, c *int32, cn int)
 		cols int
 	}
 	variants := []variant{{"sse2_4x8", qkern4x8s, 8}}
@@ -30,29 +32,14 @@ func TestQuantKernelVariantsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			for trial := 0; trial < 30; trial++ {
-				outC := 1 + rng.Intn(12)
-				kk := 1 + rng.Intn(90)
-				ke := kk + kk&1
-				n := 1 + rng.Intn(90)
-				wq := randI8(outC*ke, rng)
-				if kk&1 == 1 {
-					for oc := 0; oc < outC; oc++ {
-						wq[oc*ke+kk] = 0
-					}
+			qkernTile, qkernTileCols = v.fn, v.cols
+			for trial := 0; trial < 60; trial++ {
+				c := 1 + rng.Intn(9)
+				if trial%2 == 0 {
+					c |= 1 // an odd tap count: the pad tap
 				}
-				b := randI8(ke*n, rng)
-				want := runScalarOnly(wq, b, outC, ke, n)
-
-				qkernTile, qkernTileCols = v.fn, v.cols
-				acc := make([]int32, outC*n)
-				gemmInt8Conv(wq, packWqBlocks(wq, outC, ke), b, outC, ke, n, acc, n)
-				for i := range want {
-					if acc[i] != want[i] {
-						t.Fatalf("trial %d (outC=%d kk=%d n=%d): acc[%d] = %d, scalar %d",
-							trial, outC, kk, n, i, acc[i], want[i])
-					}
-				}
+				g := randQuantCase(rng, 1+rng.Intn(12), c, 1+2*rng.Intn(3), 1+rng.Intn(90))
+				g.run(t, trial)
 			}
 		})
 	}

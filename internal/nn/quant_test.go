@@ -21,40 +21,82 @@ func randI8(n int, rng *rand.Rand) []int16 {
 	return b
 }
 
-// runScalarOnly computes the reference result via qgemmScalar for all rows.
-func runScalarOnly(wq []int16, b []int16, outC, ke, n int) []int32 {
-	acc := make([]int32, outC*n)
-	qgemmScalar(wq, b, 0, outC, ke, 0, n, acc, n)
-	return acc
+// quantCase is one int8 implicit-GEMM problem: a k×k conv's bordered int16
+// row block over c channels, its kkEven-entry tap table (an odd tap count's
+// pad entry left at offset 0, as QuantConv.forward leaves it), random int8
+// weights with a zero pad tap, and the exact accumulators computed from the
+// im2colRef panel of the same block, without the table.
+type quantCase struct {
+	wq, b             []int16
+	off               []int32
+	outC, rows, w, bs int
+	want              []int32
+}
+
+func randQuantCase(rng *rand.Rand, outC, c, k, w int) quantCase {
+	pad := k / 2
+	h := 1 + rng.Intn(10)
+	y0 := rng.Intn(h)
+	rows := 1 + rng.Intn(h-y0)
+	bh, bw := rows+2*pad, w+2*pad
+	x := randI8(c*h*w, rng)
+	blk := make([]int16, c*bh*bw)
+	borderBlock(x, c, h, w, pad, y0, rows, bh, blk)
+	kk, ke := c*k*k, kkEven(c, k)
+	off := make([]int32, ke)
+	tapOffsets(off, c, k, bh, bw, false)
+	wq := randI8(outC*ke, rng)
+	for oc := 0; oc < outC && kk < ke; oc++ {
+		wq[oc*ke+kk] = 0 // the pad tap, as QuantizeConv2D leaves it
+	}
+	n := rows * w
+	panel := make([]int16, kk*n)
+	im2colRef(x, c, h, w, k, y0, y0+rows, false, panel)
+	want := make([]int32, outC*n)
+	for oc := 0; oc < outC; oc++ {
+		for j := 0; j < n; j++ {
+			var s int32
+			for p := 0; p < kk; p++ {
+				s += int32(wq[oc*ke+p]) * int32(panel[p*n+j])
+			}
+			want[oc*n+j] = s
+		}
+	}
+	return quantCase{wq, blk, off, outC, rows, w, bw, want}
+}
+
+// run drives gemmInt8Conv with the installed tiles into an accumulator
+// whose channel rows carry two canary columns, and fails on any element
+// that differs from the reference or any canary that was overwritten.
+func (g quantCase) run(t *testing.T, trial int) {
+	t.Helper()
+	n := g.rows * g.w
+	stride := n + 2
+	acc := make([]int32, g.outC*stride)
+	for i := range acc {
+		acc[i] = -1 << 31 // canary: out of reach of any 127² sum
+	}
+	ke := len(g.off)
+	gemmInt8Conv(g.wq, packWqBlocks(g.wq, g.outC, ke), g.b, g.off, g.outC, g.rows, g.w, g.bs, acc, stride)
+	for oc := 0; oc < g.outC; oc++ {
+		for j := 0; j < stride; j++ {
+			want := int32(-1 << 31)
+			if j < n {
+				want = g.want[oc*n+j]
+			}
+			if got := acc[oc*stride+j]; got != want {
+				t.Fatalf("trial %d (outC=%d kkEven=%d rows=%d w=%d tile=%d): acc[%d][%d] = %d, want %d",
+					trial, g.outC, ke, g.rows, g.w, qkernTileCols, oc, j, got, want)
+			}
+		}
+	}
 }
 
 func TestQuantGemmMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
-		outC := 1 + rng.Intn(9)
-		kk := 1 + rng.Intn(80)
-		ke := kk + kk&1
-		n := 1 + rng.Intn(70)
-		wq := randI8(outC*ke, rng)
-		if kk&1 == 1 { // pad tap must be zero, as QuantizeConv2D guarantees
-			for oc := 0; oc < outC; oc++ {
-				wq[oc*ke+kk] = 0
-			}
-		}
-		b := randI8(ke*n, rng)
-		want := runScalarOnly(wq, b, outC, ke, n)
-
-		acc := make([]int32, outC*n)
-		for i := range acc {
-			acc[i] = -1 // canary: every element must be written
-		}
-		gemmInt8Conv(wq, packWqBlocks(wq, outC, ke), b, outC, ke, n, acc, n)
-		for i := range want {
-			if acc[i] != want[i] {
-				t.Fatalf("trial %d (outC=%d kk=%d n=%d tile=%d): acc[%d] = %d, scalar %d",
-					trial, outC, kk, n, qkernTileCols, i, acc[i], want[i])
-			}
-		}
+		g := randQuantCase(rng, 1+rng.Intn(9), 1+rng.Intn(9), 1+2*rng.Intn(3), 1+rng.Intn(70))
+		g.run(t, trial)
 	}
 }
 
@@ -97,28 +139,16 @@ func TestRequantReLUVecMatchesGo(t *testing.T) {
 
 // TestQuantGemmScalarFallbackMatches pins that the pure-Go configuration
 // (qkernTile nil, as on non-amd64 builds) routes through qgemmScalar and
-// agrees with the vector drivers bit for bit.
+// gives the exact accumulators.
 func TestQuantGemmScalarFallbackMatches(t *testing.T) {
 	savedK, savedC := qkernTile, qkernTileCols
 	defer func() { qkernTile, qkernTileCols = savedK, savedC }()
+	qkernTile, qkernTileCols = nil, 0
 
 	rng := rand.New(rand.NewSource(13))
-	outC, kk, n := 8, 72, 100
-	ke := kk
-	wq := randI8(outC*ke, rng)
-	b := randI8(ke*n, rng)
-
-	got := make([]int32, outC*n)
-	gemmInt8Conv(wq, packWqBlocks(wq, outC, ke), b, outC, ke, n, got, n)
-
-	qkernTile, qkernTileCols = nil, 0
-	want := make([]int32, outC*n)
-	gemmInt8Conv(wq, packWqBlocks(wq, outC, ke), b, outC, ke, n, want, n)
-
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("acc[%d]: kernel %d, generic %d", i, got[i], want[i])
-		}
+	for trial := 0; trial < 10; trial++ {
+		g := randQuantCase(rng, 8, 8, 3, 40+rng.Intn(60))
+		g.run(t, trial)
 	}
 }
 

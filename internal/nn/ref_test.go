@@ -3,9 +3,11 @@ package nn
 // Scalar reference kernels: the seed implementation's nested conv tap loop,
 // clone-and-mask ReLU and per-element PixelShuffle, kept verbatim as the
 // ground truth the kernel engine is differentially tested against
-// (kernel_test.go asserts the GEMM forward is bit-identical and gradients
-// agree to 1e-5). They are oracles, not an engine: nothing outside the
-// tests can reach them.
+// (kernel_test.go asserts the GEMM forward and input gradient are
+// bit-identical and the parameter gradients within 1e-5 of their
+// absolute-value sums), plus the explicit im2col panel the engine's
+// bordered blocks are held to. They are oracles, not an engine: nothing
+// outside the tests can reach them.
 //
 // One deliberate change from the seed: the conv forward's `if wv == 0
 // { continue }` tap skip is gone. It made compute cost data-dependent —
@@ -103,6 +105,48 @@ func convRefBackward(l *Conv2D, x, dOut, dIn *Tensor) {
 						}
 					}
 					l.gradW[wbase+ky*l.K+kx] += gw
+				}
+			}
+		}
+	}
+}
+
+// im2colRef is the explicit column panel the GEMM engine built before its
+// B became a bordered block read through a tap offset table. It packs rows
+// [y0, y1) of a (inC, h, w) channel-major tensor for a k×k stride-1
+// "same"-padded conv into dst, a matrix of inC*k*k rows and n = (y1-y0)*w
+// columns:
+//
+//	dst[((ic*k+ky)*k+kx)*n + (y-y0)*w + x] = src[ic][y+ky-pad][x+kx-pad]
+//
+// (+0 outside the image). With flip set the tap offsets are negated
+// (dy = pad-ky, dx = pad-kx), the input-gradient panel. It is the oracle the
+// bordered block and its tables are held to, for both element types.
+func im2colRef[T float32 | int16](src []T, inC, h, w, k, y0, y1 int, flip bool, dst []T) {
+	pad := k / 2
+	n := (y1 - y0) * w
+	for ic := 0; ic < inC; ic++ {
+		ch := src[ic*h*w : (ic+1)*h*w]
+		for ky := 0; ky < k; ky++ {
+			dy := ky - pad
+			if flip {
+				dy = -dy
+			}
+			for kx := 0; kx < k; kx++ {
+				dx := kx - pad
+				if flip {
+					dx = -dx
+				}
+				row := dst[((ic*k+ky)*k+kx)*n : ((ic*k+ky)*k+kx)*n+n]
+				for y := y0; y < y1; y++ {
+					for x := 0; x < w; x++ {
+						sy, sx := y+dy, x+dx
+						var v T
+						if sy >= 0 && sy < h && sx >= 0 && sx < w {
+							v = ch[sy*w+sx]
+						}
+						row[(y-y0)*w+x] = v
+					}
 				}
 			}
 		}

@@ -153,13 +153,16 @@ pin_tests() {
 
 # The inference forward's bit-identity contract (DESIGN.md "Inference
 # forward"): each rewritten stage against the oracle kept in its ref_test.go,
-# the narrow and the installed wide f32 tile set against the scalar GEMM,
-# the vector requant on misaligned rows, and the int8 paths on odd frame
-# sizes with and without it.
+# the bordered block read through its tap tables (flipped included, f32 and
+# int16) against the explicit im2col panel it replaced, the narrow and the
+# installed wide f32 tile set (offset tables, relu store) against a plain
+# GEMM over that panel, the vector requant on misaligned rows, and the int8
+# paths on odd frame sizes with and without it.
 sr_inference_pin() {
     pin_tests ./internal/sr TestSuperResolveMatchesRef &&
         pin_tests ./internal/nn TestConvInferMatchesForwardReLU TestConvGEMMMatchesRef \
-            TestConvKernelVariantsMatch TestRequantReLUVecMatchesGo TestQuantOddFrameSizes &&
+            TestBorderedBlockMatchesIm2col TestConvKernelVariantsMatch \
+            TestRequantReLUVecMatchesGo TestQuantOddFrameSizes &&
         pin_tests ./internal/frame TestResizeBilinearMatchesRef
 }
 
