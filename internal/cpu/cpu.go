@@ -1,0 +1,15 @@
+// Package cpu holds the one CPU-feature probe of the module. The vector
+// kernels of internal/nn and internal/frame, and the residual row of
+// internal/sr, are chosen once, at init, from AVX2; no flag, env var or
+// build tag overrides it.
+package cpu
+
+// AVX2 reports AVX2 usable: CPU support plus OS-enabled YMM state. It is
+// false on every other architecture and under the purego build tag, where
+// the callers run their pure-Go twins.
+//
+// A kernel choice made from it cannot change a result: every AVX2 kernel
+// performs its twin's IEEE operations per element, in the same order, with
+// no FMA (int8 accumulation is exact integer arithmetic and agrees by
+// construction).
+var AVX2 = hasAVX2()

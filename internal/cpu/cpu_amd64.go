@@ -1,6 +1,6 @@
 //go:build amd64 && !purego
 
-package nn
+package cpu
 
 // cpuid executes CPUID with the given leaf/subleaf.
 //
@@ -12,16 +12,9 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //livenas:allow asm-abi privileged-instruction wrapper for amd64 feature detection; no pure-Go equivalent exists and no other build can reach it
 func xgetbv0() (eax, edx uint32)
 
-// cpuHasAVX2 reports AVX2 usable: CPU support plus OS-enabled YMM state
-// (OSXSAVE set, XCR0 XMM|YMM bits). Both engines pick their micro-kernels
-// from it once, at init, and the choice cannot change a result:
-//
-//   - int8: every kernel is exact integer accumulation plus a clamped-float
-//     epilogue, so all variants agree by construction.
-//   - f32: every kernel adds each output element's products in ascending
-//     kidx with separate lane-wise mul and add (no FMA), so AVX2 and SSE2
-//     perform the same float32 operations per element as the scalar path.
-var cpuHasAVX2 = func() bool {
+// hasAVX2 is the probe behind AVX2: CPU support plus OS-enabled YMM state
+// (OSXSAVE set, XCR0 XMM|YMM bits).
+func hasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
@@ -39,4 +32,4 @@ var cpuHasAVX2 = func() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
-}()
+}

@@ -6,6 +6,11 @@
 // Frames are luma-only. Super-resolution networks in the NAS line train and
 // evaluate on the luminance channel; PSNR/SSIM in our pipeline are therefore
 // luma metrics, which matches the paper's methodology up to a constant.
+//
+// The bilinear resize is the skip connection of every SR forward and the
+// baseline upsample of every session, so its two row loops have AVX2 forms
+// (resize_amd64.s), chosen once at init from cpu.AVX2 and bit-identical to
+// the Go loops they stand in for.
 package frame
 
 import (
@@ -85,30 +90,39 @@ func clamp8(v float64) uint8 {
 }
 
 // resizeTabs is the per-call scratch of ResizeBilinearRows: one coefficient
-// table per output column, plus the horizontally interpolated top and
-// bottom source rows (hrow, labelled with the source row they hold in
-// hsrc). The backing arrays are recycled through a sync.Pool so steady-state
-// resizes (every frame, every patch) do not allocate; the coefficients
-// themselves are recomputed per call with arithmetic identical to the
-// original per-pixel computation, so outputs are bit-for-bit unchanged.
+// table per output column (both blend weights, so 1-fx is computed once),
+// the source row being lerped widened to float64 (src, the AVX2 kernel's
+// gather base), plus the horizontally interpolated top and bottom source
+// rows (hrow, labelled with the source row they hold in hsrc). The backing
+// arrays are recycled through a sync.Pool so steady-state resizes (every
+// frame, every patch) do not allocate; the coefficients themselves are
+// recomputed per call with arithmetic identical to the original per-pixel
+// computation, so outputs are bit-for-bit unchanged.
 type resizeTabs struct {
-	x0, x1 []int
-	fx     []float64
-	hrow   [2][]float64
-	hsrc   [2]int
+	x0, x1   []int32
+	omfx, fx []float64
+	src      []float64
+	hrow     [2][]float64
+	hsrc     [2]int
 }
 
 var resizePool = sync.Pool{New: func() any { return new(resizeTabs) }}
 
-func (t *resizeTabs) ensure(w int) {
+// ensure sizes the tables for w output and sw source columns.
+func (t *resizeTabs) ensure(w, sw int) {
 	if cap(t.x0) < w {
-		t.x0 = make([]int, w)
-		t.x1 = make([]int, w)
+		t.x0 = make([]int32, w)
+		t.x1 = make([]int32, w)
+		t.omfx = make([]float64, w)
 		t.fx = make([]float64, w)
 		t.hrow = [2][]float64{make([]float64, w), make([]float64, w)}
 	}
-	t.x0, t.x1, t.fx = t.x0[:w], t.x1[:w], t.fx[:w]
+	if cap(t.src) < sw {
+		t.src = make([]float64, sw)
+	}
+	t.x0, t.x1, t.omfx, t.fx = t.x0[:w], t.x1[:w], t.omfx[:w], t.fx[:w]
 	t.hrow[0], t.hrow[1] = t.hrow[0][:w], t.hrow[1][:w]
+	t.src = t.src[:sw]
 	t.hsrc = [2]int{-1, -1}
 }
 
@@ -134,12 +148,35 @@ func (t *resizeTabs) hlerp(f *Frame, sy, keep int) int {
 		return 1
 	}
 	slot := 1 - max(keep, 0)
-	row := f.Pix[sy*f.W : sy*f.W+f.W]
-	for x, fx := range t.fx {
-		t.hrow[slot][x] = float64(row[t.x0[x]])*(1-fx) + float64(row[t.x1[x]])*fx
-	}
+	hlerpRow(f.Pix[sy*f.W:sy*f.W+f.W], t.src, t.x0, t.x1, t.omfx, t.fx, t.hrow[slot])
 	t.hsrc[slot] = sy
 	return slot
+}
+
+// hlerpRow and vlerpRow are ResizeBilinearRows' two row kernels: the Go
+// loops below, or the AVX2 kernels the amd64 init installs once when
+// cpu.AVX2 (resize_amd64.go). Both forms perform the same float64
+// operations per pixel in the same order, with no FMA, so the choice
+// cannot change a byte.
+var hlerpRow, vlerpRow = hlerpGo, vlerpGo
+
+// hlerpGo is the horizontal lerp of one source row at every output column:
+// dst[x] = float64(row[x0[x]])*omfx[x] + float64(row[x1[x]])*fx[x], where
+// omfx holds 1-fx. src is the AVX2 kernel's scratch (row widened to
+// float64, gathered from); the Go loop reads row directly.
+func hlerpGo(row []uint8, src []float64, x0, x1 []int32, omfx, fx, dst []float64) {
+	x0, x1, omfx, fx = x0[:len(dst)], x1[:len(dst)], omfx[:len(dst)], fx[:len(dst)]
+	for x := range dst {
+		dst[x] = float64(row[x0[x]])*omfx[x] + float64(row[x1[x]])*fx[x]
+	}
+}
+
+// vlerpGo is the vertical lerp and store of one output row:
+// dst[x] = clamp8(top[x]*omfy + bot[x]*fy), where omfy is 1-fy.
+func vlerpGo(top, bot []float64, omfy, fy float64, dst []uint8) {
+	for x := range dst {
+		dst[x] = clamp8(top[x]*omfy + bot[x]*fy)
+	}
 }
 
 // ResizeBilinear rescales f to w x h using bilinear interpolation with
@@ -157,11 +194,12 @@ func (f *Frame) ResizeBilinear(w, h int) *Frame {
 // inference tail does, one range per pool task); any partition of [0, out.H)
 // yields the bytes of one whole-frame ResizeBilinear.
 //
-// Column indices and blend fractions are computed once per call instead of
+// Column indices and blend weights are computed once per call instead of
 // once per pixel, and the horizontal lerp runs once per source row instead
 // of once per output row that reads it (a quarter as often at x2): the
 // cached float64 row holds the very values the per-pixel expression
-// a*(1-fx)+b*fx produced, so the output is unchanged bit for bit.
+// a*(1-fx)+b*fx produced, so the output is unchanged bit for bit. Both
+// lerps run as row kernels (hlerpRow, vlerpRow), AVX2 where the CPU has it.
 func (f *Frame) ResizeBilinearRows(out *Frame, r0, r1 int) {
 	w := out.W
 	if f.W == 0 || f.H == 0 || w == 0 || r0 >= r1 {
@@ -172,20 +210,18 @@ func (f *Frame) ResizeBilinearRows(out *Frame, r0, r1 int) {
 		return
 	}
 	t := resizePool.Get().(*resizeTabs)
-	t.ensure(w)
+	t.ensure(w, f.W)
 	xs, ys := float64(f.W)/float64(w), float64(f.H)/float64(out.H)
 	for x := range t.fx {
-		t.x0[x], t.x1[x], t.fx[x] = axisPos(x, xs, f.W)
+		x0, x1, fx := axisPos(x, xs, f.W)
+		t.x0[x], t.x1[x], t.omfx[x], t.fx[x] = int32(x0), int32(x1), 1-fx, fx
 	}
 	for y := r0; y < r1; y++ {
 		y0, y1, fy := axisPos(y, ys, f.H)
 		ti := t.hlerp(f, y0, -1)
 		top := t.hrow[ti]
 		bot := t.hrow[t.hlerp(f, y1, ti)]
-		orow := out.Pix[y*w : y*w+w]
-		for x := range orow {
-			orow[x] = clamp8(top[x]*(1-fy) + bot[x]*fy)
-		}
+		vlerpRow(top, bot, 1-fy, fy, out.Pix[y*w:y*w+w])
 	}
 	resizePool.Put(t)
 }

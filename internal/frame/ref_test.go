@@ -78,43 +78,62 @@ func resizeBilinearRef(f *Frame, w, h int) *Frame {
 }
 
 // TestResizeBilinearMatchesRef pins the cached-row resize to the per-pixel
-// oracle over random up-, down- and identity scalings including 1-pixel
-// axes, both as one whole-frame call and as a random partition of the
-// output into row ranges filled in shuffled order (each range starts with a
-// cold row cache, so the ranges also pin the cache's roll logic).
+// oracle, under the Go row kernels and (where the host has it) the AVX2
+// ones: random up-, down- and identity scalings including 1-pixel axes;
+// every source and output width 1-33, around the kernels' 4-lane steps and
+// their scalar remainders; downscales whose taps jump by more than one
+// source column; and the serve_hd frame, 384x216 -> 768x432. Each case runs
+// as one whole-frame call and as a random partition of the output into row
+// ranges filled in shuffled order (each range starts with a cold row
+// cache, so the ranges also pin the cache's roll logic).
 func TestResizeBilinearMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	dim := func() int {
-		if rng.Intn(6) == 0 {
-			return 1
+	forEachRowKernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		check := func(f *Frame, w, h int) {
+			t.Helper()
+			want := resizeBilinearRef(f, w, h)
+			if got := f.ResizeBilinear(w, h); !equalFrames(got, want) {
+				t.Fatalf("%dx%d -> %dx%d: whole-frame resize differs from the oracle", f.W, f.H, w, h)
+			}
+			var cuts []int
+			for r := 0; r < h; r += 1 + rng.Intn(h) {
+				cuts = append(cuts, r)
+			}
+			cuts = append(cuts, h)
+			got := New(w, h)
+			for _, k := range rng.Perm(len(cuts) - 1) {
+				f.ResizeBilinearRows(got, cuts[k], cuts[k+1])
+			}
+			if !equalFrames(got, want) {
+				t.Fatalf("%dx%d -> %dx%d: rows cut at %v differ from the oracle", f.W, f.H, w, h, cuts)
+			}
 		}
-		return 1 + rng.Intn(48)
-	}
-	for i := 0; i < 400; i++ {
-		sw, sh, w, h := dim(), dim(), dim(), dim()
-		switch rng.Intn(5) {
-		case 0: // identity
-			w, h = sw, sh
-		case 1: // integer upscale, the SR geometry
-			s := 1 + rng.Intn(4)
-			w, h = sw*s, sh*s
+		dim := func() int {
+			if rng.Intn(6) == 0 {
+				return 1
+			}
+			return 1 + rng.Intn(48)
 		}
-		f := randFrame(rng, sw, sh)
-		want := resizeBilinearRef(f, w, h)
-		if got := f.ResizeBilinear(w, h); !equalFrames(got, want) {
-			t.Fatalf("%dx%d -> %dx%d: whole-frame resize differs from the oracle", sw, sh, w, h)
+		for i := 0; i < 400; i++ {
+			sw, sh, w, h := dim(), dim(), dim(), dim()
+			switch rng.Intn(5) {
+			case 0: // identity
+				w, h = sw, sh
+			case 1: // integer upscale, the SR geometry
+				s := 1 + rng.Intn(4)
+				w, h = sw*s, sh*s
+			}
+			check(randFrame(rng, sw, sh), w, h)
 		}
-		var cuts []int
-		for r := 0; r < h; r += 1 + rng.Intn(h) {
-			cuts = append(cuts, r)
+		for sw := 1; sw <= 33; sw++ {
+			f := randFrame(rng, sw, 3)
+			for w := 1; w <= 33; w++ {
+				check(f, w, 1+rng.Intn(6))
+			}
 		}
-		cuts = append(cuts, h)
-		got := New(w, h)
-		for _, k := range rng.Perm(len(cuts) - 1) {
-			f.ResizeBilinearRows(got, cuts[k], cuts[k+1])
+		for _, c := range [][4]int{{97, 41, 13, 5}, {200, 9, 33, 3}, {384, 216, 29, 17}, {255, 255, 8, 8}} {
+			check(randFrame(rng, c[0], c[1]), c[2], c[3])
 		}
-		if !equalFrames(got, want) {
-			t.Fatalf("%dx%d -> %dx%d: rows cut at %v differ from the oracle", sw, sh, w, h, cuts)
-		}
-	}
+		check(randFrame(rng, 384, 216), 768, 432)
+	})
 }

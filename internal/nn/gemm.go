@@ -31,7 +31,7 @@ package nn
 // and gemmScalar applies that predicate too.
 //
 // SSE2 is the amd64 baseline and AVX2 is not, so the amd64 init installs
-// the two AVX2 tiles only when cpuHasAVX2 says the CPU and OS support them.
+// the two AVX2 tiles only when cpu.AVX2 says the CPU and OS support them.
 // Other architectures and purego builds install the pure-Go twins of all
 // four tiles from gemm_generic.go.
 //

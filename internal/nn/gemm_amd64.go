@@ -2,20 +2,22 @@
 
 package nn
 
+import "livenas/internal/cpu"
+
 // kern8x8 computes, for r in 0..7 and j in 0..7,
 //
 //	c[r*cn+j] = bias[r] + Σ_{p<kk} a[p*8+r] * b[off[p]+j]
 //
 // with kern4x8's per-element ascending-p mul-then-add and relu store, in
 // AVX2. a is a packed [kk][8] A tile (packA). Requires AVX2; call only when
-// cpuHasAVX2.
+// cpu.AVX2.
 //
 //go:noescape
 func kern8x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
 
 // kern4x16 is kern4x8 widened to 16 columns in AVX2: same [kk][4] packed A,
 // same per-element accumulation and relu store. Requires AVX2; call only
-// when cpuHasAVX2.
+// when cpu.AVX2.
 //
 //go:noescape
 func kern4x16(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
@@ -48,9 +50,9 @@ func kern1x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float
 //go:noescape
 func kernDot4(n int, gv *float32, b *float32, bn int, out *float32)
 
-// The f32 tile set is chosen once, from cpuHasAVX2 (cpu_amd64.go).
+// The f32 tile set is chosen once, from the module's one AVX2 probe.
 func init() {
-	if cpuHasAVX2 {
+	if cpu.AVX2 {
 		kernTile8x8, kernTile4x16 = kern8x8, kern4x16
 	}
 }

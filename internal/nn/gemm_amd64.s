@@ -16,7 +16,7 @@
 // would let NaN and −0 through.
 //
 // kern8x8 and kern4x16 are AVX2 (VEX-encoded, YMM): gemm_amd64.go installs
-// them only when cpuHasAVX2, and each ends with VZEROUPPER so the SSE2
+// them only when cpu.AVX2, and each ends with VZEROUPPER so the SSE2
 // kernels and the runtime that follow pay no transition penalty. kern4x8,
 // kern1x8 and kernDot4 are SSE2, the amd64 baseline, and run everywhere.
 // Every memory access is an unaligned load or store (VMOVUPS, MOVUPS,

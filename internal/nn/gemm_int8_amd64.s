@@ -6,7 +6,7 @@
 // int32, which makes every kernel variant bit-identical by construction
 // (see gemm_int8.go). The AVX2 kernel is primary; the SSE2 ones run on any
 // amd64 (SSE2 is the amd64 baseline) and kernel choice happens once at init
-// from cpuHasAVX2 (cpu_amd64.go).
+// from cpu.AVX2 (internal/cpu).
 //
 // B is implicit: the row block's zero-bordered int16 copy, read through a
 // table of tap offsets (gemm_int8.go), so each tap-pair step loads

@@ -5,6 +5,8 @@ package nn
 import (
 	"math/rand"
 	"testing"
+
+	"livenas/internal/cpu"
 )
 
 // TestQuantKernelVariantsMatch runs the full driver under each available
@@ -20,7 +22,7 @@ func TestQuantKernelVariantsMatch(t *testing.T) {
 		cols int
 	}
 	variants := []variant{{"sse2_4x8", qkern4x8s, 8}}
-	if cpuHasAVX2 {
+	if cpu.AVX2 {
 		variants = append(variants, variant{"avx2_4x16", qkern4x16, 16})
 	} else {
 		t.Log("no AVX2 on this host; testing SSE2 kernel only")

@@ -276,26 +276,57 @@ func (m *Model) tailBlock(bi int) {
 // LR pixels [x0,x1)×[y0,y1) scale to, which must hold the bilinear skip.
 // It reads the s² channels where the conv left them (the pixel shuffle is
 // index arithmetic, no plane is materialised); channel sy*s+sx supplies
-// output pixel (y*s+sy, x*s+sx).
+// output pixel (y*s+sy, x*s+sx). That arithmetic is one pooled table per
+// call: output column x*s+sx of any output row reads its residual at
+// sx*ch*cw + x past the row's first sample of channel sy*s, and addRow
+// walks an output row through it.
 func addResidual(res *nn.Tensor, s, left, top int, out *frame.Frame, x0, y0, x1, y1 int) {
+	n := (x1 - x0) * s
+	ip := residualIdx.Get().(*[]int32)
+	if cap(*ip) < n {
+		*ip = make([]int32, n)
+	}
+	idx := (*ip)[:n]
+	plane := res.H * res.W
+	for x := 0; x < x1-x0; x++ {
+		for sx := 0; sx < s; sx++ {
+			idx[x*s+sx] = int32(sx*plane + x)
+		}
+	}
 	for y := y0; y < y1; y++ {
 		for sy := 0; sy < s; sy++ {
-			orow := out.Pix[(y*s+sy)*out.W:]
-			for sx := 0; sx < s; sx++ {
-				at := ((sy*s+sx)*res.H+y-top)*res.W - left
-				for x, r := range res.Data[at+x0 : at+x1] {
-					o := &orow[(x0+x)*s+sx]
-					v := float32(*o) + r*255
-					switch {
-					case v <= 0:
-						*o = 0
-					case v >= 255:
-						*o = 255
-					default:
-						*o = uint8(v + 0.5)
-					}
-				}
-			}
+			at := (sy*s*res.H+y-top)*res.W - left + x0
+			o := (y*s+sy)*out.W + x0*s
+			addRow(out.Pix[o:o+n], res.Data[at:], idx)
+		}
+	}
+	residualIdx.Put(ip)
+}
+
+// residualIdx recycles addResidual's per-call column table.
+var residualIdx = sync.Pool{New: func() any { return new([]int32) }}
+
+// addRow adds one output row of the sub-pixel residual to the skip already
+// in pix: the Go loop below, or the AVX2 kernel the amd64 init installs
+// once when cpu.AVX2 (residual_amd64.go). Both perform the same float32
+// operations per pixel, so the choice cannot change a byte.
+var addRow = addRowGo
+
+// addRowGo is the seed's residual store over one output row: pixel j gets
+// v = skip + r*255 with r = res[idx[j]]; anything <= 0 stores 0, anything
+// >= 255 stores 255, the rest rounds half up. idx must be at least as long
+// as pix, and every entry an index into res.
+func addRowGo(pix []uint8, res []float32, idx []int32) {
+	idx = idx[:len(pix)]
+	for j, o := range pix {
+		v := float32(o) + res[idx[j]]*255
+		switch {
+		case v <= 0:
+			pix[j] = 0
+		case v >= 255:
+			pix[j] = 255
+		default:
+			pix[j] = uint8(v + 0.5)
 		}
 	}
 }

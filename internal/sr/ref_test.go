@@ -39,6 +39,91 @@ func superResolveRef(m *Model, lr *frame.Frame) *frame.Frame {
 	return out
 }
 
+// addResidualRef is the residual add the row kernels replaced, kept as
+// their oracle: the seed's per-pixel loop over the s² channels.
+func addResidualRef(res *nn.Tensor, s, left, top int, out *frame.Frame, x0, y0, x1, y1 int) {
+	for y := y0; y < y1; y++ {
+		for sy := 0; sy < s; sy++ {
+			orow := out.Pix[(y*s+sy)*out.W:]
+			for sx := 0; sx < s; sx++ {
+				at := ((sy*s+sx)*res.H+y-top)*res.W - left
+				for x, r := range res.Data[at+x0 : at+x1] {
+					o := &orow[(x0+x)*s+sx]
+					v := float32(*o) + r*255
+					switch {
+					case v <= 0:
+						*o = 0
+					case v >= 255:
+						*o = 255
+					default:
+						*o = uint8(v + 0.5)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAddResidualMatchesRef pins addResidual to the seed loop under the Go
+// row kernel and (where the host has it) the AVX2 one: scales 1-4, LR
+// widths 1-40 and 384 (every remainder of the 8-lane step), the whole
+// frame as SuperResolve's tail adds it and a cell sub-range with a halo,
+// as EnhanceRegion adds it (x0, left > 0). Residuals mix NaN, ±Inf, ±0,
+// ±1e30 and values whose sum with the skip lands exactly on 0, 255 and
+// the .5 rounding edges (r = ±0.5 adds ±127.5 exactly) with random ones.
+func TestAddResidualMatchesRef(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	special := []float32{nan, inf, -inf, 0, float32(math.Copysign(0, -1)), 1e30, -1e30,
+		1, -1, 0.5, -0.5, 1.5, -1.5, 0.5 / 255, -0.5 / 255, 1.0 / 512, -1.0 / 512}
+	widths := []int{384}
+	for w := 1; w <= 40; w++ {
+		widths = append(widths, w)
+	}
+	forEachResidualKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for s := 1; s <= 4; s++ {
+			for _, w := range widths {
+				h := 1 + rng.Intn(3)
+				skip := randFrame(w*s, h*s, rng)
+				for i := range skip.Pix {
+					switch rng.Intn(8) {
+					case 0:
+						skip.Pix[i] = 0
+					case 1:
+						skip.Pix[i] = 255
+					}
+				}
+				x0, x1 := 0, w
+				y0, y1 := 0, h
+				if w > 1 && rng.Intn(2) == 0 { // a cell sub-range, as EnhanceRegion
+					x0 = 1 + rng.Intn(w-1)
+					x1 = x0 + 1 + rng.Intn(w-x0)
+					y0 = rng.Intn(h)
+					y1 = y0 + 1 + rng.Intn(h-y0)
+				}
+				halo := rng.Intn(4)
+				left, top := max(0, x0-halo), max(0, y0-halo)
+				right, bot := min(w, x1+halo), min(h, y1+halo)
+				res := nn.NewTensor(s*s, bot-top, right-left)
+				for i := range res.Data {
+					if rng.Intn(3) == 0 {
+						res.Data[i] = special[rng.Intn(len(special))]
+					} else {
+						res.Data[i] = float32(rng.NormFloat64() * 0.3)
+					}
+				}
+				want, got := skip.Clone(), skip.Clone()
+				addResidualRef(res, s, left, top, want, x0, y0, x1, y1)
+				addResidual(res, s, left, top, got, x0, y0, x1, y1)
+				if !bytes.Equal(got.Pix, want.Pix) {
+					t.Fatalf("x%d %dx%d cell [%d,%d)x[%d,%d) of res at (%d,%d): residual add differs from the oracle",
+						s, w, h, x0, x1, y0, y1, left, top)
+				}
+			}
+		}
+	})
+}
+
 // randomModel returns a model whose every weight, the zero-initialised tail
 // included, is random: hidden activations of both signs and a residual large
 // enough to hit both clamps.

@@ -131,20 +131,21 @@ benchmark_module() {
 
 # pin_tests PKG NAME...: runs the named tests of one package. -run matches
 # what exists, so a renamed test would pass by not running: each name must
-# report PASS.
+# report PASS. A NAME of the form Test/sub pins one subtest: its top-level
+# test runs whole and the subtest's own PASS line is required.
 pin_tests() {
     local pkg="$1"
     shift
     local out t
     out="$(go test -count=1 -v -run "^($(
         IFS='|'
-        echo "$*"
+        echo "${*%%/*}"
     ))\$" "$pkg")" || {
         echo "$out"
         return 1
     }
     for t in "$@"; do
-        grep -q -- "^--- PASS: $t " <<<"$out" || {
+        grep -q -- "^ *--- PASS: $t " <<<"$out" || {
             echo "pin_tests $pkg: $t did not run" >&2
             return 1
         }
@@ -157,13 +158,18 @@ pin_tests() {
 # int16) against the explicit im2col panel it replaced, the narrow and the
 # installed wide f32 tile set (offset tables, relu store) against a plain
 # GEMM over that panel, the vector requant on misaligned rows, and the int8
-# paths on odd frame sizes with and without it.
+# paths on odd frame sizes with and without it. The bilinear skip and the
+# sub-pixel residual add are pinned to their seed loops (NaN/±Inf residuals,
+# every lane remainder) under each row-kernel set the host can run: the
+# top-level test covers the AVX2 kernels where the CPU has them, and the
+# /go subtests name the Go twins, so a twin is checked on every host.
 sr_inference_pin() {
-    pin_tests ./internal/sr TestSuperResolveMatchesRef &&
+    pin_tests ./internal/sr TestSuperResolveMatchesRef \
+        TestAddResidualMatchesRef TestAddResidualMatchesRef/go &&
         pin_tests ./internal/nn TestConvInferMatchesForwardReLU TestConvGEMMMatchesRef \
             TestBorderedBlockMatchesIm2col TestConvKernelVariantsMatch \
             TestRequantReLUVecMatchesGo TestQuantOddFrameSizes &&
-        pin_tests ./internal/frame TestResizeBilinearMatchesRef
+        pin_tests ./internal/frame TestResizeBilinearMatchesRef TestResizeBilinearMatchesRef/go
 }
 
 # What simulated edge links are priced by (DESIGN.md "Playlist body"): the
