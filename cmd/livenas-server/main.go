@@ -1,9 +1,10 @@
-// Command livenas-server runs a LiveNAS media server over real TCP: it
-// accepts ingest connections keyed by channel (the RTMP stream-key
-// analogue), decodes each incoming stream, trains that stream's
-// super-resolution DNN online on the client's high-quality patches, applies
-// it to the decoded frames, and reports the measured SR gain back to the
-// client every training epoch. Admission is controlled against a simulated
+// Command livenas-server runs LiveNAS's media server (core.Server) over real
+// TCP: it accepts ingest connections keyed by channel (the RTMP stream-key
+// analogue) and feeds each stream's frames and patches to its own
+// core.Server, which decodes the stream, trains its super-resolution DNN
+// online under the content-adaptive trainer (Algorithm 1) and enhances the
+// decoded frames. The measured SR gain goes back to the client every
+// training epoch. Admission is controlled against a simulated
 // GPU pool of -gpus slots: a hello that would oversubscribe the pool,
 // reuse a live channel key or announce unusable frame geometry is refused
 // with a MsgBye carrying the reason.
@@ -36,8 +37,6 @@ import (
 	"livenas/internal/codec"
 	"livenas/internal/core"
 	"livenas/internal/edge"
-	"livenas/internal/frame"
-	"livenas/internal/metrics"
 	"livenas/internal/sr"
 	"livenas/internal/telemetry"
 	"livenas/internal/trace"
@@ -64,11 +63,7 @@ func main() {
 		}
 	}
 
-	node := &node{
-		live:   map[string]bool{},
-		pool:   sr.NewDevicePool(sr.RTX2080Ti(), *gpus),
-		origin: edge.NewOrigin(edge.NewWallClock(), 6, edge.NewTelemetry(reg)),
-	}
+	node := newNode(*gpus, reg)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -90,18 +85,28 @@ func main() {
 	}
 }
 
-// node is the server's multi-tenant admission state: the set of live
-// channel keys and the simulated GPU pool they hold slots in. It is the
-// runnable-demo counterpart of internal/fleet's virtual-clock Manager —
-// same invariants (unique live keys, all-or-nothing slot admission),
-// enforced against real concurrent connections instead of a planned
-// timeline. It also owns the distribution origin every ingest session
-// publishes its enhanced output into.
+// node is the server's multi-tenant admission state: the live channel keys
+// and the simulated GPU pool they hold slots in, with internal/fleet's
+// invariants (unique live keys, all-or-nothing slot admission) held against
+// real connections. It also owns the distribution origin every ingest
+// session publishes into, and the wall clock that both stamp events with.
 type node struct {
 	mu     sync.Mutex
 	live   map[string]bool
 	pool   *sr.DevicePool
+	clock  *edge.WallClock
 	origin *edge.Origin
+}
+
+// newNode builds a node with a pool of gpus slots that reports to reg.
+func newNode(gpus int, reg *telemetry.Registry) *node {
+	clock := edge.NewWallClock()
+	return &node{
+		live:   map[string]bool{},
+		pool:   sr.NewDevicePool(sr.RTX2080Ti(), gpus),
+		clock:  clock,
+		origin: edge.NewOrigin(clock, 6, edge.NewTelemetry(reg)),
+	}
 }
 
 // admit reserves the channel key and one GPU slot; a non-empty refusal
@@ -127,31 +132,37 @@ func (n *node) release(key string) {
 	n.pool.Release(1)
 }
 
-// maxNativePixels caps the native frame a hello may announce (4K UHD). A
-// session sizes its segment encoders and SR output by it, so an unbounded
-// value would let one hello allocate gigabytes.
-const maxNativePixels = 3840 * 2160
+// A session sizes its segment encoders and SR output by the native frame
+// and keeps three seconds of decoded ingest frames (a byte a pixel) to pair
+// patches with: a hello may announce at most 4K UHD native, and no more
+// ingest pixels a second than 1080p at 30 fps, which bounds that ring at 187 MB.
+const maxNativePixels, maxFPS, maxRingPixels = 3840 * 2160, 120, 3 * 30 * 1920 * 1080
 
-// helloScale validates the geometry a hello announces — it arrives off the
-// wire and sizes every per-session allocation, so a bad one must cost the
-// peer its session, not the node its process — and returns the integer SR
-// factor. The integer, isotropic-ratio rule is core.Config's (its default
-// patch-size divisibility also caps the factor at 120).
-func helloScale(h *wire.Message) (int, error) {
+// helloConfig builds the session's core.Config from a hello off the wire, so
+// bad geometry costs the peer its session, not the node its process. It checks
+// sizes and frame rate; core.NewServer applies core.Config's ratio rules.
+func helloConfig(h *wire.Message, channel string, epochLen time.Duration, reg *telemetry.Registry) (core.Config, error) {
 	if h.IngestW <= 0 || h.IngestH <= 0 || h.NativeW <= 0 || h.NativeH <= 0 {
-		return 0, fmt.Errorf("geometry %dx%d -> %dx%d not positive", h.IngestW, h.IngestH, h.NativeW, h.NativeH)
+		return core.Config{}, fmt.Errorf("geometry %dx%d -> %dx%d not positive", h.IngestW, h.IngestH, h.NativeW, h.NativeH)
 	}
 	if h.NativeW > maxNativePixels/h.NativeH {
-		return 0, fmt.Errorf("native %dx%d exceeds %d pixels", h.NativeW, h.NativeH, maxNativePixels)
+		return core.Config{}, fmt.Errorf("native %dx%d exceeds %d pixels", h.NativeW, h.NativeH, maxNativePixels)
 	}
-	cfg := core.Config{
-		Ingest: trace.Resolution{W: h.IngestW, H: h.IngestH},
-		Native: trace.Resolution{W: h.NativeW, H: h.NativeH},
+	if !(h.FPS >= 1 && h.FPS <= maxFPS) {
+		return core.Config{}, fmt.Errorf("frame rate %g outside [1, %d]", h.FPS, maxFPS)
 	}
-	if err := cfg.Validate(); err != nil {
-		return 0, err
+	if 3*h.FPS*float64(h.IngestW)*float64(h.IngestH) > maxRingPixels {
+		return core.Config{}, fmt.Errorf("ingest %dx%d at %g fps exceeds %d pixels in 3 s", h.IngestW, h.IngestH, h.FPS, maxRingPixels)
 	}
-	return cfg.Scale(), nil
+	return core.Config{
+		ChannelKey: channel,
+		Ingest:     trace.Resolution{W: h.IngestW, H: h.IngestH},
+		Native:     trace.Resolution{W: h.NativeW, H: h.NativeH},
+		FPS:        h.FPS,
+		Scheme:     core.SchemeLiveNAS,
+		EpochLen:   epochLen,
+		Telemetry:  reg,
+	}, nil
 }
 
 // originLadder is the demo distribution ladder, scaled to the demo's
@@ -240,7 +251,7 @@ func serve(conn net.Conn, epochLen time.Duration, reg *telemetry.Registry, n *no
 			log.Printf("refusal write: %v", err)
 		}
 	}
-	scale, err := helloScale(hello)
+	cfg, err := helloConfig(hello, channel, epochLen, reg)
 	if err != nil {
 		refuse(err.Error())
 		return
@@ -250,8 +261,12 @@ func serve(conn net.Conn, epochLen time.Duration, reg *telemetry.Registry, n *no
 		return
 	}
 	defer n.release(channel)
-	log.Printf("stream %s: ingest %dx%d -> native %dx%d (x%d), %.0f fps",
-		channel, hello.IngestW, hello.IngestH, hello.NativeW, hello.NativeH, scale, hello.FPS)
+	sv, err := core.NewServer(cfg, n.clock.Now)
+	if err != nil {
+		refuse(err.Error()) // geometry core cannot serve; the deferred release frees the slot
+		return
+	}
+	log.Printf("stream %s: ingest %dx%d -> native %dx%d, %.0f fps", channel, hello.IngestW, hello.IngestH, hello.NativeW, hello.NativeH, hello.FPS)
 
 	// The channel goes live on the distribution origin too: each epoch
 	// publishes the SR-applied frame as one segment per ladder rung.
@@ -261,75 +276,36 @@ func serve(conn net.Conn, epochLen time.Duration, reg *telemetry.Registry, n *no
 		segEncs[i] = codec.NewEncoder(codec.Config{Profile: codec.BX8, W: hello.NativeW, H: hello.NativeH, KeyInterval: 1})
 	}
 
-	dec := codec.NewDecoder(codec.Config{Profile: codec.BX8, W: hello.IngestW, H: hello.IngestH})
-	model := sr.NewModel(scale, sr.DefaultChannels, 1)
-	trainer := sr.NewTrainer(model, sr.DefaultTrainConfig(), 2)
-	proc := sr.NewProcessor(model, 1, sr.RTX2080Ti())
-	trainer.SetTelemetry(reg)
-	proc.SetTelemetry(reg)
-	// The real server timestamps its telemetry events with session-relative
-	// wall-clock time (there is no simulated clock here).
-	start := time.Now() //livenas:allow determinism-taint real server stamps telemetry with wall-clock session time
-	elapsed := func() time.Duration {
-		return time.Since(start) //livenas:allow determinism-taint ditto
-	}
-
-	type patchPair struct{ lr, hr *frame.Frame }
-	var (
-		lastDecoded = map[int]*frame.Frame{}
-		recent      []patchPair
-		frames      int
-		patches     int
-		epochs      int
-		epochTimer  = time.NewTicker(epochLen)
-		lastFrame   *frame.Frame
-	)
+	epochTimer := time.NewTicker(epochLen)
 	defer epochTimer.Stop()
-
-	msgs := make(chan *wire.Message)
+	// The pump hands each message to the loop below; quit releases it when
+	// the loop has returned, so it never blocks on msgs forever.
+	msgs, quit := make(chan *wire.Message), make(chan struct{})
+	defer close(quit)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- transport.Pump(tc, func(m *wire.Message) { msgs <- m })
+		errc <- transport.Pump(tc, func(m *wire.Message) {
+			select {
+			case msgs <- m:
+			case <-quit:
+			}
+		})
 	}()
 
+	// This loop is the one goroutine that drives sv.
 	for {
 		select {
 		case err := <-errc:
-			log.Printf("session %s ended after %d frames, %d patches, %d epochs: %v", channel, frames, patches, epochs, err)
+			log.Printf("session %s ended: %v", channel, err)
 			return
 		case <-epochTimer.C:
-			if trainer.SampleCount() == 0 {
-				continue
-			}
-			loss := trainer.Epoch()
-			epochs++
-			proc.Sync(model)
-			gain := 0.0
-			for _, p := range recent {
-				up := p.lr.ResizeBilinear(p.hr.W, p.hr.H)
-				gain += metrics.PSNR(p.hr, model.SuperResolve(p.lr)) - metrics.PSNR(p.hr, up)
-			}
-			if len(recent) > 0 {
-				gain /= float64(len(recent))
-			}
-			log.Printf("%s epoch %d: loss %.5f, SR gain on recent patches %+.2f dB (%d samples)",
-				channel, epochs, loss, gain, trainer.SampleCount())
-			reg.Emit(elapsed(), "train_epoch",
-				telemetry.Str("channel", channel),
-				telemetry.Num("epoch", float64(epochs)),
-				telemetry.Num("samples", float64(trainer.SampleCount())),
-				telemetry.Num("loss", loss),
-				telemetry.Num("gain_cur_db", gain),
-			)
-			if err := tc.Send(&wire.Message{Type: wire.MsgStats, Channel: channel, GainDB: gain, Epochs: epochs, Samples: trainer.SampleCount()}); err != nil {
-				log.Printf("session %s ended after %d frames, %d patches, %d epochs: stats write: %v", channel, frames, patches, epochs, err)
+			gain, epoch, samples := sv.Epoch()
+			log.Printf("%s epoch %d: SR gain on recent patches %+.2f dB (%d samples)", channel, epoch, gain, samples)
+			if err := tc.Send(&wire.Message{Type: wire.MsgStats, Channel: channel, GainDB: gain, Epochs: epoch, Samples: samples}); err != nil {
+				log.Printf("session %s ended: stats write: %v", channel, err)
 				return
 			}
-			if lastFrame != nil {
-				out, lat := proc.Process(lastFrame)
-				log.Printf("applied SR to latest frame: %dx%d (model-latency %v)", out.W, out.H, lat)
-				// Publish the enhanced frame as this epoch's segment at
-				// every ladder rung.
+			if out, _, _, ok := sv.Output(); ok {
 				payloads := make([][]byte, len(originLadder))
 				for i, e := range segEncs {
 					payloads[i] = e.Encode(out, int(originLadder[i].Kbps*1000*epochLen.Seconds())).Data
@@ -339,42 +315,15 @@ func serve(conn net.Conn, epochLen time.Duration, reg *telemetry.Registry, n *no
 		case m := <-msgs:
 			switch m.Type {
 			case wire.MsgVideo:
-				f, err := dec.Decode(&codec.EncodedFrame{Data: m.Data, Key: m.Key, QP: m.QP, Seq: m.FrameID})
-				if err != nil {
-					log.Printf("decode frame %d: %v", m.FrameID, err)
-					continue
-				}
-				frames++
-				lastFrame = f
-				lastDecoded[m.FrameID] = f
-				delete(lastDecoded, m.FrameID-100)
+				sv.Video(&codec.EncodedFrame{Data: m.Data, Key: m.Key, QP: m.QP, Seq: m.FrameID}, n.clock.Now())
 			case wire.MsgPatch:
-				hr, err := codec.DecodePatch(m.Data)
-				if err != nil {
-					continue
-				}
-				lf, ok := lastDecoded[m.FrameID]
-				if !ok {
-					continue
-				}
-				lps := hr.W / scale
-				lr := lf.Crop(m.X/scale, m.Y/scale, lps, lps)
-				trainer.AddSample(lr, hr)
-				recent = append(recent, patchPair{lr: lr, hr: hr})
-				if len(recent) > 8 {
-					recent = recent[1:]
-				}
-				patches++
+				sv.Patch(m.FrameID, m.X, m.Y, m.Data)
 			case wire.MsgBye:
-				log.Printf("client %s done: %d frames, %d patches, %d epochs", channel, frames, patches, epochs)
+				log.Printf("client %s done", channel)
 				return
-			case wire.MsgHello:
-				log.Printf("duplicate hello mid-session; ignoring")
-			case wire.MsgStats:
-				// Stats flow server→client only; a client echo is ignored.
 			default:
-				// Edge messages never arrive on an ingest connection
-				// (serveEdge owns those); tolerate and ignore.
+				// A second hello, a stats echo or an edge message (serveEdge
+				// owns those) has no place on an ingest connection: ignored.
 			}
 		}
 	}

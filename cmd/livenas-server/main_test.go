@@ -4,16 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"livenas/internal/edge"
-	"livenas/internal/sr"
+	"livenas/internal/codec"
+	"livenas/internal/frame"
 	"livenas/internal/telemetry"
 	"livenas/internal/transport"
+	"livenas/internal/vidgen"
 	"livenas/internal/wire"
 )
 
@@ -75,46 +77,50 @@ func TestDebugListener(t *testing.T) {
 	}
 }
 
-// session runs serve on one end of a net.Pipe and returns the client end
-// plus a channel closed when serve has returned.
-func session(t *testing.T, n *node) (*transport.NetConn, <-chan struct{}) {
+// session runs serve on one end of a net.Pipe, with the given epoch and
+// registry, and returns the client end plus a channel closed when serve has
+// returned.
+func session(t *testing.T, n *node, epoch time.Duration, reg *telemetry.Registry) (*transport.NetConn, <-chan struct{}) {
 	t.Helper()
 	srv, cli := net.Pipe()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		serve(srv, time.Hour, telemetry.New(), n)
+		serve(srv, epoch, reg, n)
 	}()
 	c := transport.NewNetConn(cli)
 	t.Cleanup(func() { c.Close() })
 	return c, done
 }
 
-// TestHostileHelloRefused: the hello's geometry comes off the wire and
-// sizes every per-session allocation. Each bad one must be refused with a
-// MsgBye before admission — no divide-by-zero, no NewModel panic, no GPU
-// slot held — and the node must keep serving.
+// TestHostileHelloRefused: the hello's geometry and frame rate come off the
+// wire and size every per-session allocation. Each bad one must be refused
+// with a MsgBye — no divide-by-zero, no NewModel panic, no empty pairing
+// ring, no gigabyte ring, no GPU slot left held — and the node must keep
+// serving.
 func TestHostileHelloRefused(t *testing.T) {
-	n := &node{
-		live:   map[string]bool{},
-		pool:   sr.NewDevicePool(sr.RTX2080Ti(), 1),
-		origin: edge.NewOrigin(edge.NewWallClock(), 6, edge.NewTelemetry(telemetry.New())),
-	}
+	n := newNode(1, telemetry.New())
 	for _, tc := range []struct {
 		name           string
 		iw, ih, nw, nh int
+		fps            float64
 	}{
-		{"zero ingest width", 0, 108, 384, 216},
-		{"zero ingest height", 192, 0, 384, 216},
-		{"negative native", 192, 108, -384, -216},
-		{"native below ingest", 384, 216, 192, 108},
-		{"non-integer ratio", 256, 144, 384, 216},
-		{"anisotropic ratio", 192, 72, 384, 216},
-		{"oversized native", 1 << 15, 1 << 15, 1 << 16, 1 << 16},
+		{"zero ingest width", 0, 108, 384, 216, 30},
+		{"zero ingest height", 192, 0, 384, 216, 30},
+		{"negative native", 192, 108, -384, -216, 30},
+		{"native below ingest", 384, 216, 192, 108, 30},
+		{"non-integer ratio", 256, 144, 384, 216, 30},
+		{"anisotropic ratio", 192, 72, 384, 216, 30},
+		{"oversized native", 1 << 15, 1 << 15, 1 << 16, 1 << 16, 30},
+		{"frame rate below one", 192, 108, 384, 216, 0.1},
+		{"frame rate unannounced", 192, 108, 384, 216, 0},
+		{"frame rate too high", 192, 108, 384, 216, 240},
+		{"frame rate NaN", 192, 108, 384, 216, math.NaN()},
+		{"4K ring at 120 fps", 3840, 2160, 3840, 2160, 120},
 	} {
-		c, done := session(t, n)
+		c, done := session(t, n, time.Hour, telemetry.New())
 		if err := c.Send(&wire.Message{Type: wire.MsgHello, Channel: "evil",
-			IngestW: tc.iw, IngestH: tc.ih, NativeW: tc.nw, NativeH: tc.nh, FPS: 30}); err != nil {
+			IngestW: tc.iw, IngestH: tc.ih, NativeW: tc.nw, NativeH: tc.nh, FPS: tc.fps}); err != nil {
 			t.Fatalf("%s: hello: %v", tc.name, err)
 		}
 		m, err := c.Recv()
@@ -133,7 +139,7 @@ func TestHostileHelloRefused(t *testing.T) {
 	// The node still admits a well-formed session under the same key. The
 	// second hello is only read by the session's message pump, which starts
 	// after admission, so once its Send returns the slot must be held.
-	c, done := session(t, n)
+	c, done := session(t, n, time.Hour, telemetry.New())
 	hello := &wire.Message{Type: wire.MsgHello, Channel: "evil",
 		IngestW: 192, IngestH: 108, NativeW: 384, NativeH: 216, FPS: 30}
 	for i := 0; i < 2; i++ {
@@ -150,5 +156,156 @@ func TestHostileHelloRefused(t *testing.T) {
 	<-done
 	if got := n.pool.InUse(); got != 0 {
 		t.Fatalf("%d GPU slots held after the session ended", got)
+	}
+}
+
+// demoHello announces the demo client's geometry: 192x108 ingest, x2 to
+// 384x216, 10 fps.
+func demoHello(channel string) *wire.Message {
+	return &wire.Message{Type: wire.MsgHello, Channel: channel,
+		IngestW: 192, IngestH: 108, NativeW: 384, NativeH: 216, FPS: 10}
+}
+
+// streamer renders and encodes the demo client's stream: frame i of the
+// source, its BX8 ingest encoding as a MsgVideo, and patches cropped from
+// the native frame as MsgPatch.
+type streamer struct {
+	src *vidgen.Source
+	enc *codec.Encoder
+	raw *frame.Frame
+}
+
+func newStreamer() *streamer {
+	return &streamer{
+		src: vidgen.NewSource(vidgen.JustChatting, 384, 216, 7, 30),
+		enc: codec.NewEncoder(codec.Config{Profile: codec.BX8, W: 192, H: 108, KeyInterval: 10}),
+	}
+}
+
+func (s *streamer) video(id int) *wire.Message {
+	s.raw = s.src.FrameAt(float64(id) / 10)
+	ef := s.enc.Encode(s.raw.Downscale(2), 400_000/10)
+	return &wire.Message{Type: wire.MsgVideo, FrameID: id, Key: ef.Key, QP: ef.QP, Data: ef.Data}
+}
+
+// patch crops a w x h patch at native (x, y) from the last frame video
+// rendered.
+func (s *streamer) patch(id, x, y, w, h int) *wire.Message {
+	return &wire.Message{Type: wire.MsgPatch, FrameID: id, X: x, Y: y,
+		Data: codec.EncodePatch(s.raw.Crop(x, y, w, h), codec.PatchQuality)}
+}
+
+// drain reads the client end until it closes, handing every MsgStats to
+// stats without blocking (net.Pipe is synchronous, so an unread stats
+// message would stall the server's loop). The returned channel closes when
+// the reader is done.
+func drain(c *transport.NetConn, stats chan<- *wire.Message) <-chan struct{} {
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		_ = transport.Pump(c, func(m *wire.Message) {
+			if m.Type != wire.MsgStats {
+				return
+			}
+			select {
+			case stats <- m:
+			default:
+			}
+		})
+	}()
+	return gone
+}
+
+// TestMalformedPatchGeometry: a decodable patch that is odd-sided or not
+// square used to reach the trainer and panic the process, ending every
+// session on the node. Each is dropped before decoding, the session
+// survives, and the next valid patch is admitted.
+func TestMalformedPatchGeometry(t *testing.T) {
+	reg := telemetry.New()
+	n := newNode(1, reg)
+	c, done := session(t, n, time.Hour, reg)
+	gone := drain(c, make(chan *wire.Message, 1))
+	st := newStreamer()
+	for _, m := range []*wire.Message{
+		demoHello("odd"),
+		st.video(0),
+		st.patch(0, 24, 24, 25, 25), // odd side: not a multiple of the x2 scale
+		st.patch(0, 24, 24, 24, 32), // not square
+		st.patch(0, 24, 24, 24, 24),
+		{Type: wire.MsgBye},
+	} {
+		if err := c.Send(m); err != nil {
+			t.Fatalf("send %d: %v", m.Type, err)
+		}
+	}
+	<-done
+	c.Close()
+	<-gone
+	admits := reg.EventsByType("patch_admit")
+	if len(admits) != 1 {
+		t.Fatalf("patch_admit events = %+v, want exactly the valid patch", admits)
+	}
+	if got := reg.Snapshot().Counters["core_patches_received"]; got != 1 {
+		t.Fatalf("core_patches_received = %d, want 1 (malformed patches are not decoded)", got)
+	}
+	if got := n.pool.InUse(); got != 0 {
+		t.Fatalf("%d GPU slots held after the session ended", got)
+	}
+}
+
+// TestServeIngestLoopback drives one ingest session end to end over
+// net.Pipe with a short epoch: scripted frames and 24-px patches in, MsgStats
+// out from core's server (Algorithm 1 running), a published segment at the
+// origin, and the GPU slot handed back after MsgBye.
+func TestServeIngestLoopback(t *testing.T) {
+	reg := telemetry.New()
+	n := newNode(1, reg)
+	c, done := session(t, n, 100*time.Millisecond, reg)
+	stats := make(chan *wire.Message, 64)
+	gone := drain(c, stats)
+	if err := c.Send(demoHello("loop")); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	st := newStreamer()
+	cells := frame.Grid(384, 216, 24)
+	var trained *wire.Message
+	deadline := time.After(2 * time.Minute)
+	for id := 0; trained == nil; id++ {
+		if err := c.Send(st.video(id)); err != nil {
+			t.Fatalf("frame %d: %v", id, err)
+		}
+		cell := cells[(id*7)%len(cells)]
+		if err := c.Send(st.patch(id, cell.X, cell.Y, 24, 24)); err != nil {
+			t.Fatalf("patch %d: %v", id, err)
+		}
+		select {
+		case m := <-stats:
+			if m.Epochs >= 1 && m.Samples > 0 {
+				trained = m
+			}
+		case <-deadline:
+			t.Fatalf("no trained epoch after %d frames", id+1)
+		default:
+		}
+	}
+	if err := c.Send(&wire.Message{Type: wire.MsgBye}); err != nil {
+		t.Fatalf("bye: %v", err)
+	}
+	<-done
+	c.Close()
+	<-gone
+
+	if len(reg.EventsByType("trainer_state")) == 0 {
+		t.Fatal("no trainer_state event: the server is not running Algorithm 1")
+	}
+	epochs := reg.EventsByType("train_epoch")
+	if len(epochs) == 0 || epochs[0].StrField("channel") != "loop" {
+		t.Fatalf("train_epoch events %+v, want channel loop", epochs)
+	}
+	if p := n.origin.Playlist("loop"); p == nil || len(p.Segments) == 0 {
+		t.Fatalf("origin playlist for loop = %+v, want a published segment", p)
+	}
+	if got := n.pool.InUse(); got != 0 {
+		t.Fatalf("%d GPU slots held after MsgBye", got)
 	}
 }

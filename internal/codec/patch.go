@@ -45,15 +45,26 @@ func EncodePatch(p *frame.Frame, quality int) []byte {
 // errPatch reports a malformed patch payload.
 var errPatch = errors.New("codec: malformed patch payload")
 
+// PatchDims returns the size a patch payload declares without decoding it,
+// so a receiver can hold the size to its own geometry before DecodePatch
+// allocates a decoder of that size.
+func PatchDims(data []byte) (w, h int, err error) {
+	if len(data) < 5 {
+		return 0, 0, errPatch
+	}
+	w = int(binary.BigEndian.Uint16(data[0:2]))
+	h = int(binary.BigEndian.Uint16(data[2:4]))
+	if w == 0 || h == 0 || w > 1<<14 || h > 1<<14 {
+		return 0, 0, errPatch
+	}
+	return w, h, nil
+}
+
 // DecodePatch reconstructs a patch produced by EncodePatch.
 func DecodePatch(data []byte) (*frame.Frame, error) {
-	if len(data) < 5 {
-		return nil, errPatch
-	}
-	w := int(binary.BigEndian.Uint16(data[0:2]))
-	h := int(binary.BigEndian.Uint16(data[2:4]))
-	if w == 0 || h == 0 || w > 1<<14 || h > 1<<14 {
-		return nil, errPatch
+	w, h, err := PatchDims(data)
+	if err != nil {
+		return nil, err
 	}
 	dec := NewDecoder(Config{Profile: BX9, W: w, H: h})
 	return dec.Decode(&EncodedFrame{Data: data[4:], Key: true})

@@ -6,9 +6,8 @@ import (
 
 	"livenas/internal/codec"
 	"livenas/internal/frame"
+	"livenas/internal/gcc"
 	"livenas/internal/metrics"
-	"livenas/internal/netem"
-	"livenas/internal/sim"
 	"livenas/internal/sr"
 	"livenas/internal/telemetry"
 	"livenas/internal/transport"
@@ -74,22 +73,21 @@ type decodedFrame struct {
 // patchSample retains a received high-quality patch with its low-resolution
 // counterpart for quality validation (§6.1 "we use the high-quality training
 // patches as a reference at the media server").
-type patchSample struct {
-	hr, lr     *frame.Frame
-	receivedAt time.Duration
-}
+type patchSample struct{ hr, lr *frame.Frame }
 
-// server is the LiveNAS media server (Figure 3, right).
-type server struct {
-	s     *sim.Simulator
+// Server is the LiveNAS media server (Figure 3, right): it decodes the
+// ingest stream, pairs training patches with their decoded frames, trains
+// the session's DNN under Algorithm 1 and enhances the latest frame. Its
+// input is whole units (a frame, a patch) and its clock is whatever now
+// reads, so the simulated session (RunContext) and the socket server
+// (cmd/livenas-server) drive the same code; each caller owns its link.
+// A Server is not safe for concurrent use: one goroutine drives it.
+type Server struct {
+	now   func() time.Duration
 	cfg   Config
 	scale int
 
-	dec   *codec.Decoder
-	reasm *transport.Reassembler
-	fbc   *transport.FeedbackCollector
-	// notify delivers a message to the client after the reverse-path delay.
-	notify func(serverMsg)
+	dec *codec.Decoder
 
 	model     *sr.Model // DNN_t (trained online)
 	prevModel *sr.Model // DNN_{t-1}
@@ -192,10 +190,25 @@ func pretrainOnSession(model *sr.Model, cfg Config) {
 	}
 }
 
-func newServer(s *sim.Simulator, cfg Config, notify func(serverMsg)) *server {
+// NewServer builds the media server of one session from cfg, which it
+// validates (a geometry error is returned, not panicked) and defaults; now
+// is the session clock that stamps its events and times its one-time
+// training window. A server that is built emits the session's
+// session_start event.
+func NewServer(cfg Config, now func() time.Duration) (*Server, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	cfg.Telemetry.Emit(now(), "session_start",
+		telemetry.Str("channel", cfg.ChannelKey),
+		telemetry.Str("scheme", cfg.Scheme.String()),
+		telemetry.Num("train_gpus", float64(cfg.TrainGPUs)),
+		telemetry.Num("infer_gpus", float64(cfg.InferGPUs)),
+	)
 	scale := cfg.Scale()
-	sv := &server{
-		s:     s,
+	sv := &Server{
+		now:   now,
 		cfg:   cfg,
 		scale: scale,
 		dec: codec.NewDecoder(codec.Config{
@@ -204,13 +217,9 @@ func newServer(s *sim.Simulator, cfg Config, notify func(serverMsg)) *server {
 			H:       cfg.Ingest.H,
 			Deblock: cfg.Deblock,
 		}),
-		reasm:  transport.NewReassembler(),
-		fbc:    transport.NewFeedbackCollector(100 * time.Millisecond),
-		notify: notify,
-		state:  stateTraining,
-		reg:    cfg.Telemetry,
+		state: stateTraining,
+		reg:   cfg.Telemetry,
 	}
-	sv.reasm.SetTelemetry(sv.reg)
 	sv.mFramesDec = sv.reg.Counter("core_frames_decoded")
 	sv.mFramesLost = sv.reg.Counter("core_frames_lost")
 	sv.mPatchesRecv = sv.reg.Counter("core_patches_received")
@@ -255,22 +264,20 @@ func newServer(s *sim.Simulator, cfg Config, notify func(serverMsg)) *server {
 	}
 	sv.diffEWMA = 1 // optimistic start: never suspend before real signal
 	sv.emitTrainerState(sv.trainingActive(), telemetry.Str("reason", "start"))
-	sv.reasm.OnComplete = sv.onUnit
-	sv.reasm.OnLoss = sv.onUnitLoss
-	return sv
+	return sv, nil
 }
 
 // emitTrainerState records a trainer ON/OFF transition as a trainer_state
 // event (the Figure 16 timeline; Results.TrainerTimeline reconstructs the
 // StateChange series from these).
-func (sv *server) emitTrainerState(st trainerState, extra ...telemetry.Field) {
+func (sv *Server) emitTrainerState(st trainerState, extra ...telemetry.Field) {
 	fields := append([]telemetry.Field{telemetry.Str("state", st.String())}, extra...)
-	sv.reg.Emit(sv.s.Now(), "trainer_state", fields...)
+	sv.reg.Emit(sv.now(), "trainer_state", fields...)
 }
 
 // trainingActive reports whether the trainer would run an epoch now, under
 // the configured policy.
-func (sv *server) trainingActive() trainerState {
+func (sv *Server) trainingActive() trainerState {
 	if sv.cfg.Scheme != SchemeLiveNAS {
 		return stateSuspended
 	}
@@ -278,7 +285,7 @@ func (sv *server) trainingActive() trainerState {
 	case TrainContinuous:
 		return stateTraining
 	case TrainOneTime:
-		if sv.s.Now() < sv.cfg.OneTimeWindow {
+		if sv.now() < sv.cfg.OneTimeWindow {
 			return stateTraining
 		}
 		return stateSuspended
@@ -292,77 +299,67 @@ func (sv *server) trainingActive() trainerState {
 	}
 }
 
-// onWirePacket receives a packet from the bottleneck link.
-func (sv *server) onWirePacket(p netem.Packet) {
-	f := p.Payload.(transport.Fragment)
-	sv.fbc.OnPacket(p.Seq, p.Size, p.SentAt, sv.s.Now())
-	sv.reasm.Add(f, sv.s.Now())
+// onFrameLost handles a video frame the link lost: the decoder's reference
+// is gone, so the server waits for a key frame and asks for one.
+func (sv *Server) onFrameLost() {
+	sv.framesLost++
+	sv.mFramesLost.Inc()
+	sv.needKey = true
+	sv.waitKey = true
 }
 
-// onUnitLoss handles an abandoned (packet-lossy) unit.
-func (sv *server) onUnitLoss(k transport.Kind, id int) {
-	if k == transport.KindVideo {
-		sv.framesLost++
-		sv.mFramesLost.Inc()
-		sv.needKey = true
-		sv.waitKey = true
-	}
-	// A lost patch is simply a lost training sample.
-}
-
-// onUnit handles a fully reassembled video frame or patch.
-func (sv *server) onUnit(a transport.Assembled) {
-	switch a.Kind {
-	case transport.KindVideo:
-		sv.onVideoFrame(a)
-	case transport.KindPatch:
-		sv.onPatch(a)
-	}
-}
-
-func (sv *server) onVideoFrame(a transport.Assembled) {
-	meta := a.Meta.(videoFrameMeta)
-	if sv.waitKey && !meta.Enc.Key {
+// Video decodes one whole ingest frame (ef.Seq is its frame id) captured at
+// captureAt on the session clock. After a loss or a decode error every
+// frame up to the next key frame is discarded.
+func (sv *Server) Video(ef *codec.EncodedFrame, captureAt time.Duration) {
+	if sv.waitKey && !ef.Key {
 		sv.framesLost++
 		sv.mFramesLost.Inc()
 		sv.needKey = true
 		return
 	}
-	if meta.Enc.Key {
+	if ef.Key {
 		sv.waitKey = false
 		sv.dec.Reset()
 	}
-	lr, err := sv.dec.Decode(&codec.EncodedFrame{Data: a.Data, Key: meta.Enc.Key, QP: meta.Enc.QP, Seq: a.ID})
+	lr, err := sv.dec.Decode(ef)
 	if err != nil {
-		sv.framesLost++
-		sv.mFramesLost.Inc()
-		sv.needKey = true
-		sv.waitKey = true
+		sv.onFrameLost()
 		return
 	}
 	sv.framesDecoded++
 	sv.mFramesDec.Inc()
-	df := decodedFrame{id: a.ID, captureAt: meta.CaptureAt, lr: lr}
-	sv.decoded = append(sv.decoded, df)
-	// Keep ~3 seconds of decoded frames for patch pairing.
-	limit := int(3 * sv.cfg.FPS)
+	sv.decoded = append(sv.decoded, decodedFrame{id: ef.Seq, captureAt: captureAt, lr: lr})
+	// Keep ~3 seconds of decoded frames for patch pairing, and at least the
+	// latest one whatever the frame rate.
+	limit := max(1, int(3*sv.cfg.FPS))
 	if len(sv.decoded) > limit {
 		sv.decoded = sv.decoded[len(sv.decoded)-limit:]
 	}
 	sv.latest = &sv.decoded[len(sv.decoded)-1]
-	sv.e2eLatencySum += sv.s.Now() - meta.CaptureAt
+	sv.e2eLatencySum += sv.now() - captureAt
 	sv.e2eLatencyN++
 }
 
-func (sv *server) onPatch(a transport.Assembled) {
-	meta := a.Meta.(patchMeta)
-	hr, err := codec.DecodePatch(a.Data)
+// Patch admits one whole training patch: data is its codec.EncodePatch
+// payload, cropped at native (x, y) from frame frameID. The declared size
+// is checked before anything is decoded: a patch that is not a square of a
+// multiple of the scale, at a scale-aligned position inside the native
+// frame, is dropped, so a hostile header or geometry costs the sender its
+// patch and this server nothing.
+func (sv *Server) Patch(frameID, x, y int, data []byte) {
+	side, h, err := codec.PatchDims(data)
+	if err != nil || side != h || side%sv.scale != 0 || x%sv.scale != 0 || y%sv.scale != 0 ||
+		x < 0 || y < 0 || x > sv.cfg.Native.W-side || y > sv.cfg.Native.H-side {
+		return
+	}
+	hr, err := codec.DecodePatch(data)
 	if err != nil {
 		return
 	}
 	sv.patchesReceived++
 	sv.mPatchesRecv.Inc()
-	sv.patchBits += (len(a.Data) + transport.HeaderBytes) * 8
+	sv.patchBits += (len(data) + transport.HeaderBytes) * 8
 	// Find the exact decoded frame the patch was cropped from (§5.2: the
 	// timestamp/frame id lets the server "find the low resolution
 	// counterpart from the encoded video stream"). A temporally misaligned
@@ -370,7 +367,7 @@ func (sv *server) onPatch(a transport.Assembled) {
 	// frame has already left the ring (or was lost) are discarded.
 	var best *decodedFrame
 	for i := range sv.decoded {
-		if sv.decoded[i].id == meta.FrameID {
+		if sv.decoded[i].id == frameID {
 			best = &sv.decoded[i]
 			break
 		}
@@ -378,8 +375,8 @@ func (sv *server) onPatch(a transport.Assembled) {
 	if best == nil {
 		return
 	}
-	lps := sv.cfg.PatchSize / sv.scale
-	lr := best.lr.Crop(meta.X/sv.scale, meta.Y/sv.scale, lps, lps)
+	lps := side / sv.scale
+	lr := best.lr.Crop(x/sv.scale, y/sv.scale, lps, lps)
 	if sv.trainer != nil {
 		sv.trainer.AddSample(lr, hr)
 		sv.mPatchesAdmit.Inc()
@@ -390,30 +387,30 @@ func (sv *server) onPatch(a transport.Assembled) {
 		if sv.cfg.QuantInt8 && sv.patchesReceived%gateSampleEvery == 0 {
 			sv.proc.ObserveGatePatch(lr, hr)
 		}
-		sv.reg.Emit(sv.s.Now(), "patch_admit",
-			telemetry.Num("frame_id", float64(meta.FrameID)),
-			telemetry.Num("x", float64(meta.X)),
-			telemetry.Num("y", float64(meta.Y)),
-			telemetry.Num("bytes", float64(len(a.Data))),
+		sv.reg.Emit(sv.now(), "patch_admit",
+			telemetry.Num("frame_id", float64(frameID)),
+			telemetry.Num("x", float64(x)),
+			telemetry.Num("y", float64(y)),
+			telemetry.Num("bytes", float64(len(data))),
 		)
 	}
-	sv.recentPatch = append(sv.recentPatch, patchSample{hr: hr, lr: lr, receivedAt: sv.s.Now()})
+	sv.recentPatch = append(sv.recentPatch, patchSample{hr: hr, lr: lr})
 	if len(sv.recentPatch) > 8 {
 		sv.recentPatch = sv.recentPatch[len(sv.recentPatch)-8:]
 	}
 }
 
-// onFeedbackTick sends transport feedback (acks + loss) every 100 ms.
-func (sv *server) onFeedbackTick() {
-	acks, lost := sv.fbc.Report()
+// onFeedbackTick builds the 100 ms transport feedback message from the
+// link's acks and losses, carrying (and clearing) any key-frame request.
+func (sv *Server) onFeedbackTick(acks []gcc.Ack, lost int) serverMsg {
 	msg := serverMsg{acks: acks, lost: lost, needKeyFrame: sv.needKey}
 	sv.needKey = false
-	sv.notify(msg)
+	return msg
 }
 
 // modelGain measures a model's SR gain over bilinear (dB) on the recent
 // high-quality patches — the server-side quality signal of §6.1.
-func (sv *server) modelGain(m *sr.Model) float64 {
+func (sv *Server) modelGain(m *sr.Model) float64 {
 	if len(sv.recentPatch) == 0 {
 		return 0
 	}
@@ -427,12 +424,25 @@ func (sv *server) modelGain(m *sr.Model) float64 {
 	return g / float64(len(sv.recentPatch))
 }
 
+// Epoch runs one training-epoch boundary for a caller that carries no
+// feedback to a client (onEpochTick). It returns the current model's gain
+// over bilinear on the recent patches, the epoch's index and the trainer's
+// sample count; a scheme without online training has no epochs (all zero).
+func (sv *Server) Epoch() (gainDB float64, epoch, samples int) {
+	m, ok := sv.onEpochTick()
+	if !ok {
+		return 0, 0, 0
+	}
+	return m.qdnnCur, sv.epochIdx, sv.trainer.SampleCount()
+}
+
 // onEpochTick runs at every training-epoch boundary: one epoch of online
-// training when active, the Algorithm 1 state machine, and quality feedback
-// to the client.
-func (sv *server) onEpochTick() {
+// training when active, the Algorithm 1 state machine, and the quality
+// feedback message for the client. ok is false for schemes that do not
+// train online; they have no epochs and send no feedback.
+func (sv *Server) onEpochTick() (msg serverMsg, ok bool) {
 	if sv.cfg.Scheme != SchemeLiveNAS || sv.trainer == nil {
-		return
+		return serverMsg{}, false
 	}
 	sv.epochIdx++
 	active := sv.trainingActive()
@@ -464,7 +474,8 @@ func (sv *server) onEpochTick() {
 		ph, pm := sv.proc.ArenaStats()
 		sv.mArenaHits.Set(float64(hits + ph))
 		sv.mArenaMisses.Set(float64(misses + pm))
-		sv.reg.Emit(sv.s.Now(), "train_epoch",
+		sv.reg.Emit(sv.now(), "train_epoch",
+			telemetry.Str("channel", sv.cfg.ChannelKey),
 			telemetry.Num("epoch", float64(sv.epochIdx)),
 			telemetry.Num("samples", float64(samples)),
 			telemetry.Num("loss", loss),
@@ -518,20 +529,20 @@ func (sv *server) onEpochTick() {
 
 	epochPatchK := float64(sv.patchBits) / 1000 / sv.cfg.EpochLen.Seconds()
 	sv.patchBits = 0
-	sv.notify(serverMsg{
+	return serverMsg{
 		hasEpoch:      true,
 		qdnnPrev:      qPrev,
 		qdnnCur:       qCur,
 		epochPatchK:   epochPatchK,
 		trainingState: sv.trainingActive(),
-	})
+	}, true
 }
 
-// output produces the frame a viewer-facing transcoder would consume right
+// Output produces the frame a viewer-facing transcoder would consume right
 // now: the latest decoded frame upscaled to the target resolution by the
 // scheme's upsampler. It returns the frame, its capture time, and the
-// simulated inference latency.
-func (sv *server) output() (*frame.Frame, time.Duration, time.Duration, bool) {
+// simulated inference latency; ok is false before the first decoded frame.
+func (sv *Server) Output() (out *frame.Frame, captureAt, latency time.Duration, ok bool) {
 	if sv.latest == nil {
 		return nil, 0, 0, false
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"livenas/internal/codec"
 	"livenas/internal/metrics"
 	"livenas/internal/netem"
 	"livenas/internal/sim"
@@ -144,39 +145,55 @@ const cancelCheckEvery = 512
 // Config: the context bounds the run but never influences results — a run
 // that completes is bitwise identical whatever context carried it.
 //
-// The config is validated up front (Config.Validate) and geometry errors
-// are returned rather than panicking. Cancellation is observed at
-// simulator-event boundaries: when ctx is cancelled mid-run, RunContext
-// releases session resources (dedicated kernel-pool workers are joined) and
-// returns ctx's error with nil Results.
+// The config is validated up front (NewServer runs Config.Validate) and
+// geometry errors are returned rather than panicking. Cancellation is
+// observed at simulator-event boundaries: when ctx is cancelled mid-run,
+// RunContext releases session resources (dedicated kernel-pool workers are
+// joined) and returns ctx's error with nil Results.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
-	if err := cfg.Validate(); err != nil {
+	s := sim.New()
+	sv, err := NewServer(cfg, s.Now)
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = sv.cfg // validated and defaulted
 	reg := cfg.Telemetry
-	reg.Emit(0, "session_start",
-		telemetry.Str("channel", cfg.ChannelKey),
-		telemetry.Str("scheme", cfg.Scheme.String()),
-		telemetry.Num("train_gpus", float64(cfg.TrainGPUs)),
-		telemetry.Num("infer_gpus", float64(cfg.InferGPUs)),
-	)
-
-	s := sim.New()
 	src := vidgen.NewSource(cfg.Cat, cfg.Native.W, cfg.Native.H, cfg.Seed, cfg.Duration.Seconds()+60)
 
 	var cl *client
-	notify := func(m serverMsg) {
-		s.After(cfg.PropDelay, func() {
-			if cl != nil {
-				cl.onServerMsg(m)
-			}
-		})
+	// deliver carries a server message to the client over the reverse path,
+	// modelled as one propagation delay.
+	deliver := func(m serverMsg) {
+		s.After(cfg.PropDelay, func() { cl.onServerMsg(m) })
 	}
-	sv := newServer(s, cfg, notify)
+
+	// The server's receive side of the link: transport feedback per packet,
+	// reassembly into whole frames and patches, and lost frames.
+	fbc := transport.NewFeedbackCollector(100 * time.Millisecond)
+	reasm := transport.NewReassembler()
+	reasm.SetTelemetry(reg)
+	reasm.OnComplete = func(a transport.Assembled) {
+		switch a.Kind {
+		case transport.KindVideo:
+			meta := a.Meta.(videoFrameMeta)
+			sv.Video(&codec.EncodedFrame{Data: a.Data, Key: meta.Enc.Key, QP: meta.Enc.QP, Seq: a.ID}, meta.CaptureAt)
+		case transport.KindPatch:
+			meta := a.Meta.(patchMeta)
+			sv.Patch(meta.FrameID, meta.X, meta.Y, a.Data)
+		}
+	}
+	reasm.OnLoss = func(k transport.Kind, _ int) {
+		// A lost patch is simply a lost training sample.
+		if k == transport.KindVideo {
+			sv.onFrameLost()
+		}
+	}
 
 	wireSeq := 0
-	link := netem.NewLink(s, cfg.Trace, cfg.PropDelay, cfg.QueueCap, sv.onWirePacket)
+	link := netem.NewLink(s, cfg.Trace, cfg.PropDelay, cfg.QueueCap, func(p netem.Packet) {
+		fbc.OnPacket(p.Seq, p.Size, p.SentAt, s.Now())
+		reasm.Add(p.Payload.(transport.Fragment), s.Now())
+	})
 	if cfg.LossRate > 0 {
 		link.SetLossRate(cfg.LossRate, cfg.Seed^0x10c5)
 	}
@@ -207,14 +224,16 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 
 	var fb func()
 	fb = func() {
-		sv.onFeedbackTick()
+		deliver(sv.onFeedbackTick(fbc.Report()))
 		s.After(100*time.Millisecond, fb)
 	}
 	s.After(100*time.Millisecond, fb)
 
 	var epoch func()
 	epoch = func() {
-		sv.onEpochTick()
+		if m, ok := sv.onEpochTick(); ok {
+			deliver(m)
+		}
 		s.After(cfg.EpochLen, epoch)
 	}
 	s.After(cfg.EpochLen, epoch)
@@ -229,7 +248,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	var metric func()
 	metric = func() {
 		now := s.Now()
-		out, capAt, lat, ok := sv.output()
+		out, capAt, lat, ok := sv.Output()
 		if ok {
 			gt := src.FrameAt(capAt.Seconds())
 			qs := QualitySample{T: now, PSNR: metrics.PSNR(gt, out)}

@@ -37,9 +37,8 @@ type Device struct {
 	Int8Factor float64
 }
 
-// defaultInt8Factor matches the measured advantage of the int8 kernel path
-// (2.76x over the f32 GEMM engine at 1080p; DESIGN.md "Kernel engine",
-// historical table) and typical int8-vs-fp16 GPU tensor throughput ratios.
+// defaultInt8Factor follows typical int8-vs-fp16 GPU tensor throughput
+// ratios (dp4a/imma); it models the paper's GPUs, not the host's kernels.
 const defaultInt8Factor = 0.45
 
 func (d Device) int8Factor() float64 {

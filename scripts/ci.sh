@@ -9,7 +9,8 @@
 #                         pin, the playlist format pin (with the event-heap
 #                         oracle and WireSize = frame length), the link
 #                         model pin (netem.Link and SimConn against their
-#                         seed oracles), the sr
+#                         seed oracles), the media server pin (hostile
+#                         patches, one socket session), the sr
 #                         inference differentials and the arena ownership
 #                         contract by name, parallel sweep smoke (one small
 #                         figure sweep at -parallel 4)
@@ -191,6 +192,20 @@ link_model_pin() {
         pin_tests ./internal/transport TestSimConnMatchesRef
 }
 
+# What a peer can send the media server (DESIGN.md "One media server"): a
+# patch whose declared size is refused before anything is decoded (no 268 MB
+# decoder), an odd-sided or non-square patch dropped instead of panicking
+# the trainer and with it every session on the node, a hello whose frame
+# rate would size the 3 s pairing ring at zero frames or past its memory
+# budget refused (and the ring never emptied whatever the rate), and one
+# socket session end to end through core.Server (frames and patches in,
+# MsgStats, Algorithm 1's events, a published segment and the GPU slot
+# released).
+media_server_pin() {
+    pin_tests ./internal/core TestPatchHostileHeaderAlloc TestVideoLowFrameRate &&
+        pin_tests ./cmd/livenas-server TestMalformedPatchGeometry TestHostileHelloRefused TestServeIngestLoopback
+}
+
 # Nightly-only: record cpu/heap profiles of the serve_hd-geometry inference
 # bench for upload, so a serve_hd regression comes with a profile of its
 # binding layer.
@@ -228,6 +243,7 @@ if [[ "$TIER" == "fast" ]]; then
         TestFrameNonCanonicalRejected TestFrameAllocCeilings
     step "playlist format pin" playlist_format_pin
     step "link model pin" link_model_pin
+    step "media server pin" media_server_pin
     step "sr inference differential" sr_inference_pin
     # The arena ownership contract (every Get/GetBuf handed back exactly
     # once) has no static check: these three tests carry it alone, for the
@@ -251,7 +267,9 @@ else
     # internal/edge races the origin/relay/viewer actors over both SimConn
     # and real-socket (net.Pipe + queued-writer) paths. internal/vidgen
     # renders one Source from several goroutines (pooled FrameAt scratch).
-    step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./internal/analysis ./internal/sweep ./internal/fleet ./internal/edge
+    # cmd/livenas-server races a socket session's message pump against the
+    # loop that drives its core.Server.
+    step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./cmd/livenas-server ./internal/analysis ./internal/sweep ./internal/fleet ./internal/edge
     if [[ -n "${FLEET_SOAK_STREAMS:-}" ]]; then
         step "fleet soak (N=$FLEET_SOAK_STREAMS, -race)" go test -race \
             -run '^TestFleetSoak$' -v ./internal/fleet
