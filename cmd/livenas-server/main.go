@@ -299,9 +299,10 @@ func serve(conn net.Conn, epochLen time.Duration, reg *telemetry.Registry, n *no
 			log.Printf("session %s ended: %v", channel, err)
 			return
 		case <-epochTimer.C:
-			gain, epoch, samples := sv.Epoch()
-			log.Printf("%s epoch %d: SR gain on recent patches %+.2f dB (%d samples)", channel, epoch, gain, samples)
-			if err := tc.Send(&wire.Message{Type: wire.MsgStats, Channel: channel, GainDB: gain, Epochs: epoch, Samples: samples}); err != nil {
+			fb, _ := sv.Epoch() // a LiveNAS session always trains
+			log.Printf("%s epoch %d: SR gain on recent patches %+.2f dB (%d samples)", channel, fb.Epoch, fb.GainDB, fb.Samples)
+			if err := tc.Send(&wire.Message{Type: wire.MsgStats, Channel: channel, GainDB: fb.GainDB, Epochs: fb.Epoch, Samples: fb.Samples,
+				PrevGainDB: fb.PrevGainDB, PatchKbps: fb.PatchKbps, Suspended: fb.Suspended}); err != nil {
 				log.Printf("session %s ended: stats write: %v", channel, err)
 				return
 			}

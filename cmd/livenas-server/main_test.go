@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"livenas/internal/codec"
+	"livenas/internal/core"
 	"livenas/internal/frame"
 	"livenas/internal/telemetry"
+	"livenas/internal/trace"
 	"livenas/internal/transport"
 	"livenas/internal/vidgen"
 	"livenas/internal/wire"
@@ -254,37 +256,73 @@ func TestMalformedPatchGeometry(t *testing.T) {
 }
 
 // TestServeIngestLoopback drives one ingest session end to end over
-// net.Pipe with a short epoch: scripted frames and 24-px patches in, MsgStats
-// out from core's server (Algorithm 1 running), a published segment at the
-// origin, and the GPU slot handed back after MsgBye.
+// net.Pipe with a short epoch: core's client, on a fake clock stepped
+// 100 ms a frame, sends frames and the patches its scheduler (§5.1) and
+// sampler (§5.2) release; core's server runs Algorithm 1 and returns
+// MsgStats carrying the epoch feedback, which steers the client's next
+// scheduler steps; a segment is published at the origin, and the GPU slot is
+// handed back after MsgBye.
 func TestServeIngestLoopback(t *testing.T) {
 	reg := telemetry.New()
 	n := newNode(1, reg)
 	c, done := session(t, n, 100*time.Millisecond, reg)
 	stats := make(chan *wire.Message, 64)
 	gone := drain(c, stats)
-	if err := c.Send(demoHello("loop")); err != nil {
+	hello := demoHello("loop")
+	if err := c.Send(hello); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	st := newStreamer()
-	cells := frame.Grid(384, 216, 24)
+
+	var now time.Duration
+	var sendErr error
+	creg := telemetry.New()
+	cl, err := core.NewClient(core.Config{
+		ChannelKey: "loop", Cat: vidgen.JustChatting, Seed: 7, FPS: hello.FPS, Scheme: core.SchemeLiveNAS,
+		Native: trace.Resolution{W: hello.NativeW, H: hello.NativeH}, Ingest: trace.Resolution{W: hello.IngestW, H: hello.IngestH},
+		PatchSize: 24, MinVideoKbps: 40, StepKbps: 20, InitPatchKbps: 20, MinPatchKbps: 5, GCCInitKbps: 400,
+		Telemetry: creg,
+	}, vidgen.NewSource(vidgen.JustChatting, 384, 216, 7, 600), func() time.Duration { return now }, func(u core.Unit) {
+		m := &wire.Message{Type: wire.MsgVideo, FrameID: u.FrameID, Key: u.Key, QP: u.QP, X: u.X, Y: u.Y, Data: u.Data}
+		if u.Patch {
+			m.Type = wire.MsgPatch
+		}
+		if sendErr == nil {
+			sendErr = c.Send(m)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// steered reports whether a scheduler step has moved the patch rate on
+	// the server's feedback: before any feedback every gradient is zero.
+	steered := func() bool {
+		for _, ev := range creg.EventsByType("scheduler_split") {
+			if ev.NumField("gradient_db_per_kbps") != 0 {
+				return true
+			}
+		}
+		return false
+	}
 	var trained *wire.Message
 	deadline := time.After(2 * time.Minute)
-	for id := 0; trained == nil; id++ {
-		if err := c.Send(st.video(id)); err != nil {
-			t.Fatalf("frame %d: %v", id, err)
+	for id := 1; trained == nil || !steered(); id++ {
+		cl.Capture()
+		if sendErr != nil {
+			t.Fatalf("frame %d: %v", id, sendErr)
 		}
-		cell := cells[(id*7)%len(cells)]
-		if err := c.Send(st.patch(id, cell.X, cell.Y, 24, 24)); err != nil {
-			t.Fatalf("patch %d: %v", id, err)
+		if id%10 == 0 {
+			cl.Schedule()
 		}
+		now += 100 * time.Millisecond
 		select {
 		case m := <-stats:
-			if m.Epochs >= 1 && m.Samples > 0 {
+			cl.Feedback(core.Feedback{PrevGainDB: m.PrevGainDB, GainDB: m.GainDB, PatchKbps: m.PatchKbps, Suspended: m.Suspended})
+			if trained == nil && m.Epochs >= 1 && m.Samples > 0 {
 				trained = m
+				t.Logf("frame %d: first trained epoch's MsgStats %+v", id, m)
 			}
 		case <-deadline:
-			t.Fatalf("no trained epoch after %d frames", id+1)
+			t.Fatalf("no trained epoch steering the scheduler after %d frames", id)
 		default:
 		}
 	}
@@ -295,6 +333,11 @@ func TestServeIngestLoopback(t *testing.T) {
 	c.Close()
 	<-gone
 
+	// The first trained epoch saw patches, and its report carries the gain
+	// of the model before the epoch and the patch rate that bought the step.
+	if trained.PatchKbps <= 0 || trained.PrevGainDB == 0 || trained.Suspended {
+		t.Fatalf("first trained epoch's MsgStats %+v lacks the epoch feedback", trained)
+	}
 	if len(reg.EventsByType("trainer_state")) == 0 {
 		t.Fatal("no trainer_state event: the server is not running Algorithm 1")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -8,40 +9,38 @@ import (
 	"livenas/internal/frame"
 	"livenas/internal/gcc"
 	"livenas/internal/metrics"
-	"livenas/internal/sim"
 	"livenas/internal/telemetry"
 	"livenas/internal/transport"
 	"livenas/internal/vidgen"
 )
 
-// videoFrameMeta rides on each video frame's first fragment.
-type videoFrameMeta struct {
-	Enc       *codec.EncodedFrame
-	CaptureAt time.Duration
+// Feedback is the media server's quality report to the client at the end
+// of each training epoch (§6.1): the gains of DNN_{t-1} and DNN_t over
+// bilinear on the recent patches, the patch bitrate that bought the step
+// between them, and whether Algorithm 1 has suspended training. Server.Epoch
+// returns it; RunContext delivers it one propagation delay later, and the
+// socket processes carry it as a MsgStats.
+type Feedback struct {
+	PrevGainDB float64 // DNN_{t-1}'s gain, dB
+	GainDB     float64 // DNN_t's gain, dB
+	PatchKbps  float64 // patch kbps the server received during the epoch
+	Suspended  bool    // training suspended: send the minimum patch trickle
+	Epoch      int     // the epoch's index, from 1
+	Samples    int     // the trainer's sample count after the epoch
 }
 
-// patchMeta rides on each patch's first fragment (§5.2: "we include its
-// timestamp and its location within the corresponding frame").
-type patchMeta struct {
+// Unit is one whole unit the client hands its link: an encoded video frame
+// or a training patch cropped at native (X, Y) from frame FrameID (§5.2:
+// "we include its timestamp and its location within the corresponding
+// frame").
+type Unit struct {
 	FrameID   int
-	CaptureAt time.Duration
-	X, Y      int // top-left of the patch in native (HR) coordinates
-}
-
-// serverMsg is the media server's reverse-path message to the client:
-// transport feedback plus LiveNAS quality feedback (§6.1).
-type serverMsg struct {
-	acks []gcc.Ack
-	lost int
-
-	// Epoch feedback (valid when hasEpoch).
-	hasEpoch      bool
-	qdnnPrev      float64 // gain of DNN_{t-1} on recent patches, dB
-	qdnnCur       float64 // gain of DNN_t on recent patches, dB
-	epochPatchK   float64 // patch kbps received during that epoch
-	trainingState trainerState
-
-	needKeyFrame bool
+	Patch     bool
+	Data      []byte        // the encoded frame, or the codec.EncodePatch payload
+	Key       bool          // video: a key frame
+	QP        int           // video
+	CaptureAt time.Duration // video
+	X, Y      int           // patch
 }
 
 // GradPoint records one scheduler update (the Figure 5 case-study series).
@@ -53,42 +52,40 @@ type GradPoint struct {
 	TargetKbps float64
 }
 
-// client is the LiveNAS ingest client (Figure 3, left).
-type client struct {
-	s     *sim.Simulator
+// Client is the LiveNAS ingest client (Figure 3, left): it captures and
+// encodes the stream, splits the uplink between video and training patches
+// with the quality-optimizing scheduler (§5.1) and samples quality-filtered
+// patches (§5.2). Like Server it reads whatever clock now reads and hands
+// whole units to the driver's send function, so the simulated session
+// (RunContext) and the socket client (cmd/livenas-client) drive the same
+// code; each driver owns its link. A Client is not safe for concurrent use:
+// one goroutine drives it.
+type Client struct {
+	now   func() time.Duration
+	send  func(Unit)
 	cfg   Config
 	scale int
 	src   *vidgen.Source
 	enc   *codec.Encoder
 	ctrl  *gcc.Controller
-	pacer *transport.Pacer
 	rng   *rand.Rand
 
 	frameID int
-	patchID int
 
 	// Scheduler state (§5.1).
 	patchKbps  float64
-	videoQ     float64 // EWMA of measured encoded quality, dB
-	haveFB     bool
-	fbPrevQ    float64
-	fbCurQ     float64
-	fbPatchK   float64
-	suspended  bool
+	videoQ     float64  // EWMA of measured encoded quality, dB
+	haveFB     bool     // fb steers the next update
+	fb         Feedback // the latest epoch report
 	gradSeries []GradPoint
 
 	// Patch pipeline (§5.2).
 	patchBudgetBits float64
-	patchQueue      []queuedPatch
+	patchQueue      []Unit
 	lastBudgetAt    time.Duration
 
 	// Functional-codec probe state (Config.FunctionalCodec).
 	lastLR *frame.Frame
-
-	// Bookkeeping.
-	patchesSent    int
-	patchBytesSent int
-	videoBytesSent int
 
 	// Telemetry. reg is retained for scheduler_split events (one per
 	// scheduler update, alongside gradSeries).
@@ -97,14 +94,18 @@ type client struct {
 	mFramesCap  *telemetry.Counter
 }
 
-type queuedPatch struct {
-	data []byte
-	meta patchMeta
-}
-
-func newClient(s *sim.Simulator, cfg Config, src *vidgen.Source, pacer *transport.Pacer) *client {
-	c := &client{
-		s:     s,
+// NewClient builds the ingest client of one session from cfg, which it
+// validates and defaults as NewServer does. src is the camera it captures
+// from, now the session clock, and send receives every encoded frame and
+// every released patch, in the order they leave the client.
+func NewClient(cfg Config, src *vidgen.Source, now func() time.Duration, send func(Unit)) (*Client, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	c := &Client{
+		now:   now,
+		send:  send,
 		cfg:   cfg,
 		scale: cfg.Scale(),
 		src:   src,
@@ -116,7 +117,6 @@ func newClient(s *sim.Simulator, cfg Config, src *vidgen.Source, pacer *transpor
 			Deblock:     cfg.Deblock,
 		}),
 		ctrl:      gcc.New(gcc.Config{InitKbps: cfg.GCCInitKbps, MinKbps: cfg.MinVideoKbps / 4}),
-		pacer:     pacer,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		patchKbps: cfg.InitPatchKbps,
 		reg:       cfg.Telemetry,
@@ -127,11 +127,15 @@ func newClient(s *sim.Simulator, cfg Config, src *vidgen.Source, pacer *transpor
 	if cfg.Scheme != SchemeLiveNAS {
 		c.patchKbps = 0
 	}
-	return c
+	return c, nil
 }
 
+// TargetKbps is the uplink budget the scheduler splits: the congestion
+// controller's current target.
+func (c *Client) TargetKbps() float64 { return c.ctrl.TargetKbps() }
+
 // videoKbps returns the current video share of the bandwidth estimate.
-func (c *client) videoKbps() float64 {
+func (c *Client) videoKbps() float64 {
 	v := c.ctrl.TargetKbps() - c.currentPatchKbps()
 	if v < c.cfg.MinVideoKbps {
 		v = c.cfg.MinVideoKbps
@@ -142,7 +146,7 @@ func (c *client) videoKbps() float64 {
 // currentPatchKbps applies the vanilla-WebRTC fallback rule (§5.1): if the
 // available bandwidth drops below the minimum encoding bitrate, no patches
 // are sent.
-func (c *client) currentPatchKbps() float64 {
+func (c *Client) currentPatchKbps() float64 {
 	if c.cfg.Scheme != SchemeLiveNAS {
 		return 0
 	}
@@ -159,10 +163,10 @@ func (c *client) currentPatchKbps() float64 {
 	return p
 }
 
-// onCapture runs once per frame interval: capture, downscale, encode,
-// packetise, and feed the patch pipeline.
-func (c *client) onCapture() {
-	now := c.s.Now()
+// Capture runs once per frame interval: capture, downscale, encode, send
+// the frame, and feed the patch pipeline.
+func (c *Client) Capture() {
+	now := c.now()
 	raw := c.src.FrameAt(now.Seconds())
 	lr := raw.Downscale(c.scale)
 	c.mFramesCap.Inc()
@@ -184,11 +188,7 @@ func (c *client) onCapture() {
 	c.lastLR = lr
 	id := c.frameID
 	c.frameID++
-	meta := videoFrameMeta{Enc: ef, CaptureAt: now}
-	for _, f := range transport.Packetize(transport.KindVideo, id, ef.Data, meta, c.cfg.MTU) {
-		c.videoBytesSent += f.WireSize()
-		c.pacer.Enqueue(f)
-	}
+	c.send(Unit{FrameID: id, Data: ef.Data, Key: ef.Key, QP: ef.QP, CaptureAt: now})
 
 	c.pumpPatches(id, raw, lr, recon, q)
 }
@@ -196,8 +196,8 @@ func (c *client) onCapture() {
 // pumpPatches refills the patch transmission buffer when empty (§5.2) and
 // releases queued patches according to the patch-bandwidth token budget.
 // frameQ is the encoded quality of the whole frame, PSNR(lr, recon).
-func (c *client) pumpPatches(frameID int, raw, lr, recon *frame.Frame, frameQ float64) {
-	now := c.s.Now()
+func (c *Client) pumpPatches(frameID int, raw, lr, recon *frame.Frame, frameQ float64) {
+	now := c.now()
 	rate := c.currentPatchKbps()
 	// Token refill.
 	dt := (now - c.lastBudgetAt).Seconds()
@@ -215,18 +215,13 @@ func (c *client) pumpPatches(frameID int, raw, lr, recon *frame.Frame, frameQ fl
 	}
 	for len(c.patchQueue) > 0 {
 		p := c.patchQueue[0]
-		bits := float64((len(p.data) + transport.HeaderBytes) * 8)
+		bits := float64((len(p.Data) + transport.HeaderBytes) * 8)
 		if c.patchBudgetBits < bits {
 			break
 		}
 		c.patchBudgetBits -= bits
 		c.patchQueue = c.patchQueue[1:]
-		for _, f := range transport.Packetize(transport.KindPatch, c.patchID, p.data, p.meta, c.cfg.MTU) {
-			c.patchBytesSent += f.WireSize()
-			c.pacer.Enqueue(f)
-		}
-		c.patchID++
-		c.patchesSent++
+		c.send(p)
 		c.mPatchesOut.Inc()
 	}
 }
@@ -235,16 +230,20 @@ func (c *client) pumpPatches(frameID int, raw, lr, recon *frame.Frame, frameQ fl
 // draws from the non-overlapping grid, keeping cells whose encoded quality
 // is below the whole frame's (harder-to-encode content trains better),
 // until ~10 patches are buffered.
-func (c *client) samplePatches(frameID int, raw, lr, recon *frame.Frame, frameQ float64) {
+func (c *Client) samplePatches(frameID int, raw, lr, recon *frame.Frame, frameQ float64) {
 	const wanted = 10
 	ps := c.cfg.PatchSize
 	cells := frame.Grid(raw.W, raw.H, ps)
 	if len(cells) == 0 {
 		return
 	}
+	// queue crops the patch at native (x, y), encodes it and buffers it.
+	queue := func(x, y int) {
+		data := codec.EncodePatch(raw.Crop(x, y, ps, ps), codec.PatchQuality)
+		c.patchQueue = append(c.patchQueue, Unit{FrameID: frameID, Patch: true, Data: data, X: x, Y: y})
+	}
 	// Shuffled pass over the grid.
 	order := c.rng.Perm(len(cells))
-	now := c.s.Now()
 	lps := ps / c.scale
 	for _, ci := range order {
 		if len(c.patchQueue) >= wanted {
@@ -256,12 +255,7 @@ func (c *client) samplePatches(frameID int, raw, lr, recon *frame.Frame, frameQ 
 		if encQ >= frameQ {
 			continue // easy region: discard (§5.2)
 		}
-		hr := raw.Crop(cell.X, cell.Y, ps, ps)
-		data := codec.EncodePatch(hr, codec.PatchQuality)
-		c.patchQueue = append(c.patchQueue, queuedPatch{
-			data: data,
-			meta: patchMeta{FrameID: frameID, CaptureAt: now, X: cell.X, Y: cell.Y},
-		})
+		queue(cell.X, cell.Y)
 	}
 	// If the quality filter rejected everything (uniformly easy frame),
 	// fall back to unfiltered random cells so training never starves.
@@ -269,12 +263,7 @@ func (c *client) samplePatches(frameID int, raw, lr, recon *frame.Frame, frameQ 
 		if len(c.patchQueue) >= wanted/2 {
 			break
 		}
-		cell := cells[ci]
-		hr := raw.Crop(cell.X, cell.Y, ps, ps)
-		c.patchQueue = append(c.patchQueue, queuedPatch{
-			data: codec.EncodePatch(hr, codec.PatchQuality),
-			meta: patchMeta{FrameID: frameID, CaptureAt: now, X: cell.X, Y: cell.Y},
-		})
+		queue(cells[ci].X, cells[ci].Y)
 	}
 }
 
@@ -288,17 +277,10 @@ const gradRef = 0.01
 // saturation horizon.
 const gamma = 15
 
-// pacingFactor releases packets at a multiple of the target bitrate, as
-// WebRTC's pacer does (factor 2.5): the pacer smooths frame bursts without
-// becoming a standing self-inflicted queue, so queuing delay observed by the
-// congestion controller reflects the network, not the sender.
-const pacingFactor = 2.5
-
-// onSchedule runs every UpdateEvery: one gradient-ascent update of the
-// patch bitrate (Equation 2) and a pacer rate refresh.
-func (c *client) onSchedule() {
+// Schedule runs every UpdateEvery: one gradient-ascent update of the patch
+// bitrate (Equation 2). The driver paces its link by TargetKbps.
+func (c *Client) Schedule() {
 	b := c.ctrl.TargetKbps()
-	c.pacer.SetRateKbps(b * pacingFactor)
 	if c.cfg.Scheme != SchemeLiveNAS {
 		return
 	}
@@ -307,7 +289,7 @@ func (c *client) onSchedule() {
 		c.recordGrad(0)
 		return
 	}
-	if c.suspended {
+	if c.fb.Suspended {
 		// Server detected gain saturation: minimum patch trickle (§6.1).
 		c.patchKbps = c.cfg.MinPatchKbps
 		c.recordGrad(0)
@@ -322,8 +304,8 @@ func (c *client) onSchedule() {
 	// dQ_DNN/dp: slope between the two most recent DNN quality points,
 	// per kbps of patch bandwidth spent in that epoch (§5.1, Figure 4).
 	gDNN := 0.0
-	if c.fbPatchK > 1 {
-		gDNN = (c.fbCurQ - c.fbPrevQ) / c.fbPatchK
+	if c.fb.PatchKbps > 1 {
+		gDNN = (c.fb.GainDB - c.fb.PrevGainDB) / c.fb.PatchKbps
 	}
 	// dQ_video/dp = -dQ_video/dv, from the category's normalized
 	// bitrate-quality curve scaled to the observed absolute quality. Above
@@ -379,9 +361,9 @@ func (c *client) onSchedule() {
 	c.recordGrad(g)
 }
 
-func (c *client) recordGrad(g float64) {
+func (c *Client) recordGrad(g float64) {
 	p := GradPoint{
-		T:          c.s.Now(),
+		T:          c.now(),
 		Gradient:   g,
 		PatchKbps:  c.currentPatchKbps(),
 		VideoKbps:  c.videoKbps(),
@@ -398,7 +380,7 @@ func (c *client) recordGrad(g float64) {
 
 // probeVideoSlope measures dQvideo/dv (dB per kbps) by encoding the latest
 // frame at v*(1-delta) and v*(1+delta) with throwaway intra encoders.
-func (c *client) probeVideoSlope(v float64) float64 {
+func (c *Client) probeVideoSlope(v float64) float64 {
 	const delta = 0.25
 	lo, hi := v*(1-delta), v*(1+delta)
 	q := func(kbps float64) float64 {
@@ -417,27 +399,34 @@ func (c *client) probeVideoSlope(v float64) float64 {
 	return slope
 }
 
-// onServerMsg handles the reverse-path message: GCC feedback, key-frame
-// requests, and LiveNAS epoch feedback.
-func (c *client) onServerMsg(m serverMsg) {
-	if len(m.acks) > 0 || m.lost > 0 {
-		c.ctrl.OnFeedback(c.s.Now(), m.acks, m.lost)
+// onLinkReport takes the transport half of the server's reverse path,
+// which only the simulated link carries: GCC acks and losses, and a
+// key-frame request.
+func (c *Client) onLinkReport(acks []gcc.Ack, lost int, keyFrame bool) {
+	if len(acks) > 0 || lost > 0 {
+		c.ctrl.OnFeedback(c.now(), acks, lost)
 	}
-	if m.needKeyFrame {
+	if keyFrame {
 		c.enc.ForceKeyFrame()
 	}
-	if m.hasEpoch {
-		c.haveFB = true
-		c.fbPrevQ = m.qdnnPrev
-		c.fbCurQ = m.qdnnCur
-		c.fbPatchK = m.epochPatchK
-		wasSuspended := c.suspended
-		c.suspended = m.trainingState == stateSuspended
-		if wasSuspended && !c.suspended {
-			// Scene change detected: re-bootstrap the feedback process
-			// (§6.1 "it sets the patch bitrate to initial value").
-			c.patchKbps = c.cfg.InitPatchKbps
-			c.haveFB = false
-		}
+}
+
+// Feedback takes the server's report at the end of an epoch (§6.1). The
+// report is outside input on a socket: one with a gain or a patch rate that
+// is not finite, or a negative patch rate, is ignored, since every clamp of
+// the scheduler compares false against NaN and would keep it for good.
+func (c *Client) Feedback(fb Feedback) {
+	if !finite(fb.PrevGainDB) || !finite(fb.GainDB) || !finite(fb.PatchKbps) || fb.PatchKbps < 0 {
+		return
+	}
+	wasSuspended := c.fb.Suspended
+	c.fb, c.haveFB = fb, true
+	if wasSuspended && !fb.Suspended {
+		// Scene change detected: re-bootstrap the feedback process
+		// (§6.1 "it sets the patch bitrate to initial value").
+		c.patchKbps = c.cfg.InitPatchKbps
+		c.haveFB = false
 	}
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

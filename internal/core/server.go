@@ -6,7 +6,6 @@ import (
 
 	"livenas/internal/codec"
 	"livenas/internal/frame"
-	"livenas/internal/gcc"
 	"livenas/internal/metrics"
 	"livenas/internal/sr"
 	"livenas/internal/telemetry"
@@ -400,12 +399,12 @@ func (sv *Server) Patch(frameID, x, y int, data []byte) {
 	}
 }
 
-// onFeedbackTick builds the 100 ms transport feedback message from the
-// link's acks and losses, carrying (and clearing) any key-frame request.
-func (sv *Server) onFeedbackTick(acks []gcc.Ack, lost int) serverMsg {
-	msg := serverMsg{acks: acks, lost: lost, needKeyFrame: sv.needKey}
+// takeKeyRequest reports, and clears, the server's wish for a key frame,
+// which the simulated link's 100 ms transport report carries.
+func (sv *Server) takeKeyRequest() bool {
+	key := sv.needKey
 	sv.needKey = false
-	return msg
+	return key
 }
 
 // modelGain measures a model's SR gain over bilinear (dB) on the recent
@@ -424,25 +423,13 @@ func (sv *Server) modelGain(m *sr.Model) float64 {
 	return g / float64(len(sv.recentPatch))
 }
 
-// Epoch runs one training-epoch boundary for a caller that carries no
-// feedback to a client (onEpochTick). It returns the current model's gain
-// over bilinear on the recent patches, the epoch's index and the trainer's
-// sample count; a scheme without online training has no epochs (all zero).
-func (sv *Server) Epoch() (gainDB float64, epoch, samples int) {
-	m, ok := sv.onEpochTick()
-	if !ok {
-		return 0, 0, 0
-	}
-	return m.qdnnCur, sv.epochIdx, sv.trainer.SampleCount()
-}
-
-// onEpochTick runs at every training-epoch boundary: one epoch of online
-// training when active, the Algorithm 1 state machine, and the quality
-// feedback message for the client. ok is false for schemes that do not
-// train online; they have no epochs and send no feedback.
-func (sv *Server) onEpochTick() (msg serverMsg, ok bool) {
+// Epoch runs one training-epoch boundary: one epoch of online training
+// when active, the Algorithm 1 state machine, and the quality feedback for
+// the client. ok is false for schemes that do not train online; they have
+// no epochs and send no feedback.
+func (sv *Server) Epoch() (fb Feedback, ok bool) {
 	if sv.cfg.Scheme != SchemeLiveNAS || sv.trainer == nil {
-		return serverMsg{}, false
+		return Feedback{}, false
 	}
 	sv.epochIdx++
 	active := sv.trainingActive()
@@ -529,12 +516,13 @@ func (sv *Server) onEpochTick() (msg serverMsg, ok bool) {
 
 	epochPatchK := float64(sv.patchBits) / 1000 / sv.cfg.EpochLen.Seconds()
 	sv.patchBits = 0
-	return serverMsg{
-		hasEpoch:      true,
-		qdnnPrev:      qPrev,
-		qdnnCur:       qCur,
-		epochPatchK:   epochPatchK,
-		trainingState: sv.trainingActive(),
+	return Feedback{
+		PrevGainDB: qPrev,
+		GainDB:     qCur,
+		PatchKbps:  epochPatchK,
+		Suspended:  sv.trainingActive() == stateSuspended,
+		Epoch:      sv.epochIdx,
+		Samples:    sv.trainer.SampleCount(),
 	}, true
 }
 

@@ -134,6 +134,12 @@ func Run(cfg Config) *Results {
 	return res
 }
 
+// pacingFactor releases packets at a multiple of the target bitrate, as
+// WebRTC's pacer does (factor 2.5): the pacer smooths frame bursts without
+// becoming a standing self-inflicted queue, so queuing delay observed by the
+// congestion controller reflects the network, not the sender.
+const pacingFactor = 2.5
+
 // cancelCheckEvery is how many simulator events RunContext executes between
 // context checks: frequent enough that cancellation lands within
 // milliseconds of wall time, rare enough that the check cost vanishes
@@ -160,26 +166,17 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	reg := cfg.Telemetry
 	src := vidgen.NewSource(cfg.Cat, cfg.Native.W, cfg.Native.H, cfg.Seed, cfg.Duration.Seconds()+60)
 
-	var cl *client
-	// deliver carries a server message to the client over the reverse path,
-	// modelled as one propagation delay.
-	deliver := func(m serverMsg) {
-		s.After(cfg.PropDelay, func() { cl.onServerMsg(m) })
-	}
-
 	// The server's receive side of the link: transport feedback per packet,
 	// reassembly into whole frames and patches, and lost frames.
 	fbc := transport.NewFeedbackCollector(100 * time.Millisecond)
 	reasm := transport.NewReassembler()
 	reasm.SetTelemetry(reg)
 	reasm.OnComplete = func(a transport.Assembled) {
-		switch a.Kind {
-		case transport.KindVideo:
-			meta := a.Meta.(videoFrameMeta)
-			sv.Video(&codec.EncodedFrame{Data: a.Data, Key: meta.Enc.Key, QP: meta.Enc.QP, Seq: a.ID}, meta.CaptureAt)
-		case transport.KindPatch:
-			meta := a.Meta.(patchMeta)
-			sv.Patch(meta.FrameID, meta.X, meta.Y, a.Data)
+		// The client's Unit rides on the first fragment.
+		if u := a.Meta.(Unit); u.Patch {
+			sv.Patch(u.FrameID, u.X, u.Y, a.Data)
+		} else {
+			sv.Video(&codec.EncodedFrame{Data: a.Data, Key: u.Key, QP: u.QP, Seq: u.FrameID}, u.CaptureAt)
 		}
 	}
 	reasm.OnLoss = func(k transport.Kind, _ int) {
@@ -202,41 +199,52 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		wireSeq++
 	})
 	pacer.SetTelemetry(reg)
-	cl = newClient(s, cfg, src, pacer)
+	// The client hands over whole units; the link carries them as
+	// MTU-sized fragments behind the pacer, patches numbered apart.
+	var wireBytes [2]int // by transport.Kind
+	patches := 0
+	cl, err := NewClient(cfg, src, s.Now, func(u Unit) {
+		kind, id := transport.KindVideo, u.FrameID
+		if u.Patch {
+			kind, id = transport.KindPatch, patches
+			patches++
+		}
+		for _, f := range transport.Packetize(kind, id, u.Data, u, cfg.MTU) {
+			wireBytes[kind] += f.WireSize()
+			pacer.Enqueue(f)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Results{Cfg: cfg, reg: reg}
 
-	// Periodic processes.
-	frameGap := time.Duration(float64(time.Second) / cfg.FPS)
-	var capture func()
-	capture = func() {
-		cl.onCapture()
-		s.After(frameGap, capture)
-	}
-	s.At(0, capture)
-
-	var sched func()
-	sched = func() {
-		cl.onSchedule()
-		s.After(cfg.UpdateEvery, sched)
-	}
-	s.After(cfg.UpdateEvery, sched)
-
-	var fb func()
-	fb = func() {
-		deliver(sv.onFeedbackTick(fbc.Report()))
-		s.After(100*time.Millisecond, fb)
-	}
-	s.After(100*time.Millisecond, fb)
-
-	var epoch func()
-	epoch = func() {
-		if m, ok := sv.onEpochTick(); ok {
-			deliver(m)
+	// Periodic processes: every runs fn at first, then every period after.
+	every := func(first, period time.Duration, fn func()) {
+		var tick func()
+		tick = func() {
+			fn()
+			s.After(period, tick)
 		}
-		s.After(cfg.EpochLen, epoch)
+		s.At(first, tick)
 	}
-	s.After(cfg.EpochLen, epoch)
+	every(0, time.Duration(float64(time.Second)/cfg.FPS), cl.Capture)
+	every(cfg.UpdateEvery, cfg.UpdateEvery, func() {
+		pacer.SetRateKbps(cl.TargetKbps() * pacingFactor)
+		cl.Schedule()
+	})
+	// The reverse path is one propagation delay.
+	every(100*time.Millisecond, 100*time.Millisecond, func() {
+		acks, lost := fbc.Report()
+		key := sv.takeKeyRequest()
+		s.After(cfg.PropDelay, func() { cl.onLinkReport(acks, lost, key) })
+	})
+	every(cfg.EpochLen, cfg.EpochLen, func() {
+		if fb, ok := sv.Epoch(); ok {
+			s.After(cfg.PropDelay, func() { cl.Feedback(fb) })
+		}
+	})
 
 	// The metric loop observes the viewer-facing inference latency into
 	// core_infer_latency_ms; this histogram (not sr_infer_latency_ms, which
@@ -245,8 +253,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	hInfer := reg.Histogram("core_infer_latency_ms", telemetry.ExpBuckets(0.25, 1.5, 24))
 	var inferLatSum time.Duration
 	var inferLatN int
-	var metric func()
-	metric = func() {
+	every(cfg.MetricEvery, cfg.MetricEvery, func() {
 		now := s.Now()
 		out, capAt, lat, ok := sv.Output()
 		if ok {
@@ -265,13 +272,11 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 				telemetry.Num("psnr_db", qs.PSNR),
 			)
 		}
-		res.Bandwidth = append(res.Bandwidth, SeriesPoint{now, cl.ctrl.TargetKbps()})
+		res.Bandwidth = append(res.Bandwidth, SeriesPoint{now, cl.TargetKbps()})
 		res.Video = append(res.Video, SeriesPoint{now, cl.videoKbps()})
 		res.Patch = append(res.Patch, SeriesPoint{now, cl.currentPatchKbps()})
 		res.LinkRate = append(res.LinkRate, SeriesPoint{now, link.RateAt(now)})
-		s.After(cfg.MetricEvery, metric)
-	}
-	s.After(cfg.MetricEvery, metric)
+	})
 
 	for s.StepUntil(cfg.Duration, cancelCheckEvery) {
 		if err := ctx.Err(); err != nil {
@@ -296,11 +301,11 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	res.GPUTrainBusy = sv.gpuTrainBusy
 	res.FramesDecoded = sv.framesDecoded
 	res.FramesLost = sv.framesLost
-	res.PatchesSent = cl.patchesSent
+	res.PatchesSent = patches
 	res.PatchesReceived = sv.patchesReceived
 	res.LinkStats = link.Stats()
-	res.BytesVideo = cl.videoBytesSent
-	res.BytesPatch = cl.patchBytesSent
+	res.BytesVideo = wireBytes[transport.KindVideo]
+	res.BytesPatch = wireBytes[transport.KindPatch]
 	if sv.e2eLatencyN > 0 {
 		res.AvgE2ELatency = sv.e2eLatencySum / time.Duration(sv.e2eLatencyN)
 	}

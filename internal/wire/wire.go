@@ -9,15 +9,17 @@
 //
 //	[4B big-endian length of everything after it]
 //	[1B FrameVersion][1B Type][3B big-endian field-presence mask]
-//	the present fields, in Message declaration order
+//	the present fields, in mask-bit order with Data last
 //
-// Mask bit i (fieldChannel … fieldData) says field i is non-zero and
-// follows; absent fields are zero and cost nothing. Ints are zig-zag
-// uvarints, floats 8 big-endian bytes of their IEEE bits, strings and Data
-// a uvarint length then the bytes, Key its mask bit alone. Data comes last
-// and must end the frame exactly, so a writer hands a large payload to the
-// socket without copying it (writev) and a reader reads it straight into
-// the slice it returns.
+// Mask bit i (fieldChannel … fieldSuspended) says field i is non-zero and
+// follows; absent fields are zero and cost nothing. Bits 0-19 follow the
+// declaration order; the epoch feedback added since (PrevGainDB, PatchKbps,
+// Suspended) has bits 20-22, so no earlier message changed its bytes. Ints
+// are zig-zag uvarints, floats 8 big-endian bytes of their IEEE bits,
+// strings and Data a uvarint length then the bytes, Key and Suspended their
+// mask bits alone. Data comes last and must end the frame exactly, so a
+// writer hands a large payload to the socket without copying it (writev)
+// and a reader reads it straight into the slice it returns.
 //
 // The encoding is canonical — one byte sequence per Message. A reader
 // rejects a present field holding its zero value, a mask bit it does not
@@ -97,10 +99,13 @@ type Message struct {
 	// Patch fields (X, Y in native coordinates).
 	X, Y int
 
-	// Stats fields.
-	GainDB  float64
-	Epochs  int
-	Samples int
+	// Stats fields: the server's epoch feedback (core.Feedback).
+	GainDB     float64
+	Epochs     int
+	Samples    int
+	PrevGainDB float64
+	PatchKbps  float64
+	Suspended  bool
 
 	// Bye field: why the server is closing the session (empty on a normal
 	// client-initiated goodbye; e.g. an admission-refusal note when the
@@ -169,6 +174,9 @@ const (
 	fieldSegDurUS
 	fieldSentAtUS
 	fieldData
+	fieldPrevGainDB
+	fieldPatchKbps
+	fieldSuspended
 	numFields
 )
 
@@ -260,6 +268,11 @@ func (e frameWriter) header(m *Message) frameWriter {
 	e = e.str(fieldSegID, m.SegID)
 	e = e.int(fieldSegDurUS, m.SegDurUS)
 	e = e.int(fieldSentAtUS, m.SentAtUS)
+	e = e.float(fieldPrevGainDB, m.PrevGainDB)
+	e = e.float(fieldPatchKbps, m.PatchKbps)
+	if m.Suspended {
+		e.mask |= 1 << fieldSuspended
+	}
 	if m.Data != nil {
 		e.mask |= 1 << fieldData
 		e.b = binary.AppendUvarint(e.b, uint64(len(m.Data)))
@@ -373,6 +386,9 @@ func (d *frameReader) frame() (*Message, error) {
 	m.SegID = d.str(fieldSegID)
 	m.SegDurUS = d.int64(fieldSegDurUS)
 	m.SentAtUS = d.int64(fieldSentAtUS)
+	m.PrevGainDB = d.float(fieldPrevGainDB)
+	m.PatchKbps = d.float(fieldPatchKbps)
+	m.Suspended = d.has(fieldSuspended)
 	if d.has(fieldData) {
 		n := d.length()
 		if d.err == nil && n != d.left {

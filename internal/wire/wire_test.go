@@ -164,8 +164,9 @@ func TestWireSizeMatchesFrame(t *testing.T) {
 	}
 }
 
-// sampleMessages is one message of each of the nine types: the layout pin
-// holds their bytes, the fuzz corpus starts from them.
+// sampleMessages is one message of each of the nine types, plus a MsgStats
+// carrying the epoch feedback: the layout pin holds their bytes, the fuzz
+// corpus starts from them.
 func sampleMessages() []*Message {
 	return []*Message{
 		{Type: MsgHello, IngestW: 640, IngestH: 360, NativeW: 1280, NativeH: 720, FPS: 30},
@@ -177,6 +178,7 @@ func sampleMessages() []*Message {
 		{Type: MsgPlaylist, Channel: "ch000", Data: []byte{}},
 		{Type: MsgSegmentReq, Channel: "ch000", FrameID: 11, Rung: 3},
 		{Type: MsgSegment, Channel: "ch000", FrameID: 11, Rung: 3, SegID: "cafef00d", SegDurUS: 1_000_000, SentAtUS: -1, Data: []byte{7, 7}},
+		{Type: MsgStats, GainDB: 1.25, Epochs: 3, Samples: 150, PrevGainDB: -0.5, PatchKbps: 20, Suspended: true},
 	}
 }
 
@@ -217,6 +219,11 @@ func TestFrameLayoutPinned(t *testing.T) {
 		// SentAtUS(18) Data(19); 1e6 → 2e6 = 80 89 7a; -1 → 1.
 		{0, 0, 0, 29, 2, 8, 0x0f, 0x80, 0x41, 5, 'c', 'h', '0', '0', '0', 22, 6,
 			8, 'c', 'a', 'f', 'e', 'f', '0', '0', 'd', 0x80, 0x89, 0x7a, 1, 2, 7, 7},
+		// Stats with the epoch feedback: GainDB(11) Epochs(12) Samples(13)
+		// PrevGainDB(20) PatchKbps(21) Suspended(22, no body); -0.5 and
+		// 20.0 bits.
+		{0, 0, 0, 32, 2, 3, 0x70, 0x38, 0x00, 0x3f, 0xf4, 0, 0, 0, 0, 0, 0, 6, 0xac, 0x02,
+			0xbf, 0xe0, 0, 0, 0, 0, 0, 0, 0x40, 0x34, 0, 0, 0, 0, 0, 0},
 	}
 	for i, m := range sampleMessages() {
 		if got := encode(t, m); !bytes.Equal(got, want[i]) {
@@ -294,6 +301,7 @@ func (quickMessage) Generate(r *rand.Rand, _ int) reflect.Value {
 		FrameID: int(i64()), Key: r.Intn(2) == 0, QP: int(i64()), X: int(i64()), Y: int(i64()),
 		GainDB: f64(), Epochs: int(i64()), Samples: int(i64()), Reason: str(),
 		Rung: int(i64()), SegID: str(), SegDurUS: i64(), SentAtUS: i64(),
+		PrevGainDB: f64(), PatchKbps: f64(), Suspended: r.Intn(2) == 0,
 	}
 	switch r.Intn(4) {
 	case 0: // nil
@@ -312,11 +320,13 @@ func (quickMessage) Generate(r *rand.Rand, _ int) reflect.Value {
 // sameMessage is reflect.DeepEqual with the floats compared by their bits
 // (NaN payloads and the sign of zero must survive).
 func sameMessage(a, b *Message) bool {
-	if math.Float64bits(a.FPS) != math.Float64bits(b.FPS) || math.Float64bits(a.GainDB) != math.Float64bits(b.GainDB) {
-		return false
-	}
 	x, y := *a, *b
-	x.FPS, x.GainDB, y.FPS, y.GainDB = 0, 0, 0, 0
+	for _, f := range []struct{ x, y *float64 }{{&x.FPS, &y.FPS}, {&x.GainDB, &y.GainDB}, {&x.PrevGainDB, &y.PrevGainDB}, {&x.PatchKbps, &y.PatchKbps}} {
+		if math.Float64bits(*f.x) != math.Float64bits(*f.y) {
+			return false
+		}
+		*f.x, *f.y = 0, 0
+	}
 	return reflect.DeepEqual(x, y)
 }
 
@@ -427,7 +437,7 @@ func nonCanonical() []badFrame {
 		{"zero int marked present", []byte{0, 0, 0, 6, 2, 4, 0, 0, 0x40, 0}},
 		{"zero float marked present", []byte{0, 0, 0, 13, 2, 4, 0, 0, 0x20, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"empty string marked present", []byte{0, 0, 0, 6, 2, 4, 0, 0, 0x01, 0}},
-		{"unknown mask bit", []byte{0, 0, 0, 5, 2, 4, 0x10, 0, 0}},
+		{"unknown mask bit", []byte{0, 0, 0, 5, 2, 4, 0x80, 0, 0}},
 		{"padded uvarint", []byte{0, 0, 0, 7, 2, 4, 0, 0, 0x40, 0x81, 0x00}},
 		{"uvarint over 64 bits", []byte{0, 0, 0, 15, 2, 4, 0, 0, 0x40, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}},
 		{"short payload", []byte{0, 0, 0, 9, 2, 1, 0x08, 0, 0, 2, 1, 2, 3}},

@@ -192,18 +192,24 @@ link_model_pin() {
         pin_tests ./internal/transport TestSimConnMatchesRef
 }
 
-# What a peer can send the media server (DESIGN.md "One media server"): a
-# patch whose declared size is refused before anything is decoded (no 268 MB
-# decoder), an odd-sided or non-square patch dropped instead of panicking
-# the trainer and with it every session on the node, a hello whose frame
-# rate would size the 3 s pairing ring at zero frames or past its memory
-# budget refused (and the ring never emptied whatever the rate), and one
-# socket session end to end through core.Server (frames and patches in,
-# MsgStats, Algorithm 1's events, a published segment and the GPU slot
-# released).
+# What a peer can send the media server and the ingest client (DESIGN.md
+# "One media server", "One ingest client"): a patch whose declared size is
+# refused before anything is decoded (no 268 MB decoder), an odd-sided or
+# non-square patch dropped instead of panicking the trainer and with it
+# every session on the node, a hello whose frame rate would size the 3 s
+# pairing ring at zero frames or past its memory budget refused (and the
+# ring never emptied whatever the rate); epoch feedback that is NaN, ±Inf
+# or a negative rate ignored by the client's scheduler, client flags that
+# would panic the frame ticker or stream the wrong content refused before
+# dialling, and a refusal or a hang-up ending the client's stream with the
+# reason; and one socket session end to end through core.Client and
+# core.Server (scheduled frames and patches in, MsgStats with the epoch
+# feedback steering the scheduler, Algorithm 1's events, a published
+# segment and the GPU slot released).
 media_server_pin() {
-    pin_tests ./internal/core TestPatchHostileHeaderAlloc TestVideoLowFrameRate &&
-        pin_tests ./cmd/livenas-server TestMalformedPatchGeometry TestHostileHelloRefused TestServeIngestLoopback
+    pin_tests ./internal/core TestPatchHostileHeaderAlloc TestVideoLowFrameRate TestFeedbackOutsideInputIgnored &&
+        pin_tests ./cmd/livenas-server TestMalformedPatchGeometry TestHostileHelloRefused TestServeIngestLoopback &&
+        pin_tests ./cmd/livenas-client TestClientConfigRejectsBadFlags TestStreamRefused TestStreamHangUp TestStreamSession
 }
 
 # Nightly-only: record cpu/heap profiles of the serve_hd-geometry inference
@@ -268,8 +274,9 @@ else
     # and real-socket (net.Pipe + queued-writer) paths. internal/vidgen
     # renders one Source from several goroutines (pooled FrameAt scratch).
     # cmd/livenas-server races a socket session's message pump against the
-    # loop that drives its core.Server.
-    step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./cmd/livenas-server ./internal/analysis ./internal/sweep ./internal/fleet ./internal/edge
+    # loop that drives its core.Server, and cmd/livenas-client the same for
+    # its core.Client.
+    step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./cmd/livenas-server ./cmd/livenas-client ./internal/analysis ./internal/sweep ./internal/fleet ./internal/edge
     if [[ -n "${FLEET_SOAK_STREAMS:-}" ]]; then
         step "fleet soak (N=$FLEET_SOAK_STREAMS, -race)" go test -race \
             -run '^TestFleetSoak$' -v ./internal/fleet
