@@ -247,10 +247,24 @@ func TestFig20QoEImproves(t *testing.T) {
 	}
 }
 
+// runEntry runs a registered experiment at fastOpts on a test runner and
+// pins every table it returns against its golden.
+func runEntry(t *testing.T, id string) {
+	t.Helper()
+	e, err := Find(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range e.Run(context.Background(), fastOpts(), testRunner()) {
+		golden(t, tb.ID, tb.String())
+	}
+}
+
 // TestSweptFigureGoldens pins the scheduler- (fig5), codec- (fig14) and
-// trainer-heavy (fig16) swept tables and both Twitch gain tables (fig9) byte
-// for byte, so an optimisation of those layers has a behaviour pin to hold
-// still against.
+// trainer-heavy (fig16) swept tables, both Twitch gain tables (fig9), the
+// equal-quality bandwidth search (fig13), the per-cell heatmap (fig21) and
+// the SSIM table (fig25) byte for byte, so an optimisation of those layers
+// has a behaviour pin to hold still against.
 func TestSweptFigureGoldens(t *testing.T) {
 	for _, fig := range []func(Options, *sweep.Runner) *Table{Fig5, Fig14, Fig16} {
 		tb := fig(fastOpts(), testRunner())
@@ -258,6 +272,19 @@ func TestSweptFigureGoldens(t *testing.T) {
 	}
 	for _, tb := range Fig9(fastOpts(), testRunner()) {
 		golden(t, tb.ID, tb.String())
+	}
+	for _, id := range []string{"fig13", "fig21", "fig25"} {
+		runEntry(t, id)
+	}
+}
+
+// TestOfflineStudyGoldens pins the offline SR-trainer studies — the §2
+// label-sampling tables (fig2d-fps, fig2d-frac) and the residual, sampler
+// and recency ablations — byte for byte. They run no session, only the
+// trainer on rendered frames.
+func TestOfflineStudyGoldens(t *testing.T) {
+	for _, id := range []string{"fig2d", "abl-residual", "abl-sampler", "abl-recency"} {
+		runEntry(t, id)
 	}
 }
 
