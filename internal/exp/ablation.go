@@ -10,59 +10,90 @@ import (
 	"livenas/internal/vidgen"
 )
 
-// Ablations for the design choices DESIGN.md calls out.
+// Offline SR studies (Figs 2d, 21, 22 and the residual, sampler and
+// recency ablations) train a x2 model outside any session, on grid patches
+// cut from one rendered stream, and score it against bilinear.
+const studyScale, studyPatch = 2, 24
+
+// newStudy returns a fresh study model and its trainer.
+func newStudy(cfg sr.TrainConfig) (*sr.Model, *sr.Trainer) {
+	m := sr.NewModel(studyScale, 6, 7)
+	return m, sr.NewTrainer(m, cfg, 5)
+}
+
+// cellPicker chooses the grid cells one frame contributes as samples.
+type cellPicker func(f *frame.Frame) []frame.GridCell
+
+// roundRobin picks k cells per frame, cycling through src's patch grid
+// across frames.
+func roundRobin(src *vidgen.Source, k int) cellPicker {
+	cells := frame.Grid(src.W, src.H, studyPatch)
+	n := 0
+	return func(*frame.Frame) []frame.GridCell {
+		pick := make([]frame.GridCell, k)
+		for j := range pick {
+			pick[j] = cells[n%len(cells)]
+			n++
+		}
+		return pick
+	}
+}
+
+// fillTrainer adds the patches pick chooses from src's frames at from,
+// from+step, … < to (negative times skipped) to tr as LR/HR pairs.
+func fillTrainer(tr *sr.Trainer, src *vidgen.Source, from, to, step float64, pick cellPicker) {
+	for ts := from; ts < to; ts += step {
+		if ts < 0 {
+			continue
+		}
+		f := src.FrameAt(ts)
+		for _, cell := range pick(f) {
+			hr := frame.Patch(f, cell, studyPatch)
+			tr.AddSample(hr.Downscale(studyScale), hr)
+		}
+	}
+}
+
+// srGain is m's PSNR gain over bilinear upscaling on src's frame at t.
+func srGain(src *vidgen.Source, m *sr.Model, t float64) float64 {
+	hr := src.FrameAt(t)
+	lr := hr.Downscale(studyScale)
+	return metrics.PSNR(hr, m.SuperResolve(lr)) - metrics.PSNR(hr, lr.ResizeBilinear(hr.W, hr.H))
+}
+
+// epochs runs n training epochs.
+func epochs(tr *sr.Trainer, n int) {
+	for e := 0; e < n; e++ {
+		tr.Epoch()
+	}
+}
 
 // AblationResidual compares the residual (bilinear-skip) SR architecture
 // with a direct-regression variant: residual learning is why gain appears
 // within a few epochs of online training.
 func AblationResidual(o Options) *Table {
-	w := o.world()
-	native := w.native1080
-	const scale = 2
+	native := o.world().native1080
 	src := vidgen.NewSource(vidgen.JustChatting, native.W, native.H, 41+o.Seed, 200)
-	cells := frame.Grid(native.W, native.H, 24)
-
-	addAll := func(tr *sr.Trainer) {
-		n := 0
-		for ts := 0.0; ts < 60; ts += 1 {
-			f := src.FrameAt(ts)
-			for j := 0; j < 2; j++ {
-				cell := cells[n%len(cells)]
-				n++
-				hr := frame.Patch(f, cell, 24)
-				tr.AddSample(hr.Downscale(scale), hr)
-			}
-		}
-	}
-	eval := func(m *sr.Model) float64 {
-		hr := src.FrameAt(65)
-		lr := hr.Downscale(scale)
-		bil := metrics.PSNR(hr, lr.ResizeBilinear(hr.W, hr.H))
-		return metrics.PSNR(hr, m.SuperResolve(lr)) - bil
-	}
-
 	t := &Table{
 		ID:     "abl-residual",
 		Title:  "Ablation: residual (bilinear-skip) vs direct SR head",
 		Header: []string{"epochs", "residual_gain_dB", "direct_gain_dB"},
 	}
-	res := sr.NewModel(scale, 6, 7)
+	res, trR := newStudy(sr.DefaultTrainConfig())
 	// Direct variant: same architecture, but the tail is randomly
 	// initialised instead of zero-initialised, so the network must learn
 	// the whole mapping rather than a correction on top of bilinear.
-	dir := sr.NewModel(scale, 6, 7)
+	dir, trD := newStudy(sr.DefaultTrainConfig())
 	reinitTail(dir)
-	trR := sr.NewTrainer(res, sr.DefaultTrainConfig(), 5)
-	trD := sr.NewTrainer(dir, sr.DefaultTrainConfig(), 5)
-	addAll(trR)
-	addAll(trD)
+	fillTrainer(trR, src, 0, 60, 1, roundRobin(src, 2))
+	fillTrainer(trD, src, 0, 60, 1, roundRobin(src, 2))
 	done := 0
 	for _, upto := range []int{1, 3, 8} {
 		for ; done < upto; done++ {
 			trR.Epoch()
 			trD.Epoch()
 		}
-		t.Add(upto, eval(res), eval(dir))
+		t.Add(upto, srGain(src, res, 65), srGain(src, dir, 65))
 	}
 	t.Notes = "residual starts at 0 dB (== bilinear) and improves immediately"
 	return t
@@ -81,74 +112,44 @@ func reinitTail(m *sr.Model) {
 }
 
 // AblationSampler compares the §5.2 quality-filtered grid sampler with
-// uniform random crops, inside the full pipeline.
+// uniform crops, offline: one model trains on the two hardest-to-upsample
+// grid cells of each frame, the other on two cells round-robin.
 func AblationSampler(o Options) *Table {
-	// The pipeline always uses the grid sampler; the uniform variant is
-	// emulated by disabling the quality filter via a config with a patch
-	// budget but random acceptance. We approximate offline: train two
-	// models, one on the hardest half of grid cells, one on uniformly
-	// random cells.
-	w := o.world()
-	native := w.native1080
-	const scale = 2
+	native := o.world().native1080
 	src := vidgen.NewSource(vidgen.LeagueOfLegends, native.W, native.H, 51+o.Seed, 200)
-	cells := frame.Grid(native.W, native.H, 24)
-
-	build := func(filtered bool) *sr.Model {
-		m := sr.NewModel(scale, 6, 7)
-		tr := sr.NewTrainer(m, sr.DefaultTrainConfig(), 5)
-		n := 0
-		for ts := 0.0; ts < 60; ts += 1 {
-			f := src.FrameAt(ts)
-			lr := f.Downscale(scale)
-			up := lr.ResizeBilinear(f.W, f.H)
-			type cand struct {
-				cell frame.GridCell
-				mse  float64
-			}
-			var cs []cand
-			for _, cell := range cells {
-				mse := metrics.MSE(frame.Patch(f, cell, 24), frame.Patch(up, cell, 24))
-				cs = append(cs, cand{cell, mse})
-			}
-			for j := 0; j < 2; j++ {
-				var cell frame.GridCell
-				if filtered {
-					// Highest-loss cells (hardest to upsample).
-					best := 0
-					for i := range cs {
-						if cs[i].mse > cs[best].mse {
-							best = i
-						}
-					}
-					cell = cs[best].cell
-					cs[best].mse = -1
-				} else {
-					cell = cells[n%len(cells)]
+	cells := frame.Grid(native.W, native.H, studyPatch)
+	hardest := func(f *frame.Frame) []frame.GridCell {
+		up := f.Downscale(studyScale).ResizeBilinear(f.W, f.H)
+		mse := make([]float64, len(cells))
+		for i, cell := range cells {
+			mse[i] = metrics.MSE(frame.Patch(f, cell, studyPatch), frame.Patch(up, cell, studyPatch))
+		}
+		pick := make([]frame.GridCell, 2)
+		for j := range pick {
+			best := 0
+			for i := range mse {
+				if mse[i] > mse[best] {
+					best = i
 				}
-				n++
-				hr := frame.Patch(f, cell, 24)
-				tr.AddSample(hr.Downscale(scale), hr)
 			}
+			pick[j] = cells[best]
+			mse[best] = -1
 		}
-		for e := 0; e < 8; e++ {
-			tr.Epoch()
-		}
-		return m
+		return pick
 	}
-	eval := func(m *sr.Model) float64 {
-		hr := src.FrameAt(65)
-		lr := hr.Downscale(scale)
-		bil := metrics.PSNR(hr, lr.ResizeBilinear(hr.W, hr.H))
-		return metrics.PSNR(hr, m.SuperResolve(lr)) - bil
+	gain := func(pick cellPicker) float64 {
+		m, tr := newStudy(sr.DefaultTrainConfig())
+		fillTrainer(tr, src, 0, 60, 1, pick)
+		epochs(tr, 8)
+		return srGain(src, m, 65)
 	}
 	t := &Table{
 		ID:     "abl-sampler",
 		Title:  "Ablation: quality-filtered patch selection vs uniform",
 		Header: []string{"sampler", "gain_dB"},
 	}
-	t.Add("quality-filtered", eval(build(true)))
-	t.Add("uniform-random", eval(build(false)))
+	t.Add("quality-filtered", gain(hardest))
+	t.Add("uniform-random", gain(roundRobin(src, 2)))
 	t.Notes = "paper: selection filter worth +0.1-0.3 dB"
 	return t
 }
@@ -156,54 +157,31 @@ func AblationSampler(o Options) *Table {
 // AblationRecency compares recency-weighted minibatch sampling with uniform
 // sampling on a stream with a scene change.
 func AblationRecency(o Options) *Table {
-	w := o.world()
-	native := w.native1080
-	const scale = 2
+	native := o.world().native1080
 	src := vidgen.NewSource(vidgen.Fortnite, native.W, native.H, 61+o.Seed, 400)
-	cells := frame.Grid(native.W, native.H, 24)
 	changes := src.SceneChanges()
 	if len(changes) == 0 {
 		changes = []float64{60}
 	}
 	cut := changes[0]
-
-	build := func(recency bool) *sr.Model {
-		m := sr.NewModel(scale, 6, 7)
+	gain := func(recency bool) float64 {
 		cfg := sr.DefaultTrainConfig()
 		if !recency {
 			cfg.RecencyWeight = 1
 		}
-		tr := sr.NewTrainer(m, cfg, 5)
-		n := 0
+		m, tr := newStudy(cfg)
 		// Old scene then new scene; recency should favour the new.
-		for ts := cut - 40; ts < cut+12; ts += 0.5 {
-			if ts < 0 {
-				continue
-			}
-			f := src.FrameAt(ts)
-			cell := cells[n%len(cells)]
-			n++
-			hr := frame.Patch(f, cell, 24)
-			tr.AddSample(hr.Downscale(scale), hr)
-		}
-		for e := 0; e < 8; e++ {
-			tr.Epoch()
-		}
-		return m
-	}
-	eval := func(m *sr.Model) float64 {
-		hr := src.FrameAt(cut + 14)
-		lr := hr.Downscale(scale)
-		bil := metrics.PSNR(hr, lr.ResizeBilinear(hr.W, hr.H))
-		return metrics.PSNR(hr, m.SuperResolve(lr)) - bil
+		fillTrainer(tr, src, cut-40, cut+12, 0.5, roundRobin(src, 1))
+		epochs(tr, 8)
+		return srGain(src, m, cut+14)
 	}
 	t := &Table{
 		ID:     "abl-recency",
 		Title:  "Ablation: recency-weighted minibatches vs uniform (after scene change)",
 		Header: []string{"sampling", "gain_on_new_scene_dB"},
 	}
-	t.Add("recency-weighted(4x)", eval(build(true)))
-	t.Add("uniform", eval(build(false)))
+	t.Add("recency-weighted(4x)", gain(true))
+	t.Add("uniform", gain(false))
 	t.Notes = "paper: recency weighting worth +0.07-0.28 dB"
 	return t
 }

@@ -201,7 +201,7 @@ func TestFig17Structure(t *testing.T) {
 }
 
 func TestFig2aRuns(t *testing.T) {
-	tb := Fig2a(fastOpts())
+	tb := Fig2a(fastOpts(), testRunner())
 	golden(t, "fig2a", tb.String())
 	if len(tb.Rows) == 0 || !strings.Contains(tb.Notes, "utilisation") {
 		t.Fatalf("Fig2a incomplete: %v", tb.Notes)
@@ -275,6 +275,35 @@ func TestSweptFigureGoldens(t *testing.T) {
 	}
 	for _, id := range []string{"fig13", "fig21", "fig25"} {
 		runEntry(t, id)
+	}
+}
+
+// TestSessionFiguresHonourCancel runs the single-session case studies on a
+// runner whose context is already cancelled: like every swept figure they
+// must surface the cancellation as a panic carrying context.Canceled (the
+// harness's contract for an interrupted sweep) instead of running their
+// sessions to completion and returning a table.
+func TestSessionFiguresHonourCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"fig2a", "fig13"} {
+		e, err := Find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sweep.New(ctx, sweep.Options{Workers: 2})
+		func() {
+			defer func() {
+				p := recover()
+				if err, ok := p.(error); !ok || !errors.Is(err, context.Canceled) {
+					t.Errorf("%s on a cancelled runner: recovered %v, want a context.Canceled panic", id, p)
+				}
+			}()
+			e.Run(ctx, fastOpts(), r)
+		}()
+		if s := r.Stats(); s.Executed != 0 {
+			t.Errorf("%s on a cancelled runner executed %d sessions", id, s.Executed)
+		}
 	}
 }
 

@@ -17,36 +17,6 @@ import (
 	"livenas/internal/vidgen"
 )
 
-// trainGainCurve trains an SR model offline on one stream and returns the
-// full-frame gain over bilinear after each epoch (shared by Figs 2d/22).
-func trainGainCurve(cat vidgen.Category, w worldScale, epochs int, seed int64) []float64 {
-	const scale = 2
-	native := w.native1080
-	src := vidgen.NewSource(cat, native.W, native.H, seed, 400)
-	cells := frame.Grid(native.W, native.H, 24)
-	m := sr.NewModel(scale, 6, 7)
-	tr := sr.NewTrainer(m, sr.DefaultTrainConfig(), 5)
-	n := 0
-	for ts := 0.0; ts < 300; ts += 2 {
-		f := src.FrameAt(ts)
-		for j := 0; j < 2; j++ {
-			cell := cells[n%len(cells)]
-			n++
-			hr := frame.Patch(f, cell, 24)
-			tr.AddSample(hr.Downscale(scale), hr)
-		}
-	}
-	hr := src.FrameAt(305)
-	lr := hr.Downscale(scale)
-	bil := metrics.PSNR(hr, lr.ResizeBilinear(hr.W, hr.H))
-	out := make([]float64, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		tr.Epoch()
-		out = append(out, metrics.PSNR(hr, m.SuperResolve(lr))-bil)
-	}
-	return out
-}
-
 // Fig20 reproduces Figure 20: viewer QoE at the distribution side. The
 // ingest runs produce LiveNAS's PSNR gain; the effective-bitrate mapping
 // boosts the ladder; Pensieve-like and robustMPC ABRs play the chunks over
@@ -148,35 +118,20 @@ func Fig21(o Options, run *sweep.Runner) *Table {
 		Title:  "Patch-grid PSNR before (WebRTC+bilinear) and after (LiveNAS) online training",
 		Header: []string{"grid_row", "webrtc_dB...", "livenas_dB..."},
 	}
-	// Rebuild the final frames through offline decode of ground truth at
-	// the end of the session for a per-cell comparison.
+	// Results keep no per-cell PSNR, so both systems are recomputed offline
+	// on the ground truth near the session's end: bilinear of the downscale
+	// for WebRTC, and for LiveNAS a model trained offline on the same
+	// patch distribution the pipeline trains on.
 	src := vidgen.NewSource(cfg.Cat, cfg.Native.W, cfg.Native.H, cfg.Seed, cfg.Duration.Seconds()+60)
 	ts := cfg.Duration.Seconds() - 2
 	gt := src.FrameAt(ts)
 	cells := frame.Grid(cfg.Native.W, cfg.Native.H, 24)
 	cols := cfg.Native.W / 24
-
-	// Per-cell PSNR of the last recorded sample's frames is not retained in
-	// Results; recompute via an offline model pass standing for each system:
-	// bilinear of downscale for WebRTC, and a freshly trained model for
-	// LiveNAS (equal to the pipeline's, same training data distribution).
 	lr := gt.Downscale(2)
 	webUp := lr.ResizeBilinear(gt.W, gt.H)
-	m := sr.NewModel(2, 6, 7)
-	trn := sr.NewTrainer(m, sr.DefaultTrainConfig(), 5)
-	n := 0
-	for tt := 0.0; tt < ts; tt += 2 {
-		f := src.FrameAt(tt)
-		for j := 0; j < 2; j++ {
-			cell := cells[n%len(cells)]
-			n++
-			hr := frame.Patch(f, cell, 24)
-			trn.AddSample(hr.Downscale(2), hr)
-		}
-	}
-	for e := 0; e < 10; e++ {
-		trn.Epoch()
-	}
+	m, trn := newStudy(sr.DefaultTrainConfig())
+	fillTrainer(trn, src, 0, ts, 2, roundRobin(src, 2))
+	epochs(trn, 10)
 	lnUp := m.SuperResolve(lr)
 
 	rows := cfg.Native.H / 24
@@ -204,21 +159,20 @@ func Fig25(o Options, r *sweep.Runner) *Table {
 	}
 	traces := o.uplinks(1, 250)
 	cats := []vidgen.Category{vidgen.JustChatting, vidgen.LeagueOfLegends, vidgen.Fortnite}
-	hs := r.GoGrid(sweep.Grid{
-		Base: func() core.Config {
-			cfg := o.baseConfig(cats[0], 3)
+	schemes := []core.Scheme{core.SchemeWebRTC, core.SchemeGeneric, core.SchemeLiveNAS}
+	// Schemes outermost, contents within: hs[s][c].
+	hs := make([][]*sweep.Handle, len(schemes))
+	for s, scheme := range schemes {
+		for _, cat := range cats {
+			cfg := o.baseConfig(cat, 3)
 			cfg.MeasureSSIM = true
 			cfg.Trace = traces[0]
-			return cfg
-		}(),
-		Contents: cats,
-		Schemes:  []core.Scheme{core.SchemeWebRTC, core.SchemeGeneric, core.SchemeLiveNAS},
-	})
-	// Grid order: schemes outermost, contents within — hs[s*len(cats)+c].
+			cfg.Scheme = scheme
+			hs[s] = append(hs[s], r.Go(cfg))
+		}
+	}
 	for c, cat := range cats {
-		web := wait(hs[0*len(cats)+c])
-		gen := wait(hs[1*len(cats)+c])
-		ln := wait(hs[2*len(cats)+c])
+		web, gen, ln := wait(hs[0][c]), wait(hs[1][c]), wait(hs[2][c])
 		t.Add(cat.String(), fmt.Sprintf("%+.4f", gen.AvgSSIM-web.AvgSSIM), fmt.Sprintf("%+.4f", ln.AvgSSIM-web.AvgSSIM))
 	}
 	t.Notes = "paper: generic SR sometimes loses SSIM to WebRTC; LiveNAS does not"

@@ -18,12 +18,12 @@ import (
 // Fig2a reproduces Figure 2a: live streaming (WebRTC/GCC) uses bandwidth far
 // more conservatively than buffered adaptive streaming (DASH) on the same
 // trace.
-func Fig2a(o Options) *Table {
+func Fig2a(o Options, run *sweep.Runner) *Table {
 	tr := o.uplinks(1, 21)[0]
 	cfg := o.baseConfig(vidgen.JustChatting, 2)
 	cfg.Trace = tr
 	cfg.Scheme = core.SchemeWebRTC
-	r := core.Run(cfg)
+	r := wait(run.Go(cfg))
 
 	// DASH stand-in: a buffered ABR over the same trace; its large buffer
 	// absorbs variation so it sustains near-capacity rates.
@@ -114,36 +114,19 @@ func Fig2c(o Options, r *sweep.Runner) *Table {
 // frame area already captures most of the gain. Offline experiment on the
 // SR trainer, as in the paper's motivation study.
 func Fig2d(o Options) []*Table {
-	w := o.world()
-	native := w.native1080
-	const scale = 2
+	native := o.world().native1080
 	src := vidgen.NewSource(vidgen.JustChatting, native.W, native.H, 31+o.Seed, 300)
-	cells := frame.Grid(native.W, native.H, 24)
+	cells := len(frame.Grid(native.W, native.H, studyPatch))
 
 	gainAt := func(fps float64, fracCells float64) float64 {
-		m := sr.NewModel(scale, 6, 7)
-		tr := sr.NewTrainer(m, sr.DefaultTrainConfig(), 5)
-		dur := 60.0
-		n := 0
-		keep := int(float64(len(cells)) * fracCells)
+		keep := int(float64(cells) * fracCells)
 		if keep < 1 {
 			keep = 1
 		}
-		for ts := 0.0; ts < dur; ts += 1 / fps {
-			f := src.FrameAt(ts)
-			for j := 0; j < keep; j++ {
-				cell := cells[n%len(cells)]
-				n++
-				hr := frame.Patch(f, cell, 24)
-				tr.AddSample(hr.Downscale(scale), hr)
-			}
-		}
-		for e := 0; e < 8; e++ {
-			tr.Epoch()
-		}
-		hr := src.FrameAt(dur + 2)
-		lr := hr.Downscale(scale)
-		return metrics.PSNR(hr, m.SuperResolve(lr)) - metrics.PSNR(hr, lr.ResizeBilinear(hr.W, hr.H))
+		m, tr := newStudy(sr.DefaultTrainConfig())
+		fillTrainer(tr, src, 0, 60, 1/fps, roundRobin(src, keep))
+		epochs(tr, 8)
+		return srGain(src, m, 62)
 	}
 
 	t1 := &Table{

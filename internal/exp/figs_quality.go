@@ -168,30 +168,39 @@ func Fig12(o Options, r *sweep.Runner) *Table {
 
 // Fig13 reproduces Figure 13: the bandwidth WebRTC needs (as a scale factor
 // on the trace) to match LiveNAS quality; reported as LiveNAS's normalized
-// bandwidth usage. The WebRTC scale sweep stops as soon as a scale matches,
-// so it stays a sequential search rather than a sweep submission.
-func Fig13(o Options) *Table {
+// bandwidth usage. Every WebRTC scale is submitted up front; the search
+// reads them in order and interpolates at the first that matches.
+func Fig13(o Options, r *sweep.Runner) *Table {
 	t := &Table{
 		ID:     "fig13",
 		Title:  "LiveNAS bandwidth use, normalized to WebRTC at equal quality",
 		Header: []string{"ingest", "livenas_dB", "webrtc_match_scale", "normalized_bw"},
 	}
 	traces := o.uplinks(1, 130)
-	for _, scale := range []int{3, 2} {
-		name := map[int]string{3: "360p-class", 2: "540p-class"}[scale]
+	ingests := []int{3, 2}
+	scales := []float64{1, 1.5, 2, 2.5, 3}
+	// hs[i] holds ingest i's LiveNAS session, then WebRTC at each scale.
+	hs := make([][]*sweep.Handle, len(ingests))
+	for i, scale := range ingests {
 		cfg := o.baseConfig(vidgen.JustChatting, scale)
 		cfg.Trace = traces[0]
 		cfg.Scheme = core.SchemeLiveNAS
-		ln := core.Run(cfg)
-		// Sweep WebRTC bandwidth scales and interpolate the matching one.
-		scales := []float64{1, 1.5, 2, 2.5, 3}
-		prevQ, prevS := 0.0, 0.0
-		match := scales[len(scales)-1]
+		hs[i] = []*sweep.Handle{r.Go(cfg)}
+		cfg.Scheme = core.SchemeWebRTC
 		for _, s := range scales {
 			c := cfg
-			c.Scheme = core.SchemeWebRTC
 			c.Trace = traces[0].Scale(s)
-			q := core.Run(c).AvgPSNR
+			hs[i] = append(hs[i], r.Go(c))
+		}
+	}
+	for i, scale := range ingests {
+		name := map[int]string{3: "360p-class", 2: "540p-class"}[scale]
+		ln := wait(hs[i][0])
+		// Interpolate the WebRTC scale that matches LiveNAS quality.
+		prevQ, prevS := 0.0, 0.0
+		match := scales[len(scales)-1]
+		for k, s := range scales {
+			q := wait(hs[i][k+1]).AvgPSNR
 			if q >= ln.AvgPSNR {
 				if s == scales[0] || q == prevQ {
 					match = s

@@ -8,6 +8,7 @@ import (
 	"livenas/internal/core"
 	"livenas/internal/metrics"
 	"livenas/internal/power"
+	"livenas/internal/sr"
 	"livenas/internal/sweep"
 	"livenas/internal/trace"
 	"livenas/internal/vidgen"
@@ -228,16 +229,21 @@ func Fig19(o Options, run *sweep.Runner) []*Table {
 // Fig22 reproduces Figure 22: the majority of training gain arrives in the
 // first few epochs (gain and its per-epoch gradient over a training run).
 func Fig22(o Options) *Table {
-	w := o.world()
+	native := o.world().native1080
+	src := vidgen.NewSource(vidgen.JustChatting, native.W, native.H, 33+o.Seed, 400)
+	m, tr := newStudy(sr.DefaultTrainConfig())
+	fillTrainer(tr, src, 0, 300, 2, roundRobin(src, 2))
 	t := &Table{
 		ID:     "fig22",
 		Title:  "Training gain vs epoch (offline, 5 minutes of video)",
 		Header: []string{"epoch", "gain_dB", "gradient_dB_per_epoch"},
 	}
-	g := trainGainCurve(vidgen.JustChatting, w, 25, 33+o.Seed)
+	const n = 25
 	prev := 0.0
-	for e, v := range g {
-		if e%2 == 0 || e == len(g)-1 {
+	for e := 0; e < n; e++ {
+		tr.Epoch()
+		v := srGain(src, m, 305)
+		if e%2 == 0 || e == n-1 {
 			t.Add(e+1, v, fmt.Sprintf("%+.3f", v-prev))
 		}
 		prev = v
@@ -303,11 +309,4 @@ func Fig23(o Options, run *sweep.Runner) []*Table {
 	}
 	t1.Notes = "paper: error is minimal at the 5s default; long windows predict stale gains"
 	return []*Table{t1}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

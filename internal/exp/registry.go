@@ -12,9 +12,9 @@ import (
 // bounds every session the experiment starts and r is the sweep engine its
 // sessions are submitted to. A nil runner gets a private one bound to ctx;
 // by the sweep engine's determinism contract the tables are byte-identical
-// for any runner (any worker count, warm or cold cache). Generators that
-// predate the sweep engine (offline trainer studies, single-session case
-// studies) run their sessions inline and ignore ctx between sessions.
+// for any runner (any worker count, warm or cold cache). Every session runs
+// on the runner; generators that run none (offline trainer studies, device
+// and power models, trace statistics) ignore both.
 type Experiment struct {
 	ID   string
 	Desc string
@@ -31,12 +31,12 @@ func ensure(ctx context.Context, r *sweep.Runner) *sweep.Runner {
 	return r
 }
 
-// one adapts a legacy single-table generator that runs its sessions inline.
+// one adapts a single-table generator that runs no session.
 func one(f func(Options) *Table) runFn {
 	return func(_ context.Context, o Options, _ *sweep.Runner) []*Table { return []*Table{f(o)} }
 }
 
-// tables adapts a legacy multi-table generator.
+// tables adapts a multi-table generator that runs no session.
 func tables(f func(Options) []*Table) runFn {
 	return func(_ context.Context, o Options, _ *sweep.Runner) []*Table { return f(o) }
 }
@@ -57,7 +57,7 @@ func swept(f func(Options, *sweep.Runner) []*Table) runFn {
 
 // Registry lists every reproducible table and figure.
 var Registry = []Experiment{
-	{"fig2a", "WebRTC vs DASH bandwidth use (motivation)", one(Fig2a)},
+	{"fig2a", "WebRTC vs DASH bandwidth use (motivation)", oneSwept(Fig2a)},
 	{"fig2b", "SR gain vs bandwidth scale", oneSwept(Fig2b)},
 	{"fig2c", "online vs pre-trained vs bilinear", oneSwept(Fig2c)},
 	{"fig2d", "fractional high-quality labels", tables(Fig2d)},
@@ -68,7 +68,7 @@ var Registry = []Experiment{
 	{"fig10", "YouTube 4K end-to-end gains + GPU usage", swept(Fig10)},
 	{"fig11", "persistent online learning", oneSwept(Fig11)},
 	{"fig12", "multi-GPU training", oneSwept(Fig12)},
-	{"fig13", "bandwidth savings at equal quality", one(Fig13)},
+	{"fig13", "bandwidth savings at equal quality", oneSwept(Fig13)},
 	{"fig14", "codec-agnostic gains", oneSwept(Fig14)},
 	{"fig15", "GPU usage vs quality per scheme", oneSwept(Fig15)},
 	{"fig16", "content-adaptive trainer timeline", oneSwept(Fig16)},

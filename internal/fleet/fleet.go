@@ -1,12 +1,12 @@
 // Package fleet turns the single-session ingest core into a multi-tenant
 // ingest node: a channel-key session registry with a per-stream lifecycle
-// (register → ingest → trained → teardown), admission control with
-// backpressure against a shared sr.DevicePool, and a cross-stream GPU
-// scheduler that multiplexes N streams onto M devices by quality-weighted
-// allocation — the generalization of the paper's §6.2 intra-stream
-// multi-GPU model to inter-stream contention (cf. Palantír's
-// latency-budgeted SR scheduling and BONES' budgeted enhancement
-// allocation, PAPERS.md).
+// (register → ingest → teardown; admitted sessions run on a sweep.Runner
+// through Plan.Submit/Collect), admission control with backpressure
+// against a shared sr.DevicePool, and a cross-stream GPU scheduler that
+// multiplexes N streams onto M devices by quality-weighted allocation —
+// the generalization of the paper's §6.2 intra-stream multi-GPU model to
+// inter-stream contention (cf. Palantír's latency-budgeted SR scheduling
+// and BONES' budgeted enhancement allocation, PAPERS.md).
 //
 // The fleet operates on the same virtual clock as the sessions it admits:
 // arrivals, admissions, queue waits and departures are all simulated time,
@@ -24,6 +24,7 @@ import (
 
 	"livenas/internal/core"
 	"livenas/internal/sr"
+	"livenas/internal/sweep"
 	"livenas/internal/telemetry"
 )
 
@@ -64,9 +65,6 @@ const (
 	// StateIngesting: admitted and streaming; its session owns its GPU
 	// slots, nn kernel pool and tensor arenas for the stream's lifetime.
 	StateIngesting
-	// StateTrained: the session ran to completion and its online model is
-	// trained; results are attached.
-	StateTrained
 	// StateRejected: refused at admission (PolicyReject under a full pool).
 	StateRejected
 	// StateTorndown: departed; GPU slots returned to the pool.
@@ -81,8 +79,6 @@ func (s State) String() string {
 		return "queued"
 	case StateIngesting:
 		return "ingesting"
-	case StateTrained:
-		return "trained"
 	case StateRejected:
 		return "rejected"
 	default:
@@ -162,14 +158,7 @@ type Session struct {
 	// Results holds the session's results once the stream has run.
 	Results *core.Results
 
-	handle waiter // pending sweep execution, set by Submit
-}
-
-// waiter abstracts the sweep handle so Session does not depend on the
-// sweep package (fleet is below sweep in the execution stack; only the
-// Plan runner glue sees both).
-type waiter interface {
-	Wait() (*core.Results, error)
+	handle *sweep.Handle // pending sweep execution, set by Submit
 }
 
 // AdmitLatency is how long the stream waited for capacity: zero for
@@ -181,7 +170,7 @@ func (s *Session) AdmitLatency() time.Duration { return s.AdmitAt - s.ArriveAt }
 // degraded).
 func (s *Session) Admitted() bool {
 	switch s.State {
-	case StateIngesting, StateTrained, StateTorndown:
+	case StateIngesting, StateTorndown:
 		return true
 	default:
 		return false

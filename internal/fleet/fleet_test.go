@@ -1,14 +1,11 @@
 package fleet
 
 import (
-	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
 	"livenas/internal/core"
-	"livenas/internal/nn"
 	"livenas/internal/telemetry"
 	"livenas/internal/trace"
 	"livenas/internal/vidgen"
@@ -167,69 +164,33 @@ func TestExplicitTeardownFreesQueuedStream(t *testing.T) {
 	}
 }
 
-// TestTeardownMidEpochReleasesPool cancels a live ingest mid-run and
-// checks the stream's GPU slots are released and no goroutine of the
-// session outlives it — the goroutine-leak contract teardown must keep.
+// TestTeardownMidEpochReleasesPool tears a live stream down halfway
+// through its session and checks its GPU slots return to the pool at once,
+// its scheduled departure is cancelled (draining the node later releases
+// nothing twice) and the key's state is final. Cancelling the session's
+// execution itself is the runner's and core's contract (sweep's
+// TestCancellation, core's TestRunContextCancellation).
 func TestTeardownMidEpochReleasesPool(t *testing.T) {
-	// The process-wide shared pool starts GOMAXPROCS workers on first use
-	// (sr.NewModel touches it) and is never joined; start it before the
-	// baseline so only the stream's own goroutines are counted.
-	nn.SharedPool()
-	before := runtime.NumGoroutine()
 	m := NewManager(Options{GPUs: 2})
-	cfg := testCfg(5, 30*time.Second)
-	if _, err := m.Register(StreamSpec{Key: "live", Cfg: cfg, Weight: 1}); err != nil {
+	s, err := m.Register(StreamSpec{Key: "live", Cfg: testCfg(5, 30*time.Second), Weight: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Ingest(ctx, "live")
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the session enter its epochs
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ingest returned %v, want context.Canceled", err)
+	if s.GPUs == 0 || m.Pool().InUse() != s.GPUs {
+		t.Fatalf("admitted stream holds %d GPUs, pool in use %d", s.GPUs, m.Pool().InUse())
 	}
+	m.AdvanceTo(12 * time.Second) // mid-session: the 30 s stream is still live
 	if err := m.Teardown("live"); err != nil {
 		t.Fatal(err)
 	}
 	if m.Pool().InUse() != 0 {
 		t.Fatalf("pool in use %d after teardown, want 0", m.Pool().InUse())
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	if s.State != StateTorndown || s.DepartAt != 12*time.Second {
+		t.Fatalf("after teardown: state %s depart %v, want torndown at 12s", s.State, s.DepartAt)
 	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("goroutines %d > baseline %d after mid-epoch teardown", got, before)
-	}
-}
-
-func TestIngestLifecycle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full session")
-	}
-	m := NewManager(Options{GPUs: 2})
-	s, err := m.Register(spec("live", 0, 6, 20*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Ingest(context.Background(), "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.State != StateTrained || res.FramesDecoded == 0 {
-		t.Fatalf("after ingest: state %s frames %d", s.State, res.FramesDecoded)
-	}
-	if res.Cfg.ChannelKey != "live" {
-		t.Fatalf("session config channel key %q, want live", res.Cfg.ChannelKey)
-	}
-	if err := m.Teardown("live"); err != nil {
-		t.Fatal(err)
-	}
-	if s.State != StateTorndown {
-		t.Fatalf("after teardown: state %s", s.State)
+	m.Finish()
+	if m.Pool().InUse() != 0 || m.Pool().Free() != m.Pool().Total() {
+		t.Fatalf("pool in use %d free %d after drain, want 0/%d", m.Pool().InUse(), m.Pool().Free(), m.Pool().Total())
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -237,7 +236,7 @@ func (m *Manager) Teardown(key string) error {
 		s.DepartAt = m.now
 		m.setGauges()
 		return nil
-	case StateRegistered, StateIngesting, StateTrained:
+	case StateRegistered, StateIngesting:
 		// Live (or registered mid-admission): handled below.
 	}
 	// Cancel the scheduled departure and depart now.
@@ -258,8 +257,6 @@ func (m *Manager) teardown(s *Session) {
 		m.pool.Release(s.GPUs)
 	}
 	if s.State == StateIngesting {
-		s.State = StateTorndown
-	} else if s.State == StateTrained {
 		s.State = StateTorndown
 	}
 	m.reg.Emit(m.now, "fleet_teardown",
@@ -303,32 +300,9 @@ func (m *Manager) setGauges() {
 	m.gQueueDepth.Set(float64(len(m.queue)))
 	active := 0
 	for _, s := range m.order {
-		if s.State == StateIngesting || s.State == StateTrained {
+		if s.State == StateIngesting {
 			active++
 		}
 	}
 	m.gActive.Set(float64(active))
-}
-
-// Ingest runs an admitted stream's session inline on the calling
-// goroutine (the live-server path; experiment plans go through Plan/
-// sweep instead). On success the session holds its Results and moves to
-// StateTrained; teardown remains the caller's step. The session's config
-// is run as finalized at admission.
-func (m *Manager) Ingest(ctx context.Context, key string) (*core.Results, error) {
-	s, ok := m.sessions[key]
-	if !ok {
-		return nil, fmt.Errorf("fleet: ingest of unknown channel key %q", key)
-	}
-	if s.State != StateIngesting {
-		return nil, fmt.Errorf("fleet: ingest of %q in state %s", key, s.State)
-	}
-	res, err := core.RunContext(ctx, s.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.Results = res
-	s.State = StateTrained
-	m.reg.Emit(m.now, "fleet_trained", telemetry.Str("key", s.Key))
-	return res, nil
 }

@@ -52,9 +52,9 @@ type Options struct {
 }
 
 // Runner executes ingest sessions across a bounded worker set. Create with
-// New, submit with Go (or GoGrid), harvest with Handle.Wait or Collect.
-// Submission (Go, GoGrid, Collect) is meant for a single orchestrating
-// goroutine; the concurrency lives in the workers underneath.
+// New, submit with Go, harvest with Handle.Wait or Collect. Submission (Go,
+// Collect) is meant for a single orchestrating goroutine; the concurrency
+// lives in the workers underneath.
 type Runner struct {
 	ctx     context.Context
 	workers int

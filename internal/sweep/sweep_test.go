@@ -52,11 +52,14 @@ func encode(t *testing.T, r *core.Results) []byte {
 func sweepOnce(t *testing.T, workers int, cache *Cache) ([]*core.Results, Stats) {
 	t.Helper()
 	r := New(context.Background(), Options{Workers: workers, Cache: cache})
-	r.GoGrid(Grid{
-		Base:    testConfig(vidgen.JustChatting, 3),
-		Schemes: []core.Scheme{core.SchemeWebRTC, core.SchemeLiveNAS},
-		Traces:  []*trace.Trace{trace.FCCUplink(3, time.Minute, 250), trace.FCCUplink(4, time.Minute, 220)},
-	})
+	traces := []*trace.Trace{trace.FCCUplink(3, time.Minute, 250), trace.FCCUplink(4, time.Minute, 220)}
+	for _, scheme := range []core.Scheme{core.SchemeWebRTC, core.SchemeLiveNAS} {
+		for _, tr := range traces {
+			cfg := testConfig(vidgen.JustChatting, 3)
+			cfg.Scheme, cfg.Trace = scheme, tr
+			r.Go(cfg)
+		}
+	}
 	res, err := r.Collect()
 	if err != nil {
 		t.Fatalf("sweep failed: %v", err)
@@ -245,38 +248,5 @@ func TestCancellation(t *testing.T) {
 				runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestGrid: cartesian expansion with deterministic ordering and implicit
-// single points for empty axes.
-func TestGrid(t *testing.T) {
-	base := testConfig(vidgen.JustChatting, 3)
-	g := Grid{
-		Base:     base,
-		Schemes:  []core.Scheme{core.SchemeWebRTC, core.SchemeLiveNAS},
-		Policies: []core.TrainPolicy{core.TrainAdaptive, core.TrainContinuous, core.TrainOneTime},
-	}
-	if g.Size() != 6 {
-		t.Fatalf("Size=%d, want 6", g.Size())
-	}
-	pts := g.Points()
-	if len(pts) != 6 {
-		t.Fatalf("%d points, want 6", len(pts))
-	}
-	// Schemes are the outer loop, policies the inner one.
-	if pts[0].Scheme != core.SchemeWebRTC || pts[3].Scheme != core.SchemeLiveNAS {
-		t.Error("scheme axis not outermost")
-	}
-	if pts[1].Policy != core.TrainContinuous {
-		t.Error("policy axis not innermost")
-	}
-	for _, p := range pts {
-		if p.Trace != base.Trace || p.Config.Cat != base.Cat {
-			t.Error("empty axes must keep the base value")
-		}
-		if p.Config.Scheme != p.Scheme || p.Config.TrainPolicy != p.Policy {
-			t.Error("point config does not match its axis values")
-		}
 	}
 }

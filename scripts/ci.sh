@@ -12,8 +12,10 @@
 #                         seed oracles), the media server pin (hostile
 #                         patches, one socket session), the sr
 #                         inference differentials and the arena ownership
-#                         contract by name, parallel sweep smoke (one small
-#                         figure sweep at -parallel 4)
+#                         contract by name, the experiment harness pins (the
+#                         offline-study and swept-figure goldens, session
+#                         figures honouring cancellation) by name, parallel
+#                         sweep smoke (one small figure sweep at -parallel 4)
 #   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
 #                         asm stubs and purego twins are its territory),
 #                         the same livenas-vet and benchmark-module steps,
@@ -257,6 +259,11 @@ if [[ "$TIER" == "fast" ]]; then
     # state, so a rename must not drop one.
     step "arena_contract_pin" pin_tests ./internal/sr TestInferenceReturnsEveryTensor \
         TestTrainerReturnsEveryTensor TestSuperResolveAllocCeilings
+    # The experiment harness's behaviour pins (DESIGN.md "Sweep engine"):
+    # the offline SR-study goldens, the swept-figure goldens and the session
+    # figures' cancellation contract, by name so a rename cannot drop one.
+    step "experiment pins" pin_tests ./internal/exp TestOfflineStudyGoldens \
+        TestSweptFigureGoldens TestSessionFiguresHonourCancel
     # One real figure sweep through the concurrent engine: catches worker /
     # cache / ordering regressions the unit tests can't see end to end.
     step "sweep smoke" go run ./cmd/livenas-bench -fig fig23 -parallel 4 -dur 20s -traces 1
@@ -269,7 +276,7 @@ else
     step "benchmark module" benchmark_module
     # internal/nn rides along for the int8/strip-parallel kernel stress;
     # internal/sr's stress set includes the quantized-path churn test;
-    # internal/fleet races the registry against mid-epoch teardowns.
+    # internal/fleet races admitted plans executing on the sweep runner.
     # internal/edge races the origin/relay/viewer actors over both SimConn
     # and real-socket (net.Pipe + queued-writer) paths. internal/vidgen
     # renders one Source from several goroutines (pooled FrameAt scratch).
