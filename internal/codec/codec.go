@@ -311,10 +311,10 @@ func codeBlock(w *bitWriter, blk, freq, steps *[64]float64) {
 }
 
 // searchMotion runs a small diamond search seeded at (0,0) and the left
-// neighbour's motion vector, returning the best vector and its SAD. A
-// candidate is abandoned once its partial SAD reaches the best so far, and
-// the search ends at a perfect match: neither can change the winner, which
-// must be strictly better.
+// neighbour's motion vector, returning the best vector and its SAD. An
+// edge-clamped candidate is abandoned once its partial SAD reaches the best
+// so far (blockSAD), and the search ends at a perfect match: neither can
+// change the winner, which must be strictly better.
 func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int, int, int) {
 	r := e.cfg.Profile.searchRange()
 	bestX, bestY := 0, 0
@@ -344,18 +344,25 @@ func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int,
 }
 
 // blockSAD computes the sum of absolute differences between the current
-// block and the reference block displaced by (mvx, mvy) (edge-clamped). It
-// returns early, with a partial sum that is at least limit, once the sum
-// reaches limit.
+// block and the reference block displaced by (mvx, mvy) (edge-clamped). A
+// displaced block inside the reference is one sad8x8 call, with no early
+// exit. An edge-clamped one returns early, with a partial sum that is at
+// least limit, once the sum reaches limit. searchMotion only tests s < best,
+// and best is only ever set from a sum below limit, which is complete; a
+// full sum is at least limit whenever a partial one is. So either form makes
+// the same decisions and keeps the same best.
 func blockSAD(cur, ref *frame.Frame, bx, by, mvx, mvy, limit int) int {
 	x0, y0 := bx+mvx, by+mvy
-	in := inside(ref, x0, y0)
+	span := (blockSize-1)*cur.W + blockSize
+	c := cur.Pix[by*cur.W+bx:][:span]
+	if inside(ref, x0, y0) {
+		return sad8x8(c, cur.W, ref.Pix[y0*ref.W+x0:][:(blockSize-1)*ref.W+blockSize], ref.W)
+	}
 	var edge [blockSize]uint8
 	var sad int
 	for y := 0; y < blockSize; y++ {
-		c := cur.Pix[(by+y)*cur.W+bx:][:blockSize]
-		r := refRow(ref, x0, y0+y, in, &edge)
-		for x, cv := range c {
+		r := refRow(ref, x0, y0+y, false, &edge)
+		for x, cv := range c[y*cur.W:][:blockSize] {
 			d := int(cv) - int(r[x])
 			if d < 0 {
 				d = -d
@@ -399,20 +406,22 @@ func fetchPred(ref *frame.Frame, x0, y0 int, pred *[64]uint8) {
 	}
 }
 
-// intraSAD estimates the cost of DC-intra coding the block.
+// intraSAD estimates the cost of DC-intra coding the block: Σ int(|p − pred|)
+// over its pixels, the truncated float distance to the DC prediction. pred
+// is a sum of at most 16 bytes over 8 or 16, or 128, so it is exact, and
+// with fl = ⌊pred⌋ and ce = ⌈pred⌉ every term is the integer
+// max(p−ce, 0) + max(fl−p, 0): a pixel at or past ce truncates p − pred down
+// to p − ce, one at or below fl truncates pred − p down to fl − p, and when
+// pred is whole both bounds are pred. intraSAD8x8 sums that form.
 func intraSAD(cur, recon *frame.Frame, bx, by int) int {
 	pred := dcPrediction(recon, bx, by)
-	var sad int
-	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			d := float64(cur.Pix[(by+y)*cur.W+bx+x]) - pred
-			if d < 0 {
-				d = -d
-			}
-			sad += int(d)
-		}
+	fl := int(pred) // pred >= 0, so truncation is the floor
+	ce := fl
+	if float64(fl) < pred {
+		ce++
 	}
-	return sad
+	span := (blockSize-1)*cur.W + blockSize
+	return intraSAD8x8(cur.Pix[by*cur.W+bx:][:span], cur.W, fl, ce)
 }
 
 // dcPrediction predicts a block's DC level from reconstructed neighbours:

@@ -366,6 +366,32 @@ func TestPatchQualityOrdering(t *testing.T) {
 	}
 }
 
+// TestEncodePatchSideBound: a patch side PatchDims would refuse, or that
+// the 16-bit header would wrap (65544 reads back as 8), panics before any
+// payload exists, as NewEncoder does for a side <= 0; a side of exactly
+// maxPatchSide still round-trips.
+func TestEncodePatchSideBound(t *testing.T) {
+	for _, dims := range [][2]int{{maxPatchSide + 1, 1}, {1, maxPatchSide + 1}, {1<<16 + 8, 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("EncodePatch of a %dx%d patch did not panic", dims[0], dims[1])
+				}
+			}()
+			EncodePatch(frame.New(dims[0], dims[1]), PatchQuality)
+		}()
+	}
+	for _, dims := range [][2]int{{maxPatchSide, 1}, {1, maxPatchSide}} {
+		data := EncodePatch(frame.New(dims[0], dims[1]), PatchQuality)
+		if w, h, err := PatchDims(data); err != nil || w != dims[0] || h != dims[1] {
+			t.Fatalf("%dx%d patch: PatchDims %dx%d, %v", dims[0], dims[1], w, h, err)
+		}
+		if got, err := DecodePatch(data); err != nil || got.W != dims[0] || got.H != dims[1] {
+			t.Fatalf("%dx%d patch did not round-trip: %v", dims[0], dims[1], err)
+		}
+	}
+}
+
 func TestDecodePatchMalformed(t *testing.T) {
 	if _, err := DecodePatch(nil); err == nil {
 		t.Fatal("nil payload must error")

@@ -52,9 +52,35 @@ func dct1d(tab *[blockSize][blockSize]float64, in []float64, is int, out []float
 	out[4*os], out[5*os], out[6*os], out[7*os] = a4, a5, a6, a7
 }
 
+// dctAVX2 selects the AVX2 transforms for fdct8 and idct8. init (in
+// dct_amd64.go) sets it from cpu.AVX2; every other build and host runs the
+// Go twins below. Both are bit-identical to the textbook loops
+// (TestDCTMatchesRef), so the choice cannot change a bit of any stream. It
+// is a flag, not a function value, because a call through a function value
+// moves the callers' stack blocks to the heap.
+var dctAVX2 bool
+
 // fdct8 applies a separable forward 8x8 DCT-II: src (spatial, row-major,
 // 64 samples) to dst (frequency).
 func fdct8(src, dst *[64]float64) {
+	if dctAVX2 {
+		fdct8AVX2(src, dst)
+		return
+	}
+	fdct8Go(src, dst)
+}
+
+// idct8 applies the inverse 8x8 DCT (DCT-III) from frequency to spatial.
+func idct8(src, dst *[64]float64) {
+	if dctAVX2 {
+		idct8AVX2(src, dst)
+		return
+	}
+	idct8Go(src, dst)
+}
+
+// fdct8Go is fdct8 as two passes of dct1d.
+func fdct8Go(src, dst *[64]float64) {
 	var tmp [64]float64
 	for y := 0; y < blockSize; y++ { // rows
 		dct1d(&dctBasisT, src[y*blockSize:], 1, tmp[y*blockSize:], 1)
@@ -64,8 +90,8 @@ func fdct8(src, dst *[64]float64) {
 	}
 }
 
-// idct8 applies the inverse 8x8 DCT (DCT-III) from frequency to spatial.
-func idct8(src, dst *[64]float64) {
+// idct8Go is idct8 as two passes of dct1d.
+func idct8Go(src, dst *[64]float64) {
 	var tmp [64]float64
 	for x := 0; x < blockSize; x++ { // columns
 		dct1d(&dctBasis, src[x:], blockSize, tmp[x:], blockSize)

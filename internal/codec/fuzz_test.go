@@ -145,7 +145,8 @@ func fuzzClip(cfg Config) (key, inter *EncodedFrame) {
 // produce the same frame or both fail, and a failed frame must leave the
 // reference intact. The decoder's row-slice reference fetch is the one place
 // that indexes a frame with a wire-supplied offset and no clamp, so a wrong
-// inside() test shows up here as an out-of-range panic.
+// inside() test shows up here as an out-of-range panic. Every input is
+// decoded under each kernel set this host can execute.
 func FuzzDecode(f *testing.F) {
 	// One real clip per configuration, encoded once: seeds, and the frames
 	// every execution decodes around its input.
@@ -177,23 +178,29 @@ func FuzzDecode(f *testing.F) {
 		f.Add(w.finish(), uint8(qp))
 	}
 
+	sets := codecKernelSets(f)
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		cfg := fuzzConfig(mode)
 		key, inter := keys[mode&7], inters[mode&7]
-		dec, ref := NewDecoder(cfg), &refDecoder{cfg: cfg}
-		check := func(what string, ef *EncodedFrame) {
-			got, err := dec.Decode(ef)
-			want, refErr := ref.Decode(ef)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s: decoder error %v, oracle error %v", what, err, refErr)
-			}
-			if err == nil && !bytes.Equal(got.Pix, want.Pix) {
-				t.Fatalf("%s: decoded frame differs from oracle", what)
-			}
+		for _, k := range sets {
+			func() {
+				defer k.install()()
+				dec, ref := NewDecoder(cfg), &refDecoder{cfg: cfg}
+				check := func(what string, ef *EncodedFrame) {
+					got, err := dec.Decode(ef)
+					want, refErr := ref.Decode(ef)
+					if (err == nil) != (refErr == nil) {
+						t.Fatalf("%s kernels, %s: decoder error %v, oracle error %v", k.name, what, err, refErr)
+					}
+					if err == nil && !bytes.Equal(got.Pix, want.Pix) {
+						t.Fatalf("%s kernels, %s: decoded frame differs from oracle", k.name, what)
+					}
+				}
+				check("key frame", key)
+				check("fuzz input", &EncodedFrame{Data: data})
+				// Whatever the input did, both references must still agree.
+				check("following inter frame", inter)
+			}()
 		}
-		check("key frame", key)
-		check("fuzz input", &EncodedFrame{Data: data})
-		// Whatever the input did, both references must still agree.
-		check("following inter frame", inter)
 	})
 }

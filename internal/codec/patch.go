@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"livenas/internal/frame"
 )
@@ -29,9 +30,17 @@ func qualityToQP(quality int) int {
 	return min(MaxQP, max(MinQP, qp))
 }
 
+// maxPatchSide is the largest patch side a payload may declare.
+const maxPatchSide = 1 << 14
+
 // EncodePatch compresses a raw patch at the given quality level (1..100).
-// The payload is self-contained and decodable with DecodePatch.
+// The payload is self-contained and decodable with DecodePatch. It panics
+// on a side outside 1..maxPatchSide, which the 16-bit header could not carry
+// or PatchDims would refuse.
 func EncodePatch(p *frame.Frame, quality int) []byte {
+	if p.W > maxPatchSide || p.H > maxPatchSide {
+		panic(fmt.Sprintf("codec: patch %dx%d exceeds %d on a side", p.W, p.H, maxPatchSide))
+	}
 	qp := qualityToQP(quality)
 	enc := NewEncoder(Config{Profile: BX9, W: p.W, H: p.H})
 	enc.qp = qp
@@ -54,7 +63,7 @@ func PatchDims(data []byte) (w, h int, err error) {
 	}
 	w = int(binary.BigEndian.Uint16(data[0:2]))
 	h = int(binary.BigEndian.Uint16(data[2:4]))
-	if w == 0 || h == 0 || w > 1<<14 || h > 1<<14 {
+	if w == 0 || h == 0 || w > maxPatchSide || h > maxPatchSide {
 		return 0, 0, errPatch
 	}
 	return w, h, nil

@@ -3,12 +3,13 @@ package codec
 // Reference codec: the seed implementation's per-coefficient math.Pow
 // quantiser, textbook double-loop DCT, per-pixel clamped SAD and reference
 // fetch, and allocate-per-attempt encoder, kept verbatim as the ground truth
-// the table-driven codec is differentially tested against — byte-equal
-// streams, pixel-equal reconstructions, Float64bits-equal transforms. They
-// are oracles, not a codec: nothing outside the tests can reach them. What
-// the two share (bit I/O, zigzag, baseQuant, dcPrediction, intraSAD,
-// refSample, clampAdd, deblockFrame) did not change; deblockFrame's
-// threshold table is checked against the Pow expression below.
+// the table-driven codec and its vector kernels are differentially tested
+// against — byte-equal streams, pixel-equal reconstructions,
+// Float64bits-equal transforms, equal costs. They are oracles, not a codec:
+// nothing outside the tests can reach them. What the two share (bit I/O,
+// zigzag, baseQuant, dcPrediction, refSample, clampAdd, deblockFrame) did
+// not change; deblockFrame's threshold table is checked against the Pow
+// expression below.
 
 import (
 	"bytes"
@@ -187,7 +188,7 @@ func (e *refEncoder) encodeOnce(padded *frame.Frame, key bool, qp int) ([]byte, 
 				continue
 			}
 			mvx, mvy, sadInter := e.searchMotion(padded, bx, by, prevMVX, prevMVY)
-			sadIntra := intraSAD(padded, recon, bx, by)
+			sadIntra := intraSADRef(padded, recon, bx, by)
 			if sadIntra+32 < sadInter {
 				w.writeBit(1) // intra
 				e.encodeIntraBlock(w, padded, recon, bx, by, qp, &blk, &freq)
@@ -290,6 +291,22 @@ func (e *refEncoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (i
 		}
 	}
 	return bestX, bestY, best
+}
+
+// intraSADRef is the seed intra cost: Σ int(|p − pred|) in float64.
+func intraSADRef(cur, recon *frame.Frame, bx, by int) int {
+	pred := dcPrediction(recon, bx, by)
+	var sad int
+	for y := 0; y < blockSize; y++ {
+		for x := 0; x < blockSize; x++ {
+			d := float64(cur.Pix[(by+y)*cur.W+bx+x]) - pred
+			if d < 0 {
+				d = -d
+			}
+			sad += int(d)
+		}
+	}
+	return sad
 }
 
 func blockSADRef(cur, ref *frame.Frame, bx, by, mvx, mvy int) int {
@@ -480,67 +497,196 @@ func dctCases() [][64]float64 {
 }
 
 // TestDCTMatchesRef: both transforms are bit-for-bit the textbook loops,
-// including the sign of every zero.
+// including the sign of every zero, under every kernel set.
 func TestDCTMatchesRef(t *testing.T) {
-	for n, src := range dctCases() {
-		for _, tr := range []struct {
-			name     string
-			got, ref func(src, dst *[64]float64)
-		}{{"fdct8", fdct8, fdct8Ref}, {"idct8", idct8, idct8Ref}} {
-			var got, want [64]float64
-			tr.got(&src, &got)
-			tr.ref(&src, &want)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s case %d coef %d: %v (%#x), oracle %v (%#x)", tr.name, n, i,
-						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	cases := dctCases()
+	forEachCodecKernels(t, func(t *testing.T) {
+		for n, src := range cases {
+			for _, tr := range []struct {
+				name     string
+				got, ref func(src, dst *[64]float64)
+			}{{"fdct8", fdct8, fdct8Ref}, {"idct8", idct8, idct8Ref}} {
+				var got, want [64]float64
+				tr.got(&src, &got)
+				tr.ref(&src, &want)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s case %d coef %d: %v (%#x), oracle %v (%#x)", tr.name, n, i,
+							got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestEncodeBitstreamMatchesRef runs the encoder and the oracle encoder side
 // by side over moving content, a budget that makes rate control re-encode,
 // periodic and forced key frames, and requires byte-equal streams and
 // pixel-equal reconstructions at every frame; the decoder and the oracle
-// decoder must then agree on every stream too.
+// decoder must then agree on every stream too. It runs under every kernel
+// set.
 func TestEncodeBitstreamMatchesRef(t *testing.T) {
-	const frames = 60
-	for _, cat := range []vidgen.Category{vidgen.LeagueOfLegends, vidgen.Fortnite} {
-		// 100x52 pads to 104x56: the edge-clamped paths run on real content.
-		src := vidgen.NewSource(cat, 200, 104, 3, 60)
-		for _, profile := range []Profile{BX8, BX9} {
-			for _, deblock := range []bool{false, true} {
-				cfg := Config{Profile: profile, W: 100, H: 52, KeyInterval: 25, Deblock: deblock}
-				enc, ref := NewEncoder(cfg), &refEncoder{cfg: cfg, qp: 30}
-				dec, refDec := NewDecoder(cfg), &refDecoder{cfg: cfg}
-				for i := 0; i < frames; i++ {
-					f := src.FrameAt(float64(i) / 10).Downscale(2)
-					bits := 4000 + 9000*(i%7) // swings hard enough to trigger re-encodes
-					if i == 13 || i == 14 || i == 40 {
-						enc.ForceKeyFrame()
-						ref.forceKey = true
-					}
-					got, want := enc.Encode(f, bits), ref.Encode(f, bits)
-					if !bytes.Equal(got.Data, want.Data) || got.Key != want.Key || got.QP != want.QP || got.Seq != want.Seq {
-						t.Fatalf("%v %v deblock=%v frame %d: stream differs from oracle (%d vs %d bytes, key %v/%v, qp %d/%d)",
-							cat, profile, deblock, i, len(got.Data), len(want.Data), got.Key, want.Key, got.QP, want.QP)
-					}
-					wantRecon := ref.ref.Crop(0, 0, cfg.W, cfg.H)
-					if !bytes.Equal(enc.Reconstructed().Pix, wantRecon.Pix) {
-						t.Fatalf("%v %v deblock=%v frame %d: reconstruction differs from oracle", cat, profile, deblock, i)
-					}
-					d1, err1 := dec.Decode(got)
-					d2, err2 := refDec.Decode(want)
-					if err1 != nil || err2 != nil {
-						t.Fatalf("frame %d: decode errors %v / %v", i, err1, err2)
-					}
-					if !bytes.Equal(d1.Pix, d2.Pix) || !bytes.Equal(d1.Pix, wantRecon.Pix) {
-						t.Fatalf("%v %v deblock=%v frame %d: decoder differs from oracle", cat, profile, deblock, i)
+	forEachCodecKernels(t, func(t *testing.T) {
+		const frames = 60
+		for _, cat := range []vidgen.Category{vidgen.LeagueOfLegends, vidgen.Fortnite} {
+			// 100x52 pads to 104x56: the edge-clamped paths run on real content.
+			src := vidgen.NewSource(cat, 200, 104, 3, 60)
+			for _, profile := range []Profile{BX8, BX9} {
+				for _, deblock := range []bool{false, true} {
+					cfg := Config{Profile: profile, W: 100, H: 52, KeyInterval: 25, Deblock: deblock}
+					enc, ref := NewEncoder(cfg), &refEncoder{cfg: cfg, qp: 30}
+					dec, refDec := NewDecoder(cfg), &refDecoder{cfg: cfg}
+					for i := 0; i < frames; i++ {
+						f := src.FrameAt(float64(i) / 10).Downscale(2)
+						bits := 4000 + 9000*(i%7) // swings hard enough to trigger re-encodes
+						if i == 13 || i == 14 || i == 40 {
+							enc.ForceKeyFrame()
+							ref.forceKey = true
+						}
+						got, want := enc.Encode(f, bits), ref.Encode(f, bits)
+						if !bytes.Equal(got.Data, want.Data) || got.Key != want.Key || got.QP != want.QP || got.Seq != want.Seq {
+							t.Fatalf("%v %v deblock=%v frame %d: stream differs from oracle (%d vs %d bytes, key %v/%v, qp %d/%d)",
+								cat, profile, deblock, i, len(got.Data), len(want.Data), got.Key, want.Key, got.QP, want.QP)
+						}
+						wantRecon := ref.ref.Crop(0, 0, cfg.W, cfg.H)
+						if !bytes.Equal(enc.Reconstructed().Pix, wantRecon.Pix) {
+							t.Fatalf("%v %v deblock=%v frame %d: reconstruction differs from oracle", cat, profile, deblock, i)
+						}
+						d1, err1 := dec.Decode(got)
+						d2, err2 := refDec.Decode(want)
+						if err1 != nil || err2 != nil {
+							t.Fatalf("frame %d: decode errors %v / %v", i, err1, err2)
+						}
+						if !bytes.Equal(d1.Pix, d2.Pix) || !bytes.Equal(d1.Pix, wantRecon.Pix) {
+							t.Fatalf("%v %v deblock=%v frame %d: decoder differs from oracle", cat, profile, deblock, i)
+						}
 					}
 				}
 			}
 		}
+	})
+}
+
+// sadFrames returns a current frame and a reference of another width, so a
+// kernel that read one block with the other's stride would fail: random
+// bytes, a reference that is the current frame shifted by (3, 2) plus
+// noise, and flat 0 against flat 255 (the largest SAD, 64*255).
+func sadFrames() [][2]*frame.Frame {
+	rng := rand.New(rand.NewSource(5))
+	cur, ref := frame.New(40, 32), frame.New(48, 40)
+	for i := range cur.Pix {
+		cur.Pix[i] = uint8(rng.Intn(256))
 	}
+	for i := range ref.Pix {
+		ref.Pix[i] = uint8(rng.Intn(256))
+	}
+	shifted := frame.New(48, 40)
+	for y := 0; y < shifted.H; y++ {
+		for x := 0; x < shifted.W; x++ {
+			v := int(cur.Pix[min(max(y-2, 0), cur.H-1)*cur.W+min(max(x-3, 0), cur.W-1)]) + rng.Intn(9) - 4
+			shifted.Pix[y*shifted.W+x] = uint8(min(max(v, 0), 255))
+		}
+	}
+	black, white := frame.New(40, 32), frame.New(48, 40)
+	for i := range white.Pix {
+		white.Pix[i] = 255
+	}
+	return [][2]*frame.Frame{{cur, ref}, {cur, shifted}, {black, white}}
+}
+
+// TestSADMatchesRef holds blockSAD to the per-pixel clamped oracle under
+// every kernel set, for every block of the frame, motion vectors out to
+// ±(range+8) of the larger search range (blocks inside the reference and
+// edge-clamped ones on every side), and limits below, at, just above and
+// far above the true SAD. A SAD below the limit must be exact; one at or
+// past it may be a partial sum but must still be at least the limit, so
+// searchMotion's s < best decides the same; and a block inside the
+// reference has no early exit, so its SAD is exact at any limit.
+func TestSADMatchesRef(t *testing.T) {
+	const reach = 12 + 8 // BX9's search range, plus a block
+	forEachCodecKernels(t, func(t *testing.T) {
+		for n, pair := range sadFrames() {
+			cur, ref := pair[0], pair[1]
+			for by := 0; by < cur.H; by += blockSize {
+				for bx := 0; bx < cur.W; bx += blockSize {
+					for mvy := -reach; mvy <= reach; mvy++ {
+						for mvx := -reach; mvx <= reach; mvx++ {
+							want := blockSADRef(cur, ref, bx, by, mvx, mvy)
+							in := inside(ref, bx+mvx, by+mvy)
+							for _, limit := range []int{math.MaxInt, want + 1, want, want - 1, want / 2, 1, 0} {
+								got := blockSAD(cur, ref, bx, by, mvx, mvy, limit)
+								if (want < limit || in) && got != want || want >= limit && got < limit {
+									t.Fatalf("frames %d block (%d,%d) mv (%d,%d) inside=%v limit %d: SAD %d, oracle %d",
+										n, bx, by, mvx, mvy, in, limit, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestIntraSADMatchesRef holds intraSAD to the seed's float form,
+// Σ int(|p − pred|), under every kernel set: first on every block of random
+// frames (top-left, top-row, left-column and interior blocks, so the
+// prediction is 128, an eighth or a sixteenth of a sum), then exhaustively:
+// for every prediction the codec can make and every pixel value, the
+// integer form max(p−⌈pred⌉, 0) + max(⌊pred⌋−p, 0) is the float term, and
+// intraSAD8x8 sums it over blocks that hold all 256 pixel values.
+func TestIntraSADMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	cur, recon := frame.New(48, 40), frame.New(48, 40)
+	for i := range cur.Pix {
+		cur.Pix[i] = uint8(rng.Intn(256))
+		recon.Pix[i] = uint8(rng.Intn(256))
+	}
+	var preds []float64
+	for sum := 0; sum <= 16*255; sum++ {
+		if sum <= 8*255 {
+			preds = append(preds, float64(sum)/8)
+		}
+		preds = append(preds, float64(sum)/16)
+	}
+	preds = append(preds, 128)
+	// The four 8x8 blocks of a 16x16 frame hold pixel values 0..255, block
+	// b at (b%2*8, b/2*8).
+	all := frame.New(16, 16)
+	for b := 0; b < 4; b++ {
+		for i := 0; i < 64; i++ {
+			all.Pix[(b/2*8+i/8)*16+b%2*8+i%8] = uint8(b*64 + i)
+		}
+	}
+	forEachCodecKernels(t, func(t *testing.T) {
+		for by := 0; by < cur.H; by += blockSize {
+			for bx := 0; bx < cur.W; bx += blockSize {
+				if got, want := intraSAD(cur, recon, bx, by), intraSADRef(cur, recon, bx, by); got != want {
+					t.Fatalf("block (%d,%d): intraSAD %d, oracle %d", bx, by, got, want)
+				}
+			}
+		}
+		for _, pred := range preds {
+			fl, ce := int(math.Floor(pred)), int(math.Ceil(pred))
+			want := 0
+			for p := 0; p < 256; p++ {
+				d := float64(p) - pred
+				if d < 0 {
+					d = -d
+				}
+				if term := max(p-ce, 0) + max(fl-p, 0); term != int(d) {
+					t.Fatalf("pred %v pixel %d: integer term %d, float term %d", pred, p, term, int(d))
+				}
+				want += int(d)
+			}
+			got := 0
+			for b := 0; b < 4; b++ {
+				got += intraSAD8x8(all.Pix[b/2*8*16+b%2*8:][:7*16+blockSize], 16, fl, ce)
+			}
+			if got != want {
+				t.Fatalf("pred %v: intraSAD8x8 over all pixel values %d, float sum %d", pred, got, want)
+			}
+		}
+	})
 }
