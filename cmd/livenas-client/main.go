@@ -50,7 +50,7 @@ func main() {
 }
 
 // clientConfig turns the flags into the session's defaulted core.Config: the
-// demo's 192x108 ingest of a 384x216 frame with examples/quickstart's
+// demo's 192x108 ingest of a 384x216 frame with ExampleRun's
 // reduced-scale scheduler constants, at a rate livenas-server admits.
 func clientConfig(channel, cat string, fps, kbps float64, seed int64, dur time.Duration) (core.Config, error) {
 	if !(fps >= 1 && fps <= 120 && kbps > 0 && kbps < math.Inf(1)) {

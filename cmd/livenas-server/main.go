@@ -55,6 +55,9 @@ func main() {
 			"event trace at /debug/telemetry/events, pprof at /debug/pprof/)")
 	)
 	flag.Parse()
+	if err := checkEpoch(*epochLen); err != nil {
+		log.Fatal(err)
+	}
 
 	reg := telemetry.New()
 	if *debug != "" {
@@ -96,6 +99,16 @@ type node struct {
 	pool   *sr.DevicePool
 	clock  *edge.WallClock
 	origin *edge.Origin
+}
+
+// checkEpoch refuses an -epoch that each session's epoch ticker would panic
+// on (time.NewTicker takes only a positive interval): the panic would end
+// every other session on the node with it.
+func checkEpoch(d time.Duration) error {
+	if d <= 0 {
+		return fmt.Errorf("-epoch %v must be positive", d)
+	}
+	return nil
 }
 
 // newNode builds a node with a pool of gpus slots that reports to reg.

@@ -95,6 +95,27 @@ func session(t *testing.T, n *node, epoch time.Duration, reg *telemetry.Registry
 	return c, done
 }
 
+// TestEpochFlagRefused: -epoch 0 reached every session's time.NewTicker,
+// whose panic on the first admitted session ended every other one on the
+// node. A non-positive epoch is refused before the server listens.
+func TestEpochFlagRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		epoch time.Duration
+		ok    bool
+	}{
+		{"zero", 0, false},
+		{"negative", -time.Second, false},
+		{"most negative", math.MinInt64, false},
+		{"one nanosecond", time.Nanosecond, true},
+		{"default", 5 * time.Second, true},
+	} {
+		if err := checkEpoch(tc.epoch); (err == nil) != tc.ok {
+			t.Errorf("%s: checkEpoch(%v) = %v, want ok %v", tc.name, tc.epoch, err, tc.ok)
+		}
+	}
+}
+
 // TestHostileHelloRefused: the hello's geometry and frame rate come off the
 // wire and size every per-session allocation. Each bad one must be refused
 // with a MsgBye — no divide-by-zero, no NewModel panic, no empty pairing

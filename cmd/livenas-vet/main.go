@@ -1,8 +1,10 @@
 // Command livenas-vet runs the project-specific static checks of
 // internal/analysis over the module: deterministic-replay taint tracking,
-// goroutine joins, lock ordering, asm/build-tag hygiene for the assembly
-// kernels, unchecked wire-write errors, mutex lock/defer hygiene, and
-// exhaustive wire-message switches. Both scripts/ci.sh tiers run it the
+// goroutine joins, unchecked wire-write errors, mutex lock/defer hygiene,
+// exhaustive enum switches, and allow directives that name no registered
+// check. The assembly kernels' stubs and Go twins are stock go vet's, run
+// on three build partitions, and lock order between the telemetry
+// registry's two locks is a test's. Both scripts/ci.sh tiers run it the
 // same way, with no flags.
 //
 // Usage:

@@ -7,13 +7,12 @@
 // enforce the two invariants LiveNAS's correctness hangs on — deterministic
 // replay (a whole-module taint analysis from nondeterministic sources:
 // wall clock, global rand, map iteration order, goroutine-completion
-// order) and safe sharing of state between the trainer, the inference
-// processor, and the sweep workers (goroutine joins, lock ordering) — plus
-// project-wide hygiene rules (discarded wire write errors, lock/defer
-// pairing, exhaustive message switches, asm declaration/build-tag
-// pairing). Load the packages with a Loader, hand them to Run; there is no
-// other entry point, cache, or configuration. See DESIGN.md "Correctness
-// tooling".
+// order) and joined goroutines in the trainer, the inference processor and
+// the transport — plus project-wide hygiene rules (discarded wire write
+// errors, lock/defer pairing, exhaustive enum switches, allow directives
+// that name a registered check). Load the packages with a Loader, hand
+// them to Run; there is no other entry point, cache, or configuration. See
+// DESIGN.md "Correctness tooling".
 //
 // A finding can be silenced in place with a directive comment:
 //
@@ -50,8 +49,8 @@ func (d Diagnostic) String() string {
 // A Check is one named analysis pass. Exactly one of Run and RunModule is
 // set: Run inspects a single type-checked package; RunModule sees the whole
 // module at once through the call-graph/CFG/summary substrate (callgraph.go,
-// cfg.go, dataflow.go, summary.go) and is how the interprocedural checks —
-// goroutine-leak, lock-order, determinism-taint — are built.
+// cfg.go, summary.go) and is how the interprocedural checks —
+// goroutine-leak, determinism-taint — are built.
 type Check struct {
 	Name      string
 	Doc       string
@@ -66,9 +65,8 @@ func AllChecks() []*Check {
 		MutexHygiene,
 		SwitchExhaustiveness,
 		GoroutineLeak,
-		LockOrder,
 		DeterminismTaint,
-		AsmABI,
+		UnknownAllow,
 	}
 }
 

@@ -11,10 +11,8 @@ import (
 // inside a statement itself — and models exactly the control constructs the
 // interprocedural checks need to be path-sensitive about: branches, loops
 // (including labeled break/continue), switches, selects, returns, and
-// panic-terminated blocks. Deferred statements are collected on the side;
-// they run at every exit that is reached after the defer statement executed,
-// which the dataflow transfer functions model by processing DeferStmt nodes
-// in place (see check_arenalifetime.go).
+// panic-terminated blocks. Deferred statements stay in place as DeferStmt
+// nodes of the block that executes them.
 
 // A CFGBlock is a straight-line run of statements with explicit successors.
 type CFGBlock struct {
@@ -167,8 +165,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *CFGBlock) *CFGBlock {
 				b.edge(end, post)
 			}
 		})
-		// For `for {}` with no break, after has no predecessors; the
-		// dataflow engine treats such blocks as unreachable (bottom fact).
+		// For `for {}` with no break, after has no predecessors.
 		return after
 
 	case *ast.RangeStmt:

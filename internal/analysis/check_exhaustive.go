@@ -8,13 +8,13 @@ import (
 )
 
 // SwitchExhaustiveness flags a switch over a module-defined enum type
-// (a named integer type with declared constants, e.g. wire.MsgType) that
+// (a named integer type with declared constants, e.g. core.Scheme) that
 // has no default clause and does not cover every constant. Adding a
-// protocol message type then flags every non-exhaustive handler in the
-// tree instead of silently dropping the new message.
+// scheme or a fleet state then flags every non-exhaustive dispatch in the
+// tree instead of silently skipping the new constant there.
 var SwitchExhaustiveness = &Check{
 	Name: "switch-exhaustiveness",
-	Doc: "default-less switch over a module enum type (e.g. wire.MsgType) " +
+	Doc: "default-less switch over a module enum type (e.g. core.Scheme) " +
 		"that misses constants; add the missing cases, a default clause, " +
 		"or //livenas:allow switch-exhaustiveness",
 	Run: runSwitchExhaustiveness,

@@ -9,7 +9,7 @@ import (
 // propagate bottom-up through the call-graph SCCs. One shared container
 // carries every check's facts so the module is summarized in a single
 // BottomUp pass; each check contributes its slice of the summary from its
-// own file (lockSummarize, waitSummarize, determSummarize) and reads callee
+// own file (waitSummarize, determSummarize) and reads callee
 // summaries through Summaries.Of at call sites.
 
 // A FuncSummary is the caller-visible abstract behaviour of one function.
@@ -17,10 +17,6 @@ type FuncSummary struct {
 	// WaitsOnParam[i] reports that parameter i is a *sync.WaitGroup the
 	// function calls Wait on — join evidence for the goroutine-leak check.
 	WaitsOnParam []bool
-
-	// Locks maps every lock class the function may acquire (directly or
-	// through callees) to a representative acquisition position.
-	Locks map[string]token.Pos
 
 	// Nondet is the function's purity fact: every nondeterministic source
 	// the function may observe (directly or through a callee), keyed by a
@@ -56,16 +52,12 @@ func ComputeSummaries(g *CallGraph) *Summaries {
 	for _, fi := range g.Nodes {
 		s.m[fi.Obj] = &FuncSummary{
 			WaitsOnParam: make([]bool, paramCount(fi.Obj)),
-			Locks:        map[string]token.Pos{},
 			Nondet:       map[string]token.Pos{},
 		}
 	}
 	g.BottomUp(func(fi *FuncInfo) bool {
 		sum := s.m[fi.Obj]
-		changed := lockSummarize(fi, s, sum)
-		if waitSummarize(fi, s, sum) {
-			changed = true
-		}
+		changed := waitSummarize(fi, s, sum)
 		if determSummarize(fi, s, sum) {
 			changed = true
 		}

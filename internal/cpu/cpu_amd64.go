@@ -3,13 +3,9 @@
 package cpu
 
 // cpuid executes CPUID with the given leaf/subleaf.
-//
-//livenas:allow asm-abi privileged-instruction wrapper for amd64 feature detection; no pure-Go equivalent exists and no other build can reach it
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 reads XCR0 (requires OSXSAVE, checked by the caller).
-//
-//livenas:allow asm-abi privileged-instruction wrapper for amd64 feature detection; no pure-Go equivalent exists and no other build can reach it
 func xgetbv0() (eax, edx uint32)
 
 // hasAVX2 is the probe behind AVX2: CPU support plus OS-enabled YMM state

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -112,5 +113,44 @@ func TestConcurrentEnableFlip(t *testing.T) {
 	c.Inc()
 	if c.Value() != before+1 {
 		t.Fatal("counter dead after enable flips")
+	}
+}
+
+// TestEventCapSnapshotLockPair races SetEventCap against Snapshot, the pair
+// of Registry paths between which the trace lock (evMu) and the metric lock
+// (mu) meet. Neither may take one lock while holding the other in the
+// opposite order: SetEventCap publishing a gauge under evMu while
+// snapshotMetrics counts events under mu deadlocks this pair within its
+// 200 ms race, and the bounded wait turns that hang into a failure.
+func TestEventCapSnapshotLockPair(t *testing.T) {
+	r := New()
+	for i := 0; i < 32; i++ {
+		r.Gauge(fmt.Sprintf("g%d", i)).Set(float64(i))
+		r.Histogram(fmt.Sprintf("h%d", i), ExpBuckets(1, 2, 16)).Observe(float64(i))
+	}
+	stop := time.Now().Add(200 * time.Millisecond)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for n := 1; time.Now().Before(stop); n++ {
+			r.SetEventCap(n)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for time.Now().Before(stop) {
+			r.Snapshot()
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SetEventCap and Snapshot deadlocked: evMu and mu are taken in opposite orders")
 	}
 }

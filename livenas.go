@@ -15,8 +15,8 @@
 //   - The experiment registry (Experiments, RunExperiment) regenerating
 //     every table and figure of the paper.
 //
-// See the examples/ directory for runnable programs and DESIGN.md for the
-// full system inventory.
+// ExampleRun is a runnable session; DESIGN.md has the full system
+// inventory.
 package livenas
 
 import (

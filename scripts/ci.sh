@@ -2,8 +2,10 @@
 # Tiered CI driver (.github/workflows/ci.yml runs both tiers; either runs
 # standalone on a laptop).
 #
-#   scripts/ci.sh fast    blocking tier: build, gofmt, go vet, livenas-vet
-#                         (whole module, no flags, under 4 s), short tests,
+#   scripts/ci.sh fast    blocking tier: build, gofmt, go vet on three build
+#                         partitions (default, -tags purego, GOARCH=arm64),
+#                         livenas-vet (whole module, no flags, under 4 s),
+#                         the telemetry lock pair by name, short tests,
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests, the wire format
 #                         pin, the playlist format pin (with the event-heap
@@ -16,8 +18,9 @@
 #                         offline-study and swept-figure goldens, session
 #                         figures honouring cancellation) by name, parallel
 #                         sweep smoke (one small figure sweep at -parallel 4)
-#   scripts/ci.sh full    merge tier: go vet (stdlib asmdecl/copylocks — the
-#                         asm stubs and purego twins are its territory),
+#   scripts/ci.sh full    merge tier: go vet on the same three build
+#                         partitions (stdlib asmdecl/copylocks on each — the
+#                         asm stubs and their Go twins are their territory),
 #                         the same livenas-vet and benchmark-module steps,
 #                         full tests, race tier (includes internal/sweep
 #                         and internal/fleet), fuzz smoke (wire, playlist,
@@ -200,7 +203,8 @@ link_model_pin() {
 # non-square patch dropped instead of panicking the trainer and with it
 # every session on the node, a hello whose frame rate would size the 3 s
 # pairing ring at zero frames or past its memory budget refused (and the
-# ring never emptied whatever the rate); epoch feedback that is NaN, ±Inf
+# ring never emptied whatever the rate), a non-positive -epoch refused before
+# the server listens; epoch feedback that is NaN, ±Inf
 # or a negative rate ignored by the client's scheduler, client flags that
 # would panic the frame ticker or stream the wrong content refused before
 # dialling, and a refusal or a hang-up ending the client's stream with the
@@ -210,8 +214,19 @@ link_model_pin() {
 # segment and the GPU slot released).
 media_server_pin() {
     pin_tests ./internal/core TestPatchHostileHeaderAlloc TestVideoLowFrameRate TestFeedbackOutsideInputIgnored &&
-        pin_tests ./cmd/livenas-server TestMalformedPatchGeometry TestHostileHelloRefused TestServeIngestLoopback &&
+        pin_tests ./cmd/livenas-server TestMalformedPatchGeometry TestHostileHelloRefused TestEpochFlagRefused TestServeIngestLoopback &&
         pin_tests ./cmd/livenas-client TestClientConfigRejectsBadFlags TestStreamRefused TestStreamHangUp TestStreamSession
+}
+
+# go vet on the three build partitions of the assembly kernels. The default
+# amd64 build's asmdecl pass reports a TEXT with no Go stub and a stub whose
+# frame no longer matches its TEXT; under -tags purego a stub whose build
+# tag overlaps its Go twin's has no body; under GOARCH=arm64 a twin that a
+# non-amd64 build needs but whose tag excludes it is undefined.
+vet_partitions() {
+    step "go vet" go vet ./...
+    step "go vet -tags purego" go vet -tags purego ./...
+    step "go vet GOARCH=arm64" env GOARCH=arm64 go vet ./...
 }
 
 # Nightly-only: record cpu/heap profiles of the serve_hd-geometry inference
@@ -227,8 +242,12 @@ pprof_profiles() {
 if [[ "$TIER" == "fast" ]]; then
     step "go build" go build ./...
     step "gofmt" gofmt_clean
-    step "go vet" go vet ./...
+    vet_partitions
     step "livenas-vet" go run ./cmd/livenas-vet ./...
+    # The registry's two locks (evMu for the trace, mu for the metrics) meet
+    # only between SetEventCap and Snapshot; this race turns an inversion of
+    # their order into a failure within 5 s instead of a rare hang.
+    step "telemetry lock pair" pin_tests ./internal/telemetry TestEventCapSnapshotLockPair
     step "go test -short" go test -short ./...
     step "benchmark module" benchmark_module
     # The int8 fast path's correctness contract, run by name so a test
@@ -270,7 +289,7 @@ if [[ "$TIER" == "fast" ]]; then
 else
     FUZZTIME="${FUZZTIME:-10s}"
     step "go build" go build ./...
-    step "go vet" go vet ./...
+    vet_partitions
     step "livenas-vet" go run ./cmd/livenas-vet ./...
     step "go test" go test ./...
     step "benchmark module" benchmark_module
