@@ -238,27 +238,6 @@ func TestLoadPackagesTargets(t *testing.T) {
 	}
 }
 
-// TestNestedModuleSkipped: like ./... for the go command, the loader stops
-// at a directory with its own go.mod; that module is vetted on its own.
-func TestNestedModuleSkipped(t *testing.T) {
-	root := copyFixtureModule(t, "determtaint")
-	nested := filepath.Join(root, "nested")
-	if err := os.MkdirAll(nested, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(nested, "go.mod"), []byte("module fix/nested\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(nested, "n.go"), []byte("package nested\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range loadModule(t, root, "fix") {
-		if p.Path == "fix/nested" {
-			t.Error("loaded the package of a nested module")
-		}
-	}
-}
-
 // TestBrokenTypeCheckSurfaced: a package that parses but does not
 // type-check still loads — its errors land in Package.TypeErrors for the
 // caller to report (livenas-vet exits 2 on them) — and the checks still

@@ -155,8 +155,7 @@ func matchesPattern(path string, patterns []string, modPath string) bool {
 
 // moduleGoDirs returns, in lexical walk order, every directory under root
 // that holds non-test Go files, skipping testdata, hidden, and
-// underscore-prefixed trees and, as the go command does, nested modules
-// (a directory with its own go.mod, such as benchmark/).
+// underscore-prefixed trees.
 func moduleGoDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -167,13 +166,8 @@ func moduleGoDirs(root string) ([]string, error) {
 			return nil
 		}
 		name := d.Name()
-		if path != root {
-			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
+		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
 		}
 		if hasGoFiles(path) {
 			dirs = append(dirs, path)

@@ -15,3 +15,6 @@ func Stamp() time.Time {
 
 // A comment that only mentions livenas:allow race-guard is no directive.
 var _ = mu //livenas:allow racegaurd misspelt // want unknown-allow
+
+//livenas:allow race-guard tolerated only in the benchmark package // want unknown-allow
+var _ = mu
