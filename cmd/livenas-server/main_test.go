@@ -26,7 +26,7 @@ import (
 // the registry's own snapshot and JSONL event endpoints, and pprof.
 func TestDebugListener(t *testing.T) {
 	reg := telemetry.New()
-	reg.Counter("core_frames_decoded").Add(3)
+	reg.Counter("core_patches_received").Add(3)
 	reg.Emit(time.Second, "trainer_state", telemetry.Str("state", "training"))
 
 	addr, err := startDebug("127.0.0.1:0", reg)
@@ -57,8 +57,8 @@ func TestDebugListener(t *testing.T) {
 	if err := json.Unmarshal(vars["livenas"], &snap); err != nil {
 		t.Fatalf("livenas expvar is not a snapshot: %v", err)
 	}
-	if snap.Counters["core_frames_decoded"] != 3 {
-		t.Fatalf("expvar snapshot counters = %v, want core_frames_decoded=3", snap.Counters)
+	if snap.Counters["core_patches_received"] != 3 {
+		t.Fatalf("expvar snapshot counters = %v, want core_patches_received=3", snap.Counters)
 	}
 
 	if err := json.Unmarshal([]byte(get("/debug/telemetry")), &snap); err != nil {

@@ -87,11 +87,9 @@ type Client struct {
 	// Functional-codec probe state (Config.FunctionalCodec).
 	lastLR *frame.Frame
 
-	// Telemetry. reg is retained for scheduler_split events (one per
-	// scheduler update, alongside gradSeries).
-	reg         *telemetry.Registry
-	mPatchesOut *telemetry.Counter
-	mFramesCap  *telemetry.Counter
+	// reg receives scheduler_split events (one per scheduler update,
+	// alongside gradSeries).
+	reg *telemetry.Registry
 }
 
 // NewClient builds the ingest client of one session from cfg, which it
@@ -121,9 +119,6 @@ func NewClient(cfg Config, src *vidgen.Source, now func() time.Duration, send fu
 		patchKbps: cfg.InitPatchKbps,
 		reg:       cfg.Telemetry,
 	}
-	c.ctrl.SetTelemetry(c.reg)
-	c.mPatchesOut = c.reg.Counter("core_patches_sent")
-	c.mFramesCap = c.reg.Counter("core_frames_captured")
 	if cfg.Scheme != SchemeLiveNAS {
 		c.patchKbps = 0
 	}
@@ -169,7 +164,6 @@ func (c *Client) Capture() {
 	now := c.now()
 	raw := c.src.FrameAt(now.Seconds())
 	lr := raw.Downscale(c.scale)
-	c.mFramesCap.Inc()
 
 	targetBits := int(c.videoKbps() * 1000 / c.cfg.FPS)
 	ef := c.enc.Encode(lr, targetBits)
@@ -222,7 +216,6 @@ func (c *Client) pumpPatches(frameID int, raw, lr, recon *frame.Frame, frameQ fl
 		c.patchBudgetBits -= bits
 		c.patchQueue = c.patchQueue[1:]
 		c.send(p)
-		c.mPatchesOut.Inc()
 	}
 }
 

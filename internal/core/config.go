@@ -82,7 +82,7 @@ func (p TrainPolicy) String() string {
 type Config struct {
 	// ChannelKey identifies the stream on a multi-tenant ingest node (the
 	// RTMP stream-key analogue; internal/fleet's registry keys on it).
-	// Empty for standalone sessions. It tags telemetry (session_start,
+	// Empty for standalone sessions. It tags telemetry (train_epoch,
 	// RunSummary) but does not alter session behaviour.
 	ChannelKey string
 
@@ -155,10 +155,10 @@ type Config struct {
 	Device      sr.Device
 
 	// Telemetry receives the run's metrics and event trace (scheduler
-	// splits, trainer transitions, patch admissions, GCC estimates…). When
-	// nil, Run installs a fresh enabled registry; either way Results.
-	// Telemetry exposes it. Supply your own to stream events to a sink
-	// (Registry.SetSink) or to share one registry across runs.
+	// splits, trainer transitions, training epochs, patch admissions,
+	// per-frame inference). When nil, Run installs a fresh registry;
+	// either way Results.Telemetry exposes it. Supply your own to share
+	// one registry across runs or to read it while the session runs.
 	Telemetry *telemetry.Registry
 }
 

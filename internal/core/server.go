@@ -116,18 +116,11 @@ type Server struct {
 	e2eLatencyN     int
 
 	// Telemetry. reg is retained for event emission (trainer_state,
-	// patch_admit, train_epoch); the handles are lock-free counters/gauges
-	// registered once in newServer.
-	reg            *telemetry.Registry
-	mFramesDec     *telemetry.Counter
-	mFramesLost    *telemetry.Counter
-	mPatchesRecv   *telemetry.Counter
-	mPatchesAdmit  *telemetry.Counter
-	mEpochs        *telemetry.Counter
-	mArenaHits     *telemetry.Gauge
-	mArenaMisses   *telemetry.Gauge
-	mTrainGainCur  *telemetry.Gauge
-	mTrainDiffEWMA *telemetry.Gauge
+	// patch_admit, train_epoch); the counters are lock-free handles
+	// registered once in NewServer.
+	reg          *telemetry.Registry
+	mPatchesRecv *telemetry.Counter
+	mEpochs      *telemetry.Counter
 }
 
 // genericModelCache memoises the expensive generic pre-training per
@@ -192,19 +185,13 @@ func pretrainOnSession(model *sr.Model, cfg Config) {
 // NewServer builds the media server of one session from cfg, which it
 // validates (a geometry error is returned, not panicked) and defaults; now
 // is the session clock that stamps its events and times its one-time
-// training window. A server that is built emits the session's
-// session_start event.
+// training window. A server that is built emits the session's first
+// trainer_state event.
 func NewServer(cfg Config, now func() time.Duration) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	cfg.Telemetry.Emit(now(), "session_start",
-		telemetry.Str("channel", cfg.ChannelKey),
-		telemetry.Str("scheme", cfg.Scheme.String()),
-		telemetry.Num("train_gpus", float64(cfg.TrainGPUs)),
-		telemetry.Num("infer_gpus", float64(cfg.InferGPUs)),
-	)
 	scale := cfg.Scale()
 	sv := &Server{
 		now:   now,
@@ -219,15 +206,8 @@ func NewServer(cfg Config, now func() time.Duration) (*Server, error) {
 		state: stateTraining,
 		reg:   cfg.Telemetry,
 	}
-	sv.mFramesDec = sv.reg.Counter("core_frames_decoded")
-	sv.mFramesLost = sv.reg.Counter("core_frames_lost")
 	sv.mPatchesRecv = sv.reg.Counter("core_patches_received")
-	sv.mPatchesAdmit = sv.reg.Counter("core_patches_admitted")
 	sv.mEpochs = sv.reg.Counter("core_train_epochs")
-	sv.mArenaHits = sv.reg.Gauge("nn_arena_hits")
-	sv.mArenaMisses = sv.reg.Gauge("nn_arena_misses")
-	sv.mTrainGainCur = sv.reg.Gauge("core_train_gain_db")
-	sv.mTrainDiffEWMA = sv.reg.Gauge("core_train_diff_ewma_db")
 	sv.initModel = genericModel(scale, cfg.Channels)
 	switch cfg.Scheme {
 	case SchemeWebRTC:
@@ -245,7 +225,6 @@ func NewServer(cfg Config, now func() time.Duration) (*Server, error) {
 		tcfg := cfg.TrainCfg
 		tcfg.GPUs = cfg.TrainGPUs
 		sv.trainer = sr.NewTrainer(sv.model, tcfg, cfg.Seed^0xbeef)
-		sv.trainer.SetTelemetry(sv.reg)
 		sv.prevModel = sv.model.Clone()
 	}
 	if sv.model != nil {
@@ -302,7 +281,6 @@ func (sv *Server) trainingActive() trainerState {
 // is gone, so the server waits for a key frame and asks for one.
 func (sv *Server) onFrameLost() {
 	sv.framesLost++
-	sv.mFramesLost.Inc()
 	sv.needKey = true
 	sv.waitKey = true
 }
@@ -313,7 +291,6 @@ func (sv *Server) onFrameLost() {
 func (sv *Server) Video(ef *codec.EncodedFrame, captureAt time.Duration) {
 	if sv.waitKey && !ef.Key {
 		sv.framesLost++
-		sv.mFramesLost.Inc()
 		sv.needKey = true
 		return
 	}
@@ -327,7 +304,6 @@ func (sv *Server) Video(ef *codec.EncodedFrame, captureAt time.Duration) {
 		return
 	}
 	sv.framesDecoded++
-	sv.mFramesDec.Inc()
 	sv.decoded = append(sv.decoded, decodedFrame{id: ef.Seq, captureAt: captureAt, lr: lr})
 	// Keep ~3 seconds of decoded frames for patch pairing, and at least the
 	// latest one whatever the frame rate.
@@ -378,7 +354,6 @@ func (sv *Server) Patch(frameID, x, y int, data []byte) {
 	lr := best.lr.Crop(x/sv.scale, y/sv.scale, lps, lps)
 	if sv.trainer != nil {
 		sv.trainer.AddSample(lr, hr)
-		sv.mPatchesAdmit.Inc()
 		// The same ground-truth pair doubles as the int8 quality gate's
 		// sampled trickle: every gateSampleEvery-th admitted patch compares
 		// int8 vs f32 PSNR online (sr_quant_psnr_gap) and drives the
@@ -455,12 +430,6 @@ func (sv *Server) Epoch() (fb Feedback, ok bool) {
 			sv.diffEWMA = (1-diffSmooth)*sv.diffEWMA + diffSmooth*(qCur-qPrev)
 		}
 		sv.mEpochs.Inc()
-		sv.mTrainGainCur.Set(qCur)
-		sv.mTrainDiffEWMA.Set(sv.diffEWMA)
-		hits, misses := sv.model.ArenaStats()
-		ph, pm := sv.proc.ArenaStats()
-		sv.mArenaHits.Set(float64(hits + ph))
-		sv.mArenaMisses.Set(float64(misses + pm))
 		sv.reg.Emit(sv.now(), "train_epoch",
 			telemetry.Str("channel", sv.cfg.ChannelKey),
 			telemetry.Num("epoch", float64(sv.epochIdx)),
@@ -469,8 +438,6 @@ func (sv *Server) Epoch() (fb Feedback, ok bool) {
 			telemetry.Num("gain_prev_db", qPrev),
 			telemetry.Num("gain_cur_db", qCur),
 			telemetry.Num("diff_ewma_db", sv.diffEWMA),
-			telemetry.Num("arena_hits", float64(hits+ph)),
-			telemetry.Num("arena_misses", float64(misses+pm)),
 		)
 		if sv.cfg.TrainPolicy == TrainAdaptive || sv.cfg.TrainPolicy == TrainEarlyStop {
 			if len(sv.recentPatch) > 0 && sv.diffEWMA < thresSat {

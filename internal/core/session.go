@@ -71,7 +71,7 @@ type Results struct {
 	reg *telemetry.Registry
 }
 
-// Telemetry returns the run's telemetry registry: every counter, gauge and
+// Telemetry returns the run's telemetry registry: every counter and
 // histogram the session touched plus the retained event trace.
 func (r *Results) Telemetry() *telemetry.Registry { return r.reg }
 
@@ -91,7 +91,7 @@ func (r *Results) TrainerTimeline() []StateChange {
 
 // TelemetrySummary condenses the run into the machine-readable summary the
 // experiment harness writes for CI (scheduler split, trainer duty cycle,
-// inference latency quantiles, plus every counter and gauge).
+// inference latency quantiles, plus every counter).
 func (r *Results) TelemetrySummary() telemetry.RunSummary {
 	s := telemetry.RunSummary{
 		Scheme:           r.Cfg.Scheme.String(),
@@ -117,7 +117,6 @@ func (r *Results) TelemetrySummary() telemetry.RunSummary {
 			s.InferP99MS = h.P99
 		}
 		s.Counters = snap.Counters
-		s.Gauges = snap.Gauges
 	}
 	return s
 }
@@ -170,7 +169,6 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	// reassembly into whole frames and patches, and lost frames.
 	fbc := transport.NewFeedbackCollector(100 * time.Millisecond)
 	reasm := transport.NewReassembler()
-	reasm.SetTelemetry(reg)
 	reasm.OnComplete = func(a transport.Assembled) {
 		// The client's Unit rides on the first fragment.
 		if u := a.Meta.(Unit); u.Patch {
@@ -198,7 +196,6 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		link.Send(netem.Packet{Seq: wireSeq, Size: f.WireSize(), Payload: f})
 		wireSeq++
 	})
-	pacer.SetTelemetry(reg)
 	// The client hands over whole units; the link carries them as
 	// MTU-sized fragments behind the pacer, patches numbered apart.
 	var wireBytes [2]int // by transport.Kind
@@ -247,9 +244,8 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	})
 
 	// The metric loop observes the viewer-facing inference latency into
-	// core_infer_latency_ms; this histogram (not sr_infer_latency_ms, which
-	// only exists when an SR processor does) backs the run summary's p50/p99
-	// so the WebRTC baseline reports latency too.
+	// core_infer_latency_ms, which backs the run summary's p50/p99 for every
+	// scheme, the WebRTC baseline included.
 	hInfer := reg.Histogram("core_infer_latency_ms", telemetry.ExpBuckets(0.25, 1.5, 24))
 	var inferLatSum time.Duration
 	var inferLatN int

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -12,13 +14,17 @@ import (
 	"livenas/internal/vidgen"
 )
 
-// TestTelemetryJSONLEndToEnd drives a full session with a streaming JSONL
-// sink attached and checks the trace contract end to end: every line is a
-// well-formed event with a timestamp and type, the run reaches at least one
-// trainer suspend (so the Algorithm 1 timeline is really in the trace, not
-// just the initial state), and the end-of-run summary validates. The config
-// mirrors the adaptive arm of TestContinuousTrainsMoreThanAdaptive — a
-// low-scene-change category long enough for gain saturation.
+// TestTelemetryJSONLEndToEnd drives a full session, dumps its event trace
+// as JSONL afterwards and checks the trace contract end to end: every line
+// is a well-formed event with a timestamp and type, the run reaches at least
+// one trainer suspend (so the Algorithm 1 timeline is really in the trace,
+// not just the initial state), and the end-of-run summary validates. The
+// config mirrors the adaptive arm of TestContinuousTrainsMoreThanAdaptive —
+// a low-scene-change category long enough for gain saturation.
+//
+// It also pins the schema one LiveNAS session publishes: the exact sets of
+// counter names, histogram names and event types. Each has a reader
+// (DESIGN.md "Telemetry"); a new name needs a reader and an edit here.
 func TestTelemetryJSONLEndToEnd(t *testing.T) {
 	skipLongUnderRace(t)
 	cfg := defaultTestConfig(vidgen.Podcast)
@@ -27,20 +33,19 @@ func TestTelemetryJSONLEndToEnd(t *testing.T) {
 	cfg.Duration = 100 * time.Second
 
 	reg := telemetry.New()
-	var buf bytes.Buffer
-	reg.SetSink(&buf)
 	cfg.Telemetry = reg
 
 	r := Run(cfg)
-	if err := reg.SinkErr(); err != nil {
-		t.Fatalf("sink error: %v", err)
+	var buf bytes.Buffer
+	if err := reg.WriteEvents(&buf); err != nil {
+		t.Fatalf("writing events: %v", err)
 	}
 
 	types := map[string]int{}
 	var suspends, resumes int
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("sink captured no events")
+		t.Fatal("the trace holds no events")
 	}
 	for i, line := range lines {
 		var ev struct {
@@ -69,16 +74,28 @@ func TestTelemetryJSONLEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"trainer_state", "train_epoch", "scheduler_split", "patch_admit", "infer_frame"} {
-		if types[want] == 0 {
-			t.Errorf("trace has no %s events (got %v)", want, types)
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		what string
+		got  []string
+		want []string
+	}{
+		{"counters", sortedKeys(snap.Counters),
+			[]string{"core_patches_received", "core_train_epochs", "infer_deadline_miss", "sr_quant_patches"}},
+		{"histograms", sortedKeys(snap.Histograms),
+			[]string{"core_infer_latency_ms", "sr_quant_psnr_gap"}},
+		{"event types", sortedKeys(types),
+			[]string{"infer_frame", "patch_admit", "scheduler_split", "train_epoch", "trainer_state"}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("session publishes %s %v, want %v", c.what, c.got, c.want)
 		}
 	}
 	if suspends == 0 {
 		t.Fatalf("trace has no trainer suspend event; trainer_state count %d", types["trainer_state"])
 	}
 
-	// The reconstructed timeline must agree with the streamed trace.
+	// The reconstructed timeline must agree with the dumped trace.
 	tl := r.TrainerTimeline()
 	if len(tl) != types["trainer_state"] {
 		t.Fatalf("TrainerTimeline has %d entries, trace has %d trainer_state events", len(tl), types["trainer_state"])
@@ -98,4 +115,13 @@ func TestTelemetryJSONLEndToEnd(t *testing.T) {
 		t.Fatalf("duty cycle %.2f should be < 1 after a suspend", sum.TrainerDutyCycle)
 	}
 	t.Logf("events=%d suspends=%d resumes=%d duty=%.2f", len(lines), suspends, resumes, sum.TrainerDutyCycle)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

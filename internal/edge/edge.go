@@ -25,7 +25,6 @@
 package edge
 
 import (
-	"sync"
 	"time"
 
 	"livenas/internal/sim"
@@ -73,54 +72,17 @@ func (c *WallClock) After(d time.Duration, fn func()) {
 // prefix; handles are registered once here and held (nil-safe, so actors
 // built without a registry pay only nil-receiver no-ops).
 type Telemetry struct {
-	SegsPublished  *telemetry.Counter   // segments cut at the origin (x rungs)
-	SegsSent       *telemetry.Counter   // MsgSegment sends at origin+relays
-	SegsDelivered  *telemetry.Counter   // segments accepted by viewers
-	PlaylistPushes *telemetry.Counter   // playlist fan-out sends
-	HopLatency     *telemetry.Histogram // per-hop segment latency, ms
-	Delivery       *telemetry.Histogram // publish->viewer latency, ms
-	ViewersLive    *telemetry.Gauge     // viewers currently playing
-	ViewersStalled *telemetry.Gauge     // viewers currently stalled
-
-	mu            sync.Mutex // guards the gauge levels below
-	live, stalled int64
+	SegsPublished *telemetry.Counter   // segments cut at the origin (x rungs)
+	SegsDelivered *telemetry.Counter   // segments accepted by viewers
+	Delivery      *telemetry.Histogram // publish->viewer latency, ms
 }
 
 // NewTelemetry registers the edge metric family on reg (nil reg => nil
 // handles, every operation a no-op).
 func NewTelemetry(reg *telemetry.Registry) *Telemetry {
-	t := &Telemetry{
-		SegsPublished:  reg.Counter("edge_segments_published"),
-		SegsSent:       reg.Counter("edge_segments_sent"),
-		SegsDelivered:  reg.Counter("edge_segments_delivered"),
-		PlaylistPushes: reg.Counter("edge_playlist_pushes"),
-		HopLatency:     reg.Histogram("edge_hop_latency_ms", telemetry.ExpBuckets(1, 2, 14)),
-		Delivery:       reg.Histogram("edge_delivery_latency_ms", telemetry.ExpBuckets(1, 2, 14)),
-		ViewersLive:    reg.Gauge("edge_viewers_live"),
-		ViewersStalled: reg.Gauge("edge_viewers_stalled"),
+	return &Telemetry{
+		SegsPublished: reg.Counter("edge_segments_published"),
+		SegsDelivered: reg.Counter("edge_segments_delivered"),
+		Delivery:      reg.Histogram("edge_delivery_latency_ms", telemetry.ExpBuckets(1, 2, 14)),
 	}
-	return t
-}
-
-// viewerLive moves the live-viewer gauge by delta (viewer state machines
-// report transitions, the gauge holds the level).
-func (t *Telemetry) viewerLive(delta int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.live += delta
-	t.ViewersLive.Set(float64(t.live))
-}
-
-// viewerStalled moves the stalled-viewer gauge by delta.
-func (t *Telemetry) viewerStalled(delta int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stalled += delta
-	t.ViewersStalled.Set(float64(t.stalled))
 }

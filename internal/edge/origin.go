@@ -97,7 +97,6 @@ func (n *node) fanOut(subs []transport.Conn, channel string, raw []byte) []trans
 	for _, c := range subs {
 		if c.Send(m) == nil {
 			n.egress += size
-			n.tel.PlaylistPushes.Add(1)
 			live = append(live, c)
 		}
 	}
@@ -119,7 +118,6 @@ func (n *node) subscribe(subs []transport.Conn, c transport.Conn, channel string
 		m := &wire.Message{Type: wire.MsgPlaylist, Channel: channel, Data: raw}
 		if c.Send(m) == nil {
 			n.egress += int64(m.WireSize())
-			n.tel.PlaylistPushes.Add(1)
 		}
 	}
 	return subs
@@ -141,7 +139,6 @@ func (n *node) sendSegment(c transport.Conn, s *Segment) {
 	}
 	if c.Send(m) == nil {
 		n.egress += int64(m.WireSize())
-		n.tel.SegsSent.Add(1)
 	}
 }
 

@@ -99,10 +99,6 @@ func (r *Relay) HandleUpstream(m *wire.Message) {
 		}
 		ch.subs = r.fanOut(ch.subs, m.Channel, ch.raw)
 	case wire.MsgSegment:
-		now := r.clock.Now()
-		if m.SentAtUS > 0 {
-			r.tel.HopLatency.Observe(float64(now.Microseconds()-m.SentAtUS) / 1000)
-		}
 		s := &Segment{
 			Channel: m.Channel, Index: m.FrameID, Rung: m.Rung,
 			Duration: durUS(m.SegDurUS), Data: m.Data, ID: m.SegID,

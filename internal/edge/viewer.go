@@ -170,9 +170,6 @@ func (v *Viewer) Handle(m *wire.Message) {
 				v.tel.Delivery.Observe(float64(lat.Microseconds()) / 1000)
 			}
 		}
-		if m.SentAtUS > 0 {
-			v.tel.HopLatency.Observe(float64(now.Microseconds()-m.SentAtUS) / 1000)
-		}
 		v.tel.SegsDelivered.Add(1)
 		if v.cfg.OnPlay != nil {
 			v.cfg.OnPlay(m.FrameID, m.Rung)
@@ -200,8 +197,6 @@ func (v *Viewer) account(now time.Duration) {
 			v.stats.Stall += elapsed - v.buffer
 			v.buffer = 0
 			v.playing = false
-			v.tel.viewerLive(-1)
-			v.tel.viewerStalled(1)
 		} else {
 			v.buffer -= elapsed
 		}
@@ -220,12 +215,8 @@ func (v *Viewer) startIfReady() {
 	if v.playing || v.buffer < startup || startup == 0 {
 		return
 	}
-	if v.everBegan {
-		v.tel.viewerStalled(-1)
-	}
 	v.playing = true
 	v.everBegan = true
-	v.tel.viewerLive(1)
 }
 
 // maybeRequest issues the next fetch if one is due. Callers hold v.mu.

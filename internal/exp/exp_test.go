@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,10 +26,20 @@ func fastOpts() Options {
 	return o
 }
 
-// testRunner gives swept figures a small concurrent runner, exercising the
-// submit-then-collect path the harness uses in production.
+var (
+	sharedRunnerOnce sync.Once
+	sharedRunner     *sweep.Runner
+)
+
+// testRunner gives swept figures one small concurrent runner for the whole
+// package, exercising the submit-then-wait path the harness uses in
+// production. Sharing it memoises a session that several golden tests
+// submit, so it runs once.
 func testRunner() *sweep.Runner {
-	return sweep.New(context.Background(), sweep.Options{Workers: 2})
+	sharedRunnerOnce.Do(func() {
+		sharedRunner = sweep.New(context.Background(), sweep.Options{Workers: 2})
+	})
+	return sharedRunner
 }
 
 // golden is the behaviour pin for refactors: a rendered table must match

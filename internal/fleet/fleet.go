@@ -97,8 +97,8 @@ type Options struct {
 	// MaxGPUsPerStream caps one stream's allocation (default 4, > which
 	// stitch overhead dominates the paper's intra-frame split).
 	MaxGPUsPerStream int
-	// Telemetry receives fleet-level counters/gauges and per-stream
-	// lifecycle events. Nil installs a fresh registry.
+	// Telemetry receives the rejected-stream count and the backpressure
+	// and reject events. Nil installs a fresh registry.
 	Telemetry *telemetry.Registry
 }
 

@@ -31,10 +31,7 @@ type Manager struct {
 	queue      []*Session // FIFO backpressure queue (PolicyQueue)
 	departures []*Session // pending departures sorted by (DepartAt, Key)
 
-	// Fleet-level instruments (prefix "fleet_").
-	cAdmitted, cDegraded, cRejected, cQueued *telemetry.Counter
-	gInUse, gQueueDepth, gActive             *telemetry.Gauge
-	hAdmitMS                                 *telemetry.Histogram
+	cRejected *telemetry.Counter // fleet_streams_rejected
 }
 
 // NewManager returns a manager for a node with o.GPUs devices.
@@ -46,15 +43,7 @@ func NewManager(o Options) *Manager {
 		reg:      o.Telemetry,
 		sessions: map[string]*Session{},
 	}
-	m.cAdmitted = m.reg.Counter("fleet_streams_admitted")
-	m.cDegraded = m.reg.Counter("fleet_streams_degraded")
 	m.cRejected = m.reg.Counter("fleet_streams_rejected")
-	m.cQueued = m.reg.Counter("fleet_streams_queued")
-	m.gInUse = m.reg.Gauge("fleet_gpu_in_use")
-	m.gQueueDepth = m.reg.Gauge("fleet_queue_depth")
-	m.gActive = m.reg.Gauge("fleet_active_streams")
-	m.reg.Gauge("fleet_gpu_total").Set(float64(o.GPUs))
-	m.hAdmitMS = m.reg.Histogram("fleet_admit_latency_ms", telemetry.ExpBuckets(1, 2, 20))
 	return m
 }
 
@@ -133,15 +122,9 @@ func (m *Manager) Register(spec StreamSpec) (*Session, error) {
 		s.Cfg.Scheme = core.SchemeWebRTC
 		s.Cfg.TrainGPUs, s.Cfg.InferGPUs = 1, 1 // cost-model floor; holds no pool slot
 		m.scheduleDeparture(s)
-		m.cDegraded.Inc()
-		m.hAdmitMS.Observe(0)
-		m.reg.Emit(m.now, "fleet_degrade", telemetry.Str("key", s.Key))
-		m.setGauges()
 	default: // PolicyQueue
 		s.State = StateQueued
 		m.queue = append(m.queue, s)
-		m.cQueued.Inc()
-		m.setGauges()
 	}
 	return s, nil
 }
@@ -159,14 +142,6 @@ func (m *Manager) admit(s *Session) {
 	s.DepartAt = m.now + s.Cfg.Duration
 	s.Cfg.TrainGPUs, s.Cfg.InferGPUs = n, n
 	m.scheduleDeparture(s)
-	m.cAdmitted.Inc()
-	m.hAdmitMS.Observe(float64(s.AdmitLatency()) / float64(time.Millisecond))
-	m.reg.Emit(m.now, "fleet_admit",
-		telemetry.Str("key", s.Key),
-		telemetry.Num("gpus", float64(n)),
-		telemetry.Num("wait_ms", float64(s.AdmitLatency())/float64(time.Millisecond)),
-		telemetry.Num("weight", s.Weight))
-	m.setGauges()
 }
 
 // grant sizes the arriving stream's allocation: its D'Hondt share of the
@@ -234,7 +209,6 @@ func (m *Manager) Teardown(key string) error {
 		}
 		s.State = StateTorndown
 		s.DepartAt = m.now
-		m.setGauges()
 		return nil
 	case StateRegistered, StateIngesting:
 		// Live (or registered mid-admission): handled below.
@@ -259,10 +233,6 @@ func (m *Manager) teardown(s *Session) {
 	if s.State == StateIngesting {
 		s.State = StateTorndown
 	}
-	m.reg.Emit(m.now, "fleet_teardown",
-		telemetry.Str("key", s.Key),
-		telemetry.Num("gpus", float64(s.GPUs)))
-	m.setGauges()
 	for len(m.queue) > 0 && m.pool.Free() > 0 {
 		next := m.queue[0]
 		m.queue = m.queue[1:]
@@ -277,7 +247,6 @@ func (m *Manager) Finish() {
 	for len(m.departures) > 0 {
 		m.AdvanceTo(m.departures[0].DepartAt)
 	}
-	m.setGauges()
 }
 
 // scheduleDeparture inserts s into the pending-departure list keeping it
@@ -293,16 +262,4 @@ func (m *Manager) scheduleDeparture(s *Session) {
 	m.departures = append(m.departures, nil)
 	copy(m.departures[i+1:], m.departures[i:])
 	m.departures[i] = s
-}
-
-func (m *Manager) setGauges() {
-	m.gInUse.Set(float64(m.pool.InUse()))
-	m.gQueueDepth.Set(float64(len(m.queue)))
-	active := 0
-	for _, s := range m.order {
-		if s.State == StateIngesting {
-			active++
-		}
-	}
-	m.gActive.Set(float64(active))
 }

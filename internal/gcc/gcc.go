@@ -12,8 +12,6 @@ package gcc
 import (
 	"sort"
 	"time"
-
-	"livenas/internal/telemetry"
 )
 
 // Ack reports one delivered packet back to the sender.
@@ -104,14 +102,6 @@ type Controller struct {
 	// it inflates when benign periodic spikes (key-frame bursts) keep
 	// brushing it and relaxes back toward the configured floor.
 	threshold float64
-
-	// Telemetry handles (nil until SetTelemetry; nil-safe). reg is retained
-	// for gcc_estimate events emitted on state transitions.
-	reg       *telemetry.Registry
-	mTarget   *telemetry.Gauge
-	mOveruse  *telemetry.Counter
-	mLossBack *telemetry.Counter
-	mReports  *telemetry.Counter
 }
 
 // New creates a controller.
@@ -176,20 +166,6 @@ func (c *Controller) observeDelays(acks []Ack) float64 {
 	return c.smoothedSlope
 }
 
-// SetTelemetry registers the controller's metrics on reg: the live target
-// estimate (gcc_target_kbps), feedback reports processed (gcc_reports),
-// delay-overuse back-offs (gcc_overuse_backoffs) and loss back-offs
-// (gcc_loss_backoffs). OnFeedback additionally emits a gcc_estimate event
-// whenever the delay state machine changes state, timestamped with the
-// caller-supplied feedback time.
-func (c *Controller) SetTelemetry(reg *telemetry.Registry) {
-	c.reg = reg
-	c.mTarget = reg.Gauge("gcc_target_kbps")
-	c.mReports = reg.Counter("gcc_reports")
-	c.mOveruse = reg.Counter("gcc_overuse_backoffs")
-	c.mLossBack = reg.Counter("gcc_loss_backoffs")
-}
-
 // TargetKbps returns the current send-rate target in kbps.
 func (c *Controller) TargetKbps() float64 { return c.rate }
 
@@ -200,8 +176,6 @@ func (c *Controller) State() State { return c.state }
 // previous report and the count of packets deemed lost in the interval.
 func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 	defer func() { c.lastFeedback = now }()
-	prevState := c.state
-	c.mReports.Inc()
 
 	// ---- Measured receive rate over the feedback interval. ----
 	var bytes int
@@ -257,7 +231,6 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 		c.rate *= 1 - 0.5*lossRate
 		c.state = StateDecrease
 		c.lastDecrease = now
-		c.mLossBack.Inc()
 	case overuse:
 		// Queues are building: drop below the (smoothed) delivery rate,
 		// but never cut more than half in one event.
@@ -272,7 +245,6 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 		c.state = StateDecrease
 		c.lastDecrease = now
 		c.smoothedSlope = 0 // restart trend detection after backing off
-		c.mOveruse.Inc()
 	case underuse:
 		// Queues are draining: hold and let them empty.
 		c.state = StateHold
@@ -299,17 +271,6 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 	}
 	if c.rate > c.cfg.MaxKbps {
 		c.rate = c.cfg.MaxKbps
-	}
-
-	c.mTarget.Set(c.rate)
-	if c.reg != nil && c.state != prevState {
-		c.reg.Emit(now, "gcc_estimate",
-			telemetry.Str("state", c.state.String()),
-			telemetry.Num("target_kbps", c.rate),
-			telemetry.Num("measured_kbps", c.avgMeasured),
-			telemetry.Num("slope_ms_per_s", slope),
-			telemetry.Num("loss_rate", lossRate),
-		)
 	}
 }
 

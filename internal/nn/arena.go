@@ -35,9 +35,8 @@ type Arena struct {
 
 	// hits/misses account free-list reuse vs fresh allocation across Get and
 	// GetBuf. Plain atomics rather than telemetry handles: the arena sits on
-	// the innermost hot path and must not depend on anything; internal/core
-	// bridges these totals into the run's telemetry registry (ArenaStats →
-	// nn_arena_* gauges and the train_epoch event).
+	// the innermost hot path and must not depend on anything. sr's
+	// ArenaStats reads them.
 	hits   atomic.Int64
 	misses atomic.Int64
 }

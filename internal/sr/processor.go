@@ -56,9 +56,6 @@ type Processor struct {
 	anytime time.Duration
 
 	// Telemetry handles (nil until SetTelemetry; nil-safe).
-	mFrames       *telemetry.Counter
-	mSyncs        *telemetry.Counter
-	mLatMS        *telemetry.Histogram
 	mQuantPatches *telemetry.Counter
 	mQuantGap     *telemetry.Histogram
 	mDeadlineMiss *telemetry.Counter
@@ -90,21 +87,17 @@ func NewProcessor(model *Model, gpus int, dev Device) *Processor {
 // GPUs reports the number of inference devices.
 func (p *Processor) GPUs() int { return p.gpus }
 
-// SetTelemetry registers the processor's metrics on reg: per-frame
-// device-model inference latency (sr_infer_latency_ms), frames processed
-// (sr_infer_frames), weight syncs (sr_infer_syncs), int8-enhanced units
-// (sr_quant_patches: cells in anytime mode, frames otherwise), the online
-// int8-vs-f32 PSNR gap (sr_quant_psnr_gap, dB) and frames whose anytime
-// budget could not be met even by full degradation (infer_deadline_miss).
+// SetTelemetry registers the processor's metrics on reg: int8-enhanced
+// units (sr_quant_patches: cells in anytime mode, frames otherwise), the
+// online int8-vs-f32 PSNR gap (sr_quant_psnr_gap, dB) and frames whose
+// anytime budget could not be met even by full degradation
+// (infer_deadline_miss).
 // Handles are held, so the per-frame cost is lock-free atomics only. The
 // handle installation itself takes p.mu: a processor may already be serving
 // frames when telemetry is attached.
 func (p *Processor) SetTelemetry(reg *telemetry.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.mFrames = reg.Counter("sr_infer_frames")
-	p.mSyncs = reg.Counter("sr_infer_syncs")
-	p.mLatMS = reg.Histogram("sr_infer_latency_ms", telemetry.ExpBuckets(0.25, 1.5, 24))
 	p.mQuantPatches = reg.Counter("sr_quant_patches")
 	p.mQuantGap = reg.Histogram("sr_quant_psnr_gap", telemetry.ExpBuckets(0.01, 1.7, 20))
 	p.mDeadlineMiss = reg.Counter("infer_deadline_miss")
@@ -142,7 +135,6 @@ func (p *Processor) Sync(model *Model) {
 		p.quant = NewQuantModel(model)
 		p.needCalib = false // trainer statistics flow in through Sync
 	}
-	p.mSyncs.Inc()
 }
 
 // EnableQuant switches the processor onto the int8-quantized inference path
@@ -236,14 +228,10 @@ func (p *Processor) Process(lr *frame.Frame) (*frame.Frame, time.Duration) {
 	s := p.scale
 	if p.quant != nil && p.quantOn {
 		lat := p.dev.InferenceTimeQuant(lr.W, lr.H, s, p.gpus)
-		p.mFrames.Inc()
 		p.mQuantPatches.Inc()
-		p.mLatMS.Observe(float64(lat) / float64(time.Millisecond))
 		return p.quant.SuperResolve(lr), lat
 	}
 	lat := p.dev.InferenceTime(lr.W, lr.H, s, p.gpus)
-	p.mFrames.Inc()
-	p.mLatMS.Observe(float64(lat) / float64(time.Millisecond))
 	if p.gpus == 1 || lr.H < p.gpus*haloLR*3 {
 		return p.models[0].SuperResolve(lr), lat
 	}
@@ -396,9 +384,7 @@ func (p *Processor) processAnytime(lr *frame.Frame) (*frame.Frame, time.Duration
 	wg.Wait()
 
 	lat := time.Duration(base + max(total, 0)/float64(p.gpus))
-	p.mFrames.Inc()
 	p.mQuantPatches.Add(nInt8)
-	p.mLatMS.Observe(float64(lat) / float64(time.Millisecond))
 	return up, lat
 }
 

@@ -2,7 +2,6 @@ package sr
 
 import (
 	"bytes"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -224,20 +223,11 @@ func TestConcurrentSnapshotWhileTraining(t *testing.T) {
 
 	const iters = 20
 	var wg sync.WaitGroup
-	wg.Add(4)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			trainer.Epoch()
-		}
-	}()
-	go func() { // step-consistent snapshots via Save's read lock
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if err := model.Save(io.Discard); err != nil {
-				t.Errorf("Save: %v", err)
-				return
-			}
 		}
 	}()
 	go func() { // external replica pulls, as a persistent-model store would

@@ -5,7 +5,6 @@ import (
 
 	"livenas/internal/frame"
 	"livenas/internal/nn"
-	"livenas/internal/telemetry"
 )
 
 // TrainConfig controls online training. Defaults follow the paper's settings
@@ -93,12 +92,6 @@ type Trainer struct {
 	rng   *rand.Rand
 
 	replicas []*Model // data-parallel training replicas (cfg.GPUs > 1)
-
-	// Telemetry handles (nil until SetTelemetry; nil-safe).
-	mEpochs  *telemetry.Counter
-	mSteps   *telemetry.Counter
-	mSamples *telemetry.Counter
-	mLoss    *telemetry.Gauge
 }
 
 // NewTrainer creates a trainer that updates model in place.
@@ -119,18 +112,6 @@ func NewTrainer(model *Model, cfg TrainConfig, seed int64) *Trainer {
 // Config returns the effective training configuration.
 func (t *Trainer) Config() TrainConfig { return t.cfg }
 
-// SetTelemetry registers the trainer's metrics on reg: epochs and optimiser
-// steps run (sr_train_epochs, sr_train_steps), samples admitted to the
-// training set (sr_train_samples_added), and the latest epoch's mean
-// minibatch loss (sr_train_loss). Handles are held; the per-step cost is
-// lock-free atomics only.
-func (t *Trainer) SetTelemetry(reg *telemetry.Registry) {
-	t.mEpochs = reg.Counter("sr_train_epochs")
-	t.mSteps = reg.Counter("sr_train_steps")
-	t.mSamples = reg.Counter("sr_train_samples_added")
-	t.mLoss = reg.Gauge("sr_train_loss")
-}
-
 // SampleCount reports the current training-set size.
 func (t *Trainer) SampleCount() int { return len(t.data) }
 
@@ -148,7 +129,6 @@ func (t *Trainer) AddSample(lr, hr *frame.Frame) {
 	}
 	t.data = append(t.data, Sample{LR: ToTensor(lr), Res: res, Seq: t.seq})
 	t.seq++
-	t.mSamples.Inc()
 	if len(t.data) > t.cfg.MaxSamples {
 		t.data = t.data[len(t.data)-t.cfg.MaxSamples:]
 	}
@@ -186,15 +166,11 @@ func (t *Trainer) Epoch() float64 {
 	for it := 0; it < t.cfg.ItersPerEpoch; it++ {
 		lossSum += t.step()
 	}
-	mean := lossSum / float64(t.cfg.ItersPerEpoch)
-	t.mEpochs.Inc()
-	t.mLoss.Set(mean)
-	return mean
+	return lossSum / float64(t.cfg.ItersPerEpoch)
 }
 
 // step runs one minibatch update and returns its mean loss.
 func (t *Trainer) step() float64 {
-	t.mSteps.Inc()
 	models := append([]*Model{t.Model}, t.replicas...)
 	g := len(models)
 	perShard := (t.cfg.Batch + g - 1) / g

@@ -45,10 +45,6 @@ type Options struct {
 	// Cache, when non-nil, persists session results keyed by canonical
 	// config hash, so a re-run skips already-computed sessions.
 	Cache *Cache
-	// Telemetry receives the sweep's own metrics (sessions started /
-	// finished / cached / failed, worker occupancy) and per-session events.
-	// Nil installs a fresh registry; Stats works either way.
-	Telemetry *telemetry.Registry
 }
 
 // Runner executes ingest sessions across a bounded worker set. Create with
@@ -67,7 +63,6 @@ type Runner struct {
 	order    []*Handle          // submission order, duplicates included
 
 	startedAt time.Time
-	busy      atomic.Int64
 	submitted atomic.Int64
 	started   atomic.Int64
 	finished  atomic.Int64
@@ -75,12 +70,7 @@ type Runner struct {
 	failed    atomic.Int64
 	simGPU    atomic.Int64 // cumulative Results.GPUTrainBusy, ns
 
-	reg       *telemetry.Registry
-	mStarted  *telemetry.Counter
-	mFinished *telemetry.Counter
-	mCached   *telemetry.Counter
-	mFailed   *telemetry.Counter
-	gBusy     *telemetry.Gauge
+	reg *telemetry.Registry
 }
 
 // Handle is one submitted session. Wait blocks until the session has run
@@ -119,26 +109,15 @@ func New(ctx context.Context, o Options) *Runner {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	reg := o.Telemetry
-	if reg == nil {
-		reg = telemetry.New()
-	}
-	r := &Runner{
+	return &Runner{
 		ctx:       ctx,
 		workers:   w,
 		cache:     o.Cache,
 		sem:       make(chan struct{}, w),
 		inflight:  map[string]*Handle{},
 		startedAt: time.Now(), //livenas:allow determinism-taint sweep telemetry measures real wall time; it never feeds session Results
-		reg:       reg,
-		mStarted:  reg.Counter("sweep_sessions_started"),
-		mFinished: reg.Counter("sweep_sessions_finished"),
-		mCached:   reg.Counter("sweep_sessions_cached"),
-		mFailed:   reg.Counter("sweep_sessions_failed"),
-		gBusy:     reg.Gauge("sweep_workers_busy"),
+		reg:       telemetry.New(),
 	}
-	reg.Gauge("sweep_workers").Set(float64(w))
-	return r
 }
 
 // Workers reports the concurrency bound the runner was created with.
@@ -177,7 +156,6 @@ func (r *Runner) Go(cfg core.Config) *Handle {
 	}
 
 	r.started.Add(1)
-	r.mStarted.Inc()
 	r.wg.Add(1)
 	// Joined by Collect via r.wg; completion is also signalled per-handle
 	// through h.done for Handle.Wait.
@@ -189,14 +167,9 @@ func (r *Runner) Go(cfg core.Config) *Handle {
 		case <-r.ctx.Done():
 			h.err = r.ctx.Err()
 			r.failed.Add(1)
-			r.mFailed.Inc()
 			return
 		}
-		r.gBusy.Set(float64(r.busy.Add(1)))
-		defer func() {
-			r.gBusy.Set(float64(r.busy.Add(-1)))
-			<-r.sem
-		}()
+		defer func() { <-r.sem }()
 		r.runSession(h, cfg)
 	}()
 	return h
@@ -226,14 +199,12 @@ func (r *Runner) runSession(h *Handle, cfg core.Config) {
 	if res, ok := r.cache.Get(h.key); ok {
 		h.res, h.cached = res, true
 		r.cached.Add(1)
-		r.mCached.Inc()
 		r.finishSession(h, t0)
 		return
 	}
 	h.res, h.err = core.RunContext(r.ctx, cfg)
 	if h.err != nil {
 		r.failed.Add(1)
-		r.mFailed.Inc()
 		return
 	}
 	if err := r.cache.Put(h.key, h.res); err != nil {
@@ -249,7 +220,6 @@ func (r *Runner) runSession(h *Handle, cfg core.Config) {
 //livenas:allow determinism-taint emits wall-clock sweep telemetry (wall_ms, uptime); session Results are untouched
 func (r *Runner) finishSession(h *Handle, t0 time.Time) {
 	r.finished.Add(1)
-	r.mFinished.Inc()
 	r.simGPU.Add(int64(h.res.GPUTrainBusy))
 	r.reg.Emit(time.Since(r.startedAt), "sweep_session",
 		telemetry.Str("key", h.key[:12]),

@@ -11,8 +11,8 @@ import (
 // emits (cmd/livenas-bench -summary, scripts/ci.sh nightly artifact). It carries
 // the three control-loop outcomes the paper's evaluation keys on — the
 // scheduler's bandwidth split, the content-adaptive trainer's duty cycle,
-// and the inference-latency distribution — plus the raw counter/gauge state
-// for ad-hoc comparison. EXPERIMENTS.md requires comparable runs to cite
+// and the inference-latency distribution — plus the raw counter state for
+// ad-hoc comparison. EXPERIMENTS.md requires comparable runs to cite
 // this summary.
 type RunSummary struct {
 	Scheme    string  `json:"scheme"`
@@ -38,8 +38,7 @@ type RunSummary struct {
 	InferP50MS  float64 `json:"infer_p50_ms"`
 	InferP99MS  float64 `json:"infer_p99_ms"`
 
-	Counters map[string]int64   `json:"counters"`
-	Gauges   map[string]float64 `json:"gauges"`
+	Counters map[string]int64 `json:"counters"`
 }
 
 // WriteJSON writes the summary as indented JSON (deterministic: map keys

@@ -1,5 +1,5 @@
 // Package telemetry is the runtime accounting substrate for LiveNAS's
-// control loops: a stdlib-only, race-safe registry of counters, gauges and
+// control loops: a stdlib-only, race-safe registry of counters and
 // fixed-bucket histograms, plus a structured JSONL event trace (trace.go)
 // and an end-of-run summary digest (summary.go).
 //
@@ -7,22 +7,24 @@
 // bandwidth split (§5.1) and the server's content-adaptive trainer
 // (Algorithm 1) — and this package is how the repo records what those loops
 // actually did in a run, machine-readably, so experiments can be compared
-// and CI can gate on them.
+// and CI can gate on them. Every registered name and event type has a
+// reader: a test, a summary field or a benchmark metric (DESIGN.md
+// "Telemetry" lists them).
 //
-// Overhead contract (pinned by telemetry_test.go):
+// Overhead contract (pinned by telemetry_test.go): nil registry, nil handle.
 //
-//   - Instrumentation is compiled in, never behind build tags. A *disabled*
-//     registry costs one atomic load per counter/gauge/histogram operation
-//     and per emitted event, with zero allocations.
-//   - Enabled Counter.Add / Gauge.Set / Histogram.Observe are lock-free
-//     atomics with zero allocations, safe for the nn/sr hot paths.
+//   - Instrumentation is compiled in, never behind build tags, and there is
+//     no master switch. A nil *Registry records nothing: its handle
+//     constructors return nil handles, and every operation on a nil handle
+//     or a nil registry is a no-op with zero allocations.
+//   - Counter.Add and Histogram.Observe are lock-free atomics with zero
+//     allocations, safe for the nn/sr hot paths.
 //   - Everything else — handle registration, Emit, Snapshot — takes locks
 //     and may allocate, and therefore must stay out of hot loops.
 //
 // Ownership rules: the component that owns a subsystem registers that
-// subsystem's metrics (prefix "core_", "sr_", "gcc_", "transport_", "nn_")
-// once at construction and holds the returned handles; handles are nil-safe
-// so uninstrumented construction paths need no conditionals.
+// subsystem's metrics (prefix "core_", "sr_", "edge_", "fleet_", "sweep_")
+// once at construction and holds the returned handles.
 package telemetry
 
 import (
@@ -40,20 +42,14 @@ import (
 // use. A nil *Registry is a valid "no telemetry" sink: handle constructors
 // return nil handles and every operation no-ops.
 type Registry struct {
-	enabled atomic.Bool
-
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
 	// Event trace state (trace.go).
 	evMu    sync.Mutex
 	events  []Event
 	evCap   int
-	sink    io.Writer
-	sinkErr error
-	scratch []byte
 	dropped atomic.Int64
 }
 
@@ -63,49 +59,31 @@ type Registry struct {
 // reconstructed timelines).
 const DefaultEventCap = 32768
 
-// New returns an enabled registry.
+// New returns an empty registry.
 func New() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		evCap:    DefaultEventCap,
 	}
-	r.enabled.Store(true)
-	return r
 }
 
 // GobEncode implements gob.GobEncoder. A Registry is live runtime state —
-// atomics, locks, an event ring, possibly a streaming sink — not a value,
-// so persisted copies deliberately carry no metrics: encoding emits
-// nothing. The hook exists so values holding a registry pointer (core.
+// atomics, locks, an event log — not a value, so persisted copies
+// deliberately carry no metrics: encoding emits nothing. The hook exists so values holding a registry pointer (core.
 // Config, core.Results) stay gob-encodable, which the sweep engine relies
 // on for config hashing and the on-disk session-result cache.
 func (r *Registry) GobEncode() ([]byte, error) { return nil, nil }
 
-// GobDecode restores a decoded registry as a fresh enabled one (the state a
+// GobDecode restores a decoded registry as a fresh one (the state a
 // registry field would have been given at run time); any recorded metrics
 // were dropped at encode time by design.
 func (r *Registry) GobDecode([]byte) error {
 	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
 	r.hists = map[string]*Histogram{}
 	r.evCap = DefaultEventCap
-	r.enabled.Store(true)
 	return nil
 }
-
-// SetEnabled flips the registry's master switch. Disabled handles cost one
-// atomic load per operation and record nothing.
-func (r *Registry) SetEnabled(on bool) {
-	if r == nil {
-		return
-	}
-	r.enabled.Store(on)
-}
-
-// Enabled reports whether the registry is recording.
-func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // Counter returns the named counter, creating it on first use. Returns nil
 // on a nil registry. Registration locks; do not call inside hot loops —
@@ -118,25 +96,10 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{on: &r.enabled}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{on: &r.enabled}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it on first
@@ -157,7 +120,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 			}
 		}
 		h = &Histogram{
-			on:     &r.enabled,
 			bounds: append([]float64(nil), bounds...),
 			counts: make([]atomic.Int64, len(bounds)+1),
 		}
@@ -168,14 +130,11 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // Counter is a monotonically increasing atomic counter. All methods are
 // nil-safe.
-type Counter struct {
-	v  atomic.Int64
-	on *atomic.Bool
-}
+type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
-	if c == nil || !c.on.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
@@ -192,33 +151,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomically set float64 level. All methods are nil-safe.
-type Gauge struct {
-	bits atomic.Uint64
-	on   *atomic.Bool
-}
-
-// Set records the gauge's current level.
-func (g *Gauge) Set(v float64) {
-	if g == nil || !g.on.Load() {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the most recently set level.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket histogram with lock-free observation. Bucket
 // i counts observations v with bounds[i-1] < v <= bounds[i]; the final
 // bucket is the overflow above the last bound. All methods are nil-safe.
 type Histogram struct {
-	on     *atomic.Bool
 	bounds []float64
 	counts []atomic.Int64
 	n      atomic.Int64
@@ -227,7 +163,7 @@ type Histogram struct {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.on.Load() {
+	if h == nil {
 		return
 	}
 	// bounds and counts are assigned once under Registry.mu before the
@@ -332,18 +268,6 @@ func ExpBuckets(min, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n ascending bounds min, min+step, ...
-func LinearBuckets(min, step float64, n int) []float64 {
-	if n <= 0 || step <= 0 {
-		panic("telemetry: LinearBuckets requires n > 0, step > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = min + float64(i)*step
-	}
-	return out
-}
-
 // BucketCount is one histogram bucket in a snapshot: the count of
 // observations at or below the upper bound LE (math.Inf(1) for overflow).
 type BucketCount struct {
@@ -375,7 +299,6 @@ type HistogramSnapshot struct {
 // JSON bytes.
 type Snapshot struct {
 	Counters      map[string]int64             `json:"counters"`
-	Gauges        map[string]float64           `json:"gauges"`
 	Histograms    map[string]HistogramSnapshot `json:"histograms"`
 	Events        int                          `json:"events"`
 	EventsDropped int64                        `json:"events_dropped"`
@@ -386,7 +309,6 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
 	if r == nil {
@@ -403,9 +325,6 @@ func (r *Registry) snapshotMetrics(s *Snapshot) {
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		hs := HistogramSnapshot{

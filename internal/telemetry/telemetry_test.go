@@ -21,40 +21,14 @@ func TestCounterSemantics(t *testing.T) {
 	if again := r.Counter("x"); again != c {
 		t.Fatal("re-registering a counter must return the same handle")
 	}
-	r.SetEnabled(false)
-	c.Inc()
-	if got := c.Value(); got != 5 {
-		t.Fatalf("disabled counter moved to %d", got)
-	}
-	r.SetEnabled(true)
-	c.Inc()
-	if got := c.Value(); got != 6 {
-		t.Fatalf("re-enabled counter = %d, want 6", got)
-	}
-}
-
-func TestGaugeSemantics(t *testing.T) {
-	r := New()
-	g := r.Gauge("kbps")
-	g.Set(812.5)
-	if got := g.Value(); got != 812.5 {
-		t.Fatalf("gauge = %v, want 812.5", got)
-	}
-	r.SetEnabled(false)
-	g.Set(1)
-	if got := g.Value(); got != 812.5 {
-		t.Fatalf("disabled gauge moved to %v", got)
-	}
 }
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	r.SetEnabled(true)
 	r.Counter("a").Inc()
-	r.Gauge("b").Set(1)
 	r.Histogram("c", []float64{1}).Observe(1)
 	r.Emit(0, "ev", Num("k", 1))
-	if r.Enabled() || r.Counter("a").Value() != 0 || len(r.Events()) != 0 {
+	if r.Counter("a").Value() != 0 || r.Histogram("c", nil).Count() != 0 || len(r.Events()) != 0 {
 		t.Fatal("nil registry must be a no-op sink")
 	}
 	var buf bytes.Buffer
@@ -103,10 +77,6 @@ func TestBucketHelpers(t *testing.T) {
 	if want := []float64{1, 2, 4, 8}; !equalF(exp, want) {
 		t.Fatalf("ExpBuckets = %v, want %v", exp, want)
 	}
-	lin := LinearBuckets(0, 5, 3)
-	if want := []float64{0, 5, 10}; !equalF(lin, want) {
-		t.Fatalf("LinearBuckets = %v, want %v", lin, want)
-	}
 }
 
 func equalF(a, b []float64) bool {
@@ -126,7 +96,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 		r := New()
 		r.Counter("frames").Add(42)
 		r.Counter("losses").Add(3)
-		r.Gauge("kbps").Set(812.5)
 		h := r.Histogram("lat_ms", []float64{1, 10, 100})
 		h.Observe(0.5)
 		h.Observe(50)
@@ -156,8 +125,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 func TestEventTraceJSONL(t *testing.T) {
 	r := New()
-	var sink bytes.Buffer
-	r.SetSink(&sink)
 	r.Emit(5*time.Second, "trainer_state", Str("state", "suspended"), Num("gain_cur", 0.41))
 	r.Emit(6*time.Second, "scheduler_split", Num("patch_kbps", 20), Num("video_kbps", 140))
 
@@ -175,9 +142,6 @@ func TestEventTraceJSONL(t *testing.T) {
 	var dump bytes.Buffer
 	if err := r.WriteEvents(&dump); err != nil {
 		t.Fatal(err)
-	}
-	if dump.String() != sink.String() {
-		t.Fatalf("streamed and dumped JSONL differ:\n%q\nvs\n%q", sink.String(), dump.String())
 	}
 	lines := strings.Split(strings.TrimSuffix(dump.String(), "\n"), "\n")
 	if len(lines) != 2 {
@@ -213,42 +177,29 @@ func TestEventCapDropsNew(t *testing.T) {
 	}
 }
 
-// TestOverheadContract pins the package's cost promises: disabled
-// operations and enabled counter/gauge/histogram operations never allocate.
+// TestOverheadContract pins the package's cost promises: counter and
+// histogram operations never allocate, and neither does anything done
+// through a nil registry or a nil handle.
 func TestOverheadContract(t *testing.T) {
 	r := New()
 	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h", ExpBuckets(1, 2, 16))
-
-	r.SetEnabled(false)
-	if n := testing.AllocsPerRun(200, func() {
-		c.Inc()
-		g.Set(1)
-		h.Observe(3)
-		r.Emit(time.Second, "ev", Num("a", 1), Str("b", "x"))
-	}); n != 0 {
-		t.Fatalf("disabled path allocates %.1f/op, want 0", n)
-	}
-
-	r.SetEnabled(true)
 	if n := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(2.5)
 		h.Observe(7)
 	}); n != 0 {
-		t.Fatalf("enabled counter/gauge/histogram path allocates %.1f/op, want 0", n)
+		t.Fatalf("counter/histogram path allocates %.1f/op, want 0", n)
 	}
 
-	// Nil handles (uninstrumented components) must also be free.
-	var nc *Counter
-	var ng *Gauge
-	var nh *Histogram
+	// A nil registry and the nil handles it hands out must also be free.
+	var nr *Registry
+	nc := nr.Counter("c")
+	nh := nr.Histogram("h", ExpBuckets(1, 2, 16))
 	if n := testing.AllocsPerRun(200, func() {
 		nc.Inc()
-		ng.Set(1)
 		nh.Observe(1)
+		nr.Emit(time.Second, "ev", Num("a", 1), Str("b", "x"))
 	}); n != 0 {
 		t.Fatalf("nil-handle path allocates %.1f/op, want 0", n)
 	}
@@ -260,8 +211,7 @@ func TestSummaryValidateAndRoundTrip(t *testing.T) {
 		AvgTargetKbps: 800, AvgVideoKbps: 700, AvgPatchKbps: 100, PatchShare: 0.125,
 		TrainerDutyCycle: 0.4, TrainerTransitions: 3,
 		InferFrames: 600, InferP50MS: 8.5, InferP99MS: 14.0,
-		Counters: map[string]int64{"core_frames_decoded": 600},
-		Gauges:   map[string]float64{"gcc_target_kbps": 812},
+		Counters: map[string]int64{"core_train_epochs": 12},
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("valid summary rejected: %v", err)
@@ -278,7 +228,7 @@ func TestSummaryValidateAndRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.InferP99MS != s.InferP99MS || got.Counters["core_frames_decoded"] != 600 {
+	if got.InferP99MS != s.InferP99MS || got.Counters["core_train_epochs"] != 12 {
 		t.Fatalf("round trip mangled summary: %+v", got)
 	}
 

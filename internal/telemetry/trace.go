@@ -21,14 +21,16 @@ import (
 //	{"t_ms":5000.000,"type":"trainer_state","gain_cur":0.41,"state":"suspended"}
 //
 // Event types emitted by the instrumented subsystems (DESIGN.md
-// "Telemetry" documents the full schema):
+// "Telemetry" names each one's reader):
 //
-//	trainer_state    core: Algorithm 1 ON/OFF transition
-//	train_epoch      core: one online-training epoch's gain/loss accounting
-//	scheduler_split  core: one §5.1 bandwidth-split decision
-//	patch_admit      core: a received patch admitted as a training sample
-//	gcc_estimate     gcc: a bandwidth-estimate change with controller state
-//	infer_frame      sr: one super-resolved output frame's model latency
+//	trainer_state       core: Algorithm 1 ON/OFF transition
+//	train_epoch         core: one online-training epoch's gain/loss accounting
+//	scheduler_split     core: one §5.1 bandwidth-split decision
+//	patch_admit         core: a received patch admitted as a training sample
+//	infer_frame         core: one measured output frame's inference latency
+//	sweep_session       sweep: one resolved session's wall and GPU time
+//	fleet_backpressure  fleet: an arrival that found the GPU pool full
+//	fleet_reject        fleet: a stream refused under PolicyReject
 type Event struct {
 	T      time.Duration
 	Type   string
@@ -49,12 +51,12 @@ func Num(key string, v float64) Field { return Field{Key: key, Num: v} }
 // Str makes a string field.
 func Str(key, v string) Field { return Field{Key: key, Str: v, isStr: true} }
 
-// Emit records one trace event. Disabled registries pay one atomic load and
-// do not allocate. Events past the retention cap are dropped (counted in
+// Emit records one trace event; a nil registry does nothing and does not
+// allocate. Events past the retention cap are dropped (counted in
 // Snapshot.EventsDropped) rather than evicting earlier events. Emit locks
 // the trace log; keep it out of per-element hot loops.
 func (r *Registry) Emit(t time.Duration, typ string, fields ...Field) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.evMu.Lock()
@@ -63,36 +65,7 @@ func (r *Registry) Emit(t time.Duration, typ string, fields ...Field) {
 		r.dropped.Add(1)
 		return
 	}
-	ev := Event{T: t, Type: typ, Fields: append([]Field(nil), fields...)}
-	r.events = append(r.events, ev)
-	if r.sink != nil {
-		r.scratch = appendEventJSON(r.scratch[:0], ev)
-		if _, err := r.sink.Write(r.scratch); err != nil && r.sinkErr == nil {
-			r.sinkErr = err
-		}
-	}
-}
-
-// SetSink streams every subsequent event to w as JSONL, in addition to the
-// in-memory log. Pass nil to stop streaming.
-func (r *Registry) SetSink(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.evMu.Lock()
-	defer r.evMu.Unlock()
-	r.sink = w
-	r.sinkErr = nil
-}
-
-// SinkErr returns the first error the streaming sink produced, if any.
-func (r *Registry) SinkErr() error {
-	if r == nil {
-		return nil
-	}
-	r.evMu.Lock()
-	defer r.evMu.Unlock()
-	return r.sinkErr
+	r.events = append(r.events, Event{T: t, Type: typ, Fields: append([]Field(nil), fields...)})
 }
 
 // SetEventCap bounds the in-memory event log (default DefaultEventCap).

@@ -11,7 +11,6 @@ import (
 
 	"livenas/internal/gcc"
 	"livenas/internal/sim"
-	"livenas/internal/telemetry"
 )
 
 // MTU is the default payload size per packet on the emulated path.
@@ -97,12 +96,6 @@ type Reassembler struct {
 	OnLoss func(kind Kind, id int)
 
 	pending map[Kind]map[int]*partialUnit
-
-	// Telemetry handles (nil until SetTelemetry; nil-safe).
-	mVideoDone *telemetry.Counter
-	mPatchDone *telemetry.Counter
-	mVideoLost *telemetry.Counter
-	mPatchLost *telemetry.Counter
 }
 
 type partialUnit struct {
@@ -117,31 +110,6 @@ func NewReassembler() *Reassembler {
 		KindVideo: {},
 		KindPatch: {},
 	}}
-}
-
-// SetTelemetry registers the reassembler's per-kind unit counters on reg
-// (transport_units_{video,patch}_{completed,lost}).
-func (r *Reassembler) SetTelemetry(reg *telemetry.Registry) {
-	r.mVideoDone = reg.Counter("transport_units_video_completed")
-	r.mPatchDone = reg.Counter("transport_units_patch_completed")
-	r.mVideoLost = reg.Counter("transport_units_video_lost")
-	r.mPatchLost = reg.Counter("transport_units_patch_lost")
-}
-
-func (r *Reassembler) countDone(k Kind) {
-	if k == KindPatch {
-		r.mPatchDone.Inc()
-	} else {
-		r.mVideoDone.Inc()
-	}
-}
-
-func (r *Reassembler) countLost(k Kind) {
-	if k == KindPatch {
-		r.mPatchLost.Inc()
-	} else {
-		r.mVideoLost.Inc()
-	}
 }
 
 // Add ingests one fragment received at recvAt.
@@ -167,7 +135,6 @@ func (r *Reassembler) Add(f Fragment, recvAt time.Duration) {
 	for id, p := range units {
 		if id < f.ID && p.have < len(p.parts) {
 			delete(units, id)
-			r.countLost(f.Kind)
 			if r.OnLoss != nil {
 				r.OnLoss(f.Kind, id)
 			}
@@ -178,7 +145,6 @@ func (r *Reassembler) Add(f Fragment, recvAt time.Duration) {
 	for _, p := range u.parts {
 		data = append(data, p...)
 	}
-	r.countDone(f.Kind)
 	if r.OnComplete != nil {
 		r.OnComplete(Assembled{Kind: f.Kind, ID: f.ID, Data: data, Meta: u.meta, LastRecv: recvAt})
 	}
@@ -203,25 +169,11 @@ type Pacer struct {
 	queued int // bytes
 	armed  bool
 	nextAt time.Duration
-
-	// Telemetry handles (nil until SetTelemetry; nil-safe).
-	mFragments  *telemetry.Counter
-	mBytes      *telemetry.Counter
-	mQueueBytes *telemetry.Gauge
 }
 
 // NewPacer creates a pacer that calls send for each released fragment.
 func NewPacer(s *sim.Simulator, initialKbps float64, send func(Fragment)) *Pacer {
 	return &Pacer{sim: s, send: send, rate: initialKbps}
-}
-
-// SetTelemetry registers the pacer's metrics on reg: fragments and wire
-// bytes released (transport_fragments_sent, transport_bytes_sent) and the
-// current pacing backlog (transport_pacer_queue_bytes).
-func (p *Pacer) SetTelemetry(reg *telemetry.Registry) {
-	p.mFragments = reg.Counter("transport_fragments_sent")
-	p.mBytes = reg.Counter("transport_bytes_sent")
-	p.mQueueBytes = reg.Gauge("transport_pacer_queue_bytes")
 }
 
 // SetRateKbps updates the pacing rate (driven by GCC's target).
@@ -266,9 +218,6 @@ func (p *Pacer) fire() {
 	// pacing rate.
 	gap := time.Duration(float64(f.WireSize()*8) / (p.rate * 1000) * float64(time.Second))
 	p.nextAt = p.sim.Now() + gap
-	p.mFragments.Inc()
-	p.mBytes.Add(int64(f.WireSize()))
-	p.mQueueBytes.Set(float64(p.queued))
 	p.send(f)
 	p.arm()
 }
