@@ -102,8 +102,6 @@ func main() {
 
 // runOne runs one experiment on a fresh sweep runner (so per-sweep stats
 // are per-experiment; the cache is shared across experiments).
-//
-//livenas:allow determinism-taint wall-clock timing report only; never feeds results
 func runOne(ctx context.Context, e exp.Experiment, o exp.Options, workers int, cache *sweep.Cache, timings bool) {
 	start := time.Now()
 	r := sweep.New(ctx, sweep.Options{Workers: workers, Cache: cache})

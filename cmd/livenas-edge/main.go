@@ -19,6 +19,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"time"
@@ -37,6 +38,9 @@ func main() {
 		duration = flag.Duration("duration", 30*time.Second, "viewer mode: how long to play")
 	)
 	flag.Parse()
+	if err := checkQueue(*queue); err != nil {
+		log.Fatal(err)
+	}
 
 	up, err := transport.Dial(*connect)
 	if err != nil {
@@ -85,6 +89,16 @@ func main() {
 	}
 }
 
+// checkQueue refuses a -queue that NewQueuedConn would read as unbounded:
+// a subscriber that stops reading would then grow the relay's memory
+// without limit, the hazard the bound exists to cap.
+func checkQueue(bytes int) error {
+	if bytes <= 0 {
+		return fmt.Errorf("-queue %d must be positive", bytes)
+	}
+	return nil
+}
+
 // runViewer plays one channel off the upstream connection and reports
 // playback stats on exit.
 func runViewer(clock edge.Clock, tel *edge.Telemetry, conn transport.Conn, channel string, dur time.Duration) {
@@ -98,7 +112,7 @@ func runViewer(clock edge.Clock, tel *edge.Telemetry, conn transport.Conn, chann
 	if err := v.Attach(conn); err != nil {
 		log.Fatalf("subscribe %s: %v", channel, err)
 	}
-	time.Sleep(dur) //livenas:allow determinism-taint real viewer plays in wall-clock time
+	time.Sleep(dur)
 	st := v.Finish()
 	log.Printf("viewer done: %d segments played, %d skipped, %d timeouts, %d bytes, %.1fs stalled",
 		st.Played, st.Skipped, st.Timeouts, st.Bytes, st.Stall.Seconds())

@@ -23,8 +23,6 @@ var fixtureChecks = []struct {
 	{"uncheckedwrite", "unchecked-write"},
 	{"mutexhygiene", "mutex-hygiene"},
 	{"exhaustive", "switch-exhaustiveness"},
-	{"goroutineleak", "goroutine-leak"},
-	{"determtaint", "determinism-taint"},
 	{"unknownallow", "unknown-allow"},
 }
 
@@ -211,15 +209,15 @@ func copyFixtureModule(t *testing.T, fixture string) string {
 }
 
 // TestLoadPackagesTargets: a sub-tree pattern loads the matched package's
-// module-internal dependencies too (the interprocedural checks need callee
-// bodies) but names only the matched package as a target; a pattern that
-// matches nothing is an error, not an empty clean run.
+// module-internal dependencies too (type-checking needs them) but names
+// only the matched package as a target; a pattern that matches nothing is
+// an error, not an empty clean run.
 func TestLoadPackagesTargets(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "determtaint"))
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "uncheckedwrite"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, targets, err := NewLoader(token.NewFileSet(), root, "fix").LoadPackages([]string{"./sim"})
+	pkgs, targets, err := NewLoader(token.NewFileSet(), root, "fix").LoadPackages([]string{"./a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +225,11 @@ func TestLoadPackagesTargets(t *testing.T) {
 	for _, p := range pkgs {
 		loaded = append(loaded, p.Path)
 	}
-	if want := []string{"fix/util", "fix/sim"}; !reflect.DeepEqual(loaded, want) {
+	if want := []string{"fix/wire", "fix/a"}; !reflect.DeepEqual(loaded, want) {
 		t.Errorf("loaded %v, want %v (dependency first)", loaded, want)
 	}
-	if len(targets) != 1 || !targets["fix/sim"] {
-		t.Errorf("targets = %v, want only fix/sim", targets)
+	if len(targets) != 1 || !targets["fix/a"] {
+		t.Errorf("targets = %v, want only fix/a", targets)
 	}
 	if _, _, err := NewLoader(token.NewFileSet(), root, "fix").LoadPackages([]string{"./nope"}); err == nil {
 		t.Error("a pattern matching no package loaded without error")
@@ -243,13 +241,13 @@ func TestLoadPackagesTargets(t *testing.T) {
 // caller to report (livenas-vet exits 2 on them) — and the checks still
 // run over the partial type information rather than going silent.
 func TestBrokenTypeCheckSurfaced(t *testing.T) {
-	root := copyFixtureModule(t, "determtaint")
-	utilPath := filepath.Join(root, "util", "util.go")
-	src, err := os.ReadFile(utilPath)
+	root := copyFixtureModule(t, "uncheckedwrite")
+	wirePath := filepath.Join(root, "wire", "wire.go")
+	src, err := os.ReadFile(wirePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(utilPath, append(src, "\nvar _ = undefinedSymbol\n"...), 0o644); err != nil {
+	if err := os.WriteFile(wirePath, append(src, "\nvar _ = undefinedSymbol\n"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	pkgs, _, err := NewLoader(token.NewFileSet(), root, "fix").LoadPackages(nil)
@@ -262,10 +260,10 @@ func TestBrokenTypeCheckSurfaced(t *testing.T) {
 			broken[p.Path] = true
 		}
 	}
-	if len(broken) != 1 || !broken["fix/util"] {
-		t.Errorf("type errors in %v, want only fix/util", broken)
+	if len(broken) != 1 || !broken["fix/wire"] {
+		t.Errorf("type errors in %v, want only fix/wire", broken)
 	}
-	if len(Run(pkgs, []*Check{DeterminismTaint})) == 0 {
+	if len(Run(pkgs, []*Check{UncheckedWrite})) == 0 {
 		t.Error("no findings on the broken tree; the fixture seeds violations")
 	}
 }
@@ -295,7 +293,7 @@ func loadRepo(tb testing.TB) []*Package {
 }
 
 // BenchmarkVetFullModule measures a whole-module analyzer run: load,
-// type-check, call graph, summaries, and every check. This is the cost a
+// type-check, and every check. This is the cost a
 // developer pays per `livenas-vet ./...` invocation in either CI tier.
 func BenchmarkVetFullModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -94,10 +94,10 @@ func FindModule(dir string) (root, modPath string, err error) {
 // patterns relative to the module root — "./..." everything, "./dir/..." a
 // subtree, "./dir" one package, "." or "./" only the module-root package;
 // no patterns means everything — plus, via import resolution, their
-// module-internal dependency closure. pkgs covers everything loaded, in a
-// deterministic import-before-importer order, so the interprocedural checks
-// see callee bodies; targets names the subset the patterns matched, which
-// is where findings are wanted.
+// module-internal dependency closure, which type-checking needs. pkgs
+// covers everything loaded, in a deterministic import-before-importer
+// order; targets names the subset the patterns matched, which is where
+// findings are wanted.
 func (l *Loader) LoadPackages(patterns []string) (pkgs []*Package, targets map[string]bool, err error) {
 	dirs, err := moduleGoDirs(l.ModRoot)
 	if err != nil {

@@ -14,20 +14,11 @@ import (
 const directivePrefix = "livenas:allow"
 
 // suppressions indexes the allow directives of one package. A diagnostic
-// is suppressed when a directive naming its check sits on the same line,
-// on the line directly above, or in the doc comment of the function whose
-// body contains it.
+// is suppressed when a directive naming its check sits on the same line or
+// on the line directly above.
 type suppressions struct {
 	// lines maps file → directive line → allowed check names.
 	lines map[string]map[int]map[string]bool
-	// ranges holds function-body suppressions as [start, end] line spans.
-	ranges []suppRange
-}
-
-type suppRange struct {
-	file       string
-	start, end int
-	checks     map[string]bool
 }
 
 // parseDirective extracts the allowed check names from one comment, or nil
@@ -73,42 +64,12 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 				}
 			}
 		}
-		// A directive in a function's doc comment covers the whole
-		// function, for cases like a deliberately double-precision inner
-		// loop where per-line directives would drown the code.
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				checks := parseDirective(c.Text)
-				if checks == nil {
-					continue
-				}
-				s.ranges = append(s.ranges, suppRange{
-					file:   fset.Position(fd.Pos()).Filename,
-					start:  fset.Position(fd.Pos()).Line,
-					end:    fset.Position(fd.End()).Line,
-					checks: checks,
-				})
-			}
-		}
 	}
 	return s
 }
 
 // suppressed reports whether a directive covers the given check at pos.
 func (s *suppressions) suppressed(check string, pos token.Position) bool {
-	if byLine := s.lines[pos.Filename]; byLine != nil {
-		if byLine[pos.Line][check] || byLine[pos.Line-1][check] {
-			return true
-		}
-	}
-	for _, r := range s.ranges {
-		if r.file == pos.Filename && r.start <= pos.Line && pos.Line <= r.end && r.checks[check] {
-			return true
-		}
-	}
-	return false
+	byLine := s.lines[pos.Filename]
+	return byLine[pos.Line][check] || byLine[pos.Line-1][check]
 }

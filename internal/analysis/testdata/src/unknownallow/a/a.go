@@ -1,16 +1,16 @@
 // Package a exercises the unknown-allow check.
 package a
 
-import "time"
+import "io"
 
 //livenas:allow lock-order a check that no longer exists // want unknown-allow
 var mu int
 
-// Stamp's doc comment names a deleted check next to a registered one.
+// Flush's doc comment names two deleted checks next to a registered one.
 //
-//livenas:allow determinism-taint,asm-abi wall clock on purpose // want unknown-allow
-func Stamp() time.Time {
-	return time.Now() //livenas:allow determinism-taint registered, so not flagged
+//livenas:allow determinism-taint,goroutine-leak,unchecked-write deleted checks // want unknown-allow
+func Flush(w io.Writer) {
+	w.Write(nil) //livenas:allow unchecked-write registered, so not flagged
 }
 
 // A comment that only mentions livenas:allow race-guard is no directive.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"sync"
 	"testing"
@@ -163,16 +165,43 @@ func TestGPUBusyBounded(t *testing.T) {
 	}
 }
 
+// TestDeterministicRuns: two runs of one LiveNAS session encode to the
+// same bytes, every field of Results included. The session is lossy and
+// trains and infers on two GPUs, so the sampler's shuffled grid pass, the
+// link's loss draws, the trainer's shard fan-out and the processor's strip
+// fan-out all reach the compared bytes: a global rand source, a wall-clock
+// field, or shard results recorded in completion order makes them differ.
 func TestDeterministicRuns(t *testing.T) {
 	skipLongUnderRace(t)
 	cfg := defaultTestConfig(vidgen.Podcast)
 	cfg.Trace = trace.FCCUplink(5, time.Minute, 200)
-	cfg.Duration = 20 * time.Second
-	a := Run(cfg)
-	b := Run(cfg)
-	if a.AvgPSNR != b.AvgPSNR || a.PatchesSent != b.PatchesSent || a.AvgBandwidthKbps != b.AvgBandwidthKbps {
-		t.Fatalf("runs differ: %v/%v vs %v/%v", a.AvgPSNR, a.PatchesSent, b.AvgPSNR, b.PatchesSent)
+	cfg.Duration = 12 * time.Second
+	cfg.LossRate = 0.02
+	cfg.TrainGPUs = 2
+	cfg.InferGPUs = 2
+	a, b := Run(cfg), Run(cfg)
+	if a.PatchesSent == 0 || a.GPUTrainBusy == 0 || a.LinkStats.Dropped == 0 {
+		t.Fatalf("session misses the sampler, the trainer or the loss: %d patches, %v training, %d drops",
+			a.PatchesSent, a.GPUTrainBusy, a.LinkStats.Dropped)
 	}
+	if !bytes.Equal(encodeResults(t, a), encodeResults(t, b)) {
+		t.Fatalf("runs differ: PSNR %v vs %v, patches %d vs %d, bandwidth %v vs %v",
+			a.AvgPSNR, b.AvgPSNR, a.PatchesSent, b.PatchesSent, a.AvgBandwidthKbps, b.AvgBandwidthKbps)
+	}
+}
+
+// encodeResults gob-encodes r as the sweep cache persists it: the trainer
+// timeline materialised, the live telemetry registry left out.
+func encodeResults(t *testing.T, r *Results) []byte {
+	t.Helper()
+	r.TrainerTimeline()
+	v := *r
+	v.Cfg.Telemetry = nil
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+		t.Fatalf("encoding results: %v", err)
+	}
+	return buf.Bytes()
 }
 
 func TestContinuousTrainsMoreThanAdaptive(t *testing.T) {

@@ -51,21 +51,22 @@ func (c SimClock) Now() time.Duration { return c.S.Now() }
 func (c SimClock) After(d time.Duration, fn func()) { c.S.After(d, fn) }
 
 // WallClock is the real-process Clock: durations since construction.
+// Experiments run on SimClock; only the runnable processes read the wall.
 type WallClock struct{ start time.Time }
 
 // NewWallClock starts a wall clock at zero.
 func NewWallClock() *WallClock {
-	return &WallClock{start: time.Now()} //livenas:allow determinism-taint wall clock backs the real-process mode only; experiments use SimClock
+	return &WallClock{start: time.Now()}
 }
 
 // Now returns the wall time since construction.
 func (c *WallClock) Now() time.Duration {
-	return time.Since(c.start) //livenas:allow determinism-taint wall clock backs the real-process mode only; experiments use SimClock
+	return time.Since(c.start)
 }
 
 // After schedules fn on a timer goroutine.
 func (c *WallClock) After(d time.Duration, fn func()) {
-	time.AfterFunc(d, fn) //livenas:allow determinism-taint wall clock backs the real-process mode only; experiments use SimClock
+	time.AfterFunc(d, fn)
 }
 
 // Telemetry bundles the edge_* handles. The edge package owns the "edge_"

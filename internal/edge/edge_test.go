@@ -398,7 +398,7 @@ func TestEdgeOverSockets(t *testing.T) {
 				payloads = append(payloads, SyntheticPayload("ch000", i, r, 2000))
 			}
 			origin.Publish("ch000", payloads)
-			time.Sleep(segDur) //livenas:allow determinism-taint real-socket test paces wall-clock publishes
+			time.Sleep(segDur)
 		}
 	}()
 

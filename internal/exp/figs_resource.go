@@ -177,15 +177,19 @@ func Fig19(o Options, run *sweep.Runner) []*Table {
 	web.Scheme = core.SchemeWebRTC
 	hWeb := run.Go(web)
 
-	hs := map[string]*sweep.Handle{}
-	hs["continuous"] = submitPolicy(run, cfg, tr, core.TrainContinuous)
-	hs["content-adaptive"] = submitPolicy(run, cfg, tr, core.TrainAdaptive)
 	ot1 := cfg
 	ot1.OneTimeWindow = o.duration() / 6
-	hs["one-time(short)"] = submitPolicy(run, ot1, tr, core.TrainOneTime)
 	ot5 := cfg
 	ot5.OneTimeWindow = o.duration() / 2
-	hs["one-time(long)"] = submitPolicy(run, ot5, tr, core.TrainOneTime)
+	rows := []struct {
+		name string
+		h    *sweep.Handle
+	}{
+		{"continuous", submitPolicy(run, cfg, tr, core.TrainContinuous)},
+		{"content-adaptive", submitPolicy(run, cfg, tr, core.TrainAdaptive)},
+		{"one-time(long)", submitPolicy(run, ot5, tr, core.TrainOneTime)},
+		{"one-time(short)", submitPolicy(run, ot1, tr, core.TrainOneTime)},
+	}
 
 	wr := wait(hWeb)
 	baseAt := func(i int) float64 {
@@ -195,7 +199,6 @@ func Fig19(o Options, run *sweep.Runner) []*Table {
 		return wr.Samples[i].PSNR
 	}
 
-	order := []string{"continuous", "content-adaptive", "one-time(long)", "one-time(short)"}
 	t1 := &Table{
 		ID:     "fig19a",
 		Title:  "PSNR gain over time (dB, per quarter of the stream)",
@@ -206,8 +209,8 @@ func Fig19(o Options, run *sweep.Runner) []*Table {
 		Title:  "Distribution of per-sample gains (dB)",
 		Header: []string{"scheme", "p25", "median", "p75", "mean"},
 	}
-	for _, name := range order {
-		r := wait(hs[name])
+	for _, row := range rows {
+		r := wait(row.h)
 		var quarters [4][]float64
 		var gains []float64
 		for i, s := range r.Samples {
@@ -219,8 +222,8 @@ func Fig19(o Options, run *sweep.Runner) []*Table {
 			}
 			quarters[k] = append(quarters[k], g)
 		}
-		t1.Add(name, metrics.Mean(quarters[0]), metrics.Mean(quarters[1]), metrics.Mean(quarters[2]), metrics.Mean(quarters[3]))
-		t2.Add(name, metrics.Percentile(gains, 25), metrics.Median(gains), metrics.Percentile(gains, 75), metrics.Mean(gains))
+		t1.Add(row.name, metrics.Mean(quarters[0]), metrics.Mean(quarters[1]), metrics.Mean(quarters[2]), metrics.Mean(quarters[3]))
+		t2.Add(row.name, metrics.Percentile(gains, 25), metrics.Median(gains), metrics.Percentile(gains, 75), metrics.Mean(gains))
 	}
 	t1.Notes = "one-time gain decays after its window; content-adaptive stays near continuous"
 	return []*Table{t1, t2}

@@ -1,6 +1,8 @@
 package gcc
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -169,5 +171,68 @@ func TestOWDSlopeFit(t *testing.T) {
 	flat := mkAcks(11, 0, 100*time.Millisecond, 30*time.Millisecond, 0, 1000)
 	if s := owdSlopeMsPerSec(flat); s < -0.001 || s > 0.001 {
 		t.Fatalf("flat slope %v", s)
+	}
+}
+
+// jitteredWindows builds a seeded ack stream of n 100 ms feedback windows:
+// 8-15 packets per window with jittered send gaps and one-way delays, over
+// a queue that slowly builds and drains, so the bin window holds dozens of
+// distinct min-OWD values with full-precision fractional parts.
+func jitteredWindows(seed int64, n int) [][]Ack {
+	rng := rand.New(rand.NewSource(seed))
+	windows := make([][]Ack, n)
+	seq := 0
+	for w := range windows {
+		start := time.Duration(w) * 100 * time.Millisecond
+		k := 8 + rng.Intn(8)
+		acks := make([]Ack, k)
+		for i := range acks {
+			sent := start + time.Duration(rng.Int63n(int64(100*time.Millisecond)))
+			queue := 15 * (1 + math.Sin(float64(w)/12)) // ms, drifting
+			owd := time.Duration((20 + queue + 4*rng.Float64()) * float64(time.Millisecond))
+			acks[i] = Ack{Seq: seq, Size: 600 + rng.Intn(700), SentAt: sent, RecvAt: sent + owd}
+			seq++
+		}
+		windows[w] = acks
+	}
+	return windows
+}
+
+// TestObserveDelaysReplayBitExact: one ack stream replayed through fresh
+// controllers must give bit-identical delay slopes and rate targets after
+// every window. The least-squares fold in observeDelays adds floats, which
+// is not associative, so folding range c.bins in map order makes the slope
+// (and through it the whole rate trace) differ between replays.
+func TestObserveDelaysReplayBitExact(t *testing.T) {
+	const replays = 5
+	windows := jitteredWindows(42, 240)
+	type point struct{ slope, kbps uint64 }
+	var first []point
+	for r := 0; r < replays; r++ {
+		c := New(Config{InitKbps: 800})
+		for w, acks := range windows {
+			c.OnFeedback(time.Duration(w+1)*100*time.Millisecond, acks, 0)
+			p := point{math.Float64bits(c.smoothedSlope), math.Float64bits(c.TargetKbps())}
+			if r == 0 {
+				first = append(first, p)
+				continue
+			}
+			if p != first[w] {
+				t.Fatalf("replay %d, window %d: slope %v, target %v kbps; first run had %v, %v",
+					r, w, c.smoothedSlope, c.TargetKbps(),
+					math.Float64frombits(first[w].slope), math.Float64frombits(first[w].kbps))
+			}
+		}
+	}
+	// The stream must exercise the fold: a full bin window and a slope
+	// that moves, or the test pins nothing.
+	var moved int
+	for w := 1; w < len(first); w++ {
+		if first[w].slope != first[w-1].slope {
+			moved++
+		}
+	}
+	if moved < len(first)/2 {
+		t.Fatalf("slope changed in only %d of %d windows", moved, len(first))
 	}
 }

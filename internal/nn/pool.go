@@ -61,7 +61,6 @@ func NewPool(workers int) *Pool {
 	for i := 0; i < workers; i++ {
 		// Workers live for the pool's lifetime, not NewPool's: they exit
 		// when Close drains the job channel and joins p.workers there.
-		//livenas:allow goroutine-leak joined by Pool.Close via p.workers, not by NewPool
 		go func() {
 			defer p.workers.Done()
 			for j := range p.jobs {

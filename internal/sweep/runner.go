@@ -115,7 +115,7 @@ func New(ctx context.Context, o Options) *Runner {
 		cache:     o.Cache,
 		sem:       make(chan struct{}, w),
 		inflight:  map[string]*Handle{},
-		startedAt: time.Now(), //livenas:allow determinism-taint sweep telemetry measures real wall time; it never feeds session Results
+		startedAt: time.Now(),
 		reg:       telemetry.New(),
 	}
 }
@@ -195,7 +195,7 @@ func (r *Runner) admit(key string, h *Handle) (*Handle, bool) {
 
 // runSession resolves one handle: persisted cache first, live run on miss.
 func (r *Runner) runSession(h *Handle, cfg core.Config) {
-	t0 := time.Now() //livenas:allow determinism-taint wall_ms telemetry only; session Results come from the deterministic simulator clock
+	t0 := time.Now()
 	if res, ok := r.cache.Get(h.key); ok {
 		h.res, h.cached = res, true
 		r.cached.Add(1)
@@ -216,8 +216,6 @@ func (r *Runner) runSession(h *Handle, cfg core.Config) {
 }
 
 // finishSession accounts a successfully resolved session.
-//
-//livenas:allow determinism-taint emits wall-clock sweep telemetry (wall_ms, uptime); session Results are untouched
 func (r *Runner) finishSession(h *Handle, t0 time.Time) {
 	r.finished.Add(1)
 	r.simGPU.Add(int64(h.res.GPUTrainBusy))
@@ -280,8 +278,6 @@ type Stats struct {
 }
 
 // Stats returns the sweep's current counters.
-//
-//livenas:allow determinism-taint Stats.Wall is operator-facing wall time; it never feeds session Results
 func (r *Runner) Stats() Stats {
 	fin := int(r.finished.Load())
 	cach := int(r.cached.Load())

@@ -101,7 +101,7 @@ func (n *NetConn) Send(m *wire.Message) error {
 func (n *NetConn) Recv() (*wire.Message, error) {
 	timeout, disarm := n.recvDeadline()
 	if timeout > 0 {
-		if err := n.c.SetReadDeadline(time.Now().Add(timeout)); err != nil { //livenas:allow determinism-taint real-socket read deadline
+		if err := n.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, err
 		}
 	} else if disarm {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -355,6 +356,83 @@ func (g *gateConn) Send(m *wire.Message) error {
 	return nil
 }
 func (g *gateConn) Close() error { return nil }
+
+// TestQueuedConnCloseJoinsWriter: Close stops and joins the writer
+// goroutine, whether it idles on an empty queue or sits mid-Send on a slow
+// peer. A Close that returned without the join would leave one writer
+// running for every subscriber a relay ever served.
+func TestQueuedConnCloseJoinsWriter(t *testing.T) {
+	// As in nn's TestPoolCloseJoinsWorkers: the writer closes q.done a
+	// beat before the scheduler retires it, so poll briefly for the count
+	// to settle back to the level before the queue.
+	settled := func(t *testing.T, before int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Fatalf("%d goroutines outlive Close (had %d before the queue)", got, before)
+		}
+	}
+	newGate := func() *gateConn {
+		return &gateConn{release: make(chan struct{}), sent: make(chan *wire.Message, 1)}
+	}
+
+	t.Run("idle", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		q := NewQueuedConn(newGate(), 0)
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-q.done:
+		default:
+			t.Fatal("Close returned before the writer exited")
+		}
+		settled(t, before)
+	})
+
+	t.Run("mid-send", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		g := newGate()
+		q := NewQueuedConn(g, 0)
+		if err := q.Send(&wire.Message{Type: wire.MsgSegment}); err != nil {
+			t.Fatal(err)
+		}
+		// The writer pops the message and then blocks in g.Send.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			q.mu.Lock()
+			waiting := len(q.queue) - q.head
+			q.mu.Unlock()
+			if waiting == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the writer never took the queued message")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- q.Close() }()
+		select {
+		case err := <-closed:
+			t.Fatalf("Close returned (%v) while the writer was still in Send", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(g.release)
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not return once the writer's Send finished")
+		}
+		settled(t, before)
+	})
+}
 
 // TestQueuedConnReleasesSentMessages: a slot a message has left (sent or
 // dropped) must not keep pointing at it, and a queue that drains goes back

@@ -38,7 +38,7 @@ type QueuedConn struct {
 func NewQueuedConn(c Conn, queueBytes int) *QueuedConn {
 	q := &QueuedConn{inner: c, bound: queueBytes, done: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
-	go q.writer() //livenas:allow goroutine-leak joined by QueuedConn.Close via q.done, not by NewQueuedConn
+	go q.writer() // joined by Close via q.done
 	return q
 }
 

@@ -5,7 +5,10 @@
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet on three build
 #                         partitions (default, -tags purego, GOARCH=arm64),
 #                         livenas-vet (whole module, no flags, under 4 s),
-#                         the telemetry lock pair by name, short tests,
+#                         the telemetry lock pair by name, the replay and
+#                         join pins by name (the gcc delay-fold replay,
+#                         QueuedConn's and Pool's Close joins, whole-Results
+#                         session determinism), short tests,
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests, the wire format
 #                         pin, the playlist format pin (with the event-heap
@@ -23,7 +26,8 @@
 #                         asm stubs and their Go twins are their territory),
 #                         the same livenas-vet and benchmark-module steps,
 #                         full tests, race tier (includes internal/sweep
-#                         and internal/fleet), fuzz smoke (wire, playlist,
+#                         and internal/fleet; not internal/analysis, which
+#                         starts no goroutine), fuzz smoke (wire, playlist,
 #                         codec, conv; FUZZTIME, default 10s, 0 skips). No timing
 #                         is gated here: BENCHMARK.json is the one
 #                         performance instrument.
@@ -218,6 +222,19 @@ media_server_pin() {
         pin_tests ./cmd/livenas-client TestClientConfigRejectsBadFlags TestStreamRefused TestStreamHangUp TestStreamSession
 }
 
+# Deterministic replay and goroutine joins (DESIGN.md "Correctness
+# tooling"), by name so a rename cannot drop one: one seeded ack stream
+# replayed through fresh gcc controllers bit for bit (a delay fold in map
+# order fails it), QueuedConn's and Pool's Close back at their goroutine
+# baseline, and two runs of a lossy two-GPU LiveNAS session encoding to the
+# same Results bytes. All four take under 2 s.
+replay_join_pins() {
+    pin_tests ./internal/gcc TestObserveDelaysReplayBitExact &&
+        pin_tests ./internal/transport TestQueuedConnCloseJoinsWriter &&
+        pin_tests ./internal/nn TestPoolCloseJoinsWorkers &&
+        pin_tests ./internal/core TestDeterministicRuns
+}
+
 # go vet on the three build partitions of the assembly kernels. The default
 # amd64 build's asmdecl pass reports a TEXT with no Go stub and a stub whose
 # frame no longer matches its TEXT; under -tags purego a stub whose build
@@ -248,6 +265,7 @@ if [[ "$TIER" == "fast" ]]; then
     # only between SetEventCap and Snapshot; this race turns an inversion of
     # their order into a failure within 5 s instead of a rare hang.
     step "telemetry lock pair" pin_tests ./internal/telemetry TestEventCapSnapshotLockPair
+    step "replay and join pins" replay_join_pins
     step "go test -short" go test -short ./...
     step "benchmark module" benchmark_module
     # The int8 fast path's correctness contract, run by name so a test
@@ -302,7 +320,7 @@ else
     # cmd/livenas-server races a socket session's message pump against the
     # loop that drives its core.Server, and cmd/livenas-client the same for
     # its core.Client.
-    step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./cmd/livenas-server ./cmd/livenas-client ./internal/analysis ./internal/sweep ./internal/fleet ./internal/edge
+    step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./cmd/livenas-server ./cmd/livenas-client ./internal/sweep ./internal/fleet ./internal/edge
     if [[ -n "${FLEET_SOAK_STREAMS:-}" ]]; then
         step "fleet soak (N=$FLEET_SOAK_STREAMS, -race)" go test -race \
             -run '^TestFleetSoak$' -v ./internal/fleet
