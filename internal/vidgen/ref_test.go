@@ -3,11 +3,13 @@ package vidgen
 // Per-pixel reference renderer: the ground truth the table-driven FrameAt is
 // differentially tested against, pixel for pixel (TestFrameAtMatchesRef). It
 // is an oracle, not a renderer: nothing outside the tests can reach it.
-// Sprites and the HUD are shared with FrameAt; only the texture/glyph/grain
-// pixel loop has two implementations.
+// Sprites are shared with FrameAt; the texture/glyph/grain pixel loop and
+// the HUD band have two implementations.
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -115,9 +117,32 @@ func frameAtRef(s *Source, t float64) *frame.Frame {
 
 	s.drawSprites(f, sc, t)
 	if p.HUD {
-		s.drawHUD(f)
+		drawHUDRef(s, f)
 	}
 	return f
+}
+
+// drawHUDRef is the seed drawHUD, kept verbatim: the block and its parity
+// are recomputed at every pixel of the band.
+func drawHUDRef(s *Source, f *frame.Frame) {
+	hudH := s.H / 12
+	if hudH < 2 {
+		return
+	}
+	y0 := s.H - hudH
+	for y := y0; y < s.H; y++ {
+		row := f.Pix[y*s.W:]
+		for x := 0; x < s.W; x++ {
+			// Alternating glyph-like blocks: crisp verticals the encoder
+			// blurs at low bitrate and SR can re-sharpen.
+			gx := x / (hudH / 2)
+			if (gx+((y-y0)/(hudH/4+1)))%2 == 0 {
+				row[x] = 28
+			} else {
+				row[x] = 222
+			}
+		}
+	}
 }
 
 func diffFrames(t *testing.T, name string, got, want *frame.Frame) {
@@ -134,21 +159,217 @@ func diffFrames(t *testing.T, name string, got, want *frame.Frame) {
 	}
 }
 
-// TestFrameAtMatchesRef holds FrameAt to the per-pixel oracle exactly: every
-// category, canvases from below one lattice cell per pixel (96x54, where the
-// grain octave skips lattice rows) to the 4K-class fast world, an odd size,
-// and times that land in the first scene, late scenes and past the horizon.
+// TestFrameAtMatchesRef holds FrameAt to the per-pixel oracle exactly, under
+// each pixel-row kernel set: every category, canvases from below one
+// lattice cell per pixel (96x54, where the grain octave skips lattice rows)
+// to the 4K-class fast world, widths of every remainder mod 4 (the AVX2
+// kernel renders whole quads, the Go twin the rest) down to one narrower
+// than a quad, and times that land in the first scene, late scenes and past
+// the horizon.
 func TestFrameAtMatchesRef(t *testing.T) {
-	dims := [][2]int{{96, 54}, {101, 77}, {384, 216}, {768, 432}}
+	dims := [][2]int{{96, 54}, {101, 77}, {384, 216}, {768, 432}, {3, 2}, {6, 5}, {103, 59}}
 	times := []float64{0, 0.1, 3.37, 29.9, 120.5, 250}
-	for _, cat := range Categories() {
-		for _, d := range dims {
-			s := NewSource(cat, d[0], d[1], 17, 200)
-			for _, tm := range times {
-				diffFrames(t, s.Cat.String(), s.FrameAt(tm), frameAtRef(s, tm))
+	forEachPixKernels(t, func(t *testing.T) {
+		for _, cat := range Categories() {
+			for _, d := range dims {
+				s := NewSource(cat, d[0], d[1], 17, 200)
+				for _, tm := range times {
+					diffFrames(t, s.Cat.String(), s.FrameAt(tm), frameAtRef(s, tm))
+				}
 			}
 		}
+	})
+}
+
+// pixelRef is frameAtRef's per-pixel arithmetic from the octave lattice
+// values on: the seed's Go expression, one pixel at a time. on is the
+// pixel's glyph styles, k's rowOn the row's.
+func pixelRef(k *pixLanes, on uint8, t1, b1, t2, b2, tG, bG float64) uint8 {
+	v := k.base[0]
+	n1 := t1*k.omy1[0] + b1*k.wy1[0] - 0.5
+	n2 := t2*k.omy2[0] + b2*k.wy2[0] - 0.5
+	v += k.amp1[0] * (math.Abs(n1)*2 - 0.5) * k.warp[0]
+	v += k.amp2[0] * n2
+	v = math.Round(v/k.step[0]) * k.step[0]
+	if on&uint8(k.rowOn[0]) != 0 {
+		if v > 127 {
+			v -= 90
+		} else {
+			v += 90
+		}
 	}
+	v += k.grain[0] * (tG*k.omyG[0] + bG*k.wyG[0] - 0.5)
+	if v < 0 {
+		v = 0
+	} else if v > 255 {
+		v = 255
+	}
+	return uint8(v)
+}
+
+// pixRowCase is one synthetic row: the frame and row operands (rowOn is
+// varied by the test) and each pixel's inputs.
+type pixRowCase struct {
+	name                   string
+	k                      pixLanes
+	on                     []uint8
+	t1, b1, t2, b2, tG, bG []float64
+}
+
+// set broadcasts the frame's operands and the row's octave y weights.
+func (c *pixRowCase) set(base, amp1, warp, amp2, step, grain, wy1, wy2, wyG float64) {
+	k := &c.k
+	bcast(&k.base, base)
+	bcast(&k.amp1, amp1)
+	bcast(&k.warp, warp)
+	bcast(&k.amp2, amp2)
+	bcast(&k.step, step)
+	bcast(&k.grain, grain)
+	bcast(&k.wy1, wy1)
+	bcast(&k.omy1, 1-wy1)
+	bcast(&k.wy2, wy2)
+	bcast(&k.omy2, 1-wy2)
+	bcast(&k.wyG, wyG)
+	bcast(&k.omyG, 1-wyG)
+}
+
+func (c *pixRowCase) add(on uint8, t1, b1, t2, b2, tG, bG float64) {
+	c.on = append(c.on, on)
+	c.t1, c.b1, c.t2, c.b2 = append(c.t1, t1), append(c.b1, b1), append(c.t2, t2), append(c.b2, b2)
+	c.tG, c.bG = append(c.tG, tG), append(c.bG, bG)
+}
+
+// directRow builds a row whose pixels reach the posterise step at exactly
+// the values vs, each followed by a grain term of exactly d for every d in
+// ds; on cycles through every style mask. The row's base is anchor and a
+// pixel adds v-anchor through the second octave (amp1 0, amp2 1, weight 1
+// on t2 = v-anchor+0.5), so v needs no more precision than the anchor
+// gives it; grain is 1, on tG = d+0.5. It fails the test if a value does
+// not come out exact, since the edge case it stands for would go untested.
+func directRow(t *testing.T, name string, step, anchor float64, vs, ds []float64) *pixRowCase {
+	c := &pixRowCase{name: name}
+	c.set(anchor, 0, 1, 1, step, 1, 0.5, 0, 0)
+	for _, v := range vs {
+		for _, d := range ds {
+			t2, tG := v-anchor+0.5, d+0.5
+			if got := anchor + (t2*1 + 0*0 - 0.5); got != v {
+				t.Fatalf("%s: v %v reaches posterise as %v", name, v, got)
+			}
+			if got := tG*1 + 0*0 - 0.5; got != d {
+				t.Fatalf("%s: grain %v comes out as %v", name, d, got)
+			}
+			c.add(uint8(len(c.on)%8), 0.3, 0.9, t2, 0, tG, 0)
+		}
+	}
+	return c
+}
+
+// tie returns the v nearest (k+0.5)*step whose quotient v/step is exactly
+// k+0.5, if there is one: v/step is monotone in v, so it walks v one ulp
+// at a time until the quotient reaches k+0.5 or passes it.
+func tie(step float64, k int) (float64, bool) {
+	q := float64(k) + 0.5
+	v := q * step
+	for v/step < q {
+		v = math.Nextafter(v, math.Inf(1))
+	}
+	for v/step > q {
+		v = math.Nextafter(v, math.Inf(-1))
+	}
+	return v, v/step == q
+}
+
+// TestPixRowMatchesGo holds pixRow, under each pixel-row kernel set, to the
+// seed's per-pixel expression byte for byte, on synthetic rows built to
+// reach every edge of the lane arithmetic: posterise ties and one ulp
+// either side, quotients in (-0.5, 0.5) that round to -0, v at 127 and one
+// ulp either side at the glyph toggle, clamps at 0 and 255, every on and
+// rowOn style mask, and realistic random rows. Each row is rendered at
+// widths 0-9 from four offsets (every lane remainder, every lane position)
+// and whole; no byte past the row may be written.
+func TestPixRowMatchesGo(t *testing.T) {
+	ulp := func(v float64) []float64 {
+		return []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))}
+	}
+	grains := []float64{0, 0x1p-30, -0x1p-30, 0.25, -0.25}
+	var cases []*pixRowCase
+	for _, step := range []float64{32, 18 + 22*0.37, 39.7} {
+		// Posterise ties, and one ulp either side: one row per tie.
+		n := 0
+		for k := -4; k <= 8; k++ {
+			if v, ok := tie(step, k); ok {
+				cases = append(cases, directRow(t, fmt.Sprintf("step %v tie %v", step, v), step, v, ulp(v), grains))
+				n++
+			}
+		}
+		if n < 6 {
+			t.Fatalf("step %v: %d of 13 posterise ties exist", step, n)
+		}
+		// Quotients in (-0.5, 0.5), negative ones rounding to -0; v is a
+		// multiple of 2^-40, which the 0.5 offsets keep exact.
+		var vs []float64
+		for _, q := range []float64{-0.49, -0.3, 0.3, 0.49} {
+			vs = append(vs, math.Round(q*step*0x1p40)/0x1p40)
+		}
+		vs = append(vs, -0x1p-30, 0x1p-30, 0)
+		cases = append(cases, directRow(t, fmt.Sprintf("step %v near 0", step), step, 0, vs, grains))
+		// Far outside the palette: clamps at 0 and 255.
+		cases = append(cases, directRow(t, fmt.Sprintf("step %v far", step), step, 0, []float64{-1e12, -300, -1, 256, 300, 1e6, 1e12}, grains))
+	}
+	// At step 127 (and one ulp either side) v is 1*step after posterise:
+	// exactly 127, or 127 -+ 1 ulp, at the glyph toggle.
+	for _, step := range ulp(127) {
+		cases = append(cases, directRow(t, fmt.Sprintf("toggle step %v", step), step, step, []float64{step, 100, 150}, grains))
+	}
+	// At step 51 v reaches 255 exactly, and 0; the grain terms then clamp.
+	cases = append(cases, directRow(t, "clamp", 51, 0, []float64{255, 0}, []float64{0, 0x1p-30, -0x1p-30, 2, -2}))
+	rng := rand.New(rand.NewSource(3))
+	for _, cat := range Categories() {
+		p := ParamsFor(cat)
+		c := &pixRowCase{name: "random " + cat.String()}
+		contrast := 0.6 + 0.8*rng.Float64()
+		c.set(70+120*rng.Float64(), 70*contrast, 0.5+1.5*rng.Float64(), 45*contrast*p.Detail,
+			18+22*rng.Float64(), 6*p.Detail, rng.Float64(), rng.Float64(), rng.Float64())
+		for i := 0; i < 61; i++ {
+			c.add(uint8(rng.Intn(8)), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
+		}
+		cases = append(cases, c)
+	}
+
+	forEachPixKernels(t, func(t *testing.T) {
+		for _, c := range cases {
+			n := len(c.on)
+			wins := [][2]int{{0, n}}
+			for lo := 0; lo < 4; lo++ {
+				for w := 0; w <= 9 && lo+w <= n; w++ {
+					wins = append(wins, [2]int{lo, lo + w})
+				}
+			}
+			for rowOn := uint64(0); rowOn < 8; rowOn++ {
+				k := c.k
+				k.rowOn = [4]uint64{rowOn, rowOn, rowOn, rowOn}
+				for _, win := range wins {
+					lo, hi := win[0], win[1]
+					buf := make([]uint8, hi-lo+8)
+					for i := range buf {
+						buf[i] = 0xa5
+					}
+					pixRow(buf[:hi-lo], c.on[lo:hi], c.t1[lo:hi], c.b1[lo:hi], c.t2[lo:hi], c.b2[lo:hi], c.tG[lo:hi], c.bG[lo:hi], &k)
+					for x := lo; x < hi; x++ {
+						want := pixelRef(&k, c.on[x], c.t1[x], c.b1[x], c.t2[x], c.b2[x], c.tG[x], c.bG[x])
+						if got := buf[x-lo]; got != want {
+							t.Fatalf("%s, rowOn %d, pixels [%d,%d): pixel %d = %d, want %d", c.name, rowOn, lo, hi, x, got, want)
+						}
+					}
+					for i, b := range buf[hi-lo:] {
+						if b != 0xa5 {
+							t.Fatalf("%s, pixels [%d,%d): wrote byte %d past the row", c.name, lo, hi, i)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestFrameAtConcurrent renders one Source from four goroutines (run under

@@ -24,6 +24,7 @@ import (
 	"math"
 	"sync"
 
+	"livenas/internal/cpu"
 	"livenas/internal/frame"
 )
 
@@ -370,6 +371,73 @@ type renderScratch struct {
 	cell  []int64 // glyph-lattice column of each pixel column
 	colOn []uint8 // styles whose x extent covers the column
 	on    []uint8 // colOn masked by the style of the column's glyph on the current glyph row
+	lanes pixLanes
+}
+
+// pixLanes holds the scalar operands of the pixel body, each broadcast to
+// four lanes: the AVX2 row kernel reads them as memory operands, since
+// with its own constants and temporaries they outnumber the YMM registers.
+// The first six are the frame's, set once; the rest are the current row's.
+type pixLanes struct {
+	_                                   [0]func() // not comparable, so no equality function is linked for it
+	base, amp1, warp, amp2, step, grain [4]float64
+	omy1, wy1, omy2, wy2, omyG, wyG     [4]float64
+	rowOn                               [4]uint64 // the row's glyph styles, matched against on[x]
+}
+
+func bcast(dst *[4]float64, v float64) { *dst = [4]float64{v, v, v, v} }
+
+// pixAVX2 selects the AVX2 row kernel for the whole quads of each row,
+// once, from the module's one AVX2 probe (false off amd64 and under
+// purego). It is a flag, not a function value, like the codec's dctAVX2.
+var pixAVX2 = cpu.AVX2
+
+// pixRow renders one row of the pixel body: the AVX2 kernel over the first
+// len(row) &^ 3 pixels when pixAVX2, the Go twin over the rest. Every slice
+// is at least len(row) long.
+func pixRow(row, on []uint8, t1, b1, t2, b2, tG, bG []float64, k *pixLanes) {
+	x0 := 0
+	if pixAVX2 {
+		x0 = len(row) &^ 3
+		pixRowAVX2(row[:x0], on, t1, b1, t2, b2, tG, bG, k)
+	}
+	pixRowGo(row, on, t1, b1, t2, b2, tG, bG, k, x0)
+}
+
+// pixRowGo is the pixel body in Go over row[x0:]: the two texture octaves
+// folded through the warp, posterised, the glyph toggle, grain, clamp and
+// store, each pixel one y-lerp per octave of the rows its octave tables
+// hold.
+func pixRowGo(row, on []uint8, t1, b1, t2, b2, tG, bG []float64, k *pixLanes, x0 int) {
+	base, amp1, warp, amp2, step, grain := k.base[0], k.amp1[0], k.warp[0], k.amp2[0], k.step[0], k.grain[0]
+	omy1, wy1, omy2, wy2, omyG, wyG := k.omy1[0], k.wy1[0], k.omy2[0], k.wy2[0], k.omyG[0], k.wyG[0]
+	rowOn := uint8(k.rowOn[0])
+	w := len(row)
+	on, t1, b1, t2, b2, tG, bG = on[:w], t1[:w], b1[:w], t2[:w], b2[:w], tG[:w], bG[:w]
+	for x := x0; x < w; x++ {
+		v := base
+		n1 := t1[x]*omy1 + b1[x]*wy1 - 0.5
+		n2 := t2[x]*omy2 + b2[x]*wy2 - 0.5
+		v += amp1 * (math.Abs(n1)*2 - 0.5) * warp
+		v += amp2 * n2
+		// Posterise to the scene palette: sharp edges between flats.
+		v = math.Round(v/step) * step
+		if on[x]&rowOn != 0 {
+			if v > 127 {
+				v -= 90
+			} else {
+				v += 90
+			}
+		}
+		// Grain.
+		v += grain * (tG[x]*omyG + bG[x]*wyG - 0.5)
+		if v < 0 {
+			v = 0
+		} else if v > 255 {
+			v = 255
+		}
+		row[x] = uint8(v)
+	}
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(renderScratch) }}
@@ -446,6 +514,13 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	}
 	var glyphRow int64
 	haveGlyphRow := false
+	k := &rs.lanes
+	bcast(&k.base, base)
+	bcast(&k.amp1, amp1)
+	bcast(&k.warp, sc.warp)
+	bcast(&k.amp2, amp2)
+	bcast(&k.step, step)
+	bcast(&k.grain, grain)
 
 	for y := 0; y < s.H; y++ {
 		fy := float64(y) + offY
@@ -478,33 +553,15 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 			}
 		}
 
-		row := f.Pix[y*w:][:w]
-		t1, b1, t2, b2, tG, bG := o1.top[:w], o1.bot[:w], o2.top[:w], o2.bot[:w], oG.top[:w], oG.bot[:w]
-		on := rs.on[:w]
-		for x := range row {
-			v := base
-			n1 := t1[x]*omy1 + b1[x]*wy1 - 0.5
-			n2 := t2[x]*omy2 + b2[x]*wy2 - 0.5
-			v += amp1 * (math.Abs(n1)*2 - 0.5) * sc.warp
-			v += amp2 * n2
-			// Posterise to the scene palette: sharp edges between flats.
-			v = math.Round(v/step) * step
-			if on[x]&rowOn != 0 {
-				if v > 127 {
-					v -= 90
-				} else {
-					v += 90
-				}
-			}
-			// Grain.
-			v += grain * (tG[x]*omyG + bG[x]*wyG - 0.5)
-			if v < 0 {
-				v = 0
-			} else if v > 255 {
-				v = 255
-			}
-			row[x] = uint8(v)
-		}
+		bcast(&k.omy1, omy1)
+		bcast(&k.wy1, wy1)
+		bcast(&k.omy2, omy2)
+		bcast(&k.wy2, wy2)
+		bcast(&k.omyG, omyG)
+		bcast(&k.wyG, wyG)
+		r := uint64(rowOn)
+		k.rowOn = [4]uint64{r, r, r, r}
+		pixRow(f.Pix[y*w:][:w], rs.on, o1.top, o1.bot, o2.top, o2.bot, oG.top, oG.bot, k)
 	}
 
 	s.drawSprites(f, sc, t)
@@ -552,23 +609,31 @@ func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64) {
 }
 
 // drawHUD renders a static overlay band: stream chrome that never moves.
+// Alternating glyph-like blocks, crisp verticals the encoder blurs at low
+// bitrate and SR can re-sharpen: every row of the band is one of two
+// patterns, by the parity of its block row, so each is filled once and
+// copied into the rows that repeat it.
 func (s *Source) drawHUD(f *frame.Frame) {
 	hudH := s.H / 12
 	if hudH < 2 {
 		return
 	}
 	y0 := s.H - hudH
+	var pattern [2][]uint8 // the first row of each parity
 	for y := y0; y < s.H; y++ {
-		row := f.Pix[y*s.W:]
-		for x := 0; x < s.W; x++ {
-			// Alternating glyph-like blocks: crisp verticals the encoder
-			// blurs at low bitrate and SR can re-sharpen.
-			gx := x / (hudH / 2)
-			if (gx+((y-y0)/(hudH/4+1)))%2 == 0 {
+		row := f.Pix[y*s.W:][:s.W]
+		par := ((y - y0) / (hudH/4 + 1)) % 2
+		if pattern[par] != nil {
+			copy(row, pattern[par])
+			continue
+		}
+		for x := range row {
+			if (x/(hudH/2)+par)%2 == 0 {
 				row[x] = 28
 			} else {
 				row[x] = 222
 			}
 		}
+		pattern[par] = row
 	}
 }

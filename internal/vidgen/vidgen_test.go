@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"livenas/internal/frame"
 	"livenas/internal/metrics"
 )
 
@@ -192,5 +193,22 @@ func TestValueNoiseRangeAndContinuity(t *testing.T) {
 		if math.Abs(v-v2) > 0.01 {
 			t.Fatalf("noise not continuous at %f: %f vs %f", x, v, v2)
 		}
+	}
+}
+
+// frameSink keeps BenchmarkFrameAt's frames live.
+var frameSink *frame.Frame
+
+// BenchmarkFrameAt renders 384x216 frames, the ingest_sweep native size,
+// cycling through all nine categories a frame at a time.
+func BenchmarkFrameAt(b *testing.B) {
+	var srcs []*Source
+	for _, c := range Categories() {
+		srcs = append(srcs, NewSource(c, 384, 216, 1, 60))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frameSink = srcs[i%len(srcs)].FrameAt(float64(i) * 0.1)
 	}
 }

@@ -10,7 +10,8 @@
 #                         QueuedConn's and Pool's Close joins, whole-Results
 #                         session determinism), short tests,
 #                         the benchmark module's vet + tests, the int8 and
-#                         codec+vidgen differential tests, the wire format
+#                         codec+vidgen differential tests, the vidgen pixel
+#                         row's Go twin by name, the wire format
 #                         pin, the playlist format pin (with the event-heap
 #                         oracle and WireSize = frame length), the link
 #                         model pin (netem.Link and SimConn against their
@@ -182,6 +183,18 @@ sr_inference_pin() {
         pin_tests ./internal/frame TestResizeBilinearMatchesRef TestResizeBilinearMatchesRef/go
 }
 
+# The codec's differentials, then FrameAt's (DESIGN.md "Session hot path"):
+# the frame oracle and the pixel-row differential (posterise ties, -0
+# quotients, the glyph toggle at 127, both clamps, every lane remainder)
+# under each pixel-row kernel set the host can run. The top-level tests
+# cover the AVX2 kernel where the CPU has it, and the /go subtests name the
+# Go twin, so a rename cannot drop the twin's check on an AVX2 host.
+codec_vidgen_differential() {
+    go test -run 'MatchesRef|MatchesPow' ./internal/codec &&
+        pin_tests ./internal/vidgen TestFrameAtMatchesRef TestFrameAtMatchesRef/go \
+            TestPixRowMatchesGo TestPixRowMatchesGo/go
+}
+
 # What simulated edge links are priced by (DESIGN.md "Playlist body"): the
 # literal playlist bytes with the hostile-count and allocation ceilings, the
 # typed event heap against the container/heap oracle, and WireSize against
@@ -277,8 +290,7 @@ if [[ "$TIER" == "fast" ]]; then
     # The codec/vidgen bit-identity contract (DESIGN.md), by name for the same
     # reason: the table-driven hot path against the per-pixel and
     # per-coefficient oracles in their ref_test.go files.
-    step "codec+vidgen differential" go test \
-        -run 'MatchesRef|MatchesPow' ./internal/codec ./internal/vidgen
+    step "codec+vidgen differential" codec_vidgen_differential
     # The wire format contract (DESIGN.md "Wire format v2"), by name for the
     # same reason (pin_tests: each must report PASS): the literal v2 bytes,
     # the v1-gob and 16 MB-claim skips, the canonical-form rejections and the
