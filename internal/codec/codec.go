@@ -64,10 +64,13 @@ func padTo8(x int) int { return (x + blockSize - 1) / blockSize * blockSize }
 // rate-control state.
 type Encoder struct {
 	cfg Config
-	// ref is the reconstructed previous frame (padded dims); spare is the
-	// buffer the next reconstruction is written into. The two swap after
-	// every frame, so re-encode attempts and steady state allocate nothing.
-	ref, spare *frame.Frame
+	// recon is the buffer every encode attempt writes its reconstruction
+	// into (padded dims). ref is the reference the next inter frame
+	// predicts from: the kept reconstruction with an edge-replicated border
+	// of searchRange() pixels on every side (borderRef), so every block the
+	// motion search can reach lies inside it. Both are allocated once, so
+	// re-encode attempts and steady state allocate nothing.
+	recon, ref *frame.Frame
 	padded     *frame.Frame // block-aligned copy of the input, when it needs one
 	lastBytes  int          // previous frame's stream length: sizes the next bitWriter
 	seq        int
@@ -136,14 +139,14 @@ func (e *Encoder) Encode(f *frame.Frame, targetBits int) *EncodedFrame {
 	// Inter-frame QP adaptation: proportional control on the log bit error,
 	// smoothed to avoid oscillation.
 	err := math.Log2(float64(len(data)*8) / float64(budget))
-	e.rcInertia = 0.6*e.rcInertia + 0.4*err
+	e.rcInertia = float64(0.6*e.rcInertia) + float64(0.4*err)
 	step := int(math.Round(2.5 * e.rcInertia))
 	if step != 0 {
 		e.qp = min(MaxQP, max(MinQP, e.qp+step))
 		e.rcInertia = 0
 	}
 
-	e.ref, e.spare = e.spare, e.ref
+	e.ref = borderRef(e.ref, e.recon, e.cfg.Profile.searchRange())
 	e.lastBytes = len(data)
 	if key {
 		e.sinceKey = 0
@@ -162,7 +165,27 @@ func (e *Encoder) Reconstructed() *frame.Frame {
 	if e.ref == nil {
 		return nil
 	}
-	return e.ref.Crop(0, 0, e.cfg.W, e.cfg.H)
+	return e.recon.Crop(0, 0, e.cfg.W, e.cfg.H)
+}
+
+// borderRef writes src into dst's interior, b pixels in from every side,
+// and replicates src's edge samples across the border: dst holds
+// refSample(src, x−b, y−b) at every (x, y), so a block displaced by up to b
+// pixels from anywhere in src lies inside dst and reads what the clamped
+// fetch would. dst is allocated on first use and returned.
+func borderRef(dst, src *frame.Frame, b int) *frame.Frame {
+	if dst == nil {
+		dst = frame.New(src.W+2*b, src.H+2*b)
+	}
+	for y := 0; y < dst.H; y++ {
+		s := src.Pix[min(max(y-b, 0), src.H-1)*src.W:][:src.W]
+		d := dst.Pix[y*dst.W:][:dst.W]
+		copy(d[b:], s)
+		for x := 0; x < b; x++ {
+			d[x], d[len(d)-1-x] = s[0], s[len(s)-1]
+		}
+	}
+	return dst
 }
 
 // pad extends f to block-aligned dimensions by edge replication.
@@ -186,7 +209,7 @@ func (e *Encoder) pad(f *frame.Frame) *frame.Frame {
 }
 
 // encodeOnce runs one full encode of a padded frame at a fixed QP, writes
-// the reconstruction (the next reference) into e.spare, and returns the
+// the reconstruction (the next reference) into e.recon, and returns the
 // bitstream.
 func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 	w := &bitWriter{buf: make([]byte, 0, e.lastBytes+e.lastBytes/4+64)}
@@ -194,10 +217,11 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 	w.writeBits(uint64(qp), 6)
 
 	pw, ph := padded.W, padded.H
-	if e.spare == nil {
-		e.spare = frame.New(pw, ph)
+	if e.recon == nil {
+		e.recon = frame.New(pw, ph)
 	}
-	recon := e.spare
+	recon := e.recon
+	border := e.cfg.Profile.searchRange()
 	steps := quantSteps(e.cfg.Profile, qp)
 	var blk, freq [64]float64
 	var pred [64]uint8
@@ -224,7 +248,7 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 			w.writeSE(int32(mvy - prevMVY))
 			prevMVX, prevMVY = mvx, mvy
 			// Residual against motion-compensated prediction.
-			fetchPred(e.ref, bx+mvx, by+mvy, &pred)
+			fetchPred(e.ref, bx+mvx+border, by+mvy+border, &pred)
 			for y := 0; y < blockSize; y++ {
 				src := padded.Pix[(by+y)*pw+bx:][:blockSize]
 				for x, v := range src {
@@ -311,16 +335,17 @@ func codeBlock(w *bitWriter, blk, freq, steps *[64]float64) {
 }
 
 // searchMotion runs a small diamond search seeded at (0,0) and the left
-// neighbour's motion vector, returning the best vector and its SAD. An
-// edge-clamped candidate is abandoned once its partial SAD reaches the best
-// so far (blockSAD), and the search ends at a perfect match: neither can
-// change the winner, which must be strictly better.
+// neighbour's motion vector, returning the best vector and its SAD; the
+// search ends at a perfect match, which no candidate can beat. Every
+// candidate lies within ±searchRange() on each axis (the left neighbour's
+// vector is an earlier result), so each is one sad8x8 against the bordered
+// reference.
 func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int, int, int) {
 	r := e.cfg.Profile.searchRange()
 	bestX, bestY := 0, 0
-	best := blockSAD(cur, e.ref, bx, by, 0, 0, math.MaxInt)
+	best := blockSAD(cur, e.ref, r, bx, by, 0, 0)
 	if predX != 0 || predY != 0 {
-		if s := blockSAD(cur, e.ref, bx, by, predX, predY, best); s < best {
+		if s := blockSAD(cur, e.ref, r, bx, by, predX, predY); s < best {
 			best, bestX, bestY = s, predX, predY
 		}
 	}
@@ -333,7 +358,7 @@ func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int,
 				if nx < -r || nx > r || ny < -r || ny > r {
 					continue
 				}
-				if s := blockSAD(cur, e.ref, bx, by, nx, ny, best); s < best {
+				if s := blockSAD(cur, e.ref, r, bx, by, nx, ny); s < best {
 					best, bestX, bestY = s, nx, ny
 					improved = true
 				}
@@ -344,36 +369,14 @@ func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int,
 }
 
 // blockSAD computes the sum of absolute differences between the current
-// block and the reference block displaced by (mvx, mvy) (edge-clamped). A
-// displaced block inside the reference is one sad8x8 call, with no early
-// exit. An edge-clamped one returns early, with a partial sum that is at
-// least limit, once the sum reaches limit. searchMotion only tests s < best,
-// and best is only ever set from a sum below limit, which is complete; a
-// full sum is at least limit whenever a partial one is. So either form makes
-// the same decisions and keeps the same best.
-func blockSAD(cur, ref *frame.Frame, bx, by, mvx, mvy, limit int) int {
-	x0, y0 := bx+mvx, by+mvy
+// block at (bx, by) and the reference block displaced by (mvx, mvy), where
+// ref is bordered by border pixels on every side (borderRef) and |mvx|,
+// |mvy| <= border: the displaced block lies inside ref, and the SAD is one
+// sad8x8 call.
+func blockSAD(cur, ref *frame.Frame, border, bx, by, mvx, mvy int) int {
 	span := (blockSize-1)*cur.W + blockSize
-	c := cur.Pix[by*cur.W+bx:][:span]
-	if inside(ref, x0, y0) {
-		return sad8x8(c, cur.W, ref.Pix[y0*ref.W+x0:][:(blockSize-1)*ref.W+blockSize], ref.W)
-	}
-	var edge [blockSize]uint8
-	var sad int
-	for y := 0; y < blockSize; y++ {
-		r := refRow(ref, x0, y0+y, false, &edge)
-		for x, cv := range c[y*cur.W:][:blockSize] {
-			d := int(cv) - int(r[x])
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
-		if sad >= limit {
-			break
-		}
-	}
-	return sad
+	i := (by+mvy+border)*ref.W + bx + mvx + border
+	return sad8x8(cur.Pix[by*cur.W+bx:][:span], cur.W, ref.Pix[i:][:(blockSize-1)*ref.W+blockSize], ref.W)
 }
 
 // inside reports whether the 8x8 block whose top-left corner is (x0, y0)
@@ -385,7 +388,7 @@ func inside(f *frame.Frame, x0, y0 int) bool {
 
 // refRow returns the eight reference samples starting at (x0, y): a slice of
 // the frame itself when the block is inside it, otherwise edge-clamped
-// copies in edge.
+// copies in edge (the decoder's path: its vectors come off the wire).
 func refRow(ref *frame.Frame, x0, y int, in bool, edge *[blockSize]uint8) []uint8 {
 	if in {
 		return ref.Pix[y*ref.W+x0:][:blockSize]
@@ -397,7 +400,10 @@ func refRow(ref *frame.Frame, x0, y int, in bool, edge *[blockSize]uint8) []uint
 }
 
 // fetchPred copies the motion-compensated prediction, the reference block
-// whose top-left corner is (x0, y0), into pred.
+// whose top-left corner is (x0, y0), into pred. The encoder passes its
+// bordered reference and a corner shifted by the border, which is always
+// inside; the decoder passes its plain reference and a corner from the
+// wire, clamped sample by sample when it is not.
 func fetchPred(ref *frame.Frame, x0, y0 int, pred *[64]uint8) {
 	in := inside(ref, x0, y0)
 	var edge [blockSize]uint8

@@ -31,12 +31,12 @@ func TestDCTEnergyConservation(t *testing.T) {
 	var src, freq [64]float64
 	var es, ef float64
 	for i := range src {
-		src[i] = rng.Float64()*200 - 100
-		es += src[i] * src[i]
+		src[i] = float64(rng.Float64()*200) - 100
+		es += float64(src[i] * src[i])
 	}
 	fdct8(&src, &freq)
 	for i := range freq {
-		ef += freq[i] * freq[i]
+		ef += float64(freq[i] * freq[i])
 	}
 	if math.Abs(es-ef)/es > 1e-9 {
 		t.Fatalf("energy not conserved: %v vs %v", es, ef)

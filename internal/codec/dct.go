@@ -38,14 +38,14 @@ func dct1d(tab *[blockSize][blockSize]float64, in []float64, is int, out []float
 			continue
 		}
 		b := &tab[i]
-		a0 += b[0] * t
-		a1 += b[1] * t
-		a2 += b[2] * t
-		a3 += b[3] * t
-		a4 += b[4] * t
-		a5 += b[5] * t
-		a6 += b[6] * t
-		a7 += b[7] * t
+		a0 += float64(b[0] * t)
+		a1 += float64(b[1] * t)
+		a2 += float64(b[2] * t)
+		a3 += float64(b[3] * t)
+		a4 += float64(b[4] * t)
+		a5 += float64(b[5] * t)
+		a6 += float64(b[6] * t)
+		a7 += float64(b[7] * t)
 	}
 	_ = out[7*os]
 	out[0], out[os], out[2*os], out[3*os] = a0, a1, a2, a3
@@ -154,11 +154,11 @@ func init() {
 			quantTab[BX8][qp][i] = q * scale
 			// BX9 flattens the high-frequency penalty (keeping more detail
 			// per bit), part of its rate-distortion edge.
-			quantTab[BX9][qp][i] = (6 + (q-6)*0.8) * scale
+			quantTab[BX9][qp][i] = (6 + float64((q-6)*0.8)) * scale
 		}
 		// The maximum boundary step treated as an artifact: larger
 		// quantisation steps allow larger artifacts.
-		deblockTab[qp] = min(48, int(2+scale*1.5))
+		deblockTab[qp] = min(48, int(2+float64(scale*1.5)))
 	}
 }
 

@@ -29,13 +29,13 @@ func qpScale(qp int) float64 {
 func quantStepRef(p Profile, qp int, i int) float64 {
 	q := baseQuant[i]
 	if p == BX9 {
-		q = 6 + (q-6)*0.8
+		q = 6 + float64((q-6)*0.8)
 	}
 	return q * qpScale(qp)
 }
 
 func deblockThresholdRef(qp int) int {
-	t := int(2 + qpScale(qp)*1.5)
+	t := int(2 + float64(qpScale(qp)*1.5))
 	if t > 48 {
 		t = 48
 	}
@@ -49,7 +49,7 @@ func fdct8Ref(src, dst *[64]float64) {
 		for k := 0; k < 8; k++ {
 			var s float64
 			for n := 0; n < 8; n++ {
-				s += dctBasis[k][n] * src[y*8+n]
+				s += float64(dctBasis[k][n] * src[y*8+n])
 			}
 			tmp[y*8+k] = s
 		}
@@ -59,7 +59,7 @@ func fdct8Ref(src, dst *[64]float64) {
 		for k := 0; k < 8; k++ {
 			var s float64
 			for n := 0; n < 8; n++ {
-				s += dctBasis[k][n] * tmp[n*8+x]
+				s += float64(dctBasis[k][n] * tmp[n*8+x])
 			}
 			dst[k*8+x] = s
 		}
@@ -73,7 +73,7 @@ func idct8Ref(src, dst *[64]float64) {
 		for n := 0; n < 8; n++ {
 			var s float64
 			for k := 0; k < 8; k++ {
-				s += dctBasis[k][n] * src[k*8+x]
+				s += float64(dctBasis[k][n] * src[k*8+x])
 			}
 			tmp[n*8+x] = s
 		}
@@ -83,7 +83,7 @@ func idct8Ref(src, dst *[64]float64) {
 		for n := 0; n < 8; n++ {
 			var s float64
 			for k := 0; k < 8; k++ {
-				s += dctBasis[k][n] * tmp[y*8+k]
+				s += float64(dctBasis[k][n] * tmp[y*8+k])
 			}
 			dst[y*8+n] = s
 		}
@@ -152,7 +152,7 @@ func (e *refEncoder) Encode(f *frame.Frame, targetBits int) *EncodedFrame {
 	}
 
 	err := math.Log2(float64(len(data)*8) / float64(budget))
-	e.rcInertia = 0.6*e.rcInertia + 0.4*err
+	e.rcInertia = float64(0.6*e.rcInertia) + float64(0.4*err)
 	step := int(math.Round(2.5 * e.rcInertia))
 	if step != 0 {
 		e.qp = min(MaxQP, max(MinQP, e.qp+step))
@@ -568,13 +568,14 @@ func TestEncodeBitstreamMatchesRef(t *testing.T) {
 	})
 }
 
-// sadFrames returns a current frame and a reference of another width, so a
-// kernel that read one block with the other's stride would fail: random
-// bytes, a reference that is the current frame shifted by (3, 2) plus
-// noise, and flat 0 against flat 255 (the largest SAD, 64*255).
+// sadFrames returns current and reference frame pairs of one size, as in
+// the encoder: random bytes, a reference that is the current frame shifted
+// by (3, 2) plus noise, and flat 0 against flat 255 (the largest SAD,
+// 64*255). The bordered reference is wider than the current frame, so a
+// kernel that read one block with the other's stride would fail.
 func sadFrames() [][2]*frame.Frame {
 	rng := rand.New(rand.NewSource(5))
-	cur, ref := frame.New(40, 32), frame.New(48, 40)
+	cur, ref := frame.New(48, 40), frame.New(48, 40)
 	for i := range cur.Pix {
 		cur.Pix[i] = uint8(rng.Intn(256))
 	}
@@ -588,37 +589,40 @@ func sadFrames() [][2]*frame.Frame {
 			shifted.Pix[y*shifted.W+x] = uint8(min(max(v, 0), 255))
 		}
 	}
-	black, white := frame.New(40, 32), frame.New(48, 40)
+	black, white := frame.New(48, 40), frame.New(48, 40)
 	for i := range white.Pix {
 		white.Pix[i] = 255
 	}
 	return [][2]*frame.Frame{{cur, ref}, {cur, shifted}, {black, white}}
 }
 
-// TestSADMatchesRef holds blockSAD to the per-pixel clamped oracle under
-// every kernel set, for every block of the frame, motion vectors out to
-// ±(range+8) of the larger search range (blocks inside the reference and
-// edge-clamped ones on every side), and limits below, at, just above and
-// far above the true SAD. A SAD below the limit must be exact; one at or
-// past it may be a partial sum but must still be at least the limit, so
-// searchMotion's s < best decides the same; and a block inside the
-// reference has no early exit, so its SAD is exact at any limit.
+// TestSADMatchesRef holds the encoder's bordered reference to the per-pixel
+// clamped oracle under every kernel set, at both profiles' search ranges:
+// for every block of the frame (each within searchRange()+8 of an edge:
+// the frames are 48x40) and every vector the search can test, within
+// ±searchRange() on each axis, blockSAD on the bordered reference equals
+// blockSADRef on the plain one, and fetchPred at the corner shifted by the
+// border copies the refSample block.
 func TestSADMatchesRef(t *testing.T) {
-	const reach = 12 + 8 // BX9's search range, plus a block
 	forEachCodecKernels(t, func(t *testing.T) {
 		for n, pair := range sadFrames() {
 			cur, ref := pair[0], pair[1]
-			for by := 0; by < cur.H; by += blockSize {
-				for bx := 0; bx < cur.W; bx += blockSize {
-					for mvy := -reach; mvy <= reach; mvy++ {
-						for mvx := -reach; mvx <= reach; mvx++ {
-							want := blockSADRef(cur, ref, bx, by, mvx, mvy)
-							in := inside(ref, bx+mvx, by+mvy)
-							for _, limit := range []int{math.MaxInt, want + 1, want, want - 1, want / 2, 1, 0} {
-								got := blockSAD(cur, ref, bx, by, mvx, mvy, limit)
-								if (want < limit || in) && got != want || want >= limit && got < limit {
-									t.Fatalf("frames %d block (%d,%d) mv (%d,%d) inside=%v limit %d: SAD %d, oracle %d",
-										n, bx, by, mvx, mvy, in, limit, got, want)
+			for _, p := range []Profile{BX8, BX9} {
+				r := p.searchRange()
+				bordered := borderRef(nil, ref, r)
+				for by := 0; by < cur.H; by += blockSize {
+					for bx := 0; bx < cur.W; bx += blockSize {
+						for mvy := -r; mvy <= r; mvy++ {
+							for mvx := -r; mvx <= r; mvx++ {
+								if got, want := blockSAD(cur, bordered, r, bx, by, mvx, mvy), blockSADRef(cur, ref, bx, by, mvx, mvy); got != want {
+									t.Fatalf("frames %d %v block (%d,%d) mv (%d,%d): SAD %d, oracle %d", n, p, bx, by, mvx, mvy, got, want)
+								}
+								var pred [64]uint8
+								fetchPred(bordered, bx+mvx+r, by+mvy+r, &pred)
+								for i, v := range pred {
+									if want := refSample(ref, bx+mvx+i%blockSize, by+mvy+i/blockSize); v != want {
+										t.Fatalf("frames %d %v block (%d,%d) mv (%d,%d): prediction[%d] %d, oracle %d", n, p, bx, by, mvx, mvy, i, v, want)
+									}
 								}
 							}
 						}

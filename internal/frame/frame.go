@@ -11,6 +11,12 @@
 // baseline upsample of every session, so its two row loops have AVX2 forms
 // (resize_amd64.s), chosen once at init from cpu.AVX2 and bit-identical to
 // the Go loops they stand in for.
+//
+// Downscale's box average is integer arithmetic. For a block sum s of
+// n = factor² bytes, the float rounding clamp8(s/n) equals (2s+n)/(2n) in
+// integer division: s/n lies in [0, 255], so only clamp8's round half up
+// acts, and s/n is never within float64 error of a rounding boundary it
+// does not sit on exactly.
 package frame
 
 import (
@@ -129,7 +135,7 @@ func (t *resizeTabs) ensure(w, sw int) {
 // axisPos is the half-pixel-centred source index pair and blend fraction of
 // output position i on an axis of srcN source samples, scale = srcN/n.
 func axisPos(i int, scale float64, srcN int) (p0, p1 int, fr float64) {
-	src := (float64(i)+0.5)*scale - 0.5
+	src := float64((float64(i)+0.5)*scale) - 0.5
 	p0 = int(src)
 	if src < 0 {
 		src, p0 = 0, 0
@@ -167,7 +173,7 @@ var hlerpRow, vlerpRow = hlerpGo, vlerpGo
 func hlerpGo(row []uint8, src []float64, x0, x1 []int32, omfx, fx, dst []float64) {
 	x0, x1, omfx, fx = x0[:len(dst)], x1[:len(dst)], omfx[:len(dst)], fx[:len(dst)]
 	for x := range dst {
-		dst[x] = float64(row[x0[x]])*omfx[x] + float64(row[x1[x]])*fx[x]
+		dst[x] = float64(float64(row[x0[x]])*omfx[x]) + float64(float64(row[x1[x]])*fx[x])
 	}
 }
 
@@ -175,7 +181,7 @@ func hlerpGo(row []uint8, src []float64, x0, x1 []int32, omfx, fx, dst []float64
 // dst[x] = clamp8(top[x]*omfy + bot[x]*fy), where omfy is 1-fy.
 func vlerpGo(top, bot []float64, omfy, fy float64, dst []uint8) {
 	for x := range dst {
-		dst[x] = clamp8(top[x]*omfy + bot[x]*fy)
+		dst[x] = clamp8(float64(top[x]*omfy) + float64(bot[x]*fy))
 	}
 }
 
@@ -229,23 +235,41 @@ func (f *Frame) ResizeBilinearRows(out *Frame, r0, r1 int) {
 // Downscale returns f reduced by an integer factor using box averaging,
 // emulating the camera-ISP downscale an ingest client performs before
 // encoding at a sub-native resolution.
+//
+// Each output sample is the rounded mean of a factor x factor block,
+// computed as (2s+n)/(2n) for the block sum s of n = factor² bytes (the
+// package doc gives the identity with the float form, which ref_test.go
+// keeps as the oracle).
 func (f *Frame) Downscale(factor int) *Frame {
 	if factor <= 1 {
 		return f.Clone()
 	}
 	w, h := f.W/factor, f.H/factor
 	out := New(w, h)
-	n := float64(factor * factor)
+	if factor == 2 {
+		for y := 0; y < h; y++ {
+			r0 := f.Pix[2*y*f.W : 2*y*f.W+2*w]
+			r1 := f.Pix[(2*y+1)*f.W : (2*y+1)*f.W+2*w]
+			o := out.Pix[y*w : y*w+w]
+			for x := range o {
+				s := uint(r0[2*x]) + uint(r0[2*x+1]) + uint(r1[2*x]) + uint(r1[2*x+1])
+				o[x] = uint8((s + 2) >> 2) // (2s+4)/8
+			}
+		}
+		return out
+	}
+	n := uint(factor * factor)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var sum float64
+		o := out.Pix[y*w : y*w+w]
+		for x := range o {
+			var s uint
 			for dy := 0; dy < factor; dy++ {
-				row := f.Pix[(y*factor+dy)*f.W:]
-				for dx := 0; dx < factor; dx++ {
-					sum += float64(row[x*factor+dx])
+				i := (y*factor+dy)*f.W + x*factor
+				for _, v := range f.Pix[i : i+factor] {
+					s += uint(v)
 				}
 			}
-			out.Pix[y*w+x] = clamp8(sum / n)
+			o[x] = uint8((2*s + n) / (2 * n))
 		}
 	}
 	return out

@@ -42,7 +42,7 @@ func pasteRef(f, src *Frame, x, y int) {
 // first, as the product code does: (i+0.5)*srcN/n rounds differently.
 func resizeAxisRef(i, n, srcN int) (p0, p1 int, fr float64) {
 	scale := float64(srcN) / float64(n)
-	src := (float64(i)+0.5)*scale - 0.5
+	src := float64((float64(i)+0.5)*scale) - 0.5
 	p0 = int(src)
 	if src < 0 {
 		src, p0 = 0, 0
@@ -69,9 +69,9 @@ func resizeBilinearRef(f *Frame, w, h int) *Frame {
 		y0, y1, fy := resizeAxisRef(y, h, f.H)
 		for x := 0; x < w; x++ {
 			x0, x1, fx := resizeAxisRef(x, w, f.W)
-			top := float64(f.At(x0, y0))*(1-fx) + float64(f.At(x1, y0))*fx
-			bot := float64(f.At(x0, y1))*(1-fx) + float64(f.At(x1, y1))*fx
-			out.Pix[y*w+x] = clamp8(top*(1-fy) + bot*fy)
+			top := float64(float64(f.At(x0, y0))*(1-fx)) + float64(float64(f.At(x1, y0))*fx)
+			bot := float64(float64(f.At(x0, y1))*(1-fx)) + float64(float64(f.At(x1, y1))*fx)
+			out.Pix[y*w+x] = clamp8(float64(top*(1-fy)) + float64(bot*fy))
 		}
 	}
 	return out
@@ -136,4 +136,68 @@ func TestResizeBilinearMatchesRef(t *testing.T) {
 		}
 		check(randFrame(rng, 384, 216), 768, 432)
 	})
+}
+
+// downscaleRef is the seed Downscale: a float64 block sum divided by
+// factor² and rounded by clamp8.
+func downscaleRef(f *Frame, factor int) *Frame {
+	if factor <= 1 {
+		return f.Clone()
+	}
+	w, h := f.W/factor, f.H/factor
+	out := New(w, h)
+	n := float64(factor * factor)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var sum float64
+			for dy := 0; dy < factor; dy++ {
+				row := f.Pix[(y*factor+dy)*f.W:]
+				for dx := 0; dx < factor; dx++ {
+					sum += float64(row[x*factor+dx])
+				}
+			}
+			out.Pix[y*w+x] = clamp8(sum / n)
+		}
+	}
+	return out
+}
+
+// TestDownscaleMatchesRef pins the integer Downscale to the float oracle.
+// The identity clamp8(s/n) == (2s+n)/(2n) is checked for every block sum at
+// factors 2-8; Downscale itself is checked on a frame holding one block of
+// every sum at factors 2-4 (the factor-2 fast path and the general loop),
+// and on random frames whose sides are not multiples of the factor.
+func TestDownscaleMatchesRef(t *testing.T) {
+	for factor := 2; factor <= 8; factor++ {
+		n := factor * factor
+		for s := 0; s <= 255*n; s++ {
+			if got, want := uint8((2*s+n)/(2*n)), clamp8(float64(s)/float64(n)); got != want {
+				t.Fatalf("factor %d, sum %d: integer mean %d, float mean %d", factor, s, got, want)
+			}
+		}
+	}
+	for factor := 2; factor <= 4; factor++ {
+		n := factor * factor
+		f := New(factor*(255*n+1), factor)
+		for s := 0; s <= 255*n; s++ {
+			left := s
+			for i := 0; i < n; i++ {
+				v := min(left, 255)
+				f.Set(s*factor+i%factor, i/factor, uint8(v))
+				left -= v
+			}
+		}
+		if !equalFrames(f.Downscale(factor), downscaleRef(f, factor)) {
+			t.Fatalf("factor %d: every-sum frame differs from the oracle", factor)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range [][2]int{{7, 5}, {13, 9}, {1, 1}, {3, 17}, {385, 217}, {384, 216}, {768, 432}} {
+		f := randFrame(rng, c[0], c[1])
+		for factor := 1; factor <= 5; factor++ {
+			if !equalFrames(f.Downscale(factor), downscaleRef(f, factor)) {
+				t.Fatalf("%dx%d at factor %d differs from the oracle", c[0], c[1], factor)
+			}
+		}
+	}
 }

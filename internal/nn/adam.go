@@ -44,8 +44,8 @@ func (a *Adam) Step(params []Param) {
 		m, v := a.m[i], a.v[i]
 		for j := range p.W {
 			g := float64(p.Grad[j])
-			mj := b1*float64(m[j]) + (1-b1)*g
-			vj := b2*float64(v[j]) + (1-b2)*g*g
+			mj := float64(b1*float64(m[j])) + float64((1-b1)*g)
+			vj := float64(b2*float64(v[j])) + float64((1-b2)*g*g)
 			m[j] = float32(mj)
 			v[j] = float32(vj)
 			mHat := mj / c1

@@ -1,5 +1,7 @@
 package nn
 
+import "unsafe"
+
 // This file is the register-blocked GEMM heart of the kernel engine. A
 // same-padded Conv2D forward is one implicit GEMM per row block:
 //
@@ -24,16 +26,19 @@ package nn
 //	4×8   kern4x8     SSE2, 4-row groups without AVX2; the 8 columns after
 //	                  the last 16-column tile
 //	1×8   kern1x8     SSE2, single rows
-//	edge  gemmScalar  the last w%8 columns of every output row
+//	8×4   kern8x4     SSE2, the 4 columns after the last 8-column tile of
+//	4×4   kern4x4     an 8-row group, a 4-row group or a single row when
+//	1×4   kern1x4     w%8 >= 4 (the trainer's 12-wide LR patches)
+//	edge  gemmScalar  the last w%4 columns of every output row
 //
 // With relu set every tile stores max(v, +0) with the accumulator as the
 // first source — ReLU.Forward's `v > 0` predicate, so NaN and −0 store +0 —
 // and gemmScalar applies that predicate too.
 //
 // SSE2 is the amd64 baseline and AVX2 is not, so the amd64 init installs
-// the two AVX2 tiles only when cpu.AVX2 says the CPU and OS support them.
-// Other architectures and purego builds install the pure-Go twins of all
-// four tiles from gemm_generic.go.
+// the two AVX2 tiles only when cpu.AVX2 says the CPU and OS support them;
+// the SSE2 tiles are called directly. Other architectures and purego builds
+// run the pure-Go twins of all seven tiles from gemm_generic.go.
 //
 // gemmConvBias also computes the input gradient (as a conv of the bordered
 // output gradient through the tap-flipped table, with transposed weights),
@@ -56,7 +61,7 @@ var kernTile8x8, kernTile4x16 func(kk int, a *float32, b *float32, off *int32, b
 // for the micro-kernels).
 func gemmConvBias(a, bias, b []float32, off []int32, outC, rows, w, bs int, c []float32, cs int, apack []float32, relu bool) {
 	kk := len(off)
-	w8 := w &^ 7
+	w8, w4 := w&^7, w&^3
 	oc := 0
 	if kernTile8x8 != nil {
 		for ; oc+8 <= outC; oc += 8 {
@@ -66,7 +71,10 @@ func gemmConvBias(a, bias, b []float32, off []int32, outC, rows, w, bs int, c []
 				for x := 0; x < w8; x += 8 {
 					kernTile8x8(kk, &apack[0], &brow[x], &off[0], &bias[oc], &crow[x], cs, relu)
 				}
-				gemmScalar(a, bias, brow, off, oc, oc+8, w8, w, c[y*w:], cs, relu)
+				if w4 > w8 {
+					kern8x4(kk, &apack[0], &brow[w8], &off[0], &bias[oc], &crow[w8], cs, relu)
+				}
+				gemmScalar(a, bias, brow, off, oc, oc+8, w4, w, c[y*w:], cs, relu)
 			}
 		}
 	}
@@ -83,7 +91,10 @@ func gemmConvBias(a, bias, b []float32, off []int32, outC, rows, w, bs int, c []
 			for ; x < w8; x += 8 {
 				kern4x8(kk, &apack[0], &brow[x], &off[0], &bias[oc], &crow[x], cs, relu)
 			}
-			gemmScalar(a, bias, brow, off, oc, oc+4, w8, w, c[y*w:], cs, relu)
+			if w4 > w8 {
+				kern4x4(kk, &apack[0], &brow[w8], &off[0], &bias[oc], &crow[w8], cs, relu)
+			}
+			gemmScalar(a, bias, brow, off, oc, oc+4, w4, w, c[y*w:], cs, relu)
 		}
 	}
 	for ; oc < outC; oc++ {
@@ -92,7 +103,10 @@ func gemmConvBias(a, bias, b []float32, off []int32, outC, rows, w, bs int, c []
 			for x := 0; x < w8; x += 8 {
 				kern1x8(kk, &a[oc*kk], &brow[x], &off[0], &bias[oc], &crow[x], relu)
 			}
-			gemmScalar(a, bias, brow, off, oc, oc+1, w8, w, c[y*w:], cs, relu)
+			if w4 > w8 {
+				kern1x4(kk, &a[oc*kk], &brow[w8], &off[0], &bias[oc], &crow[w8], relu)
+			}
+			gemmScalar(a, bias, brow, off, oc, oc+1, w4, w, c[y*w:], cs, relu)
 		}
 	}
 }
@@ -120,12 +134,41 @@ func gemmScalar(a, bias, b []float32, off []int32, oc0, oc1, x0, x1 int, c []flo
 		for x := x0; x < x1; x++ {
 			s := bias[oc]
 			for p, o := range off {
-				s += arow[p] * b[int(o)+x]
+				s += float32(arow[p] * b[int(o)+x])
 			}
 			if relu && !(s > 0) {
 				s = 0
 			}
 			crow[x] = s
+		}
+	}
+}
+
+// kernGo computes one mr-row × cols-column C tile from a [kk][mr] packed A:
+// c[r*cn+j] = bias[r] + Σ_{p<kk} a[p*mr+r] * b[off[p]+j], summed in
+// ascending p, stored as +0 when relu is set and the sum is not > 0. It is
+// the body of every tile's pure-Go twin (gemm_generic.go), and tests reach
+// it on amd64 as well (export_test.go).
+func kernGo(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn, mr, cols int, relu bool) {
+	as := unsafe.Slice(a, kk*mr)
+	os := unsafe.Slice(off, kk)
+	span := 0
+	for _, o := range os {
+		span = max(span, int(o))
+	}
+	bs := unsafe.Slice(b, span+cols)
+	bi := unsafe.Slice(bias, mr)
+	cs := unsafe.Slice(c, (mr-1)*cn+cols)
+	for r := 0; r < mr; r++ {
+		for j := 0; j < cols; j++ {
+			s := bi[r]
+			for p, o := range os {
+				s += float32(as[p*mr+r] * bs[int(o)+j])
+			}
+			if relu && !(s > 0) {
+				s = 0
+			}
+			cs[r*cn+j] = s
 		}
 	}
 }
@@ -151,10 +194,10 @@ func gemmDotRows(g, b []float32, bn, r0, rows int, out []float32) {
 		}
 		for p := n4; p < n; p++ {
 			gv := g[p]
-			out[r] += gv * b[(r0+r)*bn+p]
-			out[r+1] += gv * b[(r0+r+1)*bn+p]
-			out[r+2] += gv * b[(r0+r+2)*bn+p]
-			out[r+3] += gv * b[(r0+r+3)*bn+p]
+			out[r] += float32(gv * b[(r0+r)*bn+p])
+			out[r+1] += float32(gv * b[(r0+r+1)*bn+p])
+			out[r+2] += float32(gv * b[(r0+r+2)*bn+p])
+			out[r+3] += float32(gv * b[(r0+r+3)*bn+p])
 		}
 	}
 	for ; r < rows; r++ {
@@ -163,14 +206,14 @@ func gemmDotRows(g, b []float32, bn, r0, rows int, out []float32) {
 		// the same order as full groups.
 		var l0, l1, l2, l3 float32
 		for p := 0; p+4 <= n4; p += 4 {
-			l0 += g[p] * row[p]
-			l1 += g[p+1] * row[p+1]
-			l2 += g[p+2] * row[p+2]
-			l3 += g[p+3] * row[p+3]
+			l0 += float32(g[p] * row[p])
+			l1 += float32(g[p+1] * row[p+1])
+			l2 += float32(g[p+2] * row[p+2])
+			l3 += float32(g[p+3] * row[p+3])
 		}
 		s := (l0 + l2) + (l1 + l3)
 		for p := n4; p < n; p++ {
-			s += g[p] * row[p]
+			s += float32(g[p] * row[p])
 		}
 		out[r] = s
 	}

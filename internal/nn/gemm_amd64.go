@@ -43,6 +43,24 @@ func kern4x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float
 //go:noescape
 func kern1x8(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, relu bool)
 
+// kern8x4 is the 4-column edge tile of the 8-row groups: kern8x8's [kk][8]
+// packed A and per-element contract over columns 0..3, in SSE2.
+//
+//go:noescape
+func kern8x4(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
+
+// kern4x4 is kern4x8 narrowed to columns 0..3, the 4-column edge tile of
+// the 4-row groups.
+//
+//go:noescape
+func kern4x4(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
+
+// kern1x4 is kern1x8 narrowed to columns 0..3, the 4-column edge tile of
+// the single rows.
+//
+//go:noescape
+func kern1x4(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, relu bool)
+
 // kernDot4 computes out[r] = Σ_{p<n} g[p] * b[r*bn+p] for r in 0..3, where
 // n is a multiple of 4, as four interleaved lane partials per row reduced
 // as (l0+l2)+(l1+l3). gemmDotRows's scalar fallback mirrors that order.

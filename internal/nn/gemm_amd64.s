@@ -443,3 +443,209 @@ dot4done:
 	ADDSS   X6, X5
 	MOVSS   X5, 12(DI)
 	RET
+
+// func kern8x4(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
+//
+// SSE2: 8 output rows × 4 columns from a [kk][8] packed A (packA), the
+// 4-column edge tile of the 8-row groups. X0..X7 hold rows 0..7 and start
+// at the broadcast bias; each step is one offset load, one B load, the two
+// halves of A[p] and eight shuffle-multiply-adds, kern4x8's element order.
+// PSHUFD broadcasts a lane into a fresh register in one instruction; it
+// moves bits, so the lane is the float that was loaded.
+TEXT ·kern8x4(SB), NOSPLIT, $0-57
+	MOVQ kk+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ off+24(FP), DX
+	MOVQ bias+32(FP), R8
+	MOVQ c+40(FP), DI
+	MOVQ cn+48(FP), R9
+	SHLQ $2, R9              // C row stride in bytes
+
+	MOVUPS 0(R8), X9         // bias[0..3]
+	MOVUPS 16(R8), X10       // bias[4..7]
+	PSHUFD $0x00, X9, X0
+	PSHUFD $0x55, X9, X1
+	PSHUFD $0xAA, X9, X2
+	PSHUFD $0xFF, X9, X3
+	PSHUFD $0x00, X10, X4
+	PSHUFD $0x55, X10, X5
+	PSHUFD $0xAA, X10, X6
+	PSHUFD $0xFF, X10, X7
+
+	TESTQ CX, CX
+	JLE   k8x4done
+
+k8x4loop:
+	MOVLQSX (DX), AX         // off[p]
+	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
+	MOVUPS 0(SI), X9         // packed A[p][0..3]
+	MOVUPS 16(SI), X10       // packed A[p][4..7]
+
+	PSHUFD $0x00, X9, X11    // A[p][0]
+	MULPS  X8, X11
+	ADDPS  X11, X0
+	PSHUFD $0x55, X9, X12    // A[p][1]
+	MULPS  X8, X12
+	ADDPS  X12, X1
+	PSHUFD $0xAA, X9, X11    // A[p][2]
+	MULPS  X8, X11
+	ADDPS  X11, X2
+	SHUFPS $0xFF, X9, X9     // A[p][3]
+	MULPS  X8, X9
+	ADDPS  X9, X3
+
+	PSHUFD $0x00, X10, X11   // A[p][4]
+	MULPS  X8, X11
+	ADDPS  X11, X4
+	PSHUFD $0x55, X10, X12   // A[p][5]
+	MULPS  X8, X12
+	ADDPS  X12, X5
+	PSHUFD $0xAA, X10, X11   // A[p][6]
+	MULPS  X8, X11
+	ADDPS  X11, X6
+	SHUFPS $0xFF, X10, X10   // A[p][7]
+	MULPS  X8, X10
+	ADDPS  X10, X7
+
+	ADDQ $32, SI
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  k8x4loop
+
+k8x4done:
+	CMPB relu+56(FP), $0
+	JEQ  k8x4store
+	XORPS X8, X8
+	MAXPS X8, X0             // accumulator first: NaN, −0 → +0
+	MAXPS X8, X1
+	MAXPS X8, X2
+	MAXPS X8, X3
+	MAXPS X8, X4
+	MAXPS X8, X5
+	MAXPS X8, X6
+	MAXPS X8, X7
+
+k8x4store:
+	MOVUPS X0, (DI)
+	ADDQ   R9, DI
+	MOVUPS X1, (DI)
+	ADDQ   R9, DI
+	MOVUPS X2, (DI)
+	ADDQ   R9, DI
+	MOVUPS X3, (DI)
+	ADDQ   R9, DI
+	MOVUPS X4, (DI)
+	ADDQ   R9, DI
+	MOVUPS X5, (DI)
+	ADDQ   R9, DI
+	MOVUPS X6, (DI)
+	ADDQ   R9, DI
+	MOVUPS X7, (DI)
+	RET
+
+// func kern4x4(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, cn int, relu bool)
+//
+// SSE2: 4 output rows × 4 columns from a [kk][4] packed A, the 4-column
+// edge tile of the 4-row groups. X0..X3 hold rows 0..3.
+TEXT ·kern4x4(SB), NOSPLIT, $0-57
+	MOVQ kk+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ off+24(FP), DX
+	MOVQ bias+32(FP), R8
+	MOVQ c+40(FP), DI
+	MOVQ cn+48(FP), R9
+	SHLQ $2, R9              // C row stride in bytes
+
+	MOVUPS 0(R8), X9         // bias[0..3]
+	PSHUFD $0x00, X9, X0
+	PSHUFD $0x55, X9, X1
+	PSHUFD $0xAA, X9, X2
+	PSHUFD $0xFF, X9, X3
+
+	TESTQ CX, CX
+	JLE   k4x4done
+
+k4x4loop:
+	MOVLQSX (DX), AX         // off[p]
+	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
+	MOVUPS 0(SI), X9         // packed A[p][0..3]
+
+	PSHUFD $0x00, X9, X11    // A[p][0]
+	MULPS  X8, X11
+	ADDPS  X11, X0
+	PSHUFD $0x55, X9, X12    // A[p][1]
+	MULPS  X8, X12
+	ADDPS  X12, X1
+	PSHUFD $0xAA, X9, X11    // A[p][2]
+	MULPS  X8, X11
+	ADDPS  X11, X2
+	SHUFPS $0xFF, X9, X9     // A[p][3]
+	MULPS  X8, X9
+	ADDPS  X9, X3
+
+	ADDQ $16, SI
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  k4x4loop
+
+k4x4done:
+	CMPB relu+56(FP), $0
+	JEQ  k4x4store
+	XORPS X8, X8
+	MAXPS X8, X0             // accumulator first: NaN, −0 → +0
+	MAXPS X8, X1
+	MAXPS X8, X2
+	MAXPS X8, X3
+
+k4x4store:
+	MOVUPS X0, (DI)
+	ADDQ   R9, DI
+	MOVUPS X1, (DI)
+	ADDQ   R9, DI
+	MOVUPS X2, (DI)
+	ADDQ   R9, DI
+	MOVUPS X3, (DI)
+	RET
+
+// func kern1x4(kk int, a *float32, b *float32, off *int32, bias *float32, c *float32, relu bool)
+//
+// SSE2: one output row × 4 columns, the 4-column edge tile of the single
+// rows; a is the unpacked A row, as for kern1x8.
+TEXT ·kern1x4(SB), NOSPLIT, $0-49
+	MOVQ kk+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ off+24(FP), DX
+	MOVQ bias+32(FP), R8
+	MOVQ c+40(FP), DI
+
+	MOVSS  0(R8), X0         // broadcast bias
+	SHUFPS $0x00, X0, X0
+
+	TESTQ CX, CX
+	JLE   k1x4done
+
+k1x4loop:
+	MOVSS  0(SI), X4         // broadcast a[p]
+	SHUFPS $0x00, X4, X4
+	MOVLQSX (DX), AX         // off[p]
+	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
+	MULPS  X8, X4
+	ADDPS  X4, X0
+
+	ADDQ $4, SI
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  k1x4loop
+
+k1x4done:
+	CMPB relu+48(FP), $0
+	JEQ  k1x4store
+	XORPS X8, X8
+	MAXPS X8, X0             // accumulator first: NaN, −0 → +0
+
+k1x4store:
+	MOVUPS X0, (DI)
+	RET

@@ -134,7 +134,7 @@ func requantReLU(acc []int32, m, bh float32, out []int16) {
 		}
 	}
 	for ; i < len(acc); i++ {
-		f := float32(acc[i])*m + bh
+		f := float32(float32(acc[i])*m) + bh
 		f = min(f, 127)
 		f = max(f, 0)
 		out[i] = int16(int32(f))
@@ -151,6 +151,6 @@ var qrequantVec func(n8 int, acc *int32, m, bh float32, out *int16)
 // epilogue consumes the result directly.
 func dequantInto(acc []int32, m, b float32, out []float32) {
 	for i, v := range acc {
-		out[i] = float32(v)*m + b
+		out[i] = float32(float32(v)*m) + b
 	}
 }

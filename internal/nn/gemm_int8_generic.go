@@ -13,7 +13,7 @@ func qrequant(n8 int, acc *int32, m, bh float32, out *int16) {
 	as := unsafe.Slice(acc, n8)
 	os := unsafe.Slice(out, n8)
 	for i := 0; i < n8; i++ {
-		f := float32(as[i])*m + bh
+		f := float32(float32(as[i])*m) + bh
 		f = min(f, 127)
 		f = max(f, 0)
 		os[i] = int16(int32(f))

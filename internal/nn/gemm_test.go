@@ -82,8 +82,10 @@ func specialF32(n int, rng *rand.Rand) []float32 {
 // offset table: the table, the dispatch and the relu store must never
 // change a result. B is either a k = 1, 3 or 5 bordered block with its
 // (possibly flipped) table or a random table, and carries NaN, ±Inf and ±0.
-// outC up to 20 and w up to 90 reach every 8/4/1-row and 16/8/scalar-column
-// remainder; each C channel is padded with a canary no tile may overwrite.
+// outC up to 20 and w up to 90 reach every 8/4/1-row and 16/8/4/scalar-column
+// remainder at random, and a sweep of w = 1..33 at outC = 13 reaches each
+// width remainder under every row group; each C channel is padded with a
+// canary no tile may overwrite.
 // Non-canary NaNs compare as a class: a NaN's payload depends on which
 // operand the hardware propagates, which no ReLU-free consumer reads.
 func TestConvKernelVariantsMatch(t *testing.T) {
@@ -105,20 +107,10 @@ func TestConvKernelVariantsMatch(t *testing.T) {
 	for _, set := range sets {
 		t.Run(set.name, func(t *testing.T) {
 			kernTile8x8, kernTile4x16 = set.k8x8, set.k4x16
-			for trial := 0; trial < 400; trial++ {
-				outC := 1 + rng.Intn(20)
-				w := 1 + rng.Intn(90)
-				var g gemmCase
-				switch {
-				case trial%4 == 0: // the SR model's tables: 9, 36 and 72 taps
-					g = borderedCase(rng, []int{1, 4, 8}[trial/4%3], 3, w, rng.Intn(2) == 1)
-				case trial%4 == 1:
-					g = tableCase(rng, 1+rng.Intn(90), w)
-				default:
-					g = borderedCase(rng, 1+rng.Intn(9), []int{1, 3, 5}[rng.Intn(3)], w, rng.Intn(2) == 1)
-				}
-				relu := trial%3 != 0
-				kk, n := len(g.off), g.rows*w
+			check := func(trial int, g gemmCase, outC int, relu bool) {
+				t.Helper()
+				w, kk := g.w, len(g.off)
+				n := g.rows * w
 				cs := n + 3
 				a, bias := specialF32(outC*kk, rng), specialF32(outC, rng)
 				for i := range a { // finite weights, as in a trained conv
@@ -132,7 +124,7 @@ func TestConvKernelVariantsMatch(t *testing.T) {
 					for j := 0; j < n; j++ {
 						s := bias[oc]
 						for p := 0; p < kk; p++ {
-							s += a[oc*kk+p] * g.panel[p*n+j]
+							s += float32(a[oc*kk+p] * g.panel[p*n+j])
 						}
 						if relu && !(s > 0) {
 							s = 0
@@ -159,6 +151,30 @@ func TestConvKernelVariantsMatch(t *testing.T) {
 								trial, g.what, g.flip, outC, kk, g.rows, w, relu, oc, j, gb, wb)
 						}
 					}
+				}
+			}
+			for trial := 0; trial < 400; trial++ {
+				outC := 1 + rng.Intn(20)
+				w := 1 + rng.Intn(90)
+				var g gemmCase
+				switch {
+				case trial%4 == 0: // the SR model's tables: 9, 36 and 72 taps
+					g = borderedCase(rng, []int{1, 4, 8}[trial/4%3], 3, w, rng.Intn(2) == 1)
+				case trial%4 == 1:
+					g = tableCase(rng, 1+rng.Intn(90), w)
+				default:
+					g = borderedCase(rng, 1+rng.Intn(9), []int{1, 3, 5}[rng.Intn(3)], w, rng.Intn(2) == 1)
+				}
+				check(trial, g, outC, trial%3 != 0)
+			}
+			// Every width remainder mod 8 (and mod 16) under every row
+			// group: outC 13 is 8+4+1 rows with the wide tiles and 4+4+4+1
+			// without, so each w reaches the 8-, 4- and 1-row forms of the
+			// 8-column, 4-column and scalar edges.
+			for w := 1; w <= 33; w++ {
+				for _, relu := range []bool{false, true} {
+					check(-w, borderedCase(rng, 8, 3, w, relu), 13, relu)
+					check(-w, tableCase(rng, 1+rng.Intn(40), w), 13, relu)
 				}
 			}
 		})
@@ -212,5 +228,86 @@ func TestBorderedBlockMatchesIm2col(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEdgeTilesMatchRef pins each 4-column edge tile — kern8x4 on a [kk][8]
+// packed A, kern4x4 on a [kk][4] one, kern1x4 on an unpacked row — against
+// a plain sequential GEMM over the explicit panel, as the Go twins ("go")
+// and, on amd64 without purego, the SSE2 tiles ("asm"). B is a bordered
+// block or a random table carrying NaN, ±Inf and ±0, read at any column;
+// every fifth trial has −0 weights and biases, so an all −0 sum must
+// survive without relu and store +0 with it. Each C row is padded with a
+// canary the tile must not overwrite.
+func TestEdgeTilesMatchRef(t *testing.T) {
+	const canary = 0x7fc0dead
+	for _, set := range edgeTileSets {
+		t.Run(set.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(29))
+			for trial := 0; trial < 600; trial++ {
+				w := 4 + rng.Intn(20)
+				var g gemmCase
+				if trial%2 == 0 {
+					g = borderedCase(rng, 1+rng.Intn(9), []int{1, 3, 5}[rng.Intn(3)], w, rng.Intn(2) == 1)
+				} else {
+					g = tableCase(rng, 1+rng.Intn(90), w)
+				}
+				mr, relu := []int{8, 4, 1}[trial%3], trial%4 < 2
+				kk, n := len(g.off), g.rows*w
+				a, bias := specialF32(mr*kk, rng), specialF32(mr, rng)
+				for i := range a {
+					if a[i] != a[i] || math.IsInf(float64(a[i]), 0) {
+						a[i] = 0.5
+					}
+				}
+				if trial%5 == 0 {
+					negZero := float32(math.Copysign(0, -1))
+					for i := range a {
+						a[i] = negZero
+					}
+					for i := range bias {
+						bias[i] = negZero
+					}
+				}
+				apack := make([]float32, mr*kk)
+				packA(a, 0, mr, kk, apack)
+				y, x0, cn := rng.Intn(g.rows), rng.Intn(w-3), 4+rng.Intn(3)
+				got := make([]float32, mr*cn)
+				for i := range got {
+					got[i] = math.Float32frombits(canary)
+				}
+				bp := &g.b[y*g.bs+x0]
+				switch mr {
+				case 8:
+					set.t8x4(kk, &apack[0], bp, &g.off[0], &bias[0], &got[0], cn, relu)
+				case 4:
+					set.t4x4(kk, &apack[0], bp, &g.off[0], &bias[0], &got[0], cn, relu)
+				default:
+					set.t1x4(kk, &a[0], bp, &g.off[0], &bias[0], &got[0], relu)
+				}
+				for r := 0; r < mr; r++ {
+					for j := 0; j < cn; j++ {
+						wb := uint32(canary)
+						if j < 4 {
+							s := bias[r]
+							for p := 0; p < kk; p++ {
+								s += float32(a[r*kk+p] * g.panel[p*n+y*w+x0+j])
+							}
+							if relu && !(s > 0) {
+								s = 0
+							}
+							if gv := got[r*cn+j]; gv != gv && s != s {
+								continue
+							}
+							wb = math.Float32bits(s)
+						}
+						if gb := math.Float32bits(got[r*cn+j]); gb != wb {
+							t.Fatalf("trial %d (%s, %d×4, kk=%d, column %d, relu %v): c[%d][%d] = %#08x, want %#08x",
+								trial, g.what, mr, kk, x0, relu, r, j, gb, wb)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -151,6 +151,12 @@ func TestConvGEMMMatchesRef(t *testing.T) {
 	} {
 		diffConv(t, s[0], s[1], s[2], s[3], s[4], pool, arena, rng)
 	}
+	// Every width remainder mod 8 under every row group, forward (outC)
+	// and input gradient (inC): 13 channels are 8+4+1 rows, so each w
+	// reaches the 8-, 4- and 1-row forms of the 4-column and scalar edges.
+	for w := 1; w <= 17; w++ {
+		diffConv(t, 13, 13, 3, 3, w, pool, arena, rng)
+	}
 }
 
 // TestConvDeterministicAcrossPoolSizes pins the determinism argument: block

@@ -322,7 +322,7 @@ func TestQuickConvHomogeneous(t *testing.T) {
 		y1 := conv.Forward(ax)
 		y0 := conv.Forward(x)
 		for i := range y1.Data {
-			d := y1.Data[i] - a*y0.Data[i]
+			d := y1.Data[i] - float32(a*y0.Data[i])
 			if d > 1e-3 || d < -1e-3 {
 				return false
 			}

@@ -115,7 +115,7 @@ func TestRequantReLUVecMatchesGo(t *testing.T) {
 			acc[i] = int32(rng.Intn(1<<22) - 1<<21)
 		}
 		m := float32(rng.Float64() * 0.001)
-		bh := float32(rng.Float64()*4-2) + 0.5
+		bh := float32(float64(rng.Float64()*4)-2) + 0.5
 
 		qrequantVec = nil
 		want := make([]int16, n)
@@ -192,8 +192,8 @@ func TestQuantConvDifferential(t *testing.T) {
 		var num, den float64
 		for i := range got {
 			d := float64(got[i] - want.Data[i])
-			num += d * d
-			den += float64(want.Data[i]) * float64(want.Data[i])
+			num += float64(d * d)
+			den += float64(float64(want.Data[i]) * float64(want.Data[i]))
 		}
 		rel := math.Sqrt(num / (den + 1e-12))
 		if rel > 0.02 {

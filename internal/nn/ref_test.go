@@ -59,7 +59,7 @@ func convRefForward(l *Conv2D, x, out *Tensor) {
 						srow := src[(y+dy)*w:]
 						drow := dst[y*w:]
 						for xx := x0; xx < x1; xx++ {
-							drow[xx] += wv * srow[xx+dx]
+							drow[xx] += float32(wv * srow[xx+dx])
 						}
 					}
 				}
@@ -100,8 +100,8 @@ func convRefBackward(l *Conv2D, x, dOut, dIn *Tensor) {
 						grow := g[y*w:]
 						for xx := x0; xx < x1; xx++ {
 							gv := grow[xx]
-							gw += gv * srow[xx+dx]
-							drow[xx+dx] += gv * wv
+							gw += float32(gv * srow[xx+dx])
+							drow[xx+dx] += float32(gv * wv)
 						}
 					}
 					l.gradW[wbase+ky*l.K+kx] += gw

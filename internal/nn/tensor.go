@@ -90,7 +90,7 @@ func MSELossGradInto(pred, target, grad *Tensor) float64 {
 	var loss float64
 	for i := range pred.Data {
 		d := pred.Data[i] - target.Data[i]
-		loss += float64(d) * float64(d)
+		loss += float64(float64(d) * float64(d))
 		grad.Data[i] = 2 * d / n
 	}
 	return loss / float64(n)

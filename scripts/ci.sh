@@ -4,20 +4,23 @@
 #
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet on three build
 #                         partitions (default, -tags purego, GOARCH=arm64),
-#                         livenas-vet (whole module, no flags, under 4 s),
+#                         no fused multiply-add in the arm64 frame, nn and
+#                         codec code, livenas-vet (whole module, no flags, under 4 s),
 #                         the telemetry lock pair by name, the replay and
 #                         join pins by name (the gcc delay-fold replay,
 #                         QueuedConn's and Pool's Close joins, whole-Results
 #                         session determinism), short tests,
 #                         the benchmark module's vet + tests, the int8 and
-#                         codec+vidgen differential tests, the vidgen pixel
-#                         row's Go twin by name, the wire format
+#                         codec+vidgen differential tests, the codec's
+#                         bordered reference and the vidgen pixel row's Go
+#                         twin by name, the wire format
 #                         pin, the playlist format pin (with the event-heap
 #                         oracle and WireSize = frame length), the link
 #                         model pin (netem.Link and SimConn against their
 #                         seed oracles), the media server pin (hostile
 #                         patches, one socket session), the sr
-#                         inference differentials and the arena ownership
+#                         inference differentials (the f32 edge tiles'
+#                         and the integer Downscale's included) and the arena ownership
 #                         contract by name, the experiment harness pins (the
 #                         offline-study and swept-figure goldens, session
 #                         figures honouring cancellation) by name, parallel
@@ -167,32 +170,73 @@ pin_tests() {
 # forward"): each rewritten stage against the oracle kept in its ref_test.go,
 # the bordered block read through its tap tables (flipped included, f32 and
 # int16) against the explicit im2col panel it replaced, the narrow and the
-# installed wide f32 tile set (offset tables, relu store) against a plain
-# GEMM over that panel, the vector requant on misaligned rows, and the int8
-# paths on odd frame sizes with and without it. The bilinear skip and the
-# sub-pixel residual add are pinned to their seed loops (NaN/±Inf residuals,
-# every lane remainder) under each row-kernel set the host can run: the
-# top-level test covers the AVX2 kernels where the CPU has them, and the
-# /go subtests name the Go twins, so a twin is checked on every host.
+# installed wide f32 tile set (offset tables, relu store, every width
+# remainder under every row group) against a plain GEMM over that panel,
+# the 4-column edge tiles (8-, 4- and 1-row; NaN, -0 and relu) against the
+# same GEMM, the vector requant on misaligned rows, and the int8 paths on
+# odd frame sizes with and without it. The bilinear skip and the sub-pixel
+# residual add are pinned to their seed loops (NaN/±Inf residuals, every
+# lane remainder) under each row-kernel set the host can run, and the
+# integer Downscale to the seed's float box average (every block sum at
+# factors 2-4, odd frame sides). The top-level tests cover the vector
+# kernels where the CPU has them, and the /go subtests name the Go twins,
+# so a twin is checked on every host.
 sr_inference_pin() {
     pin_tests ./internal/sr TestSuperResolveMatchesRef \
         TestAddResidualMatchesRef TestAddResidualMatchesRef/go &&
         pin_tests ./internal/nn TestConvInferMatchesForwardReLU TestConvGEMMMatchesRef \
             TestBorderedBlockMatchesIm2col TestConvKernelVariantsMatch \
+            TestEdgeTilesMatchRef TestEdgeTilesMatchRef/go \
             TestRequantReLUVecMatchesGo TestQuantOddFrameSizes &&
-        pin_tests ./internal/frame TestResizeBilinearMatchesRef TestResizeBilinearMatchesRef/go
+        pin_tests ./internal/frame TestResizeBilinearMatchesRef TestResizeBilinearMatchesRef/go \
+            TestDownscaleMatchesRef
 }
 
-# The codec's differentials, then FrameAt's (DESIGN.md "Session hot path"):
-# the frame oracle and the pixel-row differential (posterise ties, -0
-# quotients, the glyph toggle at 127, both clamps, every lane remainder)
-# under each pixel-row kernel set the host can run. The top-level tests
-# cover the AVX2 kernel where the CPU has it, and the /go subtests name the
-# Go twin, so a rename cannot drop the twin's check on an AVX2 host.
+# The codec's differentials, then FrameAt's (DESIGN.md "Session hot path"),
+# by name: the quantiser tables, the transforms, the encoder's streams
+# against the oracle encoder, the encoder's bordered reference (every SAD
+# and prediction the motion search can read, at both search ranges,
+# against the clamped per-pixel oracle) and the intra cost, each under
+# every codec kernel set; then the frame oracle and the pixel-row
+# differential (posterise ties, -0 quotients, the glyph toggle at 127, both
+# clamps, every lane remainder) under each pixel-row kernel set the host
+# can run. The top-level tests cover the vector kernels where the CPU has
+# them, and the /go subtests name the Go twins, so a rename cannot drop a
+# twin's check on a host with the kernels.
 codec_vidgen_differential() {
-    go test -run 'MatchesRef|MatchesPow' ./internal/codec &&
+    pin_tests ./internal/codec TestQuantTableMatchesPow TestDCTMatchesRef TestDCTMatchesRef/go \
+        TestEncodeBitstreamMatchesRef TestEncodeBitstreamMatchesRef/go \
+        TestSADMatchesRef TestSADMatchesRef/go TestIntraSADMatchesRef TestIntraSADMatchesRef/go &&
         pin_tests ./internal/vidgen TestFrameAtMatchesRef TestFrameAtMatchesRef/go \
             TestPixRowMatchesGo TestPixRowMatchesGo/go
+}
+
+# No fused multiply-add in the packages held bit-identical to their oracles
+# (ROADMAP item 19): Go may fuse x*y + z into one FMADD-family instruction
+# on arm64, which rounds once where amd64 and the oracles round twice. The
+# arm64 builds of livenas-bench and of the frame, nn and codec test
+# binaries (their oracles) are disassembled, and any such instruction in a
+# livenas/internal/{frame,nn,codec} symbol fails the step; write the
+# expression as float64(x*y) + z (or float32) to keep the rounding.
+no_fused_multiply_add() {
+    local dir found rc=0
+    dir="$(mktemp -d)"
+    found="$(GOARCH=arm64 go build -o "$dir/livenas-bench" ./cmd/livenas-bench &&
+        GOARCH=arm64 go test -c -o "$dir/frame.test" ./internal/frame &&
+        GOARCH=arm64 go test -c -o "$dir/nn.test" ./internal/nn &&
+        GOARCH=arm64 go test -c -o "$dir/codec.test" ./internal/codec &&
+        for bin in "$dir"/*; do go tool objdump "$bin" || exit 1; done | awk '
+            /^TEXT / { sym = $2 }
+            /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^livenas\/internal\/(frame|nn|codec)\./ { print sym, $1 }')" || rc=$?
+    rm -rf "$dir"
+    if [[ $rc -ne 0 ]]; then
+        return "$rc"
+    fi
+    if [[ -n "$found" ]]; then
+        echo "fused multiply-add on arm64 (symbol, source line):" >&2
+        echo "$found" >&2
+        return 1
+    fi
 }
 
 # What simulated edge links are priced by (DESIGN.md "Playlist body"): the
@@ -273,6 +317,7 @@ if [[ "$TIER" == "fast" ]]; then
     step "go build" go build ./...
     step "gofmt" gofmt_clean
     vet_partitions
+    step "no fused multiply-add (arm64)" no_fused_multiply_add
     step "livenas-vet" go run ./cmd/livenas-vet ./...
     # The registry's two locks (evMu for the trace, mu for the metrics) meet
     # only between SetEventCap and Snapshot; this race turns an inversion of
