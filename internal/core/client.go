@@ -87,6 +87,11 @@ type Client struct {
 	// Functional-codec probe state (Config.FunctionalCodec).
 	lastLR *frame.Frame
 
+	// cam renders the next capture ahead of time; only RunContext, whose
+	// capture instants are known in advance, installs one. Nil: every
+	// capture renders inline.
+	cam *camera
+
 	// reg receives scheduler_split events (one per scheduler update,
 	// alongside gradSeries).
 	reg *telemetry.Registry
@@ -162,8 +167,7 @@ func (c *Client) currentPatchKbps() float64 {
 // the frame, and feed the patch pipeline.
 func (c *Client) Capture() {
 	now := c.now()
-	raw := c.src.FrameAt(now.Seconds())
-	lr := raw.Downscale(c.scale)
+	raw, lr := c.shoot(now)
 
 	targetBits := int(c.videoKbps() * 1000 / c.cfg.FPS)
 	ef := c.enc.Encode(lr, targetBits)
@@ -185,6 +189,88 @@ func (c *Client) Capture() {
 	c.send(Unit{FrameID: id, Data: ef.Data, Key: ef.Key, QP: ef.QP, CaptureAt: now})
 
 	c.pumpPatches(id, raw, lr, recon, q)
+}
+
+// shoot returns the native frame at now and its downscale: the camera's
+// shot when it rendered exactly this instant, else both rendered inline.
+func (c *Client) shoot(now time.Duration) (raw, lr *frame.Frame) {
+	if c.cam != nil {
+		if sh, ok := c.cam.take(now); ok {
+			return sh.raw, sh.lr
+		}
+	}
+	raw = c.src.FrameAt(now.Seconds())
+	return raw, raw.Downscale(c.scale)
+}
+
+// camera renders a session's captures one frame ahead on its own goroutine
+// (DESIGN.md "One ingest client"): while the session encodes capture k, it
+// renders FrameAt and Downscale for capture k+1. A Source is safe for
+// concurrent FrameAt, so the shot is the frame pair Capture would render
+// inline. At most one shot is in flight, and none is rendered past end.
+type camera struct {
+	period, end time.Duration
+	req         chan time.Duration // the instant to render; one slot
+	shots       chan shot          // the rendered pair; one slot, so the goroutine never blocks
+	done        chan struct{}      // closed when the goroutine has returned
+
+	at     time.Duration // the instant of the shot requested and not yet taken; -1: none
+	misses int           // captures rendered inline: no shot was pending for their instant
+}
+
+type shot struct{ raw, lr *frame.Frame }
+
+// startCamera starts the goroutine and asks it for the first capture, at
+// instant 0; after that, each take asks for the instant one period later.
+// stop joins the goroutine.
+func startCamera(src *vidgen.Source, scale int, period, end time.Duration) *camera {
+	cam := &camera{
+		period: period,
+		end:    end,
+		req:    make(chan time.Duration, 1),
+		shots:  make(chan shot, 1),
+		done:   make(chan struct{}),
+		at:     -1,
+	}
+	go func() {
+		defer close(cam.done)
+		for t := range cam.req {
+			raw := src.FrameAt(t.Seconds())
+			cam.shots <- shot{raw, raw.Downscale(scale)}
+		}
+	}()
+	cam.request(0)
+	return cam
+}
+
+func (cam *camera) request(t time.Duration) {
+	if t > cam.end {
+		return
+	}
+	cam.at = t
+	cam.req <- t
+}
+
+// take returns the pending shot if it was rendered for exactly now, waiting
+// for it if need be; a shot for any other instant is drained and dropped,
+// and ok is false. Either way the camera goes on to now + period.
+func (cam *camera) take(now time.Duration) (sh shot, ok bool) {
+	if cam.at >= 0 {
+		sh, ok = <-cam.shots, cam.at == now
+		cam.at = -1
+	}
+	if !ok {
+		cam.misses++
+	}
+	cam.request(now + cam.period)
+	return sh, ok
+}
+
+// stop ends the goroutine and waits for it to return; a shot in flight is
+// finished and dropped.
+func (cam *camera) stop() {
+	close(cam.req)
+	<-cam.done
 }
 
 // pumpPatches refills the patch transmission buffer when empty (§5.2) and

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -37,8 +38,8 @@ func skipLongUnderRace(t *testing.T) {
 
 // TestSessionConcurrencySmoke runs one short LiveNAS session with
 // multi-goroutine training and inference enabled, so `go test -race
-// ./internal/core` drives the trainer's shard goroutines and the
-// processor's strip goroutines through the real session loop. Assertions
+// ./internal/core` drives the trainer's shard goroutines, the processor's
+// strip goroutines and the client's camera through the real session loop. Assertions
 // are sanity-only; quality thresholds belong to the plain tier.
 func TestSessionConcurrencySmoke(t *testing.T) {
 	cfg := defaultTestConfig(vidgen.JustChatting)
@@ -166,11 +167,13 @@ func TestGPUBusyBounded(t *testing.T) {
 }
 
 // TestDeterministicRuns: two runs of one LiveNAS session encode to the
-// same bytes, every field of Results included. The session is lossy and
-// trains and infers on two GPUs, so the sampler's shuffled grid pass, the
-// link's loss draws, the trainer's shard fan-out and the processor's strip
-// fan-out all reach the compared bytes: a global rand source, a wall-clock
-// field, or shard results recorded in completion order makes them differ.
+// same bytes, every field of Results included, and so does a third run on
+// one core. The session is lossy and trains and infers on two GPUs, so the
+// sampler's shuffled grid pass, the link's loss draws, the trainer's shard
+// fan-out, the processor's strip fan-out and the camera rendering ahead of
+// the encoder all reach the compared bytes: a global rand source, a
+// wall-clock field, shard results recorded in completion order, or a frame
+// shared between the camera and the session makes them differ.
 func TestDeterministicRuns(t *testing.T) {
 	skipLongUnderRace(t)
 	cfg := defaultTestConfig(vidgen.Podcast)
@@ -180,6 +183,10 @@ func TestDeterministicRuns(t *testing.T) {
 	cfg.TrainGPUs = 2
 	cfg.InferGPUs = 2
 	a, b := Run(cfg), Run(cfg)
+	oneCore := func() *Results {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return Run(cfg)
+	}()
 	if a.PatchesSent == 0 || a.GPUTrainBusy == 0 || a.LinkStats.Dropped == 0 {
 		t.Fatalf("session misses the sampler, the trainer or the loss: %d patches, %v training, %d drops",
 			a.PatchesSent, a.GPUTrainBusy, a.LinkStats.Dropped)
@@ -187,6 +194,10 @@ func TestDeterministicRuns(t *testing.T) {
 	if !bytes.Equal(encodeResults(t, a), encodeResults(t, b)) {
 		t.Fatalf("runs differ: PSNR %v vs %v, patches %d vs %d, bandwidth %v vs %v",
 			a.AvgPSNR, b.AvgPSNR, a.PatchesSent, b.PatchesSent, a.AvgBandwidthKbps, b.AvgBandwidthKbps)
+	}
+	if !bytes.Equal(encodeResults(t, a), encodeResults(t, oneCore)) {
+		t.Fatalf("the run on one core differs: PSNR %v vs %v, patches %d vs %d, bandwidth %v vs %v",
+			a.AvgPSNR, oneCore.AvgPSNR, a.PatchesSent, oneCore.PatchesSent, a.AvgBandwidthKbps, oneCore.AvgBandwidthKbps)
 	}
 }
 

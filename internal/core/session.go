@@ -64,6 +64,11 @@ type Results struct {
 	BytesVideo       int
 	BytesPatch       int
 
+	// inlineCaptures counts the captures the camera had not rendered ahead
+	// and Capture rendered inline. It describes how the run executed, not
+	// what it produced, so it is unexported and the sweep cache drops it.
+	inlineCaptures int
+
 	// reg is the run's telemetry registry (Cfg.Telemetry, or the fresh one
 	// Run installed). Accessed through Telemetry / TrainerTimeline /
 	// TelemetrySummary rather than exported: the registry is live state, not
@@ -154,7 +159,8 @@ const cancelCheckEvery = 512
 // geometry errors are returned rather than panicking. Cancellation is
 // observed at simulator-event boundaries: when ctx is cancelled mid-run,
 // RunContext releases session resources (dedicated kernel-pool workers are
-// joined) and returns ctx's error with nil Results.
+// joined) and returns ctx's error with nil Results. The client's camera
+// goroutine is joined on every return.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	s := sim.New()
 	sv, err := NewServer(cfg, s.Now)
@@ -214,6 +220,11 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Capture k runs at exactly k·period, the ticks accumulating through
+	// s.After, so the camera can render the next one ahead.
+	period := time.Duration(float64(time.Second) / cfg.FPS)
+	cl.cam = startCamera(src, cl.scale, period, cfg.Duration)
+	defer cl.cam.stop()
 
 	res := &Results{Cfg: cfg, reg: reg}
 
@@ -226,7 +237,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		}
 		s.At(first, tick)
 	}
-	every(0, time.Duration(float64(time.Second)/cfg.FPS), cl.Capture)
+	every(0, period, cl.Capture)
 	every(cfg.UpdateEvery, cfg.UpdateEvery, func() {
 		pacer.SetRateKbps(cl.TargetKbps() * pacingFactor)
 		cl.Schedule()
@@ -302,6 +313,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	res.LinkStats = link.Stats()
 	res.BytesVideo = wireBytes[transport.KindVideo]
 	res.BytesPatch = wireBytes[transport.KindPatch]
+	res.inlineCaptures = cl.cam.misses
 	if sv.e2eLatencyN > 0 {
 		res.AvgE2ELatency = sv.e2eLatencySum / time.Duration(sv.e2eLatencyN)
 	}

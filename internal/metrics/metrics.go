@@ -24,7 +24,7 @@ func MSE(a, b *frame.Frame) float64 {
 	var sum float64
 	for i := range a.Pix {
 		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(a.Pix))
 }
@@ -98,16 +98,16 @@ func ssimWindow(a, b *frame.Frame, x0, y0, w, h int, c1, c2 float64) float64 {
 			va, vb := float64(ra[x]), float64(rb[x])
 			sa += va
 			sb += vb
-			saa += va * va
-			sbb += vb * vb
-			sab += va * vb
+			saa += float64(va * va)
+			sbb += float64(vb * vb)
+			sab += float64(va * vb)
 		}
 	}
 	ma, mb := sa/n, sb/n
-	va := saa/n - ma*ma
-	vb := sbb/n - mb*mb
-	cov := sab/n - ma*mb
-	return ((2*ma*mb + c1) * (2*cov + c2)) / ((ma*ma + mb*mb + c1) * (va + vb + c2))
+	va := saa/n - float64(ma*ma)
+	vb := sbb/n - float64(mb*mb)
+	cov := sab/n - float64(ma*mb)
+	return ((float64(2*ma*mb) + c1) * (float64(2*cov) + c2)) / ((float64(ma*ma) + float64(mb*mb) + c1) * (va + vb + c2))
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -131,7 +131,7 @@ func Stddev(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -158,13 +158,13 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := float64(p / 100 * float64(len(s)-1))
 	lo := int(pos)
 	fracpart := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[lo]
 	}
-	return s[lo]*(1-fracpart) + s[lo+1]*fracpart
+	return float64(s[lo]*(1-fracpart)) + float64(s[lo+1]*fracpart)
 }
 
 // CDFPoint is one point of an empirical CDF.

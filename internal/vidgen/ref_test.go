@@ -58,43 +58,43 @@ func frameAtRef(s *Source, t float64) *frame.Frame {
 	inv2 := 1.0 / (tex * 0.31)
 	invG := 1.0 / (tex * 0.09)
 	// Scene palette: posterisation step in luma levels.
-	step := 18 + 22*hash01(11, 5, sc.seed)
+	step := 18 + float64(22*hash01(11, 5, sc.seed))
 	// Glyph lattice parameters: cell size, stroke width and mark density.
-	glyphCell := (14 + 10*hash01(13, 6, sc.seed)) * rel
+	glyphCell := (14 + float64(10*hash01(13, 6, sc.seed))) * rel
 	// Glyph strokes stay at pixel scale regardless of resolution: text and
 	// UI render at pixel precision on any canvas, which is exactly the
 	// detail class super-resolution recovers.
 	stroke := 2.0
-	glyphDensity := 0.25 + 0.5*p.Detail
+	glyphDensity := 0.25 + float64(0.5*p.Detail)
 
 	for y := 0; y < s.H; y++ {
-		fy := float64(y) + offY
+		fy := float64(y) + float64(offY)
 		row := f.Pix[y*s.W:]
 		for x := 0; x < s.W; x++ {
-			fx := float64(x) + offX
+			fx := float64(x) + float64(offX)
 			v := base
 			n1 := valueNoise(fx*inv1, fy*inv1, sc.seed) - 0.5
 			n2 := valueNoise(fx*inv2, fy*inv2, sc.seed^1) - 0.5
-			v += amp1 * (math.Abs(n1)*2 - 0.5) * sc.warp
-			v += amp2 * n2
+			v += float64(amp1 * (float64(math.Abs(n1)*2) - 0.5) * sc.warp)
+			v += float64(amp2 * n2)
 			// Posterise to the scene palette: sharp edges between flats.
-			v = math.Round(v/step) * step
+			v = float64(math.Round(v/step) * step)
 			// Glyph marks: per-lattice-cell pseudo-random text-like strokes
 			// anchored to scene coordinates (they scroll with the world).
 			gx, gy := math.Floor(fx/glyphCell), math.Floor(fy/glyphCell)
 			if hash01(int64(gx), int64(gy), sc.seed^3) < glyphDensity {
 				// Position within the cell; draw a 2px-wide stroke pattern.
-				lx := fx - gx*glyphCell
-				ly := fy - gy*glyphCell
+				lx := fx - float64(gx*glyphCell)
+				ly := fy - float64(gy*glyphCell)
 				style := hash01(int64(gx), int64(gy), sc.seed^4)
 				on := false
 				switch {
 				case style < 0.4: // horizontal bar
-					on = ly >= glyphCell*0.4 && ly < glyphCell*0.4+stroke && lx > stroke && lx < glyphCell-stroke
+					on = ly >= glyphCell*0.4 && ly < float64(glyphCell*0.4)+stroke && lx > stroke && lx < float64(glyphCell)-stroke
 				case style < 0.8: // vertical bar
-					on = lx >= glyphCell*0.5 && lx < glyphCell*0.5+stroke && ly > stroke && ly < glyphCell-stroke
+					on = lx >= glyphCell*0.5 && lx < float64(glyphCell*0.5)+stroke && ly > stroke && ly < float64(glyphCell)-stroke
 				default: // dot
-					on = lx >= glyphCell*0.4 && lx < glyphCell*0.4+1.5*stroke && ly >= glyphCell*0.4 && ly < glyphCell*0.4+1.5*stroke
+					on = lx >= glyphCell*0.4 && lx < float64(glyphCell*0.4)+float64(1.5*stroke) && ly >= glyphCell*0.4 && ly < float64(glyphCell*0.4)+float64(1.5*stroke)
 				}
 				if on {
 					if v > 127 {
@@ -105,7 +105,7 @@ func frameAtRef(s *Source, t float64) *frame.Frame {
 				}
 			}
 			// Grain.
-			v += grain * (valueNoise(fx*invG, fy*invG, sc.seed^2) - 0.5)
+			v += float64(grain * (valueNoise(fx*invG, fy*invG, sc.seed^2) - 0.5))
 			if v < 0 {
 				v = 0
 			} else if v > 255 {
@@ -186,11 +186,11 @@ func TestFrameAtMatchesRef(t *testing.T) {
 // pixel's glyph styles, k's rowOn the row's.
 func pixelRef(k *pixLanes, on uint8, t1, b1, t2, b2, tG, bG float64) uint8 {
 	v := k.base[0]
-	n1 := t1*k.omy1[0] + b1*k.wy1[0] - 0.5
-	n2 := t2*k.omy2[0] + b2*k.wy2[0] - 0.5
-	v += k.amp1[0] * (math.Abs(n1)*2 - 0.5) * k.warp[0]
-	v += k.amp2[0] * n2
-	v = math.Round(v/k.step[0]) * k.step[0]
+	n1 := float64(t1*k.omy1[0]) + float64(b1*k.wy1[0]) - 0.5
+	n2 := float64(t2*k.omy2[0]) + float64(b2*k.wy2[0]) - 0.5
+	v += float64(k.amp1[0] * (float64(math.Abs(n1)*2) - 0.5) * k.warp[0])
+	v += float64(k.amp2[0] * n2)
+	v = float64(math.Round(v/k.step[0]) * k.step[0])
 	if on&uint8(k.rowOn[0]) != 0 {
 		if v > 127 {
 			v -= 90
@@ -198,7 +198,7 @@ func pixelRef(k *pixLanes, on uint8, t1, b1, t2, b2, tG, bG float64) uint8 {
 			v += 90
 		}
 	}
-	v += k.grain[0] * (tG*k.omyG[0] + bG*k.wyG[0] - 0.5)
+	v += float64(k.grain[0] * (float64(tG*k.omyG[0]) + float64(bG*k.wyG[0]) - 0.5))
 	if v < 0 {
 		v = 0
 	} else if v > 255 {
@@ -327,9 +327,9 @@ func TestPixRowMatchesGo(t *testing.T) {
 	for _, cat := range Categories() {
 		p := ParamsFor(cat)
 		c := &pixRowCase{name: "random " + cat.String()}
-		contrast := 0.6 + 0.8*rng.Float64()
-		c.set(70+120*rng.Float64(), 70*contrast, 0.5+1.5*rng.Float64(), 45*contrast*p.Detail,
-			18+22*rng.Float64(), 6*p.Detail, rng.Float64(), rng.Float64(), rng.Float64())
+		contrast := 0.6 + float64(0.8*rng.Float64())
+		c.set(70+float64(120*rng.Float64()), 70*contrast, 0.5+float64(1.5*rng.Float64()), 45*contrast*p.Detail,
+			18+float64(22*rng.Float64()), 6*p.Detail, rng.Float64(), rng.Float64(), rng.Float64())
 		for i := 0; i < 61; i++ {
 			c.add(uint8(rng.Intn(8)), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
 		}
@@ -382,7 +382,7 @@ func TestFrameAtConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				tm := float64(g)*7.3 + float64(i)*0.1
+				tm := float64(float64(g)*7.3) + float64(float64(i)*0.1)
 				diffFrames(t, "concurrent", s.FrameAt(tm), frameAtRef(s, tm))
 			}
 		}(g)

@@ -150,23 +150,23 @@ func splitMix64(x uint64) uint64 {
 // hash01 maps an integer lattice point (plus a stream id) to [0,1).
 func hash01(x, y int64, id uint64) float64 {
 	h := splitMix64(uint64(x)*0x9e3779b97f4a7c15 ^ uint64(y)*0xc2b2ae3d27d4eb4f ^ id)
-	return float64(h>>11) / float64(1<<53)
+	return float64(float64(h>>11) / float64(1<<53))
 }
 
-func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
+func smoothstep(t float64) float64 { return t * t * (3 - float64(2*t)) }
 
 // valueNoise evaluates smoothed lattice value noise at (x, y) for stream id.
 func valueNoise(x, y float64, id uint64) float64 {
 	x0, y0 := math.Floor(x), math.Floor(y)
-	fx, fy := smoothstep(x-x0), smoothstep(y-y0)
+	fx, fy := float64(smoothstep(x-x0)), float64(smoothstep(y-y0))
 	ix, iy := int64(x0), int64(y0)
 	v00 := hash01(ix, iy, id)
 	v10 := hash01(ix+1, iy, id)
 	v01 := hash01(ix, iy+1, id)
 	v11 := hash01(ix+1, iy+1, id)
-	top := v00*(1-fx) + v10*fx
-	bot := v01*(1-fx) + v11*fx
-	return top*(1-fy) + bot*fy
+	top := float64(v00*(1-fx)) + float64(v10*fx)
+	bot := float64(v01*(1-fx)) + float64(v11*fx)
+	return float64(top*(1-fy)) + float64(bot*fy)
 }
 
 // scene describes one continuous shot between two scene changes.
@@ -218,7 +218,7 @@ func buildSchedule(seed uint64, p Params, dur float64) []scene {
 		}
 		// Deterministic pseudo-exponential gap in [0.35, 2.6] * mean.
 		u := hash01(int64(i), 7, seed^0xabcdef)
-		gap := p.SceneMean * (0.35 + 2.25*u)
+		gap := float64(p.SceneMean * (0.35 + float64(2.25*u)))
 		t += gap
 		i++
 		if t >= dur {
@@ -236,9 +236,9 @@ func newScene(seed, idx uint64, start float64) scene {
 		seed:     id,
 		dirX:     math.Cos(ang),
 		dirY:     math.Sin(ang),
-		base:     70 + 120*hash01(int64(idx), 2, seed),
-		contrast: 0.6 + 0.8*hash01(int64(idx), 3, seed),
-		warp:     0.5 + 1.5*hash01(int64(idx), 4, seed),
+		base:     70 + float64(120*hash01(int64(idx), 2, seed)),
+		contrast: 0.6 + float64(0.8*hash01(int64(idx), 3, seed)),
+		warp:     0.5 + float64(1.5*hash01(int64(idx), 4, seed)),
 	}
 }
 
@@ -299,9 +299,9 @@ func (o *octave) init(w int, offX, inv float64, id uint64) {
 	o.ix, o.wx, o.omx = grow(o.ix, w), grow(o.wx, w), grow(o.omx, w)
 	o.top, o.bot = grow(o.top, w), grow(o.bot, w)
 	for x := range o.ix {
-		fx := (float64(x) + offX) * inv
+		fx := float64((float64(x) + offX) * inv)
 		x0 := math.Floor(fx)
-		f := smoothstep(fx - x0)
+		f := float64(smoothstep(fx - x0))
 		o.ix[x], o.wx[x], o.omx[x] = int64(x0), f, 1-f
 	}
 }
@@ -312,7 +312,7 @@ func (o *octave) init(w int, offX, inv float64, id uint64) {
 func (o *octave) row(fy float64) (wy, omy float64) {
 	fy *= o.inv
 	y0 := math.Floor(fy)
-	wy = smoothstep(fy - y0)
+	wy = float64(smoothstep(float64(fy) - y0))
 	switch iy := int64(y0); {
 	case o.valid && iy == o.iy:
 	case o.valid && iy == o.iy+1:
@@ -339,7 +339,7 @@ func (o *octave) fill(dst []float64, iy int64) {
 		default:
 			v0, v1 = hash01(ix, iy, o.id), hash01(ix+1, iy, o.id)
 		}
-		dst[x] = v0*o.omx[x] + v1*o.wx[x]
+		dst[x] = float64(v0*o.omx[x]) + float64(v1*o.wx[x])
 	}
 }
 
@@ -416,12 +416,12 @@ func pixRowGo(row, on []uint8, t1, b1, t2, b2, tG, bG []float64, k *pixLanes, x0
 	on, t1, b1, t2, b2, tG, bG = on[:w], t1[:w], b1[:w], t2[:w], b2[:w], tG[:w], bG[:w]
 	for x := x0; x < w; x++ {
 		v := base
-		n1 := t1[x]*omy1 + b1[x]*wy1 - 0.5
-		n2 := t2[x]*omy2 + b2[x]*wy2 - 0.5
-		v += amp1 * (math.Abs(n1)*2 - 0.5) * warp
-		v += amp2 * n2
+		n1 := float64(t1[x]*omy1) + float64(b1[x]*wy1) - 0.5
+		n2 := float64(t2[x]*omy2) + float64(b2[x]*wy2) - 0.5
+		v += float64(amp1 * (float64(math.Abs(n1)*2) - 0.5) * warp)
+		v += float64(amp2 * n2)
 		// Posterise to the scene palette: sharp edges between flats.
-		v = math.Round(v/step) * step
+		v = float64(math.Round(v/step) * step)
 		if on[x]&rowOn != 0 {
 			if v > 127 {
 				v -= 90
@@ -430,7 +430,7 @@ func pixRowGo(row, on []uint8, t1, b1, t2, b2, tG, bG []float64, k *pixLanes, x0
 			}
 		}
 		// Grain.
-		v += grain * (tG[x]*omyG + bG[x]*wyG - 0.5)
+		v += float64(grain * (float64(tG[x]*omyG) + float64(bG[x]*wyG) - 0.5))
 		if v < 0 {
 			v = 0
 		} else if v > 255 {
@@ -482,20 +482,20 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	inv2 := 1.0 / (tex * 0.31)
 	invG := 1.0 / (tex * 0.09)
 	// Scene palette: posterisation step in luma levels.
-	step := 18 + 22*hash01(11, 5, sc.seed)
+	step := 18 + float64(22*hash01(11, 5, sc.seed))
 	// Glyph lattice parameters: cell size, stroke width and mark density.
-	glyphCell := (14 + 10*hash01(13, 6, sc.seed)) * rel
+	glyphCell := (14 + float64(10*hash01(13, 6, sc.seed))) * rel
 	// Glyph strokes stay at pixel scale regardless of resolution: text and
 	// UI render at pixel precision on any canvas, which is exactly the
 	// detail class super-resolution recovers.
 	stroke := 2.0
-	glyphDensity := 0.25 + 0.5*p.Detail
+	glyphDensity := 0.25 + float64(0.5*p.Detail)
 	// Stroke extents along one axis, measured from the cell origin: long
 	// spans the cell less a margin, thin is a band starting part-way in. A
 	// horizontal bar is long in x and thin in y, a vertical bar the reverse,
 	// a dot thin (and half again as wide) in both.
-	long := func(l float64) bool { return l > stroke && l < glyphCell-stroke }
-	thin := func(l, at, width float64) bool { return l >= glyphCell*at && l < glyphCell*at+width }
+	long := func(l float64) bool { return l > stroke && l < float64(glyphCell)-stroke }
+	thin := func(l, at, width float64) bool { return l >= glyphCell*at && l < float64(glyphCell*at)+width }
 
 	w := s.W
 	rs := scratchPool.Get().(*renderScratch)
@@ -506,9 +506,9 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	oG.init(w, offX, invG, sc.seed^2)
 	rs.cell, rs.colOn, rs.on = grow(rs.cell, w), grow(rs.colOn, w), grow(rs.on, w)
 	for x := range rs.cell {
-		fx := float64(x) + offX
+		fx := float64(x) + float64(offX)
 		gx := math.Floor(fx / glyphCell)
-		lx := fx - gx*glyphCell
+		lx := fx - float64(gx*glyphCell)
 		rs.cell[x] = int64(gx)
 		rs.colOn[x] = styleBits(long(lx), thin(lx, 0.5, stroke), thin(lx, 0.4, 1.5*stroke))
 	}
@@ -523,14 +523,14 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	bcast(&k.grain, grain)
 
 	for y := 0; y < s.H; y++ {
-		fy := float64(y) + offY
+		fy := float64(y) + float64(offY)
 		wy1, omy1 := o1.row(fy)
 		wy2, omy2 := o2.row(fy)
 		wyG, omyG := oG.row(fy)
 		// Glyph marks: per-lattice-cell pseudo-random text-like strokes
 		// anchored to scene coordinates (they scroll with the world).
 		gy := math.Floor(fy / glyphCell)
-		ly := fy - gy*glyphCell
+		ly := fy - float64(gy*glyphCell)
 		rowOn := styleBits(thin(ly, 0.4, stroke), long(ly), thin(ly, 0.4, 1.5*stroke))
 		if !haveGlyphRow || int64(gy) != glyphRow {
 			glyphRow, haveGlyphRow = int64(gy), true
@@ -577,15 +577,15 @@ func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64) {
 	p := s.P
 	for i := 0; i < p.Sprites; i++ {
 		id := sc.seed ^ uint64(i+1)*0x9e3779b9
-		w := int(float64(s.W) * (0.04 + 0.08*hash01(int64(i), 11, id)))
-		h := int(float64(s.H) * (0.05 + 0.1*hash01(int64(i), 12, id)))
+		w := int(float64(s.W) * (0.04 + float64(0.08*hash01(int64(i), 11, id))))
+		h := int(float64(s.H) * (0.05 + float64(0.1*hash01(int64(i), 12, id))))
 		// Lissajous-style trajectories, speed tied to category motion.
 		sp := (0.2 + hash01(int64(i), 13, id)) * p.Motion / 100
-		phx := hash01(int64(i), 14, id) * 2 * math.Pi
-		phy := hash01(int64(i), 15, id) * 2 * math.Pi
-		cx := (0.5 + 0.45*math.Sin(sp*t+phx)) * float64(s.W)
-		cy := (0.5 + 0.42*math.Sin(sp*t*1.3+phy)) * float64(s.H)
-		lum := uint8(40 + 180*hash01(int64(i), 16, id))
+		phx := float64(hash01(int64(i), 14, id) * 2 * math.Pi)
+		phy := float64(hash01(int64(i), 15, id) * 2 * math.Pi)
+		cx := (0.5 + float64(0.45*math.Sin(float64(sp*t)+phx))) * float64(s.W)
+		cy := (0.5 + float64(0.42*math.Sin(float64(sp*t*1.3)+phy))) * float64(s.H)
+		lum := uint8(40 + float64(180*hash01(int64(i), 16, id)))
 		x0, y0 := int(cx)-w/2, int(cy)-h/2
 		for y := y0; y < y0+h; y++ {
 			if y < 0 || y >= s.H {
@@ -601,7 +601,7 @@ func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64) {
 					row[x] = 235
 				} else {
 					n := valueNoise(float64(x)/7, float64(y)/7, id)
-					row[x] = uint8(float64(lum) * (0.6 + 0.4*n))
+					row[x] = uint8(float64(lum) * (0.6 + float64(0.4*n)))
 				}
 			}
 		}

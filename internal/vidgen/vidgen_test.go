@@ -82,7 +82,7 @@ func TestSceneChangesWithinHorizon(t *testing.T) {
 		t.Fatal("600s Fortnite session should have scene changes")
 	}
 	for i, c := range ch {
-		if c <= 0 || c >= 600+ParamsFor(Fortnite).SceneMean*3 {
+		if c <= 0 || c >= 600+float64(ParamsFor(Fortnite).SceneMean*3) {
 			t.Fatalf("scene change %d at %f out of range", i, c)
 		}
 		if i > 0 && c <= ch[i-1] {
@@ -184,7 +184,7 @@ func TestGenericDataset(t *testing.T) {
 
 func TestValueNoiseRangeAndContinuity(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		x := float64(i) * 0.173
+		x := float64(float64(i) * 0.173)
 		v := valueNoise(x, x*0.7, 12345)
 		if v < 0 || v > 1 {
 			t.Fatalf("noise out of range: %f", v)

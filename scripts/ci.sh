@@ -4,12 +4,13 @@
 #
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet on three build
 #                         partitions (default, -tags purego, GOARCH=arm64),
-#                         no fused multiply-add in the arm64 frame, nn and
-#                         codec code, livenas-vet (whole module, no flags, under 4 s),
+#                         no fused multiply-add in the arm64 frame, nn,
+#                         codec, vidgen and metrics code, livenas-vet (whole module, no flags, under 4 s),
 #                         the telemetry lock pair by name, the replay and
 #                         join pins by name (the gcc delay-fold replay,
-#                         QueuedConn's and Pool's Close joins, whole-Results
-#                         session determinism), short tests,
+#                         QueuedConn's and Pool's Close joins, RunContext's
+#                         camera join, whole-Results session determinism),
+#                         short tests,
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests, the codec's
 #                         bordered reference and the vidgen pixel row's Go
@@ -212,12 +213,14 @@ codec_vidgen_differential() {
 }
 
 # No fused multiply-add in the packages held bit-identical to their oracles
-# (ROADMAP item 19): Go may fuse x*y + z into one FMADD-family instruction
-# on arm64, which rounds once where amd64 and the oracles round twice. The
-# arm64 builds of livenas-bench and of the frame, nn and codec test
-# binaries (their oracles) are disassembled, and any such instruction in a
-# livenas/internal/{frame,nn,codec} symbol fails the step; write the
-# expression as float64(x*y) + z (or float32) to keep the rounding.
+# or feeding every golden (ROADMAP item 19): Go may fuse x*y + z into one
+# FMADD-family instruction on arm64, which rounds once where amd64 and the
+# oracles round twice. vidgen renders every frame and metrics scores every
+# PSNR/SSIM. The arm64 builds of livenas-bench and of the frame, nn, codec,
+# vidgen and metrics test binaries (their oracles) are disassembled, and any
+# such instruction in a livenas/internal/{frame,nn,codec,vidgen,metrics}
+# symbol fails the step; write the expression as float64(x*y) + z (or
+# float32) to keep the rounding.
 no_fused_multiply_add() {
     local dir found rc=0
     dir="$(mktemp -d)"
@@ -225,9 +228,11 @@ no_fused_multiply_add() {
         GOARCH=arm64 go test -c -o "$dir/frame.test" ./internal/frame &&
         GOARCH=arm64 go test -c -o "$dir/nn.test" ./internal/nn &&
         GOARCH=arm64 go test -c -o "$dir/codec.test" ./internal/codec &&
+        GOARCH=arm64 go test -c -o "$dir/vidgen.test" ./internal/vidgen &&
+        GOARCH=arm64 go test -c -o "$dir/metrics.test" ./internal/metrics &&
         for bin in "$dir"/*; do go tool objdump "$bin" || exit 1; done | awk '
             /^TEXT / { sym = $2 }
-            /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^livenas\/internal\/(frame|nn|codec)\./ { print sym, $1 }')" || rc=$?
+            /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^livenas\/internal\/(frame|nn|codec|vidgen|metrics)\./ { print sym, $1 }')" || rc=$?
     rm -rf "$dir"
     if [[ $rc -ne 0 ]]; then
         return "$rc"
@@ -283,13 +288,16 @@ media_server_pin() {
 # tooling"), by name so a rename cannot drop one: one seeded ack stream
 # replayed through fresh gcc controllers bit for bit (a delay fold in map
 # order fails it), QueuedConn's and Pool's Close back at their goroutine
-# baseline, and two runs of a lossy two-GPU LiveNAS session encoding to the
-# same Results bytes. All four take under 2 s.
+# baseline, RunContext back at its baseline after a session cancelled at
+# each of a spread of event boundaries (the first and the last included)
+# and after one that completes (the client's camera goroutine joined), and
+# three runs of a lossy two-GPU LiveNAS session, one of them on one core,
+# encoding to the same Results bytes. All five take under 4 s.
 replay_join_pins() {
     pin_tests ./internal/gcc TestObserveDelaysReplayBitExact &&
         pin_tests ./internal/transport TestQueuedConnCloseJoinsWriter &&
         pin_tests ./internal/nn TestPoolCloseJoinsWorkers &&
-        pin_tests ./internal/core TestDeterministicRuns
+        pin_tests ./internal/core TestDeterministicRuns TestRunContextJoinsCamera
 }
 
 # go vet on the three build partitions of the assembly kernels. The default
@@ -376,7 +384,8 @@ else
     # renders one Source from several goroutines (pooled FrameAt scratch).
     # cmd/livenas-server races a socket session's message pump against the
     # loop that drives its core.Server, and cmd/livenas-client the same for
-    # its core.Client.
+    # its core.Client. internal/core's TestSessionConcurrencySmoke runs with
+    # the camera started, so the detector sees its shots cross goroutines.
     step "go test -race" go test -race ./internal/vidgen ./internal/telemetry ./internal/sr ./internal/nn ./internal/wire ./internal/transport ./internal/core ./cmd/livenas-server ./cmd/livenas-client ./internal/sweep ./internal/fleet ./internal/edge
     if [[ -n "${FLEET_SOAK_STREAMS:-}" ]]; then
         step "fleet soak (N=$FLEET_SOAK_STREAMS, -race)" go test -race \
