@@ -171,7 +171,7 @@ func Simulate(cfg SimConfig, alg Algorithm) Result {
 		// Linear QoE (Pensieve's formulation): bitrate in Mbps, 4.3x
 		// rebuffer penalty, 1x smoothness penalty.
 		eff := rungs[rung].EffectiveKbps / 1000
-		qoe := eff - 4.3*chunkRebuffer(dl, buffer, cfg.ChunkSec) - math.Abs(eff-prevEff)
+		qoe := eff - float64(4.3*chunkRebuffer(dl, buffer, cfg.ChunkSec)) - math.Abs(eff-prevEff)
 		if i == 0 {
 			qoe = eff
 		}
@@ -217,7 +217,7 @@ func downloadTime(tr *trace.Trace, now, bits float64) float64 {
 		if can >= remaining {
 			return t + remaining/(rate*1000) - now
 		}
-		remaining -= can
+		remaining -= float64(can)
 		t += step
 	}
 	return t - now
@@ -256,7 +256,7 @@ func (m *RobustMPC) Next(rungs []Rung, thr []float64, buffer time.Duration) int 
 			if err > m.lastErr {
 				m.lastErr = err
 			} else {
-				m.lastErr = 0.8*m.lastErr + 0.2*err
+				m.lastErr = float64(0.8*m.lastErr) + float64(0.2*err)
 			}
 		}
 	}
@@ -281,7 +281,7 @@ func (m *RobustMPC) Next(rungs []Rung, thr []float64, buffer time.Duration) int 
 				buf = 8
 			}
 			eff := rungs[r].EffectiveKbps / 1000
-			q += eff - 4.3*stall - math.Abs(eff-prev)
+			q += eff - float64(4.3*stall) - math.Abs(eff-prev)
 			prev = eff
 		}
 		if q > bestQ {
@@ -314,7 +314,7 @@ func (p *PensieveLike) Next(rungs []Rung, thr []float64, buffer time.Duration) i
 	// Buffer-scaled aggressiveness: with a comfortable buffer, spend up to
 	// ~93% of estimated throughput; with a thin buffer, hold a safety
 	// margin — the qualitative policy RL converges to on these traces.
-	frac := 0.55 + 0.38*math.Min(buf/8, 1)
+	frac := 0.55 + float64(0.38*math.Min(buf/8, 1))
 	budget := est * frac
 	best := 0
 	for r := range rungs {

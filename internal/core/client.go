@@ -180,7 +180,7 @@ func (c *Client) Capture() {
 	if c.videoQ == 0 {
 		c.videoQ = q
 	} else {
-		c.videoQ = 0.9*c.videoQ + 0.1*q
+		c.videoQ = float64(0.9*c.videoQ) + float64(0.1*q)
 	}
 
 	c.lastLR = lr
@@ -282,7 +282,7 @@ func (c *Client) pumpPatches(frameID int, raw, lr, recon *frame.Frame, frameQ fl
 	// Token refill.
 	dt := (now - c.lastBudgetAt).Seconds()
 	c.lastBudgetAt = now
-	c.patchBudgetBits += rate * 1000 * dt
+	c.patchBudgetBits += float64(rate * 1000 * dt)
 	if cap := 3 * rate * 1000; c.patchBudgetBits > cap && cap > 0 {
 		c.patchBudgetBits = cap // bound the burst to ~3s of patch budget
 	}
@@ -422,7 +422,7 @@ func (c *Client) Schedule() {
 		gVid = -scaleNQ * NormalizedQualitySlope(c.cfg.Cat, v) * sat
 	}
 
-	g := gamma*gDNN + gVid
+	g := float64(gamma*gDNN) + float64(gVid)
 	delta := c.cfg.StepKbps * g / gradRef
 	if delta > 2*c.cfg.StepKbps {
 		delta = 2 * c.cfg.StepKbps
@@ -467,7 +467,7 @@ func (c *Client) probeVideoSlope(v float64) float64 {
 		enc.Encode(c.lastLR, int(kbps*1000/c.cfg.FPS))
 		return metrics.PSNR(c.lastLR, enc.Reconstructed())
 	}
-	dv := hi - lo
+	dv := float64(hi) - float64(lo)
 	if dv <= 0 {
 		return 0
 	}

@@ -17,8 +17,7 @@ import (
 	"livenas/internal/vidgen"
 )
 
-// Scheme selects the end-to-end system under test (the comparison set of
-// §8.1).
+// Scheme selects the end-to-end system under test (§8.1's comparison set).
 type Scheme int
 
 const (
@@ -33,6 +32,7 @@ const (
 	// SchemeLiveNAS is the full system: online training on transmitted
 	// patches with the quality-optimizing scheduler.
 	SchemeLiveNAS
+	numSchemes // sentinel: TestNewServerEveryScheme walks every scheme below it
 )
 
 func (s Scheme) String() string {

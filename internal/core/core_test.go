@@ -5,7 +5,12 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -474,6 +479,42 @@ func TestQuantInt8Session(t *testing.T) {
 	if r.AvgPSNR < 14 {
 		t.Fatalf("quantized session PSNR %.1f collapsed", r.AvgPSNR)
 	}
+	servingGolden(t, "quant-int8", r)
+}
+
+// servingGolden pins one serving mode's session to its line of
+// testdata/serving-modes.golden: the exact frame counts, the mean inference
+// latency, the int8 path's patch and gate counts and the deadline misses,
+// with PSNR to six decimals so a one-pixel drift shows. There is no update
+// flag, as in internal/exp: a missing line is written and the test fails
+// once, so regenerating is rm + re-run.
+func servingGolden(t *testing.T, mode string, r *Results) {
+	t.Helper()
+	reg := r.Telemetry()
+	got := fmt.Sprintf("%s: AvgPSNR=%.6f FramesDecoded=%d FramesLost=%d AvgInferLatency=%v sr_quant_patches=%d sr_quant_psnr_gap=%d infer_deadline_miss=%d",
+		mode, r.AvgPSNR, r.FramesDecoded, r.FramesLost, r.AvgInferLatency,
+		reg.Counter("sr_quant_patches").Value(), reg.Histogram("sr_quant_psnr_gap", nil).Count(),
+		reg.Counter("infer_deadline_miss").Value())
+	path := filepath.Join("testdata", "serving-modes.golden")
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, mode+": ") {
+			if line != got {
+				t.Errorf("%s differs from %s (if intended: rm the file and re-run)\ngot:  %s\nwant: %s", mode, path, got, line)
+			}
+			return
+		}
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, got+"\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("%s had no %s line and it has been written; review it, commit it, re-run", path, mode)
 }
 
 // TestAnytimeBudgetSession runs a session under a per-frame anytime
@@ -497,6 +538,7 @@ func TestAnytimeBudgetSession(t *testing.T) {
 	if n := ok.Telemetry().Counter("infer_deadline_miss").Value(); n != 0 {
 		t.Fatalf("50ms budget missed %d deadlines on a tiny frame", n)
 	}
+	servingGolden(t, "anytime-50ms", ok)
 	tight := run(time.Nanosecond)
 	if tight.FramesDecoded == 0 {
 		t.Fatal("tight-budget session decoded no frames")

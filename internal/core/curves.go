@@ -25,7 +25,7 @@ const nqRefKbps = 8000
 func curveV0(cat vidgen.Category) float64 {
 	p := vidgen.ParamsFor(cat)
 	// Motion 10..260 and detail 0.5..0.9 map to v0 in roughly 150..900.
-	return 100 + p.Motion*2.2 + p.Detail*300
+	return 100 + float64(p.Motion*2.2) + float64(p.Detail*300)
 }
 
 // NormalizedQuality returns NQ_type(v) in (0, 1] for bitrate v kbps.

@@ -427,7 +427,7 @@ func (sv *Server) Epoch() (fb Feedback, ok bool) {
 		// Algorithm 1, Training state: detect gain saturation on the
 		// smoothed epoch-over-epoch improvement.
 		if len(sv.recentPatch) > 0 {
-			sv.diffEWMA = (1-diffSmooth)*sv.diffEWMA + diffSmooth*(qCur-qPrev)
+			sv.diffEWMA = float64((1-diffSmooth)*sv.diffEWMA) + float64(diffSmooth*(qCur-qPrev))
 		}
 		sv.mEpochs.Inc()
 		sv.reg.Emit(sv.now(), "train_epoch",

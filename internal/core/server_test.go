@@ -65,3 +65,36 @@ func TestVideoLowFrameRate(t *testing.T) {
 		t.Fatal("no output after a decoded frame")
 	}
 }
+
+// TestNewServerEveryScheme: NewServer's switch over Scheme has no default,
+// so a scheme added without a case there would build a server with no model
+// and no trainer and run silently as WebRTC. Every scheme below numSchemes
+// needs a row here, and the row says what NewServer sets up for it.
+func TestNewServerEveryScheme(t *testing.T) {
+	want := map[Scheme]struct{ model, trainer bool }{
+		SchemeWebRTC:     {model: false, trainer: false},
+		SchemeGeneric:    {model: true, trainer: false},
+		SchemePretrained: {model: true, trainer: false},
+		SchemeLiveNAS:    {model: true, trainer: true},
+	}
+	for s := Scheme(0); s < numSchemes; s++ {
+		row, ok := want[s]
+		if !ok {
+			t.Errorf("Scheme %d (%v) has no row: add it here and a case to NewServer's switch", int(s), s)
+			continue
+		}
+		cfg := defaultTestConfig(vidgen.JustChatting)
+		cfg.Scheme = s
+		cfg.Duration = 4 * time.Second // keeps Pretrained's session pre-training short
+		sv, err := NewServer(cfg, func() time.Duration { return 0 })
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if got := sv.model != nil; got != row.model {
+			t.Errorf("%v: model set up = %v, want %v", s, got, row.model)
+		}
+		if got := sv.trainer != nil; got != row.trainer {
+			t.Errorf("%v: trainer set up = %v, want %v", s, got, row.trainer)
+		}
+	}
+}

@@ -245,7 +245,7 @@ func TestFig20QoEImproves(t *testing.T) {
 			q1, _ := strconv.ParseFloat(r[3], 64)
 			// Tiny boosts (warm-up-limited short runs) may wiggle the
 			// smoothness term by a few percent; never allow a real loss.
-			if q1 < q0*0.95-0.02 {
+			if q1 < float64(q0*0.95)-0.02 {
 				t.Fatalf("%s: LiveNAS QoE %v well below WebRTC %v in %v", tb.ID, q1, q0, r)
 			}
 			if q1 > q0 {

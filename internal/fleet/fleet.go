@@ -69,6 +69,7 @@ const (
 	StateRejected
 	// StateTorndown: departed; GPU slots returned to the pool.
 	StateTorndown
+	numStates // sentinel: TestTeardownEveryState walks every state below it
 )
 
 func (s State) String() string {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -192,5 +193,78 @@ func TestTeardownMidEpochReleasesPool(t *testing.T) {
 	m.Finish()
 	if m.Pool().InUse() != 0 || m.Pool().Free() != m.Pool().Total() {
 		t.Fatalf("pool in use %d free %d after drain, want 0/%d", m.Pool().InUse(), m.Pool().Free(), m.Pool().Total())
+	}
+}
+
+// TestTeardownEveryState: Teardown's switch over State has no default, so a
+// state added without a case there would fall through to the live path and
+// release slots it may not hold. Every state below numStates needs a row
+// here. Each row builds a one-GPU node with "a" ingesting and "b" and "c"
+// queued (PolicyQueue) or rejected (PolicyReject), brings key into the
+// state, tears it down and checks the outcome: the key's state after, the
+// slots the teardown freed (counting those the queue then took) and the
+// keys still queued.
+func TestTeardownEveryState(t *testing.T) {
+	type row struct {
+		policy Policy
+		key    string
+		prep   func(m *Manager) // brings key into the state, if Register does not
+		after  State
+		freed  int
+		queue  []string
+	}
+	want := map[State]row{
+		// Register never leaves a stream registered, so a is forced back
+		// mid-admission; teardown frees its slot but only finalises an
+		// ingesting stream.
+		StateRegistered: {policy: PolicyQueue, key: "a", prep: func(m *Manager) { m.Lookup("a").State = StateRegistered },
+			after: StateRegistered, freed: 1, queue: []string{"c"}},
+		StateQueued:    {policy: PolicyQueue, key: "b", after: StateTorndown, freed: 0, queue: []string{"c"}},
+		StateIngesting: {policy: PolicyQueue, key: "a", after: StateTorndown, freed: 1, queue: []string{"c"}},
+		StateRejected:  {policy: PolicyReject, key: "b", after: StateRejected, freed: 0, queue: nil},
+		StateTorndown: {policy: PolicyQueue, key: "a", prep: func(m *Manager) { _ = m.Teardown("a") },
+			after: StateTorndown, freed: 0, queue: []string{"c"}},
+	}
+	for st := State(0); st < numStates; st++ {
+		r, ok := want[st]
+		if !ok {
+			t.Errorf("State %d (%v) has no row: add it here and a case to Teardown's switch", int(st), st)
+			continue
+		}
+		m := NewManager(Options{GPUs: 1, MaxGPUsPerStream: 1, Policy: r.policy})
+		for i, key := range []string{"a", "b", "c"} {
+			if _, err := m.Register(spec(key, time.Duration(i)*time.Second, int64(i+1), time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.prep != nil {
+			r.prep(m)
+		}
+		s := m.Lookup(r.key)
+		if s.State != st {
+			t.Fatalf("row %v: %s is %v before teardown", st, r.key, s.State)
+		}
+		inUse := m.Pool().InUse()
+		queued := map[string]bool{}
+		for _, q := range m.queue {
+			queued[q.Key] = true
+		}
+		if err := m.Teardown(r.key); err != nil {
+			t.Fatalf("row %v: %v", st, err)
+		}
+		freed := inUse - m.Pool().InUse()
+		for _, o := range m.Sessions() {
+			if queued[o.Key] && o.State == StateIngesting {
+				freed += o.GPUs // admitted from the queue into the freed slot
+			}
+		}
+		var queue []string
+		for _, q := range m.queue {
+			queue = append(queue, q.Key)
+		}
+		if s.State != r.after || freed != r.freed || !slices.Equal(queue, r.queue) {
+			t.Errorf("Teardown of a %v stream: state %v, %d slots freed, queue %v; want %v, %d, %v",
+				st, s.State, freed, queue, r.after, r.freed, r.queue)
+		}
 	}
 }

@@ -108,7 +108,7 @@ func (p *Plan) Stats() Stats {
 		if s.DepartAt > last {
 			last = s.DepartAt
 		}
-		st.GPUSlotSeconds += float64(s.GPUs) * (s.DepartAt - s.AdmitAt).Seconds()
+		st.GPUSlotSeconds += float64(float64(s.GPUs) * (s.DepartAt - s.AdmitAt).Seconds())
 	}
 	if span := (last - first).Seconds(); span > 0 {
 		st.Utilization = st.GPUSlotSeconds / (float64(p.M.Pool().Total()) * span)

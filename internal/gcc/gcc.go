@@ -155,13 +155,13 @@ func (c *Controller) observeDelays(acks []Ack) float64 {
 		n++
 		sx += xs
 		sy += owd
-		sxx += xs * xs
-		sxy += xs * owd
+		sxx += float64(xs * xs)
+		sxy += float64(xs * owd)
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den > 1e-12 {
-		slope := (n*sxy - sx*sy) / den
-		c.smoothedSlope = 0.6*c.smoothedSlope + 0.4*slope
+		slope := (float64(n*sxy) - float64(sx*sy)) / den
+		c.smoothedSlope = float64(0.6*c.smoothedSlope) + float64(0.4*slope)
 	}
 	return c.smoothedSlope
 }
@@ -190,7 +190,7 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 	if c.avgMeasured == 0 {
 		c.avgMeasured = measured
 	} else {
-		c.avgMeasured = 0.8*c.avgMeasured + 0.2*measured
+		c.avgMeasured = float64(0.8*c.avgMeasured) + float64(0.2*measured)
 	}
 
 	// ---- Loss controller. ----
@@ -217,18 +217,18 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 		mag = -mag
 	}
 	if mag > c.threshold {
-		c.threshold += 0.3 * (mag - c.threshold)
+		c.threshold += float64(0.3 * (mag - c.threshold))
 		if max := 10 * c.cfg.SlopeThresholdMs; c.threshold > max {
 			c.threshold = max
 		}
 	} else {
-		c.threshold += 0.05 * (c.cfg.SlopeThresholdMs - c.threshold)
+		c.threshold += float64(0.05 * (c.cfg.SlopeThresholdMs - c.threshold))
 	}
 
 	switch {
 	case lossRate > 0.10:
 		// Heavy loss: multiplicative decrease proportional to loss.
-		c.rate *= 1 - 0.5*lossRate
+		c.rate *= 1 - float64(0.5*lossRate)
 		c.state = StateDecrease
 		c.lastDecrease = now
 	case overuse:
@@ -284,13 +284,13 @@ func owdSlopeMsPerSec(acks []Ack) float64 {
 		x := (a.SentAt - t0).Seconds()
 		y := (a.RecvAt - a.SentAt).Seconds() * 1000
 		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
+		sy += float64(y)
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den < 1e-12 {
 		return 0
 	}
-	return (n*sxy - sx*sy) / den
+	return (float64(n*sxy) - float64(sx*sy)) / den
 }

@@ -189,7 +189,7 @@ func jitteredWindows(seed int64, n int) [][]Ack {
 		for i := range acks {
 			sent := start + time.Duration(rng.Int63n(int64(100*time.Millisecond)))
 			queue := 15 * (1 + math.Sin(float64(w)/12)) // ms, drifting
-			owd := time.Duration((20 + queue + 4*rng.Float64()) * float64(time.Millisecond))
+			owd := time.Duration((20 + float64(queue) + float64(4*rng.Float64())) * float64(time.Millisecond))
 			acks[i] = Ack{Seq: seq, Size: 600 + rng.Intn(700), SentAt: sent, RecvAt: sent + owd}
 			seq++
 		}

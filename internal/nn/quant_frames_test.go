@@ -38,7 +38,7 @@ func TestQuantOddFrameSizes(t *testing.T) {
 		proc := sr.NewProcessor(m, 1, dev)
 		proc.EnableQuant(m, 0)
 		// Every cell fits at int8 and none can upgrade to f32.
-		proc.SetAnytimeBudget(time.Duration(dev.TransferNS + dev.PatchComputeNS(w, h, 2, true) + 1))
+		proc.SetAnytimeBudget(time.Duration(dev.TransferNS + float64(dev.PatchComputeNS(w, h, 2, true)) + 1))
 
 		var whole, anytime [2][]byte
 		for i, vec := range []bool{true, false} {

@@ -20,7 +20,7 @@ type Breakdown struct {
 }
 
 // Total returns the summed draw in watts.
-func (b Breakdown) Total() float64 { return b.Capture + b.Encode + b.Board }
+func (b Breakdown) Total() float64 { return b.Capture + float64(b.Encode) + b.Board }
 
 // encodeWatts is the measured-equivalent encoder draw for the TX2 class
 // device, per codec and resolution class.

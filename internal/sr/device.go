@@ -80,7 +80,7 @@ func (d Device) inferenceTime(inW, inH, scale, gpus int, quant bool) time.Durati
 		gpus = 1
 	}
 	compute := d.PatchComputeNS(inW, inH, scale, quant)
-	ns := d.TransferNS + compute/float64(gpus) + float64(gpus-1)*d.StitchNS
+	ns := d.TransferNS + float64(compute)/float64(gpus) + float64(float64(gpus-1)*d.StitchNS)
 	return time.Duration(ns)
 }
 
@@ -94,7 +94,7 @@ func (d Device) PatchComputeNS(wLR, hLR, scale int, quant bool) float64 {
 		// Bilinear upsample only: cheap memory-bound pass.
 		return outPix * 1.0
 	}
-	compute := inPix*d.PerInputPixelNS + outPix*d.PerOutputPixelNS
+	compute := float64(inPix*d.PerInputPixelNS) + float64(outPix*d.PerOutputPixelNS)
 	if quant {
 		compute *= d.int8Factor()
 	}
@@ -105,7 +105,7 @@ func (d Device) PatchComputeNS(wLR, hLR, scale int, quant bool) float64 {
 // HR label is hrPix pixels, on one GPU.
 func (d Device) TrainSampleTime(hrPix int, scale int) time.Duration {
 	inPix := float64(hrPix) / float64(scale*scale)
-	infer := inPix*d.PerInputPixelNS + float64(hrPix)*d.PerOutputPixelNS
+	infer := float64(inPix*d.PerInputPixelNS) + float64(float64(hrPix)*d.PerOutputPixelNS)
 	return time.Duration(infer * d.TrainFactor)
 }
 
@@ -117,6 +117,6 @@ func (d Device) EpochTime(iters, batch, hrPix, scale, gpus int) time.Duration {
 		gpus = 1
 	}
 	perSample := float64(d.TrainSampleTime(hrPix, scale))
-	perStep := perSample*float64(batch)/float64(gpus) + d.TransferNS
+	perStep := float64(perSample*float64(batch)/float64(gpus)) + d.TransferNS
 	return time.Duration(perStep * float64(iters))
 }

@@ -203,7 +203,7 @@ func FromTensor(t *nn.Tensor) *frame.Frame {
 		case x >= 255:
 			f.Pix[i] = 255
 		default:
-			f.Pix[i] = uint8(x + 0.5)
+			f.Pix[i] = uint8(float32(x) + 0.5)
 		}
 	}
 	return f
@@ -317,7 +317,7 @@ var addRow = addRowGo
 func addRowGo(pix []uint8, res []float32, idx []int32) {
 	idx = idx[:len(pix)]
 	for j, o := range pix {
-		v := float32(o) + res[idx[j]]*255
+		v := float32(o) + float32(res[idx[j]]*255)
 		switch {
 		case v <= 0:
 			pix[j] = 0

@@ -201,7 +201,7 @@ func (p *Processor) ObserveGatePatch(lr, hr *frame.Frame) {
 	if !p.gapInit {
 		p.gapEWMA, p.gapInit = gap, true
 	} else {
-		p.gapEWMA += gateEWMAAlpha * (gap - p.gapEWMA)
+		p.gapEWMA += float64(gateEWMAAlpha * (gap - p.gapEWMA))
 	}
 	p.mQuantGap.Observe(max(p.gapEWMA, 0))
 	if p.gateDB > 0 {
@@ -317,7 +317,7 @@ func (p *Processor) processAnytime(lr *frame.Frame) (*frame.Frame, time.Duration
 	// even the base plan is over budget — degrade the lowest-energy tail to
 	// the bilinear skip.
 	quant := p.quant != nil && p.quantOn
-	base := p.dev.TransferNS + float64(p.gpus-1)*p.dev.StitchNS
+	base := p.dev.TransferNS + float64(float64(p.gpus-1)*p.dev.StitchNS)
 	budget := float64(p.anytime) - base
 	cost := func(c *qcell, mode uint8) float64 {
 		switch mode {

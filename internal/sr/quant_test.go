@@ -229,7 +229,7 @@ func TestAnytimeGenerousBudgetMatchesF32(t *testing.T) {
 func mixedBudget(d Device, lr *frame.Frame) time.Duration {
 	cI := d.PatchComputeNS(lr.W, lr.H, 2, true)
 	cF := d.PatchComputeNS(lr.W, lr.H, 2, false)
-	return time.Duration(d.TransferNS + cI + 0.4*(cF-cI))
+	return time.Duration(d.TransferNS + float64(cI) + float64(0.4*(float64(cF)-float64(cI))))
 }
 
 func TestAnytimeTightBudgetDegradesAndCounts(t *testing.T) {

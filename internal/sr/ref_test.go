@@ -26,7 +26,7 @@ func superResolveRef(m *Model, lr *frame.Frame) *frame.Frame {
 	}
 	out := frame.New(up.W, up.H)
 	for i := range out.Pix {
-		v := float32(up.Pix[i]) + h.Data[i]*255
+		v := float32(up.Pix[i]) + float32(h.Data[i]*255)
 		switch {
 		case v <= 0:
 			out.Pix[i] = 0
@@ -49,7 +49,7 @@ func addResidualRef(res *nn.Tensor, s, left, top int, out *frame.Frame, x0, y0, 
 				at := ((sy*s+sx)*res.H+y-top)*res.W - left
 				for x, r := range res.Data[at+x0 : at+x1] {
 					o := &orow[(x0+x)*s+sx]
-					v := float32(*o) + r*255
+					v := float32(*o) + float32(r*255)
 					switch {
 					case v <= 0:
 						*o = 0

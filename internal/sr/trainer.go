@@ -146,7 +146,7 @@ func (t *Trainer) pick() int {
 	old := n - k
 	wOld := float64(old)
 	wNew := float64(k) * t.cfg.RecencyWeight
-	if t.rng.Float64()*(wOld+wNew) < wOld {
+	if t.rng.Float64()*(wOld+float64(wNew)) < wOld {
 		return t.rng.Intn(old)
 	}
 	return old + t.rng.Intn(k)
@@ -236,7 +236,7 @@ func (t *Trainer) step() float64 {
 			for j := range dst {
 				var acc float32
 				for si := range grads {
-					acc += grads[si][pi].Grad[j] * scale[si]
+					acc += float32(grads[si][pi].Grad[j] * scale[si])
 				}
 				dst[j] = acc
 			}

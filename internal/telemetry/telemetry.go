@@ -231,8 +231,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 			if i > 0 {
 				lo = h.bounds[i-1]
 			}
-			frac := (rank - cum) / c
-			return lo + frac*(h.bounds[i]-lo)
+			frac := (float64(rank) - cum) / c
+			return lo + float64(frac*(h.bounds[i]-lo))
 		}
 		cum += c
 	}

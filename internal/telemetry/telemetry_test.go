@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"strings"
@@ -120,6 +121,27 @@ func TestSnapshotDeterminism(t *testing.T) {
 	var decoded map[string]any
 	if err := json.Unmarshal(a.Bytes(), &decoded); err != nil {
 		t.Fatalf("snapshot JSON does not parse: %v", err)
+	}
+}
+
+// errWriter fails every write, as a full disk or a closed pipe does.
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestRegistryWritesReportWriterError: WriteEvents and WriteJSON into a
+// writer that fails must say so. WriteEvents buffers, so a trace smaller
+// than its buffer reaches the writer only at the final Flush: dropping that
+// error would report a lost trace as written.
+func TestRegistryWritesReportWriterError(t *testing.T) {
+	r := New()
+	r.Counter("frames").Inc()
+	r.Emit(time.Second, "trainer_state", Str("state", "training"))
+	if err := r.WriteEvents(errWriter{}); err == nil {
+		t.Error("WriteEvents into a failing writer returned nil")
+	}
+	if err := r.WriteJSON(errWriter{}); err == nil {
+		t.Error("WriteJSON into a failing writer returned nil")
 	}
 }
 

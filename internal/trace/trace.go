@@ -74,7 +74,7 @@ func (g gen) walk(n int, mean, vol, floor, ceil float64) []float64 {
 	level := math.Log(mean)
 	target := math.Log(mean)
 	for i := range out {
-		level += 0.15*(target-level) + vol*g.rng.NormFloat64()
+		level += float64(0.15*(target-level)) + float64(vol*g.rng.NormFloat64())
 		v := math.Exp(level)
 		if v < floor {
 			v = floor
@@ -98,7 +98,7 @@ func FCCUplink(seed int64, dur time.Duration, meanKbps float64) *Trace {
 	// Occasional short congestion dips (cross traffic).
 	for i := 0; i < n; i++ {
 		if g.rng.Float64() < 0.01 {
-			depth := 0.3 + 0.4*g.rng.Float64()
+			depth := 0.3 + float64(0.4*g.rng.Float64())
 			for j := i; j < i+5 && j < n; j++ {
 				ks[j] *= depth
 			}
@@ -116,8 +116,8 @@ func SampleFCCMeans(n int, seed int64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		// Beta-ish sample via averaging two uniforms, mapped to log space.
-		u := (rng.Float64() + rng.Float64()) / 2
-		logv := math.Log(500) + u*(math.Log(10000)-math.Log(500))
+		u := (float64(rng.Float64()) + float64(rng.Float64())) / 2 // Float64 inlines to a product
+		logv := math.Log(500) + float64(u*(math.Log(10000)-math.Log(500)))
 		out[i] = math.Exp(logv)
 	}
 	return out
@@ -145,7 +145,7 @@ func ThreeG(seed int64, dur time.Duration) *Trace {
 	for i := 0; i < n; i++ {
 		if g.rng.Float64() < 0.02 {
 			for j := i; j < i+3+g.rng.Intn(5) && j < n; j++ {
-				ks[j] = 40 + 60*g.rng.Float64()
+				ks[j] = 40 + float64(60*g.rng.Float64())
 			}
 		}
 	}
@@ -157,7 +157,7 @@ func ThreeG(seed int64, dur time.Duration) *Trace {
 func FCCDownlink(seed int64, dur time.Duration) *Trace {
 	g := gen{rand.New(rand.NewSource(seed))}
 	dt := time.Second
-	mean := 20000 + 100000*g.rng.Float64() // 20-120 Mbps
+	mean := 20000 + float64(100000*g.rng.Float64()) // 20-120 Mbps
 	ks := g.walk(int(dur/dt), mean, 0.12, 2000, 400000)
 	return &Trace{Name: fmt.Sprintf("fcc-down-%d", seed), DT: dt, Kbps: ks}
 }
@@ -167,7 +167,7 @@ func FCCDownlink(seed int64, dur time.Duration) *Trace {
 func PensieveDownlink(seed int64, dur time.Duration) *Trace {
 	g := gen{rand.New(rand.NewSource(seed))}
 	dt := time.Second
-	mean := 700 + 1600*g.rng.Float64()
+	mean := 700 + float64(1600*g.rng.Float64())
 	ks := g.walk(int(dur/dt), mean, 0.4, 80, 8000)
 	return &Trace{Name: fmt.Sprintf("pensieve-%d", seed), DT: dt, Kbps: ks}
 }

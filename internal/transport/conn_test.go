@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -431,6 +432,63 @@ func TestQueuedConnCloseJoinsWriter(t *testing.T) {
 			t.Fatal("Close did not return once the writer's Send finished")
 		}
 		settled(t, before)
+	})
+}
+
+// failConn is a Conn whose every Send fails with err.
+type failConn struct {
+	Conn
+	err error
+}
+
+func (f failConn) Send(*wire.Message) error { return f.err }
+func (f failConn) Close() error             { return nil }
+
+// TestQueuedConnSendAfterFailure: a Send that returns early, on a closed
+// connection or after the writer stored a send error, must leave q.mu
+// unlocked. Every call runs behind a bounded wait, so a Send that returned
+// holding the lock fails the test at the next call instead of hanging it.
+func TestQueuedConnSendAfterFailure(t *testing.T) {
+	within := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5 s: an earlier call left the lock held", what)
+		}
+	}
+	msg := &wire.Message{Type: wire.MsgSegment}
+	sendTwice := func(t *testing.T, q *QueuedConn, want error) {
+		t.Helper()
+		for i := 1; i <= 2; i++ {
+			var err error
+			within(t, fmt.Sprintf("Send %d", i), func() { err = q.Send(msg) })
+			if !errors.Is(err, want) {
+				t.Fatalf("Send %d = %v, want %v", i, err, want)
+			}
+		}
+	}
+
+	t.Run("closed", func(t *testing.T) {
+		q := NewQueuedConn(&gateConn{release: make(chan struct{})}, 0)
+		within(t, "Close", func() { _ = q.Close() })
+		sendTwice(t, q, ErrClosed)
+		within(t, "Dropped", func() { q.Dropped() })
+	})
+
+	t.Run("send error", func(t *testing.T) {
+		boom := errors.New("connection reset by peer")
+		q := NewQueuedConn(failConn{err: boom}, 0)
+		within(t, "the first Send", func() { _ = q.Send(msg) })
+		// The writer stores boom and then exits, closing q.done.
+		within(t, "the writer's exit", func() { <-q.done })
+		sendTwice(t, q, boom)
+		within(t, "Close", func() { _ = q.Close() })
 	})
 }
 

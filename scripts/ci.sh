@@ -4,8 +4,10 @@
 #
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet on three build
 #                         partitions (default, -tags purego, GOARCH=arm64),
-#                         no fused multiply-add in the arm64 frame, nn,
-#                         codec, vidgen and metrics code, livenas-vet (whole module, no flags, under 4 s),
+#                         no fused multiply-add in any arm64 livenas code,
+#                         the enum, lock and write-error pins by name (a new
+#                         Scheme or fleet State without a case, a Send that
+#                         keeps its lock, a dropped Flush error),
 #                         the telemetry lock pair by name, the replay and
 #                         join pins by name (the gcc delay-fold replay,
 #                         QueuedConn's and Pool's Close joins, RunContext's
@@ -29,10 +31,9 @@
 #   scripts/ci.sh full    merge tier: go vet on the same three build
 #                         partitions (stdlib asmdecl/copylocks on each — the
 #                         asm stubs and their Go twins are their territory),
-#                         the same livenas-vet and benchmark-module steps,
-#                         full tests, race tier (includes internal/sweep
-#                         and internal/fleet; not internal/analysis, which
-#                         starts no goroutine), fuzz smoke (wire, playlist,
+#                         the same benchmark-module step, full tests, race
+#                         tier (includes internal/sweep and internal/fleet),
+#                         fuzz smoke (wire, playlist,
 #                         codec, conv; FUZZTIME, default 10s, 0 skips). No timing
 #                         is gated here: BENCHMARK.json is the one
 #                         performance instrument.
@@ -212,27 +213,25 @@ codec_vidgen_differential() {
             TestPixRowMatchesGo TestPixRowMatchesGo/go
 }
 
-# No fused multiply-add in the packages held bit-identical to their oracles
-# or feeding every golden (ROADMAP item 19): Go may fuse x*y + z into one
-# FMADD-family instruction on arm64, which rounds once where amd64 and the
-# oracles round twice. vidgen renders every frame and metrics scores every
-# PSNR/SSIM. The arm64 builds of livenas-bench and of the frame, nn, codec,
-# vidgen and metrics test binaries (their oracles) are disassembled, and any
-# such instruction in a livenas/internal/{frame,nn,codec,vidgen,metrics}
-# symbol fails the step; write the expression as float64(x*y) + z (or
-# float32) to keep the rounding.
+# No fused multiply-add anywhere in the module's code (ROADMAP item 19): Go
+# may fuse x*y + z into one FMADD-family instruction on arm64, which rounds
+# once where amd64 and the oracles round twice, so an arm64 host would
+# reproduce no golden. The arm64 builds of livenas-bench and of the test
+# binaries that hold oracles or goldens (frame, nn, codec, vidgen, metrics,
+# sr, gcc, core, exp) are disassembled, and any such instruction in a
+# livenas/ symbol fails the step; write the expression as float64(x*y) + z
+# (or float32), rounding a product where it is used rather than where it is
+# defined, so the amd64 text does not move.
 no_fused_multiply_add() {
-    local dir found rc=0
+    local dir found pkg rc=0
     dir="$(mktemp -d)"
     found="$(GOARCH=arm64 go build -o "$dir/livenas-bench" ./cmd/livenas-bench &&
-        GOARCH=arm64 go test -c -o "$dir/frame.test" ./internal/frame &&
-        GOARCH=arm64 go test -c -o "$dir/nn.test" ./internal/nn &&
-        GOARCH=arm64 go test -c -o "$dir/codec.test" ./internal/codec &&
-        GOARCH=arm64 go test -c -o "$dir/vidgen.test" ./internal/vidgen &&
-        GOARCH=arm64 go test -c -o "$dir/metrics.test" ./internal/metrics &&
+        for pkg in frame nn codec vidgen metrics sr gcc core exp; do
+            GOARCH=arm64 go test -c -o "$dir/$pkg.test" "./internal/$pkg" || exit 1
+        done &&
         for bin in "$dir"/*; do go tool objdump "$bin" || exit 1; done | awk '
             /^TEXT / { sym = $2 }
-            /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^livenas\/internal\/(frame|nn|codec|vidgen|metrics)\./ { print sym, $1 }')" || rc=$?
+            /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^livenas\// { print sym, $1 }')" || rc=$?
     rm -rf "$dir"
     if [[ $rc -ne 0 ]]; then
         return "$rc"
@@ -300,6 +299,20 @@ replay_join_pins() {
         pin_tests ./internal/core TestDeterministicRuns TestRunContextJoinsCamera
 }
 
+# Default-less switches, lock-then-defer and checked writes (DESIGN.md
+# "Correctness tooling"), by name so a rename cannot drop one: every Scheme
+# below numSchemes needs a row of what NewServer sets up, every fleet State
+# below numStates a row of what Teardown does; QueuedConn's Send after Close
+# and after a send error returns, twice, and leaves the lock free; WriteEvents
+# and WriteJSON into a failing writer report the error (a trace smaller than
+# WriteEvents' buffer fails only at its Flush).
+enum_lock_write_pins() {
+    pin_tests ./internal/core TestNewServerEveryScheme &&
+        pin_tests ./internal/fleet TestTeardownEveryState &&
+        pin_tests ./internal/transport TestQueuedConnSendAfterFailure &&
+        pin_tests ./internal/telemetry TestRegistryWritesReportWriterError
+}
+
 # go vet on the three build partitions of the assembly kernels. The default
 # amd64 build's asmdecl pass reports a TEXT with no Go stub and a stub whose
 # frame no longer matches its TEXT; under -tags purego a stub whose build
@@ -326,7 +339,7 @@ if [[ "$TIER" == "fast" ]]; then
     step "gofmt" gofmt_clean
     vet_partitions
     step "no fused multiply-add (arm64)" no_fused_multiply_add
-    step "livenas-vet" go run ./cmd/livenas-vet ./...
+    step "enum, lock and write-error pins" enum_lock_write_pins
     # The registry's two locks (evMu for the trace, mu for the metrics) meet
     # only between SetEventCap and Snapshot; this race turns an inversion of
     # their order into a failure within 5 s instead of a rare hang.
@@ -373,7 +386,6 @@ else
     FUZZTIME="${FUZZTIME:-10s}"
     step "go build" go build ./...
     vet_partitions
-    step "livenas-vet" go run ./cmd/livenas-vet ./...
     step "go test" go test ./...
     step "benchmark module" benchmark_module
     # internal/nn rides along for the int8/strip-parallel kernel stress;
