@@ -116,7 +116,7 @@ func newNode(gpus int, reg *telemetry.Registry) *node {
 	clock := edge.NewWallClock()
 	return &node{
 		live:   map[string]bool{},
-		pool:   sr.NewDevicePool(sr.RTX2080Ti(), gpus),
+		pool:   sr.NewDevicePool(gpus),
 		clock:  clock,
 		origin: edge.NewOrigin(clock, 6, edge.NewTelemetry(reg)),
 	}

@@ -74,14 +74,13 @@ func Boost(rungs []Rung, factor float64) []Rung {
 	return out
 }
 
-// SimConfig configures one adaptive-streaming playback simulation.
+// SimConfig configures one adaptive-streaming playback simulation. Playback
+// starts at rung 0 and plays trace length / chunk − 1 chunks, at least one.
 type SimConfig struct {
 	Rungs     []Rung
 	Trace     *trace.Trace
 	ChunkSec  float64       // chunk duration (default 2s, live-style)
 	BufferCap time.Duration // max client buffer (default 8s for live)
-	Chunks    int           // number of chunks to play (default trace length / chunk)
-	StartRung int           // initial quality (default 0)
 }
 
 func (c SimConfig) withDefaults() SimConfig {
@@ -90,12 +89,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = 8 * time.Second
-	}
-	if c.Chunks <= 0 {
-		c.Chunks = int(c.Trace.Duration().Seconds()/c.ChunkSec) - 1
-		if c.Chunks < 1 {
-			c.Chunks = 1
-		}
 	}
 	return c
 }
@@ -133,8 +126,9 @@ func Simulate(cfg SimConfig, alg Algorithm) Result {
 		qoeTotal float64
 	)
 	res.RungCounts = make([]int, len(rungs))
-	rung := cfg.StartRung
-	for i := 0; i < cfg.Chunks; i++ {
+	chunks := max(int(cfg.Trace.Duration().Seconds()/cfg.ChunkSec)-1, 1)
+	rung := 0
+	for i := 0; i < chunks; i++ {
 		if i > 0 {
 			rung = alg.Next(rungs, thr, time.Duration(buffer*float64(time.Second)))
 		}
@@ -182,8 +176,8 @@ func Simulate(cfg SimConfig, alg Algorithm) Result {
 		qoeTotal += qoe
 		res.AvgKbps += rungs[rung].EffectiveKbps
 	}
-	res.QoE = qoeTotal / float64(cfg.Chunks)
-	res.AvgKbps /= float64(cfg.Chunks)
+	res.QoE = qoeTotal / float64(chunks)
+	res.AvgKbps /= float64(chunks)
 	return res
 }
 
@@ -327,28 +321,6 @@ func (p *PensieveLike) Next(rungs []Rung, thr []float64, buffer time.Duration) i
 		best--
 	}
 	return best
-}
-
-// --- BufferBased (BBA-style; used as an extra baseline) ---
-
-// BufferBased is the BBA-0 algorithm of Huang et al.: rung selection as a
-// linear function of buffer occupancy only.
-type BufferBased struct{}
-
-// Name implements Algorithm.
-func (b *BufferBased) Name() string { return "BBA" }
-
-// Next implements Algorithm.
-func (b *BufferBased) Next(rungs []Rung, thr []float64, buffer time.Duration) int {
-	frac := buffer.Seconds() / 8
-	idx := int(frac * float64(len(rungs)))
-	if idx >= len(rungs) {
-		idx = len(rungs) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return idx
 }
 
 func harmonicMean(xs []float64) float64 {

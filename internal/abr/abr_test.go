@@ -72,7 +72,7 @@ func TestSimulateAmpleBandwidth(t *testing.T) {
 	// 50 Mbps link: every algorithm should reach the top rung and never
 	// rebuffer.
 	tr := flat(50000, 120)
-	for _, alg := range []Algorithm{&RobustMPC{}, &PensieveLike{}, &BufferBased{}} {
+	for _, alg := range []Algorithm{&RobustMPC{}, &PensieveLike{}} {
 		r := Simulate(SimConfig{Rungs: Ladder(false), Trace: tr}, alg)
 		if r.RebufferSec > 0.1 {
 			t.Fatalf("%s rebuffered %v on ample link", alg.Name(), r.RebufferSec)
@@ -151,7 +151,7 @@ func TestHarmonicMean(t *testing.T) {
 }
 
 func TestAlgorithmNames(t *testing.T) {
-	if (&RobustMPC{}).Name() != "robustMPC" || (&PensieveLike{}).Name() != "Pensieve" || (&BufferBased{}).Name() != "BBA" {
+	if (&RobustMPC{}).Name() != "robustMPC" || (&PensieveLike{}).Name() != "Pensieve" {
 		t.Fatal("names wrong")
 	}
 }
@@ -162,36 +162,5 @@ func TestSimulateDeterministic(t *testing.T) {
 	b := Simulate(SimConfig{Rungs: Ladder(false), Trace: tr}, &RobustMPC{})
 	if a.QoE != b.QoE || a.AvgKbps != b.AvgKbps {
 		t.Fatal("simulation not deterministic")
-	}
-}
-
-func TestBOLABufferMonotone(t *testing.T) {
-	// BOLA picks higher rungs as the buffer grows.
-	b := &BOLA{}
-	rungs := Ladder(false)
-	prev := -1
-	for _, buf := range []time.Duration{0, 2 * time.Second, 4 * time.Second, 7 * time.Second} {
-		r := b.Next(rungs, []float64{3000}, buf)
-		if r < prev {
-			t.Fatalf("BOLA rung decreased with buffer: %d after %d", r, prev)
-		}
-		prev = r
-	}
-	if prev == 0 {
-		t.Fatal("BOLA never left the bottom rung at a full buffer")
-	}
-}
-
-func TestBOLAPlaysThroughTraces(t *testing.T) {
-	tr := trace.PensieveDownlink(9, 2*time.Minute)
-	r := Simulate(SimConfig{Rungs: Ladder(false), Trace: tr}, &BOLA{})
-	if r.AvgKbps <= 0 {
-		t.Fatal("BOLA played nothing")
-	}
-	if r.QoE < -3 {
-		t.Fatalf("BOLA QoE collapsed: %v", r.QoE)
-	}
-	if (&BOLA{}).Name() != "BOLA" {
-		t.Fatal("name")
 	}
 }

@@ -65,9 +65,6 @@ func (w *bitWriter) finish() []byte {
 	return w.buf
 }
 
-// bitLen returns the current length of the stream in bits.
-func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.nAcc) }
-
 // errBitstream reports a truncated or corrupt bitstream.
 var errBitstream = errors.New("codec: corrupt bitstream")
 

@@ -53,9 +53,6 @@ type EncodedFrame struct {
 	Seq  int // encoder-assigned sequence number
 }
 
-// Bits returns the payload size in bits.
-func (ef *EncodedFrame) Bits() int { return len(ef.Data) * 8 }
-
 // padTo8 rounds up to a multiple of the transform block size.
 func padTo8(x int) int { return (x + blockSize - 1) / blockSize * blockSize }
 
@@ -88,15 +85,9 @@ func NewEncoder(cfg Config) *Encoder {
 	return &Encoder{cfg: cfg, qp: 30}
 }
 
-// Config returns the encoder's configuration.
-func (e *Encoder) Config() Config { return e.cfg }
-
 // ForceKeyFrame makes the next encoded frame a key frame (used by the ingest
 // pipeline to recover from reference loss).
 func (e *Encoder) ForceKeyFrame() { e.forceKey = true }
-
-// QP reports the current rate-control quantisation parameter.
-func (e *Encoder) QP() int { return e.qp }
 
 // Encode compresses f against a per-frame bit budget. Rate control adapts QP
 // across frames toward the budget and re-encodes within the frame only on

@@ -46,3 +46,9 @@ func forEachCodecKernels(t *testing.T, fn func(t *testing.T)) {
 		restore()
 	}
 }
+
+// Bits returns the payload size in bits.
+func (ef *EncodedFrame) Bits() int { return len(ef.Data) * 8 }
+
+// bitLen returns the current length of the stream in bits.
+func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.nAcc) }

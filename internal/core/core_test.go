@@ -29,6 +29,32 @@ var (
 	sharedTrace *trace.Trace
 )
 
+// defaultTestConfig is the reduced-scale configuration shared by core tests:
+// a "1080p-class" pipeline at 1/5 linear resolution, x2 super-resolution.
+func defaultTestConfig(cat vidgen.Category) Config {
+	return Config{
+		Cat:         cat,
+		Seed:        7,
+		Native:      trace.Resolution{Name: "384x216", W: 384, H: 216},
+		Ingest:      trace.Resolution{Name: "192x108", W: 192, H: 108},
+		FPS:         10,
+		Duration:    40 * time.Second,
+		Scheme:      SchemeLiveNAS,
+		TrainPolicy: TrainAdaptive,
+		PatchSize:   24, // 16x9 grid over 384x216, as the paper's 120 over 1080p
+		MetricEvery: 2 * time.Second,
+		Channels:    6,
+		// Bitrate floors and scheduler steps scaled with frame area
+		// (1/25 of 1080p-class).
+		MinVideoKbps:  40,
+		GCCInitKbps:   160,
+		MTU:           240,
+		StepKbps:      20,
+		InitPatchKbps: 20,
+		MinPatchKbps:  5,
+	}
+}
+
 // skipLongUnderRace exempts full-session quality tests from the -race tier:
 // their numeric assertions are covered by the plain `go test` tier, and the
 // detector's ~10x slowdown on the NN hot loops would push the suite past any

@@ -258,6 +258,109 @@ func TestRunSimBackpressure(t *testing.T) {
 	}
 }
 
+// recordConn is a Conn that keeps what the viewer sends and delivers
+// nothing: the test feeds the viewer's Handle itself.
+type recordConn struct{ sent []*wire.Message }
+
+func (c *recordConn) Send(m *wire.Message) error {
+	c.sent = append(c.sent, m)
+	return nil
+}
+func (c *recordConn) Recv() (*wire.Message, error)   { return nil, transport.ErrClosed }
+func (c *recordConn) Close() error                   { return nil }
+func (c *recordConn) SetRecvTimeout(d time.Duration) {}
+
+// TestViewerLivePolicy pins the playback rules every viewer follows
+// (startBehind, startupSegments, timeoutSegments and BufferCap's default):
+// it joins one segment behind the live edge, starts playing once the buffer
+// holds one segment duration, gives up on a fetch after exactly two segment
+// durations, and stops fetching at 8 s of buffer.
+func TestViewerLivePolicy(t *testing.T) {
+	const segDur = time.Second
+	s := sim.New()
+	v := NewViewer(SimClock{S: s}, ViewerConfig{Channel: "ch000"}, NewTelemetry(nil))
+	conn := &recordConn{}
+	if err := v.Attach(conn); err != nil {
+		t.Fatal(err)
+	}
+	g := NewSegmenter("ch000", segDur, testRungs(), 4)
+	push := func(n int) { // publishes segments up to n-1, then the playlist
+		for i := g.Playlist().LiveEdge() + 1; i < n; i++ {
+			var payloads [][]byte
+			for r := range testRungs() {
+				payloads = append(payloads, SyntheticPayload("ch000", i, r, 1000))
+			}
+			g.Push(time.Duration(i)*segDur, payloads)
+		}
+		v.Handle(&wire.Message{Type: wire.MsgPlaylist, Channel: "ch000", Data: g.Playlist().Encode()})
+	}
+	lastReq := func() *wire.Message {
+		m := conn.sent[len(conn.sent)-1]
+		if m.Type != wire.MsgSegmentReq {
+			t.Fatalf("last message sent is type %v, want a segment request", m.Type)
+		}
+		return m
+	}
+	deliver := func(req *wire.Message, dur time.Duration) {
+		v.Handle(&wire.Message{Type: wire.MsgSegment, Channel: "ch000", FrameID: req.FrameID,
+			Rung: req.Rung, SegDurUS: dur.Microseconds(), Data: []byte{1}})
+	}
+	playing := func() bool {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return v.playing
+	}
+
+	push(6)
+	// Joined one segment behind the live edge: the first fetch is the
+	// newest complete segment, not the window's oldest.
+	first := lastReq()
+	if edge := g.Playlist().LiveEdge(); first.FrameID != edge {
+		t.Fatalf("first fetch is segment %d, want the live edge %d", first.FrameID, edge)
+	}
+
+	// An unanswered fetch is outstanding for two segment durations.
+	t0 := s.Now()
+	s.RunUntil(t0 + 2*segDur - 1)
+	if v.Finish().Timeouts != 0 || !v.outstanding {
+		t.Fatalf("fetch timed out before 2 segment durations: %+v", v.Finish())
+	}
+	s.RunUntil(t0 + 2*segDur)
+	if n := v.Finish().Timeouts; n != 1 {
+		t.Fatalf("%d timeouts at 2 segment durations, want 1", n)
+	}
+
+	// The viewer re-requests the same segment; half a segment duration of
+	// buffer does not start playback, a whole one does.
+	retry := lastReq()
+	if retry.FrameID != first.FrameID {
+		t.Fatalf("re-requested segment %d, want %d", retry.FrameID, first.FrameID)
+	}
+	deliver(retry, segDur/2)
+	if playing() {
+		t.Fatal("playing with half a segment duration buffered")
+	}
+	push(7)
+	deliver(lastReq(), segDur/2)
+	if !playing() {
+		t.Fatal("not playing with one segment duration buffered")
+	}
+
+	// No virtual time passes, so nothing drains: each new segment is
+	// fetched until one more would lift the buffer past 8 s.
+	for n := 8; ; n++ {
+		sent := len(conn.sent)
+		push(n)
+		if len(conn.sent) == sent {
+			break
+		}
+		deliver(lastReq(), segDur)
+	}
+	if v.buffer != 8*time.Second {
+		t.Fatalf("stopped fetching at %v buffered, want 8s", v.buffer)
+	}
+}
+
 // TestViewerReconnectResumes is the relay-failover contract: a viewer cut
 // off mid-stream re-attaches (to another relay) and resumes from the
 // rolling playlist without re-playing any segment.

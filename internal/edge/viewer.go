@@ -15,32 +15,37 @@ type ViewerConfig struct {
 	// Alg picks the rung for each request (default: RobustMPC). One
 	// instance per viewer: algorithms carry state.
 	Alg abr.Algorithm
-	// StartBehind is how many segments behind the live edge playback joins
-	// (default 1 — live streams join near the edge, not at the window
-	// start, trading history for latency).
-	StartBehind int
-	// StartupBuffer is the buffer level at which playback starts or resumes
-	// after a stall (default: one segment duration).
-	StartupBuffer time.Duration
 	// BufferCap stops requesting once the buffer would exceed it
 	// (default 8s, the live-style cap used across the repo's ABR work).
 	BufferCap time.Duration
-	// RequestTimeout bounds one segment fetch; an expired fetch is treated
-	// as lost — the drop-oldest queue upstream ate it — and the viewer
-	// skips ahead if newer segments exist (default: two segment durations).
-	RequestTimeout time.Duration
 	// OnPlay, if set, observes every accepted segment (index, rung) in
 	// delivery order. Instrumentation hook for tests and status surfaces;
 	// called with the viewer's lock held — do not call back in.
 	OnPlay func(index, rung int)
 }
 
+// Every viewer plays live by the same three rules, each counted in
+// segments (a segment duration is read from the playlist).
+const (
+	// startBehind is how many segments behind the live edge playback joins:
+	// live streams join near the edge, not at the window start, trading
+	// history for latency.
+	startBehind = 1
+	// startupSegments is the buffer, in segment durations, at which playback
+	// starts or resumes after a stall.
+	startupSegments = 1
+	// timeoutSegments bounds one segment fetch, in segment durations; an
+	// expired fetch is treated as lost — the drop-oldest queue upstream ate
+	// it — and the viewer skips ahead if newer segments exist.
+	timeoutSegments = 2
+)
+
 // ViewerStats is one session's playback outcome.
 type ViewerStats struct {
 	Played     int // segments received and buffered
 	Skipped    int // segments abandoned (drops/timeouts/window falls)
 	Duplicates int // late or duplicate deliveries discarded
-	Timeouts   int // fetches that hit RequestTimeout
+	Timeouts   int // fetches unanswered after timeoutSegments segment durations
 	Bytes      int64
 	Stall      time.Duration // rebuffer time after playback first started
 	KbpsSum    float64       // sum of chosen-rung network bitrates
@@ -87,9 +92,6 @@ func NewViewer(clock Clock, cfg ViewerConfig, tel *Telemetry) *Viewer {
 	if cfg.Alg == nil {
 		cfg.Alg = &abr.RobustMPC{}
 	}
-	if cfg.StartBehind <= 0 {
-		cfg.StartBehind = 1
-	}
 	if cfg.BufferCap <= 0 {
 		cfg.BufferCap = 8 * time.Second
 	}
@@ -133,7 +135,7 @@ func (v *Viewer) Handle(m *wire.Message) {
 			v.segDur = durUS(pl.Segments[0].DurUS)
 			if !v.started {
 				v.started = true
-				start := pl.LiveEdge() - v.cfg.StartBehind + 1
+				start := pl.LiveEdge() - startBehind + 1
 				if o := pl.Oldest(); start < o {
 					start = o
 				}
@@ -208,10 +210,7 @@ func (v *Viewer) account(now time.Duration) {
 // startIfReady flips to playing when the buffer clears the startup
 // threshold. Callers hold v.mu and have called account.
 func (v *Viewer) startIfReady() {
-	startup := v.cfg.StartupBuffer
-	if startup <= 0 {
-		startup = v.segDur
-	}
+	startup := startupSegments * v.segDur
 	if v.playing || v.buffer < startup || startup == 0 {
 		return
 	}
@@ -259,10 +258,7 @@ func (v *Viewer) maybeRequest(now time.Duration) {
 	v.gen++
 	gen := v.gen
 	v.conn.Send(&wire.Message{Type: wire.MsgSegmentReq, Channel: v.cfg.Channel, FrameID: v.next, Rung: rung})
-	timeout := v.cfg.RequestTimeout
-	if timeout <= 0 {
-		timeout = 2 * v.segDur
-	}
+	timeout := timeoutSegments * v.segDur
 	if timeout <= 0 {
 		return
 	}
@@ -292,19 +288,4 @@ func (v *Viewer) Finish() ViewerStats {
 	defer v.mu.Unlock()
 	v.account(v.clock.Now())
 	return v.stats
-}
-
-// Playing reports whether the session is currently playing (false also
-// before startup).
-func (v *Viewer) Playing() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.playing
-}
-
-// Position returns the next segment index the viewer needs.
-func (v *Viewer) Position() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.next
 }

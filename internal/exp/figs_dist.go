@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -213,62 +211,6 @@ func Fig26to29(o Options, r *sweep.Runner) *Table {
 		}
 	}
 	return t
-}
-
-// Table1 reproduces Table 1: the implementation's lines of code, counted
-// over this repository.
-func Table1(o Options) *Table {
-	t := &Table{
-		ID:     "table1",
-		Title:  "Implementation lines of code (this repository)",
-		Header: []string{"component", "files", "lines"},
-	}
-	root := repoRoot()
-	groups := map[string][2]int{}
-	var order []string
-	filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		rel, _ := filepath.Rel(root, path)
-		parts := strings.Split(rel, string(filepath.Separator))
-		group := parts[0]
-		if len(parts) > 2 {
-			group = filepath.Join(parts[0], parts[1])
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil
-		}
-		lines := strings.Count(string(data), "\n")
-		g := groups[group]
-		if g[0] == 0 {
-			order = append(order, group)
-		}
-		g[0]++
-		g[1] += lines
-		groups[group] = g
-		return nil
-	})
-	total := 0
-	for _, g := range order {
-		t.Add(g, groups[g][0], groups[g][1])
-		total += groups[g][1]
-	}
-	t.Add("TOTAL", "", total)
-	return t
-}
-
-// repoRoot walks up from the working directory to the go.mod.
-func repoRoot() string {
-	dir, _ := os.Getwd()
-	for i := 0; i < 6; i++ {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		dir = filepath.Dir(dir)
-	}
-	return "."
 }
 
 // Table2 reproduces Table 2: super-resolution inference delay per

@@ -81,7 +81,6 @@ var Registry = []Experiment{
 	{"fig23", "training-window sensitivity", swept(Fig23)},
 	{"fig25", "SSIM improvements", oneSwept(Fig25)},
 	{"fig26-29", "per-trace absolute quality", oneSwept(Fig26to29)},
-	{"table1", "implementation lines of code", one(Table1)},
 	{"table2", "SR inference delay", one(Table2)},
 	{"abl-residual", "ablation: residual vs direct SR", one(AblationResidual)},
 	{"abl-sampler", "ablation: patch selection filter", one(AblationSampler)},

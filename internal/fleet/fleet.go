@@ -1,6 +1,6 @@
 // Package fleet turns the single-session ingest core into a multi-tenant
 // ingest node: a channel-key session registry with a per-stream lifecycle
-// (register → ingest → teardown; admitted sessions run on a sweep.Runner
+// (register → ingest → departure; admitted sessions run on a sweep.Runner
 // through Plan.Submit/Collect), admission control with backpressure
 // against a shared sr.DevicePool, and a cross-stream GPU scheduler that
 // multiplexes N streams onto M devices by quality-weighted allocation —
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"livenas/internal/core"
-	"livenas/internal/sr"
 	"livenas/internal/sweep"
 	"livenas/internal/telemetry"
 )
@@ -69,7 +68,6 @@ const (
 	StateRejected
 	// StateTorndown: departed; GPU slots returned to the pool.
 	StateTorndown
-	numStates // sentinel: TestTeardownEveryState walks every state below it
 )
 
 func (s State) String() string {
@@ -91,8 +89,6 @@ func (s State) String() string {
 type Options struct {
 	// GPUs is the node's pool size M (default 2, the paper's ingest server).
 	GPUs int
-	// Device is the per-GPU cost model (zero = sr.RTX2080Ti).
-	Device sr.Device
 	// Policy selects the over-capacity behaviour (default PolicyReject).
 	Policy Policy
 	// MaxGPUsPerStream caps one stream's allocation (default 4, > which
@@ -106,9 +102,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.GPUs <= 0 {
 		o.GPUs = 2
-	}
-	if o.Device == (sr.Device{}) {
-		o.Device = sr.RTX2080Ti()
 	}
 	if o.MaxGPUsPerStream <= 0 {
 		o.MaxGPUsPerStream = 4

@@ -39,7 +39,7 @@ func NewManager(o Options) *Manager {
 	o = o.withDefaults()
 	m := &Manager{
 		opts:     o,
-		pool:     sr.NewDevicePool(o.Device, o.GPUs),
+		pool:     sr.NewDevicePool(o.GPUs),
 		reg:      o.Telemetry,
 		sessions: map[string]*Session{},
 	}
@@ -50,18 +50,9 @@ func NewManager(o Options) *Manager {
 // Pool exposes the node's GPU pool (read-mostly: capacity and utilization).
 func (m *Manager) Pool() *sr.DevicePool { return m.pool }
 
-// Now returns the manager's virtual clock.
-func (m *Manager) Now() time.Duration { return m.now }
-
 // Sessions returns every registered session in registration order. The
 // slice is the manager's own bookkeeping; treat it as read-only.
 func (m *Manager) Sessions() []*Session { return m.order }
-
-// Lookup returns the session for a channel key, or nil.
-func (m *Manager) Lookup(key string) *Session { return m.sessions[key] }
-
-// QueueDepth returns the number of streams currently waiting for capacity.
-func (m *Manager) QueueDepth() int { return len(m.queue) }
 
 // Register admits (or queues, degrades, rejects — per policy) a stream
 // arriving at spec.ArriveAt. Arrivals must be non-decreasing in time; a
@@ -76,10 +67,12 @@ func (m *Manager) Register(spec StreamSpec) (*Session, error) {
 	if spec.ArriveAt < m.now {
 		return nil, fmt.Errorf("fleet: arrival at %v before clock %v (register in arrival order)", spec.ArriveAt, m.now)
 	}
+	// Resolve the departures due by this arrival first: a key whose stream
+	// has departed is free again.
+	m.AdvanceTo(spec.ArriveAt)
 	if s, ok := m.sessions[spec.Key]; ok && s.State != StateTorndown && s.State != StateRejected {
 		return nil, ErrDuplicateKey{Key: spec.Key}
 	}
-	m.AdvanceTo(spec.ArriveAt)
 
 	cfg := spec.Cfg.Defaulted()
 	cfg.ChannelKey = spec.Key
@@ -186,43 +179,6 @@ func (m *Manager) AdvanceTo(t time.Duration) {
 	if t > m.now {
 		m.now = t
 	}
-}
-
-// Teardown ends a live stream at the current clock: its GPU slots return
-// to the pool and any queued stream that now fits is admitted. Tearing
-// down an already-departed or rejected stream is a no-op; an unknown key
-// is an error.
-func (m *Manager) Teardown(key string) error {
-	s, ok := m.sessions[key]
-	if !ok {
-		return fmt.Errorf("fleet: teardown of unknown channel key %q", key)
-	}
-	switch s.State {
-	case StateTorndown, StateRejected:
-		return nil
-	case StateQueued:
-		for i, q := range m.queue {
-			if q == s {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				break
-			}
-		}
-		s.State = StateTorndown
-		s.DepartAt = m.now
-		return nil
-	case StateRegistered, StateIngesting:
-		// Live (or registered mid-admission): handled below.
-	}
-	// Cancel the scheduled departure and depart now.
-	for i, d := range m.departures {
-		if d == s {
-			m.departures = append(m.departures[:i], m.departures[i+1:]...)
-			break
-		}
-	}
-	s.DepartAt = m.now
-	m.teardown(s)
-	return nil
 }
 
 // teardown releases s's slots, marks it departed and drains the queue.

@@ -47,13 +47,18 @@ type Config struct {
 	InitKbps float64 // starting estimate (default 600)
 	MinKbps  float64 // floor (default 50)
 	MaxKbps  float64 // ceiling (default 50000)
-	// SlopeThresholdMs is the delay-trend threshold in ms of queuing-delay
-	// growth per second of send time before overuse is declared (default 2).
-	SlopeThresholdMs float64
-	// Beta is the multiplicative decrease applied to the measured receive
-	// rate on overuse (default 0.85, as in GCC).
-	Beta float64
 }
+
+// Overuse constants.
+const (
+	// slopeThresholdMs is the delay-trend threshold in ms of queuing-delay
+	// growth per second of send time before overuse is declared: the floor
+	// the adaptive threshold relaxes back to.
+	slopeThresholdMs = 2.0
+	// beta is the multiplicative decrease applied to the measured receive
+	// rate on overuse, as in GCC.
+	beta = 0.85
+)
 
 func (c Config) withDefaults() Config {
 	if c.InitKbps <= 0 {
@@ -64,12 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxKbps <= 0 {
 		c.MaxKbps = 50000
-	}
-	if c.SlopeThresholdMs <= 0 {
-		c.SlopeThresholdMs = 2
-	}
-	if c.Beta <= 0 {
-		c.Beta = 0.85
 	}
 	return c
 }
@@ -100,7 +99,7 @@ type Controller struct {
 
 	// threshold is the adaptive overuse threshold (GCC's gamma adaptation):
 	// it inflates when benign periodic spikes (key-frame bursts) keep
-	// brushing it and relaxes back toward the configured floor.
+	// brushing it and relaxes back toward slopeThresholdMs.
 	threshold float64
 }
 
@@ -108,7 +107,7 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	return &Controller{cfg: cfg, rate: cfg.InitKbps, state: StateIncrease,
-		bins: make(map[int64]float64), threshold: cfg.SlopeThresholdMs}
+		bins: make(map[int64]float64), threshold: slopeThresholdMs}
 }
 
 // Delay-trend estimator constants.
@@ -169,9 +168,6 @@ func (c *Controller) observeDelays(acks []Ack) float64 {
 // TargetKbps returns the current send-rate target in kbps.
 func (c *Controller) TargetKbps() float64 { return c.rate }
 
-// State returns the delay controller's current state.
-func (c *Controller) State() State { return c.state }
-
 // OnFeedback processes one feedback report: the acks received since the
 // previous report and the count of packets deemed lost in the interval.
 func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
@@ -211,18 +207,18 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 		underuse = true
 	}
 	// Adapt the threshold (GCC gamma adaptation): grow while the slope
-	// rides above it, decay toward the configured floor otherwise.
+	// rides above it, decay toward slopeThresholdMs otherwise.
 	mag := slope
 	if mag < 0 {
 		mag = -mag
 	}
 	if mag > c.threshold {
 		c.threshold += float64(0.3 * (mag - c.threshold))
-		if max := 10 * c.cfg.SlopeThresholdMs; c.threshold > max {
+		if max := 10 * slopeThresholdMs; c.threshold > max {
 			c.threshold = max
 		}
 	} else {
-		c.threshold += float64(0.05 * (c.cfg.SlopeThresholdMs - c.threshold))
+		c.threshold += float64(0.05 * (slopeThresholdMs - c.threshold))
 	}
 
 	switch {
@@ -234,9 +230,9 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 	case overuse:
 		// Queues are building: drop below the (smoothed) delivery rate,
 		// but never cut more than half in one event.
-		target := c.cfg.Beta * c.avgMeasured
+		target := beta * c.avgMeasured
 		if target > c.rate {
-			target = c.rate * c.cfg.Beta
+			target = c.rate * beta
 		}
 		if floor := 0.5 * c.rate; target < floor {
 			target = floor
@@ -272,25 +268,4 @@ func (c *Controller) OnFeedback(now time.Duration, acks []Ack, lost int) {
 	if c.rate > c.cfg.MaxKbps {
 		c.rate = c.cfg.MaxKbps
 	}
-}
-
-// owdSlopeMsPerSec fits delay(sendTime) by least squares and returns the
-// slope in milliseconds of delay growth per second.
-func owdSlopeMsPerSec(acks []Ack) float64 {
-	n := float64(len(acks))
-	var sx, sy, sxx, sxy float64
-	t0 := acks[0].SentAt
-	for _, a := range acks {
-		x := (a.SentAt - t0).Seconds()
-		y := (a.RecvAt - a.SentAt).Seconds() * 1000
-		sx += x
-		sy += float64(y)
-		sxx += float64(x * x)
-		sxy += float64(x * y)
-	}
-	den := float64(n*sxx) - float64(sx*sx)
-	if den < 1e-12 {
-		return 0
-	}
-	return (float64(n*sxy) - float64(sx*sy)) / den
 }

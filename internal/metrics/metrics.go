@@ -51,12 +51,6 @@ func PSNRFromMSE(mse float64) float64 {
 	return p
 }
 
-// MSEFromPSNR inverts PSNRFromMSE. It is used by the effective-bitrate
-// mapping on the distribution side (§8.3).
-func MSEFromPSNR(psnr float64) float64 {
-	return 255 * 255 / math.Pow(10, psnr/10)
-}
-
 // SSIM returns the mean structural similarity index between two frames using
 // the standard 8x8 sliding window (stride 4 for speed; the constant offsets
 // follow Wang et al. 2004 with K1=0.01, K2=0.03, L=255).
@@ -120,20 +114,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += float64(d * d)
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Median returns the median of xs, or 0 for an empty slice.

@@ -35,3 +35,20 @@ var edgeTileSets = []edgeTiles{{
 		kernGo(kk, a, b, off, bias, c, 0, 1, 4, relu)
 	},
 }}
+
+// Zero resets all elements to 0 in place.
+func (t *Tensor) Zero() {
+	for i := range t.Data {
+		t.Data[i] = 0
+	}
+}
+
+// AddInPlace adds o element-wise into t. Shapes must match.
+func (t *Tensor) AddInPlace(o *Tensor) {
+	if !t.SameShape(o) {
+		panic("nn: AddInPlace shape mismatch")
+	}
+	for i, v := range o.Data {
+		t.Data[i] += v
+	}
+}

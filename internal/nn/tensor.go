@@ -30,23 +30,6 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return t.C == o.C && t.H == o.H && t.W == o.W
 }
 
-// Zero resets all elements to 0 in place.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
-// AddInPlace adds o element-wise into t. Shapes must match.
-func (t *Tensor) AddInPlace(o *Tensor) {
-	if !t.SameShape(o) {
-		panic("nn: AddInPlace shape mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
-}
-
 // Param is one learnable parameter bundle: a weight slice and its gradient
 // accumulator of equal length. Optimisers operate on Params.
 type Param struct {

@@ -90,9 +90,6 @@ func (s *Simulator) After(d time.Duration, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// Stop makes Run/RunUntil return after the currently executing event.
-func (s *Simulator) Stop() { s.halt = true }
-
 // Run executes events until the queue is empty or Stop is called.
 func (s *Simulator) Run() {
 	s.halt = false
@@ -137,9 +134,6 @@ func (s *Simulator) StepUntil(t time.Duration, budget int) bool {
 	}
 	return false
 }
-
-// Pending reports the number of scheduled events.
-func (s *Simulator) Pending() int { return len(s.pq) }
 
 // Next reports the timestamp of the earliest pending event. Drivers that
 // must advance the clock only as far as real work exists (for example a

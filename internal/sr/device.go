@@ -100,23 +100,3 @@ func (d Device) PatchComputeNS(wLR, hLR, scale int, quant bool) float64 {
 	}
 	return compute
 }
-
-// TrainSampleTime returns the simulated cost of one training sample whose
-// HR label is hrPix pixels, on one GPU.
-func (d Device) TrainSampleTime(hrPix int, scale int) time.Duration {
-	inPix := float64(hrPix) / float64(scale*scale)
-	infer := float64(inPix*d.PerInputPixelNS) + float64(float64(hrPix)*d.PerOutputPixelNS)
-	return time.Duration(infer * d.TrainFactor)
-}
-
-// EpochTime returns the simulated duration of one training epoch of iters
-// steps at the given batch size, sharded across gpus data-parallel devices,
-// plus one transfer per step.
-func (d Device) EpochTime(iters, batch, hrPix, scale, gpus int) time.Duration {
-	if gpus < 1 {
-		gpus = 1
-	}
-	perSample := float64(d.TrainSampleTime(hrPix, scale))
-	perStep := float64(perSample*float64(batch)/float64(gpus)) + d.TransferNS
-	return time.Duration(perStep * float64(iters))
-}

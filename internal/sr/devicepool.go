@@ -15,7 +15,6 @@ import "sync"
 // that assumption). Acquire is all-or-nothing so an admission decision is a
 // single atomic capacity check.
 type DevicePool struct {
-	dev   Device
 	total int
 
 	mu   sync.Mutex
@@ -25,20 +24,13 @@ type DevicePool struct {
 	peak int
 }
 
-// NewDevicePool returns a pool of n devices of the given cost model; n < 1
-// is clamped to 1 and a zero Device falls back to RTX2080Ti.
-func NewDevicePool(dev Device, n int) *DevicePool {
+// NewDevicePool returns a pool of n devices; n < 1 is clamped to 1.
+func NewDevicePool(n int) *DevicePool {
 	if n < 1 {
 		n = 1
 	}
-	if dev == (Device{}) {
-		dev = RTX2080Ti()
-	}
-	return &DevicePool{dev: dev, total: n}
+	return &DevicePool{total: n}
 }
-
-// Device returns the per-GPU cost model shared by every slot.
-func (p *DevicePool) Device() Device { return p.dev }
 
 // Total returns the pool size in GPU slots.
 func (p *DevicePool) Total() int {
@@ -59,13 +51,6 @@ func (p *DevicePool) Free() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.total - p.used
-}
-
-// Peak returns the high-water mark of concurrently held slots.
-func (p *DevicePool) Peak() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
 }
 
 // Acquire takes n slots all-or-nothing and reports whether it succeeded.

@@ -125,15 +125,6 @@ func (m *Model) Params() []nn.Param { return m.params }
 // recycles the same handful of shapes every call.
 func (m *Model) ArenaStats() (hits, misses int64) { return m.arena.Stats() }
 
-// ParamCount returns the total number of learnable scalars.
-func (m *Model) ParamCount() int {
-	n := 0
-	for _, p := range m.params {
-		n += len(p.W)
-	}
-	return n
-}
-
 // Clone returns a deep copy (weights and architecture, fresh grad buffers
 // and a fresh arena) sharing the source model's kernel pool. The pool is
 // snapshotted under the read lock — SetKernelPool may race with a clone
@@ -190,23 +181,6 @@ func ToTensor(f *frame.Frame) *nn.Tensor {
 		t.Data[i] = float32(v) / 255
 	}
 	return t
-}
-
-// FromTensor converts a (1, H, W) tensor in [0,1] back to a luma frame.
-func FromTensor(t *nn.Tensor) *frame.Frame {
-	f := frame.New(t.W, t.H)
-	for i, v := range t.Data {
-		x := v * 255
-		switch {
-		case x <= 0:
-			f.Pix[i] = 0
-		case x >= 255:
-			f.Pix[i] = 255
-		default:
-			f.Pix[i] = uint8(float32(x) + 0.5)
-		}
-	}
-	return f
 }
 
 // inferBlockRows is the LR row-block height of the per-pixel passes around

@@ -84,9 +84,6 @@ func NewProcessor(model *Model, gpus int, dev Device) *Processor {
 	return p
 }
 
-// GPUs reports the number of inference devices.
-func (p *Processor) GPUs() int { return p.gpus }
-
 // SetTelemetry registers the processor's metrics on reg: int8-enhanced
 // units (sr_quant_patches: cells in anytime mode, frames otherwise), the
 // online int8-vs-f32 PSNR gap (sr_quant_psnr_gap, dB) and frames whose
@@ -174,14 +171,6 @@ func (p *Processor) QuantActive() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.quant != nil && p.quantOn
-}
-
-// QuantGap returns the current EWMA of the int8-vs-f32 PSNR gap in dB and
-// whether any gate observation has been made yet.
-func (p *Processor) QuantGap() (float64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gapEWMA, p.gapInit
 }
 
 // ObserveGatePatch feeds one (lr, hr) ground-truth pair — in production a

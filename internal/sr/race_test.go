@@ -282,7 +282,7 @@ func TestConcurrentSetTelemetryWhileServing(t *testing.T) {
 // streams take and return slots, as the fleet's utilization report does
 // against its admission path; every read must see a conserved count.
 func TestDevicePoolAccessorsWhileAcquiring(t *testing.T) {
-	pool := NewDevicePool(RTX2080Ti(), 4)
+	pool := NewDevicePool(4)
 
 	const iters = 2000
 	var wg sync.WaitGroup

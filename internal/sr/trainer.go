@@ -109,9 +109,6 @@ func NewTrainer(model *Model, cfg TrainConfig, seed int64) *Trainer {
 	return t
 }
 
-// Config returns the effective training configuration.
-func (t *Trainer) Config() TrainConfig { return t.cfg }
-
 // SampleCount reports the current training-set size.
 func (t *Trainer) SampleCount() int { return len(t.data) }
 

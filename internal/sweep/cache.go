@@ -82,14 +82,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir, version: Version()}, nil
 }
 
-// Dir returns the cache's root directory ("" for a nil cache).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
-
 func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".gob") }
 
 // Get returns the cached Results for key, or ok=false on a miss. An entry
@@ -136,13 +128,4 @@ func (c *Cache) Put(key string, res *core.Results) error {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
 	return nil
-}
-
-// Len reports how many entries the cache currently holds on disk.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	m, _ := filepath.Glob(filepath.Join(c.dir, "*.gob"))
-	return len(m)
 }

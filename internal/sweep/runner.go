@@ -92,13 +92,6 @@ func (h *Handle) Wait() (*core.Results, error) {
 	return h.res, h.err
 }
 
-// Cached reports whether the result was served from the persisted cache
-// (not merely memoized in-process). Only meaningful after Wait.
-func (h *Handle) Cached() bool {
-	<-h.done
-	return h.cached
-}
-
 // New returns a Runner whose sessions run under ctx: cancelling it aborts
 // in-flight sessions at simulator-event boundaries and fails pending ones.
 func New(ctx context.Context, o Options) *Runner {
@@ -119,9 +112,6 @@ func New(ctx context.Context, o Options) *Runner {
 		reg:       telemetry.New(),
 	}
 }
-
-// Workers reports the concurrency bound the runner was created with.
-func (r *Runner) Workers() int { return r.workers }
 
 // Telemetry returns the sweep's own registry (not any session's).
 func (r *Runner) Telemetry() *telemetry.Registry { return r.reg }

@@ -190,14 +190,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Mean returns the mean observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if n := h.Count(); n > 0 {
-		return h.Sum() / float64(n)
-	}
-	return 0
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
 // inside the bucket that crosses the target rank. Observations in the
 // overflow bucket are attributed to the last bound. Returns 0 with no

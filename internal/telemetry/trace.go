@@ -68,17 +68,6 @@ func (r *Registry) Emit(t time.Duration, typ string, fields ...Field) {
 	r.events = append(r.events, Event{T: t, Type: typ, Fields: append([]Field(nil), fields...)})
 }
 
-// SetEventCap bounds the in-memory event log (default DefaultEventCap).
-// It does not truncate events already retained.
-func (r *Registry) SetEventCap(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.evMu.Lock()
-	defer r.evMu.Unlock()
-	r.evCap = n
-}
-
 // Events returns a copy of the retained event log in emission order.
 func (r *Registry) Events() []Event {
 	if r == nil {

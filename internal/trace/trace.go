@@ -123,17 +123,6 @@ func SampleFCCMeans(n int, seed int64) []float64 {
 	return out
 }
 
-// FCCSet builds the paper's 25-trace evaluation set: 25 uplink traces whose
-// mean bandwidths follow the Fig-8 distribution.
-func FCCSet(n int, dur time.Duration, seed int64) []*Trace {
-	means := SampleFCCMeans(n, seed)
-	out := make([]*Trace, n)
-	for i := range out {
-		out[i] = FCCUplink(seed*1000+int64(i), dur, means[i])
-	}
-	return out
-}
-
 // ThreeG synthesises a Riiser-style 3G commute trace: low mean (~1 Mbps),
 // strong variability, and hard dropouts (tunnels), as used in the
 // scheduler case study (Figure 5).

@@ -41,19 +41,9 @@ type Conn interface {
 var ErrClosed = errors.New("transport: connection closed")
 
 // ErrRecvTimeout is returned by Recv when the receive timeout elapses with
-// no message. NetConn wraps the underlying net timeout error instead, so
-// callers should test with IsTimeout rather than ==.
+// no message. NetConn returns the underlying net timeout error instead, a
+// net.Error whose Timeout reports true.
 var ErrRecvTimeout = errors.New("transport: receive timeout")
-
-// IsTimeout reports whether err is a receive-timeout from either Conn
-// implementation.
-func IsTimeout(err error) bool {
-	if errors.Is(err, ErrRecvTimeout) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
 
 // NetConn is the real-socket Conn: the versioned wire framing over a
 // net.Conn. It is safe for one concurrent sender and one concurrent

@@ -28,3 +28,9 @@ func forEachPixKernels(t *testing.T, fn func(t *testing.T)) {
 		t.Run(k.name, fn)
 	}
 }
+
+// SceneIndexAt reports which scene (0-based) is on screen at time t seconds.
+func (s *Source) SceneIndexAt(t float64) int {
+	_, i := s.sceneAt(t)
+	return i
+}

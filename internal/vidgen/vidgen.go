@@ -254,12 +254,6 @@ func (s *Source) sceneAt(t float64) (scene, int) {
 	return s.scenes[idx], idx
 }
 
-// SceneIndexAt reports which scene (0-based) is on screen at time t seconds.
-func (s *Source) SceneIndexAt(t float64) int {
-	_, i := s.sceneAt(t)
-	return i
-}
-
 // SceneChanges lists the scene-change instants (seconds, excluding t=0) up
 // to the schedule horizon. The content-adaptive trainer experiments use this
 // as ground truth.

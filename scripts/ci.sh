@@ -299,16 +299,14 @@ replay_join_pins() {
         pin_tests ./internal/core TestDeterministicRuns TestRunContextJoinsCamera
 }
 
-# Default-less switches, lock-then-defer and checked writes (DESIGN.md
+# A default-less switch, lock-then-defer and checked writes (DESIGN.md
 # "Correctness tooling"), by name so a rename cannot drop one: every Scheme
-# below numSchemes needs a row of what NewServer sets up, every fleet State
-# below numStates a row of what Teardown does; QueuedConn's Send after Close
-# and after a send error returns, twice, and leaves the lock free; WriteEvents
-# and WriteJSON into a failing writer report the error (a trace smaller than
-# WriteEvents' buffer fails only at its Flush).
+# below numSchemes needs a row of what NewServer sets up; QueuedConn's Send
+# after Close and after a send error returns, twice, and leaves the lock
+# free; WriteEvents and WriteJSON into a failing writer report the error (a
+# trace smaller than WriteEvents' buffer fails only at its Flush).
 enum_lock_write_pins() {
     pin_tests ./internal/core TestNewServerEveryScheme &&
-        pin_tests ./internal/fleet TestTeardownEveryState &&
         pin_tests ./internal/transport TestQueuedConnSendAfterFailure &&
         pin_tests ./internal/telemetry TestRegistryWritesReportWriterError
 }
