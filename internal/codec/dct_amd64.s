@@ -17,6 +17,8 @@
 // that started at +0 (and so is never -0) changes nothing, so the result
 // is the same bit for bit. tmp lives in the kernel's 512-byte frame; every
 // load is an unaligned VEX form, and each kernel ends with VZEROUPPER.
+// Neither has a loop; each body starts PCALIGN $64, so its fetch does not
+// follow the layout of the code linked before it.
 
 #include "textflag.h"
 
@@ -85,6 +87,7 @@
 
 // func fdct8AVX2(src, dst *[64]float64)
 TEXT ·fdct8AVX2(SB), $512-16
+	PCALIGN $64
 	MOVQ src+0(FP), R8
 	LEAQ ·dctBasisT(SB), R9
 	LEAQ 0(SP), R10          // tmp
@@ -98,6 +101,7 @@ TEXT ·fdct8AVX2(SB), $512-16
 
 // func idct8AVX2(src, dst *[64]float64)
 TEXT ·idct8AVX2(SB), $512-16
+	PCALIGN $64
 	LEAQ ·dctBasisT(SB), R8
 	MOVQ src+0(FP), R9
 	LEAQ 0(SP), R10          // tmp

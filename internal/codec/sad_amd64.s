@@ -7,7 +7,9 @@
 // halves are summed with PADDQ and folded once at the end. Everything is
 // exact integer arithmetic, so the results are the Go twins' bit for bit.
 // Each kernel reads rows 0..7 at base + y*stride, the bytes the caller's
-// 7*stride+8 slice holds, and nothing else.
+// 7*stride+8 slice holds, and nothing else. Neither has a loop; each body
+// starts PCALIGN $64, so its fetch does not follow the layout of the code
+// linked before it.
 
 #include "textflag.h"
 
@@ -19,6 +21,7 @@
 
 // func sad8x8SSE2(cur []uint8, cs int, ref []uint8, rs int) int
 TEXT ·sad8x8SSE2(SB), NOSPLIT, $0-72
+	PCALIGN $64
 	MOVQ cur_base+0(FP), SI
 	MOVQ cs+24(FP), AX
 	MOVQ ref_base+32(FP), DI
@@ -66,6 +69,7 @@ TEXT ·sad8x8SSE2(SB), NOSPLIT, $0-72
 
 // func intraSAD8x8SSE2(cur []uint8, cs int, fl, ce int) int
 TEXT ·intraSAD8x8SSE2(SB), NOSPLIT, $0-56
+	PCALIGN $64
 	MOVQ cur_base+0(FP), SI
 	MOVQ cs+24(FP), AX
 	MOVQ fl+32(FP), BX

@@ -8,7 +8,8 @@
 // finish a row's last len mod 4 pixels with the scalar VEX forms of the
 // same instructions; no load or store leaves the slices they are given.
 // Every memory access is a VEX form, which takes unaligned operands, and
-// each kernel ends with VZEROUPPER.
+// each kernel ends with VZEROUPPER. Every loop head is PCALIGN $64, so a
+// loop's speed does not follow the layout of the code linked before it.
 
 #include "textflag.h"
 
@@ -23,6 +24,7 @@ TEXT ·hlerpAVX2(SB), NOSPLIT, $0-168
 	MOVQ row_len+8(FP), CX
 	MOVQ src_base+24(FP), DI
 
+	PCALIGN $64
 widen4:
 	CMPQ CX, $4
 	JLT  widen1
@@ -34,6 +36,7 @@ widen4:
 	SUBQ $4, CX
 	JMP  widen4
 
+	PCALIGN $64
 widen1:
 	TESTQ CX, CX
 	JEQ   lerp
@@ -55,6 +58,7 @@ lerp:
 	MOVQ dst_len+152(FP), CX
 	XORQ AX, AX              // output column
 
+	PCALIGN $64
 lerp4:
 	CMPQ CX, $4
 	JLT  lerp1
@@ -72,6 +76,7 @@ lerp4:
 	SUBQ $4, CX
 	JMP  lerp4
 
+	PCALIGN $64
 lerp1:
 	TESTQ CX, CX
 	JEQ   hdone
@@ -117,6 +122,7 @@ TEXT ·vlerpAVX2(SB), NOSPLIT, $0-88
 	VBROADCASTSD X10, Y10
 	XORQ AX, AX              // output column
 
+	PCALIGN $64
 vlerp8:
 	CMPQ CX, $8
 	JLT  vlerp4
@@ -141,6 +147,7 @@ vlerp8:
 	SUBQ $8, CX
 	JMP  vlerp8
 
+	PCALIGN $64
 vlerp4:
 	CMPQ CX, $4
 	JLT  vlerp1
@@ -158,6 +165,7 @@ vlerp4:
 	SUBQ $4, CX
 	JMP  vlerp4
 
+	PCALIGN $64
 vlerp1:
 	TESTQ CX, CX
 	JEQ   vdone

@@ -22,7 +22,9 @@
 // Every memory access is an unaligned load or store (VMOVUPS, MOVUPS,
 // VBROADCASTSS, MOVSS): a legacy-SSE arithmetic instruction with a memory
 // operand (MULPS (SI), X0) demands 16-byte alignment, which arena buffers
-// and row offsets do not give.
+// and row offsets do not give. Every loop head is PCALIGN $64, so a
+// loop's speed does not follow the 64-byte parity of the code linked
+// before it.
 
 #include "textflag.h"
 
@@ -53,6 +55,7 @@ TEXT ·kern8x8(SB), NOSPLIT, $0-57
 	TESTQ CX, CX
 	JLE   k8x8done
 
+	PCALIGN $64
 k8x8loop:
 	MOVLQSX (DX), AX         // off[p]
 	VMOVUPS (BX)(AX*4), Y8   // B[p][0..7]
@@ -147,6 +150,7 @@ TEXT ·kern4x16(SB), NOSPLIT, $0-57
 	TESTQ CX, CX
 	JLE   k4x16done
 
+	PCALIGN $64
 k4x16loop:
 	MOVLQSX (DX), AX          // off[p]
 	VMOVUPS (BX)(AX*4), Y8    // B[p][0..7]
@@ -241,6 +245,7 @@ TEXT ·kern4x8(SB), NOSPLIT, $0-57
 	TESTQ CX, CX
 	JLE   k4x8done
 
+	PCALIGN $64
 k4x8loop:
 	MOVLQSX (DX), AX         // off[p]
 	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
@@ -330,6 +335,7 @@ TEXT ·kern1x8(SB), NOSPLIT, $0-49
 	TESTQ CX, CX
 	JLE   k1x8done
 
+	PCALIGN $64
 k1x8loop:
 	MOVSS  0(SI), X4         // broadcast a[p]
 	SHUFPS $0x00, X4, X4
@@ -389,6 +395,7 @@ TEXT ·kernDot4(SB), NOSPLIT, $0-40
 	TESTQ CX, CX
 	JLE   dot4done
 
+	PCALIGN $64
 dot4loop:
 	MOVUPS 0(SI), X4         // g[p..p+3]
 
@@ -476,6 +483,7 @@ TEXT ·kern8x4(SB), NOSPLIT, $0-57
 	TESTQ CX, CX
 	JLE   k8x4done
 
+	PCALIGN $64
 k8x4loop:
 	MOVLQSX (DX), AX         // off[p]
 	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
@@ -567,6 +575,7 @@ TEXT ·kern4x4(SB), NOSPLIT, $0-57
 	TESTQ CX, CX
 	JLE   k4x4done
 
+	PCALIGN $64
 k4x4loop:
 	MOVLQSX (DX), AX         // off[p]
 	MOVUPS (BX)(AX*4), X8    // B[p][0..3]
@@ -627,6 +636,7 @@ TEXT ·kern1x4(SB), NOSPLIT, $0-49
 	TESTQ CX, CX
 	JLE   k1x4done
 
+	PCALIGN $64
 k1x4loop:
 	MOVSS  0(SI), X4         // broadcast a[p]
 	SHUFPS $0x00, X4, X4

@@ -13,7 +13,9 @@
 // off[2p] and off[2p+1] (MOVLQSX) and reads its two B runs there. The
 // tap-pair interleave the pmaddwd dataflow needs is done in-register with
 // punpcklwd/punpckhwd (two unpacks amortized over four output rows), so
-// the block copy stays the only data movement.
+// the block copy stays the only data movement. Every loop head is
+// PCALIGN $64, so a loop's speed does not follow the layout of the code
+// linked before it.
 
 #include "textflag.h"
 
@@ -45,6 +47,7 @@ TEXT ·qkern4x16(SB), NOSPLIT, $0-48
 	TESTQ CX, CX
 	JLE   q4x16done
 
+	PCALIGN $64
 q4x16loop:
 	MOVLQSX (DX), AX         // off[2p]
 	MOVLQSX 4(DX), R10       // off[2p+1]
@@ -139,6 +142,7 @@ TEXT ·qkern4x8s(SB), NOSPLIT, $0-48
 	TESTQ CX, CX
 	JLE   q4x8done
 
+	PCALIGN $64
 q4x8loop:
 	MOVLQSX (DX), AX         // off[2p]
 	MOVLQSX 4(DX), R10       // off[2p+1]
@@ -227,6 +231,7 @@ TEXT ·qrequant(SB), NOSPLIT, $0-32
 	MOVL AX, X4
 	SHUFPS $0x00, X4, X4
 
+	PCALIGN $64
 qreqloop:
 	MOVOU (SI), X0
 	MOVOU 16(SI), X1

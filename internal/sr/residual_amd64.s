@@ -7,7 +7,9 @@
 // last len mod 8 pixels with the scalar VEX forms of the same
 // instructions. Every residual is fetched at res[idx[j]], an index the
 // caller built inside res, so the gather never leaves the slice; pixels
-// are read and written only inside pix. Ends with VZEROUPPER.
+// are read and written only inside pix. Ends with VZEROUPPER. Both loop
+// heads are PCALIGN $64, so their speed does not follow the layout of the
+// code linked before them.
 
 #include "textflag.h"
 
@@ -36,6 +38,7 @@ TEXT ·addRowAVX2(SB), NOSPLIT, $0-72
 	VBROADCASTSS X10, Y10
 	XORQ AX, AX              // pixel index
 
+	PCALIGN $64
 add8:
 	CMPQ CX, $8
 	JLT  add1
@@ -58,6 +61,7 @@ add8:
 	SUBQ $8, CX
 	JMP  add8
 
+	PCALIGN $64
 add1:
 	TESTQ CX, CX
 	JEQ   done

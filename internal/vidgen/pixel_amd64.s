@@ -5,7 +5,9 @@
 // a separate VMULPD, VADDPD and VSUBPD per step of each octave's
 // t*omy + b*wy - 0.5, never FMA; v/step as a VDIVPD, never a reciprocal
 // multiply. Every memory access is a VEX form, which takes unaligned
-// operands, and the kernel ends with VZEROUPPER.
+// operands, and the kernel ends with VZEROUPPER. The loop head is
+// PCALIGN $64, so its speed does not follow the layout of the code linked
+// before it.
 
 #include "go_asm.h"
 #include "textflag.h"
@@ -72,6 +74,7 @@ TEXT ·pixRowAVX2(SB), NOSPLIT, $0-200
 	VBROADCASTSD X13, Y13
 	XORQ AX, AX                  // pixel
 
+	PCALIGN $64
 loop:
 	// n1 = t1*omy1 + b1*wy1 - 0.5
 	VMOVUPD (R8)(AX*8), Y0
