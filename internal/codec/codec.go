@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"livenas/internal/frame"
 )
@@ -215,14 +216,13 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 	border := e.cfg.Profile.searchRange()
 	steps := quantSteps(e.cfg.Profile, qp)
 	var blk, freq [64]float64
-	var pred [64]uint8
 	var prevMVX, prevMVY int
 
 	for by := 0; by < ph; by += blockSize {
 		prevMVX, prevMVY = 0, 0
 		for bx := 0; bx < pw; bx += blockSize {
 			if key || e.ref == nil {
-				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq, &pred)
+				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq)
 				continue
 			}
 			// Motion search against the reconstructed reference.
@@ -230,7 +230,7 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 			sadIntra := intraSAD(padded, recon, bx, by)
 			if sadIntra+32 < sadInter {
 				w.writeBit(1) // intra
-				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq, &pred)
+				encodeIntraBlock(w, padded, recon, bx, by, steps, &blk, &freq)
 				prevMVX, prevMVY = 0, 0
 				continue
 			}
@@ -238,16 +238,12 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 			w.writeSE(int32(mvx - prevMVX))
 			w.writeSE(int32(mvy - prevMVY))
 			prevMVX, prevMVY = mvx, mvy
-			// Residual against motion-compensated prediction.
-			fetchPred(e.ref, bx+mvx+border, by+mvy+border, &pred)
-			for y := 0; y < blockSize; y++ {
-				src := padded.Pix[(by+y)*pw+bx:][:blockSize]
-				for x, v := range src {
-					blk[y*blockSize+x] = float64(v) - float64(pred[y*blockSize+x])
-				}
-			}
+			// Residual against the motion-compensated prediction, a block
+			// of the bordered reference.
+			pred := blockAt(e.ref, bx+mvx+border, by+mvy+border)
+			residual(blockAt(padded, bx, by), pw, pred, e.ref.W, &blk)
 			codeBlock(w, &blk, &freq, steps)
-			reconstruct(recon, bx, by, &pred, &blk)
+			reconstruct(blockAt(recon, bx, by), pw, pred, e.ref.W, &blk)
 		}
 	}
 	if e.cfg.Deblock {
@@ -258,7 +254,7 @@ func (e *Encoder) encodeOnce(padded *frame.Frame, key bool, qp int) []byte {
 
 // encodeIntraBlock DC-predicts from the already-reconstructed left/top
 // neighbours, codes the residual, and reconstructs in-loop.
-func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, steps, blk, freq *[64]float64, pred *[64]uint8) {
+func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, steps, blk, freq *[64]float64) {
 	dc := dcPrediction(recon, bx, by)
 	pw := src.W
 	for y := 0; y < blockSize; y++ {
@@ -268,88 +264,111 @@ func encodeIntraBlock(w *bitWriter, src, recon *frame.Frame, bx, by int, steps, 
 		}
 	}
 	codeBlock(w, blk, freq, steps)
-	flatPred(uint8(dc), pred)
-	reconstruct(recon, bx, by, pred, blk)
+	flat := flatRow(dc)
+	reconstruct(blockAt(recon, bx, by), pw, flat[:], 0, blk)
 }
 
-// flatPred fills pred with an intra block's DC prediction.
-func flatPred(dc uint8, pred *[64]uint8) {
-	for i := range pred {
-		pred[i] = dc
+// flatRow is an intra block's DC prediction as one row of eight pixels; the
+// block kernels read it with a stride of 0.
+func flatRow(dc float64) (row [blockSize]uint8) {
+	for i := range row {
+		row[i] = uint8(dc)
 	}
+	return row
 }
 
-// reconstruct writes prediction plus residual into the block at (bx, by).
-func reconstruct(recon *frame.Frame, bx, by int, pred *[64]uint8, blk *[64]float64) {
-	for y := 0; y < blockSize; y++ {
-		row := recon.Pix[(by+y)*recon.W+bx:][:blockSize]
-		for x := range row {
-			row[x] = clampAdd(pred[y*blockSize+x], blk[y*blockSize+x])
-		}
-	}
+// blockAt returns the bytes of f's 8x8 block whose top-left corner is
+// (x, y): row j starts at j*f.W, and the slice ends after row 7.
+func blockAt(f *frame.Frame, x, y int) []uint8 {
+	return f.Pix[y*f.W+x:][:(blockSize-1)*f.W+blockSize]
 }
 
 // codeBlock transforms blk, quantises it, entropy-codes it, and replaces blk
-// with the dequantised spatial-domain reconstruction (in place).
+// with the dequantised spatial-domain reconstruction (in place). The
+// entropy loop visits only the nonzero levels, in zig-zag order: the
+// quantiser's raster mask is moved to scan positions bit by bit, and runs
+// are the gaps between set bits.
 func codeBlock(w *bitWriter, blk, freq, steps *[64]float64) {
 	fdct8(blk, freq)
 	var q [64]int32
-	nnz := 0
-	for i, step := range steps {
-		// A ratio inside (-0.5, 0.5) rounds to zero; most do, and skip the
-		// math.Round call.
-		if r := freq[i] / step; r <= -0.5 || r >= 0.5 {
-			q[i] = int32(math.Round(r))
-			nnz++
-		}
-	}
-	w.writeUE(uint32(nnz))
-	if nnz == 0 {
+	nz := quantise(freq, steps, &q) // freq now holds the dequantised levels
+	w.writeUE(uint32(bits.OnesCount64(nz)))
+	if nz == 0 {
 		*blk = [64]float64{}
 		return
 	}
-	run := uint32(0)
-	for _, pos := range zigzag {
-		if q[pos] == 0 {
-			run++
-			continue
-		}
-		w.writeUE(run)
-		w.writeSE(q[pos])
-		run = 0
+	var scan uint64
+	for m := nz; m != 0; m &= m - 1 {
+		scan |= 1 << scanIndex[bits.TrailingZeros64(m)]
 	}
-	// Dequantise for reconstruction.
-	for i, step := range steps {
-		freq[i] = float64(q[i]) * step
+	next := 0 // the scan position after the last level written
+	for ; scan != 0; scan &= scan - 1 {
+		k := bits.TrailingZeros64(scan)
+		w.writeUE(uint32(k - next))
+		w.writeSE(q[zigzag[k]])
+		next = k + 1
 	}
 	idct8(freq, blk)
 }
+
+// maxSearchRange is the largest searchRange() of any profile.
+const maxSearchRange = 12
 
 // searchMotion runs a small diamond search seeded at (0,0) and the left
 // neighbour's motion vector, returning the best vector and its SAD; the
 // search ends at a perfect match, which no candidate can beat. Every
 // candidate lies within ±searchRange() on each axis (the left neighbour's
 // vector is an earlier result), so each is one sad8x8 against the bordered
-// reference.
+// reference (borderRef), at an offset from the zero vector's block. A
+// candidate this search has already scored is skipped: its SAD was no less
+// than the best at the time, and the best only falls, so scoring it again
+// could not win.
 func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int, int, int) {
 	r := e.cfg.Profile.searchRange()
+	ref := e.ref
+	rs := ref.W
+	c := blockAt(cur, bx, by)
+	span := (blockSize-1)*rs + blockSize
+	base := (by+r)*rs + bx + r // the zero vector's block
+	side := 2*r + 1
+	// seen has bit (my+r)*side + mx+r set for every vector scored.
+	var seen [((2*maxSearchRange+1)*(2*maxSearchRange+1) + 63) / 64]uint64
+	seen[(r*side+r)>>6] |= 1 << ((r*side + r) & 63)
 	bestX, bestY := 0, 0
-	best := blockSAD(cur, e.ref, r, bx, by, 0, 0)
+	best := sad8x8(c, cur.W, ref.Pix[base:][:span], rs)
 	if predX != 0 || predY != 0 {
-		if s := blockSAD(cur, e.ref, r, bx, by, predX, predY); s < best {
+		b := (predY+r)*side + predX + r
+		seen[b>>6] |= 1 << (b & 63)
+		if s := sad8x8(c, cur.W, ref.Pix[base+predY*rs+predX:][:span], rs); s < best {
 			best, bestX, bestY = s, predX, predY
 		}
 	}
+	sse2 := useSSE2
 	for step := r; step >= 1 && best > 0; step /= 2 {
 		improved := true
 		for improved {
 			improved = false
-			for _, d := range [4][2]int{{step, 0}, {-step, 0}, {0, step}, {0, -step}} {
-				nx, ny := bestX+d[0], bestY+d[1]
+			for _, d := range &diamond {
+				nx, ny := bestX+d[0]*step, bestY+d[1]*step
 				if nx < -r || nx > r || ny < -r || ny > r {
 					continue
 				}
-				if s := blockSAD(cur, e.ref, r, bx, by, nx, ny); s < best {
+				b := (ny+r)*side + nx + r
+				if seen[b>>6]&(1<<(b&63)) != 0 {
+					continue
+				}
+				seen[b>>6] |= 1 << (b & 63)
+				// sad8x8 with its choice made once above: the wrapper's two
+				// calls keep it from being inlined on this, the codec's
+				// most frequent call.
+				cand := ref.Pix[base+ny*rs+nx:][:span]
+				var s int
+				if sse2 {
+					s = sad8x8SSE2(c, cur.W, cand, rs)
+				} else {
+					s = sad8x8Go(c, cur.W, cand, rs)
+				}
+				if s < best {
 					best, bestX, bestY = s, nx, ny
 					improved = true
 				}
@@ -359,16 +378,9 @@ func (e *Encoder) searchMotion(cur *frame.Frame, bx, by, predX, predY int) (int,
 	return bestX, bestY, best
 }
 
-// blockSAD computes the sum of absolute differences between the current
-// block at (bx, by) and the reference block displaced by (mvx, mvy), where
-// ref is bordered by border pixels on every side (borderRef) and |mvx|,
-// |mvy| <= border: the displaced block lies inside ref, and the SAD is one
-// sad8x8 call.
-func blockSAD(cur, ref *frame.Frame, border, bx, by, mvx, mvy int) int {
-	span := (blockSize-1)*cur.W + blockSize
-	i := (by+mvy+border)*ref.W + bx + mvx + border
-	return sad8x8(cur.Pix[by*cur.W+bx:][:span], cur.W, ref.Pix[i:][:(blockSize-1)*ref.W+blockSize], ref.W)
-}
+// diamond is the motion search's pattern: the four unit steps, in the order
+// the search tries them.
+var diamond = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 
 // inside reports whether the 8x8 block whose top-left corner is (x0, y0)
 // lies wholly within f. The corner comes from a motion vector a decoder read
@@ -377,29 +389,14 @@ func inside(f *frame.Frame, x0, y0 int) bool {
 	return x0 >= 0 && y0 >= 0 && x0 <= f.W-blockSize && y0 <= f.H-blockSize
 }
 
-// refRow returns the eight reference samples starting at (x0, y): a slice of
-// the frame itself when the block is inside it, otherwise edge-clamped
-// copies in edge (the decoder's path: its vectors come off the wire).
-func refRow(ref *frame.Frame, x0, y int, in bool, edge *[blockSize]uint8) []uint8 {
-	if in {
-		return ref.Pix[y*ref.W+x0:][:blockSize]
-	}
-	for x := range edge {
-		edge[x] = refSample(ref, x0+x, y)
-	}
-	return edge[:]
-}
-
-// fetchPred copies the motion-compensated prediction, the reference block
-// whose top-left corner is (x0, y0), into pred. The encoder passes its
-// bordered reference and a corner shifted by the border, which is always
-// inside; the decoder passes its plain reference and a corner from the
-// wire, clamped sample by sample when it is not.
-func fetchPred(ref *frame.Frame, x0, y0 int, pred *[64]uint8) {
-	in := inside(ref, x0, y0)
-	var edge [blockSize]uint8
+// fetchClamped copies the reference block whose top-left corner is
+// (x0, y0) into pred, each sample edge-clamped: the decoder's prediction
+// when a vector off the wire points outside its reference.
+func fetchClamped(ref *frame.Frame, x0, y0 int, pred *[64]uint8) {
 	for y := 0; y < blockSize; y++ {
-		copy(pred[y*blockSize:][:blockSize], refRow(ref, x0, y0+y, in, &edge))
+		for x := 0; x < blockSize; x++ {
+			pred[y*blockSize+x] = refSample(ref, x0+x, y0+y)
+		}
 	}
 }
 
@@ -417,8 +414,7 @@ func intraSAD(cur, recon *frame.Frame, bx, by int) int {
 	if float64(fl) < pred {
 		ce++
 	}
-	span := (blockSize-1)*cur.W + blockSize
-	return intraSAD8x8(cur.Pix[by*cur.W+bx:][:span], cur.W, fl, ce)
+	return intraSAD8x8(blockAt(cur, bx, by), cur.W, fl, ce)
 }
 
 // dcPrediction predicts a block's DC level from reconstructed neighbours:
@@ -540,8 +536,8 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
 				if err := decodeBlock(r, &blk, &freq, steps); err != nil {
 					return nil, err
 				}
-				flatPred(uint8(dc), &pred)
-				reconstruct(recon, bx, by, &pred, &blk)
+				flat := flatRow(dc)
+				reconstruct(blockAt(recon, bx, by), pw, flat[:], 0, &blk)
 				if !key {
 					prevMVX, prevMVY = 0, 0
 				}
@@ -560,8 +556,14 @@ func (d *Decoder) Decode(ef *EncodedFrame) (*frame.Frame, error) {
 			if err := decodeBlock(r, &blk, &freq, steps); err != nil {
 				return nil, err
 			}
-			fetchPred(d.ref, bx+mvx, by+mvy, &pred)
-			reconstruct(recon, bx, by, &pred, &blk)
+			// The prediction is the reference block itself when it lies
+			// inside the reference, else an edge-clamped copy.
+			if x0, y0 := bx+mvx, by+mvy; inside(d.ref, x0, y0) {
+				reconstruct(blockAt(recon, bx, by), pw, blockAt(d.ref, x0, y0), d.ref.W, &blk)
+			} else {
+				fetchClamped(d.ref, x0, y0, &pred)
+				reconstruct(blockAt(recon, bx, by), pw, pred[:], blockSize, &blk)
+			}
 		}
 	}
 	if d.cfg.Deblock {

@@ -52,18 +52,12 @@ func dct1d(tab *[blockSize][blockSize]float64, in []float64, is int, out []float
 	out[4*os], out[5*os], out[6*os], out[7*os] = a4, a5, a6, a7
 }
 
-// dctAVX2 selects the AVX2 transforms for fdct8 and idct8. init (in
-// dct_amd64.go) sets it from cpu.AVX2; every other build and host runs the
-// Go twins below. Both are bit-identical to the textbook loops
-// (TestDCTMatchesRef), so the choice cannot change a bit of any stream. It
-// is a flag, not a function value, because a call through a function value
-// moves the callers' stack blocks to the heap.
-var dctAVX2 bool
-
 // fdct8 applies a separable forward 8x8 DCT-II: src (spatial, row-major,
-// 64 samples) to dst (frequency).
+// 64 samples) to dst (frequency). With useAVX2 it runs the AVX2 kernel,
+// else the Go twin; both are bit-identical to the textbook loops
+// (TestDCTMatchesRef).
 func fdct8(src, dst *[64]float64) {
-	if dctAVX2 {
+	if useAVX2 {
 		fdct8AVX2(src, dst)
 		return
 	}
@@ -72,7 +66,7 @@ func fdct8(src, dst *[64]float64) {
 
 // idct8 applies the inverse 8x8 DCT (DCT-III) from frequency to spatial.
 func idct8(src, dst *[64]float64) {
-	if dctAVX2 {
+	if useAVX2 {
 		idct8AVX2(src, dst)
 		return
 	}
@@ -111,6 +105,15 @@ var zigzag = [64]int{
 	29, 22, 15, 23, 30, 37, 44, 51,
 	58, 59, 52, 45, 38, 31, 39, 46,
 	53, 60, 61, 54, 47, 55, 62, 63,
+}
+
+// scanIndex is zigzag's inverse: the scan position of each raster position.
+var scanIndex [64]uint8
+
+func init() {
+	for k, pos := range zigzag {
+		scanIndex[pos] = uint8(k)
+	}
 }
 
 // baseQuant is the JPEG luminance quantisation matrix: the perceptual

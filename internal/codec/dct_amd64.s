@@ -1,7 +1,7 @@
 //go:build amd64 && !purego
 
-// AVX2 8x8 transforms (fdct8 and idct8 call them once dct_amd64.go has set
-// dctAVX2 from cpu.AVX2).
+// AVX2 8x8 transforms (fdct8 and idct8 call them when useAVX2, which init
+// sets from cpu.AVX2).
 // Each 2-D transform is two 8x8 matrix products out = A·M, one per pass of
 // the separable transform:
 //

@@ -1,27 +1,23 @@
 package codec
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// codecKernels is one set of the kernels behind the codec's hot loops.
+// codecKernels is one set of the kernels behind the codec's hot loops: the
+// flags that select the SSE2 cost kernels and the AVX2 transforms and block
+// kernels.
 type codecKernels struct {
-	name    string
-	sad     func(cur []uint8, cs int, ref []uint8, rs int) int
-	intra   func(cur []uint8, cs int, fl, ce int) int
-	dctAVX2 bool
+	name       string
+	sse2, avx2 bool
 }
 
 // codecKernelSets returns the kernel sets this build and host can execute:
 // the Go twins always ("go"), and the set init installed ("asm") when it
-// holds any other kernel — the SSE2 cost kernels on amd64 without purego,
-// with the AVX2 transforms when cpu.AVX2 as well.
+// holds any vector kernel — the SSE2 cost kernels on amd64 without purego,
+// with the AVX2 ones as well when cpu.AVX2.
 func codecKernelSets(t testing.TB) []codecKernels {
-	goSet := codecKernels{"go", sad8x8Go, intraSAD8x8Go, false}
-	asmSet := codecKernels{"asm", sad8x8, intraSAD8x8, dctAVX2}
-	same := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
-	if same(asmSet.sad, goSet.sad) && same(asmSet.intra, goSet.intra) && !asmSet.dctAVX2 {
+	goSet := codecKernels{"go", false, false}
+	asmSet := codecKernels{"asm", useSSE2, useAVX2}
+	if !asmSet.sse2 && !asmSet.avx2 {
 		t.Log("no vector kernels on this build or host; testing the Go kernels only")
 		return []codecKernels{goSet}
 	}
@@ -31,9 +27,9 @@ func codecKernelSets(t testing.TB) []codecKernels {
 // install makes k the codec's kernels and returns a func restoring the
 // previous ones.
 func (k codecKernels) install() (restore func()) {
-	sad, intra, avx2 := sad8x8, intraSAD8x8, dctAVX2
-	sad8x8, intraSAD8x8, dctAVX2 = k.sad, k.intra, k.dctAVX2
-	return func() { sad8x8, intraSAD8x8, dctAVX2 = sad, intra, avx2 }
+	sse2, avx2 := useSSE2, useAVX2
+	useSSE2, useAVX2 = k.sse2, k.avx2
+	return func() { useSSE2, useAVX2 = sse2, avx2 }
 }
 
 // forEachCodecKernels runs fn as one subtest per kernel set this host can

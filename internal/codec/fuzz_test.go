@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"livenas/internal/frame"
@@ -174,6 +175,25 @@ func FuzzDecode(f *testing.F) {
 			w.writeSE(int32(qp - 57))
 			w.writeUE(uint32(blk))
 			w.writeSE(-3)
+		}
+		f.Add(w.finish(), uint8(qp))
+	}
+
+	// Hand-built key frames whose levels are near ±2^31: dequantised and
+	// inverse-transformed, they lie far outside int32, so the
+	// reconstruction's clamp, not its float-to-int conversion, must decide
+	// every pixel.
+	lv := []int32{math.MaxInt32, -math.MaxInt32, math.MaxInt32 - 1, -math.MaxInt32 + 1, 1 << 30, -1 << 30}
+	for _, qp := range []int{0, 30, wireQPs - 1} {
+		var w bitWriter
+		w.writeBit(1) // key frame
+		w.writeBits(uint64(qp), 6)
+		for blk := 0; blk < 12; blk++ {
+			w.writeUE(2) // DC or a low coefficient, then one after a run
+			w.writeUE(uint32(blk % 3))
+			w.writeSE(lv[blk%len(lv)])
+			w.writeUE(uint32(blk))
+			w.writeSE(lv[(blk+1)%len(lv)])
 		}
 		f.Add(w.finish(), uint8(qp))
 	}

@@ -600,9 +600,9 @@ func sadFrames() [][2]*frame.Frame {
 // clamped oracle under every kernel set, at both profiles' search ranges:
 // for every block of the frame (each within searchRange()+8 of an edge:
 // the frames are 48x40) and every vector the search can test, within
-// ±searchRange() on each axis, blockSAD on the bordered reference equals
-// blockSADRef on the plain one, and fetchPred at the corner shifted by the
-// border copies the refSample block.
+// ±searchRange() on each axis, sad8x8 of the current block against the
+// bordered block at the corner shifted by the border equals blockSADRef on
+// the plain reference, and that block's samples are the refSample block.
 func TestSADMatchesRef(t *testing.T) {
 	forEachCodecKernels(t, func(t *testing.T) {
 		for n, pair := range sadFrames() {
@@ -614,16 +614,46 @@ func TestSADMatchesRef(t *testing.T) {
 					for bx := 0; bx < cur.W; bx += blockSize {
 						for mvy := -r; mvy <= r; mvy++ {
 							for mvx := -r; mvx <= r; mvx++ {
-								if got, want := blockSAD(cur, bordered, r, bx, by, mvx, mvy), blockSADRef(cur, ref, bx, by, mvx, mvy); got != want {
+								pred := blockAt(bordered, bx+mvx+r, by+mvy+r)
+								if got, want := sad8x8(blockAt(cur, bx, by), cur.W, pred, bordered.W), blockSADRef(cur, ref, bx, by, mvx, mvy); got != want {
 									t.Fatalf("frames %d %v block (%d,%d) mv (%d,%d): SAD %d, oracle %d", n, p, bx, by, mvx, mvy, got, want)
 								}
-								var pred [64]uint8
-								fetchPred(bordered, bx+mvx+r, by+mvy+r, &pred)
-								for i, v := range pred {
-									if want := refSample(ref, bx+mvx+i%blockSize, by+mvy+i/blockSize); v != want {
+								for i := 0; i < 64; i++ {
+									x, y := i%blockSize, i/blockSize
+									if v, want := pred[y*bordered.W+x], refSample(ref, bx+mvx+x, by+mvy+y); v != want {
 										t.Fatalf("frames %d %v block (%d,%d) mv (%d,%d): prediction[%d] %d, oracle %d", n, p, bx, by, mvx, mvy, i, v, want)
 									}
 								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSearchMotionMatchesRef holds the encoder's motion search, which
+// skips the candidates it has already scored, to the seed's search, which
+// scores every one: for every block of each sadFrames pair, both profiles
+// and a spread of predictors (zero, small, and at each corner of the
+// range), the vector and SAD must be the oracle's.
+func TestSearchMotionMatchesRef(t *testing.T) {
+	forEachCodecKernels(t, func(t *testing.T) {
+		for n, pair := range sadFrames() {
+			cur, ref := pair[0], pair[1]
+			for _, p := range []Profile{BX8, BX9} {
+				r := p.searchRange()
+				cfg := Config{Profile: p, W: cur.W, H: cur.H}
+				e := &Encoder{cfg: cfg, ref: borderRef(nil, ref, r)}
+				oracle := &refEncoder{cfg: cfg, ref: ref}
+				for by := 0; by < cur.H; by += blockSize {
+					for bx := 0; bx < cur.W; bx += blockSize {
+						for _, pv := range [][2]int{{0, 0}, {1, -2}, {-3, 3}, {r, r}, {-r, -r}, {r, -r}} {
+							gx, gy, gs := e.searchMotion(cur, bx, by, pv[0], pv[1])
+							wx, wy, ws := oracle.searchMotion(cur, bx, by, pv[0], pv[1])
+							if gx != wx || gy != wy || gs != ws {
+								t.Fatalf("frames %d %v block (%d,%d) predictor %v: (%d,%d) SAD %d, oracle (%d,%d) SAD %d", n, p, bx, by, pv, gx, gy, gs, wx, wy, ws)
 							}
 						}
 					}
@@ -690,6 +720,183 @@ func TestIntraSADMatchesRef(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("pred %v: intraSAD8x8 over all pixel values %d, float sum %d", pred, got, want)
+			}
+		}
+	})
+}
+
+// blockStrides are the (block, prediction) row strides the block kernels
+// are tested at: packed rows, rows wider than the block (a frame, and the
+// bordered reference, whose stride differs), and a prediction repeating
+// one row (a flat intra block).
+var blockStrides = [][2]int{{8, 8}, {21, 8}, {21, 29}, {13, 0}}
+
+// guardedBlock returns a buffer holding an 8x8 block at stride s with
+// guard bytes around and between its rows, and the block's slice of it.
+func guardedBlock(s int) (buf, blk []uint8) {
+	buf = make([]uint8, 3+(blockSize-1)*max(s, 1)+blockSize+3)
+	for i := range buf {
+		buf[i] = 0xA5
+	}
+	return buf, buf[3:][:(blockSize-1)*s+blockSize]
+}
+
+// TestReconstructMatchesRef holds reconstruct to the seed's per-pixel
+// clampAdd under every kernel set: every prediction byte against residuals
+// at the clamp and rounding edges (−0.5, 254.5 and 255 ± 1 ulp, ±0, ±0.5),
+// at and far beyond ±2³¹ (a decoder's dequantised levels come off the
+// wire), and random values, at every stride pair of blockStrides. No byte
+// outside the block may change.
+func TestReconstructMatchesRef(t *testing.T) {
+	residuals := []float64{math.Copysign(0, -1), 0, 0.5, -0.5, 1, -1, 127.5, -255, 255, 256, -256,
+		math.Nextafter(-0.5, -1), math.Nextafter(-0.5, 0),
+		254.5, math.Nextafter(254.5, 0), math.Nextafter(254.5, 300),
+		math.Nextafter(255, 0), math.Nextafter(255, 300),
+		1 << 31, -1 << 31, 1<<31 + 1, -1<<31 - 1, 1 << 32, -1 << 32, 5.6e13, -5.6e13, 1e300, -1e300}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		residuals = append(residuals, float64(rng.Intn(1<<20)-1<<19)/1024)
+	}
+	// Lane i of the n-th block pairs prediction byte (n*64+i) % 256 with
+	// residual (n*64+i) / 256, so every pair is tested once, in every lane.
+	n := 256 * len(residuals)
+	forEachCodecKernels(t, func(t *testing.T) {
+		for _, st := range blockStrides {
+			ds, ps := st[0], st[1]
+			for b := 0; b < n; b += 64 {
+				var blk [64]float64
+				predRow := make([]uint8, (blockSize-1)*ps+blockSize)
+				var preds [64]uint8
+				for i := range blk {
+					k := (b + i) % n
+					blk[i] = residuals[k/256]
+					preds[i] = uint8(k)
+					if ps != 0 {
+						predRow[i/blockSize*ps+i%blockSize] = preds[i]
+					}
+				}
+				if ps == 0 { // one row repeated: lane i reads preds[i%8]
+					for i := range preds {
+						preds[i] = preds[i%blockSize]
+					}
+					copy(predRow, preds[:blockSize])
+				}
+				buf, dst := guardedBlock(ds)
+				reconstruct(dst, ds, predRow, ps, &blk)
+				for i := range blk {
+					if got, want := dst[i/blockSize*ds+i%blockSize], clampAdd(preds[i], blk[i]); got != want {
+						t.Fatalf("strides %v: pred %d + residual %v = %d, seed %d", st, preds[i], blk[i], got, want)
+					}
+				}
+				for i, v := range buf {
+					if j := i - 3; (j < 0 || j >= len(dst) || j%ds >= blockSize) && v != 0xA5 {
+						t.Fatalf("strides %v: byte %d outside the block written", st, j)
+					}
+				}
+			}
+		}
+	})
+}
+
+// ratioFreq returns a coefficient whose ratio to step is exactly r, and
+// whether one exists within a few ulps of r*step.
+func ratioFreq(r, step float64) (float64, bool) {
+	f := r * step
+	for i := 0; i < 8; i++ {
+		switch q := f / step; {
+		case q == r:
+			return f, true
+		case q < r:
+			f = math.Nextafter(f, math.Inf(1))
+		default:
+			f = math.Nextafter(f, math.Inf(-1))
+		}
+	}
+	return 0, false
+}
+
+// TestQuantiseMatchesRef holds quantise to the seed's per-coefficient
+// int32(math.Round(freq/step)) and float64(level)*step under every kernel
+// set, for every profile and wire QP: levels, the dequantised coefficients
+// bit for bit (−0 included), and the nonzero mask. The coefficients are
+// chosen so the ratios land on the rounding edges — ±0.5, ±1.5 and ±2.5
+// and one ulp either side — and on −0 (a −0 coefficient, and negative
+// ones too small to leave a nonzero quotient), then random ones across the
+// encoder's range.
+func TestQuantiseMatchesRef(t *testing.T) {
+	var ratios []float64
+	for _, r := range []float64{0.5, 1.5, 2.5, 1, 700.5} {
+		for _, v := range []float64{r, -r} {
+			ratios = append(ratios, v, math.Nextafter(v, 0), math.Nextafter(v, 2*v))
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	forEachCodecKernels(t, func(t *testing.T) {
+		for _, p := range []Profile{BX8, BX9} {
+			for qp := 0; qp < wireQPs; qp++ {
+				steps := quantSteps(p, qp)
+				var cases [][64]float64
+				var c [64]float64
+				for i := range c {
+					if r := ratios[i%len(ratios)]; i < 2*len(ratios) {
+						c[i], _ = ratioFreq(r, steps[i])
+					}
+				}
+				c[60], c[61], c[62], c[63] = math.Copysign(0, -1), -math.SmallestNonzeroFloat64, -1e-300, 0
+				cases = append(cases, c)
+				for n := 0; n < 4; n++ {
+					for i := range c {
+						c[i] = float64(rng.Intn(4081)-2040) + float64(rng.Float64())
+					}
+					cases = append(cases, c)
+				}
+				for _, freq := range cases {
+					got := freq
+					var q [64]int32
+					nz := quantise(&got, steps, &q)
+					for i, f := range freq {
+						lv := int32(math.Round(f / steps[i]))
+						deq := float64(lv) * steps[i]
+						if q[i] != lv || math.Float64bits(got[i]) != math.Float64bits(deq) || (nz>>i&1 == 1) != (lv != 0) {
+							t.Fatalf("%v qp %d coefficient %d: freq %v step %v gives level %d dequantised %v mask %d, seed %d %v",
+								p, qp, i, f, steps[i], q[i], got[i], nz>>i&1, lv, deq)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestResidualMatchesRef holds residual to the seed's per-pixel
+// float64(src) − float64(pred) under every kernel set, bit for bit: every
+// pair of bytes, at every stride pair of blockStrides.
+func TestResidualMatchesRef(t *testing.T) {
+	forEachCodecKernels(t, func(t *testing.T) {
+		for _, st := range blockStrides {
+			ss, ps := st[0], st[1]
+			for b := 0; b < 1<<16; b += 64 {
+				src := make([]uint8, (blockSize-1)*ss+blockSize)
+				pred := make([]uint8, (blockSize-1)*ps+blockSize)
+				for i := 0; i < 64; i++ {
+					src[i/blockSize*ss+i%blockSize] = uint8(b + i)
+					if ps != 0 {
+						pred[i/blockSize*ps+i%blockSize] = uint8((b + i) >> 8)
+					}
+				}
+				if ps == 0 {
+					for i := range pred {
+						pred[i] = uint8(b>>8 + i)
+					}
+				}
+				var blk [64]float64
+				residual(src, ss, pred, ps, &blk)
+				for i, got := range blk {
+					want := float64(src[i/blockSize*ss+i%blockSize]) - float64(pred[i/blockSize*ps+i%blockSize])
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("strides %v lane %d: residual %v, seed %v", st, i, got, want)
+					}
+				}
 			}
 		}
 	})

@@ -1,15 +1,15 @@
 //go:build amd64 && !purego
 
-// SSE2 cost kernels of the encoder's mode decision (sad_amd64.go installs
-// them once; SSE2 is baseline amd64). Two 8-byte rows share an XMM, MOVQ
-// the low half and MOVHPS the high one, so a block is four row pairs. PSADBW
-// leaves each half's sum of eight byte distances in its low 16 bits; the
-// halves are summed with PADDQ and folded once at the end. Everything is
-// exact integer arithmetic, so the results are the Go twins' bit for bit.
-// Each kernel reads rows 0..7 at base + y*stride, the bytes the caller's
-// 7*stride+8 slice holds, and nothing else. Neither has a loop; each body
-// starts PCALIGN $64, so its fetch does not follow the layout of the code
-// linked before it.
+// SSE2 cost kernels of the encoder's mode decision (sad8x8 and
+// intraSAD8x8 call them when useSSE2, which init sets; SSE2 is baseline
+// amd64). Two 8-byte rows share an XMM, MOVQ the low half and MOVHPS the
+// high one, so a block is four row pairs. PSADBW leaves each half's sum of
+// eight byte distances in its low 16 bits; the halves are summed with PADDQ
+// and folded once at the end. Everything is exact integer arithmetic, so
+// the results are the Go twins' bit for bit. Each kernel reads rows 0..7
+// at base + y*stride, the bytes the caller's 7*stride+8 slice holds, and
+// nothing else. Neither has a loop; each body starts PCALIGN $64, so its
+// fetch does not follow the layout of the code linked before it.
 
 #include "textflag.h"
 

@@ -330,7 +330,7 @@ func (c *Client) samplePatches(frameID int, raw, lr, recon *frame.Frame, frameQ 
 		}
 		cell := cells[ci]
 		lx, ly := cell.X/c.scale, cell.Y/c.scale
-		encQ := metrics.PSNR(lr.Crop(lx, ly, lps, lps), recon.Crop(lx, ly, lps, lps))
+		encQ := metrics.PSNRFromMSE(metrics.MSEWindow(lr, recon, lx, ly, lps, lps))
 		if encQ >= frameQ {
 			continue // easy region: discard (§5.2)
 		}

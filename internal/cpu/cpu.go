@@ -1,9 +1,10 @@
 // Package cpu holds the one CPU-feature probe of the module. The vector
 // kernels of internal/nn and internal/frame, the residual row of
-// internal/sr, the 8x8 transforms of internal/codec and the pixel row of
-// internal/vidgen are chosen once, at init, from AVX2; no flag, env var or
-// build tag overrides it. (codec's SAD kernels are SSE2, baseline amd64,
-// and need no probe.)
+// internal/sr, the 8x8 transforms and block kernels of internal/codec and
+// the pixel row of internal/vidgen are chosen once, at init, from AVX2; no
+// flag, env var or build tag overrides it. (codec's SAD kernels and
+// metrics' sum of squared differences are SSE2, baseline amd64, and need
+// no probe.)
 package cpu
 
 // AVX2 reports AVX2 usable: CPU support plus OS-enabled YMM state. It is

@@ -18,15 +18,62 @@ func MSE(a, b *frame.Frame) float64 {
 	if a.W != b.W || a.H != b.H {
 		panic("metrics: frame shape mismatch")
 	}
-	if len(a.Pix) == 0 {
+	return MSEWindow(a, b, 0, 0, a.W, a.H)
+}
+
+// MSEWindow returns the mean squared error between the w×h windows of a
+// and b whose top-left corner is (x, y): MSE of the two crops, without
+// copying them. Both frames must hold the whole window, or it panics.
+//
+// The sum of squared differences is taken in integers. It equals the float
+// sum a float64 loop would take, bit for bit: every partial sum of that
+// loop is an integer below 255²·w·h, which for any frame up to 2⁵³/255² ≈
+// 1.4·10¹¹ pixels is exact in float64, so the float loop never rounds.
+func MSEWindow(a, b *frame.Frame, x, y, w, h int) float64 {
+	if x < 0 || y < 0 || w < 0 || h < 0 ||
+		x+w > a.W || y+h > a.H || x+w > b.W || y+h > b.H {
+		panic("metrics: window outside frame")
+	}
+	if w == 0 || h == 0 {
 		return 0
 	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		sum += float64(d * d)
+	var sum uint64
+	if w == a.W && w == b.W {
+		// Whole rows of equally wide frames: the window is one run.
+		sum = ssd(a.Pix[y*w:][:w*h], b.Pix[y*w:][:w*h])
+	} else {
+		for r := y; r < y+h; r++ {
+			sum += ssd(a.Pix[r*a.W+x:][:w], b.Pix[r*b.W+x:][:w])
+		}
 	}
-	return sum / float64(len(a.Pix))
+	return float64(sum) / float64(w*h)
+}
+
+// useSSE2 selects the SSE2 sum of squared differences. SSE2 is baseline
+// amd64, so init (ssd_amd64.go) sets it there without a probe; it is a
+// flag rather than a function value, as in the codec.
+var useSSE2 bool
+
+// ssd returns Σ(a[i] − b[i])² over two equally long runs: the SSE2 kernel
+// over the whole 16-byte chunks when useSSE2, the Go twin over the rest.
+func ssd(a, b []uint8) uint64 {
+	n := 0
+	var sum uint64
+	if useSSE2 {
+		n = len(a) &^ 15
+		sum = ssdSSE2(a[:n], b[:n])
+	}
+	return sum + ssdGo(a[n:], b[n:len(a)])
+}
+
+func ssdGo(a, b []uint8) uint64 {
+	b = b[:len(a)]
+	var sum uint64
+	for i, v := range a {
+		d := int(v) - int(b[i])
+		sum += uint64(d * d)
+	}
+	return sum
 }
 
 // PSNRCap is the PSNR value reported for identical frames (MSE == 0);

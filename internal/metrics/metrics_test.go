@@ -234,3 +234,76 @@ func TestQuickCDFMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// mseRef is the seed MSE: a float64 sum of squared differences over the
+// whole frame, divided by its pixel count.
+func mseRef(a, b *frame.Frame) float64 {
+	if len(a.Pix) == 0 {
+		return 0
+	}
+	var sum float64
+	for i := range a.Pix {
+		d := float64(a.Pix[i]) - float64(b.Pix[i])
+		sum += float64(d * d)
+	}
+	return sum / float64(len(a.Pix))
+}
+
+// TestMSEMatchesRef holds MSE and MSEWindow to the seed's float loop, bit
+// for bit, under each sum-of-squares kernel: random frames of every width
+// remainder mod 16 (and widths below one chunk), every window corner and
+// size within a 37x5 frame against the crops it scores, and the largest
+// sum a 4K frame can hold, all 0 against all 255.
+func TestMSEMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var pairs [][2]*frame.Frame
+	for w := 0; w <= 40; w++ {
+		pairs = append(pairs, [2]*frame.Frame{randFrame(rng, w, 3), randFrame(rng, w, 3)})
+	}
+	pairs = append(pairs, [2]*frame.Frame{randFrame(rng, 384, 216), randFrame(rng, 384, 216)})
+	black, white := frame.New(3840, 2160), frame.New(3840, 2160)
+	for i := range white.Pix {
+		white.Pix[i] = 255
+	}
+	win := [2]*frame.Frame{randFrame(rng, 37, 5), randFrame(rng, 37, 5)}
+	forEachSSDKernel(t, func(t *testing.T) {
+		for _, p := range pairs {
+			if got, want := MSE(p[0], p[1]), mseRef(p[0], p[1]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%dx%d: MSE %v, seed %v", p[0].W, p[0].H, got, want)
+			}
+		}
+		if got := MSE(black, white); got != 255*255 {
+			t.Fatalf("4K all-0 against all-255: MSE %v, want %v", got, 255*255)
+		}
+		a, b := win[0], win[1]
+		for y := 0; y <= a.H; y++ {
+			for x := 0; x <= a.W; x++ {
+				for h := 0; y+h <= a.H; h++ {
+					for w := 0; x+w <= a.W; w++ {
+						got := MSEWindow(a, b, x, y, w, h)
+						want := mseRef(a.Crop(x, y, w, h), b.Crop(x, y, w, h))
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("window (%d,%d) %dx%d: MSEWindow %v, seed on crops %v", x, y, w, h, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMSEWindowOutsidePanics: a window that leaves either frame is a
+// caller's bug, not a zero-padded crop.
+func TestMSEWindowOutsidePanics(t *testing.T) {
+	a, b := frame.New(8, 8), frame.New(8, 8)
+	for _, w := range [][4]int{{-1, 0, 2, 2}, {0, -1, 2, 2}, {7, 0, 2, 2}, {0, 7, 2, 2}, {0, 0, 9, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("window %v: no panic", w)
+				}
+			}()
+			MSEWindow(a, b, w[0], w[1], w[2], w[3])
+		}()
+	}
+}

@@ -14,8 +14,9 @@
 #                         camera join, whole-Results session determinism),
 #                         short tests,
 #                         the benchmark module's vet + tests, the int8 and
-#                         codec+vidgen differential tests, the codec's
-#                         bordered reference and the vidgen pixel row's Go
+#                         codec+vidgen differential tests (PSNR's integer
+#                         sum included), the codec's bordered reference,
+#                         block kernels and the vidgen pixel row's Go
 #                         twin by name, the wire format
 #                         pin, the playlist format pin (with the event-heap
 #                         oracle and WireSize = frame length), the link
@@ -198,19 +199,28 @@ sr_inference_pin() {
 # by name: the quantiser tables, the transforms, the encoder's streams
 # against the oracle encoder, the encoder's bordered reference (every SAD
 # and prediction the motion search can read, at both search ranges,
-# against the clamped per-pixel oracle) and the intra cost, each under
-# every codec kernel set; then the frame oracle and the pixel-row
-# differential (posterise ties, -0 quotients, the glyph toggle at 127, both
-# clamps, every lane remainder) under each pixel-row kernel set the host
-# can run. The top-level tests cover the vector kernels where the CPU has
-# them, and the /go subtests name the Go twins, so a rename cannot drop a
-# twin's check on a host with the kernels.
+# against the clamped per-pixel oracle), the intra cost, the motion search
+# with its skipped repeats against the seed search, and the block kernels
+# (reconstruction with residuals past ±2^31, the quantiser at its rounding
+# edges, the inter residual), each under every codec kernel set; then the
+# frame oracle and the pixel-row differential (posterise ties, -0
+# quotients, the glyph toggle at 127, both clamps, every lane remainder)
+# under each pixel-row kernel set the host can run; then PSNR's integer sum against the seed float loop (every
+# window of a small frame, a 4K all-0 against all-255 frame). The top-level
+# tests cover the vector kernels where the CPU has them, and the /go
+# subtests name the Go twins, so a rename cannot drop a twin's check on a
+# host with the kernels.
 codec_vidgen_differential() {
     pin_tests ./internal/codec TestQuantTableMatchesPow TestDCTMatchesRef TestDCTMatchesRef/go \
         TestEncodeBitstreamMatchesRef TestEncodeBitstreamMatchesRef/go \
-        TestSADMatchesRef TestSADMatchesRef/go TestIntraSADMatchesRef TestIntraSADMatchesRef/go &&
+        TestSADMatchesRef TestSADMatchesRef/go TestIntraSADMatchesRef TestIntraSADMatchesRef/go \
+        TestSearchMotionMatchesRef TestSearchMotionMatchesRef/go \
+        TestReconstructMatchesRef TestReconstructMatchesRef/go \
+        TestQuantiseMatchesRef TestQuantiseMatchesRef/go \
+        TestResidualMatchesRef TestResidualMatchesRef/go &&
         pin_tests ./internal/vidgen TestFrameAtMatchesRef TestFrameAtMatchesRef/go \
-            TestPixRowMatchesGo TestPixRowMatchesGo/go
+            TestPixRowMatchesGo TestPixRowMatchesGo/go &&
+        pin_tests ./internal/metrics TestMSEMatchesRef TestMSEMatchesRef/go
 }
 
 # No fused multiply-add anywhere in the module's code (ROADMAP item 19): Go
@@ -351,8 +361,8 @@ if [[ "$TIER" == "fast" ]]; then
     # byte-identical strip/cell determinism pins.
     step "int8 differential + determinism" go test \
         -run 'TestQuant|TestAnytime|TestRequant' ./internal/nn ./internal/sr
-    # The codec/vidgen bit-identity contract (DESIGN.md), by name for the same
-    # reason: the table-driven hot path against the per-pixel and
+    # The codec/vidgen/metrics bit-identity contract (DESIGN.md), by name for
+    # the same reason: the table-driven hot path against the per-pixel and
     # per-coefficient oracles in their ref_test.go files.
     step "codec+vidgen differential" codec_vidgen_differential
     # The wire format contract (DESIGN.md "Wire format v2"), by name for the
