@@ -3,8 +3,9 @@ package vidgen
 // Per-pixel reference renderer: the ground truth the table-driven FrameAt is
 // differentially tested against, pixel for pixel (TestFrameAtMatchesRef). It
 // is an oracle, not a renderer: nothing outside the tests can reach it.
-// Sprites are shared with FrameAt; the texture/glyph/grain pixel loop and
-// the HUD band have two implementations.
+// Sprites are shared with FrameAt, which clips them at the HUD band's top
+// where the oracle draws them over every row; the texture/glyph/grain pixel
+// loop and the HUD band have two implementations.
 
 import (
 	"fmt"
@@ -115,7 +116,7 @@ func frameAtRef(s *Source, t float64) *frame.Frame {
 		}
 	}
 
-	s.drawSprites(f, sc, t)
+	s.drawSprites(f, sc, t, s.H) // over every row, HUD band included
 	if p.HUD {
 		drawHUDRef(s, f)
 	}

@@ -383,7 +383,7 @@ func bcast(dst *[4]float64, v float64) { *dst = [4]float64{v, v, v, v} }
 
 // pixAVX2 selects the AVX2 row kernel for the whole quads of each row,
 // once, from the module's one AVX2 probe (false off amd64 and under
-// purego). It is a flag, not a function value, like the codec's dctAVX2.
+// purego). It is a flag, not a function value, like the codec's useAVX2.
 var pixAVX2 = cpu.AVX2
 
 // pixRow renders one row of the pixel body: the AVX2 kernel over the first
@@ -516,7 +516,10 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 	bcast(&k.step, step)
 	bcast(&k.grain, grain)
 
-	for y := 0; y < s.H; y++ {
+	// The HUD band's rows are drawn over whole, so the texture and the
+	// sprites stop at its top.
+	top := s.hudTop()
+	for y := 0; y < top; y++ {
 		fy := float64(y) + float64(offY)
 		wy1, omy1 := o1.row(fy)
 		wy2, omy2 := o2.row(fy)
@@ -558,16 +561,26 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 		pixRow(f.Pix[y*w:][:w], rs.on, o1.top, o1.bot, o2.top, o2.bot, oG.top, oG.bot, k)
 	}
 
-	s.drawSprites(f, sc, t)
-	if p.HUD {
-		s.drawHUD(f)
+	s.drawSprites(f, sc, t, top)
+	if top < s.H {
+		s.drawHUD(f, top)
 	}
 	return f
 }
 
+// hudTop returns the first row of the HUD band, or s.H when the source
+// draws none (no HUD, or a frame under 24 rows).
+func (s *Source) hudTop() int {
+	if hudH := s.H / 12; s.P.HUD && hudH >= 2 {
+		return s.H - hudH
+	}
+	return s.H
+}
+
 // drawSprites overlays moving high-contrast objects (players, the streamer's
-// webcam, a ball...). Their count and speed follow the category profile.
-func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64) {
+// webcam, a ball...) on the rows above top. Their count and speed follow the
+// category profile.
+func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64, top int) {
 	p := s.P
 	for i := 0; i < p.Sprites; i++ {
 		id := sc.seed ^ uint64(i+1)*0x9e3779b9
@@ -582,7 +595,7 @@ func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64) {
 		lum := uint8(40 + float64(180*hash01(int64(i), 16, id)))
 		x0, y0 := int(cx)-w/2, int(cy)-h/2
 		for y := y0; y < y0+h; y++ {
-			if y < 0 || y >= s.H {
+			if y < 0 || y >= top {
 				continue
 			}
 			row := f.Pix[y*s.W:]
@@ -602,17 +615,13 @@ func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64) {
 	}
 }
 
-// drawHUD renders a static overlay band: stream chrome that never moves.
-// Alternating glyph-like blocks, crisp verticals the encoder blurs at low
-// bitrate and SR can re-sharpen: every row of the band is one of two
-// patterns, by the parity of its block row, so each is filled once and
-// copied into the rows that repeat it.
-func (s *Source) drawHUD(f *frame.Frame) {
-	hudH := s.H / 12
-	if hudH < 2 {
-		return
-	}
-	y0 := s.H - hudH
+// drawHUD renders a static overlay band, rows y0 to the bottom: stream
+// chrome that never moves. Alternating glyph-like blocks, crisp verticals
+// the encoder blurs at low bitrate and SR can re-sharpen: every row of the
+// band is one of two patterns, by the parity of its block row, so each is
+// filled once and copied into the rows that repeat it.
+func (s *Source) drawHUD(f *frame.Frame, y0 int) {
+	hudH := s.H - y0
 	var pattern [2][]uint8 // the first row of each parity
 	for y := y0; y < s.H; y++ {
 		row := f.Pix[y*s.W:][:s.W]
