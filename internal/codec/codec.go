@@ -29,10 +29,13 @@ func (p Profile) String() string {
 // searchRange returns the motion search radius in pixels.
 func (p Profile) searchRange() int {
 	if p == BX9 {
-		return 12
+		return maxSearchRange
 	}
 	return 8
 }
+
+// maxSearchRange is the largest searchRange() of any profile.
+const maxSearchRange = 12
 
 // Config describes one encoded stream.
 type Config struct {
@@ -310,9 +313,6 @@ func codeBlock(w *bitWriter, blk, freq, steps *[64]float64) {
 	}
 	idct8(freq, blk)
 }
-
-// maxSearchRange is the largest searchRange() of any profile.
-const maxSearchRange = 12
 
 // searchMotion runs a small diamond search seeded at (0,0) and the left
 // neighbour's motion vector, returning the best vector and its SAD; the

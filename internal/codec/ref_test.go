@@ -757,35 +757,27 @@ func TestReconstructMatchesRef(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		residuals = append(residuals, float64(rng.Intn(1<<20)-1<<19)/1024)
 	}
-	// Lane i of the n-th block pairs prediction byte (n*64+i) % 256 with
-	// residual (n*64+i) / 256, so every pair is tested once, in every lane.
+	// Lane i of the b-th block pairs prediction byte (b*64+i) % 256 with
+	// residual (b*64+i) / 256, so every pair is tested (with a stride of
+	// 0, a row's lanes share the prediction the last of them wrote).
 	n := 256 * len(residuals)
 	forEachCodecKernels(t, func(t *testing.T) {
 		for _, st := range blockStrides {
 			ds, ps := st[0], st[1]
 			for b := 0; b < n; b += 64 {
 				var blk [64]float64
-				predRow := make([]uint8, (blockSize-1)*ps+blockSize)
-				var preds [64]uint8
+				pred := make([]uint8, (blockSize-1)*ps+blockSize)
 				for i := range blk {
 					k := (b + i) % n
 					blk[i] = residuals[k/256]
-					preds[i] = uint8(k)
-					if ps != 0 {
-						predRow[i/blockSize*ps+i%blockSize] = preds[i]
-					}
-				}
-				if ps == 0 { // one row repeated: lane i reads preds[i%8]
-					for i := range preds {
-						preds[i] = preds[i%blockSize]
-					}
-					copy(predRow, preds[:blockSize])
+					pred[i/blockSize*ps+i%blockSize] = uint8(k)
 				}
 				buf, dst := guardedBlock(ds)
-				reconstruct(dst, ds, predRow, ps, &blk)
+				reconstruct(dst, ds, pred, ps, &blk)
 				for i := range blk {
-					if got, want := dst[i/blockSize*ds+i%blockSize], clampAdd(preds[i], blk[i]); got != want {
-						t.Fatalf("strides %v: pred %d + residual %v = %d, seed %d", st, preds[i], blk[i], got, want)
+					p := pred[i/blockSize*ps+i%blockSize]
+					if got, want := dst[i/blockSize*ds+i%blockSize], clampAdd(p, blk[i]); got != want {
+						t.Fatalf("strides %v: pred %d + residual %v = %d, seed %d", st, p, blk[i], got, want)
 					}
 				}
 				for i, v := range buf {
@@ -880,14 +872,7 @@ func TestResidualMatchesRef(t *testing.T) {
 				pred := make([]uint8, (blockSize-1)*ps+blockSize)
 				for i := 0; i < 64; i++ {
 					src[i/blockSize*ss+i%blockSize] = uint8(b + i)
-					if ps != 0 {
-						pred[i/blockSize*ps+i%blockSize] = uint8((b + i) >> 8)
-					}
-				}
-				if ps == 0 {
-					for i := range pred {
-						pred[i] = uint8(b>>8 + i)
-					}
+					pred[i/blockSize*ps+i%blockSize] = uint8((b + i) >> 8)
 				}
 				var blk [64]float64
 				residual(src, ss, pred, ps, &blk)
