@@ -6,8 +6,8 @@
 // two squares, at most 130050, into each int32 lane; two such per 16 bytes
 // is at most 260100 a lane per chunk. A lane is widened into the int64
 // total every 8192 chunks, below 2³¹, so no partial sum wraps and the
-// result is the exact integer. The loop head is PCALIGN $64, so its speed
-// does not follow the layout of the code linked before it.
+// result is the exact integer. The chunk loop's head is PCALIGN $64, so its
+// speed does not follow the layout of the code linked before it.
 
 #include "textflag.h"
 

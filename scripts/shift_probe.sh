@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Code-layout shift probe. Builds the repository benchmark twice from the
-# committed tree (HEAD): once as it is, and once with 32 bytes of padding
+# Code-layout shift probe. Builds the repository benchmark twice from one
+# commit (REV, default HEAD): once as it is, and once with 32 bytes of padding
 # appended to the codec's intraSAD8x8SSE2 kernel. The codec's text is linked
 # before vidgen's and nn's, so the padding moves every later function by
 # 32 bytes, an odd multiple of 32. The two binaries then run in alternating
@@ -8,23 +8,24 @@
 # sets. A hot loop whose speed follows its 64-byte parity moves between the
 # two builds; a loop head aligned with PCALIGN $64 does not.
 #
-#   scripts/shift_probe.sh WORKLOAD [PAIRS] [SECONDS]
+#   scripts/shift_probe.sh WORKLOAD [PAIRS] [SECONDS] [REV]
 #
 # PAIRS defaults to 10 and SECONDS to 20, the A/B protocol of ROADMAP.md;
 # pair i runs seed i on both builds. Everything is written under a fresh
 # temporary directory, which is printed and kept for inspection.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-workload="${1:?usage: scripts/shift_probe.sh WORKLOAD [PAIRS] [SECONDS]}"
+workload="${1:?usage: scripts/shift_probe.sh WORKLOAD [PAIRS] [SECONDS] [REV]}"
 pairs="${2:-10}"
 secs="${3:-20}"
+rev="${4:-HEAD}"
 tmp="$(mktemp -d)"
-echo "shift probe: $workload, $pairs pairs of ${secs}s, in $tmp"
+echo "shift probe: $workload at $rev, $pairs pairs of ${secs}s, in $tmp"
 
 export GOCACHE="$tmp/gocache" GOPATH="$tmp/gopath" GOTOOLCHAIN=local GOWORK=off GOFLAGS=
 for v in plain padded; do
     mkdir -p "$tmp/$v"
-    git -C "$root" archive HEAD | tar -x -C "$tmp/$v"
+    git -C "$root" archive "$rev" | tar -x -C "$tmp/$v"
 done
 # 32 one-byte NOPs after intraSAD8x8SSE2's RET: never executed, they only
 # lengthen the function.
