@@ -12,6 +12,7 @@ package codec
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 )
 
@@ -37,22 +38,26 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 func (w *bitWriter) writeBit(b uint64) { w.writeBits(b, 1) }
 
 // writeUE writes an unsigned exponential-Golomb code.
-func (w *bitWriter) writeUE(v uint32) {
-	x := uint64(v) + 1
+func (w *bitWriter) writeUE(v uint32) { w.writeGolomb(uint64(v)) }
+
+// writeGolomb writes the exponential-Golomb code of u < 2^33-1: u+1 in
+// binary after one leading zero per bit below its top one.
+func (w *bitWriter) writeGolomb(u uint64) {
+	x := u + 1
 	n := uint(bits.Len64(x))
 	w.writeBits(0, n-1) // n-1 leading zeros
 	w.writeBits(x, n)
 }
 
 // writeSE writes a signed exponential-Golomb code (0, 1, -1, 2, -2, ...).
+// The mapped code is computed in 64 bits: math.MinInt32 maps to 2^32, one
+// past the uint32 range, and readSE reads it back.
 func (w *bitWriter) writeSE(v int32) {
-	var u uint32
+	u := uint64(-2 * int64(v))
 	if v > 0 {
-		u = uint32(2*v - 1)
-	} else {
-		u = uint32(-2 * v)
+		u = uint64(2*int64(v) - 1)
 	}
-	w.writeUE(u)
+	w.writeGolomb(u)
 }
 
 // finish flushes any partial byte and returns the stream.
@@ -81,7 +86,7 @@ func newBitReader(b []byte) *bitReader { return &bitReader{buf: b} }
 func (r *bitReader) readBits(n uint) (uint64, error) {
 	// The accumulator refills in whole bytes, so it can hold at most
 	// n+7 <= 63 bits during a read; larger requests would silently drop
-	// high bits. No codec symbol is wider than 33 bits (readUE).
+	// high bits. No codec symbol is wider than 33 bits (readGolomb).
 	if n > 56 {
 		return 0, errBitstream
 	}
@@ -101,6 +106,19 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 func (r *bitReader) readBit() (uint64, error) { return r.readBits(1) }
 
 func (r *bitReader) readUE() (uint32, error) {
+	u, err := r.readGolomb()
+	if err != nil {
+		return 0, err
+	}
+	if u > math.MaxUint32 {
+		return 0, errBitstream
+	}
+	return uint32(u), nil
+}
+
+// readGolomb reads an exponential-Golomb code of at most 32 leading zeros,
+// so a value below 2^33-1.
+func (r *bitReader) readGolomb() (uint64, error) {
 	var zeros uint
 	for {
 		b, err := r.readBit()
@@ -119,16 +137,23 @@ func (r *bitReader) readUE() (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint32(1<<zeros|rest) - 1, nil
+	return (1<<zeros | rest) - 1, nil
 }
 
+// readSE reads writeSE's code; one that maps outside int32 is corrupt.
 func (r *bitReader) readSE() (int32, error) {
-	u, err := r.readUE()
+	u, err := r.readGolomb()
 	if err != nil {
 		return 0, err
 	}
 	if u%2 == 1 {
+		if u/2 >= math.MaxInt32 {
+			return 0, errBitstream
+		}
 		return int32(u/2) + 1, nil
 	}
-	return -int32(u / 2), nil
+	if u/2 > -math.MinInt32 {
+		return 0, errBitstream
+	}
+	return int32(-int64(u / 2)), nil
 }

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,6 +66,60 @@ func TestSERoundTrip(t *testing.T) {
 		if err != nil || got != want {
 			t.Fatalf("readSE=%d,%v want %d", got, err, want)
 		}
+	}
+}
+
+// TestSEEveryInt32Edge round-trips writeSE at the edges of int32, each
+// followed by a UE sentinel so a code of the wrong length shows. Every
+// value's code has the length of its mapped value u (0, 1, -1, 2, ... ->
+// 0, 1, 2, 3, ...): math.MinInt32 maps to 2^32, past the uint32 range, and
+// a 32-bit computation of -2v wrapped it to 0, the code of level 0.
+func TestSEEveryInt32Edge(t *testing.T) {
+	for _, c := range []struct {
+		v int32
+		u uint64
+	}{
+		{0, 0}, {1, 1}, {-1, 2},
+		{math.MaxInt32, 1<<32 - 3}, {-math.MaxInt32, 1<<32 - 2}, {math.MinInt32, 1 << 32},
+	} {
+		w := &bitWriter{}
+		w.writeSE(c.v)
+		if got, want := w.bitLen(), 2*bits.Len64(c.u+1)-1; got != want {
+			t.Errorf("writeSE(%d) wrote %d bits, want %d (u = %d)", c.v, got, want, c.u)
+		}
+		w.writeUE(5)
+		r := newBitReader(w.finish())
+		got, err := r.readSE()
+		if err != nil || got != c.v {
+			t.Errorf("readSE = %d, %v; want %d", got, err, c.v)
+			continue
+		}
+		if s, err := r.readUE(); err != nil || s != 5 {
+			t.Errorf("after %d: sentinel %d, %v; want 5", c.v, s, err)
+		}
+	}
+	// The codes just past the int32 range are corrupt, not wrapped.
+	for _, u := range []uint64{1<<32 - 1, 1<<32 + 1, 1<<32 + 2, 1<<33 - 2} {
+		w := &bitWriter{}
+		w.writeGolomb(u)
+		if got, err := newBitReader(w.finish()).readSE(); err == nil {
+			t.Errorf("readSE of code %d = %d; want errBitstream", u, got)
+		}
+	}
+}
+
+// TestUEPastUint32Corrupt: a UE code whose value exceeds uint32 is corrupt;
+// readUE reports it rather than returning the value mod 2^32.
+func TestUEPastUint32Corrupt(t *testing.T) {
+	w := &bitWriter{}
+	w.writeUE(math.MaxUint32)
+	w.writeGolomb(1 << 32)
+	r := newBitReader(w.finish())
+	if got, err := r.readUE(); err != nil || got != math.MaxUint32 {
+		t.Fatalf("readUE = %d, %v; want %d", got, err, uint32(math.MaxUint32))
+	}
+	if got, err := r.readUE(); err == nil {
+		t.Fatalf("readUE of 2^32 = %d; want errBitstream", got)
 	}
 }
 

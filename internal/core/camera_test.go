@@ -172,3 +172,94 @@ func TestCameraHitsEveryCapture(t *testing.T) {
 		}
 	}
 }
+
+// TestCameraBoundedAhead: a stalled session finds the camera exactly
+// cameraDepth captures ahead of the last one it took and waiting there,
+// never further, on the camera's first run and on the run a miss starts;
+// it never renders an instant past end; and stop joins it while it waits
+// for a slot in a full queue.
+func TestCameraBoundedAhead(t *testing.T) {
+	cfg := cameraTestConfig()
+	src := vidgen.NewSource(cfg.Cat, cfg.Native.W, cfg.Native.H, cfg.Seed, 10)
+	const period, end = 100 * time.Millisecond, time.Second
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+
+	// ahead waits for the camera to render the instant want, then gives it
+	// time to overrun, and requires its latest render to be exactly want.
+	ahead := func(t *testing.T, cam *camera, want time.Duration) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Duration(cam.latest.Load()) < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(30 * time.Millisecond)
+		if got := time.Duration(cam.latest.Load()); got != want {
+			t.Fatalf("the camera's latest render is at %v; want %v", got, want)
+		}
+	}
+	joins := func(t *testing.T, cam *camera) {
+		t.Helper()
+		stopped := make(chan struct{})
+		go func() {
+			cam.stop()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(10 * time.Second):
+			t.Fatal("stop did not join the camera goroutine")
+		}
+	}
+
+	t.Run("run", func(t *testing.T) {
+		cam := startCamera(src, cfg.Scale(), period, end)
+		ahead(t, cam, (cameraDepth-1)*period)
+		for now := time.Duration(0); now <= end; now += period {
+			if _, ok := cam.take(now); !ok {
+				t.Fatalf("capture at %v missed the camera", now)
+			}
+			ahead(t, cam, min(now+cameraDepth*period, end))
+		}
+		joins(t, cam)
+		if cam.misses != 0 {
+			t.Fatalf("%d misses on the camera's own schedule", cam.misses)
+		}
+	})
+
+	t.Run("restart", func(t *testing.T) {
+		cam := startCamera(src, cfg.Scale(), period, end)
+		ahead(t, cam, (cameraDepth-1)*period)
+		// Off the schedule: the queue's shots are dropped and a new run
+		// starts at 350 ms.
+		if _, ok := cam.take(ms(250)); ok {
+			t.Fatal("capture at 250 ms hit a camera that rendered 0 and 100 ms")
+		}
+		ahead(t, cam, ms(250)+cameraDepth*period)
+		if _, ok := cam.take(ms(350)); !ok {
+			t.Fatal("capture at 350 ms missed the restarted camera")
+		}
+		ahead(t, cam, ms(350)+cameraDepth*period)
+		// A run that reaches end stops there: from 950 ms, one instant.
+		if _, ok := cam.take(ms(850)); ok {
+			t.Fatal("capture at 850 ms hit a camera that rendered up to 550 ms")
+		}
+		ahead(t, cam, ms(950))
+		if _, ok := cam.take(ms(950)); !ok {
+			t.Fatal("capture at 950 ms missed the restarted camera")
+		}
+		if _, ok := cam.take(ms(1050)); ok {
+			t.Fatal("a capture past end hit the camera")
+		}
+		ahead(t, cam, ms(950))
+		joins(t, cam)
+		if cam.misses != 3 {
+			t.Fatalf("%d misses; want 3 (250 ms, 850 ms, 1050 ms)", cam.misses)
+		}
+	})
+
+	t.Run("stop while full", func(t *testing.T) {
+		cam := startCamera(src, cfg.Scale(), period, end)
+		ahead(t, cam, (cameraDepth-1)*period)
+		joins(t, cam)
+	})
+}

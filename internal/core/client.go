@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"livenas/internal/codec"
@@ -203,73 +204,131 @@ func (c *Client) shoot(now time.Duration) (raw, lr *frame.Frame) {
 	return raw, raw.Downscale(c.scale)
 }
 
-// camera renders a session's captures one frame ahead on its own goroutine
-// (DESIGN.md "One ingest client"): while the session encodes capture k, it
-// renders FrameAt and Downscale for capture k+1. A Source is safe for
-// concurrent FrameAt, so the shot is the frame pair Capture would render
-// inline. At most one shot is in flight, and none is rendered past end.
-type camera struct {
-	period, end time.Duration
-	req         chan time.Duration // the instant to render; one slot
-	shots       chan shot          // the rendered pair; one slot, so the goroutine never blocks
-	done        chan struct{}      // closed when the goroutine has returned
+// cameraDepth is how many captures the camera renders ahead of the session:
+// the shot queue's slots plus the one shot the goroutine holds while it
+// waits for a slot. Each shot is a native frame and its downscale.
+const cameraDepth = 2
 
-	at     time.Duration // the instant of the shot requested and not yet taken; -1: none
-	misses int           // captures rendered inline: no shot was pending for their instant
+// camera renders a session's captures ahead of it on its own goroutine
+// (DESIGN.md "One ingest client"): the instants from, from + period, ... of
+// its current run, up to end. It renders instant t only once the session
+// has taken the shot for t - cameraDepth·period, so it holds at most
+// cameraDepth shots, and it renders nothing past end. A Source is safe for
+// concurrent FrameAt, so a shot is the frame pair Capture would render
+// inline.
+type camera struct {
+	_           [0]func() // not comparable, so no equality function is linked for it
+	period, end time.Duration
+	shots       chan shot     // rendered and not yet taken; cameraDepth-1 slots
+	restart     chan schedule // the run to render next; one slot, the latest run only
+	quit, done  chan struct{} // quit ends the goroutine, which closes done when it has
+
+	run    int           // the session's current run; shots of earlier runs are dropped
+	next   time.Duration // the instant of the current run's next shot
+	misses int           // captures rendered inline: the next shot was not for their instant
+
+	latest atomic.Int64 // the latest instant rendered, for tests; -1: none yet
 }
 
-type shot struct{ raw, lr *frame.Frame }
+type shot struct {
+	run     int
+	raw, lr *frame.Frame
+}
 
-// startCamera starts the goroutine and asks it for the first capture, at
-// instant 0; after that, each take asks for the instant one period later.
-// stop joins the goroutine.
+// schedule is one run of the camera: instants from, from + period, ...
+type schedule struct {
+	id   int
+	from time.Duration
+}
+
+// startCamera starts the goroutine on run 0, from instant 0. stop joins it.
 func startCamera(src *vidgen.Source, scale int, period, end time.Duration) *camera {
 	cam := &camera{
-		period: period,
-		end:    end,
-		req:    make(chan time.Duration, 1),
-		shots:  make(chan shot, 1),
-		done:   make(chan struct{}),
-		at:     -1,
+		period:  period,
+		end:     end,
+		shots:   make(chan shot, cameraDepth-1),
+		restart: make(chan schedule, 1),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	go func() {
-		defer close(cam.done)
-		for t := range cam.req {
-			raw := src.FrameAt(t.Seconds())
-			cam.shots <- shot{raw, raw.Downscale(scale)}
-		}
-	}()
-	cam.request(0)
+	cam.latest.Store(-1)
+	go cam.render(src, scale)
 	return cam
 }
 
-func (cam *camera) request(t time.Duration) {
-	if t > cam.end {
-		return
+// render is the camera goroutine. It renders its run's instants in order
+// and hands each over, switches to a new run as soon as one is posted, and
+// waits for one once its run is past end.
+func (cam *camera) render(src *vidgen.Source, scale int) {
+	defer close(cam.done)
+	var r schedule
+	for t := r.from; ; {
+		if t > cam.end {
+			select {
+			case r = <-cam.restart:
+				t = r.from
+			case <-cam.quit:
+				return
+			}
+			continue
+		}
+		select {
+		case r = <-cam.restart:
+			t = r.from
+			continue
+		case <-cam.quit:
+			return
+		default:
+		}
+		raw := src.FrameAt(t.Seconds())
+		sh := shot{r.id, raw, raw.Downscale(scale)}
+		cam.latest.Store(int64(t))
+		select {
+		case cam.shots <- sh:
+			t += cam.period
+		case r = <-cam.restart:
+			t = r.from
+		case <-cam.quit:
+			return
+		}
 	}
-	cam.at = t
-	cam.req <- t
 }
 
-// take returns the pending shot if it was rendered for exactly now, waiting
-// for it if need be; a shot for any other instant is drained and dropped,
-// and ok is false. Either way the camera goes on to now + period.
+// take returns the shot for now if the current run's next instant is now,
+// waiting for it if need be; ok is false otherwise. A miss starts a new run
+// at now + period, whose shots the following captures take if they come on
+// the period.
 func (cam *camera) take(now time.Duration) (sh shot, ok bool) {
-	if cam.at >= 0 {
-		sh, ok = <-cam.shots, cam.at == now
-		cam.at = -1
+	if now == cam.next && now <= cam.end {
+		for {
+			if sh = <-cam.shots; sh.run == cam.run {
+				cam.next += cam.period
+				return sh, true
+			}
+		}
 	}
-	if !ok {
-		cam.misses++
+	cam.misses++
+	// Drop what the queue holds, all of it the old run's, then post the new
+	// run in place of any the goroutine has not picked up yet. A shot of the
+	// old run handed over after the drop is dropped by the take that
+	// receives it.
+	for len(cam.shots) > 0 {
+		<-cam.shots
 	}
-	cam.request(now + cam.period)
-	return sh, ok
+	cam.run++
+	cam.next = now + cam.period
+	select {
+	case <-cam.restart:
+	default:
+	}
+	cam.restart <- schedule{cam.run, cam.next}
+	return shot{}, false
 }
 
-// stop ends the goroutine and waits for it to return; a shot in flight is
-// finished and dropped.
+// stop ends the goroutine and waits for it to return, also while it waits
+// for a slot in a full queue; a shot in flight is finished and dropped.
 func (cam *camera) stop() {
-	close(cam.req)
+	close(cam.quit)
 	<-cam.done
 }
 

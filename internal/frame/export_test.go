@@ -29,3 +29,20 @@ func forEachRowKernels(t *testing.T, fn func(t *testing.T)) {
 		t.Run(k.name, fn)
 	}
 }
+
+// forEachHalveKernel runs fn as one subtest per Downscale(2) row kernel this
+// build and host can execute, with that kernel selected: "go" always, and
+// "asm" when init selected the SSE2 kernel. The selection is restored
+// afterwards.
+func forEachHalveKernel(t *testing.T, fn func(t *testing.T)) {
+	saved := useSSE2
+	defer func() { useSSE2 = saved }()
+	useSSE2 = false
+	t.Run("go", fn)
+	if !saved {
+		t.Log("no SSE2 kernel on this build; testing the Go row only")
+		return
+	}
+	useSSE2 = true
+	t.Run("asm", fn)
+}

@@ -250,11 +250,7 @@ func (f *Frame) Downscale(factor int) *Frame {
 		for y := 0; y < h; y++ {
 			r0 := f.Pix[2*y*f.W : 2*y*f.W+2*w]
 			r1 := f.Pix[(2*y+1)*f.W : (2*y+1)*f.W+2*w]
-			o := out.Pix[y*w : y*w+w]
-			for x := range o {
-				s := uint(r0[2*x]) + uint(r0[2*x+1]) + uint(r1[2*x]) + uint(r1[2*x+1])
-				o[x] = uint8((s + 2) >> 2) // (2s+4)/8
-			}
+			halveRow(out.Pix[y*w:y*w+w], r0, r1)
 		}
 		return out
 	}
@@ -273,6 +269,32 @@ func (f *Frame) Downscale(factor int) *Frame {
 		}
 	}
 	return out
+}
+
+// useSSE2 selects Downscale(2)'s SSE2 row kernel. SSE2 is baseline amd64,
+// so init (resize_amd64.go) sets it there without a probe; it is a flag
+// rather than a function value, as in the codec.
+var useSSE2 bool
+
+// halveRow writes the 2x2 box means of source rows r0 and r1 into o: the
+// SSE2 kernel over the first len(o) &^ 15 outputs when useSSE2, the Go twin
+// over the rest. r0 and r1 hold at least 2·len(o) bytes each.
+func halveRow(o, r0, r1 []uint8) {
+	x0 := 0
+	if useSSE2 {
+		x0 = len(o) &^ 15
+		halveSSE2(o[:x0], r0, r1)
+	}
+	halveRowGo(o, r0, r1, x0)
+}
+
+// halveRowGo is halveRow in Go over o[x0:].
+func halveRowGo(o, r0, r1 []uint8, x0 int) {
+	r0, r1 = r0[:2*len(o)], r1[:2*len(o)]
+	for x := x0; x < len(o); x++ {
+		s := uint(r0[2*x]) + uint(r0[2*x+1]) + uint(r1[2*x]) + uint(r1[2*x+1])
+		o[x] = uint8((s + 2) >> 2) // (2s+4)/8
+	}
 }
 
 // GridCell identifies one cell of the non-overlapping patch grid laid over a

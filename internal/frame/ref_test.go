@@ -162,12 +162,17 @@ func downscaleRef(f *Frame, factor int) *Frame {
 	return out
 }
 
-// TestDownscaleMatchesRef pins the integer Downscale to the float oracle.
-// The identity clamp8(s/n) == (2s+n)/(2n) is checked for every block sum at
-// factors 2-8; Downscale itself is checked on a frame holding one block of
-// every sum at factors 2-4 (the factor-2 fast path and the general loop),
-// and on random frames whose sides are not multiples of the factor.
+// TestDownscaleMatchesRef pins the integer Downscale to the float oracle,
+// under each Downscale(2) row kernel. The identity clamp8(s/n) ==
+// (2s+n)/(2n) is checked for every block sum at factors 2-8; Downscale
+// itself is checked on a frame holding one block of every sum at factors
+// 2-4 (the factor-2 row kernel and the general loop), and on random frames
+// whose sides are not multiples of the factor.
 func TestDownscaleMatchesRef(t *testing.T) {
+	forEachHalveKernel(t, testDownscaleMatchesRef)
+}
+
+func testDownscaleMatchesRef(t *testing.T) {
 	for factor := 2; factor <= 8; factor++ {
 		n := factor * factor
 		for s := 0; s <= 255*n; s++ {
@@ -200,4 +205,59 @@ func TestDownscaleMatchesRef(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHalveRowMatchesRef holds halveRow, under each Downscale(2) row kernel,
+// to the seed's float box mean of each 2x2 block: rows of every width 0-40
+// (every remainder of the kernel's 16 outputs, none, one and two whole
+// chunks) from four offsets into the source rows, whose blocks run through
+// every sum 0-1020 and then random bytes. No byte past the output row may
+// be written.
+func TestHalveRowMatchesRef(t *testing.T) {
+	const n = 1024
+	r0, r1 := make([]uint8, 2*n+8), make([]uint8, 2*n+8)
+	for s := 0; s <= 1020; s++ { // block s sums to s, its taps as equal as they go
+		for i := 0; i < 4; i++ {
+			v := uint8((s + i) / 4)
+			if i < 2 {
+				r0[2*s+i] = v
+			} else {
+				r1[2*s+i-2] = v
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 2 * 1021; i < len(r0); i++ {
+		r0[i], r1[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
+	}
+	forEachHalveKernel(t, func(t *testing.T) {
+		check := func(lo, w int) {
+			buf := make([]uint8, w+16)
+			for i := range buf {
+				buf[i] = 0xa5
+			}
+			halveRow(buf[:w], r0[2*lo:2*(lo+w)], r1[2*lo:2*(lo+w)])
+			for x := 0; x < w; x++ {
+				j := 2 * (lo + x)
+				sum := float64(r0[j]) + float64(r0[j+1]) + float64(r1[j]) + float64(r1[j+1])
+				if want := clamp8(float64(sum / 4)); buf[x] != want {
+					t.Fatalf("block %d of a %d-wide row: %d, want %d", lo+x, w, buf[x], want)
+				}
+			}
+			for i, b := range buf[w:] {
+				if b != 0xa5 {
+					t.Fatalf("a %d-wide row from block %d wrote byte %d past its end", w, lo, i)
+				}
+			}
+		}
+		for lo := 0; lo < 4; lo++ {
+			for w := 0; w <= 40; w++ {
+				check(lo, w)
+			}
+		}
+		for lo := 0; lo+40 <= n; lo += 40 {
+			check(lo, 40)
+		}
+		check(0, n)
+	})
 }

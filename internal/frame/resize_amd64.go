@@ -21,8 +21,16 @@ func hlerpAVX2(row []uint8, src []float64, x0, x1 []int32, omfx, fx, dst []float
 //go:noescape
 func vlerpAVX2(top, bot []float64, omfy, fy float64, dst []uint8)
 
-// The resize row kernels are chosen once, from the module's one AVX2 probe.
+// halveSSE2 is halveRowGo in SSE2 over len(o) &^ 15 outputs, 16 per step.
+// r0 and r1 must each hold at least 2·len(o) bytes.
+//
+//go:noescape
+func halveSSE2(o, r0, r1 []uint8)
+
+// The resize row kernels are chosen once, from the module's one AVX2 probe;
+// Downscale's SSE2 kernel needs no probe.
 func init() {
+	useSSE2 = true
 	if cpu.AVX2 {
 		hlerpRow, vlerpRow = hlerpAVX2, vlerpAVX2
 	}

@@ -2,10 +2,10 @@ package vidgen
 
 // Per-pixel reference renderer: the ground truth the table-driven FrameAt is
 // differentially tested against, pixel for pixel (TestFrameAtMatchesRef). It
-// is an oracle, not a renderer: nothing outside the tests can reach it.
-// Sprites are shared with FrameAt, which clips them at the HUD band's top
-// where the oracle draws them over every row; the texture/glyph/grain pixel
-// loop and the HUD band have two implementations.
+// is an oracle, not a renderer: nothing outside the tests can reach it. The
+// texture/glyph/grain pixel loop, the sprites and the HUD band each have two
+// implementations; FrameAt clips the sprites at the HUD band's top, where
+// the oracle draws them over every row and the band over them.
 
 import (
 	"fmt"
@@ -116,11 +116,63 @@ func frameAtRef(s *Source, t float64) *frame.Frame {
 		}
 	}
 
-	s.drawSprites(f, sc, t, s.H) // over every row, HUD band included
+	drawSpritesRef(s, f, sc, t, s.H) // over every row, HUD band included
 	if p.HUD {
 		drawHUDRef(s, f)
 	}
 	return f
+}
+
+// valueNoise evaluates smoothed lattice value noise at (x, y) for stream id:
+// four lattice hashes and two math.Floor per call.
+func valueNoise(x, y float64, id uint64) float64 {
+	x0, y0 := math.Floor(x), math.Floor(y)
+	fx, fy := float64(smoothstep(x-x0)), float64(smoothstep(y-y0))
+	ix, iy := int64(x0), int64(y0)
+	v00 := hash01(ix, iy, id)
+	v10 := hash01(ix+1, iy, id)
+	v01 := hash01(ix, iy+1, id)
+	v11 := hash01(ix+1, iy+1, id)
+	top := float64(v00*(1-fx)) + float64(v10*fx)
+	bot := float64(v01*(1-fx)) + float64(v11*fx)
+	return float64(top*(1-fy)) + float64(bot*fy)
+}
+
+// drawSpritesRef is the seed drawSprites, kept verbatim: every body pixel
+// evaluates valueNoise from scratch.
+func drawSpritesRef(s *Source, f *frame.Frame, sc scene, t float64, top int) {
+	p := s.P
+	for i := 0; i < p.Sprites; i++ {
+		id := sc.seed ^ uint64(i+1)*0x9e3779b9
+		w := int(float64(s.W) * (0.04 + float64(0.08*hash01(int64(i), 11, id))))
+		h := int(float64(s.H) * (0.05 + float64(0.1*hash01(int64(i), 12, id))))
+		// Lissajous-style trajectories, speed tied to category motion.
+		sp := (0.2 + hash01(int64(i), 13, id)) * p.Motion / 100
+		phx := float64(hash01(int64(i), 14, id) * 2 * math.Pi)
+		phy := float64(hash01(int64(i), 15, id) * 2 * math.Pi)
+		cx := (0.5 + float64(0.45*math.Sin(float64(sp*t)+phx))) * float64(s.W)
+		cy := (0.5 + float64(0.42*math.Sin(float64(sp*t*1.3)+phy))) * float64(s.H)
+		lum := uint8(40 + float64(180*hash01(int64(i), 16, id)))
+		x0, y0 := int(cx)-w/2, int(cy)-h/2
+		for y := y0; y < y0+h; y++ {
+			if y < 0 || y >= top {
+				continue
+			}
+			row := f.Pix[y*s.W:]
+			for x := x0; x < x0+w; x++ {
+				if x < 0 || x >= s.W {
+					continue
+				}
+				// Textured sprite body with a bright 1-px outline.
+				if y == y0 || y == y0+h-1 || x == x0 || x == x0+w-1 {
+					row[x] = 235
+				} else {
+					n := valueNoise(float64(x)/7, float64(y)/7, id)
+					row[x] = uint8(float64(lum) * (0.6 + float64(0.4*n)))
+				}
+			}
+		}
+	}
 }
 
 // drawHUDRef is the seed drawHUD, kept verbatim: the block and its parity
@@ -167,9 +219,17 @@ func diffFrames(t *testing.T, name string, got, want *frame.Frame) {
 // kernel renders whole quads, the Go twin the rest) down to one narrower
 // than a quad, and times that land in the first scene, late scenes and past
 // the horizon.
+//
+// Sprites are held to the seed drawSprites (drawSpritesRef) at the times,
+// found by a scan of the seed's sprite geometry, where one straddles the
+// frame's left or right edge or the HUD band's top, or touches row 0: a
+// sprite centre stays 0.08 of the height from the top and bottom edges and
+// its half height is at most 0.075 of it, so none reaches above row 0 (or
+// below the last row).
 func TestFrameAtMatchesRef(t *testing.T) {
 	dims := [][2]int{{96, 54}, {101, 77}, {384, 216}, {768, 432}, {3, 2}, {6, 5}, {103, 59}}
 	times := []float64{0, 0.1, 3.37, 29.9, 120.5, 250}
+	edges := spriteEdgeTimes(t, [][2]int{{96, 54}, {384, 216}, {103, 59}})
 	forEachPixKernels(t, func(t *testing.T) {
 		for _, cat := range Categories() {
 			for _, d := range dims {
@@ -179,7 +239,105 @@ func TestFrameAtMatchesRef(t *testing.T) {
 				}
 			}
 		}
+		for _, e := range edges {
+			diffFrames(t, fmt.Sprintf("%v %dx%d at %v, a sprite on the %s", e.s.Cat, e.s.W, e.s.H, e.t, e.edge),
+				e.s.FrameAt(e.t), frameAtRef(e.s, e.t))
+		}
 	})
+}
+
+// TestSpriteNoiseMatchesValueNoise holds a sprite body's table-driven noise
+// to valueNoise(float64(x)/7, float64(y)/7, id) bit for bit, before any
+// rounding to a byte could hide a last-bit slip: a column computed as
+// x·(1/7) instead of x/7 differs at a third of all x, and one of the
+// frame oracle's bytes seldom shows it.
+func TestSpriteNoiseMatchesValueNoise(t *testing.T) {
+	var o octave
+	for _, c := range [][2]int{{0, 1}, {0, 46}, {3, 17}, {6, 8}, {100, 147}, {377, 383}, {1000, 1063}} {
+		for _, id := range []uint64{1, 0x9e3779b9, 1 << 63} {
+			o.sprite(c[0], c[1], id)
+			for _, ys := range [][2]int{{0, 40}, {96, 110}, {300, 301}} {
+				for y := ys[0]; y < ys[1]; y++ {
+					wy, omy := o.lattice(float64(y) / 7)
+					for j := range c[1] - c[0] {
+						x := c[0] + j
+						got := float64(o.top[j]*omy) + float64(o.bot[j]*wy)
+						if want := valueNoise(float64(x)/7, float64(y)/7, id); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("id %#x, columns [%d,%d): noise at (%d,%d) = %v, valueNoise %v", id, c[0], c[1], x, y, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// spriteEdge is a frame in which a sprite lies across edge.
+type spriteEdge struct {
+	s    *Source
+	t    float64
+	edge string
+}
+
+// spriteEdgeTimes scans t = 0, 0.05, ... 100 s of every category at each
+// size for the first frame in which some sprite of at least 3x3 pixels (so
+// with a body) crosses each edge, and fails the test if an edge is crossed
+// in none of them.
+func spriteEdgeTimes(t *testing.T, dims [][2]int) []spriteEdge {
+	var out []spriteEdge
+	seen := map[string]bool{}
+	for _, cat := range Categories() {
+		for _, d := range dims {
+			s := NewSource(cat, d[0], d[1], 17, 200)
+			hud := s.hudTop()
+			first := map[string]bool{}
+			for k := 0; k <= 2000; k++ {
+				tm := float64(k) * 0.05
+				sc, _ := s.sceneAt(tm)
+				for i := 0; i < s.P.Sprites; i++ {
+					x0, y0, w, h := spriteBox(s, sc, i, tm)
+					if w < 3 || h < 3 {
+						continue
+					}
+					for _, e := range []struct {
+						edge string
+						on   bool
+					}{
+						{"left", x0 < 0 && x0+w > 0},
+						{"right", x0 < s.W && x0+w > s.W},
+						{"top row", y0 == 0},
+						{"HUD top", hud < s.H && y0 < hud && y0+h > hud},
+					} {
+						if e.on && !first[e.edge] {
+							first[e.edge], seen[e.edge] = true, true
+							out = append(out, spriteEdge{s, tm, e.edge})
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, edge := range []string{"left", "right", "top row", "HUD top"} {
+		if !seen[edge] {
+			t.Fatalf("no sprite crosses the %s in the scan", edge)
+		}
+	}
+	return out
+}
+
+// spriteBox is the outline box of sprite i of scene sc at time t, placed by
+// drawSpritesRef's expressions.
+func spriteBox(s *Source, sc scene, i int, t float64) (x0, y0, w, h int) {
+	p := s.P
+	id := sc.seed ^ uint64(i+1)*0x9e3779b9
+	w = int(float64(s.W) * (0.04 + float64(0.08*hash01(int64(i), 11, id))))
+	h = int(float64(s.H) * (0.05 + float64(0.1*hash01(int64(i), 12, id))))
+	sp := (0.2 + hash01(int64(i), 13, id)) * p.Motion / 100
+	phx := float64(hash01(int64(i), 14, id) * 2 * math.Pi)
+	phy := float64(hash01(int64(i), 15, id) * 2 * math.Pi)
+	cx := (0.5 + float64(0.45*math.Sin(float64(sp*t)+phx))) * float64(s.W)
+	cy := (0.5 + float64(0.42*math.Sin(float64(sp*t*1.3)+phy))) * float64(s.H)
+	return int(cx) - w/2, int(cy) - h/2, w, h
 }
 
 // pixelRef is frameAtRef's per-pixel arithmetic from the octave lattice

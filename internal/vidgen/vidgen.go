@@ -148,26 +148,19 @@ func splitMix64(x uint64) uint64 {
 }
 
 // hash01 maps an integer lattice point (plus a stream id) to [0,1).
-func hash01(x, y int64, id uint64) float64 {
-	h := splitMix64(uint64(x)*0x9e3779b97f4a7c15 ^ uint64(y)*0xc2b2ae3d27d4eb4f ^ id)
+func hash01(x, y int64, id uint64) float64 { return hashAt(x, rowKey(y, id)) }
+
+// rowKey is the part of hash01's input that depends on the lattice row y
+// and the stream id only, so a loop along one row computes it once.
+func rowKey(y int64, id uint64) uint64 { return uint64(y)*0xc2b2ae3d27d4eb4f ^ id }
+
+// hashAt is hash01 at column x of the row whose rowKey is k.
+func hashAt(x int64, k uint64) float64 {
+	h := splitMix64(uint64(x)*0x9e3779b97f4a7c15 ^ k)
 	return float64(float64(h>>11) / float64(1<<53))
 }
 
 func smoothstep(t float64) float64 { return t * t * (3 - float64(2*t)) }
-
-// valueNoise evaluates smoothed lattice value noise at (x, y) for stream id.
-func valueNoise(x, y float64, id uint64) float64 {
-	x0, y0 := math.Floor(x), math.Floor(y)
-	fx, fy := float64(smoothstep(x-x0)), float64(smoothstep(y-y0))
-	ix, iy := int64(x0), int64(y0)
-	v00 := hash01(ix, iy, id)
-	v10 := hash01(ix+1, iy, id)
-	v01 := hash01(ix, iy+1, id)
-	v11 := hash01(ix+1, iy+1, id)
-	top := float64(v00*(1-fx)) + float64(v10*fx)
-	bot := float64(v01*(1-fx)) + float64(v11*fx)
-	return float64(top*(1-fy)) + float64(bot*fy)
-}
 
 // scene describes one continuous shot between two scene changes.
 type scene struct {
@@ -300,11 +293,31 @@ func (o *octave) init(w int, offX, inv float64, id uint64) {
 	}
 }
 
+// sprite sets o up for pixel columns xa to xb-1 of a sprite body, whose
+// noise is valueNoise(float64(x)/7, float64(y)/7, id): the lattice column
+// is float64(x)/7 as there, not a product with a reciprocal, which would
+// round differently. Read its rows through lattice, at float64(y)/7.
+func (o *octave) sprite(xa, xb int, id uint64) {
+	n := xb - xa
+	o.id, o.valid = id, false
+	o.ix, o.wx, o.omx = grow(o.ix, n), grow(o.wx, n), grow(o.omx, n)
+	o.top, o.bot = grow(o.top, n), grow(o.bot, n)
+	for j := range o.ix {
+		fx := float64(xa+j) / 7
+		x0 := math.Floor(fx)
+		f := float64(smoothstep(fx - x0))
+		o.ix[j], o.wx[j], o.omx[j] = int64(x0), f, 1-f
+	}
+}
+
 // row moves the octave to pixel-row coordinate fy and returns the y weights.
-// Consecutive pixel rows share a lattice row or step to the next one at all
-// but the smallest canvases, so most calls hash nothing or one row.
-func (o *octave) row(fy float64) (wy, omy float64) {
-	fy *= o.inv
+func (o *octave) row(fy float64) (wy, omy float64) { return o.lattice(fy * o.inv) }
+
+// lattice moves the octave to lattice-row coordinate fy and returns the y
+// weights. Consecutive pixel rows share a lattice row or step to the next
+// one at all but the smallest canvases, so most calls hash nothing or one
+// row.
+func (o *octave) lattice(fy float64) (wy, omy float64) {
 	y0 := math.Floor(fy)
 	wy = float64(smoothstep(float64(fy) - y0))
 	switch iy := int64(y0); {
@@ -325,13 +338,14 @@ func (o *octave) row(fy float64) (wy, omy float64) {
 // point once however many pixel columns it spans.
 func (o *octave) fill(dst []float64, iy int64) {
 	var v0, v1 float64
+	k := rowKey(iy, o.id)
 	for x, ix := range o.ix {
 		switch {
 		case x > 0 && ix == o.ix[x-1]:
 		case x > 0 && ix == o.ix[x-1]+1:
-			v0, v1 = v1, hash01(ix+1, iy, o.id)
+			v0, v1 = v1, hashAt(ix+1, k)
 		default:
-			v0, v1 = hash01(ix, iy, o.id), hash01(ix+1, iy, o.id)
+			v0, v1 = hashAt(ix, k), hashAt(ix+1, k)
 		}
 		dst[x] = float64(v0*o.omx[x]) + float64(v1*o.wx[x])
 	}
@@ -362,6 +376,7 @@ func styleBits(hbar, vbar, dot bool) (m uint8) {
 // Source, which stays immutable and safe for concurrent FrameAt calls.
 type renderScratch struct {
 	oct   [3]octave
+	spr   octave  // the current sprite body's noise tables
 	cell  []int64 // glyph-lattice column of each pixel column
 	colOn []uint8 // styles whose x extent covers the column
 	on    []uint8 // colOn masked by the style of the column's glyph on the current glyph row
@@ -561,7 +576,7 @@ func (s *Source) FrameAt(t float64) *frame.Frame {
 		pixRow(f.Pix[y*w:][:w], rs.on, o1.top, o1.bot, o2.top, o2.bot, oG.top, oG.bot, k)
 	}
 
-	s.drawSprites(f, sc, t, top)
+	s.drawSprites(f, sc, t, top, &rs.spr)
 	if top < s.H {
 		s.drawHUD(f, top)
 	}
@@ -579,8 +594,11 @@ func (s *Source) hudTop() int {
 
 // drawSprites overlays moving high-contrast objects (players, the streamer's
 // webcam, a ball...) on the rows above top. Their count and speed follow the
-// category profile.
-func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64, top int) {
+// category profile. A sprite's body is value noise at a fixed 1/7 scale,
+// read through o's column and lattice-row tables as the texture octaves
+// are: every float expression is valueNoise's, so the bytes are those of
+// the per-pixel seed kept in ref_test.go.
+func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64, top int, o *octave) {
 	p := s.P
 	for i := 0; i < p.Sprites; i++ {
 		id := sc.seed ^ uint64(i+1)*0x9e3779b9
@@ -593,23 +611,41 @@ func (s *Source) drawSprites(f *frame.Frame, sc scene, t float64, top int) {
 		cx := (0.5 + float64(0.45*math.Sin(float64(sp*t)+phx))) * float64(s.W)
 		cy := (0.5 + float64(0.42*math.Sin(float64(sp*t*1.3)+phy))) * float64(s.H)
 		lum := uint8(40 + float64(180*hash01(int64(i), 16, id)))
+		// The outline is columns x0 and x1 and rows y0 and y1; the body is
+		// what lies inside it. Both are clipped to the frame above top.
 		x0, y0 := int(cx)-w/2, int(cy)-h/2
-		for y := y0; y < y0+h; y++ {
-			if y < 0 || y >= top {
+		x1, y1 := x0+w-1, y0+h-1
+		xa, xb := max(x0, 0), min(x1+1, s.W)
+		if xa >= xb {
+			continue
+		}
+		ba, bb := max(x0+1, 0), min(x1, s.W) // body columns
+		if ba < bb {
+			o.sprite(ba, bb, id)
+		}
+		for y := max(y0, 0); y < min(y1+1, top); y++ {
+			row := f.Pix[y*s.W:][:s.W]
+			if y == y0 || y == y1 {
+				for x := xa; x < xb; x++ {
+					row[x] = 235
+				}
 				continue
 			}
-			row := f.Pix[y*s.W:]
-			for x := x0; x < x0+w; x++ {
-				if x < 0 || x >= s.W {
-					continue
-				}
-				// Textured sprite body with a bright 1-px outline.
-				if y == y0 || y == y0+h-1 || x == x0 || x == x0+w-1 {
-					row[x] = 235
-				} else {
-					n := valueNoise(float64(x)/7, float64(y)/7, id)
-					row[x] = uint8(float64(lum) * (0.6 + float64(0.4*n)))
-				}
+			if x0 >= 0 {
+				row[x0] = 235
+			}
+			if x1 < s.W {
+				row[x1] = 235
+			}
+			if ba >= bb {
+				continue
+			}
+			wy, omy := o.lattice(float64(y) / 7)
+			body := row[ba:bb]
+			tr, br := o.top[:len(body)], o.bot[:len(body)]
+			for j := range body {
+				n := float64(tr[j]*omy) + float64(br[j]*wy)
+				body[j] = uint8(float64(lum) * (0.6 + float64(0.4*n)))
 			}
 		}
 	}

@@ -11,20 +11,22 @@
 #                         the telemetry lock pair by name, the replay and
 #                         join pins by name (the gcc delay-fold replay,
 #                         QueuedConn's and Pool's Close joins, RunContext's
-#                         camera join, whole-Results session determinism),
+#                         camera join and the camera's bounded queue,
+#                         whole-Results session determinism),
 #                         short tests,
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests (PSNR's integer
 #                         sum included), the codec's bordered reference,
-#                         block kernels and the vidgen pixel row's Go
-#                         twin by name, the wire format
+#                         block kernels, the vidgen pixel row's Go twin, the
+#                         table-driven sprites and Downscale's row kernel
+#                         by name, the wire format
 #                         pin, the playlist format pin (with the event-heap
 #                         oracle and WireSize = frame length), the link
 #                         model pin (netem.Link and SimConn against their
 #                         seed oracles), the media server pin (hostile
 #                         patches, one socket session), the sr
 #                         inference differentials (the f32 edge tiles'
-#                         and the integer Downscale's included) and the arena ownership
+#                         included) and the arena ownership
 #                         contract by name, the experiment harness pins (the
 #                         offline-study and swept-figure goldens, session
 #                         figures honouring cancellation) by name, parallel
@@ -179,11 +181,9 @@ pin_tests() {
 # same GEMM, the vector requant on misaligned rows, and the int8 paths on
 # odd frame sizes with and without it. The bilinear skip and the sub-pixel
 # residual add are pinned to their seed loops (NaN/±Inf residuals, every
-# lane remainder) under each row-kernel set the host can run, and the
-# integer Downscale to the seed's float box average (every block sum at
-# factors 2-4, odd frame sides). The top-level tests cover the vector
-# kernels where the CPU has them, and the /go subtests name the Go twins,
-# so a twin is checked on every host.
+# lane remainder) under each row-kernel set the host can run. The
+# top-level tests cover the vector kernels where the CPU has them, and the
+# /go subtests name the Go twins, so a twin is checked on every host.
 sr_inference_pin() {
     pin_tests ./internal/sr TestSuperResolveMatchesRef \
         TestAddResidualMatchesRef TestAddResidualMatchesRef/go &&
@@ -191,8 +191,7 @@ sr_inference_pin() {
             TestBorderedBlockMatchesIm2col TestConvKernelVariantsMatch \
             TestEdgeTilesMatchRef TestEdgeTilesMatchRef/go \
             TestRequantReLUVecMatchesGo TestQuantOddFrameSizes &&
-        pin_tests ./internal/frame TestResizeBilinearMatchesRef TestResizeBilinearMatchesRef/go \
-            TestDownscaleMatchesRef
+        pin_tests ./internal/frame TestResizeBilinearMatchesRef TestResizeBilinearMatchesRef/go
 }
 
 # The codec's differentials, then FrameAt's (DESIGN.md "Session hot path"),
@@ -202,14 +201,21 @@ sr_inference_pin() {
 # against the clamped per-pixel oracle), the intra cost, the motion search
 # with its skipped repeats against the seed search, and the block kernels
 # (reconstruction with residuals past ±2^31, the quantiser at its rounding
-# edges, the inter residual), each under every codec kernel set; then the
-# frame oracle and the pixel-row differential (posterise ties, -0
+# edges, the inter residual), each under every codec kernel set, and the
+# signed Golomb code at the edges of int32; then the frame oracle (the
+# table-driven sprites against the seed's per-pixel sprites, at times a
+# sprite crosses the frame's left and right edges, row 0 and the HUD
+# band's top), the sprite body's noise tables against valueNoise bit for
+# bit, and the pixel-row differential (posterise ties, -0
 # quotients, the glyph toggle at 127, both clamps, every lane remainder)
-# under each pixel-row kernel set the host can run; then PSNR's integer sum against the seed float loop (every
-# window of a small frame, a 4K all-0 against all-255 frame). The top-level
-# tests cover the vector kernels where the CPU has them, and the /go
-# subtests name the Go twins, so a rename cannot drop a twin's check on a
-# host with the kernels.
+# under each pixel-row kernel set the host can run; then the camera's
+# Downscale(2) row kernel against the seed's float box average (every
+# block sum 0-1020, every remainder of its 16 outputs; whole frames at
+# factors 2-4 with odd sides); then PSNR's integer sum against the seed
+# float loop (every window of a small frame, a 4K all-0 against all-255
+# frame). The top-level tests cover the vector kernels where the CPU has
+# them, and the /go subtests name the Go twins, so a rename cannot drop a
+# twin's check on a host with the kernels.
 codec_vidgen_differential() {
     pin_tests ./internal/codec TestQuantTableMatchesPow TestDCTMatchesRef TestDCTMatchesRef/go \
         TestEncodeBitstreamMatchesRef TestEncodeBitstreamMatchesRef/go \
@@ -217,9 +223,11 @@ codec_vidgen_differential() {
         TestSearchMotionMatchesRef TestSearchMotionMatchesRef/go \
         TestReconstructMatchesRef TestReconstructMatchesRef/go \
         TestQuantiseMatchesRef TestQuantiseMatchesRef/go \
-        TestResidualMatchesRef TestResidualMatchesRef/go &&
+        TestResidualMatchesRef TestResidualMatchesRef/go TestSEEveryInt32Edge &&
         pin_tests ./internal/vidgen TestFrameAtMatchesRef TestFrameAtMatchesRef/go \
-            TestPixRowMatchesGo TestPixRowMatchesGo/go &&
+            TestPixRowMatchesGo TestPixRowMatchesGo/go TestSpriteNoiseMatchesValueNoise &&
+        pin_tests ./internal/frame TestDownscaleMatchesRef TestDownscaleMatchesRef/go \
+            TestHalveRowMatchesRef TestHalveRowMatchesRef/go &&
         pin_tests ./internal/metrics TestMSEMatchesRef TestMSEMatchesRef/go
 }
 
@@ -299,14 +307,16 @@ media_server_pin() {
 # order fails it), QueuedConn's and Pool's Close back at their goroutine
 # baseline, RunContext back at its baseline after a session cancelled at
 # each of a spread of event boundaries (the first and the last included)
-# and after one that completes (the client's camera goroutine joined), and
-# three runs of a lossy two-GPU LiveNAS session, one of them on one core,
-# encoding to the same Results bytes. All five take under 4 s.
+# and after one that completes (the client's camera goroutine joined), the
+# camera rendering no further than cameraDepth captures ahead of a stalled
+# session nor past the session's end, and joined while it waits on a full
+# queue, and three runs of a lossy two-GPU LiveNAS session, one of them on
+# one core, encoding to the same Results bytes. All six take under 4 s.
 replay_join_pins() {
     pin_tests ./internal/gcc TestObserveDelaysReplayBitExact &&
         pin_tests ./internal/transport TestQueuedConnCloseJoinsWriter &&
         pin_tests ./internal/nn TestPoolCloseJoinsWorkers &&
-        pin_tests ./internal/core TestDeterministicRuns TestRunContextJoinsCamera
+        pin_tests ./internal/core TestDeterministicRuns TestRunContextJoinsCamera TestCameraBoundedAhead
 }
 
 # A default-less switch, lock-then-defer and checked writes (DESIGN.md
