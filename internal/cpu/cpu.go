@@ -1,8 +1,9 @@
 // Package cpu holds the one CPU-feature probe of the module. The vector
 // kernels of internal/nn and internal/frame, the residual row of
 // internal/sr, the 8x8 transforms and block kernels of internal/codec and
-// the pixel row of internal/vidgen are chosen once, at init, from AVX2; no
-// flag, env var or build tag overrides it. (codec's SAD kernels and
+// the pixel row of internal/vidgen are chosen once, at init, from AVX2;
+// vidgen's pixel row and lattice rows take AVX-512 where the host has it.
+// No flag, env var or build tag overrides either. (codec's SAD kernels and
 // metrics' sum of squared differences are SSE2, baseline amd64, and need
 // no probe.)
 package cpu
@@ -16,4 +17,8 @@ package cpu
 // no FMA (int8 accumulation is exact integer arithmetic and agrees by
 // construction; vidgen's math.Round is an exact truncate-and-select, see
 // DESIGN.md "Session hot path").
-var AVX2 = hasAVX2()
+//
+// AVX512 reports AVX-512 F, DQ, BW and VL usable: CPU support plus
+// OS-enabled opmask and ZMM state, on top of AVX2. It is false wherever
+// AVX2 is false, and its kernels keep the same contract.
+var AVX2, AVX512 = probe()

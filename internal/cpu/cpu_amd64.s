@@ -1,7 +1,7 @@
 //go:build amd64 && !purego
 
-// CPU feature detection for the kernel choice nn, frame, sr and codec make
-// at init (cpu_amd64.go).
+// CPU feature detection for the kernel choice nn, frame, sr, codec and
+// vidgen make at init (cpu_amd64.go).
 
 #include "textflag.h"
 

@@ -2,6 +2,6 @@
 
 package cpu
 
-// hasAVX2 is false off amd64 and under purego: those builds run the Go
-// twins of every vector kernel.
-func hasAVX2() bool { return false }
+// probe reports neither off amd64 and under purego: those builds run the
+// Go twins of every vector kernel.
+func probe() (avx2, avx512 bool) { return false, false }

@@ -7,27 +7,20 @@ import (
 )
 
 // forEachRowKernels runs fn as one subtest per resize row-kernel set this
-// host can execute, with that set installed: the Go loops always ("go"),
-// the AVX2 kernels when cpu.AVX2 ("avx2"). The installed set is restored
+// host can execute, with that set selected: the Go loops always ("go"),
+// the AVX2 kernels when cpu.AVX2 ("avx2"). The selection is restored
 // afterwards, so the Go twins are tested on AVX2 hosts as well.
 func forEachRowKernels(t *testing.T, fn func(t *testing.T)) {
-	type rowKernels struct {
-		name string
-		h    func(row []uint8, src []float64, x0, x1 []int32, omfx, fx, dst []float64)
-		v    func(top, bot []float64, omfy, fy float64, dst []uint8)
-	}
-	sets := []rowKernels{{"go", hlerpGo, vlerpGo}}
-	if cpu.AVX2 {
-		sets = append(sets, rowKernels{"avx2", hlerpAVX2, vlerpAVX2})
-	} else {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	useAVX2 = false
+	t.Run("go", fn)
+	if !cpu.AVX2 {
 		t.Log("no AVX2 on this build or host; testing the Go row kernels only")
+		return
 	}
-	savedH, savedV := hlerpRow, vlerpRow
-	defer func() { hlerpRow, vlerpRow = savedH, savedV }()
-	for _, k := range sets {
-		hlerpRow, vlerpRow = k.h, k.v
-		t.Run(k.name, fn)
-	}
+	useAVX2 = true
+	t.Run("avx2", fn)
 }
 
 // forEachHalveKernel runs fn as one subtest per Downscale(2) row kernel this

@@ -159,12 +159,32 @@ func (t *resizeTabs) hlerp(f *Frame, sy, keep int) int {
 	return slot
 }
 
-// hlerpRow and vlerpRow are ResizeBilinearRows' two row kernels: the Go
-// loops below, or the AVX2 kernels the amd64 init installs once when
-// cpu.AVX2 (resize_amd64.go). Both forms perform the same float64
-// operations per pixel in the same order, with no FMA, so the choice
-// cannot change a byte.
-var hlerpRow, vlerpRow = hlerpGo, vlerpGo
+// useAVX2 selects ResizeBilinearRows' AVX2 row kernels; the amd64 init
+// sets it once from cpu.AVX2 (resize_amd64.go). The AVX2 kernels perform
+// the Go loops' float64 operations per pixel in the same order, with no
+// FMA, so the choice cannot change a byte. It is a flag, like useSSE2,
+// not a function value: hlerpRow and vlerpRow are direct calls.
+var useAVX2 bool
+
+// hlerpRow is ResizeBilinearRows' horizontal row kernel: hlerpAVX2 when
+// useAVX2, else hlerpGo.
+func hlerpRow(row []uint8, src []float64, x0, x1 []int32, omfx, fx, dst []float64) {
+	if useAVX2 {
+		hlerpAVX2(row, src, x0, x1, omfx, fx, dst)
+		return
+	}
+	hlerpGo(row, src, x0, x1, omfx, fx, dst)
+}
+
+// vlerpRow is ResizeBilinearRows' vertical row kernel: vlerpAVX2 when
+// useAVX2, else vlerpGo.
+func vlerpRow(top, bot []float64, omfy, fy float64, dst []uint8) {
+	if useAVX2 {
+		vlerpAVX2(top, bot, omfy, fy, dst)
+		return
+	}
+	vlerpGo(top, bot, omfy, fy, dst)
+}
 
 // hlerpGo is the horizontal lerp of one source row at every output column:
 // dst[x] = float64(row[x0[x]])*omfx[x] + float64(row[x1[x]])*fx[x], where

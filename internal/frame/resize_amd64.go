@@ -31,7 +31,5 @@ func halveSSE2(o, r0, r1 []uint8)
 // Downscale's SSE2 kernel needs no probe.
 func init() {
 	useSSE2 = true
-	if cpu.AVX2 {
-		hlerpRow, vlerpRow = hlerpAVX2, vlerpAVX2
-	}
+	useAVX2 = cpu.AVX2
 }

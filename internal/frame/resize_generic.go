@@ -4,7 +4,7 @@ package frame
 
 // The pure-Go twins of the AVX2 resize kernels and of Downscale's SSE2 kernel
 // are the Go row loops themselves; these builds never install anything else
-// (cpu.AVX2 and useSSE2 are false).
+// (useAVX2 and useSSE2 stay false).
 
 func hlerpAVX2(row []uint8, src []float64, x0, x1 []int32, omfx, fx, dst []float64) {
 	hlerpGo(row, src, x0, x1, omfx, fx, dst)

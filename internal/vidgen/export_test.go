@@ -1,31 +1,53 @@
 package vidgen
 
 import (
+	"slices"
 	"testing"
 
 	"livenas/internal/cpu"
 )
 
-// forEachPixKernels runs fn as one subtest per pixel-row kernel set this
-// host can execute, with that set installed: the Go twin always ("go"), the
-// AVX2 kernel when cpu.AVX2 ("asm"). The installed set is restored
-// afterwards, so the Go twin is tested on AVX2 hosts as well.
+// kernelSets are FrameAt's kernel sets, by the flags that install them:
+// the Go twins, the AVX2 pixel row with the Go lattice rows, and the
+// AVX-512 pixel row and lattice rows.
+var kernelSets = []struct {
+	name         string
+	ok           bool // this build and host can run it
+	avx2, avx512 bool
+}{
+	{"go", true, false, false},
+	{"avx2", cpu.AVX2, true, false},
+	{"avx512", cpu.AVX512, true, true},
+}
+
+// forEachPixKernels runs fn as one subtest per kernel set of FrameAt, with
+// that set installed ("go", "avx2" and "avx512"); a set the build or host
+// cannot run is a skipped subtest. The installed set is restored
+// afterwards, so the Go twins are tested on vector hosts as well.
 func forEachPixKernels(t *testing.T, fn func(t *testing.T)) {
-	type pixKernels struct {
-		name string
-		avx2 bool
-	}
-	sets := []pixKernels{{"go", false}}
-	if cpu.AVX2 {
-		sets = append(sets, pixKernels{"asm", true})
-	} else {
-		t.Log("no AVX2 on this build or host; testing the Go pixel row only")
-	}
-	saved := pixAVX2
-	defer func() { pixAVX2 = saved }()
-	for _, k := range sets {
-		pixAVX2 = k.avx2
-		t.Run(k.name, fn)
+	forEachKernelSet(t, fn, "go", "avx2", "avx512")
+}
+
+// forEachFillKernels is forEachPixKernels for the lattice rows, which have
+// two kernels: "go" and "avx512".
+func forEachFillKernels(t *testing.T, fn func(t *testing.T)) {
+	forEachKernelSet(t, fn, "go", "avx512")
+}
+
+func forEachKernelSet(t *testing.T, fn func(t *testing.T), names ...string) {
+	saved2, saved512 := pixAVX2, pixAVX512
+	defer func() { pixAVX2, pixAVX512 = saved2, saved512 }()
+	for _, k := range kernelSets {
+		if !slices.Contains(names, k.name) {
+			continue
+		}
+		pixAVX2, pixAVX512 = k.avx2, k.avx512
+		t.Run(k.name, func(t *testing.T) {
+			if !k.ok {
+				t.Skipf("no %s on this build or host", k.name)
+			}
+			fn(t)
+		})
 	}
 }
 

@@ -548,3 +548,105 @@ func TestFrameAtConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// fillRef is lattice row iy of o as the seed computed each point of it:
+// valueNoise's x-lerp of two hash01 lattice values, per pixel column.
+func fillRef(o *octave, iy int64) []float64 {
+	out := make([]float64, len(o.ix))
+	for x, ix := range o.ix {
+		v0, v1 := hash01(ix, iy, o.id), hash01(ix+1, iy, o.id)
+		out[x] = float64(v0*o.omx[x]) + float64(v1*o.wx[x])
+	}
+	return out
+}
+
+// TestLatticeFillMatchesRef holds octave.fill, under each of its kernels,
+// to the seed's per-point hash and lerp (fillRef) bit for bit: texture
+// octaves over negative lattice columns, cells from 0.3 of a pixel wide
+// (columns that skip lattice points) to over 64 pixels, at every width
+// remainder mod 8; sprite bodies (octave.sprite); and hand-built columns
+// near ±2^62 and at the top of int64, where column+1 wraps as it does in
+// hashAt. Each row is written into a buffer with guard entries past its
+// end, which must stay untouched. Under avx512 the cells at least half a
+// pixel wide must take the kernel (plan), so the test cannot pass on the
+// Go loop alone.
+func TestLatticeFillMatchesRef(t *testing.T) {
+	type layout struct {
+		name   string
+		o      *octave
+		kernel bool // fillAVX512 must run it under pixAVX512, or must not
+		either bool // either kernel may run it
+	}
+	var widths []int
+	for w := 0; w <= 17; w++ {
+		widths = append(widths, w)
+	}
+	widths = append(widths, 383, 384)
+	build := func() []layout {
+		var ls []layout
+		for _, w := range widths {
+			for _, c := range []struct {
+				offX, inv float64
+				kernel    bool
+			}{
+				{-517.25, 1 / 24.0, true},
+				{-3.5, 1 / 7.44, true},
+				{0, 1 / 64.5, true},
+				{12.75, 1 / 130.0, true},
+				{-40, 1.3, true},
+				{5.5, 1.9, true},
+				{0.5, 2.05, false},  // eight pixels need 16 or 17 lattice points
+				{-9.25, 3.3, false}, // over 17
+			} {
+				o := new(octave)
+				o.init(w, c.offX, c.inv, 0x51ed27^uint64(w))
+				either := !c.kernel && (w < 8 || c.inv < 3) // fewer pixels may span few enough
+				ls = append(ls, layout{fmt.Sprintf("init(%d, %v, %v)", w, c.offX, c.inv), o, c.kernel && w > 0, either})
+			}
+			for _, xa := range []int{0, 3, 97} {
+				o := new(octave)
+				o.sprite(xa, xa+w, 0x9e3779b9*uint64(xa+1))
+				ls = append(ls, layout{fmt.Sprintf("sprite(%d, %d)", xa, xa+w), o, w > 0, false})
+			}
+			// the last set's last column is MaxInt64, whose column+1 wraps
+			for _, base := range []int64{1 << 62, -1 << 62, math.MaxInt64 - int64(max(w-1, 0)*3/2)} {
+				o := new(octave)
+				o.id = uint64(base) ^ 7
+				for x := 0; x < w; x++ {
+					f := float64(x%5) / 5
+					o.ix = append(o.ix, base+int64(x*3/2))
+					o.wx, o.omx = append(o.wx, f), append(o.omx, 1-f)
+				}
+				o.top, o.bot = make([]float64, w), make([]float64, w)
+				o.plan()
+				ls = append(ls, layout{fmt.Sprintf("%d columns from %d", w, base), o, w > 0, false})
+			}
+		}
+		return ls
+	}
+	forEachFillKernels(t, func(t *testing.T) {
+		for _, l := range build() {
+			if pixAVX512 && !l.either && l.kernel != (l.o.nlat > 0) {
+				t.Fatalf("%s: plan chose the AVX-512 kernel %v, want %v", l.name, l.o.nlat > 0, l.kernel)
+			}
+			w := len(l.o.ix)
+			buf := make([]float64, w+9)
+			for _, iy := range []int64{-3, 0, 1, 41, 1 << 40} {
+				for i := range buf {
+					buf[i] = -7
+				}
+				l.o.fill(buf[:w], iy)
+				for x, want := range fillRef(l.o, iy) {
+					if got := buf[x]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, row %d: column %d = %v, oracle %v", l.name, iy, x, got, want)
+					}
+				}
+				for i, v := range buf[w:] {
+					if v != -7 {
+						t.Fatalf("%s, row %d: wrote entry %d past the row", l.name, iy, i)
+					}
+				}
+			}
+		}
+	})
+}

@@ -272,6 +272,11 @@ type octave struct {
 	top, bot []float64 // lattice rows iy and iy+1
 	iy       int64
 	valid    bool // top and bot hold rows iy and iy+1
+	// nlat is the number of lattice columns a row spans, ix[0] to
+	// ix[len-1]+1, where fill runs fillAVX512, else 0; lat is that
+	// kernel's table of their hashes, with 16 entries of slack.
+	nlat int
+	lat  []float64
 }
 
 func grow[T any](s []T, n int) []T {
@@ -291,6 +296,7 @@ func (o *octave) init(w int, offX, inv float64, id uint64) {
 		f := float64(smoothstep(fx - x0))
 		o.ix[x], o.wx[x], o.omx[x] = int64(x0), f, 1-f
 	}
+	o.plan()
 }
 
 // sprite sets o up for pixel columns xa to xb-1 of a sprite body, whose
@@ -308,6 +314,28 @@ func (o *octave) sprite(xa, xb int, id uint64) {
 		f := float64(smoothstep(fx - x0))
 		o.ix[j], o.wx[j], o.omx[j] = int64(x0), f, 1-f
 	}
+	o.plan()
+}
+
+// plan chooses fill's kernel for the columns in ix: fillAVX512 when
+// pixAVX512 and its 16-point window holds every eight consecutive pixels'
+// lattice points, that is when ix never falls and ix[x+7]+1 - ix[x] <= 15
+// (true at every cell at least half a pixel wide); else fillGo. The
+// differences are taken as uint64 once ix is known not to fall, so they
+// are exact whatever the columns.
+func (o *octave) plan() {
+	o.nlat = 0
+	ix := o.ix
+	if !pixAVX512 || len(ix) == 0 {
+		return
+	}
+	for x := 1; x < len(ix); x++ {
+		if ix[x] < ix[x-1] || uint64(ix[x]-ix[max(x-7, 0)]) > 14 {
+			return
+		}
+	}
+	o.nlat = int(ix[len(ix)-1]-ix[0]) + 2
+	o.lat = grow(o.lat, o.nlat+16)
 }
 
 // row moves the octave to pixel-row coordinate fy and returns the y weights.
@@ -334,20 +362,35 @@ func (o *octave) lattice(fy float64) (wy, omy float64) {
 	return wy, 1 - wy
 }
 
-// fill writes lattice row iy, lerped along x, into dst, hashing each lattice
-// point once however many pixel columns it spans.
+// fill writes lattice row iy, lerped along x, into dst, with the kernel
+// plan chose. The column tables are cut to len(dst) and the lattice table
+// to what fillAVX512 reads, so a short one panics here, not in the kernel.
 func (o *octave) fill(dst []float64, iy int64) {
-	var v0, v1 float64
+	w := len(dst)
+	ix, omx, wx := o.ix[:w], o.omx[:w], o.wx[:w]
 	k := rowKey(iy, o.id)
-	for x, ix := range o.ix {
+	if o.nlat > 0 {
+		fillAVX512(dst, ix, omx, wx, o.lat[:o.nlat+16], o.nlat, k)
+		return
+	}
+	fillGo(dst, ix, omx, wx, k)
+}
+
+// fillGo writes the lattice row whose rowKey is k, lerped along x at the
+// columns ix with weights omx and wx, into dst, hashing each lattice point
+// once however many pixel columns it spans.
+func fillGo(dst []float64, ix []int64, omx, wx []float64, k uint64) {
+	var v0, v1 float64
+	ix, omx, wx = ix[:len(dst)], omx[:len(dst)], wx[:len(dst)]
+	for x, c := range ix {
 		switch {
-		case x > 0 && ix == o.ix[x-1]:
-		case x > 0 && ix == o.ix[x-1]+1:
-			v0, v1 = v1, hashAt(ix+1, k)
+		case x > 0 && c == ix[x-1]:
+		case x > 0 && c == ix[x-1]+1:
+			v0, v1 = v1, hashAt(c+1, k)
 		default:
-			v0, v1 = hashAt(ix, k), hashAt(ix+1, k)
+			v0, v1 = hashAt(c, k), hashAt(c+1, k)
 		}
-		dst[x] = float64(v0*o.omx[x]) + float64(v1*o.wx[x])
+		dst[x] = float64(v0*omx[x]) + float64(v1*wx[x])
 	}
 }
 
@@ -385,8 +428,9 @@ type renderScratch struct {
 
 // pixLanes holds the scalar operands of the pixel body, each broadcast to
 // four lanes: the AVX2 row kernel reads them as memory operands, since
-// with its own constants and temporaries they outnumber the YMM registers.
-// The first six are the frame's, set once; the rest are the current row's.
+// with its own constants and temporaries they outnumber the YMM registers,
+// and the AVX-512 kernel broadcasts each one's first lane (.BCST). The
+// first six are the frame's, set once; the rest are the current row's.
 type pixLanes struct {
 	_                                   [0]func() // not comparable, so no equality function is linked for it
 	base, amp1, warp, amp2, step, grain [4]float64
@@ -396,18 +440,31 @@ type pixLanes struct {
 
 func bcast(dst *[4]float64, v float64) { *dst = [4]float64{v, v, v, v} }
 
-// pixAVX2 selects the AVX2 row kernel for the whole quads of each row,
-// once, from the module's one AVX2 probe (false off amd64 and under
-// purego). It is a flag, not a function value, like the codec's useAVX2.
-var pixAVX2 = cpu.AVX2
+// pixAVX512 and pixAVX2 select FrameAt's kernels once, from the module's
+// one CPU probe (both false off amd64 and under purego). With pixAVX512
+// the pixel row and the lattice rows run AVX-512 kernels; else, with
+// pixAVX2, the pixel row's whole quads run the AVX2 kernel. They are
+// flags, not function values, like the codec's useAVX2.
+var (
+	pixAVX512 = cpu.AVX512
+	pixAVX2   = cpu.AVX2
+)
 
-// pixRow renders one row of the pixel body: the AVX2 kernel over the first
-// len(row) &^ 3 pixels when pixAVX2, the Go twin over the rest. Every slice
-// is at least len(row) long.
+// pixRow renders one row of the pixel body: the AVX-512 kernel over the
+// whole row when pixAVX512, else the AVX2 kernel over the first
+// len(row) &^ 3 pixels when pixAVX2 and the Go twin over the rest. Every
+// other slice must be at least len(row) long: they are cut to it here, so
+// a short one panics before a kernel could read past its end.
 func pixRow(row, on []uint8, t1, b1, t2, b2, tG, bG []float64, k *pixLanes) {
+	w := len(row)
+	on, t1, b1, t2, b2, tG, bG = on[:w], t1[:w], b1[:w], t2[:w], b2[:w], tG[:w], bG[:w]
 	x0 := 0
-	if pixAVX2 {
-		x0 = len(row) &^ 3
+	switch {
+	case pixAVX512:
+		pixRowAVX512(row, on, t1, b1, t2, b2, tG, bG, k)
+		return
+	case pixAVX2:
+		x0 = w &^ 3
 		pixRowAVX2(row[:x0], on, t1, b1, t2, b2, tG, bG, k)
 	}
 	pixRowGo(row, on, t1, b1, t2, b2, tG, bG, k, x0)

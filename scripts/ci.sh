@@ -4,7 +4,8 @@
 #
 #   scripts/ci.sh fast    blocking tier: build, gofmt, go vet on three build
 #                         partitions (default, -tags purego, GOARCH=arm64),
-#                         no fused multiply-add in any arm64 livenas code,
+#                         no fused multiply-add in any arm64 livenas code
+#                         or amd64 kernel,
 #                         the enum, lock and write-error pins by name (a new
 #                         Scheme or fleet State without a case, a Send that
 #                         keeps its lock, a dropped Flush error),
@@ -17,7 +18,8 @@
 #                         the benchmark module's vet + tests, the int8 and
 #                         codec+vidgen differential tests (PSNR's integer
 #                         sum included), the codec's bordered reference,
-#                         block kernels, the vidgen pixel row's Go twin, the
+#                         block kernels, the vidgen pixel row's Go twin and
+#                         AVX2 kernel, the lattice rows' Go twin, the
 #                         table-driven sprites and Downscale's row kernel
 #                         by name, the wire format
 #                         pin, the playlist format pin (with the event-heap
@@ -206,16 +208,21 @@ sr_inference_pin() {
 # table-driven sprites against the seed's per-pixel sprites, at times a
 # sprite crosses the frame's left and right edges, row 0 and the HUD
 # band's top), the sprite body's noise tables against valueNoise bit for
-# bit, and the pixel-row differential (posterise ties, -0
+# bit, the pixel-row differential (posterise ties, -0
 # quotients, the glyph toggle at 127, both clamps, every lane remainder)
-# under each pixel-row kernel set the host can run; then the camera's
+# under each pixel-row kernel set the host can run, its AVX2 set by name,
+# and the lattice-row differential (negative and ±2^62 columns, cells
+# from under a pixel to over 64, every width remainder mod 8, sprite
+# bodies) against the seed's per-point hash and lerp; then the camera's
 # Downscale(2) row kernel against the seed's float box average (every
 # block sum 0-1020, every remainder of its 16 outputs; whole frames at
 # factors 2-4 with odd sides); then PSNR's integer sum against the seed
 # float loop (every window of a small frame, a 4K all-0 against all-255
 # frame). The top-level tests cover the vector kernels where the CPU has
 # them, and the /go subtests name the Go twins, so a rename cannot drop a
-# twin's check on a host with the kernels.
+# twin's check on a host with the kernels. The pixel row's AVX2 kernel is
+# named too: FrameAt runs the AVX-512 one wherever the CPU has both, so
+# only that subtest holds the AVX2 kernel there.
 codec_vidgen_differential() {
     pin_tests ./internal/codec TestQuantTableMatchesPow TestDCTMatchesRef TestDCTMatchesRef/go \
         TestEncodeBitstreamMatchesRef TestEncodeBitstreamMatchesRef/go \
@@ -225,7 +232,8 @@ codec_vidgen_differential() {
         TestQuantiseMatchesRef TestQuantiseMatchesRef/go \
         TestResidualMatchesRef TestResidualMatchesRef/go TestSEEveryInt32Edge &&
         pin_tests ./internal/vidgen TestFrameAtMatchesRef TestFrameAtMatchesRef/go \
-            TestPixRowMatchesGo TestPixRowMatchesGo/go TestSpriteNoiseMatchesValueNoise &&
+            TestPixRowMatchesGo TestPixRowMatchesGo/go TestPixRowMatchesGo/avx2 \
+            TestLatticeFillMatchesRef TestLatticeFillMatchesRef/go TestSpriteNoiseMatchesValueNoise &&
         pin_tests ./internal/frame TestDownscaleMatchesRef TestDownscaleMatchesRef/go \
             TestHalveRowMatchesRef TestHalveRowMatchesRef/go &&
         pin_tests ./internal/metrics TestMSEMatchesRef TestMSEMatchesRef/go
@@ -239,23 +247,34 @@ codec_vidgen_differential() {
 # sr, gcc, core, exp) are disassembled, and any such instruction in a
 # livenas/ symbol fails the step; write the expression as float64(x*y) + z
 # (or float32), rounding a product where it is used rather than where it is
-# defined, so the amd64 text does not move.
+# defined, so the amd64 text does not move. The amd64 builds of the same
+# binaries are disassembled too, for the hand-written kernels: Go emits no
+# FMA at the default GOAMD64=v1, so a VFMADD/VFMSUB/VFNMADD/VFNMSUB (VEX
+# or EVEX) in a livenas/ symbol there comes from an assembly file. go tool
+# objdump does not decode VEX or EVEX, so that half reads binutils'
+# objdump.
 no_fused_multiply_add() {
     local dir found pkg rc=0
     dir="$(mktemp -d)"
-    found="$(GOARCH=arm64 go build -o "$dir/livenas-bench" ./cmd/livenas-bench &&
+    found="$(mkdir "$dir/arm64" "$dir/amd64" &&
+        GOARCH=arm64 go build -o "$dir/arm64/livenas-bench" ./cmd/livenas-bench &&
+        GOARCH=amd64 go build -o "$dir/amd64/livenas-bench" ./cmd/livenas-bench &&
         for pkg in frame nn codec vidgen metrics sr gcc core exp; do
-            GOARCH=arm64 go test -c -o "$dir/$pkg.test" "./internal/$pkg" || exit 1
+            GOARCH=arm64 go test -c -o "$dir/arm64/$pkg.test" "./internal/$pkg" || exit 1
+            GOARCH=amd64 go test -c -o "$dir/amd64/$pkg.test" "./internal/$pkg" || exit 1
         done &&
-        for bin in "$dir"/*; do go tool objdump "$bin" || exit 1; done | awk '
+        for bin in "$dir"/arm64/*; do go tool objdump "$bin" || exit 1; done | awk '
             /^TEXT / { sym = $2 }
-            /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^livenas\// { print sym, $1 }')" || rc=$?
+            /\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && sym ~ /^livenas\// { print sym, $1 }' &&
+        for bin in "$dir"/amd64/*; do objdump -d --no-show-raw-insn "$bin" || exit 1; done | awk '
+            /^[0-9a-f]+ <.*>:$/ { sym = substr($0, index($0, "<") + 1); sym = substr(sym, 1, length(sym) - 2) }
+            /:\tv(fmadd|fmsub|fnmadd|fnmsub)/ && sym ~ /^livenas\// { print sym, $1, $2 }')" || rc=$?
     rm -rf "$dir"
     if [[ $rc -ne 0 ]]; then
         return "$rc"
     fi
     if [[ -n "$found" ]]; then
-        echo "fused multiply-add on arm64 (symbol, source line):" >&2
+        echo "fused multiply-add (symbol, source line or address):" >&2
         echo "$found" >&2
         return 1
     fi
@@ -356,7 +375,7 @@ if [[ "$TIER" == "fast" ]]; then
     step "go build" go build ./...
     step "gofmt" gofmt_clean
     vet_partitions
-    step "no fused multiply-add (arm64)" no_fused_multiply_add
+    step "no fused multiply-add (arm64, amd64 kernels)" no_fused_multiply_add
     step "enum, lock and write-error pins" enum_lock_write_pins
     # The registry's two locks (evMu for the trace, mu for the metrics) meet
     # only between SetEventCap and Snapshot; this race turns an inversion of
